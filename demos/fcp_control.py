@@ -20,7 +20,7 @@ def main():
     for n in (100, 500, 2500):
         cfg = ExperimentConfig(
             n=n, m=500, reps=200, alpha=ALPHA, beta=BETA, delta=DELTA,
-            mode="RA", envelope_kind="quantile", K_env=20_000, K_fcp=10_000,
+            mode="RA", envelope_kind="quantile", K_env=20_000,
             data_model="sigmoid", noise_sd=0.07, master_seed=21,
             fcp_mode="fcp_controlled",
         )

@@ -15,7 +15,6 @@ from .conformal import (
     RankSet,
     Threshold,
     calibrate,
-    fcp_calibrated_k,
     fcp_calibration,
     predict_set_ra,
     predict_set_va,

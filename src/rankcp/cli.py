@@ -6,7 +6,8 @@ flag (command line wins on conflict).  ``RANKCP_PARALLEL`` sets the default
 parallelism degree; results never depend on it.
 
 Exit codes: 0 ok, 2 usage/type error, 3 insufficient Monte-Carlo sample,
-4 data error, 5 infeasible level.
+4 data error, 5 infeasible level.  Flags marked deprecated still parse but
+are ignored, with a note on stderr.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ EXIT_SAMPLING = 3
 EXIT_DATA = 4
 EXIT_INFEASIBLE = 5
 
+# Help text of the former Monte-Carlo FCP flags; to be removed next release.
+DEPRECATED = "deprecated and ignored (the FCP index is exact)"
+
 
 def _opt(name, converter, default, help_text, choices=None):
     return {
@@ -94,11 +98,11 @@ COMMANDS: dict[str, list[dict]] = {
         _opt("mode", str, "RA", "score family", choices=("RA", "VA")),
         _opt("fcp", _bool_flag, False, "FCP-calibrated threshold (on/off)"),
         _opt("beta", float, 0.25, "FCP exceedance budget (fcp=on)"),
-        _opt("fcp-K", int, 10_000, "replicates for FCP calibration (fcp=on)"),
-        _opt("seed", int, 0, "seed for FCP calibration (fcp=on)"),
+        _opt("fcp-K", int, None, DEPRECATED),
+        _opt("seed", int, None, DEPRECATED),
         _opt("test-only", _bool_flag, False, "add test-only rank columns"),
         _opt("top-k", int, 0, "add a top-k candidate column (0 disables)"),
-        _opt("workers", int, None, "parallel chunks (default: RANKCP_PARALLEL)"),
+        _opt("workers", int, None, DEPRECATED),
         _opt("out", str, None, "output sets CSV path (required)"),
     ],
     "evaluate": [
@@ -127,7 +131,7 @@ COMMANDS: dict[str, list[dict]] = {
         _opt("mode", str, "RA", "score family", choices=("RA", "VA")),
         _opt("envelope-kind", str, "quantile", "envelope kind", choices=ENVELOPE_KINDS),
         _opt("K-env", int, 20_000, "envelope trajectory count"),
-        _opt("K-fcp", int, 10_000, "FCP calibration replicates"),
+        _opt("K-fcp", int, None, DEPRECATED),
         _opt("data-model", str, "sigmoid", "data model", choices=DATA_MODELS),
         _opt("noise-sd", float, 0.07, "toy ranker noise"),
         _opt("seed", int, 0, "master seed"),
@@ -190,6 +194,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     resolved = {}
     for name, opt in options.items():
         value = values[name]
+        if value is not None and opt["help"] == DEPRECATED:
+            print(f"{TOOL}: --{name} is {DEPRECATED}", file=sys.stderr)
         if value is None:
             if name in REQUIRED[command]:
                 raise InvalidInput(f"--{name} is required for {command}")
@@ -252,8 +258,7 @@ def _cmd_predict(resolved: dict) -> int:
     meta = None
     if resolved["fcp"]:
         meta = fcp_calibration(
-            resolved["alpha"], resolved["beta"], env.delta, problem.n, problem.m,
-            resolved["fcp-K"], resolved["seed"], workers=_workers(resolved),
+            resolved["alpha"], resolved["beta"], env.delta, problem.n, problem.m
         )
         k = meta.k
     else:
@@ -272,7 +277,7 @@ def _cmd_predict(resolved: dict) -> int:
     io.write_sets(sets, resolved["out"], test_only=extra_test, top_candidates=top)
     _manifest(
         "predict", resolved,
-        seeds={"fcp": resolved["seed"] if resolved["fcp"] else None},
+        seeds={},
         inputs={"scores": resolved["scores"], "envelope": resolved["envelope"]},
         extras={
             "k": thr.k,
@@ -286,6 +291,8 @@ def _cmd_predict(resolved: dict) -> int:
 
 def _cmd_evaluate(resolved: dict) -> int:
     sets = io.read_sets(resolved["sets"])
+    if not sets:
+        raise InvalidData(f"{resolved['sets']}: no prediction sets to evaluate")
     ids, n, m, truth = io.read_truth(resolved["truth"])
     pooled = ranks_within(truth)
     rank_by_id = dict(zip(ids, pooled.tolist()))
@@ -304,7 +311,7 @@ def _cmd_evaluate(resolved: dict) -> int:
     ]
     covered = [it["covered"] for it in items]
     doc = {
-        "fcp": 1.0 - sum(covered) / len(covered) if covered else 0.0,
+        "fcp": 1.0 - sum(covered) / len(covered),
         "relative_length": float(np.mean([s.size for s in sets])) / (n + m),
         "items": items,
     }
@@ -336,7 +343,7 @@ def _cmd_experiment(resolved: dict) -> int:
         n=resolved["n"], m=resolved["m"], reps=resolved["reps"],
         alpha=resolved["alpha"], beta=resolved["beta"], delta=resolved["delta"],
         mode=resolved["mode"], envelope_kind=resolved["envelope-kind"],
-        K_env=resolved["K-env"], K_fcp=resolved["K-fcp"],
+        K_env=resolved["K-env"],
         data_model=resolved["data-model"], noise_sd=resolved["noise-sd"],
         master_seed=resolved["seed"], fcp_mode=resolved["fcp-mode"],
         k_top=resolved["k-top"] or None, workers=_workers(resolved),

@@ -15,16 +15,18 @@ families.  Calibrating on the k-th smallest proxy score with
 ``k = ceil((1 - alpha + delta)(n + 1))`` yields marginally valid sets at level
 ``1 - alpha`` whenever the envelope holds at level ``1 - delta``.
 
-:func:`fcp_calibrated_k` instead picks ``k`` so that the false coverage
+:func:`fcp_calibration` instead picks ``k`` so that the false coverage
 proportion over the m test items stays below ``alpha_bar`` with probability at
-least ``1 - beta_bar - delta``.  It exploits that the vector of conformal
-p-values of test scores among calibration scores follows a universal
-distribution, simulated from uniforms.
+least ``1 - beta_bar - delta``.  The vector of conformal p-values of test
+scores among calibration scores follows a universal distribution; the one
+order statistic that decides FCP control has a negative-hypergeometric law,
+so ``k`` is computed exactly rather than simulated.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +36,10 @@ from .errors import (
     DimensionMismatch,
     EmptyPredictionSet,
     InfeasibleLevel,
-    InsufficientSample,
     InvalidInput,
     RankOutOfRange,
 )
 from .ranks import RA, ItemId, RankingProblem, check_no_ties
-from .streams import CHUNK, chunk_stream, run_chunks
 
 MARGINAL = "marginal"
 FCP_CONTROLLED = "fcp_controlled"
@@ -70,15 +70,13 @@ class ProxyScores:
 
 @dataclass
 class FcpCalibration:
-    """Result of the simulated FCP threshold selection."""
+    """Result of the exact FCP threshold selection."""
 
     k: int
     t_hat: float
     alpha_bar: float
     beta_bar: float
     delta: float
-    K: int
-    seed: int
 
 
 @dataclass
@@ -308,74 +306,58 @@ def fcp_calibration(
     delta: float,
     n: int,
     m: int,
-    K: int,
-    seed: int,
-    workers: int | None = None,
+    K: int | None = None,
+    seed: int | None = None,
 ) -> FcpCalibration:
-    """Simulate the FCP-controlling calibration index.
+    """Exact FCP-controlling calibration index.
 
-    Draws ``K`` replicates of the universal conformal p-value vector (each
-    test p-value is ``(1 + #{calibration >= test}) / (n + 1)``, simulated
-    from ``n + m`` uniforms), takes the ``(floor(m alpha_bar) + 1)``-th
-    smallest p-value of each replicate, and sets ``t_hat`` to the empirical
-    ``beta_bar``-quantile (order statistic at index ``ceil(beta_bar K)``) of
-    those ``K`` values.  The returned index is
-    ``k = ceil((n + 1)(1 - t_hat))`` clipped to ``[1, n]``, computed in exact
-    integer arithmetic.
+    With ``a = floor(m alpha_bar) + 1`` and ``j0 = m - a``, the test p-value
+    that decides FCP control is fixed by ``X``, the number of calibration
+    items below the ``(j0 + 1)``-th smallest test item.  Its law is universal
+    (negative hypergeometric):
+
+        P(X = x) = C(x + j0, x) C(n - x + r, n - x) / C(n + m, n),
+        r = m - j0 - 1.
+
+    ``x*`` is the largest ``x`` with ``P(X >= x) >= beta_bar``, found by
+    summing the tail from ``x = n`` down in exact integers against the exact
+    binary value of ``beta_bar``.  The returned index is ``k = min(n, max(1, x*))``
+    and ``t_hat = (n + 1 - x*) / (n + 1)`` is the exact ``beta_bar``-quantile
+    of that p-value, with no Monte-Carlo error.
 
     Combined with an envelope at level ``1 - delta``, the resulting sets keep
     the false coverage proportion at most ``alpha_bar`` with probability at
-    least ``1 - beta_bar - delta``.
+    least ``1 - beta_bar - delta``.  ``K`` and ``seed`` are deprecated and
+    ignored; they will be removed in the next release.
     """
+    if K is not None or seed is not None:
+        warnings.warn("fcp_calibration: K and seed are deprecated and ignored "
+                      "(the FCP index is exact)", DeprecationWarning, stacklevel=2)
     if not 0.0 <= alpha_bar < 1.0:
         raise InvalidInput(f"alpha_bar={alpha_bar} outside [0, 1)")
     if not 0.0 < beta_bar < 1.0:
         raise InvalidInput(f"beta_bar={beta_bar} outside (0, 1)")
     if not 0.0 <= delta < 1.0:
         raise InvalidInput(f"delta={delta} outside [0, 1)")
-    if n < 1 or m < 1 or K < 1:
-        raise InvalidInput("need n, m, K >= 1")
-    if K < 1.0 / beta_bar:
-        raise InsufficientSample(
-            f"K={K} replicates cannot resolve beta_bar={beta_bar}; need K >= 1/beta_bar"
-        )
+    if n < 1 or m < 1:
+        raise InvalidInput("need n, m >= 1")
 
-    a = int(math.floor(m * alpha_bar + 1e-9)) + 1
+    a = min(m, int(math.floor(m * alpha_bar + 1e-9)) + 1)
     j0 = m - a  # the a-th smallest p-value belongs to the a-th largest score
-    total = n + m
-    order_stats = np.empty(K, dtype=np.int64)
-
-    def fill(c: int) -> None:
-        lo = c * CHUNK
-        hi = min(K, lo + CHUNK)
-        gen = chunk_stream(seed, c, "fcp-pvalues", n, m)
-        u = gen.random((hi - lo, total))
-        order = np.argsort(u, axis=1)
-        # pos[j] = pooled sorted position (0-based) of the j-th smallest of
-        # the m test uniforms; pos[j] - j counts calibration uniforms below.
-        pos = np.nonzero(order >= n)[1].reshape(hi - lo, m)
-        order_stats[lo:hi] = 1 + n - (pos[:, j0] - j0)
-
-    run_chunks(math.ceil(K / CHUNK), fill, workers)
-
-    idx = max(1, min(K, int(math.ceil(beta_bar * K - 1e-9))))
-    t_num = int(np.partition(order_stats, idx - 1)[idx - 1])
-    k = min(n, max(1, n + 1 - t_num))
+    r = m - j0 - 1
+    num, den = float(beta_bar).as_integer_ratio()  # exactly Fraction(beta_bar)
+    # P(X >= x) >= beta_bar  <=>  tail * den >= num * C(n+m, n)
+    need = num * math.comb(n + m, n)
+    term = math.comb(n + j0, n)  # C(n+m, n) P(X = n)
+    tail = 0
+    x = n
+    while True:
+        tail += term
+        if tail * den >= need:
+            break
+        term = term * x * (n - x + 1 + r) // ((x + j0) * (n - x + 1))
+        x -= 1
     return FcpCalibration(
-        k=k, t_hat=t_num / (n + 1), alpha_bar=alpha_bar, beta_bar=beta_bar,
-        delta=delta, K=K, seed=seed,
+        k=min(n, max(1, x)), t_hat=(n + 1 - x) / (n + 1),
+        alpha_bar=alpha_bar, beta_bar=beta_bar, delta=delta,
     )
-
-
-def fcp_calibrated_k(
-    alpha_bar: float,
-    beta_bar: float,
-    delta: float,
-    n: int,
-    m: int,
-    K: int,
-    seed: int,
-    workers: int | None = None,
-) -> int:
-    """Calibration index from :func:`fcp_calibration` (index only)."""
-    return fcp_calibration(alpha_bar, beta_bar, delta, n, m, K, seed, workers).k

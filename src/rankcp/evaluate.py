@@ -18,6 +18,7 @@ adding stages never perturbs earlier ones.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,8 +194,10 @@ class ExperimentConfig:
 
     ``beta`` is the FCP exceedance budget (the paper-default trio is
     ``alpha=0.1``, ``beta=0.25``, ``delta=0.02``).  ``noise_sd`` is the toy
-    ranker's noise.  ``K_env`` and ``K_fcp`` are desk-scale defaults; raise
-    them for tighter envelopes.  ``k_top`` defaults to ``ceil(0.05 m)``.
+    ranker's noise.  ``K_env`` is a desk-scale default; raise it for tighter
+    envelopes.  ``K_fcp`` is deprecated and ignored (the FCP index is exact)
+    and will be removed in the next release.  ``k_top`` defaults to
+    ``ceil(0.05 m)``.
     """
 
     n: int = 200
@@ -206,7 +209,7 @@ class ExperimentConfig:
     mode: str = RA
     envelope_kind: str = "quantile"
     K_env: int = 20_000
-    K_fcp: int = 10_000
+    K_fcp: int | None = None
     data_model: str = SIGMOID
     noise_sd: float = 0.07
     master_seed: int = 0
@@ -215,6 +218,9 @@ class ExperimentConfig:
     workers: int | None = None
 
     def __post_init__(self):
+        if self.K_fcp is not None:
+            warnings.warn("ExperimentConfig: K_fcp is deprecated and ignored "
+                          "(the FCP index is exact)", DeprecationWarning, stacklevel=3)
         if self.n < 1 or self.m < 1 or self.reps < 1:
             raise InvalidInput("need n, m, reps >= 1")
         for name in ("alpha", "beta", "delta"):
@@ -343,11 +349,12 @@ def _quintile_widths(
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Repeat the full pipeline ``cfg.reps`` times and collect metrics.
 
-    The envelope and (in FCP mode) the threshold index are fit once per
-    experiment: both follow universal distributions that depend only on
-    ``(n, m)`` and the Monte-Carlo budget, not on the data, so refitting per
-    repetition would only add identical-in-law copies at hundreds of times
-    the cost.  All per-repetition randomness (data, ranker noise) is fresh.
+    The envelope and (in FCP mode) the threshold index are computed once per
+    experiment: both depend only on ``(n, m)`` and the levels (the envelope
+    also on its Monte-Carlo budget ``K_env``), not on the data, so refitting
+    per repetition would only add identical-in-law copies at hundreds of
+    times the cost.  The FCP index is exact.  All per-repetition randomness
+    (data, ranker noise) is fresh.
     """
     env = build_envelope(
         cfg.envelope_kind, cfg.n, cfg.m, cfg.delta, cfg.K_env,
@@ -355,10 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
     meta = None
     if cfg.fcp_mode == FCP_CONTROLLED:
-        meta = fcp_calibration(
-            cfg.alpha, cfg.beta, env.delta, cfg.n, cfg.m, cfg.K_fcp,
-            child_seed(cfg.master_seed, "fcp"), workers=cfg.workers,
-        )
+        meta = fcp_calibration(cfg.alpha, cfg.beta, env.delta, cfg.n, cfg.m)
         k = meta.k
     else:
         k = select_k(cfg.alpha, env.delta, cfg.n)

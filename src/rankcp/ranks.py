@@ -10,6 +10,7 @@ resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,18 +86,22 @@ def ranks_within(values) -> np.ndarray:
 def break_ties(values, seed: int) -> np.ndarray:
     """Deterministic opt-in tie resolution.
 
-    Adds ``i * eps`` to each element, where ``eps`` is the smallest positive
-    gap divided by ``2 * len(values)`` and ``i`` runs over a seeded random
-    permutation of offsets.  The order of non-tied values is preserved
-    exactly; tied groups are ordered by the permutation.  Returns a tie-free
-    copy and never mutates the input.
+    Orders the values, tied groups by a seeded random permutation, then
+    sweeps the sorted sequence and raises each value that does not exceed
+    its predecessor to the next float above the predecessor.  The steps are
+    whole ulps, so rounding cannot absorb them: the output is tie-free and
+    the order of non-tied values is preserved exactly.  Returns a copy and
+    never mutates the input.
     """
-    arr = _as_float_vector(values, "values").copy()
-    distinct = np.unique(arr)
-    gap = float(np.diff(distinct).min()) if distinct.size > 1 else 1.0
-    eps = gap / (2 * arr.size)
-    offsets = stream(seed, "tie-break").permutation(arr.size)
-    return arr + eps * offsets
+    arr = _as_float_vector(values, "values")
+    order = np.lexsort((stream(seed, "tie-break").permutation(arr.size), arr))
+    swept = arr[order].tolist()
+    for i in range(1, len(swept)):
+        if swept[i] <= swept[i - 1]:
+            swept[i] = math.nextafter(swept[i - 1], math.inf)
+    out = np.empty_like(arr)
+    out[order] = swept
+    return out
 
 
 @dataclass(frozen=True)

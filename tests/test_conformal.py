@@ -1,19 +1,24 @@
 """Scores, proxies, thresholds, prediction sets, and FCP calibration."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankcp import (
     EmptyPredictionSet,
+    ExperimentConfig,
     InfeasibleLevel,
-    InsufficientSample,
     InvalidInput,
     ProxyScores,
     RankOutOfRange,
     RankingProblem,
     Threshold,
     calibrate,
-    fcp_calibrated_k,
     fcp_calibration,
     naive_envelope,
     predict_set_ra,
@@ -22,6 +27,7 @@ from rankcp import (
     proxy_score_ra,
     proxy_score_va,
     proxy_scores,
+    run_experiment,
     score_ra,
     score_va,
     scores_at,
@@ -29,6 +35,7 @@ from rankcp import (
     simulate_sorted_ranks,
     fit_quantile_envelope,
 )
+from rankcp.streams import CHUNK, chunk_stream
 
 
 def test_score_ra_examples():
@@ -240,29 +247,128 @@ def test_proxy_dominance_under_fitted_envelope_coverage():
 def test_fcp_calibration_two_item_enumeration():
     # n = m = 1: the only p-value is 1/2 or 1, each with probability 1/2,
     # so the 0.25-quantile settles at 1/2 and k = 1.
-    cal = fcp_calibration(0.0, 0.25, 0.1, n=1, m=1, K=4000, seed=1)
+    cal = fcp_calibration(0.0, 0.25, 0.1, n=1, m=1)
     assert cal.t_hat == pytest.approx(0.5)
     assert cal.k == 1
 
 
 def test_fcp_calibration_vs_marginal_k():
     n = m = 200
-    k_fcp = fcp_calibrated_k(0.1, 0.25, 0.02, n, m, K=10_000, seed=9)
+    k_fcp = fcp_calibration(0.1, 0.25, 0.02, n, m).k
     k_marginal = int(np.ceil((1 - 0.1) * (n + 1)))
     assert k_fcp >= k_marginal
     # stricter exceedance budgets can only raise the index
-    k_strict = fcp_calibrated_k(0.1, 0.05, 0.02, n, m, K=10_000, seed=9)
+    k_strict = fcp_calibration(0.1, 0.05, 0.02, n, m).k
     assert k_strict >= k_fcp
 
 
 def test_fcp_calibration_determinism_and_errors():
-    args = dict(alpha_bar=0.1, beta_bar=0.25, delta=0.02, n=50, m=80, K=2000)
-    a = fcp_calibration(seed=3, **args)
-    b = fcp_calibration(seed=3, **args)
+    args = dict(alpha_bar=0.1, beta_bar=0.25, delta=0.02, n=50, m=80)
+    a = fcp_calibration(**args)
+    b = fcp_calibration(**args)
     assert (a.k, a.t_hat) == (b.k, b.t_hat)
-    c = fcp_calibration(seed=3, workers=4, **args)
-    assert (a.k, a.t_hat) == (c.k, c.t_hat)
-    with pytest.raises(InsufficientSample):
-        fcp_calibration(0.1, 0.25, 0.02, 10, 10, K=3, seed=0)
     with pytest.raises(InvalidInput):
-        fcp_calibration(0.1, 1.5, 0.02, 10, 10, K=100, seed=0)
+        fcp_calibration(0.1, 1.5, 0.02, 10, 10)
+
+
+def _x_star(n, m, alpha_bar, beta_bar, counts):
+    """Largest x with P(X >= x) >= beta_bar, from integer counts of X."""
+    total = sum(counts)
+    beta = Fraction(beta_bar)
+    return max(
+        x for x in range(n + 1) if Fraction(sum(counts[x:]), total) >= beta
+    )
+
+
+def _j0(m, alpha_bar):
+    return m - min(m, math.floor(m * alpha_bar + 1e-9) + 1)
+
+
+def test_fcp_calibration_matches_enumeration_oracle():
+    # Every placement of the m test items among the n + m sorted positions is
+    # equally likely; X counts the calibration items below the (j0+1)-th
+    # smallest test item.
+    grid_alpha = (0.0, 0.1, 0.25, 0.5, 0.9)
+    grid_beta = (0.05, 0.1, 0.25, 0.5, 0.75, 0.95)
+    for total in range(2, 11):
+        for n in range(1, total):
+            m = total - n
+            for alpha_bar in grid_alpha:
+                j0 = _j0(m, alpha_bar)
+                counts = [0] * (n + 1)
+                for test_pos in itertools.combinations(range(total), m):
+                    counts[test_pos[j0] - j0] += 1
+                for beta_bar in grid_beta:
+                    x = _x_star(n, m, alpha_bar, beta_bar, counts)
+                    cal = fcp_calibration(alpha_bar, beta_bar, 0.02, n, m)
+                    assert (cal.k, cal.t_hat) == (
+                        min(n, max(1, x)), (n + 1 - x) / (n + 1)
+                    ), (n, m, alpha_bar, beta_bar)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    m=st.integers(1, 80),
+    alpha_bar=st.floats(0.0, 0.99),
+    betas=st.lists(st.floats(0.001, 0.999), min_size=2, max_size=2),
+)
+def test_fcp_calibration_scan_equals_comb_tail(n, m, alpha_bar, betas):
+    j0 = _j0(m, alpha_bar)
+    r = m - j0 - 1
+    counts = [math.comb(x + j0, x) * math.comb(n - x + r, n - x) for x in range(n + 1)]
+    assert sum(counts) == math.comb(n + m, n)
+    lo, hi = sorted(betas)
+    ks = []
+    for beta_bar in (hi, lo):
+        x = _x_star(n, m, alpha_bar, beta_bar, counts)
+        cal = fcp_calibration(alpha_bar, beta_bar, 0.02, n, m)
+        assert cal.k == min(n, max(1, x))
+        assert cal.t_hat == (n + 1 - x) / (n + 1)
+        ks.append(cal.k)
+    # a smaller exceedance budget never lowers the index
+    assert ks[1] >= ks[0]
+
+
+def _simulated_fcp_k(alpha_bar, beta_bar, n, m, K, seed):
+    """Monte-Carlo estimate of the FCP index (the former implementation).
+
+    Draws K replicates of the n + m uniforms, reads X off the sorted pooled
+    positions and takes the empirical beta_bar-quantile of 1 + n - X.
+    """
+    a = int(math.floor(m * alpha_bar + 1e-9)) + 1
+    j0 = m - a
+    order_stats = np.empty(K, dtype=np.int64)
+    for c in range(math.ceil(K / CHUNK)):
+        lo, hi = c * CHUNK, min(K, (c + 1) * CHUNK)
+        u = chunk_stream(seed, c, "fcp-pvalues", n, m).random((hi - lo, n + m))
+        order = np.argsort(u, axis=1)
+        pos = np.nonzero(order >= n)[1].reshape(hi - lo, m)
+        order_stats[lo:hi] = 1 + n - (pos[:, j0] - j0)
+    idx = max(1, min(K, int(math.ceil(beta_bar * K - 1e-9))))
+    t_num = int(np.partition(order_stats, idx - 1)[idx - 1])
+    return min(n, max(1, n + 1 - t_num))
+
+
+@pytest.mark.parametrize("n,m", [(200, 200), (50, 80)])
+def test_fcp_calibration_within_simulation_band(n, m):
+    alpha_bar, beta_bar, K = 0.1, 0.25, 10_000
+    sd = 5 * math.sqrt(beta_bar * (1 - beta_bar) / K)
+    k_lo = fcp_calibration(alpha_bar, beta_bar + sd, 0.02, n, m).k
+    k_hi = fcp_calibration(alpha_bar, beta_bar - sd, 0.02, n, m).k
+    k_mc = _simulated_fcp_k(alpha_bar, beta_bar, n, m, K, seed=9)
+    assert k_lo <= k_mc <= k_hi
+
+
+def test_fcp_calibration_deprecated_arguments_ignored():
+    exact = fcp_calibration(0.1, 0.25, 0.02, 50, 80)
+    with pytest.warns(DeprecationWarning, match="K and seed"):
+        old = fcp_calibration(0.1, 0.25, 0.02, 50, 80, 2000, 3)
+    assert (old.k, old.t_hat) == (exact.k, exact.t_hat)
+    base = dict(n=40, m=30, reps=2, K_env=2000, master_seed=57,
+                fcp_mode="fcp_controlled")
+    with pytest.warns(DeprecationWarning, match="K_fcp"):
+        cfg = ExperimentConfig(K_fcp=1000, **base)
+    old_report, new_report = run_experiment(cfg), run_experiment(ExperimentConfig(**base))
+    assert old_report.k == new_report.k
+    assert old_report.to_rows() == new_report.to_rows()

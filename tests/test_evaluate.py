@@ -162,7 +162,7 @@ def test_relative_length_grows_with_ranker_noise():
 def test_run_experiment_reproducible():
     cfg = ExperimentConfig(
         n=40, m=30, reps=3, alpha=0.1, delta=0.02, mode="VA",
-        envelope_kind="linear", K_env=2000, K_fcp=1000,
+        envelope_kind="linear", K_env=2000,
         data_model="sigmoid", noise_sd=0.07, master_seed=57,
         fcp_mode="fcp_controlled",
     )

@@ -181,7 +181,7 @@ def test_predict_fcp_threshold_at_least_marginal(tmp_path):
         "--alpha", "0.1", "--mode", "VA",
     ]
     assert main(base + ["--out", str(out_marginal)]) == 0
-    assert main(base + ["--fcp", "on", "--beta", "0.25", "--seed", "4",
+    assert main(base + ["--fcp", "on", "--beta", "0.25",
                         "--out", str(out_fcp)]) == 0
     k_marginal = json.loads(Path(str(out_marginal) + ".manifest.json").read_text())
     k_fcp = json.loads(Path(str(out_fcp) + ".manifest.json").read_text())
@@ -253,6 +253,11 @@ def test_exit_codes(tmp_path):
     rio.write_scores(_problem("VA", with_truth=True), truth)
     assert main(["evaluate", "--sets", str(sets_path), "--truth", str(truth),
                  "--out", str(tmp_path / "m.json")]) == 4
+    # data: a sets file with a header and no rows has nothing to evaluate
+    sets_path.write_text("id,lo,hi\n")
+    assert main(["evaluate", "--sets", str(sets_path), "--truth", str(truth),
+                 "--out", str(tmp_path / "empty.json")]) == 4
+    assert not (tmp_path / "empty.json").exists()
     # usage: invalid probability flag names the field
     assert main(["experiment", "--alpha", "1.4", "--reps", "2",
                  "--out", str(tmp_path / "r.csv")]) == 2
@@ -293,7 +298,7 @@ def test_experiment_command_schema_and_config_merge(tmp_path):
     out = tmp_path / "report.csv"
     # CLI --alpha overrides the config file value
     assert main(["experiment", "--config", str(cfg_path), "--alpha", "0.2",
-                 "--K-fcp", "1000", "--seed", "8", "--out", str(out)]) == 0
+                 "--seed", "8", "--out", str(out)]) == 0
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest["config"]["alpha"] == 0.2
     assert manifest["config"]["n"] == 30
@@ -322,7 +327,7 @@ def test_experiment_smoke_runtime(tmp_path):
     start = time.perf_counter()
     out = tmp_path / "report.csv"
     assert main(["experiment", "--n", "100", "--m", "100", "--reps", "20",
-                 "--K-env", "10000", "--K-fcp", "5000", "--seed", "1",
+                 "--K-env", "10000", "--seed", "1",
                  "--out", str(out)]) == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 60
@@ -342,10 +347,36 @@ def test_cli_byte_determinism(tmp_path, monkeypatch):
 
     rep_a, rep_b = tmp_path / "ra.csv", tmp_path / "rb.csv"
     args = ["experiment", "--n", "30", "--m", "20", "--reps", "4",
-            "--K-env", "2000", "--K-fcp", "1000", "--seed", "3",
+            "--K-env", "2000", "--seed", "3",
             "--fcp-mode", "fcp_controlled"]
     monkeypatch.setenv("RANKCP_PARALLEL", "1")
     assert main(args + ["--out", str(rep_a)]) == 0
     monkeypatch.setenv("RANKCP_PARALLEL", "8")
     assert main(args + ["--out", str(rep_b)]) == 0
     assert rep_a.read_bytes() == rep_b.read_bytes()
+
+
+def test_deprecated_fcp_flags_are_ignored(tmp_path, capsys):
+    base = ["predict", "--scores", str(DATA / "golden_scores.csv"),
+            "--envelope", str(DATA / "golden_envelope.json"),
+            "--alpha", "0.25", "--mode", "VA", "--fcp", "on"]
+    assert main(base + ["--out", str(tmp_path / "a.csv")]) == 0
+    assert "deprecated" not in capsys.readouterr().err
+    assert main(base + ["--fcp-K", "4000", "--seed", "7", "--workers", "2",
+                        "--out", str(tmp_path / "b.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"rankcp: --{flag} is deprecated and ignored (the FCP index is exact)"
+        for flag in ("fcp-K", "seed", "workers")
+    ]
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    base = ["experiment", "--n", "40", "--m", "30", "--reps", "3",
+            "--K-env", "2000", "--seed", "8", "--fcp-mode", "fcp_controlled"]
+    assert main(base + ["--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    assert main(base + ["--K-fcp", "2000", "--out", str(tmp_path / "r2.csv")]) == 0
+    assert capsys.readouterr().err == (
+        "rankcp: --K-fcp is deprecated and ignored (the FCP index is exact)\n"
+    )
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()

@@ -140,6 +140,12 @@ def test_break_ties_resolves_and_preserves_order():
 def test_break_ties_all_equal():
     fixed = break_ties([2.0, 2.0, 2.0], seed=0)
     assert not has_ties(fixed)
+    # a gap-based offset would fall below the ulp here and be rounded away
+    values = np.array([1e16, 1e16, 1e16 + 2])
+    fixed = break_ties(values, seed=0)
+    assert not has_ties(fixed)
+    assert fixed[2] > max(fixed[0], fixed[1])
+    assert np.array_equal(values, [1e16, 1e16, 1e16 + 2])  # input untouched
 
 
 def _problem(**overrides):
