@@ -41,30 +41,28 @@ def main():
     thr = calibrate(proxy_scores(problem, env), k, alpha=ALPHA)
     print(f"calibration index k={k} of {N}, threshold S_(k)={thr.value:.4f}")
 
-    sets = predict_sets(problem, thr)
+    sets = predict_sets(problem, thr)  # RankSets: lo/hi columns, one row per item
+    test_only = test_only_set(sets, env)
     pooled = ranks_within(problem.truth)
     true_test = pooled[N:]
+    hits = sets.contains(true_test)
 
     print("\nfirst eight test items:")
     print(f"{'id':>6} {'true rank':>9} {'set':>12} {'test-only set':>14} {'hit':>4}")
     for j in range(8):
-        s = sets[j]
-        t = test_only_set(s, env)
-        hit = "yes" if s.contains(int(true_test[j])) else "MISS"
-        print(f"{s.item:>6} {true_test[j]:>9} [{s.lo:>4}, {s.hi:>4}] "
-              f"   [{t.lo:>3}, {t.hi:>3}] {hit:>6}")
+        hit = "yes" if hits[j] else "MISS"
+        print(f"{sets.items[j]:>6} {true_test[j]:>9} [{sets.lo[j]:>4}, {sets.hi[j]:>4}] "
+              f"   [{test_only.lo[j]:>3}, {test_only.hi[j]:>3}] {hit:>6}")
 
-    covered = np.mean([s.contains(int(r)) for s, r in zip(sets, true_test)])
-    width = np.mean([s.size for s in sets])
-    print(f"\nempirical coverage on this draw: {covered:.3f} "
-          f"(target >= {1 - ALPHA}), mean set size {width:.1f} of {N + M}")
+    print(f"\nempirical coverage on this draw: {hits.mean():.3f} "
+          f"(target >= {1 - ALPHA}), mean set size {sets.size.mean():.1f} of {N + M}")
 
     k_top = 15
     candidates = topk_candidates(sets, k_top)
-    truly_top = {sets[j].item for j in range(M) if true_test[j] <= k_top}
-    print(f"\ntop-{k_top} candidates: {len(candidates)} items, "
-          f"containing {len(candidates & truly_top)} of the {len(truly_top)} "
-          "test items truly in the top")
+    truly_top = true_test <= k_top
+    print(f"\ntop-{k_top} candidates: {np.count_nonzero(candidates)} items, "
+          f"containing {np.count_nonzero(candidates & truly_top)} of the "
+          f"{np.count_nonzero(truly_top)} test items truly in the top")
 
 
 if __name__ == "__main__":

@@ -13,11 +13,10 @@ from .conformal import (
     FcpCalibration,
     ProxyScores,
     RankSet,
+    RankSets,
     Threshold,
     calibrate,
     fcp_calibration,
-    predict_set_ra,
-    predict_set_va,
     predict_sets,
     proxy_score_ra,
     proxy_score_va,
@@ -74,12 +73,10 @@ from .ranks import (
     VA,
     ItemId,
     RankingProblem,
-    RankTriple,
     break_ties,
     has_ties,
     rank_of,
     ranks_within,
-    split_ranks,
     value_at_rank,
 )
 from .targets import calibration_sets, test_only_set, topk_candidates

@@ -40,6 +40,8 @@ from .evaluate import (
     DATA_MODELS,
     ExperimentConfig,
     build_envelope,
+    fcp,
+    relative_length,
     run_experiment,
     synthesize_problem,
 )
@@ -257,6 +259,8 @@ def _cmd_predict(resolved: dict) -> int:
         )
     meta = None
     if resolved["fcp"]:
+        if problem.m == 0:
+            raise InvalidData(f"{resolved['scores']}: no test rows to control the FCP of")
         meta = fcp_calibration(
             resolved["alpha"], resolved["beta"], env.delta, problem.n, problem.m
         )
@@ -268,13 +272,11 @@ def _cmd_predict(resolved: dict) -> int:
         fcp_mode=FCP_CONTROLLED if resolved["fcp"] else MARGINAL, fcp_meta=meta,
     )
     sets = predict_sets(problem, thr)
-    extra_test = (
-        [test_only_set(s, env) for s in sets] if resolved["test-only"] else None
-    )
+    test_only = test_only_set(sets, env) if resolved["test-only"] else None
     top = (
         topk_candidates(sets, resolved["top-k"]) if resolved["top-k"] > 0 else None
     )
-    io.write_sets(sets, resolved["out"], test_only=extra_test, top_candidates=top)
+    io.write_sets(sets, resolved["out"], test_only=test_only, top_candidates=top)
     _manifest(
         "predict", resolved,
         seeds={},
@@ -291,29 +293,24 @@ def _cmd_predict(resolved: dict) -> int:
 
 def _cmd_evaluate(resolved: dict) -> int:
     sets = io.read_sets(resolved["sets"])
-    if not sets:
+    if not len(sets):
         raise InvalidData(f"{resolved['sets']}: no prediction sets to evaluate")
     ids, n, m, truth = io.read_truth(resolved["truth"])
-    pooled = ranks_within(truth)
-    rank_by_id = dict(zip(ids, pooled.tolist()))
-    missing = [s.item for s in sets if s.item not in rank_by_id]
+    rank_by_id = dict(zip(ids, ranks_within(truth).tolist()))
+    missing = [item for item in sets.items if item not in rank_by_id]
     if missing:
         raise DimensionMismatch(
             f"ids in sets file missing from truth file: {missing[:5]}"
         )
-    items = [
-        {
-            "id": s.item,
-            "true_rank": int(rank_by_id[s.item]),
-            "covered": bool(s.contains(int(rank_by_id[s.item]))),
-        }
-        for s in sets
-    ]
-    covered = [it["covered"] for it in items]
+    true_ranks = np.array([rank_by_id[item] for item in sets.items], dtype=np.int64)
+    covered = sets.contains(true_ranks).tolist()
     doc = {
-        "fcp": 1.0 - sum(covered) / len(covered),
-        "relative_length": float(np.mean([s.size for s in sets])) / (n + m),
-        "items": items,
+        "fcp": fcp(sets, true_ranks),
+        "relative_length": relative_length(sets, n + m),
+        "items": [
+            {"id": item, "true_rank": rank, "covered": hit}
+            for item, rank, hit in zip(sets.items, true_ranks.tolist(), covered)
+        ],
     }
     io.write_json(doc, resolved["out"])
     _manifest(

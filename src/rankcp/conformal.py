@@ -14,6 +14,9 @@ item's envelope interval, attained at the interval edges for both score
 families.  Calibrating on the k-th smallest proxy score with
 ``k = ceil((1 - alpha + delta)(n + 1))`` yields marginally valid sets at level
 ``1 - alpha`` whenever the envelope holds at level ``1 - delta``.
+:func:`predict_sets` returns the prediction sets of all test items as one
+:class:`RankSets`, int64 ``lo``/``hi`` columns; :class:`RankSet` is a view of
+a single row.
 
 :func:`fcp_calibration` instead picks ``k`` so that the false coverage
 proportion over the m test items stays below ``alpha_bar`` with probability at
@@ -34,7 +37,6 @@ import numpy as np
 from .envelope import Envelope
 from .errors import (
     DimensionMismatch,
-    EmptyPredictionSet,
     InfeasibleLevel,
     InvalidInput,
     RankOutOfRange,
@@ -49,6 +51,8 @@ FCP_CONTROLLED = "fcp_controlled"
 DEFAULT_ALPHA = 0.1
 DEFAULT_BETA = 0.25
 DEFAULT_DELTA = 0.02
+
+SET_KINDS = ("full", "test_only")
 
 
 @dataclass
@@ -105,7 +109,7 @@ class RankSet:
     kind: str = "full"
 
     def __post_init__(self):
-        if self.kind not in ("full", "test_only"):
+        if self.kind not in SET_KINDS:
             raise InvalidInput(f"unknown set kind {self.kind!r}")
         if not 1 <= self.lo <= self.hi:
             raise InvalidInput(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
@@ -116,6 +120,62 @@ class RankSet:
 
     def contains(self, r: int) -> bool:
         return self.lo <= r <= self.hi
+
+
+@dataclass(eq=False)
+class RankSets:
+    """Prediction sets ``[lo[j], hi[j]]`` of many items, held as int64 columns.
+
+    ``items[j]`` names row ``j``; ``kind`` is as for :class:`RankSet` and
+    shared by all rows.  ``1 <= lo <= hi`` is checked once, on construction.
+    ``len``, integer indexing and iteration give :class:`RankSet` views of
+    single rows, for API use; library code works on the columns.
+    """
+
+    items: list[ItemId]
+    lo: np.ndarray
+    hi: np.ndarray
+    kind: str = "full"
+
+    def __post_init__(self):
+        if self.kind not in SET_KINDS:
+            raise InvalidInput(f"unknown set kind {self.kind!r}")
+        self.items = list(self.items)
+        self.lo = np.asarray(self.lo, dtype=np.int64)
+        self.hi = np.asarray(self.hi, dtype=np.int64)
+        if self.lo.shape != (len(self.items),) or self.hi.shape != self.lo.shape:
+            raise DimensionMismatch("need one lo and one hi per item")
+        bad = np.flatnonzero((self.lo < 1) | (self.lo > self.hi))
+        if bad.size:
+            j = bad[0]
+            raise InvalidInput(
+                f"need 1 <= lo <= hi, got [{self.lo[j]}, {self.hi[j]}] "
+                f"for item {self.items[j]!r}"
+            )
+
+    @property
+    def size(self) -> np.ndarray:
+        return self.hi - self.lo + 1
+
+    def contains(self, ranks) -> np.ndarray:
+        ranks = np.asarray(ranks)
+        return (self.lo <= ranks) & (ranks <= self.hi)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, j: int) -> RankSet:
+        return RankSet(self.items[j], int(self.lo[j]), int(self.hi[j]), self.kind)
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RankSets):
+            return NotImplemented
+        return (self.items, self.kind) == (other.items, other.kind) and bool(
+            np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
+        )
 
 
 def score_ra(r: int, predicted_rank: int) -> float:
@@ -235,69 +295,53 @@ def calibrate(
     )
 
 
-def predict_set_ra(
-    predicted_rank: int, thr: Threshold, n_plus_m: int, item: ItemId = ""
-) -> RankSet:
-    """RA prediction set: integers within ``thr.value`` of the predicted rank.
+def _bisect(lo: np.ndarray, hi: np.ndarray, pred) -> np.ndarray:
+    """Elementwise smallest ``i`` in ``[lo, hi)`` with ``pred(i, rows)``, else ``hi``.
 
-    Equals ``[ceil(pred - s), floor(pred + s)]`` clipped to ``[1, n+m]`` and is
-    exactly ``{r : |r - pred| <= s}`` there.
+    ``pred`` must be monotone (False, then True) on each row's ``[lo, hi)``;
+    it is evaluated only there, at the indices ``i`` of the still-open
+    ``rows``.
     """
-    if not 1 <= predicted_rank <= n_plus_m:
-        raise RankOutOfRange(f"predicted rank {predicted_rank} outside [1, {n_plus_m}]")
-    if thr.value < 0:
-        raise InvalidInput("threshold must be nonnegative")
-    reach = int(math.floor(thr.value))
-    lo = max(1, int(predicted_rank) - reach)
-    hi = min(n_plus_m, int(predicted_rank) + reach)
-    return RankSet(item=item, lo=lo, hi=hi, kind="full")
+    lo, hi = lo.copy(), hi.copy()
+    rows = np.flatnonzero(lo < hi)
+    while rows.size:
+        mid = (lo[rows] + hi[rows]) // 2
+        ok = pred(mid, rows)
+        hi[rows[ok]] = mid[ok]
+        lo[rows[~ok]] = mid[~ok] + 1
+        rows = rows[lo[rows] < hi[rows]]
+    return lo
 
 
-def predict_set_va(
-    value: float, thr: Threshold, all_values, item: ItemId = ""
-) -> RankSet:
-    """VA prediction set: ranks whose required value lies within ``thr.value``.
+def predict_sets(problem: RankingProblem, thr: Threshold) -> RankSets:
+    """Prediction sets of all test items: the exact sublevel sets of the score.
 
-    Constructed directly from the membership predicate
-    ``{r : |value_at_rank(r) - value| <= s}`` (a contiguous run of ranks), so
-    the set is exactly the sublevel set.  The closed form
-    ``[rank_of(value - s), rank_of(value + s)]`` can overshoot by one rank on
-    the left when no value sits exactly at distance ``s``; tests reconcile the
-    two.  Width adapts to the local density of ``all_values`` around
-    ``value``.
+    RA: ``{r : |r - pred| <= s}``, i.e. ``pred -/+ floor(s)`` clipped to
+    ``[1, n+m]``.  VA: ``{r : |sorted[r-1] - v| <= s}`` in float arithmetic.
+    ``fl(x - v)`` is monotone in ``x`` and 0 at the item's own output, so this
+    is one run of ranks around the item's own rank, and each edge is found by
+    bisection on the predicate itself (O(n+m) memory).  ``searchsorted(v -/+
+    s)`` is not exact: the rounding of ``v -/+ s`` can move an edge by one.
     """
-    arr = np.asarray(all_values, dtype=float)
-    check_no_ties(arr, "all_values")
-    if thr.value < 0:
+    if not thr.value >= 0:
         raise InvalidInput("threshold must be nonnegative")
-    ordered = np.sort(arr)
-    hit = np.flatnonzero(np.abs(ordered - float(value)) <= thr.value)
-    if hit.size == 0:
-        raise EmptyPredictionSet(
-            "no rank within threshold; value lies outside all_values by more than s"
-        )
-    return RankSet(item=item, lo=int(hit[0]) + 1, hi=int(hit[-1]) + 1, kind="full")
-
-
-def predict_sets(problem: RankingProblem, thr: Threshold) -> list[RankSet]:
-    """Prediction sets for all test items of a problem (vectorized)."""
     total = problem.total
-    ids = problem.test_ids
     if problem.ranker_mode == RA:
-        return [
-            predict_set_ra(int(pred), thr, total, item=ids[j])
-            for j, pred in enumerate(problem.test_outputs)
-        ]
-    ordered = np.sort(problem.ranker_outputs)
-    gaps_ok = np.abs(ordered[None, :] - problem.test_outputs[:, None]) <= thr.value
-    if not np.all(gaps_ok.any(axis=1)):
-        raise EmptyPredictionSet("a test item has no rank within the threshold")
-    lo = gaps_ok.argmax(axis=1) + 1
-    hi = total - gaps_ok[:, ::-1].argmax(axis=1)
-    return [
-        RankSet(item=ids[j], lo=int(lo[j]), hi=int(hi[j]), kind="full")
-        for j in range(problem.m)
-    ]
+        reach = total if thr.value >= total else math.floor(thr.value)
+        pred = problem.test_outputs
+        lo, hi = np.maximum(pred - reach, 1), np.minimum(pred + reach, total)
+    else:
+        ordered = np.sort(problem.ranker_outputs)
+        values = problem.test_outputs
+
+        def within(i, rows):
+            return np.abs(ordered[i] - values[rows]) <= thr.value
+
+        own = np.searchsorted(ordered, values)
+        lo = _bisect(np.zeros_like(own), own, within) + 1
+        hi = _bisect(own + 1, np.full_like(own, total),
+                     lambda i, rows: ~within(i, rows))
+    return RankSets(items=problem.test_ids, lo=lo, hi=hi)
 
 
 def fcp_calibration(

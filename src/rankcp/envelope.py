@@ -180,13 +180,8 @@ class Envelope:
         """Span ``upper - lower`` per calibration rank."""
         return self.upper - self.lower
 
-    def bounds_for_rank(self, r: int) -> tuple[int, int]:
-        if not 1 <= r <= self.n:
-            raise InvalidInput(f"calibration rank {r} outside [1, {self.n}]")
-        return int(self.lower[r - 1]), int(self.upper[r - 1])
-
     def bounds_for_ranks(self, calib_ranks) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``bounds_for_rank`` over a vector of calibration ranks."""
+        """``(lower[r - 1], upper[r - 1])`` for a vector of calibration ranks ``r``."""
         ranks = np.asarray(calib_ranks, dtype=np.int64)
         if ranks.size and (ranks.min() < 1 or ranks.max() > self.n):
             raise InvalidInput("calibration ranks outside [1, n]")
@@ -267,8 +262,9 @@ def _mc_meta(sims: SortedRankSample) -> MonteCarloMeta:
 
 
 def _count_inside(traj: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> int:
-    inside = np.all((traj >= lower) & (traj <= upper), axis=1)
-    return int(np.count_nonzero(inside))
+    inside = traj >= lower
+    inside &= traj <= upper  # in place: two K x n masks live at once, not three
+    return int(np.count_nonzero(inside.all(axis=1)))
 
 
 def fit_linear_envelope(sims: SortedRankSample, delta: float) -> Envelope:

@@ -42,4 +42,4 @@ class MissingTruth(RankCPError, ValueError):
 
 
 class EmptyPredictionSet(RankCPError, ValueError):
-    """No rank satisfies the score threshold; integer intervals cannot be empty."""
+    """A prediction set would be empty; integer intervals cannot be."""

@@ -10,6 +10,8 @@ envelope, calibrate, predict, score) and reports per-repetition metrics:
                        the same conformal pipeline run with the true (normally
                        unobservable) calibration ranks and no envelope slack.
 
+Metrics read the ``lo``/``hi`` columns of :class:`RankSets` directly.
+
 Everything is a pure function of the configuration: each repetition and stage
 draws from its own stream derived from ``(master_seed, stage, rep)``, so
 adding stages never perturbs earlier ones.
@@ -27,7 +29,7 @@ from . import conformal
 from .conformal import (
     FCP_CONTROLLED,
     MARGINAL,
-    RankSet,
+    RankSets,
     Threshold,
     calibrate,
     fcp_calibration,
@@ -47,6 +49,7 @@ from .envelope import (
 from .errors import DimensionMismatch, InvalidInput, MissingTruth
 from .ranks import RA, VA, RankingProblem, break_ties, has_ties, ranks_within
 from .streams import child_seed, stream
+from .targets import topk_candidates
 
 SIGMOID = "sigmoid"
 BETA_ADAPTIVE = "beta_adaptive"
@@ -57,20 +60,21 @@ DATA_MODELS = (SIGMOID, BETA_ADAPTIVE)
 DATA_NOISE_SD = 0.07
 
 
-def fcp(sets: list[RankSet], true_ranks) -> float:
-    """False coverage proportion: the fraction of items not covered."""
+def fcp(sets: RankSets, true_ranks) -> float:
+    """False coverage proportion: the count of missed true ranks over ``len(sets)``."""
+    if not len(sets):
+        raise InvalidInput("need at least one set")
     ranks = np.asarray(true_ranks, dtype=np.int64)
     if len(sets) != ranks.size:
         raise DimensionMismatch(f"{len(sets)} sets but {ranks.size} true ranks")
-    missed = sum(1 for s, r in zip(sets, ranks) if not s.contains(int(r)))
-    return missed / len(sets)
+    return int(np.count_nonzero(~sets.contains(ranks))) / len(sets)
 
 
-def relative_length(sets: list[RankSet], n_plus_m: int) -> float:
+def relative_length(sets: RankSets, n_plus_m: int) -> float:
     """Mean set size divided by the number of items."""
-    if not sets:
+    if not len(sets):
         raise InvalidInput("need at least one set")
-    return float(np.mean([s.size for s in sets])) / n_plus_m
+    return float(np.mean(sets.size)) / n_plus_m
 
 
 def gen_sigmoid_data(
@@ -171,7 +175,7 @@ def synthesize_problem(
     return make_problem(truth, n, m, mode, outputs)
 
 
-def oracle_sets(problem: RankingProblem, alpha: float) -> list[RankSet]:
+def oracle_sets(problem: RankingProblem, alpha: float) -> RankSets:
     """Baseline sets from the true calibration scores (requires truth).
 
     Same pipeline, but scores are evaluated at the true pooled ranks and the
@@ -333,10 +337,10 @@ def _predicted_ranks(problem: RankingProblem) -> np.ndarray:
 
 
 def _quintile_widths(
-    sets: list[RankSet], predicted: np.ndarray, total: int
+    sets: RankSets, predicted: np.ndarray, total: int
 ) -> tuple[float, float]:
     """Mean set size in the middle vs extreme quintiles of predicted rank."""
-    widths = np.asarray([s.size for s in sets], dtype=float)
+    widths = sets.size.astype(float)
     quintile = np.minimum(4, (5 * (predicted - 1)) // total)
     mid = widths[quintile == 2]
     ext = widths[(quintile == 0) | (quintile == 4)]
@@ -391,15 +395,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
         lo, hi = env.bounds_for_ranks(problem.calib_ranks)
         covered = bool(np.all((true_calib >= lo) & (true_calib <= hi)))
-        contained = all(
-            s.lo <= o.lo and s.hi >= o.hi for s, o in zip(sets, osets)
-        )
-        predicted_top = {s.item for s in sets if s.lo <= k_top}
-        true_top = {
-            problem.test_ids[j]
-            for j in range(cfg.m)
-            if true_test[j] <= k_top
-        }
+        contained = bool(np.all((sets.lo <= osets.lo) & (sets.hi >= osets.hi)))
+        overlap = np.count_nonzero(topk_candidates(sets, k_top) & (true_test <= k_top))
         mid_w, ext_w = _quintile_widths(sets, _predicted_ranks(problem), problem.total)
 
         report.per_rep.append(
@@ -412,7 +409,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 oracle_ratio=rep_rl / o_rl,
                 envelope_covered=covered,
                 oracle_contained=contained,
-                topk_overlap=len(predicted_top & true_top),
+                topk_overlap=int(overlap),
                 width_mid_quintile=mid_w,
                 width_extreme_quintile=ext_w,
             )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import RankSet
+from .conformal import RankSets
 from .envelope import Envelope, MonteCarloMeta
 from .errors import InvalidData, InvalidInput
 from .evaluate import ExperimentReport
@@ -238,48 +238,46 @@ def read_envelope(path) -> Envelope:
 
 
 def write_sets(
-    sets: list[RankSet],
+    sets: RankSets,
     path,
-    test_only: list[RankSet] | None = None,
-    top_candidates: set | None = None,
+    test_only: RankSets | None = None,
+    top_candidates: np.ndarray | None = None,
 ) -> None:
-    """Write per-item prediction sets, with optional extra target columns."""
+    """Write prediction sets, one row per item, with optional target columns.
+
+    ``test_only`` adds ``test_lo``/``test_hi``; ``top_candidates``, a boolean
+    mask over the rows, adds a 0/1 ``top_candidate`` column.
+    """
     header = list(SETS_HEADER)
+    columns = [sets.items, sets.lo.tolist(), sets.hi.tolist()]
     if test_only is not None:
         header += ["test_lo", "test_hi"]
+        columns += [test_only.lo.tolist(), test_only.hi.tolist()]
     if top_candidates is not None:
         header += ["top_candidate"]
+        columns.append(np.asarray(top_candidates, dtype=np.int64).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, s in enumerate(sets):
-            row = [s.item, str(s.lo), str(s.hi)]
-            if test_only is not None:
-                row += [str(test_only[i].lo), str(test_only[i].hi)]
-            if top_candidates is not None:
-                row += ["1" if s.item in top_candidates else "0"]
-            writer.writerow(row)
+        writer.writerows(zip(*columns, strict=True))
 
 
-def read_sets(path) -> list[RankSet]:
+def read_sets(path) -> RankSets:
     """Read the id/lo/hi columns of a sets CSV (extra columns ignored)."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or reader.fieldnames[:3] != SETS_HEADER:
                 raise InvalidData(f"{path}: header must start with id,lo,hi")
-            out = []
-            for row in reader:
-                out.append(
-                    RankSet(
-                        item=row["id"], lo=int(row["lo"]), hi=int(row["hi"]),
-                        kind="full",
-                    )
-                )
-            return out
+            rows = list(reader)
+        return RankSets(
+            items=[row["id"] for row in rows],
+            lo=[int(row["lo"]) for row in rows],
+            hi=[int(row["hi"]) for row in rows],
+        )
     except OSError as exc:
         raise InvalidData(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidData(f"{path}: {exc}") from exc
 
 

@@ -104,44 +104,6 @@ def break_ties(values, seed: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RankTriple:
-    """Ranks of one item within the calibration / test / pooled values.
-
-    ``r_c`` is ``None`` for test items.  For calibration items the identity
-    ``r_ct == r_c + r_t`` holds by construction of counting ranks.
-    """
-
-    r_c: int | None
-    r_t: int
-    r_ct: int
-
-
-def split_ranks(truth, n: int) -> list[RankTriple]:
-    """Per-item rank triples for a pooled tie-free truth vector split at ``n``.
-
-    The first ``n`` entries are calibration items (``r_c`` set, ``r_t`` in
-    ``0..m``); the rest are test items (``r_c`` is ``None``, ``r_t`` in
-    ``1..m``).
-    """
-    arr = _as_float_vector(truth, "truth")
-    check_no_ties(arr, "truth")
-    if not 0 <= n <= arr.size:
-        raise InvalidInput(f"n={n} outside [0, {arr.size}]")
-    pooled = ranks_within(arr)
-    calib, test = arr[:n], arr[n:]
-    triples: list[RankTriple] = []
-    for i in range(arr.size):
-        r_ct = int(pooled[i])
-        if i < n:
-            r_c = int(np.count_nonzero(arr[i] >= calib))
-            triples.append(RankTriple(r_c, r_ct - r_c, r_ct))
-        else:
-            r_t = int(np.count_nonzero(arr[i] >= test)) if test.size else 0
-            triples.append(RankTriple(None, r_t, r_ct))
-    return triples
-
-
 def _default_ids(n: int, m: int) -> list[ItemId]:
     return [f"c{i}" for i in range(1, n + 1)] + [f"t{j}" for j in range(1, m + 1)]
 
@@ -193,6 +155,8 @@ class RankingProblem:
             self.ranker_outputs = as_int
         else:
             as_float = outputs.astype(float)
+            if not np.all(np.isfinite(as_float)):
+                raise InvalidInput("VA ranker outputs must be finite")
             check_no_ties(as_float, "VA ranker outputs")
             self.ranker_outputs = as_float
 

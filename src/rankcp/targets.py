@@ -8,21 +8,23 @@ Three targets beyond the pooled rank of a test item:
   counts of calibration envelopes below the full-set edges;
 * membership in the top ``k_top`` of the pooled ranking, by selecting every
   test item whose set meets ``[1, k_top]``.
+
+All three work on the columns of :class:`RankSets`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .conformal import RankSet
+from .conformal import RankSets
 from .envelope import Envelope
-from .errors import DimensionMismatch, InvalidInput
+from .errors import DimensionMismatch, EmptyPredictionSet, InvalidInput
 from .ranks import ItemId
 
 
 def calibration_sets(
     env: Envelope, calib_ranks, ids: list[ItemId] | None = None
-) -> list[RankSet]:
+) -> RankSets:
     """Envelope interval of each calibration item, as full-rank sets.
 
     All ``n`` sets cover their items' pooled ranks simultaneously with
@@ -36,44 +38,47 @@ def calibration_sets(
         ids = [f"c{i}" for i in range(1, env.n + 1)]
     elif len(ids) != env.n:
         raise DimensionMismatch("ids must match the number of calibration items")
-    return [
-        RankSet(item=ids[i], lo=int(lo[i]), hi=int(hi[i]), kind="full")
-        for i in range(env.n)
-    ]
+    return RankSets(items=ids, lo=lo, hi=hi)
 
 
-def test_only_set(rank_set: RankSet, env: Envelope) -> RankSet:
-    """Convert a full-rank set for a test item into a test-only rank set.
+def test_only_set(sets: RankSets, env: Envelope) -> RankSets:
+    """Convert full-rank sets of test items into test-only rank sets.
 
-    With ``a, b`` the full-set edges, subtract the number of calibration items
+    With ``a, b`` a full set's edges, subtract the number of calibration items
     guaranteed below: ``[a - N_minus, b - N_plus]`` where
     ``N_plus = #{r : upper[r] <= a}`` and ``N_minus = #{r : lower[r] <= b}``,
     clipped to ``[1, m]`` (the true test-only rank always lies there, so
-    clipping cannot lose it).  Marginally valid at the same level as the full
-    set whenever the envelope holds.
+    clipping cannot lose it).  Both counts are ``searchsorted`` calls on the
+    nondecreasing envelope bounds.  Marginally valid at the same level as the
+    full set whenever the envelope holds.
+
+    Raises :class:`EmptyPredictionSet` when a converted set is empty: the
+    envelope then rules out every rank in that item's full set.
     """
-    if rank_set.kind != "full":
-        raise InvalidInput("test_only_set expects a full-rank set")
-    a, b = rank_set.lo, rank_set.hi
-    n_plus = int(np.count_nonzero(env.upper <= a))
-    n_minus = int(np.count_nonzero(env.lower <= b))
-    raw_lo, raw_hi = a - n_minus, b - n_plus
-    assert raw_lo <= raw_hi, "N- >= N+ guarantees a nonempty raw interval"
-    lo = max(1, raw_lo)
-    hi = min(env.m, raw_hi)
-    assert lo <= hi, "test-only set empty after clipping to [1, m]"
-    return RankSet(item=rank_set.item, lo=lo, hi=hi, kind="test_only")
+    if sets.kind != "full":
+        raise InvalidInput("test_only_set expects full-rank sets")
+    n_plus = np.searchsorted(env.upper, sets.lo, side="right")
+    n_minus = np.searchsorted(env.lower, sets.hi, side="right")
+    lo = np.maximum(sets.lo - n_minus, 1)
+    hi = np.minimum(sets.hi - n_plus, env.m)
+    empty = np.flatnonzero(lo > hi)
+    if empty.size:
+        j = empty[0]
+        raise EmptyPredictionSet(
+            f"test-only set of item {sets.items[j]!r} is empty: the envelope rules "
+            f"out every rank of its full set [{sets.lo[j]}, {sets.hi[j]}]")
+    return RankSets(items=sets.items, lo=lo, hi=hi, kind="test_only")
 
 
-def topk_candidates(sets: list[RankSet], k_top: int) -> set[ItemId]:
-    """Test items whose full-rank set meets ``[1, k_top]``.
+def topk_candidates(sets: RankSets, k_top: int) -> np.ndarray:
+    """Boolean mask of the test items whose full-rank set meets ``[1, k_top]``.
 
-    The output overlaps the true top ``k_top`` by at least
-    ``k_top - alpha * m`` in expectation, and is monotone (nested) in
+    The selected items overlap the true top ``k_top`` by at least
+    ``k_top - alpha * m`` in expectation, and the mask is monotone (nested) in
     ``k_top``.
     """
     if k_top < 0:
         raise InvalidInput("k_top must be nonnegative")
-    if any(s.kind != "full" for s in sets):
+    if sets.kind != "full":
         raise InvalidInput("topk_candidates expects full-rank sets")
-    return {s.item for s in sets if s.lo <= k_top}
+    return sets.lo <= k_top

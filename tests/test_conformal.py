@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankcp import (
-    EmptyPredictionSet,
     ExperimentConfig,
     InfeasibleLevel,
     InvalidInput,
@@ -21,8 +21,6 @@ from rankcp import (
     calibrate,
     fcp_calibration,
     naive_envelope,
-    predict_set_ra,
-    predict_set_va,
     predict_sets,
     proxy_score_ra,
     proxy_score_va,
@@ -121,31 +119,57 @@ def test_calibrate_examples():
         assert calibrate(proxy, k).value == sorted(scores)[k - 1]
 
 
+def _va_problem(values, test):
+    """VA problem whose test items carry the outputs at positions ``test``."""
+    values = np.asarray(values, dtype=float)
+    calib = np.setdiff1d(np.arange(values.size), test)
+    outputs = np.concatenate([values[calib], values[test]])
+    return RankingProblem(
+        n=calib.size, m=len(test), calib_ranks=np.arange(1, calib.size + 1),
+        ranker_mode="VA", ranker_outputs=outputs,
+    )
+
+
+def _ra_problem(test_preds, total):
+    """RA problem with the given test predictions among ``total`` items."""
+    n = total - len(test_preds)
+    return RankingProblem(
+        n=n, m=len(test_preds), calib_ranks=np.arange(1, n + 1), ranker_mode="RA",
+        ranker_outputs=np.concatenate([np.arange(1, n + 1), test_preds]),
+    )
+
+
+def _bounds(sets):
+    return list(zip(sets.lo.tolist(), sets.hi.tolist()))
+
+
 def test_predict_set_ra_examples():
-    thr = Threshold(k=1, value=2.5)
-    assert (lambda s: (s.lo, s.hi))(predict_set_ra(10, thr, 100)) == (8, 12)
-    zero = Threshold(k=1, value=0.0)
-    assert (lambda s: (s.lo, s.hi))(predict_set_ra(10, zero, 100)) == (10, 10)
-    wide = Threshold(k=1, value=5.0)
-    assert (lambda s: (s.lo, s.hi))(predict_set_ra(2, wide, 100)) == (1, 7)
+    problem = _ra_problem([10, 2], 100)
+    assert _bounds(predict_sets(problem, Threshold(k=1, value=2.5))) == [(8, 12), (1, 4)]
+    assert _bounds(predict_sets(problem, Threshold(k=1, value=0.0))) == [(10, 10), (2, 2)]
+    assert _bounds(predict_sets(problem, Threshold(k=1, value=5.0))) == [(5, 15), (1, 7)]
+    assert _bounds(predict_sets(problem, Threshold(k=1, value=1e300))) == [(1, 100)] * 2
+    with pytest.raises(InvalidInput):
+        predict_sets(problem, Threshold(k=1, value=-0.5))
 
 
 def test_predict_set_va_examples():
     values = [0.1, 0.25, 0.45, 0.5, 0.65, 0.8]
-    s = predict_set_va(0.5, Threshold(k=1, value=0.2), values)
-    assert (s.lo, s.hi) == (3, 5)
+    problem = _va_problem(values, [3])  # the test item's output is 0.5
+    s = predict_sets(problem, Threshold(k=1, value=0.2))
+    assert (s.items, _bounds(s), s.kind) == (["t1"], [(3, 5)], "full")
     # brute-force membership over all six ranks
     member = [r for r in range(1, 7) if score_va(r, 0.5, values) <= 0.2]
-    assert list(range(s.lo, s.hi + 1)) == member
+    assert list(range(s.lo[0], s.hi[0] + 1)) == member
 
-    sat = predict_set_va(0.5, Threshold(k=1, value=10.0), values)
-    assert (sat.lo, sat.hi) == (1, 6)
+    assert _bounds(predict_sets(problem, Threshold(k=1, value=10.0))) == [(1, 6)]
+    own = predict_sets(_va_problem(values, [2]), Threshold(k=1, value=0.0))
+    assert _bounds(own) == [(3, 3)]
 
-    own = predict_set_va(0.45, Threshold(k=1, value=0.0), values)
-    assert (own.lo, own.hi) == (3, 3)
-
-    with pytest.raises(EmptyPredictionSet):
-        predict_set_va(5.0, Threshold(k=1, value=0.1), values)
+    with pytest.raises(InvalidInput):
+        predict_sets(problem, Threshold(k=1, value=-0.1))
+    with pytest.raises(InvalidInput):
+        predict_sets(problem, Threshold(k=1, value=float("nan")))
 
 
 def _random_problem(rng, mode, total_max=50, with_truth=True):
@@ -189,6 +213,57 @@ def test_sets_equal_sublevel_sets():
                 ]
             assert list(range(s.lo, s.hi + 1)) == member
 
+    # Adversarial VA cases: runs of adjacent floats at several magnitudes, and
+    # thresholds equal to a realized gap or one ulp either side of it.  Plain
+    # searchsorted(v -/+ s) misses the exact sets in about a quarter of them.
+    for _ in range(600):
+        values = _adjacent_float_values(rng)
+        test = rng.choice(values.size, size=int(rng.integers(1, values.size)),
+                          replace=False)
+        problem = _va_problem(values, test)
+        a, b = rng.choice(values, size=2)
+        gap = abs(a - b)
+        s = float(rng.choice([gap, np.nextafter(gap, 0), np.nextafter(gap, np.inf)]))
+        sets = predict_sets(problem, Threshold(k=1, value=s))
+        for j, v in enumerate(problem.test_outputs):
+            hit = np.flatnonzero(np.abs(values - v) <= s) + 1
+            assert (sets.lo[j], sets.hi[j]) == (hit[0], hit[-1])
+            assert hit.size == hit[-1] - hit[0] + 1
+
+
+def _adjacent_float_values(rng):
+    """Sorted tie-free floats, mostly one to three ulps apart."""
+    x = float(rng.choice([0.0, 1.0, -3.7, 0.1, 1e-300, 2.0**52, 1e16, 123.456]))
+    out = []
+    for _ in range(int(rng.integers(3, 30))):
+        out.append(x)
+        if rng.random() < 0.25:
+            scale = float(rng.choice([1e-16, 1e-15, 1e-3, 0.5]))
+            x += abs(x or 1.0) * scale * rng.random()
+        for _ in range(int(rng.integers(1, 4))):
+            x = float(np.nextafter(x, np.inf))
+    return np.array(out)
+
+
+def test_va_predict_sets_memory_is_linear():
+    # The sets come from O(n+m) arrays, not an m x (n+m) gap matrix (which
+    # is 64 MB here).
+    rng = np.random.default_rng(12)
+    n = m = 2000
+    problem = RankingProblem(
+        n=n, m=m, calib_ranks=rng.permutation(n) + 1, ranker_mode="VA",
+        ranker_outputs=rng.normal(size=n + m),
+    )
+    thr = calibrate(proxy_scores(problem, naive_envelope(n, m)), select_k(0.1, 0.0, n))
+    tracemalloc.start()
+    try:
+        sets = predict_sets(problem, thr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sets) == m
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
 
 def test_va_reduces_to_ra():
     # feeding the predicted ranks as values makes the two scores coincide
@@ -200,11 +275,11 @@ def test_va_reduces_to_ra():
         pred = int(rng.integers(1, total + 1))
         assert score_va(r, float(pred), all_values) == score_ra(r, pred)
     for _ in range(50):
-        pred = int(rng.integers(1, total + 1))
+        test = rng.choice(total, size=int(rng.integers(1, total)), replace=False)
         thr = Threshold(k=1, value=float(np.round(rng.uniform(0, 10), 1)))
-        a = predict_set_ra(pred, thr, total)
-        b = predict_set_va(float(pred), thr, all_values)
-        assert (a.lo, a.hi) == (b.lo, b.hi)
+        a = predict_sets(_ra_problem(test + 1, total), thr)
+        b = predict_sets(_va_problem(all_values, test), thr)
+        assert _bounds(a) == _bounds(b)
 
 
 def test_proxy_dominates_true_scores():

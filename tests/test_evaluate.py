@@ -10,7 +10,7 @@ from rankcp import (
     ExperimentConfig,
     InvalidInput,
     MissingTruth,
-    RankSet,
+    RankSets,
     RankingProblem,
     fcp,
     gen_beta_data,
@@ -30,7 +30,8 @@ from rankcp import (
 
 
 def _sets(bounds, kind="full"):
-    return [RankSet(item=f"t{i}", lo=a, hi=b, kind=kind) for i, (a, b) in enumerate(bounds)]
+    lo, hi = zip(*bounds) if bounds else ((), ())
+    return RankSets(items=[f"t{i}" for i in range(len(bounds))], lo=lo, hi=hi, kind=kind)
 
 
 def test_fcp_examples():
@@ -40,14 +41,18 @@ def test_fcp_examples():
     assert fcp(sets, [2, 3, 5, 11]) == 0.25
     with pytest.raises(DimensionMismatch):
         fcp(sets, [1, 2, 3])
+    for empty in ([], _sets([])):
+        with pytest.raises(InvalidInput):
+            fcp(empty, [])
 
 
 def test_relative_length_examples():
     assert relative_length(_sets([(2, 2), (5, 5)]), 10) == pytest.approx(0.1)
     assert relative_length(_sets([(1, 10), (1, 10)]), 10) == 1.0
     assert relative_length(_sets([(1, 2), (1, 4)]), 12) == pytest.approx(0.25)
-    with pytest.raises(InvalidInput):
-        relative_length([], 10)
+    for empty in ([], _sets([])):
+        with pytest.raises(InvalidInput):
+            relative_length(empty, 10)
 
 
 def test_oracle_requires_truth():
@@ -80,7 +85,7 @@ def test_degenerate_envelope_reproduces_oracle():
     thr = calibrate(proxy_scores(problem, env), k, alpha=0.1)
     sets = predict_sets(problem, thr)
     osets = oracle_sets(problem, 0.1)
-    assert [(s.lo, s.hi) for s in sets] == [(s.lo, s.hi) for s in osets]
+    assert sets == osets
     assert relative_length(sets, 30) / relative_length(osets, 30) == 1.0
 
 
@@ -95,7 +100,7 @@ def test_oracle_ratio_at_least_one_under_coverage():
         sets = predict_sets(problem, thr)
         osets = oracle_sets(problem, 0.1)
         assert relative_length(sets, 40) >= relative_length(osets, 40)
-        assert all(s.lo <= o.lo and s.hi >= o.hi for s, o in zip(sets, osets))
+        assert np.all((sets.lo <= osets.lo) & (sets.hi >= osets.hi))
 
 
 def test_sigmoid_generator():
@@ -144,7 +149,7 @@ def test_perfect_ranker_oracle_sets_are_singletons():
     outputs = noisy_oracle_ranker(truth, 0.0, seed=2, mode="RA")
     problem = make_problem(truth, 30, 10, "RA", outputs)
     osets = oracle_sets(problem, 0.1)
-    assert all(s.size == 1 for s in osets)
+    assert np.all(osets.size == 1)
 
 
 def test_relative_length_grows_with_ranker_noise():

@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankcp import RankSet, RankingProblem, naive_envelope, theoretical_envelope
+from rankcp import (
+    Envelope,
+    RankSets,
+    RankingProblem,
+    naive_envelope,
+    theoretical_envelope,
+)
 from rankcp import io as rio
 from rankcp.cli import main
 from rankcp.evaluate import ExperimentConfig, run_experiment
@@ -75,17 +81,19 @@ def test_envelope_roundtrip(tmp_path):
 
 
 def test_sets_roundtrip(tmp_path):
-    sets = [RankSet(item=f"t{i}", lo=i + 1, hi=i + 4) for i in range(5)]
+    items = [f"t{i}" for i in range(5)]
+    sets = RankSets(items=items, lo=np.arange(1, 6), hi=np.arange(4, 9))
     path = tmp_path / "sets.csv"
     rio.write_sets(sets, path)
     assert rio.read_sets(path) == sets
     # extra columns are carried but do not disturb the core round trip
     rio.write_sets(
         sets, path,
-        test_only=[RankSet(item=s.item, lo=1, hi=2, kind="test_only") for s in sets],
-        top_candidates={"t0", "t2"},
+        test_only=RankSets(items=items, lo=[1] * 5, hi=[2] * 5, kind="test_only"),
+        top_candidates=np.array([True, False, True, False, False]),
     )
     assert rio.read_sets(path) == sets
+    assert path.read_text().splitlines()[1:3] == ["t0,1,4,1,2,1", "t1,2,5,1,2,0"]
 
 
 def test_report_roundtrip(tmp_path):
@@ -121,8 +129,9 @@ def test_golden_predict(tmp_path):
     env = rio.read_envelope(DATA / "golden_envelope.json")
     ordered = np.sort(problem.ranker_outputs)
     proxies = []
+    lower, upper = env.bounds_for_ranks(problem.calib_ranks)
     for i in range(problem.n):
-        lo, hi = env.bounds_for_rank(int(problem.calib_ranks[i]))
+        lo, hi = int(lower[i]), int(upper[i])
         proxies.append(
             max(
                 abs(ordered[r - 1] - problem.ranker_outputs[i])
@@ -138,7 +147,8 @@ def test_golden_predict(tmp_path):
             if abs(ordered[r - 1] - val) <= threshold
         ]
         expected.append((problem.test_ids[j], member[0], member[-1]))
-    got = [(s.item, s.lo, s.hi) for s in rio.read_sets(out)]
+    back = rio.read_sets(out)
+    got = list(zip(back.items, back.lo.tolist(), back.hi.tolist()))
     assert got == expected
 
 
@@ -193,12 +203,7 @@ def test_predict_fcp_threshold_at_least_marginal(tmp_path):
 def test_evaluate_command(tmp_path):
     sets_path = tmp_path / "sets.csv"
     rio.write_sets(
-        [
-            RankSet(item="t1", lo=1, hi=3),
-            RankSet(item="t2", lo=2, hi=4),
-            RankSet(item="t3", lo=1, hi=5),
-            RankSet(item="t4", lo=4, hi=4),
-        ],
+        RankSets(items=["t1", "t2", "t3", "t4"], lo=[1, 2, 1, 4], hi=[3, 4, 5, 4]),
         sets_path,
     )
     truth_path = tmp_path / "truth.csv"
@@ -221,8 +226,26 @@ def test_evaluate_command(tmp_path):
     assert doc["relative_length"] == pytest.approx((3 + 3 + 5 + 1) / 4 / 5)
     assert [it["covered"] for it in doc["items"]] == [True, True, True, False]
 
+    # fcp is the miss count over m, as in evaluate.fcp: 10 misses of 2000
+    # give 0.005 (1 - covered/m would give 0.0050000000000000044)
+    m = 2000
+    problem = RankingProblem(
+        n=1, m=m, calib_ranks=[1], ranker_mode="VA",
+        ranker_outputs=np.arange(m + 1.0), truth=np.arange(m + 1.0),
+    )
+    rio.write_scores(problem, truth_path)
+    true_ranks = np.arange(2, m + 2)
+    missed = np.arange(m) < 10
+    rio.write_sets(
+        RankSets(items=problem.test_ids, lo=true_ranks + missed, hi=true_ranks + missed),
+        sets_path,
+    )
+    assert main(["evaluate", "--sets", str(sets_path), "--truth", str(truth_path),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["fcp"] == 0.005
 
-def test_exit_codes(tmp_path):
+
+def test_exit_codes(tmp_path, capsys):
     scores = DATA / "golden_scores.csv"
     envelope = DATA / "golden_envelope.json"
 
@@ -248,7 +271,7 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path / "s.csv")]) == 5
     # data: id mismatch in evaluate
     sets_path = tmp_path / "sets.csv"
-    rio.write_sets([RankSet(item="ghost", lo=1, hi=2)], sets_path)
+    rio.write_sets(RankSets(items=["ghost"], lo=[1], hi=[2]), sets_path)
     truth = tmp_path / "truth.csv"
     rio.write_scores(_problem("VA", with_truth=True), truth)
     assert main(["evaluate", "--sets", str(sets_path), "--truth", str(truth),
@@ -258,6 +281,33 @@ def test_exit_codes(tmp_path):
     assert main(["evaluate", "--sets", str(sets_path), "--truth", str(truth),
                  "--out", str(tmp_path / "empty.json")]) == 4
     assert not (tmp_path / "empty.json").exists()
+    # data: the envelope leaves no test-only rank for a test item whose
+    # full set is [1, 3] (every calibration item is pinned at pooled rank 1)
+    small = tmp_path / "small.csv"
+    rio.write_scores(RankingProblem(
+        n=3, m=2, calib_ranks=[1, 2, 3], ranker_mode="VA",
+        ranker_outputs=[10.0, 20.0, 30.0, 1.0, 2.0],
+    ), small)
+    pinned = tmp_path / "pinned.json"
+    rio.write_envelope(Envelope(n=3, m=2, delta=0.02, kind="quantile",
+                                lower=[1, 1, 1], upper=[1, 1, 1]), pinned)
+    assert main(["predict", "--scores", str(small), "--envelope", str(pinned),
+                 "--alpha", "0.9", "--mode", "VA", "--test-only", "on",
+                 "--out", str(tmp_path / "s.csv")]) == 4
+    assert "test-only set of item 't1' is empty" in capsys.readouterr().err
+    # data: FCP control on a scores file with no test rows names the file;
+    # marginal prediction on it writes a header-only sets file
+    calib_only = tmp_path / "calib_only.csv"
+    rio.write_scores(RankingProblem(n=3, m=0, calib_ranks=[1, 2, 3], ranker_mode="VA",
+                                    ranker_outputs=[0.1, 0.2, 0.3]), calib_only)
+    naive = tmp_path / "naive.json"
+    rio.write_envelope(naive_envelope(3, 0), naive)
+    base = ["predict", "--scores", str(calib_only), "--envelope", str(naive),
+            "--alpha", "0.5", "--mode", "VA", "--out", str(tmp_path / "c.csv")]
+    assert main(base + ["--fcp", "on"]) == 4
+    assert f"data error: {calib_only}: no test rows" in capsys.readouterr().err
+    assert main(base) == 0
+    assert (tmp_path / "c.csv").read_text() == "id,lo,hi\n"
     # usage: invalid probability flag names the field
     assert main(["experiment", "--alpha", "1.4", "--reps", "2",
                  "--out", str(tmp_path / "r.csv")]) == 2

@@ -12,7 +12,6 @@ from rankcp import (
     has_ties,
     rank_of,
     ranks_within,
-    split_ranks,
     value_at_rank,
 )
 from rankcp.errors import DimensionMismatch
@@ -77,52 +76,6 @@ def test_ranks_within_always_permutation():
         assert all(rank_of(values[i], values) == ranks[i] for i in range(size))
 
 
-def _brute_triples(truth, n):
-    out = []
-    for i, y in enumerate(truth):
-        r_ct = sum(1 for z in truth if y >= z)
-        r_t = sum(1 for z in truth[n:] if y >= z)
-        r_c = sum(1 for z in truth[:n] if y >= z) if i < n else None
-        out.append((r_c, r_t, r_ct))
-    return out
-
-
-def test_split_ranks_hand_example():
-    triples = split_ranks([0.2, 0.8, 0.5], n=2)
-    assert (triples[0].r_c, triples[0].r_t, triples[0].r_ct) == (1, 0, 1)
-    assert (triples[1].r_c, triples[1].r_t, triples[1].r_ct) == (2, 1, 3)
-    assert triples[2].r_c is None
-    assert (triples[2].r_t, triples[2].r_ct) == (1, 2)
-
-
-def test_split_ranks_degenerate_no_test_items():
-    truth = [0.4, 0.1, 0.9]
-    triples = split_ranks(truth, n=3)
-    assert all(t.r_t == 0 and t.r_ct == t.r_c for t in triples)
-
-
-def test_split_ranks_matches_pairwise_counting():
-    rng = np.random.default_rng(3)
-    truth = rng.normal(size=8)
-    triples = split_ranks(truth, n=5)
-    assert [(t.r_c, t.r_t, t.r_ct) for t in triples] == _brute_triples(truth, 5)
-
-
-def test_split_identity_and_order_preservation():
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        total = int(rng.integers(2, 25))
-        n = int(rng.integers(1, total))
-        truth = rng.normal(size=total)
-        triples = split_ranks(truth, n)
-        calib = triples[:n]
-        # identity r_ct = r_c + r_t for calibration items
-        assert all(t.r_ct == t.r_c + t.r_t for t in calib)
-        # calibration order is conserved in the pooled ranking
-        by_rc = sorted(calib, key=lambda t: t.r_c)
-        assert all(a.r_ct <= b.r_ct for a, b in zip(by_rc, by_rc[1:]))
-
-
 def test_break_ties_resolves_and_preserves_order():
     values = np.array([0.5, 0.1, 0.5, 0.9, 0.1])
     fixed = break_ties(values, seed=11)
@@ -177,6 +130,9 @@ def test_problem_validation():
         _problem(ranker_mode="VA", ranker_outputs=[0.1, 0.1, 0.4, 0.3, 0.5])
     with pytest.raises(TiesDetected):
         _problem(truth=[0.1, 0.1, 0.4, 0.3, 0.5])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInput):
+            _problem(ranker_mode="VA", ranker_outputs=[0.1, 0.2, 0.4, 0.3, bad])
     with pytest.raises(InvalidInput):
         _problem(ids=["a", "a", "b", "c", "d"])
 
