@@ -2,12 +2,11 @@
 
 Subcommands: ``simulate-envelope``, ``predict``, ``evaluate``, ``synth``,
 ``experiment``.  All flags are long-form; a JSON config file may supply any
-flag (command line wins on conflict).  ``RANKCP_PARALLEL`` sets the default
-parallelism degree; results never depend on it.
+flag (command line wins on conflict).  Every output is a pure function of
+the flags and the input files.
 
 Exit codes: 0 ok, 2 usage/type error, 3 insufficient Monte-Carlo sample,
-4 data error, 5 infeasible level.  Flags marked deprecated still parse but
-are ignored, with a note on stderr.
+4 data error, 5 infeasible level.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .evaluate import (
     synthesize_problem,
 )
 from .ranks import ranks_within
-from .streams import default_workers
 from .targets import test_only_set, topk_candidates
 
 TOOL = "rankcp"
@@ -57,11 +55,9 @@ EXIT_SAMPLING = 3
 EXIT_DATA = 4
 EXIT_INFEASIBLE = 5
 
-# Help text of the former Monte-Carlo FCP flags; to be removed next release.
-DEPRECATED = "deprecated and ignored (the FCP index is exact)"
-
 
 def _opt(name, converter, default, help_text, choices=None):
+    """One flag; a ``None`` default makes it required."""
     return {
         "name": name,
         "converter": converter,
@@ -90,7 +86,6 @@ COMMANDS: dict[str, list[dict]] = {
         _opt("kind", str, "quantile", "envelope kind", choices=ENVELOPE_KINDS),
         _opt("K", int, DEFAULT_K, "Monte-Carlo trajectory count"),
         _opt("seed", int, 0, "simulation seed"),
-        _opt("workers", int, None, "parallel chunks (default: RANKCP_PARALLEL)"),
         _opt("out", str, None, "output envelope JSON path (required)"),
     ],
     "predict": [
@@ -100,11 +95,8 @@ COMMANDS: dict[str, list[dict]] = {
         _opt("mode", str, "RA", "score family", choices=("RA", "VA")),
         _opt("fcp", _bool_flag, False, "FCP-calibrated threshold (on/off)"),
         _opt("beta", float, 0.25, "FCP exceedance budget (fcp=on)"),
-        _opt("fcp-K", int, None, DEPRECATED),
-        _opt("seed", int, None, DEPRECATED),
         _opt("test-only", _bool_flag, False, "add test-only rank columns"),
         _opt("top-k", int, 0, "add a top-k candidate column (0 disables)"),
-        _opt("workers", int, None, DEPRECATED),
         _opt("out", str, None, "output sets CSV path (required)"),
     ],
     "evaluate": [
@@ -133,7 +125,6 @@ COMMANDS: dict[str, list[dict]] = {
         _opt("mode", str, "RA", "score family", choices=("RA", "VA")),
         _opt("envelope-kind", str, "quantile", "envelope kind", choices=ENVELOPE_KINDS),
         _opt("K-env", int, 20_000, "envelope trajectory count"),
-        _opt("K-fcp", int, None, DEPRECATED),
         _opt("data-model", str, "sigmoid", "data model", choices=DATA_MODELS),
         _opt("noise-sd", float, 0.07, "toy ranker noise"),
         _opt("seed", int, 0, "master seed"),
@@ -142,19 +133,9 @@ COMMANDS: dict[str, list[dict]] = {
             choices=(MARGINAL, FCP_CONTROLLED),
         ),
         _opt("k-top", int, 0, "top-k target size (0: 5% of m)"),
-        _opt("workers", int, None, "parallel chunks (default: RANKCP_PARALLEL)"),
         _opt("out", str, None, "output report CSV path (required)"),
     ],
 }
-
-REQUIRED = {
-    "simulate-envelope": ("n", "m", "out"),
-    "predict": ("scores", "envelope", "out"),
-    "evaluate": ("sets", "truth", "out"),
-    "synth": ("n", "m", "out"),
-    "experiment": ("out",),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -188,6 +169,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             name = key.replace("_", "-")
             if name not in options:
                 raise InvalidInput(f"unknown config key {key!r} for {command}")
+            if value is None:
+                raise InvalidInput(f"config key {key!r} must not be null")
             values[name] = value
     for name in options:
         attr = name.replace("-", "_")
@@ -196,13 +179,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     resolved = {}
     for name, opt in options.items():
         value = values[name]
-        if value is not None and opt["help"] == DEPRECATED:
-            print(f"{TOOL}: --{name} is {DEPRECATED}", file=sys.stderr)
         if value is None:
-            if name in REQUIRED[command]:
-                raise InvalidInput(f"--{name} is required for {command}")
-            resolved[name] = None
-            continue
+            raise InvalidInput(f"--{name} is required for {command}")
         try:
             value = opt["converter"](value)
         except (TypeError, ValueError) as exc:
@@ -213,10 +191,6 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             )
         resolved[name] = value
     return resolved
-
-
-def _workers(resolved: dict) -> int:
-    return resolved.get("workers") or default_workers()
 
 
 def _manifest(command: str, resolved: dict, seeds: dict, inputs: dict, extras: dict,
@@ -236,7 +210,7 @@ def _cmd_simulate_envelope(resolved: dict) -> int:
     mc = resolved["kind"] in ("linear", "quantile")
     env = build_envelope(
         resolved["kind"], resolved["n"], resolved["m"], resolved["delta"],
-        resolved["K"], resolved["seed"], workers=_workers(resolved),
+        resolved["K"], resolved["seed"],
     )
     io.write_envelope(env, resolved["out"])
     _manifest(
@@ -343,7 +317,7 @@ def _cmd_experiment(resolved: dict) -> int:
         K_env=resolved["K-env"],
         data_model=resolved["data-model"], noise_sd=resolved["noise-sd"],
         master_seed=resolved["seed"], fcp_mode=resolved["fcp-mode"],
-        k_top=resolved["k-top"] or None, workers=_workers(resolved),
+        k_top=resolved["k-top"] or None,
     )
     report = run_experiment(cfg)
     io.write_report(report, resolved["out"])

@@ -50,7 +50,7 @@ from .errors import (
     InvalidDelta,
     InvalidInput,
 )
-from .streams import CHUNK, chunk_stream, run_chunks
+from .streams import CHUNK, chunk_stream
 
 THEORETICAL_C = 4.0 * math.sqrt(2.0 * math.pi)
 
@@ -102,22 +102,19 @@ class SortedRankSample:
         return self.trajectories.shape[0]
 
 
-def simulate_sorted_ranks(
-    n: int, m: int, K: int, seed: int, workers: int | None = None
-) -> SortedRankSample:
+def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample:
     """Simulate K sorted vectors of pooled calibration ranks.
 
     Each trajectory draws ``n + m`` uniforms, ranks the first ``n`` among all
-    of them, and sorts the result.  Blocks of :data:`CHUNK` trajectories use
-    independent jumped Philox streams keyed by ``(seed, n, m)``, so the output
-    is bit-identical for any ``workers`` count.
+    of them, and sorts the result.  Block ``c`` of :data:`CHUNK` trajectories
+    draws from its own jumped Philox stream keyed by ``(seed, n, m)``, so each
+    trajectory depends only on the seed, the sizes and its index.
     """
     if n < 1 or m < 0 or K < 1:
         raise InvalidInput("need n >= 1, m >= 0, K >= 1")
     total = n + m
     out = np.empty((K, n), dtype=np.int32)
-
-    def fill(c: int) -> None:
+    for c in range(math.ceil(K / CHUNK)):
         lo = c * CHUNK
         hi = min(K, lo + CHUNK)
         gen = chunk_stream(seed, c, "sorted-ranks", n, m)
@@ -127,8 +124,9 @@ def simulate_sorted_ranks(
         # increasing column order, so each row arrives already sorted.
         cols = np.nonzero(order < n)[1]
         out[lo:hi] = cols.reshape(hi - lo, n) + 1
-
-    run_chunks(math.ceil(K / CHUNK), fill, workers)
+        # Free this block's working set before the next block is drawn, so
+        # only one block's arrays are live at a time.
+        del u, order, cols
     return SortedRankSample(n=n, m=m, seed=seed, trajectories=out)
 
 

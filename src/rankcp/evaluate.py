@@ -219,7 +219,6 @@ class ExperimentConfig:
     master_seed: int = 0
     fcp_mode: str = MARGINAL
     k_top: int | None = None
-    workers: int | None = None
 
     def __post_init__(self):
         if self.K_fcp is not None:
@@ -315,8 +314,7 @@ class ExperimentReport:
 
 
 def build_envelope(
-    kind: str, n: int, m: int, delta: float, K: int, seed: int,
-    workers: int | None = None,
+    kind: str, n: int, m: int, delta: float, K: int, seed: int
 ) -> Envelope:
     """Construct an envelope of the requested kind."""
     if kind == "naive":
@@ -324,7 +322,7 @@ def build_envelope(
     if kind == "theoretical":
         return theoretical_envelope(n, m, delta)
     if kind in ("linear", "quantile"):
-        sims = simulate_sorted_ranks(n, m, K, seed, workers=workers)
+        sims = simulate_sorted_ranks(n, m, K, seed)
         fit = fit_linear_envelope if kind == "linear" else fit_quantile_envelope
         return fit(sims, delta)
     raise InvalidInput(f"unknown envelope kind {kind!r}")
@@ -362,7 +360,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     env = build_envelope(
         cfg.envelope_kind, cfg.n, cfg.m, cfg.delta, cfg.K_env,
-        child_seed(cfg.master_seed, "envelope"), workers=cfg.workers,
+        child_seed(cfg.master_seed, "envelope"),
     )
     meta = None
     if cfg.fcp_mode == FCP_CONTROLLED:

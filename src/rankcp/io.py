@@ -263,14 +263,18 @@ def write_sets(
 
 
 def read_sets(path) -> RankSets:
-    """Read the id/lo/hi columns of a sets CSV (extra columns ignored)."""
+    """Read the id/lo/hi columns of a sets CSV (extra columns ignored).
+
+    Item ids must be unique: a repeated id would be counted twice by the
+    metrics.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or reader.fieldnames[:3] != SETS_HEADER:
                 raise InvalidData(f"{path}: header must start with id,lo,hi")
             rows = list(reader)
-        return RankSets(
+        sets = RankSets(
             items=[row["id"] for row in rows],
             lo=[int(row["lo"]) for row in rows],
             hi=[int(row["hi"]) for row in rows],
@@ -279,6 +283,12 @@ def read_sets(path) -> RankSets:
         raise InvalidData(f"{path}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidData(f"{path}: {exc}") from exc
+    seen = set()
+    for item in sets.items:
+        if item in seen:
+            raise InvalidData(f"{path}: item id {item!r} is listed more than once")
+        seen.add(item)
+    return sets
 
 
 def write_report(report: ExperimentReport, path) -> None:

@@ -172,6 +172,9 @@ class RankingProblem:
                 raise DimensionMismatch("ids must have length n+m")
             if len(set(self.ids)) != total:
                 raise InvalidInput("ids must be unique")
+        self._item_ids = (
+            list(self.ids) if self.ids is not None else _default_ids(self.n, self.m)
+        )
 
     @property
     def total(self) -> int:
@@ -179,15 +182,15 @@ class RankingProblem:
 
     @property
     def item_ids(self) -> list[ItemId]:
-        return list(self.ids) if self.ids is not None else _default_ids(self.n, self.m)
+        return list(self._item_ids)
 
     @property
     def calib_ids(self) -> list[ItemId]:
-        return self.item_ids[: self.n]
+        return self._item_ids[: self.n]
 
     @property
     def test_ids(self) -> list[ItemId]:
-        return self.item_ids[self.n :]
+        return self._item_ids[self.n :]
 
     @property
     def calib_outputs(self) -> np.ndarray:

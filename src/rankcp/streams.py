@@ -3,23 +3,19 @@
 Every stochastic routine in the package draws from a Philox counter-based
 generator whose key is a hash of ``(seed, *tags)``.  Repetition indices,
 pipeline stages, and simulation chunks each get their own tag, so any part of
-a run can be reproduced in isolation and the execution order (serial or
-parallel) never changes the numbers.
+a run can be reproduced in isolation and the order in which parts run never
+changes the numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 # Trajectories per RNG block in chunked simulations.  Fixed constant: changing
 # it would remap trajectories to streams and break reproducibility.
 CHUNK = 2048
-
-PARALLEL_ENV_VAR = "RANKCP_PARALLEL"
 
 
 def philox_key(seed: int, *tags: object) -> int:
@@ -46,24 +42,9 @@ def child_seed(seed: int, *tags: object) -> int:
 
 
 def default_workers() -> int:
-    """Parallelism degree from the environment (RANKCP_PARALLEL), default 1."""
-    raw = os.environ.get(PARALLEL_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Always 1: simulations run serially.
 
-
-def run_chunks(n_chunks: int, fill, workers: int | None = None) -> None:
-    """Execute ``fill(chunk_index)`` for every chunk, possibly in parallel.
-
-    ``fill`` must write only to a chunk-private slice of shared output, so the
-    result is identical for any worker count.
+    Kept only because ``perfbench/workloads.py`` records it in its run
+    record; it goes with the next change to the benchmark.
     """
-    workers = default_workers() if workers is None else max(1, int(workers))
-    if workers == 1 or n_chunks <= 1:
-        for c in range(n_chunks):
-            fill(c)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, range(n_chunks)))
+    return 1

@@ -19,7 +19,7 @@ import numpy as np
 from .conformal import RankSets
 from .envelope import Envelope
 from .errors import DimensionMismatch, EmptyPredictionSet, InvalidInput
-from .ranks import ItemId
+from .ranks import ItemId, _default_ids
 
 
 def calibration_sets(
@@ -35,7 +35,7 @@ def calibration_sets(
         raise DimensionMismatch(f"need {env.n} calibration ranks, got {ranks.shape}")
     lo, hi = env.bounds_for_ranks(ranks)
     if ids is None:
-        ids = [f"c{i}" for i in range(1, env.n + 1)]
+        ids = _default_ids(env.n, 0)
     elif len(ids) != env.n:
         raise DimensionMismatch("ids must match the number of calibration items")
     return RankSets(items=ids, lo=lo, hi=hi)

@@ -1,6 +1,7 @@
 """Envelope construction: simulation law, fits, coverage, and determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rankcp import (
     theoretical_envelope,
 )
 from rankcp.envelope import _ceil_count, _count_inside
+from rankcp.streams import CHUNK
 
 # frozen by high-precision evaluation of sqrt(log(C sqrt(tau)/delta)/tau)
 # with tau = 50*500/550, C = 4 sqrt(2 pi), delta = 0.1
@@ -50,11 +52,24 @@ def test_simulation_three_placements_uniform():
 def test_simulation_deterministic_and_worker_independent():
     a = simulate_sorted_ranks(10, 20, 5000, seed=42)
     b = simulate_sorted_ranks(10, 20, 5000, seed=42)
-    c = simulate_sorted_ranks(10, 20, 5000, seed=42, workers=4)
     assert np.array_equal(a.trajectories, b.trajectories)
-    assert np.array_equal(a.trajectories, c.trajectories)
     d = simulate_sorted_ranks(10, 20, 5000, seed=43)
     assert not np.array_equal(a.trajectories, d.trajectories)
+
+
+def test_simulation_memory_is_one_block():
+    # Beyond the K x n output, only one block's working set (about 2.3 times
+    # its CHUNK x (n+m) uniforms here) may be live; keeping the previous
+    # block's arrays while drawing the next one reads about 3.2.
+    n, m, K = 20, 380, 3 * CHUNK
+    tracemalloc.start()
+    try:
+        simulate_sorted_ranks(n, m, K, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = (peak - K * n * 4) / (CHUNK * (n + m) * 8)
+    assert blocks < 2.75, f"{blocks:.2f} blocks live"
 
 
 def test_naive_envelope():

@@ -281,6 +281,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["evaluate", "--sets", str(sets_path), "--truth", str(truth),
                  "--out", str(tmp_path / "empty.json")]) == 4
     assert not (tmp_path / "empty.json").exists()
+    # data: a sets file that lists an item twice would count it twice
+    sets_path.write_text("id,lo,hi\nt1,2,2\nt1,2,2\nt2,1,1\n")
+    assert main(["evaluate", "--sets", str(sets_path), "--truth", str(truth),
+                 "--out", str(tmp_path / "dup.json")]) == 4
+    assert "item id 't1' is listed more than once" in capsys.readouterr().err
+    assert not (tmp_path / "dup.json").exists()
     # data: the envelope leaves no test-only rank for a test item whose
     # full set is [1, 3] (every calibration item is pinned at pooled rank 1)
     small = tmp_path / "small.csv"
@@ -311,6 +317,17 @@ def test_exit_codes(tmp_path, capsys):
     # usage: invalid probability flag names the field
     assert main(["experiment", "--alpha", "1.4", "--reps", "2",
                  "--out", str(tmp_path / "r.csv")]) == 2
+    # usage: a JSON null in a config file names the key
+    cfg = tmp_path / "null.json"
+    cfg.write_text('{"alpha": null}')
+    assert main(["predict", "--scores", str(scores), "--envelope", str(envelope),
+                 "--mode", "VA", "--config", str(cfg),
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert "config key 'alpha' must not be null" in capsys.readouterr().err
+    cfg.write_text('{"reps": null}')
+    assert main(["experiment", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert "config key 'reps' must not be null" in capsys.readouterr().err
 
 
 def test_synth_predict_evaluate_chain(tmp_path):
@@ -385,13 +402,11 @@ def test_experiment_smoke_runtime(tmp_path):
     assert len({r[0] for r in rows}) == 20
 
 
-def test_cli_byte_determinism(tmp_path, monkeypatch):
+def test_cli_byte_determinism(tmp_path):
     env_a, env_b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["simulate-envelope", "--n", "25", "--m", "50", "--delta", "0.1",
             "--kind", "quantile", "--K", "8000", "--seed", "13"]
-    monkeypatch.setenv("RANKCP_PARALLEL", "1")
     assert main(args + ["--out", str(env_a)]) == 0
-    monkeypatch.setenv("RANKCP_PARALLEL", "8")
     assert main(args + ["--out", str(env_b)]) == 0
     assert env_a.read_bytes() == env_b.read_bytes()
 
@@ -399,34 +414,30 @@ def test_cli_byte_determinism(tmp_path, monkeypatch):
     args = ["experiment", "--n", "30", "--m", "20", "--reps", "4",
             "--K-env", "2000", "--seed", "3",
             "--fcp-mode", "fcp_controlled"]
-    monkeypatch.setenv("RANKCP_PARALLEL", "1")
     assert main(args + ["--out", str(rep_a)]) == 0
-    monkeypatch.setenv("RANKCP_PARALLEL", "8")
     assert main(args + ["--out", str(rep_b)]) == 0
     assert rep_a.read_bytes() == rep_b.read_bytes()
 
 
-def test_deprecated_fcp_flags_are_ignored(tmp_path, capsys):
-    base = ["predict", "--scores", str(DATA / "golden_scores.csv"),
-            "--envelope", str(DATA / "golden_envelope.json"),
-            "--alpha", "0.25", "--mode", "VA", "--fcp", "on"]
-    assert main(base + ["--out", str(tmp_path / "a.csv")]) == 0
-    assert "deprecated" not in capsys.readouterr().err
-    assert main(base + ["--fcp-K", "4000", "--seed", "7", "--workers", "2",
-                        "--out", str(tmp_path / "b.csv")]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert err == [
-        f"rankcp: --{flag} is deprecated and ignored (the FCP index is exact)"
-        for flag in ("fcp-K", "seed", "workers")
-    ]
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    base = ["experiment", "--n", "40", "--m", "30", "--reps", "3",
-            "--K-env", "2000", "--seed", "8", "--fcp-mode", "fcp_controlled"]
-    assert main(base + ["--out", str(tmp_path / "r.csv")]) == 0
-    capsys.readouterr()
-    assert main(base + ["--K-fcp", "2000", "--out", str(tmp_path / "r2.csv")]) == 0
-    assert capsys.readouterr().err == (
-        "rankcp: --K-fcp is deprecated and ignored (the FCP index is exact)\n"
-    )
-    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+def test_removed_flags_exit_2(tmp_path, capsys):
+    base = {
+        "simulate-envelope": ["simulate-envelope", "--n", "5", "--m", "5"],
+        "predict": ["predict", "--scores", str(DATA / "golden_scores.csv"),
+                    "--envelope", str(DATA / "golden_envelope.json"),
+                    "--alpha", "0.25", "--mode", "VA", "--fcp", "on"],
+        "experiment": ["experiment", "--n", "40", "--m", "30", "--reps", "3",
+                       "--K-env", "2000"],
+    }
+    removed = [("simulate-envelope", "workers"), ("experiment", "workers"),
+               ("predict", "fcp-K"), ("predict", "seed"), ("predict", "workers"),
+               ("experiment", "K-fcp")]
+    cfg = tmp_path / "cfg.json"
+    for command, flag in removed:
+        out = tmp_path / f"{command}-{flag}.out"
+        argv = base[command] + ["--out", str(out)]
+        assert main(argv + [f"--{flag}", "2"]) == 2
+        assert f"unrecognized arguments: --{flag} 2" in capsys.readouterr().err
+        cfg.write_text(json.dumps({flag.replace("-", "_"): 2}))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert not out.exists()
