@@ -171,6 +171,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                 raise InvalidInput(f"unknown config key {key!r} for {command}")
             if value is None:
                 raise InvalidInput(f"config key {key!r} must not be null")
+            # int() would truncate 2.9 to 2 and read true as 1
+            if options[name]["converter"] is int and isinstance(value, (bool, float)):
+                raise InvalidInput(f"config key {key!r} must be an integer, got {value!r}")
             values[name] = value
     for name in options:
         attr = name.replace("-", "_")

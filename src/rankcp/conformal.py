@@ -18,6 +18,12 @@ families.  Calibrating on the k-th smallest proxy score with
 :class:`RankSets`, int64 ``lo``/``hi`` columns; :class:`RankSet` is a view of
 a single row.
 
+:func:`scores_at`, :func:`proxy_scores`, :func:`calibrate` and
+:func:`predict_sets` also take a batch :class:`RankingProblem` (problems
+stacked along a leading axis) and then return one row per problem: ``(rows,
+n)`` scores, a per-row threshold and ``(rows, m)`` set columns.  Each row
+equals the result of the same call on that problem alone.
+
 :func:`fcp_calibration` instead picks ``k`` so that the false coverage
 proportion over the m test items stays below ``alpha_bar`` with probability at
 least ``1 - beta_bar - delta``.  The vector of conformal p-values of test
@@ -60,7 +66,8 @@ class ProxyScores:
     """Computable upper bounds on the calibration items' conformity scores.
 
     ``scores[i]`` dominates the true score of calibration item ``i`` whenever
-    the envelope covers that item's pooled rank.
+    the envelope covers that item's pooled rank.  For a batch problem
+    ``scores`` is ``(rows, n)``.
     """
 
     scores: np.ndarray
@@ -69,7 +76,7 @@ class ProxyScores:
 
     @property
     def n(self) -> int:
-        return self.scores.size
+        return self.scores.shape[-1]
 
 
 @dataclass
@@ -85,10 +92,14 @@ class FcpCalibration:
 
 @dataclass
 class Threshold:
-    """Calibrated score threshold: the k-th smallest proxy score."""
+    """Calibrated score threshold: the k-th smallest proxy score.
+
+    ``value`` is a float, or for a batch problem a ``(rows,)`` array holding
+    each row's own k-th smallest score.
+    """
 
     k: int
-    value: float
+    value: float | np.ndarray
     alpha: float | None = None
     delta: float | None = None
     fcp_mode: str = MARGINAL
@@ -130,6 +141,10 @@ class RankSets:
     shared by all rows.  ``1 <= lo <= hi`` is checked once, on construction.
     ``len``, integer indexing and iteration give :class:`RankSet` views of
     single rows, for API use; library code works on the columns.
+
+    The sets of a batch problem are ``(rows, len(items))`` columns, one row
+    per problem, with the item names shared; ``len`` is then the number of
+    items and the :class:`RankSet` views are not available.
     """
 
     items: list[ItemId]
@@ -143,14 +158,15 @@ class RankSets:
         self.items = list(self.items)
         self.lo = np.asarray(self.lo, dtype=np.int64)
         self.hi = np.asarray(self.hi, dtype=np.int64)
-        if self.lo.shape != (len(self.items),) or self.hi.shape != self.lo.shape:
+        if (self.lo.ndim not in (1, 2) or self.lo.shape[-1] != len(self.items)
+                or self.hi.shape != self.lo.shape):
             raise DimensionMismatch("need one lo and one hi per item")
         bad = np.flatnonzero((self.lo < 1) | (self.lo > self.hi))
         if bad.size:
             j = bad[0]
             raise InvalidInput(
-                f"need 1 <= lo <= hi, got [{self.lo[j]}, {self.hi[j]}] "
-                f"for item {self.items[j]!r}"
+                f"need 1 <= lo <= hi, got [{self.lo.flat[j]}, {self.hi.flat[j]}] "
+                f"for item {self.items[j % len(self.items)]!r}"
             )
 
     @property
@@ -165,6 +181,8 @@ class RankSets:
         return len(self.items)
 
     def __getitem__(self, j: int) -> RankSet:
+        if self.lo.ndim != 1:
+            raise InvalidInput("a batch of sets has no single-item views")
         return RankSet(self.items[j], int(self.lo[j]), int(self.hi[j]), self.kind)
 
     def __iter__(self):
@@ -222,17 +240,18 @@ def scores_at(problem: RankingProblem, calib_ranks_at) -> np.ndarray:
     """Score of each calibration item evaluated at a given pooled rank.
 
     Used with the true pooled ranks for the oracle baseline; proxy scores use
-    :func:`proxy_scores` instead.
+    :func:`proxy_scores` instead.  For a batch problem the ranks are
+    ``(rows, n)``, one row per problem.
     """
     ranks = np.asarray(calib_ranks_at, dtype=np.int64)
-    if ranks.shape != (problem.n,):
+    if ranks.shape != problem.calib_ranks.shape:
         raise DimensionMismatch("need one rank per calibration item")
     if ranks.min() < 1 or ranks.max() > problem.total:
         raise RankOutOfRange("pooled ranks outside [1, n+m]")
     if problem.ranker_mode == RA:
         return np.abs(ranks - problem.calib_outputs).astype(float)
-    ordered = np.sort(problem.ranker_outputs)
-    return np.abs(ordered[ranks - 1] - problem.calib_outputs)
+    ordered = np.sort(problem.ranker_outputs, axis=-1)
+    return np.abs(np.take_along_axis(ordered, ranks - 1, axis=-1) - problem.calib_outputs)
 
 
 def proxy_scores(problem: RankingProblem, env: Envelope) -> ProxyScores:
@@ -250,9 +269,10 @@ def proxy_scores(problem: RankingProblem, env: Envelope) -> ProxyScores:
         pred = problem.calib_outputs
         scores = np.maximum(np.abs(lo - pred), np.abs(hi - pred)).astype(float)
     else:
-        ordered = np.sort(problem.ranker_outputs)
+        ordered = np.sort(problem.ranker_outputs, axis=-1)
         out = problem.calib_outputs
-        scores = np.maximum(np.abs(ordered[lo - 1] - out), np.abs(ordered[hi - 1] - out))
+        scores = np.maximum(np.abs(np.take_along_axis(ordered, lo - 1, axis=-1) - out),
+                            np.abs(np.take_along_axis(ordered, hi - 1, axis=-1) - out))
     return ProxyScores(scores=scores, mode=problem.ranker_mode, envelope=env)
 
 
@@ -284,15 +304,24 @@ def calibrate(
     fcp_mode: str = MARGINAL,
     fcp_meta: FcpCalibration | None = None,
 ) -> Threshold:
-    """Threshold at the k-th smallest proxy score (ties counted with multiplicity)."""
+    """Threshold at the k-th smallest proxy score (ties counted with multiplicity).
+
+    For batch proxy scores the threshold value is each row's own k-th
+    smallest score.
+    """
     n = proxy.n
     if not 1 <= k <= n:
         raise RankOutOfRange(f"k={k} outside [1, {n}]")
-    value = float(np.partition(proxy.scores, k - 1)[k - 1])
     return Threshold(
-        k=int(k), value=value, alpha=alpha, delta=proxy.envelope.delta,
-        fcp_mode=fcp_mode, fcp_meta=fcp_meta,
+        k=int(k), value=kth_smallest(proxy.scores, k), alpha=alpha,
+        delta=proxy.envelope.delta, fcp_mode=fcp_mode, fcp_meta=fcp_meta,
     )
+
+
+def kth_smallest(scores: np.ndarray, k: int) -> float | np.ndarray:
+    """The k-th smallest score: a float, or one per row of a ``(rows, n)`` stack."""
+    value = np.partition(scores, k - 1, axis=-1)[..., k - 1]
+    return float(value) if value.ndim == 0 else value
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray, pred) -> np.ndarray:
@@ -322,25 +351,43 @@ def predict_sets(problem: RankingProblem, thr: Threshold) -> RankSets:
     is one run of ranks around the item's own rank, and each edge is found by
     bisection on the predicate itself (O(n+m) memory).  ``searchsorted(v -/+
     s)`` is not exact: the rounding of ``v -/+ s`` can move an edge by one.
+
+    For a batch problem and its per-row threshold the result has ``(rows,
+    m)`` columns.  VA then runs one bisection over all rows at once: the
+    sorted rows are laid end to end and each item searches only its own
+    row's span, against its own row's threshold.
     """
-    if not thr.value >= 0:
+    value = np.asarray(thr.value, dtype=float)
+    if value.shape != problem.calib_ranks.shape[:-1]:
+        raise DimensionMismatch("need one threshold per problem of the batch")
+    if not np.all(value >= 0):
         raise InvalidInput("threshold must be nonnegative")
     total = problem.total
+    # one threshold per row, broadcast against that row's m test items
+    per_item = value[..., None]
     if problem.ranker_mode == RA:
-        reach = total if thr.value >= total else math.floor(thr.value)
+        reach = np.floor(np.minimum(per_item, total)).astype(np.int64)
         pred = problem.test_outputs
         lo, hi = np.maximum(pred - reach, 1), np.minimum(pred + reach, total)
     else:
-        ordered = np.sort(problem.ranker_outputs)
-        values = problem.test_outputs
+        outputs = problem.ranker_outputs
+        order = np.argsort(outputs, axis=-1)
+        ordered = np.take_along_axis(outputs, order, axis=-1).ravel()
+        position = np.empty_like(order)
+        np.put_along_axis(position, order, np.arange(total), axis=-1)
+        # flat index of the first sorted output of each test item's own row
+        start = np.repeat(np.arange(0, outputs.size, total), problem.m)
+        own = start + position[..., problem.n :].ravel()
+        values = problem.test_outputs.ravel()
+        limit = np.broadcast_to(per_item, problem.test_outputs.shape).ravel()
 
-        def within(i, rows):
-            return np.abs(ordered[i] - values[rows]) <= thr.value
+        def within(i, items):
+            return np.abs(ordered[i] - values[items]) <= limit[items]
 
-        own = np.searchsorted(ordered, values)
-        lo = _bisect(np.zeros_like(own), own, within) + 1
-        hi = _bisect(own + 1, np.full_like(own, total),
-                     lambda i, rows: ~within(i, rows))
+        lo = _bisect(start, own, within) - start + 1
+        hi = _bisect(own + 1, start + total, lambda i, items: ~within(i, items)) - start
+        shape = problem.test_outputs.shape
+        lo, hi = lo.reshape(shape), hi.reshape(shape)
     return RankSets(items=problem.test_ids, lo=lo, hi=hi)
 
 

@@ -10,18 +10,22 @@ envelope, calibrate, predict, score) and reports per-repetition metrics:
                        the same conformal pipeline run with the true (normally
                        unobservable) calibration ranks and no envelope slack.
 
-Metrics read the ``lo``/``hi`` columns of :class:`RankSets` directly.
+Metrics read the ``lo``/``hi`` columns of :class:`RankSets` directly.  The
+generators take a seed or a 1-D array of seeds, and the metrics and the
+oracle arm a single problem or a batch (see :class:`RankingProblem`): a batch
+gives one row, or one metric value, per problem.
 
 Everything is a pure function of the configuration: each repetition and stage
 draws from its own stream derived from ``(master_seed, stage, rep)``, so
-adding stages never perturbs earlier ones.
+adding stages never perturbs earlier ones, and the harness may stack
+repetitions into blocks without changing a single number.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .conformal import (
     Threshold,
     calibrate,
     fcp_calibration,
+    kth_smallest,
     predict_sets,
     proxy_scores,
     scores_at,
@@ -59,45 +64,82 @@ DATA_MODELS = (SIGMOID, BETA_ADAPTIVE)
 # the experiment's noise_sd drives the toy ranker instead).
 DATA_NOISE_SD = 0.07
 
+# Array elements per stacked (reps, n+m) array in a block of repetitions:
+# run_experiment stacks max(1, BLOCK_ELEMENTS // (n+m)) reps at a time, so the
+# working set of its rep phase is bounded by this constant, not by cfg.reps.
+BLOCK_ELEMENTS = 2**16
 
-def fcp(sets: RankSets, true_ranks) -> float:
-    """False coverage proportion: the count of missed true ranks over ``len(sets)``."""
+
+def _per_row(value):
+    """A float for a single problem's 0-d result, the array for a batch."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def fcp(sets: RankSets, true_ranks) -> float | np.ndarray:
+    """False coverage proportion: the count of missed true ranks over ``len(sets)``.
+
+    For batch sets and ``(rows, m)`` true ranks, one proportion per row.
+    """
     if not len(sets):
         raise InvalidInput("need at least one set")
     ranks = np.asarray(true_ranks, dtype=np.int64)
-    if len(sets) != ranks.size:
-        raise DimensionMismatch(f"{len(sets)} sets but {ranks.size} true ranks")
-    return int(np.count_nonzero(~sets.contains(ranks))) / len(sets)
+    if ranks.shape != sets.lo.shape:
+        raise DimensionMismatch(f"sets are {sets.lo.shape} but true ranks {ranks.shape}")
+    return _per_row(np.count_nonzero(~sets.contains(ranks), axis=-1) / len(sets))
 
 
-def relative_length(sets: RankSets, n_plus_m: int) -> float:
-    """Mean set size divided by the number of items."""
+def relative_length(sets: RankSets, n_plus_m: int) -> float | np.ndarray:
+    """Mean set size divided by the number of items (per row for batch sets)."""
     if not len(sets):
         raise InvalidInput("need at least one set")
-    return float(np.mean(sets.size)) / n_plus_m
+    return _per_row(np.mean(sets.size, axis=-1) / n_plus_m)
+
+
+def _per_seed(seed, draw):
+    """``draw(seed)``, or for a 1-D array of seeds the stacked results ``draw(s)``."""
+    if np.ndim(seed) == 0:
+        return draw(int(seed))
+    return np.stack([draw(int(s)) for s in seed])
+
+
+def _untie_rows(values: np.ndarray, seed, tag: str) -> np.ndarray:
+    """Resolve exact ties (a probability-zero event) in place, row by row.
+
+    Each tied row is passed through :func:`break_ties` with its own seed's
+    ``tag`` stream; rows without ties are left as they are.
+    """
+    rows, seeds = np.atleast_2d(values), np.atleast_1d(seed)
+    for i in np.flatnonzero(has_ties(rows)):
+        rows[i] = break_ties(rows[i], child_seed(int(seeds[i]), tag))
+    return values
 
 
 def gen_sigmoid_data(
-    n_plus_m: int, d: int = 5, noise_sd: float = DATA_NOISE_SD, seed: int = 0
+    n_plus_m: int,
+    d: int = 5,
+    noise_sd: float = DATA_NOISE_SD,
+    seed: int | np.ndarray = 0,
 ) -> np.ndarray:
     """Sigmoid regression truth: ``1 / (1 + exp(-w.x)) + noise``.
 
     Features and weights are standard Gaussian of dimension ``d``; the noise
     is Gaussian with standard deviation ``noise_sd``.  Output is guaranteed
     tie-free (exact collisions, a probability-zero event, are resolved with
-    the deterministic tie-break transform).
+    the deterministic tie-break transform).  A 1-D array of seeds gives one
+    row per seed, each equal to the output for that seed alone.
     """
     if n_plus_m < 2:
         raise InvalidInput("need at least two items")
     if d < 1:
         raise InvalidInput("need d >= 1")
-    gen = stream(seed, "sigmoid-data")
-    x = gen.standard_normal((n_plus_m, d))
-    w = gen.standard_normal(d)
-    y = 1.0 / (1.0 + np.exp(-(x @ w))) + noise_sd * gen.standard_normal(n_plus_m)
-    if has_ties(y):
-        y = break_ties(y, child_seed(seed, "sigmoid-ties"))
-    return y
+
+    def draw(s: int) -> np.ndarray:
+        gen = stream(s, "sigmoid-data")
+        x = gen.standard_normal((n_plus_m, d))
+        w = gen.standard_normal(d)
+        return 1.0 / (1.0 + np.exp(-(x @ w))) + noise_sd * gen.standard_normal(n_plus_m)
+
+    return _untie_rows(_per_seed(seed, draw), seed, "sigmoid-ties")
 
 
 def gen_beta_data(
@@ -105,49 +147,54 @@ def gen_beta_data(
     a: float = 0.04,
     b: float = 0.04,
     noise_sd: float = DATA_NOISE_SD,
-    seed: int = 0,
+    seed: int | np.ndarray = 0,
 ) -> np.ndarray:
     """Bimodal truth: ``Beta(a, b) + noise`` with mass piling up near 0 and 1.
 
     With the default parameters most latent values sit within 0.1 of an
     endpoint, so mid-ranked items are far easier to rank than extreme ones;
-    used to exercise the adaptivity of VA-mode sets.
+    used to exercise the adaptivity of VA-mode sets.  Seeds as for
+    :func:`gen_sigmoid_data`.
     """
     if n_plus_m < 2:
         raise InvalidInput("need at least two items")
-    gen = stream(seed, "beta-data")
-    y = gen.beta(a, b, n_plus_m) + noise_sd * gen.standard_normal(n_plus_m)
-    if has_ties(y):
-        y = break_ties(y, child_seed(seed, "beta-ties"))
-    return y
+
+    def draw(s: int) -> np.ndarray:
+        gen = stream(s, "beta-data")
+        return gen.beta(a, b, n_plus_m) + noise_sd * gen.standard_normal(n_plus_m)
+
+    return _untie_rows(_per_seed(seed, draw), seed, "beta-ties")
 
 
 def noisy_oracle_ranker(
-    truth, noise_sd: float, seed: int = 0, mode: str = VA
+    truth, noise_sd: float, seed: int | np.ndarray = 0, mode: str = VA
 ) -> np.ndarray:
     """Toy stand-in for a trained ranker: the truth plus Gaussian noise.
 
     VA mode returns the perturbed values; RA mode returns their ranks.
-    ``noise_sd = 0`` gives the perfect ranker.
+    ``noise_sd = 0`` gives the perfect ranker.  A ``(rows, n+m)`` truth takes
+    a 1-D array of seeds, one per row.
     """
     arr = np.asarray(truth, dtype=float)
     if mode not in (RA, VA):
         raise InvalidInput(f"mode must be {RA!r} or {VA!r}")
-    values = arr + noise_sd * stream(seed, "ranker-noise").standard_normal(arr.size)
-    if has_ties(values):
-        values = break_ties(values, child_seed(seed, "ranker-ties"))
+    if np.shape(seed) != arr.shape[:-1]:
+        raise DimensionMismatch("need one seed per row of truth")
+    size = arr.shape[-1]
+    noise = _per_seed(seed, lambda s: stream(s, "ranker-noise").standard_normal(size))
+    values = _untie_rows(arr + noise_sd * noise, seed, "ranker-ties")
     return ranks_within(values) if mode == RA else values
 
 
 def make_problem(
     truth, n: int, m: int, mode: str, ranker_outputs, ids=None
 ) -> RankingProblem:
-    """Assemble a :class:`RankingProblem` from truth and ranker outputs."""
+    """Assemble a :class:`RankingProblem` (or a batch, from stacked rows)."""
     arr = np.asarray(truth, dtype=float)
-    if arr.size != n + m:
+    if arr.shape[-1:] != (n + m,):
         raise DimensionMismatch(f"truth must have length n+m={n + m}")
     return RankingProblem(
-        n=n, m=m, calib_ranks=ranks_within(arr[:n]),
+        n=n, m=m, calib_ranks=ranks_within(arr[..., :n]),
         ranker_mode=mode, ranker_outputs=ranker_outputs, truth=arr, ids=ids,
     )
 
@@ -158,20 +205,23 @@ def synthesize_problem(
     m: int,
     noise_sd: float,
     mode: str,
-    seed: int,
+    seed: int | np.ndarray,
     d: int = 5,
     data_noise_sd: float = DATA_NOISE_SD,
 ) -> RankingProblem:
-    """Generate truth from a named model and rank it with the noisy oracle."""
+    """Generate truth from a named model and rank it with the noisy oracle.
+
+    A 1-D array of seeds gives the batch problem whose row ``i`` equals the
+    problem for ``seeds[i]`` alone: each row draws from its own seed's streams.
+    """
     if data_model == SIGMOID:
         truth = gen_sigmoid_data(n + m, d=d, noise_sd=data_noise_sd, seed=seed)
     elif data_model == BETA_ADAPTIVE:
         truth = gen_beta_data(n + m, noise_sd=data_noise_sd, seed=seed)
     else:
         raise InvalidInput(f"data_model must be one of {DATA_MODELS}")
-    outputs = noisy_oracle_ranker(
-        truth, noise_sd, seed=child_seed(seed, "ranker"), mode=mode
-    )
+    ranker_seed = _per_seed(seed, lambda s: child_seed(s, "ranker"))
+    outputs = noisy_oracle_ranker(truth, noise_sd, seed=ranker_seed, mode=mode)
     return make_problem(truth, n, m, mode, outputs)
 
 
@@ -180,15 +230,15 @@ def oracle_sets(problem: RankingProblem, alpha: float) -> RankSets:
 
     Same pipeline, but scores are evaluated at the true pooled ranks and the
     calibration index drops the envelope shift (``delta = 0``).  The ratio of
-    proxy to oracle set lengths isolates the cost of the envelope.
+    proxy to oracle set lengths isolates the cost of the envelope.  A batch
+    problem gives batch sets, each row from its own row's threshold.
     """
     if problem.truth is None:
         raise MissingTruth("oracle baseline needs truth values")
-    true_calib_ranks = ranks_within(problem.truth)[: problem.n]
+    true_calib_ranks = ranks_within(problem.truth)[..., : problem.n]
     true_scores = scores_at(problem, true_calib_ranks)
     k = select_k(alpha, 0.0, problem.n)
-    value = float(np.partition(true_scores, k - 1)[k - 1])
-    thr = Threshold(k=k, value=value, alpha=alpha, delta=0.0)
+    thr = Threshold(k=k, value=kth_smallest(true_scores, k), alpha=alpha, delta=0.0)
     return predict_sets(problem, thr)
 
 
@@ -246,7 +296,10 @@ class ExperimentConfig:
 
 @dataclass
 class RepResult:
-    """Metrics of one repetition (proxy arm plus oracle arm)."""
+    """Metrics of one repetition (proxy arm plus oracle arm).
+
+    A view of one repetition of :class:`ExperimentReport`'s metric arrays.
+    """
 
     rep: int
     fcp: float
@@ -261,18 +314,47 @@ class RepResult:
     width_extreme_quintile: float
 
 
+# Names of the per-repetition metrics: the RepResult fields after ``rep``.
+METRICS = tuple(f.name for f in fields(RepResult))[1:]
+
+# Long-format report rows of one repetition: (metric, arm, source array).
+REPORT_ROWS = (
+    ("fcp", "proxy", "fcp"),
+    ("relative_length", "proxy", "relative_length"),
+    ("oracle_ratio", "proxy", "oracle_ratio"),
+    ("envelope_covered", "proxy", "envelope_covered"),
+    ("topk_overlap", "proxy", "topk_overlap"),
+    ("width_mid_quintile", "proxy", "width_mid_quintile"),
+    ("width_extreme_quintile", "proxy", "width_extreme_quintile"),
+    ("fcp", "oracle", "oracle_fcp"),
+    ("relative_length", "oracle", "oracle_relative_length"),
+)
+
+
 @dataclass
 class ExperimentReport:
-    """Per-repetition metrics with aggregation helpers."""
+    """Per-repetition metrics, one array per metric, with aggregation helpers.
+
+    ``metrics[name][rep]`` is metric ``name`` (one of :data:`METRICS`) of
+    repetition ``rep``: float arrays, except the boolean ``envelope_covered``
+    and ``oracle_contained`` and the integer ``topk_overlap``.
+    :attr:`per_rep` gives the same numbers as one :class:`RepResult` per
+    repetition.
+    """
 
     config: ExperimentConfig
     k: int
     threshold_meta: conformal.FcpCalibration | None
     envelope_kind: str
-    per_rep: list[RepResult] = field(default_factory=list)
+    metrics: dict[str, np.ndarray]
+
+    @property
+    def per_rep(self) -> list[RepResult]:
+        columns = [self.metrics[name].tolist() for name in METRICS]
+        return [RepResult(rep, *row) for rep, row in enumerate(zip(*columns))]
 
     def values(self, name: str) -> np.ndarray:
-        return np.asarray([getattr(r, name) for r in self.per_rep], dtype=float)
+        return np.asarray(self.metrics[name], dtype=float)
 
     def aggregates(self) -> dict:
         f = self.values("fcp")
@@ -280,7 +362,7 @@ class ExperimentReport:
         ratio = self.values("oracle_ratio")
         q = [0.1, 0.25, 0.5, 0.75, 0.9]
         return {
-            "reps": len(self.per_rep),
+            "reps": len(f),
             "k": self.k,
             "mean_fcp": float(f.mean()),
             "se_fcp": float(f.std(ddof=1) / math.sqrt(len(f))) if len(f) > 1 else 0.0,
@@ -295,22 +377,12 @@ class ExperimentReport:
 
     def to_rows(self) -> list[tuple[int, str, float, str]]:
         """Long-format rows (rep, metric, value, arm) for external plotting."""
-        rows: list[tuple[int, str, float, str]] = []
-        for r in self.per_rep:
-            rows.append((r.rep, "fcp", r.fcp, "proxy"))
-            rows.append((r.rep, "relative_length", r.relative_length, "proxy"))
-            rows.append((r.rep, "oracle_ratio", r.oracle_ratio, "proxy"))
-            rows.append((r.rep, "envelope_covered", float(r.envelope_covered), "proxy"))
-            rows.append((r.rep, "topk_overlap", float(r.topk_overlap), "proxy"))
-            rows.append((r.rep, "width_mid_quintile", r.width_mid_quintile, "proxy"))
-            rows.append(
-                (r.rep, "width_extreme_quintile", r.width_extreme_quintile, "proxy")
-            )
-            rows.append((r.rep, "fcp", r.oracle_fcp, "oracle"))
-            rows.append(
-                (r.rep, "relative_length", r.oracle_relative_length, "oracle")
-            )
-        return rows
+        columns = [self.values(source).tolist() for _, _, source in REPORT_ROWS]
+        return [
+            (rep, metric, value, arm)
+            for rep, values in enumerate(zip(*columns))
+            for (metric, arm, _), value in zip(REPORT_ROWS, values)
+        ]
 
 
 def build_envelope(
@@ -331,21 +403,64 @@ def build_envelope(
 def _predicted_ranks(problem: RankingProblem) -> np.ndarray:
     if problem.ranker_mode == RA:
         return problem.test_outputs.astype(np.int64)
-    return ranks_within(problem.ranker_outputs)[problem.n :]
+    return ranks_within(problem.ranker_outputs)[..., problem.n :]
+
+
+def _masked_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row, the mean of ``values`` where ``mask`` holds; NaN where it never does."""
+    count = np.count_nonzero(mask, axis=-1)
+    total = np.where(mask, values, 0.0).sum(axis=-1)
+    return np.divide(total, count, out=np.full(count.shape, np.nan), where=count > 0)
 
 
 def _quintile_widths(
     sets: RankSets, predicted: np.ndarray, total: int
-) -> tuple[float, float]:
-    """Mean set size in the middle vs extreme quintiles of predicted rank."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean set size in the middle vs extreme quintiles of predicted rank, per row."""
     widths = sets.size.astype(float)
     quintile = np.minimum(4, (5 * (predicted - 1)) // total)
-    mid = widths[quintile == 2]
-    ext = widths[(quintile == 0) | (quintile == 4)]
     return (
-        float(mid.mean()) if mid.size else float("nan"),
-        float(ext.mean()) if ext.size else float("nan"),
+        _masked_mean(widths, quintile == 2),
+        _masked_mean(widths, (quintile == 0) | (quintile == 4)),
     )
+
+
+def _block_metrics(
+    cfg: ExperimentConfig, env: Envelope, k: int, meta, reps: range
+) -> dict[str, np.ndarray]:
+    """Metric arrays of the repetitions ``reps``, run as one batch problem."""
+    problem = synthesize_problem(
+        cfg.data_model, cfg.n, cfg.m, cfg.noise_sd, cfg.mode,
+        seed=np.array([child_seed(cfg.master_seed, "rep", rep) for rep in reps]), d=5,
+    )
+    pooled = ranks_within(problem.truth)
+    true_calib, true_test = pooled[:, : cfg.n], pooled[:, cfg.n :]
+
+    proxy = proxy_scores(problem, env)
+    thr = calibrate(proxy, k, alpha=cfg.alpha, fcp_mode=cfg.fcp_mode, fcp_meta=meta)
+    sets = predict_sets(problem, thr)
+    osets = oracle_sets(problem, cfg.alpha)
+
+    out = {
+        "fcp": fcp(sets, true_test),
+        "relative_length": relative_length(sets, problem.total),
+        "oracle_fcp": fcp(osets, true_test),
+        "oracle_relative_length": relative_length(osets, problem.total),
+    }
+    out["oracle_ratio"] = out["relative_length"] / out["oracle_relative_length"]
+    lo, hi = env.bounds_for_ranks(problem.calib_ranks)
+    out["envelope_covered"] = np.all((true_calib >= lo) & (true_calib <= hi), axis=-1)
+    out["oracle_contained"] = np.all(
+        (sets.lo <= osets.lo) & (sets.hi >= osets.hi), axis=-1
+    )
+    k_top = cfg.effective_k_top
+    out["topk_overlap"] = np.count_nonzero(
+        topk_candidates(sets, k_top) & (true_test <= k_top), axis=-1
+    )
+    out["width_mid_quintile"], out["width_extreme_quintile"] = _quintile_widths(
+        sets, _predicted_ranks(problem), problem.total
+    )
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -356,7 +471,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     also on its Monte-Carlo budget ``K_env``), not on the data, so refitting
     per repetition would only add identical-in-law copies at hundreds of
     times the cost.  The FCP index is exact.  All per-repetition randomness
-    (data, ranker noise) is fresh.
+    (data, ranker noise) is fresh, drawn from the ``(master_seed, "rep",
+    rep)`` streams.
+
+    Repetitions run in blocks of ``max(1, BLOCK_ELEMENTS // (n + m))``: each
+    block is one batch problem passed once through the same layer functions
+    a single problem uses (generation, proxy scores, calibration,
+    prediction, the oracle arm and the metrics), so memory is bounded by the
+    block, not by ``cfg.reps``.  Each repetition's metrics equal those of
+    running its problem alone.
     """
     env = build_envelope(
         cfg.envelope_kind, cfg.n, cfg.m, cfg.delta, cfg.K_env,
@@ -368,48 +491,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         k = meta.k
     else:
         k = select_k(cfg.alpha, env.delta, cfg.n)
-    k_top = cfg.effective_k_top
 
-    report = ExperimentReport(
-        config=cfg, k=k, threshold_meta=meta, envelope_kind=env.kind
+    block = max(1, BLOCK_ELEMENTS // (cfg.n + cfg.m))
+    blocks = [
+        _block_metrics(cfg, env, k, meta, range(start, min(cfg.reps, start + block)))
+        for start in range(0, cfg.reps, block)
+    ]
+    return ExperimentReport(
+        config=cfg, k=k, threshold_meta=meta, envelope_kind=env.kind,
+        metrics={name: np.concatenate([b[name] for b in blocks]) for name in METRICS},
     )
-    for rep in range(cfg.reps):
-        problem = synthesize_problem(
-            cfg.data_model, cfg.n, cfg.m, cfg.noise_sd, cfg.mode,
-            seed=child_seed(cfg.master_seed, "rep", rep), d=5,
-        )
-        pooled = ranks_within(problem.truth)
-        true_calib, true_test = pooled[: cfg.n], pooled[cfg.n :]
-
-        proxy = proxy_scores(problem, env)
-        thr = calibrate(proxy, k, alpha=cfg.alpha, fcp_mode=cfg.fcp_mode, fcp_meta=meta)
-        sets = predict_sets(problem, thr)
-        osets = oracle_sets(problem, cfg.alpha)
-
-        rep_fcp = fcp(sets, true_test)
-        rep_rl = relative_length(sets, problem.total)
-        o_fcp = fcp(osets, true_test)
-        o_rl = relative_length(osets, problem.total)
-
-        lo, hi = env.bounds_for_ranks(problem.calib_ranks)
-        covered = bool(np.all((true_calib >= lo) & (true_calib <= hi)))
-        contained = bool(np.all((sets.lo <= osets.lo) & (sets.hi >= osets.hi)))
-        overlap = np.count_nonzero(topk_candidates(sets, k_top) & (true_test <= k_top))
-        mid_w, ext_w = _quintile_widths(sets, _predicted_ranks(problem), problem.total)
-
-        report.per_rep.append(
-            RepResult(
-                rep=rep,
-                fcp=rep_fcp,
-                relative_length=rep_rl,
-                oracle_fcp=o_fcp,
-                oracle_relative_length=o_rl,
-                oracle_ratio=rep_rl / o_rl,
-                envelope_covered=covered,
-                oracle_contained=contained,
-                topk_overlap=int(overlap),
-                width_mid_quintile=mid_w,
-                width_extreme_quintile=ext_w,
-            )
-        )
-    return report

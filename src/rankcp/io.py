@@ -273,15 +273,17 @@ def read_sets(path) -> RankSets:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or reader.fieldnames[:3] != SETS_HEADER:
                 raise InvalidData(f"{path}: header must start with id,lo,hi")
-            rows = list(reader)
-        sets = RankSets(
-            items=[row["id"] for row in rows],
-            lo=[int(row["lo"]) for row in rows],
-            hi=[int(row["hi"]) for row in rows],
-        )
+            items, lo, hi = [], [], []
+            for row in reader:
+                lineno = reader.line_num
+                items.append(row["id"])
+                lo.append(_parse_int(row["lo"], "lo", path, lineno))
+                hi.append(_parse_int(row["hi"], "hi", path, lineno))
     except OSError as exc:
         raise InvalidData(f"{path}: {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    try:
+        sets = RankSets(items=items, lo=lo, hi=hi)
+    except (InvalidInput, OverflowError) as exc:
         raise InvalidData(f"{path}: {exc}") from exc
     seen = set()
     for item in sets.items:

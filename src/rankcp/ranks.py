@@ -6,6 +6,10 @@ the package.  A strict total order (no exact duplicates) is required wherever
 ranks must be invertible; ties raise :class:`TiesDetected` instead of being
 jittered silently, and :func:`break_ties` offers a deterministic opt-in
 resolution.
+
+Vector operations work along the last axis, and :func:`has_ties`,
+:func:`ranks_within` and :class:`RankingProblem` also accept a leading batch
+axis: a stack of independent rows, each checked and ranked on its own.
 """
 
 from __future__ import annotations
@@ -36,15 +40,33 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def has_ties(values) -> bool:
-    """True if the vector contains an exact duplicate."""
-    arr = np.asarray(values).ravel()
-    return np.unique(arr).size < arr.size
+def _as_float_rows(values, name: str) -> np.ndarray:
+    """A vector, or a ``(rows, length)`` stack of vectors, as floats."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise InvalidInput(f"{name} must be a vector or a stack of vectors")
+    return arr
+
+
+def _sorted_has_ties(ordered: np.ndarray):
+    """Per row of sorted values: an equal neighbour pair, or two NaNs (sorted last)."""
+    right, left = ordered[..., 1:], ordered[..., :-1]
+    tied = (right == left) | (np.isnan(right) & np.isnan(left))
+    return tied.any(axis=-1)
+
+
+def has_ties(values):
+    """True if the vector contains an exact duplicate (NaNs count as equal).
+
+    For a ``(rows, length)`` stack, a boolean per row.
+    """
+    tied = _sorted_has_ties(np.sort(np.atleast_1d(values), axis=-1))
+    return bool(tied) if tied.ndim == 0 else tied
 
 
 def check_no_ties(values, name: str = "values") -> None:
-    """Raise :class:`TiesDetected` if the vector has exact duplicates."""
-    if has_ties(values):
+    """Raise :class:`TiesDetected` if the vector (or any row) has exact duplicates."""
+    if np.any(has_ties(values)):
         raise TiesDetected(f"{name} contain exact duplicates; see break_ties")
 
 
@@ -74,12 +96,15 @@ def value_at_rank(r: int, bag) -> float:
 def ranks_within(values) -> np.ndarray:
     """Rank of each element within its own tie-free vector.
 
-    Returns a permutation of ``1..len(values)`` as int64.
+    Returns a permutation of ``1..len(values)`` as int64; for a
+    ``(rows, length)`` stack, one permutation per row.
     """
-    arr = _as_float_vector(values, "values")
-    check_no_ties(arr, "values")
-    ranks = np.empty(arr.size, dtype=np.int64)
-    ranks[np.argsort(arr)] = np.arange(1, arr.size + 1)
+    arr = _as_float_rows(values, "values")
+    order = np.argsort(arr, axis=-1)
+    if np.any(_sorted_has_ties(np.take_along_axis(arr, order, axis=-1))):
+        raise TiesDetected("values contain exact duplicates; see break_ties")
+    ranks = np.empty(arr.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, arr.shape[-1] + 1), axis=-1)
     return ranks
 
 
@@ -117,6 +142,11 @@ class RankingProblem:
     allowed); in VA mode they are real scores whose order induces the
     predicted ranking (ties rejected, same policy as for ``truth``).
     ``truth`` is optional and used for evaluation only.
+
+    A *batch* of problems of the same sizes stacks them along a leading axis:
+    ``calib_ranks`` is ``(rows, n)`` and ``ranker_outputs`` (and ``truth``)
+    ``(rows, n+m)``.  Every row is validated on its own, and the item ids are
+    shared by all rows.
     """
 
     n: int
@@ -131,22 +161,23 @@ class RankingProblem:
         if self.n < 1 or self.m < 0:
             raise InvalidInput("need n >= 1 and m >= 0")
         total = self.n + self.m
+        outputs = np.asarray(self.ranker_outputs)
+        lead = outputs.shape[:1] if outputs.ndim == 2 else ()
         ranks = np.asarray(self.calib_ranks, dtype=np.int64)
-        if ranks.shape != (self.n,) or not np.array_equal(
-            np.sort(ranks), np.arange(1, self.n + 1)
+        if ranks.shape != lead + (self.n,) or not np.array_equal(
+            np.sort(ranks, axis=-1), np.broadcast_to(np.arange(1, self.n + 1), ranks.shape)
         ):
             raise InvalidInput("calib_ranks must be a permutation of 1..n")
         self.calib_ranks = ranks
 
         if self.ranker_mode not in (RA, VA):
             raise InvalidInput(f"ranker_mode must be {RA!r} or {VA!r}")
-        outputs = np.asarray(self.ranker_outputs)
-        if outputs.shape != (total,):
+        if outputs.shape != lead + (total,) or not outputs.size:
             raise DimensionMismatch(
                 f"ranker_outputs must have length n+m={total}, got {outputs.shape}"
             )
+        as_float = outputs.astype(float)
         if self.ranker_mode == RA:
-            as_float = outputs.astype(float)
             if not np.all(as_float == np.round(as_float)):
                 raise InvalidInput("RA ranker outputs must be integers")
             as_int = as_float.astype(np.int64)
@@ -154,15 +185,14 @@ class RankingProblem:
                 raise InvalidInput(f"RA ranker outputs must lie in [1, {total}]")
             self.ranker_outputs = as_int
         else:
-            as_float = outputs.astype(float)
             if not np.all(np.isfinite(as_float)):
                 raise InvalidInput("VA ranker outputs must be finite")
             check_no_ties(as_float, "VA ranker outputs")
             self.ranker_outputs = as_float
 
         if self.truth is not None:
-            t = _as_float_vector(self.truth, "truth")
-            if t.shape != (total,):
+            t = np.asarray(self.truth, dtype=float)
+            if t.shape != outputs.shape:
                 raise DimensionMismatch(f"truth must have length n+m={total}")
             check_no_ties(t, "truth")
             self.truth = t
@@ -194,8 +224,8 @@ class RankingProblem:
 
     @property
     def calib_outputs(self) -> np.ndarray:
-        return self.ranker_outputs[: self.n]
+        return self.ranker_outputs[..., : self.n]
 
     @property
     def test_outputs(self) -> np.ndarray:
-        return self.ranker_outputs[self.n :]
+        return self.ranker_outputs[..., self.n :]

@@ -75,7 +75,7 @@ def topk_candidates(sets: RankSets, k_top: int) -> np.ndarray:
 
     The selected items overlap the true top ``k_top`` by at least
     ``k_top - alpha * m`` in expectation, and the mask is monotone (nested) in
-    ``k_top``.
+    ``k_top``.  Batch sets give one mask row per problem.
     """
     if k_top < 0:
         raise InvalidInput("k_top must be nonnegative")

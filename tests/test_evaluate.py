@@ -1,7 +1,13 @@
 """Metrics, generators, the oracle arm, and the experiment harness."""
 
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rankcp import (
@@ -12,9 +18,14 @@ from rankcp import (
     MissingTruth,
     RankSets,
     RankingProblem,
+    Threshold,
+    TiesDetected,
+    build_envelope,
     fcp,
+    fcp_calibration,
     gen_beta_data,
     gen_sigmoid_data,
+    has_ties,
     make_problem,
     noisy_oracle_ranker,
     oracle_sets,
@@ -24,9 +35,14 @@ from rankcp import (
     ranks_within,
     relative_length,
     run_experiment,
+    scores_at,
     select_k,
     naive_envelope,
+    synthesize_problem,
+    topk_candidates,
 )
+from rankcp import evaluate
+from rankcp.streams import child_seed
 
 
 def _sets(bounds, kind="full"):
@@ -204,3 +220,217 @@ def test_experiment_config_validation():
         ExperimentConfig(reps=0)
     with pytest.raises(InvalidInput):
         ExperimentConfig(data_model="mystery")
+
+
+# (metric, arm) of the nine report rows of one repetition, in order
+REPORT_LAYOUT = (
+    ("fcp", "proxy"), ("relative_length", "proxy"), ("oracle_ratio", "proxy"),
+    ("envelope_covered", "proxy"), ("topk_overlap", "proxy"),
+    ("width_mid_quintile", "proxy"), ("width_extreme_quintile", "proxy"),
+    ("fcp", "oracle"), ("relative_length", "oracle"),
+)
+
+
+def _reference_rows(cfg):
+    """Report rows of the per-repetition loop over single problems.
+
+    The reference for the block engine: one 1-D problem per repetition,
+    drawn from the same ``(master_seed, "rep", rep)`` streams.
+    """
+    n, m = cfg.n, cfg.m
+    env = build_envelope(cfg.envelope_kind, n, m, cfg.delta, cfg.K_env,
+                         child_seed(cfg.master_seed, "envelope"))
+    meta = None
+    if cfg.fcp_mode == "fcp_controlled":
+        meta = fcp_calibration(cfg.alpha, cfg.beta, env.delta, n, m)
+    k = meta.k if meta else select_k(cfg.alpha, env.delta, n)
+    k_top = cfg.effective_k_top
+    rows = []
+    for rep in range(cfg.reps):
+        problem = synthesize_problem(cfg.data_model, n, m, cfg.noise_sd, cfg.mode,
+                                     seed=child_seed(cfg.master_seed, "rep", rep), d=5)
+        pooled = ranks_within(problem.truth)
+        true_calib, true_test = pooled[:n], pooled[n:]
+        thr = calibrate(proxy_scores(problem, env), k, alpha=cfg.alpha,
+                        fcp_mode=cfg.fcp_mode, fcp_meta=meta)
+        sets = predict_sets(problem, thr)
+        osets = oracle_sets(problem, cfg.alpha)
+        rl, o_rl = relative_length(sets, n + m), relative_length(osets, n + m)
+        lo, hi = env.bounds_for_ranks(problem.calib_ranks)
+        covered = bool(np.all((true_calib >= lo) & (true_calib <= hi)))
+        overlap = int(np.count_nonzero(topk_candidates(sets, k_top) & (true_test <= k_top)))
+        predicted = (problem.test_outputs if cfg.mode == "RA"
+                     else ranks_within(problem.ranker_outputs)[n:])
+        widths = sets.size.astype(float)
+        quintile = np.minimum(4, (5 * (predicted - 1)) // (n + m))
+        mid = widths[quintile == 2]
+        ext = widths[(quintile == 0) | (quintile == 4)]
+        values = (
+            fcp(sets, true_test), rl, rl / o_rl, float(covered), float(overlap),
+            float(mid.mean()) if mid.size else float("nan"),
+            float(ext.mean()) if ext.size else float("nan"),
+            fcp(osets, true_test), o_rl,
+        )
+        rows += [(rep, metric, value, arm)
+                 for (metric, arm), value in zip(REPORT_LAYOUT, values)]
+    return rows
+
+
+def _engine_grid():
+    """Every mode x threshold x data model, cycling envelope kinds, sizes and reps."""
+    kinds = itertools.cycle(("naive", "quantile", "linear"))
+    shapes = itertools.cycle(((40, 3, 170), (30, 70, 5), (30, 70, 40), (40, 3, 5)))
+    for (mode, fcp_mode, model), kind, (n, m, reps) in zip(
+        itertools.product(("RA", "VA"), ("marginal", "fcp_controlled"),
+                          ("sigmoid", "beta_adaptive")),
+        kinds, shapes,
+    ):
+        yield ExperimentConfig(n=n, m=m, reps=reps, mode=mode, fcp_mode=fcp_mode,
+                               data_model=model, envelope_kind=kind, K_env=2000,
+                               master_seed=n * 7 + reps)
+
+
+@pytest.mark.parametrize("cfg", list(_engine_grid()),
+                         ids=lambda c: f"{c.mode}-{c.fcp_mode}-{c.data_model}-"
+                                       f"{c.envelope_kind}-{c.n}x{c.m}x{c.reps}")
+def test_block_engine_matches_per_rep_reference(cfg):
+    assert repr(run_experiment(cfg).to_rows()) == repr(_reference_rows(cfg))
+
+
+@pytest.mark.parametrize("block_elements", [1, 2 * 73 + 5])
+@pytest.mark.parametrize("mode", ["RA", "VA"])
+def test_blocks_straddle_without_changing_rows(monkeypatch, block_elements, mode):
+    # n + m = 73: blocks of 1 and of 2 repetitions, the last one short
+    cfg = ExperimentConfig(n=40, m=33, reps=7, mode=mode, envelope_kind="quantile",
+                           K_env=2000, master_seed=61, fcp_mode="fcp_controlled")
+    monkeypatch.setattr(evaluate, "BLOCK_ELEMENTS", block_elements)
+    assert repr(run_experiment(cfg).to_rows()) == repr(_reference_rows(cfg))
+
+
+def test_empty_quintile_gives_nan_width():
+    cfg = ExperimentConfig(n=40, m=3, reps=30, mode="VA", envelope_kind="naive",
+                           master_seed=62)
+    report = run_experiment(cfg)
+    mid = report.values("width_mid_quintile")
+    assert np.isnan(mid).any() and not np.isnan(mid).all()
+    assert repr(report.to_rows()) == repr(_reference_rows(cfg))
+    assert math.isnan(report.per_rep[int(np.flatnonzero(np.isnan(mid))[0])]
+                      .width_mid_quintile)
+
+
+def test_rep_phase_memory_bounded_by_block():
+    """Eight blocks of repetitions peak within 1.5x of one block."""
+    block = max(1, evaluate.BLOCK_ELEMENTS // 400)
+
+    def peak(reps):
+        cfg = ExperimentConfig(n=200, m=200, reps=reps, envelope_kind="naive",
+                               master_seed=63)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, eight = peak(block), peak(8 * block)
+    assert eight <= 1.5 * one, (one, eight)
+
+
+VA_POOL = (0.0, 0.1, 0.2, 0.3, -0.1, -0.3, 1e-300, 1.0, 1.0 + 2**-52, 1.0 - 2**-53,
+           3.5, -3.5, 7.0, 0.7)
+
+
+@st.composite
+def _batch(draw):
+    """Stacked problems of one size and mode, and the 1-D problem of each row."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows, mode = draw(st.integers(1, 4)), draw(st.sampled_from(["RA", "VA"]))
+    total = n + m
+    truth = np.array([draw(st.permutations(range(total))) for _ in range(rows)],
+                     dtype=float)
+    if mode == "RA":
+        outputs = [draw(st.lists(st.integers(1, total), min_size=total, max_size=total))
+                   for _ in range(rows)]
+    else:
+        # few distinct values, so gaps repeat and thresholds hit them exactly
+        outputs = [draw(st.lists(st.sampled_from(VA_POOL), min_size=total, max_size=total,
+                                 unique=True))
+                   for _ in range(rows)]
+    outputs = np.array(outputs)
+    batch = RankingProblem(n=n, m=m, calib_ranks=ranks_within(truth[:, :n]),
+                           ranker_mode=mode, ranker_outputs=outputs, truth=truth)
+    singles = [RankingProblem(n=n, m=m, calib_ranks=ranks_within(truth[i, :n]),
+                              ranker_mode=mode, ranker_outputs=outputs[i], truth=truth[i])
+               for i in range(rows)]
+    return batch, singles
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_batched_layers_equal_single_problem_calls(data):
+    batch, singles = data.draw(_batch())
+    n, m = batch.n, batch.m
+    lower = np.arange(1, n + 1)
+    env = Envelope(n=n, m=m, delta=0.0, kind="quantile", lower=lower,
+                   upper=np.minimum(lower + data.draw(st.integers(0, m)), n + m))
+    alpha = data.draw(st.sampled_from([0.5, 0.7, 0.9]))  # k <= n for every n >= 1
+    k = data.draw(st.integers(1, n))
+    pooled = ranks_within(batch.truth)
+    proxy = proxy_scores(batch, env)
+    thr = calibrate(proxy, k, alpha=alpha)
+    sets = predict_sets(batch, thr)
+    osets = oracle_sets(batch, alpha)
+    k_top = data.draw(st.integers(0, n + m))
+    assert sets.lo.shape == (len(singles), m)
+    for i, one in enumerate(singles):
+        assert np.array_equal(pooled[i], ranks_within(one.truth))
+        assert has_ties(batch.ranker_outputs)[i] == has_ties(one.ranker_outputs)
+        assert np.array_equal(scores_at(batch, pooled[:, :n])[i],
+                              scores_at(one, pooled[i, :n]))
+        assert np.array_equal(proxy.scores[i], proxy_scores(one, env).scores)
+        one_thr = calibrate(proxy_scores(one, env), k, alpha=alpha)
+        assert type(one_thr.value) is float and one_thr.value == thr.value[i]
+        one_sets = predict_sets(one, one_thr)
+        assert np.array_equal(sets.lo[i], one_sets.lo)
+        assert np.array_equal(sets.hi[i], one_sets.hi)
+        one_osets = oracle_sets(one, alpha)
+        assert np.array_equal(osets.lo[i], one_osets.lo)
+        assert np.array_equal(osets.hi[i], one_osets.hi)
+        true_test = pooled[i, n:]
+        assert fcp(sets, pooled[:, n:])[i] == fcp(one_sets, true_test)
+        assert relative_length(sets, n + m)[i] == relative_length(one_sets, n + m)
+        assert np.array_equal(topk_candidates(sets, k_top)[i],
+                              topk_candidates(one_sets, k_top))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=4),
+       model=st.sampled_from(["sigmoid", "beta_adaptive"]),
+       mode=st.sampled_from(["RA", "VA"]))
+def test_synthesize_problem_rows_equal_single_seeds(seeds, model, mode):
+    batch = synthesize_problem(model, 7, 5, 0.07, mode, seed=np.array(seeds))
+    for i, seed in enumerate(seeds):
+        one = synthesize_problem(model, 7, 5, 0.07, mode, seed=seed)
+        assert np.array_equal(batch.truth[i], one.truth)
+        assert np.array_equal(batch.ranker_outputs[i], one.ranker_outputs)
+        assert np.array_equal(batch.calib_ranks[i], one.calib_ranks)
+    assert batch.item_ids == one.item_ids
+
+
+def test_batch_rows_are_validated_one_by_one():
+    ranks = np.array([[1, 2], [2, 1]])
+    ok = RankingProblem(n=2, m=1, calib_ranks=ranks, ranker_mode="VA",
+                        ranker_outputs=[[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+    assert ok.test_outputs.tolist() == [[0.3], [0.1]]
+    # equal values in different rows are not ties; within a row they are
+    with pytest.raises(TiesDetected):
+        RankingProblem(n=2, m=1, calib_ranks=ranks, ranker_mode="VA",
+                       ranker_outputs=[[0.1, 0.2, 0.3], [0.3, 0.3, 0.1]])
+    with pytest.raises(InvalidInput):
+        RankingProblem(n=2, m=1, calib_ranks=[[1, 2], [1, 1]], ranker_mode="RA",
+                       ranker_outputs=[[1, 2, 3], [1, 2, 3]])
+    with pytest.raises(InvalidInput):
+        RankingProblem(n=2, m=1, calib_ranks=[1, 2], ranker_mode="RA",
+                       ranker_outputs=[[1, 2, 3], [1, 2, 3]])
+    with pytest.raises(DimensionMismatch):
+        predict_sets(ok, Threshold(k=1, value=0.5))  # one threshold for two rows

@@ -9,6 +9,7 @@ import pytest
 
 from rankcp import (
     Envelope,
+    InvalidData,
     RankSets,
     RankingProblem,
     naive_envelope,
@@ -94,6 +95,20 @@ def test_sets_roundtrip(tmp_path):
     )
     assert rio.read_sets(path) == sets
     assert path.read_text().splitlines()[1:3] == ["t0,1,4,1,2,1", "t1,2,5,1,2,0"]
+
+
+def test_read_sets_error_messages(tmp_path):
+    path = tmp_path / "sets.csv"
+    for text, message in (
+        ("x,lo,hi\nt1,1,2\n", f"{path}: header must start with id,lo,hi"),
+        ("id,lo,hi\nt0,1,2\n\nt1,x,2\n", f"{path}:4: lo 'x' is not an integer"),
+        ("id,lo,hi\nt1,1,2.5\n", f"{path}:2: hi '2.5' is not an integer"),
+        ("id,lo,hi\nt1,3,2\n", f"{path}: need 1 <= lo <= hi, got [3, 2] for item 't1'"),
+    ):
+        path.write_text(text)
+        with pytest.raises(InvalidData) as err:
+            rio.read_sets(path)
+        assert str(err.value) == message
 
 
 def test_report_roundtrip(tmp_path):
@@ -328,6 +343,15 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg),
                  "--out", str(tmp_path / "r.csv")]) == 2
     assert "config key 'reps' must not be null" in capsys.readouterr().err
+    # usage: int() would truncate a float and read a bool as 1, so both are
+    # rejected for integer options, naming the key
+    for value in ("2.9", "true"):
+        cfg.write_text(f'{{"reps": {value}, "n": 30, "m": 20, "K_env": 2000}}')
+        assert main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"config key 'reps' must be an integer, got {value.title()}" in (
+            capsys.readouterr().err)
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_synth_predict_evaluate_chain(tmp_path):

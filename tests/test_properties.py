@@ -1,4 +1,7 @@
-"""Property tests of the envelope-based targets on small random problems."""
+"""Property tests of envelopes and envelope-based targets on small random problems."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,9 +11,13 @@ from rankcp import (
     Envelope,
     RankingProblem,
     RankSets,
+    envelope_coverage,
+    fit_linear_envelope,
+    fit_quantile_envelope,
     proxy_scores,
     ranks_within,
     scores_at,
+    simulate_sorted_ranks,
     topk_candidates,
 )
 from rankcp import test_only_set as to_test_only_set
@@ -86,3 +93,40 @@ def test_test_only_set_contains_true_test_rank(data):
                     hi=np.minimum(true_test + above, total))
     test_only = to_test_only_set(sets, env)
     assert np.all(test_only.contains(ranks_within(truth[n:])))
+
+
+@st.composite
+def _fit_sample(draw):
+    """Simulated sorted ranks at small (n, m, K) and a delta they can resolve."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    delta = draw(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5]))
+    K = draw(st.integers(math.ceil(1 / delta), 60))
+    sims = simulate_sorted_ranks(n, m, K, seed=draw(st.integers(0, 2**32)))
+    need = math.ceil((1 - Fraction(str(delta))) * K)
+    return sims, delta, need
+
+
+def _inside(traj, lower, upper) -> int:
+    return int(np.count_nonzero(np.all((traj >= lower) & (traj <= upper), axis=1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample=_fit_sample(),
+       fit=st.sampled_from([fit_quantile_envelope, fit_linear_envelope]))
+def test_fitted_envelope_is_monotone_and_holds_on_its_training_sample(sample, fit):
+    sims, delta, need = sample
+    env = fit(sims, delta)
+    assert np.all(np.diff(env.lower) >= 0) and np.all(np.diff(env.upper) >= 0)
+    assert np.all(env.lower <= env.upper)
+    assert envelope_coverage(env, sims) * sims.K >= need
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample=_fit_sample())
+def test_quantile_envelope_level_is_maximal(sample):
+    sims, delta, need = sample
+    K = sims.K
+    ordered = np.sort(sims.trajectories, axis=0)
+    feasible = [j for j in range(K // 2 + 1)
+                if _inside(sims.trajectories, ordered[j], ordered[K - 1 - j]) >= need]
+    assert round(fit_quantile_envelope(sims, delta).param * K) == max(feasible)
