@@ -15,7 +15,6 @@ from rankcp import (
     calibrate,
     predict_sets,
     proxy_scores,
-    ranks_within,
     select_k,
     synthesize_problem,
 )
@@ -47,10 +46,7 @@ def main():
             )
             thr = calibrate(proxy_scores(problem, env), k, alpha=ALPHA)
             sets = predict_sets(problem, thr)
-            if mode == "RA":
-                predicted = problem.test_outputs
-            else:
-                predicted = ranks_within(problem.ranker_outputs)[N:]
+            predicted = problem.predicted_ranks[N:]  # RA outputs, or VA output ranks
             profiles.append(quintile_profile(sets, predicted, N + M))
         mean_profile = np.mean(profiles, axis=0)
         cells = "  ".join(f"{w:7.1f}" for w in mean_profile)

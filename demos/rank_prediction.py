@@ -13,7 +13,6 @@ from rankcp import (
     fit_quantile_envelope,
     predict_sets,
     proxy_scores,
-    ranks_within,
     select_k,
     simulate_sorted_ranks,
     synthesize_problem,
@@ -43,8 +42,7 @@ def main():
 
     sets = predict_sets(problem, thr)  # RankSets: lo/hi columns, one row per item
     test_only = test_only_set(sets, env)
-    pooled = ranks_within(problem.truth)
-    true_test = pooled[N:]
+    true_test = problem.true_ranks[N:]
     hits = sets.contains(true_test)
 
     print("\nfirst eight test items:")

@@ -227,6 +227,8 @@ def _cmd_simulate_envelope(resolved: dict) -> int:
 
 
 def _cmd_predict(resolved: dict) -> int:
+    if resolved["top-k"] < 0:
+        raise InvalidInput(f"--top-k must be nonnegative, got {resolved['top-k']}")
     problem = io.read_scores(resolved["scores"], resolved["mode"])
     env = io.read_envelope(resolved["envelope"])
     if (env.n, env.m) != (problem.n, problem.m):
@@ -244,15 +246,10 @@ def _cmd_predict(resolved: dict) -> int:
         k = meta.k
     else:
         k = select_k(resolved["alpha"], env.delta, problem.n)
-    thr = calibrate(
-        proxy_scores(problem, env), k, alpha=resolved["alpha"],
-        fcp_mode=FCP_CONTROLLED if resolved["fcp"] else MARGINAL, fcp_meta=meta,
-    )
+    thr = calibrate(proxy_scores(problem, env), k, alpha=resolved["alpha"])
     sets = predict_sets(problem, thr)
     test_only = test_only_set(sets, env) if resolved["test-only"] else None
-    top = (
-        topk_candidates(sets, resolved["top-k"]) if resolved["top-k"] > 0 else None
-    )
+    top = topk_candidates(sets, resolved["top-k"]) if resolved["top-k"] > 0 else None
     io.write_sets(sets, resolved["out"], test_only=test_only, top_candidates=top)
     _manifest(
         "predict", resolved,

@@ -102,8 +102,6 @@ class Threshold:
     value: float | np.ndarray
     alpha: float | None = None
     delta: float | None = None
-    fcp_mode: str = MARGINAL
-    fcp_meta: FcpCalibration | None = None
 
 
 @dataclass(frozen=True)
@@ -228,51 +226,39 @@ def proxy_score_va(lo: int, hi: int, value: float, all_values) -> float:
     arr = np.asarray(all_values, dtype=float)
     if not 1 <= int(lo) <= int(hi) <= arr.size:
         raise RankOutOfRange(f"need 1 <= lo <= hi <= {arr.size}, got [{lo}, {hi}]")
-    check_no_ties(arr, "all_values")
-    ordered = np.sort(arr)
-    value = float(value)
-    return float(
-        max(abs(ordered[int(lo) - 1] - value), abs(ordered[int(hi) - 1] - value))
-    )
+    return max(score_va(lo, value, arr), score_va(hi, value, arr))
 
 
 def scores_at(problem: RankingProblem, calib_ranks_at) -> np.ndarray:
-    """Score of each calibration item evaluated at a given pooled rank.
+    """Score ``|at(r) - output|`` of each calibration item at a given pooled rank ``r``.
 
-    Used with the true pooled ranks for the oracle baseline; proxy scores use
-    :func:`proxy_scores` instead.  For a batch problem the ranks are
-    ``(rows, n)``, one row per problem.
+    The one score kernel.  ``at(r)`` is the output an item needs to sit at
+    rank ``r``: ``r`` itself in RA mode, ``problem.sorted_outputs[r - 1]`` in
+    VA mode.  The oracle evaluates it at the true pooled ranks and
+    :func:`proxy_scores` at the envelope edges.  Batch ranks are ``(rows, n)``.
     """
     ranks = np.asarray(calib_ranks_at, dtype=np.int64)
     if ranks.shape != problem.calib_ranks.shape:
         raise DimensionMismatch("need one rank per calibration item")
     if ranks.min() < 1 or ranks.max() > problem.total:
         raise RankOutOfRange("pooled ranks outside [1, n+m]")
-    if problem.ranker_mode == RA:
-        return np.abs(ranks - problem.calib_outputs).astype(float)
-    ordered = np.sort(problem.ranker_outputs, axis=-1)
-    return np.abs(np.take_along_axis(ordered, ranks - 1, axis=-1) - problem.calib_outputs)
+    at = (ranks if problem.ranker_mode == RA
+          else np.take_along_axis(problem.sorted_outputs, ranks - 1, axis=-1))
+    return np.abs(at - problem.calib_outputs).astype(float, copy=False)
 
 
 def proxy_scores(problem: RankingProblem, env: Envelope) -> ProxyScores:
     """Proxy score of every calibration item under an envelope.
 
-    RA: ``max(|lower - predicted|, |upper - predicted|)``;
-    VA: the larger value gap at the two envelope edges.
+    The larger of :func:`scores_at` at the item's two envelope edges, which
+    is the maximum over its whole envelope interval for both score families.
     """
     if (env.n, env.m) != (problem.n, problem.m):
         raise DimensionMismatch(
             f"envelope is ({env.n}, {env.m}) but problem is ({problem.n}, {problem.m})"
         )
     lo, hi = env.bounds_for_ranks(problem.calib_ranks)
-    if problem.ranker_mode == RA:
-        pred = problem.calib_outputs
-        scores = np.maximum(np.abs(lo - pred), np.abs(hi - pred)).astype(float)
-    else:
-        ordered = np.sort(problem.ranker_outputs, axis=-1)
-        out = problem.calib_outputs
-        scores = np.maximum(np.abs(np.take_along_axis(ordered, lo - 1, axis=-1) - out),
-                            np.abs(np.take_along_axis(ordered, hi - 1, axis=-1) - out))
+    scores = np.maximum(scores_at(problem, lo), scores_at(problem, hi))
     return ProxyScores(scores=scores, mode=problem.ranker_mode, envelope=env)
 
 
@@ -297,25 +283,20 @@ def select_k(alpha: float, delta: float, n: int) -> int:
     return max(1, k)
 
 
-def calibrate(
-    proxy: ProxyScores,
-    k: int,
-    alpha: float | None = None,
-    fcp_mode: str = MARGINAL,
-    fcp_meta: FcpCalibration | None = None,
-) -> Threshold:
+def calibrate(proxy: ProxyScores, k: int, alpha: float | None = None) -> Threshold:
     """Threshold at the k-th smallest proxy score (ties counted with multiplicity).
 
-    For batch proxy scores the threshold value is each row's own k-th
-    smallest score.
+    ``k`` comes from :func:`select_k` (marginal validity) or
+    :func:`fcp_calibration` (FCP control); the threshold does not depend on
+    which.  ``alpha`` is recorded on the threshold as given, and ``delta`` is
+    the envelope's.  For batch proxy scores the threshold value is each row's
+    own k-th smallest score.
     """
     n = proxy.n
     if not 1 <= k <= n:
         raise RankOutOfRange(f"k={k} outside [1, {n}]")
-    return Threshold(
-        k=int(k), value=kth_smallest(proxy.scores, k), alpha=alpha,
-        delta=proxy.envelope.delta, fcp_mode=fcp_mode, fcp_meta=fcp_meta,
-    )
+    return Threshold(k=int(k), value=kth_smallest(proxy.scores, k), alpha=alpha,
+                     delta=proxy.envelope.delta)
 
 
 def kth_smallest(scores: np.ndarray, k: int) -> float | np.ndarray:
@@ -325,20 +306,21 @@ def kth_smallest(scores: np.ndarray, k: int) -> float | np.ndarray:
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray, pred) -> np.ndarray:
-    """Elementwise smallest ``i`` in ``[lo, hi)`` with ``pred(i, rows)``, else ``hi``.
+    """Elementwise smallest ``i`` in ``[lo, hi)`` with ``pred(i)``, else ``hi``.
 
-    ``pred`` must be monotone (False, then True) on each row's ``[lo, hi)``;
-    it is evaluated only there, at the indices ``i`` of the still-open
-    ``rows``.
+    ``pred`` maps one index per item to one boolean per item and must be
+    monotone (False, then True) on each item's range; ``lo <= hi``.  Each
+    round halves every open range, so ``bit_length(max(hi - lo))`` rounds
+    on whole arrays suffice.  A closed item (``lo == hi``) keeps its answer,
+    and its probe is clipped to ``max(hi) - 1`` so ``pred`` never reads past
+    the last index any range reaches.
     """
-    lo, hi = lo.copy(), hi.copy()
-    rows = np.flatnonzero(lo < hi)
-    while rows.size:
-        mid = (lo[rows] + hi[rows]) // 2
-        ok = pred(mid, rows)
-        hi[rows[ok]] = mid[ok]
-        lo[rows[~ok]] = mid[~ok] + 1
-        rows = rows[lo[rows] < hi[rows]]
+    last = int(np.max(hi, initial=0)) - 1
+    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        ok = pred(np.minimum(mid, last)) | (lo == hi)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid + 1)
     return lo
 
 
@@ -352,10 +334,12 @@ def predict_sets(problem: RankingProblem, thr: Threshold) -> RankSets:
     bisection on the predicate itself (O(n+m) memory).  ``searchsorted(v -/+
     s)`` is not exact: the rounding of ``v -/+ s`` can move an edge by one.
 
-    For a batch problem and its per-row threshold the result has ``(rows,
-    m)`` columns.  VA then runs one bisection over all rows at once: the
-    sorted rows are laid end to end and each item searches only its own
-    row's span, against its own row's threshold.
+    VA reads ``problem.sorted_outputs`` and each item's own rank from
+    ``problem.predicted_ranks``, so nothing is sorted here.  For a batch
+    problem and its per-row threshold the result has ``(rows, m)`` columns.
+    VA then runs one bisection over all rows at once: the sorted rows are laid
+    end to end and each item searches only its own row's span, against its
+    own row's threshold.
     """
     value = np.asarray(thr.value, dtype=float)
     if value.shape != problem.calib_ranks.shape[:-1]:
@@ -370,22 +354,18 @@ def predict_sets(problem: RankingProblem, thr: Threshold) -> RankSets:
         pred = problem.test_outputs
         lo, hi = np.maximum(pred - reach, 1), np.minimum(pred + reach, total)
     else:
-        outputs = problem.ranker_outputs
-        order = np.argsort(outputs, axis=-1)
-        ordered = np.take_along_axis(outputs, order, axis=-1).ravel()
-        position = np.empty_like(order)
-        np.put_along_axis(position, order, np.arange(total), axis=-1)
+        ordered = problem.sorted_outputs.ravel()
         # flat index of the first sorted output of each test item's own row
-        start = np.repeat(np.arange(0, outputs.size, total), problem.m)
-        own = start + position[..., problem.n :].ravel()
+        start = np.repeat(np.arange(0, ordered.size, total), problem.m)
+        own = start + problem.predicted_ranks[..., problem.n :].ravel() - 1
         values = problem.test_outputs.ravel()
         limit = np.broadcast_to(per_item, problem.test_outputs.shape).ravel()
 
-        def within(i, items):
-            return np.abs(ordered[i] - values[items]) <= limit[items]
+        def within(i):
+            return np.abs(ordered[i] - values) <= limit
 
         lo = _bisect(start, own, within) - start + 1
-        hi = _bisect(own + 1, start + total, lambda i, items: ~within(i, items)) - start
+        hi = _bisect(own + 1, start + total, lambda i: ~within(i)) - start
         shape = problem.test_outputs.shape
         lo, hi = lo.reshape(shape), hi.reshape(shape)
     return RankSets(items=problem.test_ids, lo=lo, hi=hi)

@@ -235,8 +235,7 @@ def oracle_sets(problem: RankingProblem, alpha: float) -> RankSets:
     """
     if problem.truth is None:
         raise MissingTruth("oracle baseline needs truth values")
-    true_calib_ranks = ranks_within(problem.truth)[..., : problem.n]
-    true_scores = scores_at(problem, true_calib_ranks)
+    true_scores = scores_at(problem, problem.true_ranks[..., : problem.n])
     k = select_k(alpha, 0.0, problem.n)
     thr = Threshold(k=k, value=kth_smallest(true_scores, k), alpha=alpha, delta=0.0)
     return predict_sets(problem, thr)
@@ -288,6 +287,8 @@ class ExperimentConfig:
             raise InvalidInput(
                 f"fcp_mode must be {MARGINAL!r} or {FCP_CONTROLLED!r}"
             )
+        if self.k_top is not None and self.k_top < 0:
+            raise InvalidInput(f"k_top={self.k_top} must be nonnegative")
 
     @property
     def effective_k_top(self) -> int:
@@ -400,12 +401,6 @@ def build_envelope(
     raise InvalidInput(f"unknown envelope kind {kind!r}")
 
 
-def _predicted_ranks(problem: RankingProblem) -> np.ndarray:
-    if problem.ranker_mode == RA:
-        return problem.test_outputs.astype(np.int64)
-    return ranks_within(problem.ranker_outputs)[..., problem.n :]
-
-
 def _masked_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per row, the mean of ``values`` where ``mask`` holds; NaN where it never does."""
     count = np.count_nonzero(mask, axis=-1)
@@ -426,18 +421,17 @@ def _quintile_widths(
 
 
 def _block_metrics(
-    cfg: ExperimentConfig, env: Envelope, k: int, meta, reps: range
+    cfg: ExperimentConfig, env: Envelope, k: int, reps: range
 ) -> dict[str, np.ndarray]:
     """Metric arrays of the repetitions ``reps``, run as one batch problem."""
     problem = synthesize_problem(
         cfg.data_model, cfg.n, cfg.m, cfg.noise_sd, cfg.mode,
         seed=np.array([child_seed(cfg.master_seed, "rep", rep) for rep in reps]), d=5,
     )
-    pooled = ranks_within(problem.truth)
-    true_calib, true_test = pooled[:, : cfg.n], pooled[:, cfg.n :]
+    true_calib, true_test = problem.true_ranks[:, : cfg.n], problem.true_ranks[:, cfg.n :]
 
     proxy = proxy_scores(problem, env)
-    thr = calibrate(proxy, k, alpha=cfg.alpha, fcp_mode=cfg.fcp_mode, fcp_meta=meta)
+    thr = calibrate(proxy, k, alpha=cfg.alpha)
     sets = predict_sets(problem, thr)
     osets = oracle_sets(problem, cfg.alpha)
 
@@ -458,7 +452,7 @@ def _block_metrics(
         topk_candidates(sets, k_top) & (true_test <= k_top), axis=-1
     )
     out["width_mid_quintile"], out["width_extreme_quintile"] = _quintile_widths(
-        sets, _predicted_ranks(problem), problem.total
+        sets, problem.predicted_ranks[:, cfg.n :], problem.total
     )
     return out
 
@@ -494,7 +488,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     block = max(1, BLOCK_ELEMENTS // (cfg.n + cfg.m))
     blocks = [
-        _block_metrics(cfg, env, k, meta, range(start, min(cfg.reps, start + block)))
+        _block_metrics(cfg, env, k, range(start, min(cfg.reps, start + block)))
         for start in range(0, cfg.reps, block)
     ]
     return ExperimentReport(

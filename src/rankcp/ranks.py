@@ -93,19 +93,34 @@ def value_at_rank(r: int, bag) -> float:
     return float(np.partition(arr, int(r) - 1)[int(r) - 1])
 
 
+def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``arr`` in increasing order, and the 1-based rank of each element.
+
+    One argsort per call: the sorted neighbours are checked for ties (raising
+    :class:`TiesDetected` that names ``name``) and the ranks are the inverse
+    permutation of the order.
+    """
+    order = np.argsort(arr, axis=-1)
+    ordered = np.take_along_axis(arr, order, axis=-1)
+    if np.any(_sorted_has_ties(ordered)):
+        raise TiesDetected(f"{name} contain exact duplicates; see break_ties")
+    ranks = np.empty(arr.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, arr.shape[-1] + 1), axis=-1)
+    return ordered, ranks
+
+
 def ranks_within(values) -> np.ndarray:
     """Rank of each element within its own tie-free vector.
 
     Returns a permutation of ``1..len(values)`` as int64; for a
     ``(rows, length)`` stack, one permutation per row.
     """
-    arr = _as_float_rows(values, "values")
-    order = np.argsort(arr, axis=-1)
-    if np.any(_sorted_has_ties(np.take_along_axis(arr, order, axis=-1))):
-        raise TiesDetected("values contain exact duplicates; see break_ties")
-    ranks = np.empty(arr.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(1, arr.shape[-1] + 1), axis=-1)
-    return ranks
+    return _rank_rows(_as_float_rows(values, "values"), "values")[1]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def break_ties(values, seed: int) -> np.ndarray:
@@ -143,6 +158,15 @@ class RankingProblem:
     predicted ranking (ties rejected, same policy as for ``truth``).
     ``truth`` is optional and used for evaluation only.
 
+    Validation ranks each row once, and the layers read the result from
+    three read-only arrays instead of sorting again: ``sorted_outputs``, each
+    row of VA outputs in increasing order (``None`` in RA mode);
+    ``predicted_ranks``, the pooled rank the ranker gives each item (the RA
+    outputs, or the ranks of the VA outputs within their row); and
+    ``true_ranks``, the pooled ranks of ``truth`` (``None`` without truth).
+    They are not recomputed, so build a new problem rather than edit
+    ``ranker_outputs`` or ``truth`` in place.
+
     A *batch* of problems of the same sizes stacks them along a leading axis:
     ``calib_ranks`` is ``(rows, n)`` and ``ranker_outputs`` (and ``truth``)
     ``(rows, n+m)``.  Every row is validated on its own, and the item ids are
@@ -177,6 +201,7 @@ class RankingProblem:
                 f"ranker_outputs must have length n+m={total}, got {outputs.shape}"
             )
         as_float = outputs.astype(float)
+        self.sorted_outputs = self.true_ranks = None
         if self.ranker_mode == RA:
             if not np.all(as_float == np.round(as_float)):
                 raise InvalidInput("RA ranker outputs must be integers")
@@ -184,17 +209,19 @@ class RankingProblem:
             if as_int.min() < 1 or as_int.max() > total:
                 raise InvalidInput(f"RA ranker outputs must lie in [1, {total}]")
             self.ranker_outputs = as_int
+            self.predicted_ranks = _frozen(as_int.view())
         else:
             if not np.all(np.isfinite(as_float)):
                 raise InvalidInput("VA ranker outputs must be finite")
-            check_no_ties(as_float, "VA ranker outputs")
             self.ranker_outputs = as_float
+            self.sorted_outputs, self.predicted_ranks = map(
+                _frozen, _rank_rows(as_float, "VA ranker outputs"))
 
         if self.truth is not None:
             t = np.asarray(self.truth, dtype=float)
             if t.shape != outputs.shape:
                 raise DimensionMismatch(f"truth must have length n+m={total}")
-            check_no_ties(t, "truth")
+            self.true_ranks = _frozen(_rank_rows(t, "truth")[1])
             self.truth = t
 
         if self.ids is not None:

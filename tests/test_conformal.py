@@ -33,6 +33,7 @@ from rankcp import (
     simulate_sorted_ranks,
     fit_quantile_envelope,
 )
+from rankcp import conformal
 from rankcp.streams import CHUNK, chunk_stream
 
 
@@ -243,6 +244,62 @@ def _adjacent_float_values(rng):
         for _ in range(int(rng.integers(1, 4))):
             x = float(np.nextafter(x, np.inf))
     return np.array(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bisect_equals_linear_scan(data):
+    # Rows of nondecreasing keys laid end to end, as predict_sets lays out the
+    # sorted outputs; each item searches a range inside one row for its first
+    # key at or above its own bound, and a few items search empty ranges,
+    # including lo == hi == the length of the flat array.
+    lengths = data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=5))
+    rows = [sorted(data.draw(st.lists(st.integers(0, 6), min_size=size, max_size=size)))
+            for size in lengths]
+    keys = np.array([k for row in rows for k in row], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    items = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(0, 9),
+                                         st.integers(0, 9), st.integers(0, 7)), max_size=8))
+    lo, hi, bound = [], [], []
+    for row, a, b, need in items:
+        a, b = sorted((min(a, lengths[row]), min(b, lengths[row])))
+        lo.append(starts[row] + a)
+        hi.append(starts[row] + b)
+        bound.append(need)
+    if data.draw(st.booleans()):
+        lo.append(keys.size)
+        hi.append(keys.size)
+        bound.append(0)
+    lo, hi, bound = (np.array(v, dtype=np.int64) for v in (lo, hi, bound))
+    probed = []
+
+    def pred(i):
+        probed.append(i)
+        assert i.shape == lo.shape
+        return keys[i] >= bound
+
+    found = conformal._bisect(lo, hi, pred)
+    expected = [next((i for i in range(a, b) if keys[i] >= need), b)
+                for a, b, need in zip(lo.tolist(), hi.tolist(), bound.tolist())]
+    assert found.tolist() == expected
+    assert all(np.all((i >= 0) & (i < keys.size)) for i in probed)
+    assert len(probed) == int(np.max(hi - lo, initial=0)).bit_length()
+
+
+def test_bisect_edge_ranges():
+    keys = np.array([0, 1, 2])
+    empty = np.array([], dtype=np.int64)
+
+    def never(i):
+        raise AssertionError("no range is open")
+
+    assert conformal._bisect(empty, empty, never).tolist() == []  # m = 0
+    assert conformal._bisect(np.array([3, 0]), np.array([3, 0]), never).tolist() == [3, 0]
+    # a closed item at the end of the array beside an open one: its probe is
+    # clipped to the last index, so keys[i] stays in range
+    assert conformal._bisect(np.array([3, 0]), np.array([3, 3]),
+                             lambda i: keys[i] >= 2).tolist() == [3, 2]
 
 
 def test_va_predict_sets_memory_is_linear():

@@ -251,8 +251,7 @@ def _reference_rows(cfg):
                                      seed=child_seed(cfg.master_seed, "rep", rep), d=5)
         pooled = ranks_within(problem.truth)
         true_calib, true_test = pooled[:n], pooled[n:]
-        thr = calibrate(proxy_scores(problem, env), k, alpha=cfg.alpha,
-                        fcp_mode=cfg.fcp_mode, fcp_meta=meta)
+        thr = calibrate(proxy_scores(problem, env), k, alpha=cfg.alpha)
         sets = predict_sets(problem, thr)
         osets = oracle_sets(problem, cfg.alpha)
         rl, o_rl = relative_length(sets, n + m), relative_length(osets, n + m)
@@ -434,3 +433,28 @@ def test_batch_rows_are_validated_one_by_one():
                        ranker_outputs=[[1, 2, 3], [1, 2, 3]])
     with pytest.raises(DimensionMismatch):
         predict_sets(ok, Threshold(k=1, value=0.5))  # one threshold for two rows
+
+
+@pytest.mark.parametrize("mode", ["RA", "VA"])
+def test_one_block_sorts_each_array_once(monkeypatch, mode):
+    # A block sorts the truth and the generated outputs once each to look for
+    # ties and checks the calibration permutation (np.sort), and ranks the
+    # calibration truth, the truth and the outputs once each (np.argsort);
+    # every later layer reads the problem's stored orderings.
+    calls = dict.fromkeys(("sort", "argsort"), 0)
+
+    def counted(name):
+        original = getattr(np, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counted(name))
+    cfg = ExperimentConfig(n=40, m=30, reps=5, mode=mode, envelope_kind="naive",
+                           master_seed=3)
+    assert cfg.reps <= evaluate.BLOCK_ELEMENTS // (cfg.n + cfg.m)  # one block
+    run_experiment(cfg)
+    assert calls == {"sort": 3, "argsort": 3}

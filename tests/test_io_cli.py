@@ -10,11 +10,13 @@ import pytest
 from rankcp import (
     Envelope,
     InvalidData,
+    InvalidInput,
     RankSets,
     RankingProblem,
     naive_envelope,
     theoretical_envelope,
 )
+from rankcp import evaluate
 from rankcp import io as rio
 from rankcp.cli import main
 from rankcp.evaluate import ExperimentConfig, run_experiment
@@ -260,7 +262,7 @@ def test_evaluate_command(tmp_path):
     assert json.loads(out.read_text())["fcp"] == 0.005
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     scores = DATA / "golden_scores.csv"
     envelope = DATA / "golden_envelope.json"
 
@@ -351,6 +353,25 @@ def test_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "r.csv")]) == 2
         assert f"config key 'reps' must be an integer, got {value.title()}" in (
             capsys.readouterr().err)
+    assert not (tmp_path / "r.csv").exists()
+    # usage: a negative top-k would silently drop the top_candidate column
+    assert main(["predict", "--scores", str(scores), "--envelope", str(envelope),
+                 "--alpha", "0.25", "--mode", "VA", "--top-k", "-5",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert "usage error: --top-k must be nonnegative, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+    # usage: a negative k_top is rejected by the config itself, so the
+    # experiment stops before it builds an envelope
+    with pytest.raises(InvalidInput, match="k_top=-3 must be nonnegative"):
+        ExperimentConfig(k_top=-3)
+
+    def no_envelope(*args):
+        raise AssertionError("envelope built for an invalid config")
+
+    monkeypatch.setattr(evaluate, "build_envelope", no_envelope)
+    assert main(["experiment", "--k-top", "-3", "--reps", "2",
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert "usage error: k_top=-3 must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 

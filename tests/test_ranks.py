@@ -140,3 +140,48 @@ def test_problem_validation():
 def test_problem_ra_outputs_may_repeat():
     p = _problem(ranker_outputs=[2, 2, 4, 3, 5])
     assert p.ranker_outputs.tolist() == [2, 2, 4, 3, 5]
+
+
+@pytest.mark.parametrize("rows", [None, 4])
+def test_problem_orderings_match_sort_and_ranks_within(rows):
+    rng = np.random.default_rng(11)
+    n, m = 6, 5
+    shape = (n + m,) if rows is None else (rows, n + m)
+    truth, outputs = rng.normal(size=shape), rng.normal(size=shape)
+    calib_ranks = ranks_within(truth[..., :n])
+    va = RankingProblem(n=n, m=m, calib_ranks=calib_ranks, ranker_mode="VA",
+                        ranker_outputs=outputs, truth=truth)
+    predicted = rng.integers(1, n + m + 1, size=shape)
+    ra = RankingProblem(n=n, m=m, calib_ranks=calib_ranks, ranker_mode="RA",
+                        ranker_outputs=predicted)
+    for i in np.ndindex(shape[:-1]):
+        assert np.array_equal(va.sorted_outputs[i], np.sort(outputs[i]))
+        assert np.array_equal(va.predicted_ranks[i], ranks_within(outputs[i]))
+        assert np.array_equal(va.true_ranks[i], ranks_within(truth[i]))
+        assert np.array_equal(ra.predicted_ranks[i], predicted[i])
+    assert ra.sorted_outputs is None and ra.true_ranks is None
+    for arr in (va.sorted_outputs, va.predicted_ranks, va.true_ranks, ra.predicted_ranks):
+        with pytest.raises(ValueError):
+            arr[..., 0] = 1
+
+
+def test_tie_messages():
+    # one message per offending array, for a single problem and for a batch
+    # whose second row alone is tied
+    tied = [0.1, 0.1, 0.4, 0.3, 0.5]
+    batch = [[0.1, 0.2, 0.4, 0.3, 0.5], tied]
+    cases = [
+        (dict(ranker_mode="VA", ranker_outputs=tied), "VA ranker outputs"),
+        (dict(ranker_mode="VA", ranker_outputs=batch, calib_ranks=[[2, 1, 3]] * 2),
+         "VA ranker outputs"),
+        (dict(truth=tied), "truth"),
+        (dict(truth=batch, ranker_outputs=[[2, 1, 4, 3, 5]] * 2,
+              calib_ranks=[[2, 1, 3]] * 2), "truth"),
+    ]
+    for overrides, name in cases:
+        with pytest.raises(TiesDetected) as err:
+            _problem(**overrides)
+        assert str(err.value) == f"{name} contain exact duplicates; see break_ties"
+    with pytest.raises(TiesDetected) as err:
+        ranks_within(tied)
+    assert str(err.value) == "values contain exact duplicates; see break_ties"
