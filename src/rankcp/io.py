@@ -1,11 +1,12 @@
 """File formats: scores CSV, envelope JSON, sets CSV, reports, run manifests.
 
-Tabular data is comma-separated UTF-8 with a header row and '.' decimals;
-structured documents are JSON.  Floats are written with ``repr`` (shortest
-round-trip form), so identical inputs always produce byte-identical payloads.
-Every output file is paired with a ``<name>.manifest.json`` sidecar carrying
-the resolved configuration, seeds, and input digests needed for bit-exact
-replay (manifests contain timestamps and are excluded from byte-identity).
+Tabular data is comma-separated UTF-8 with a header row and '.' decimals,
+read and written column by column by one reader and one writer; structured
+documents are JSON.  Floats are written with ``repr`` (shortest round-trip
+form), so identical inputs always produce byte-identical payloads.  Every
+output file is paired with a ``<name>.manifest.json`` sidecar carrying the
+resolved configuration, seeds, and input digests needed for bit-exact replay
+(manifests contain timestamps and are excluded from byte-identity).
 """
 
 from __future__ import annotations
@@ -31,72 +32,115 @@ REPORT_HEADER = ["rep", "metric", "value", "arm"]
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+    """Booleans as 0/1, integers as digits, floats in shortest round-trip form."""
+    return str(int(x)) if isinstance(x, (int, np.integer, np.bool_)) else repr(float(x))
+
+
+def _write_csv(path, header: list[str], columns) -> None:
+    """Write a table: the header row, then one row across the equal-length columns."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns, strict=True))
+
+
+def _read_csv(path, header: list[str], extra_columns: bool = False):
+    """The columns of a table by header name, and the file line of each row.
+
+    Blank lines are skipped.  Every row has one cell per name in ``header``;
+    with ``extra_columns`` the file may carry further columns after those,
+    which are ignored.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            rows, lines = [], []
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidData(f"{path}: {exc}") from exc
+    if first is None:
+        raise InvalidData(f"{path}: empty file")
+    width = len(header)
+    names = [name.strip() for name in first]
+    if (names[:width] if extra_columns else names) != header:
+        rule = "start with" if extra_columns else "be"
+        raise InvalidData(f"{path}: header must {rule} {','.join(header)}")
+    for row, line in zip(rows, lines):
+        if len(row) < width or (len(row) > width and not extra_columns):
+            raise InvalidData(f"{path}:{line}: wrong number of columns")
+    columns = list(zip(*rows)) if rows else [()] * width
+    return dict(zip(header, columns)), lines
+
+
+def _parse(path, texts, lines, convert, message: str) -> list:
+    """``convert`` of each cell; a rejected cell raises ``message.format(cell)`` at its line."""
+    try:
+        return list(map(convert, texts))
+    except ValueError:
+        pass  # find the cell that failed
+    for text, line in zip(texts, lines):
+        try:
+            convert(text)
+        except ValueError as exc:
+            raise InvalidData(f"{path}:{line}: {message.format(text)}") from exc
 
 
 def write_scores(problem: RankingProblem, path) -> None:
     """Write a problem as a scores CSV (one row per item)."""
-    ids = problem.item_ids
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORES_HEADER)
-        for i in range(problem.total):
-            calib = i < problem.n
-            writer.writerow(
-                [
-                    ids[i],
-                    "calib" if calib else "test",
-                    _fmt(problem.ranker_outputs[i]),
-                    _fmt(problem.calib_ranks[i]) if calib else "",
-                    _fmt(problem.truth[i]) if problem.truth is not None else "",
-                ]
-            )
+    _write_csv(path, SCORES_HEADER, [
+        problem.item_ids,
+        ["calib"] * problem.n + ["test"] * problem.m,
+        problem.ranker_outputs.tolist(),
+        problem.calib_ranks.tolist() + [""] * problem.m,
+        [""] * problem.total if problem.truth is None else problem.truth.tolist(),
+    ])
 
 
 def read_scores(path, mode: str) -> RankingProblem:
     """Read a scores CSV into a problem; ``mode`` types the output column."""
     if mode not in (RA, VA):
         raise InvalidInput(f"mode must be {RA!r} or {VA!r}")
-    rows = _read_csv(path, SCORES_HEADER)
-    ids, splits, outputs, calib_ranks, truths = [], [], [], [], []
-    for lineno, row in rows:
-        ids.append(row["id"])
-        split = row["split"]
-        if split not in ("calib", "test"):
-            raise InvalidData(f"{path}:{lineno}: split must be calib|test, got {split!r}")
-        splits.append(split)
-        outputs.append(_parse_output(row["output"], mode, path, lineno))
-        if split == "calib":
-            calib_ranks.append(_parse_int(row["calib_rank"], "calib_rank", path, lineno))
-        elif row["calib_rank"] not in ("", None):
-            raise InvalidData(f"{path}:{lineno}: test rows must leave calib_rank empty")
-        truths.append(row["true_value"])
+    columns, lines = _read_csv(path, SCORES_HEADER)
+    ids, texts, ranks = columns["id"], columns["output"], columns["calib_rank"]
+    # index() is 1 on a calib row and 0 on a test row
+    is_calib = _parse(path, columns["split"], lines, ("test", "calib").index,
+                      "split must be calib|test, got {!r}")
+    outputs = _parse(path, texts, lines, float, "output {!r} is not a number")
+    if mode == RA:
+        # is_integer() is False for nan and inf, which have no integer value
+        bad = next((i for i, value in enumerate(outputs) if not value.is_integer()), None)
+        if bad is not None:
+            raise InvalidInput(
+                f"{path}:{lines[bad]}: mode=RA requires integer ranks in the output "
+                f"column, got {texts[bad]!r} (type error)"
+            )
+    calib = [i for i, flag in enumerate(is_calib) if flag]
+    test = [i for i, flag in enumerate(is_calib) if not flag]
+    bad = next((i for i in test if ranks[i]), None)
+    if bad is not None:
+        raise InvalidData(f"{path}:{lines[bad]}: test rows must leave calib_rank empty")
+    calib_ranks = _parse(path, [ranks[i] for i in calib], [lines[i] for i in calib],
+                         int, "calib_rank {!r} is not an integer")
     if len(set(ids)) != len(ids):
         raise InvalidData(f"{path}: item ids must be unique")
-    order = [i for i, s in enumerate(splits) if s == "calib"] + [
-        i for i, s in enumerate(splits) if s == "test"
-    ]
-    n = len(calib_ranks)
-    m = len(ids) - n
-    if n == 0:
+    if not calib:
         raise InvalidData(f"{path}: no calibration rows")
-    truth = None
-    filled = [truths[i] for i in order]
-    if all(t not in ("", None) for t in filled):
-        truth = np.array([float(t) for t in filled])
-    elif any(t not in ("", None) for t in filled):
+    order = calib + test
+    truths = columns["true_value"]
+    if any(truths) and not all(truths):
         raise InvalidData(f"{path}: true_value must be set on all rows or none")
+    truth = _parse_truth(path, truths, lines)[order] if all(truths) else None
     try:
         return RankingProblem(
-            n=n,
-            m=m,
+            n=len(calib),
+            m=len(test),
             calib_ranks=np.asarray(calib_ranks),
             ranker_mode=mode,
-            ranker_outputs=np.asarray([outputs[i] for i in order]),
+            ranker_outputs=np.asarray(outputs)[order],
             truth=truth,
             ids=[ids[i] for i in order],
         )
@@ -107,17 +151,16 @@ def read_scores(path, mode: str) -> RankingProblem:
         raise InvalidData(f"{path}: {exc}") from exc
 
 
-def _parse_output(text: str, mode: str, path, lineno: int):
-    try:
-        value = float(text)
-    except (TypeError, ValueError) as exc:
-        raise InvalidData(f"{path}:{lineno}: output {text!r} is not a number") from exc
-    if mode == RA and value != int(value):
-        raise InvalidInput(
-            f"{path}:{lineno}: mode=RA requires integer ranks in the output "
-            f"column, got {text!r} (type error)"
-        )
-    return int(value) if mode == RA else value
+def _parse_truth(path, texts, lines) -> np.ndarray:
+    """The true_value column as floats; every row must carry a number, and NaN has no rank."""
+    if "" in texts:
+        raise InvalidData(
+            f"{path}:{lines[texts.index('')]}: true_value required for evaluation")
+    truth = np.asarray(_parse(path, texts, lines, float, "bad true_value"), dtype=float)
+    nan = np.flatnonzero(np.isnan(truth))
+    if nan.size:
+        raise InvalidData(f"{path}:{lines[nan[0]]}: true_value {texts[nan[0]]!r} has no rank")
+    return truth
 
 
 def read_truth(path) -> tuple[list[str], int, int, np.ndarray]:
@@ -125,55 +168,15 @@ def read_truth(path) -> tuple[list[str], int, int, np.ndarray]:
 
     Lenient companion to :func:`read_scores` for evaluation inputs: the
     output column is not typed or validated, but every row must carry a
-    true_value.
+    true_value that is a number other than NaN.
     """
-    rows = _read_csv(path, SCORES_HEADER)
-    ids, splits, truths = [], [], []
-    for lineno, row in rows:
-        ids.append(row["id"])
-        splits.append(row["split"])
-        if row["true_value"] in ("", None):
-            raise InvalidData(f"{path}:{lineno}: true_value required for evaluation")
-        try:
-            truths.append(float(row["true_value"]))
-        except ValueError as exc:
-            raise InvalidData(f"{path}:{lineno}: bad true_value") from exc
+    columns, lines = _read_csv(path, SCORES_HEADER)
+    ids = list(columns["id"])
+    truth = _parse_truth(path, columns["true_value"], lines)
     if len(set(ids)) != len(ids):
         raise InvalidData(f"{path}: item ids must be unique")
-    n = sum(1 for s in splits if s == "calib")
-    m = len(ids) - n
-    return ids, n, m, np.asarray(truths)
-
-
-def _parse_int(text: str, name: str, path, lineno: int) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError) as exc:
-        raise InvalidData(f"{path}:{lineno}: {name} {text!r} is not an integer") from exc
-
-
-def _read_csv(path, expected_header: list[str]) -> list[tuple[int, dict]]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InvalidData(f"{path}: empty file") from None
-            if [h.strip() for h in header] != expected_header:
-                raise InvalidData(
-                    f"{path}: header must be {','.join(expected_header)}"
-                )
-            out = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(expected_header):
-                    raise InvalidData(f"{path}:{lineno}: wrong number of columns")
-                out.append((lineno, dict(zip(expected_header, row))))
-            return out
-    except OSError as exc:
-        raise InvalidData(f"{path}: {exc}") from exc
+    n = columns["split"].count("calib")
+    return ids, n, len(ids) - n, truth
 
 
 def envelope_to_doc(env: Envelope) -> dict:
@@ -194,27 +197,39 @@ def envelope_to_doc(env: Envelope) -> dict:
     }
 
 
+def _integers(value, name: str):
+    """``value`` if it is a JSON integer or a list of them, else a TypeError naming ``name``.
+
+    int() would truncate a float and read a bool as 0 or 1.
+    """
+    items = value if isinstance(value, list) else [value]
+    if not set(map(type, items)) <= {int}:
+        bad = next(v for v in items if type(v) is not int)
+        raise TypeError(f"{name} must be an integer, got {json.dumps(bad)}")
+    return value
+
+
 def envelope_from_doc(doc: dict) -> Envelope:
     try:
         meta_doc = doc.get("mc_meta") or {}
         meta = None
         if meta_doc.get("K") is not None:
             meta = MonteCarloMeta(
-                K=int(meta_doc["K"]),
-                seed=int(meta_doc["seed"]),
+                K=_integers(meta_doc["K"], "mc_meta.K"),
+                seed=_integers(meta_doc["seed"], "mc_meta.seed"),
                 slack=float(meta_doc["slack"]),
             )
         return Envelope(
-            n=int(doc["n"]),
-            m=int(doc["m"]),
+            n=_integers(doc["n"], "n"),
+            m=_integers(doc["m"], "m"),
             delta=float(doc["delta"]),
             kind=str(doc["kind"]),
-            lower=np.asarray(doc["lower"], dtype=np.int64),
-            upper=np.asarray(doc["upper"], dtype=np.int64),
+            lower=_integers(doc["lower"], "lower"),
+            upper=_integers(doc["upper"], "upper"),
             param=None if doc.get("param") is None else float(doc["param"]),
             mc_meta=meta,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidData(f"malformed envelope document: {exc}") from exc
 
 
@@ -256,10 +271,7 @@ def write_sets(
     if top_candidates is not None:
         header += ["top_candidate"]
         columns.append(np.asarray(top_candidates, dtype=np.int64).tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns, strict=True))
+    _write_csv(path, header, columns)
 
 
 def read_sets(path) -> RankSets:
@@ -268,21 +280,11 @@ def read_sets(path) -> RankSets:
     Item ids must be unique: a repeated id would be counted twice by the
     metrics.
     """
+    columns, lines = _read_csv(path, SETS_HEADER, extra_columns=True)
+    lo = _parse(path, columns["lo"], lines, int, "lo {!r} is not an integer")
+    hi = _parse(path, columns["hi"], lines, int, "hi {!r} is not an integer")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or reader.fieldnames[:3] != SETS_HEADER:
-                raise InvalidData(f"{path}: header must start with id,lo,hi")
-            items, lo, hi = [], [], []
-            for row in reader:
-                lineno = reader.line_num
-                items.append(row["id"])
-                lo.append(_parse_int(row["lo"], "lo", path, lineno))
-                hi.append(_parse_int(row["hi"], "hi", path, lineno))
-    except OSError as exc:
-        raise InvalidData(f"{path}: {exc}") from exc
-    try:
-        sets = RankSets(items=items, lo=lo, hi=hi)
+        sets = RankSets(items=columns["id"], lo=lo, hi=hi)
     except (InvalidInput, OverflowError) as exc:
         raise InvalidData(f"{path}: {exc}") from exc
     seen = set()
@@ -295,21 +297,16 @@ def read_sets(path) -> RankSets:
 
 def write_report(report: ExperimentReport, path) -> None:
     """Write the long-format experiment table (rep, metric, value, arm)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for rep, metric, value, arm in report.to_rows():
-            writer.writerow([str(rep), metric, _fmt(value), arm])
+    reps, metrics, values, arms = list(zip(*report.to_rows())) or [()] * 4
+    _write_csv(path, REPORT_HEADER, [reps, metrics, map(_fmt, values), arms])
 
 
 def read_report_rows(path) -> list[tuple[int, str, float, str]]:
     """Read a long-format report back into (rep, metric, value, arm) rows."""
-    rows = _read_csv(path, REPORT_HEADER)
+    columns, _ = _read_csv(path, REPORT_HEADER)
     try:
-        return [
-            (int(r["rep"]), r["metric"], float(r["value"]), r["arm"])
-            for _, r in rows
-        ]
+        return list(zip(map(int, columns["rep"]), columns["metric"],
+                        map(float, columns["value"]), columns["arm"]))
     except ValueError as exc:
         raise InvalidData(f"{path}: {exc}") from exc
 

@@ -96,12 +96,15 @@ def value_at_rank(r: int, bag) -> float:
 def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Each row of ``arr`` in increasing order, and the 1-based rank of each element.
 
-    One argsort per call: the sorted neighbours are checked for ties (raising
-    :class:`TiesDetected` that names ``name``) and the ranks are the inverse
-    permutation of the order.
+    One argsort per call: a NaN, which has no rank, raises
+    :class:`InvalidInput`, the sorted neighbours are checked for ties (raising
+    :class:`TiesDetected`), both naming ``name``, and the ranks are the
+    inverse permutation of the order.
     """
     order = np.argsort(arr, axis=-1)
     ordered = np.take_along_axis(arr, order, axis=-1)
+    if np.isnan(ordered[..., -1:]).any():  # argsort puts NaNs last
+        raise InvalidInput(f"{name} contain NaN, which has no rank")
     if np.any(_sorted_has_ties(ordered)):
         raise TiesDetected(f"{name} contain exact duplicates; see break_ties")
     ranks = np.empty(arr.shape, dtype=np.int64)
@@ -110,7 +113,7 @@ def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ranks_within(values) -> np.ndarray:
-    """Rank of each element within its own tie-free vector.
+    """Rank of each element within its own tie-free vector, which holds no NaN.
 
     Returns a permutation of ``1..len(values)`` as int64; for a
     ``(rows, length)`` stack, one permutation per row.
@@ -156,7 +159,7 @@ class RankingProblem:
     outputs are predicted pooled ranks (integers in ``[1, n+m]``, repeats
     allowed); in VA mode they are real scores whose order induces the
     predicted ranking (ties rejected, same policy as for ``truth``).
-    ``truth`` is optional and used for evaluation only.
+    ``truth`` is optional and used for evaluation only; it must hold no NaN.
 
     Validation ranks each row once, and the layers read the result from
     three read-only arrays instead of sorting again: ``sorted_outputs``, each

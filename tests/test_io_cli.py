@@ -22,6 +22,7 @@ from rankcp.cli import main
 from rankcp.evaluate import ExperimentConfig, run_experiment
 
 DATA = Path(__file__).parent / "data"
+SCORES_HEADER = "id,split,output,calib_rank,true_value\n"
 
 
 def _problem(mode="VA", with_truth=True):
@@ -83,6 +84,31 @@ def test_envelope_roundtrip(tmp_path):
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("lower", [1.9, 2.5, 3.2], "1.9"),
+    ("upper", [4, 5, True], "true"),
+    ("n", 3.9, "3.9"),
+    ("m", True, "true"),
+    ("m", "4", '"4"'),
+    ("mc_meta.K", 10.5, "10.5"),
+    ("mc_meta.seed", 1.0, "1.0"),
+    ("mc_meta.seed", None, "null"),
+])
+def test_envelope_document_rejects_non_integers(key, value, shown):
+    # int() would truncate a JSON float and read true as 1
+    doc = rio.envelope_to_doc(naive_envelope(3, 4))
+    doc["mc_meta"] = {"K": 10, "seed": 1, "slack": 0.1}
+    assert rio.envelope_to_doc(rio.envelope_from_doc(doc)) == doc
+    *parents, last = key.split(".")
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[last] = value
+    with pytest.raises(InvalidData) as err:
+        rio.envelope_from_doc(doc)
+    assert str(err.value) == f"malformed envelope document: {key} must be an integer, got {shown}"
+
+
 def test_sets_roundtrip(tmp_path):
     items = [f"t{i}" for i in range(5)]
     sets = RankSets(items=items, lo=np.arange(1, 6), hi=np.arange(4, 9))
@@ -111,6 +137,61 @@ def test_read_sets_error_messages(tmp_path):
         with pytest.raises(InvalidData) as err:
             rio.read_sets(path)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("reader, body, message", [
+    ("scores", "id,split,output,rank,true_value\nc1,calib,0.1,1,\n",
+     "{path}: header must be id,split,output,calib_rank,true_value"),
+    ("scores", "", "{path}: empty file"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,\n\nt1,test,0.2,\n",
+     "{path}:4: wrong number of columns"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,,x\n", "{path}:2: wrong number of columns"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nt1,train,0.2,,\n",
+     "{path}:3: split must be calib|test, got 'train'"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,\n\nt1,test,0.2,1,\n",
+     "{path}:4: test rows must leave calib_rank empty"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1.5,\nt1,test,0.2,,\n",
+     "{path}:2: calib_rank '1.5' is not an integer"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nt1,test,abc,,\n",
+     "{path}:3: output 'abc' is not a number"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,\n",
+     "{path}: true_value must be set on all rows or none"),
+    ("scores", SCORES_HEADER + "t1,test,0.1,,\nt2,test,0.2,,\n", "{path}: no calibration rows"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nc1,test,0.2,,\n",
+     "{path}: item ids must be unique"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nc2,calib,0.3,3,\nt1,test,0.2,,\n",
+     "{path}: calib_ranks must be a permutation of 1..n"),
+    ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\n\nt1,test,0.2,,\n",
+     "{path}:4: true_value required for evaluation"),
+    ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,x\n",
+     "{path}:3: bad true_value"),
+    ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\nc1,test,0.2,,0.7\n",
+     "{path}: item ids must be unique"),
+    # a bad or NaN true_value: a traceback, or a NaN ranked last, before
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,x\n",
+     "{path}:3: bad true_value"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,0.5\n\nt1,test,0.2,,nan\n",
+     "{path}:4: true_value 'nan' has no rank"),
+    ("truth", SCORES_HEADER + "c1,calib,0.1,1,NaN\nt1,test,0.2,,0.7\n",
+     "{path}:2: true_value 'NaN' has no rank"),
+])
+def test_read_scores_error_messages(tmp_path, reader, body, message):
+    # one defect per file; the message names the file and, where the defect
+    # sits in one row, the line (blank lines count)
+    path = tmp_path / "scores.csv"
+    path.write_text(body)
+    read = rio.read_truth if reader == "truth" else lambda p: rio.read_scores(p, "VA")
+    with pytest.raises(InvalidData) as err:
+        read(path)
+    assert str(err.value) == message.format(path=path)
+
+
+def test_read_undecodable_file(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(SCORES_HEADER.encode() + b"c1,calib,0.1,1,\xff\n")
+    for read in (rio.read_truth, rio.read_sets, lambda p: rio.read_scores(p, "VA")):
+        with pytest.raises(InvalidData, match=f"^{path}: 'utf-8' codec can't decode"):
+            read(path)
 
 
 def test_report_roundtrip(tmp_path):
@@ -273,6 +354,25 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["predict", "--scores", str(scores), "--envelope", str(envelope),
                  "--alpha", "0.25", "--mode", "RA",
                  "--out", str(tmp_path / "s.csv")]) == 2
+    # usage: RA outputs that are not finite integers (type error), by line;
+    # int() raised ValueError or OverflowError on them
+    for value in ("nan", "inf", "1e400"):
+        bad_ra = tmp_path / "bad_ra.csv"
+        bad_ra.write_text(SCORES_HEADER + f"c1,calib,1,1,\nt1,test,{value},,\n")
+        assert main(["predict", "--scores", str(bad_ra), "--envelope", str(envelope),
+                     "--alpha", "0.25", "--mode", "RA",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert (f"usage error: {bad_ra}:3: mode=RA requires integer ranks in the output "
+                f"column, got {value!r} (type error)") in capsys.readouterr().err
+    # data: an envelope file whose integer field holds a float
+    doc = json.loads(envelope.read_text())
+    float_env = tmp_path / "float.json"
+    float_env.write_text(json.dumps({**doc, "n": 12.0}))
+    assert main(["predict", "--scores", str(scores), "--envelope", str(float_env),
+                 "--alpha", "0.25", "--mode", "VA",
+                 "--out", str(tmp_path / "s.csv")]) == 4
+    assert "malformed envelope document: n must be an integer, got 12.0" in (
+        capsys.readouterr().err)
     # sampling: K too small for delta
     assert main(["simulate-envelope", "--n", "10", "--m", "10", "--delta", "0.001",
                  "--K", "100", "--out", str(tmp_path / "e.json")]) == 3
@@ -293,6 +393,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     rio.write_scores(_problem("VA", with_truth=True), truth)
     assert main(["evaluate", "--sets", str(sets_path), "--truth", str(truth),
                  "--out", str(tmp_path / "m.json")]) == 4
+    # data: a NaN truth has no rank (it was ranked last and scored)
+    nan_truth = tmp_path / "nan_truth.csv"
+    nan_truth.write_text(SCORES_HEADER + "c1,calib,0.1,1,0.3\nghost,test,0.2,,nan\n")
+    assert main(["evaluate", "--sets", str(sets_path), "--truth", str(nan_truth),
+                 "--out", str(tmp_path / "m.json")]) == 4
+    assert f"data error: {nan_truth}:3: true_value 'nan' has no rank" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "m.json").exists()
     # data: a sets file with a header and no rows has nothing to evaluate
     sets_path.write_text("id,lo,hi\n")
     assert main(["evaluate", "--sets", str(sets_path), "--truth", str(truth),

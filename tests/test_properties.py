@@ -11,7 +11,6 @@ from rankcp import (
     Envelope,
     RankingProblem,
     RankSets,
-    envelope_coverage,
     fit_linear_envelope,
     fit_quantile_envelope,
     proxy_scores,
@@ -118,7 +117,9 @@ def test_fitted_envelope_is_monotone_and_holds_on_its_training_sample(sample, fi
     env = fit(sims, delta)
     assert np.all(np.diff(env.lower) >= 0) and np.all(np.diff(env.upper) >= 0)
     assert np.all(env.lower <= env.upper)
-    assert envelope_coverage(env, sims) * sims.K >= need
+    # the integer count, not envelope_coverage(...) * K, which can land just
+    # below an integer (28/55*55 == 27.999999999999996)
+    assert _inside(sims.trajectories, env.lower, env.upper) >= need
 
 
 @settings(max_examples=100, deadline=None)

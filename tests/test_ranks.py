@@ -185,3 +185,18 @@ def test_tie_messages():
     with pytest.raises(TiesDetected) as err:
         ranks_within(tied)
     assert str(err.value) == "values contain exact duplicates; see break_ties"
+
+
+def test_nan_has_no_rank():
+    # has_ties still counts two NaNs as equal, but ranking rejects any NaN
+    # (a single NaN was ranked last before)
+    assert has_ties([np.nan, 1.0, np.nan]) and not has_ties([np.nan, 1.0])
+    for values in ([0.3, np.nan, 0.1], [[0.1, 0.2], [np.nan, 0.5]], [np.nan, np.nan]):
+        with pytest.raises(InvalidInput) as err:
+            ranks_within(values)
+        assert str(err.value) == "values contain NaN, which has no rank"
+    batch = dict(ranker_outputs=[[2, 1, 4, 3, 5]] * 2, calib_ranks=[[2, 1, 3]] * 2)
+    for overrides in (dict(truth=[0.1, 0.2, np.nan, 0.3, 0.5]),
+                      dict(truth=[[0.1, 0.2, 0.4, 0.3, 0.5], [np.nan] * 5], **batch)):
+        with pytest.raises(InvalidInput, match="^truth contain NaN, which has no rank$"):
+            _problem(**overrides)
