@@ -51,6 +51,7 @@ from .errors import (
     MissingTruth,
     RankCPError,
     RankOutOfRange,
+    SampleTooLarge,
     TiesDetected,
 )
 from .evaluate import (

@@ -29,17 +29,25 @@ Four constructions are provided:
 * ``quantile``        per-rank empirical quantiles of the simulated ranks at
                       levels ``gamma`` and ``1 - gamma``, with ``gamma``
                       maximal on the grid ``{j / K}`` under the same
-                      constraint (found by bisection; coverage is monotone in
-                      ``j``).
+                      constraint.  Column ``r`` of the sample takes values in
+                      ``[r, r + m]``, so per-column counts give every order
+                      statistic and, for each trajectory, the highest level
+                      whose bounds still contain it; ``gamma`` is an order
+                      statistic of those exit levels, with no sort and no
+                      search over ``j``.
 
 Monte-Carlo calibration costs an extra ``4 sqrt(log(nK) / K)`` of confidence
 (:func:`mc_guarantee_slack`), recorded in ``Envelope.mc_meta`` so reports can
 state the effective level ``1 - delta - slack``.
+
+Every pass over a ``K x n`` sample (simulation, validation, fits, coverage)
+runs over blocks of rows, so none allocates anything of the sample's size.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +57,7 @@ from .errors import (
     InsufficientSample,
     InvalidDelta,
     InvalidInput,
+    SampleTooLarge,
 )
 from .streams import CHUNK, chunk_stream
 
@@ -58,6 +67,23 @@ THEORETICAL_C = 4.0 * math.sqrt(2.0 * math.pi)
 DEFAULT_K = 100_000
 
 ENVELOPE_KINDS = ("naive", "theoretical", "linear", "quantile")
+
+# Rows of uniforms that simulate_sorted_ranks draws, argsorts and reads back
+# at once: small enough for the block's working set to stay in cache.
+_SIM_ROWS = 128
+
+# Entries of a K x n sample that one step of a row-blocked pass touches.
+_BLOCK = 2**18
+
+# Entries of the count table of one block of columns in the quantile fit: it
+# is hit at random by bincount and by the exit-level gather, so it should fit
+# in a core's private cache.
+_TABLE = 2**15
+
+# The quantile fit's tables of one block of columns hold at most K * n /
+# _TABLE_SHARE entries, so its memory stays below the sample's own even when
+# m + 1 > K.
+_TABLE_SHARE = 16
 
 
 def _ceil_count(q: float, K: int) -> int:
@@ -90,10 +116,14 @@ class SortedRankSample:
         traj = np.asarray(self.trajectories)
         if traj.ndim != 2 or traj.shape[1] != self.n:
             raise DimensionMismatch(f"trajectories must be (K, n={self.n})")
+        if traj.dtype.kind not in "iu":  # the fits index count tables with them
+            raise InvalidInput(f"trajectory ranks must be integers, got {traj.dtype}")
         if traj.size:
             if traj.min() < 1 or traj.max() > self.n + self.m:
                 raise InvalidInput("trajectory ranks must lie in [1, n+m]")
-            if self.n > 1 and not np.all(np.diff(traj, axis=1) > 0):
+            if self.n > 1 and not all(
+                np.all(rows[:, 1:] > rows[:, :-1]) for rows in _row_blocks(traj)
+            ):
                 raise InvalidInput("trajectories must be strictly increasing")
         self.trajectories = traj
 
@@ -102,31 +132,61 @@ class SortedRankSample:
         return self.trajectories.shape[0]
 
 
+def _row_blocks(traj: np.ndarray):
+    """Consecutive row slices of a 2-D array, about :data:`_BLOCK` entries each."""
+    step = max(1, _BLOCK // max(1, traj.shape[1]))
+    return (traj[lo:lo + step] for lo in range(0, traj.shape[0], step))
+
+
+def _allocate_trajectories(K: int, n: int) -> np.ndarray:
+    """An empty ``K x n`` int32 sample, or :class:`SampleTooLarge` naming its size."""
+    size = f"K={K} trajectories of n={n} ranks need {4 * K * n / 2**20:,.0f} MiB"
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        physical = None
+    if physical is not None and 4 * K * n > physical:
+        raise SampleTooLarge(
+            f"{size}, more than the {physical / 2**20:,.0f} MiB of physical "
+            "memory; lower K"
+        )
+    try:
+        return np.empty((K, n), dtype=np.int32)
+    except MemoryError as exc:
+        raise SampleTooLarge(f"{size}, which could not be allocated; lower K") from exc
+
+
 def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample:
     """Simulate K sorted vectors of pooled calibration ranks.
 
     Each trajectory draws ``n + m`` uniforms, ranks the first ``n`` among all
     of them, and sorts the result.  Block ``c`` of :data:`CHUNK` trajectories
     draws from its own jumped Philox stream keyed by ``(seed, n, m)``, so each
-    trajectory depends only on the seed, the sizes and its index.
+    trajectory depends only on the seed, the sizes and its index.  A block's
+    uniforms are drawn a few rows at a time from its stream; consecutive
+    draws continue the same sequence, so the values do not depend on how
+    many rows are drawn at once.
+
+    Raises :class:`SampleTooLarge` before drawing anything if the ``K x n``
+    int32 sample alone exceeds the machine's physical memory.
     """
     if n < 1 or m < 0 or K < 1:
         raise InvalidInput("need n >= 1, m >= 0, K >= 1")
     total = n + m
-    out = np.empty((K, n), dtype=np.int32)
+    out = _allocate_trajectories(K, n)
+    # Row i of a sub-block starts at flat index i * total; subtracting that
+    # (less one) from a flat position leaves the 1-based pooled rank.
+    starts = np.arange(_SIM_ROWS, dtype=np.int64)[:, None] * total - 1
     for c in range(math.ceil(K / CHUNK)):
-        lo = c * CHUNK
-        hi = min(K, lo + CHUNK)
         gen = chunk_stream(seed, c, "sorted-ranks", n, m)
-        u = gen.random((hi - lo, total))
-        order = np.argsort(u, axis=1)
-        # Sorted positions of the first n uniforms; nonzero scans rows in
-        # increasing column order, so each row arrives already sorted.
-        cols = np.nonzero(order < n)[1]
-        out[lo:hi] = cols.reshape(hi - lo, n) + 1
-        # Free this block's working set before the next block is drawn, so
-        # only one block's arrays are live at a time.
-        del u, order, cols
+        end = min(K, (c + 1) * CHUNK)
+        for lo in range(c * CHUNK, end, _SIM_ROWS):
+            rows = min(end - lo, _SIM_ROWS)
+            order = np.argsort(gen.random((rows, total)), axis=1)
+            # Sorted positions of the first n uniforms; the flat scan meets
+            # each row's positions in increasing order, so rows arrive sorted.
+            flat = np.flatnonzero(order < n).reshape(rows, n)
+            np.subtract(flat, starts[:rows], out=out[lo:lo + rows], casting="unsafe")
     return SortedRankSample(n=n, m=m, seed=seed, trajectories=out)
 
 
@@ -260,9 +320,17 @@ def _mc_meta(sims: SortedRankSample) -> MonteCarloMeta:
 
 
 def _count_inside(traj: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> int:
-    inside = traj >= lower
-    inside &= traj <= upper  # in place: two K x n masks live at once, not three
-    return int(np.count_nonzero(inside.all(axis=1)))
+    """Trajectories with every coordinate in ``[lower, upper]``, counted over row blocks."""
+    top = max(int(lower.max()), int(upper.max()))
+    if np.can_cast(np.min_scalar_type(top), traj.dtype):
+        # compare in the sample's own dtype rather than widening every entry
+        lower, upper = lower.astype(traj.dtype), upper.astype(traj.dtype)
+    count = 0
+    for rows in _row_blocks(traj):
+        inside = rows >= lower
+        inside &= rows <= upper
+        count += int(np.count_nonzero(inside.all(axis=1)))
+    return count
 
 
 def fit_linear_envelope(sims: SortedRankSample, delta: float) -> Envelope:
@@ -279,10 +347,40 @@ def fit_linear_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     n, m, K = sims.n, sims.m, sims.K
     r = np.arange(1, n + 1, dtype=float)
     center = r + (m + 1) * r / n
-    deviations = np.max(np.abs(sims.trajectories - center), axis=1) / (m + 1)
+    deviations = np.concatenate([
+        np.max(np.abs(rows - center), axis=1) for rows in _row_blocks(sims.trajectories)
+    ]) / (m + 1)
     need = max(1, _ceil_count(1.0 - delta, K))
     c_hat = float(np.partition(deviations, need - 1)[need - 1])
     return _band_envelope(n, m, delta, c_hat, "linear", _mc_meta(sims))
+
+
+def _column_counts(traj: np.ndarray, m: int, c0: int, c1: int):
+    """Count tables of columns ``c0:c1`` of a sample, each ``(c1 - c0, m + 1)``.
+
+    Column ``c`` (0-based) holds values ``v`` in ``[c + 1, c + 1 + m]``; entry
+    ``t`` of its table row stands for ``v = c + 1 + t``, at flat index
+    ``v + shift[c - c0]``.  ``le`` counts the trajectories with a value
+    ``<= v`` there, and ``level`` is the highest grid level ``j`` whose
+    quantile bounds still contain ``v``: the ``(j+1)``-th smallest value is
+    ``<= v`` iff ``le >= j + 1`` and the ``(j+1)``-th largest is ``>= v`` iff
+    ``ge >= j + 1``, so ``level = min(le, ge) - 1``.  Returns int32 ``le``,
+    flat int32 ``level`` and ``shift``.
+    """
+    K, width = traj.shape[0], c1 - c0
+    shift = np.arange(c0, c1, dtype=np.int64) * m - (c0 * (m + 1) + 1)
+    # int64 throughout, like bincount's counts: mixed-dtype arithmetic would
+    # allocate casting buffers larger than a small table
+    hist = np.zeros(width * (m + 1), dtype=np.int64)
+    for rows in _row_blocks(traj[:, c0:c1]):
+        hist += np.bincount((rows + shift).ravel(), minlength=hist.size)
+    le = np.cumsum(hist.reshape(width, m + 1), axis=1)
+    level = hist  # in place: ge = K - le + hist, then min(le, ge) - 1
+    level -= le.ravel()
+    level += K
+    np.minimum(level, le.ravel(), out=level)
+    level -= 1
+    return le.astype(np.int32), level.astype(np.int32), shift
 
 
 def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
@@ -292,9 +390,20 @@ def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     ``(j+1)``-th smallest and ``(j+1)``-th largest simulated value (the
     empirical quantiles of orders ``j/K`` and ``1 - j/K``, order statistics at
     index ``ceil(qK)`` for the upper side and its mirror for the lower side).
-    ``j`` only shrinks the envelope as it grows, so the maximal feasible
-    ``j* <= K/2`` with at least ``ceil((1-delta) K)`` trajectories fully
-    inside is found by bisection; ``gamma_hat = j*/K``.
+    ``j`` only shrinks the envelope as it grows; ``gamma_hat = j*/K`` for
+    the maximal ``j* <= K/2`` with at least ``need = ceil((1-delta) K)``
+    trajectories fully inside.
+
+    The fit counts instead of sorting.  Column ``r`` holds values in
+    ``[r, r + m]``, so ``bincount`` fills a per-column table of counts whose
+    cumulative sums give every order statistic.  The same table gives each
+    trajectory its exit level ``e_k``, the highest ``j`` whose bounds contain
+    all its coordinates (see :func:`_column_counts`).  Trajectory ``k`` is
+    inside at level ``j`` iff ``j <= e_k``, so ``j*`` is the ``need``-th
+    largest ``e_k``, capped at ``K // 2``; level 0 always holds.  The tables
+    are built for a few columns at a time over blocks of rows, so nothing
+    ``K x n`` is allocated; when ``m + 1 > K / 4`` the cumulative counts are
+    not kept but counted again once ``j*`` is known.
 
     Maximality holds for the raw per-rank bounds.  A final monotonicity
     repair (suffix-min on lower, prefix-max on upper) can only enlarge the
@@ -303,30 +412,38 @@ def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     _check_fit_args(sims, delta)
     n, m, K = sims.n, sims.m, sims.K
     traj = sims.trajectories
-    ordered = np.sort(traj, axis=0)
+    width = max(1, min(n, min(_TABLE, K * n // _TABLE_SHARE) // (m + 1)))
+    blocks = [(c0, min(n, c0 + width)) for c0 in range(0, n, width)]
+    # every column's cumulative counts, n (m+1) int32, are kept while they
+    # take at most a quarter of the sample's memory
+    keep = 4 * (m + 1) <= K
+    kept = []
+
+    exit_level = np.full(K, K, dtype=np.int32)
+    for c0, c1 in blocks:
+        le, level, shift = _column_counts(traj, m, c0, c1)
+        step = max(1, _BLOCK // (c1 - c0))
+        for lo in range(0, K, step):
+            at = level[traj[lo:lo + step, c0:c1] + shift].min(axis=1)
+            np.minimum(exit_level[lo:lo + step], at, out=exit_level[lo:lo + step])
+        if keep:
+            kept.append(le)
     need = max(1, _ceil_count(1.0 - delta, K))
+    best = min(K // 2, int(np.partition(exit_level, K - need)[K - need]))
 
-    def feasible(j: int) -> bool:
-        return _count_inside(traj, ordered[j], ordered[K - 1 - j]) >= need
+    # The (j+1)-th smallest value of a column is the first v with le > j.
+    lower = np.empty(n, dtype=np.int64)
+    upper = np.empty(n, dtype=np.int64)
+    for i, (c0, c1) in enumerate(blocks):
+        le = kept[i] if keep else _column_counts(traj, m, c0, c1)[0]
+        first = np.arange(c0 + 1, c1 + 1)
+        lower[c0:c1] = first + np.count_nonzero(le <= best, axis=1)
+        upper[c0:c1] = first + np.count_nonzero(le <= K - 1 - best, axis=1)
 
-    lo_j, hi_j = 0, K // 2
-    if feasible(hi_j):
-        best = hi_j
-    else:
-        # invariant: feasible(lo_j) and not feasible(hi_j)
-        while hi_j - lo_j > 1:
-            mid = (lo_j + hi_j) // 2
-            if feasible(mid):
-                lo_j = mid
-            else:
-                hi_j = mid
-        best = lo_j
-
-    lower = np.minimum.accumulate(ordered[best][::-1])[::-1]
-    upper = np.maximum.accumulate(ordered[K - 1 - best])
+    lower = np.minimum.accumulate(lower[::-1])[::-1]
+    upper = np.maximum.accumulate(upper)
     return Envelope(
-        n=n, m=m, delta=delta, kind="quantile",
-        lower=lower.astype(np.int64), upper=upper.astype(np.int64),
+        n=n, m=m, delta=delta, kind="quantile", lower=lower, upper=upper,
         param=best / K, mc_meta=_mc_meta(sims),
     )
 

@@ -29,6 +29,10 @@ class InsufficientSample(RankCPError, ValueError):
     """Monte-Carlo sample too small for the requested confidence."""
 
 
+class SampleTooLarge(RankCPError, MemoryError):
+    """A Monte-Carlo sample would not fit in this machine's memory."""
+
+
 class DimensionMismatch(RankCPError, ValueError):
     """Array sizes or identifiers do not line up."""
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .conformal import RankSets
 from .envelope import Envelope, MonteCarloMeta
-from .errors import InvalidData, InvalidInput
+from .errors import InvalidData, InvalidInput, TiesDetected
 from .evaluate import ExperimentReport
 from .ranks import RA, VA, RankingProblem
 
@@ -133,7 +133,7 @@ def read_scores(path, mode: str) -> RankingProblem:
     truths = columns["true_value"]
     if any(truths) and not all(truths):
         raise InvalidData(f"{path}: true_value must be set on all rows or none")
-    truth = _parse_truth(path, truths, lines)[order] if all(truths) else None
+    truth = _parse_truth(path, truths, lines) if all(truths) else None
     try:
         return RankingProblem(
             n=len(calib),
@@ -141,7 +141,7 @@ def read_scores(path, mode: str) -> RankingProblem:
             calib_ranks=np.asarray(calib_ranks),
             ranker_mode=mode,
             ranker_outputs=np.asarray(outputs)[order],
-            truth=truth,
+            truth=None if truth is None else truth[order],
             ids=[ids[i] for i in order],
         )
     except InvalidInput as exc:
@@ -149,6 +149,21 @@ def read_scores(path, mode: str) -> RankingProblem:
         if "RA ranker outputs" in str(exc):
             raise
         raise InvalidData(f"{path}: {exc}") from exc
+    except TiesDetected as exc:
+        # RankingProblem checks the VA outputs first, then the truth.
+        first, second = (mode == VA and _first_repeat(outputs)) or _first_repeat(truth)
+        raise TiesDetected(
+            f"{path}: lines {lines[first]} and {lines[second]}: {exc}") from exc
+
+
+def _first_repeat(values) -> tuple[int, int] | None:
+    """Rows of the first value, in file order, that equals an earlier one."""
+    seen = {}
+    for i, value in enumerate(values):
+        if value in seen:
+            return seen[value], i
+        seen[value] = i
+    return None
 
 
 def _parse_truth(path, texts, lines) -> np.ndarray:

@@ -208,9 +208,10 @@ class RankingProblem:
         if self.ranker_mode == RA:
             if not np.all(as_float == np.round(as_float)):
                 raise InvalidInput("RA ranker outputs must be integers")
-            as_int = as_float.astype(np.int64)
-            if as_int.min() < 1 or as_int.max() > total:
+            # range first, on the floats: a cast of 1e20 to int64 is undefined
+            if as_float.min() < 1 or as_float.max() > total:
                 raise InvalidInput(f"RA ranker outputs must lie in [1, {total}]")
+            as_int = as_float.astype(np.int64)
             self.ranker_outputs = as_int
             self.predicted_ranks = _frozen(as_int.view())
         else:

@@ -1,16 +1,22 @@
 """Envelope construction: simulation law, fits, coverage, and determinism."""
 
+import contextlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rankcp import (
     DimensionMismatch,
     Envelope,
     InsufficientSample,
     InvalidDelta,
+    InvalidInput,
+    SampleTooLarge,
     SortedRankSample,
     envelope_coverage,
     fit_linear_envelope,
@@ -20,8 +26,9 @@ from rankcp import (
     simulate_sorted_ranks,
     theoretical_envelope,
 )
+from rankcp import envelope
 from rankcp.envelope import _ceil_count, _count_inside
-from rankcp.streams import CHUNK
+from rankcp.streams import CHUNK, chunk_stream
 
 # frozen by high-precision evaluation of sqrt(log(C sqrt(tau)/delta)/tau)
 # with tau = 50*500/550, C = 4 sqrt(2 pi), delta = 0.1
@@ -58,9 +65,10 @@ def test_simulation_deterministic_and_worker_independent():
 
 
 def test_simulation_memory_is_one_block():
-    # Beyond the K x n output, only one block's working set (about 2.3 times
-    # its CHUNK x (n+m) uniforms here) may be live; keeping the previous
-    # block's arrays while drawing the next one reads about 3.2.
+    # Beyond the K x n output, at most one block's working set may be live;
+    # keeping the previous block's arrays while drawing the next one read
+    # about 3.2 of its CHUNK x (n+m) uniforms.  Drawing a few rows at a time
+    # keeps it far below that.
     n, m, K = 20, 380, 3 * CHUNK
     tracemalloc.start()
     try:
@@ -249,3 +257,140 @@ def test_envelope_validation():
     with pytest.raises(Exception):
         Envelope(n=3, m=2, delta=0.1, kind="quantile",
                  lower=np.array([1, 2, 3]), upper=np.array([3, 4, 6]))
+
+
+# The kernels as they were before row blocks and the counting fit: whole
+# CHUNK x (n+m) argsorts read back through a 2-D nonzero, and a fit that
+# sorts every column and bisects on the grid level.  The blocked kernels must
+# reproduce them exactly.
+
+
+def _reference_trajectories(n, m, K, seed):
+    out = np.empty((K, n), dtype=np.int32)
+    for c in range(math.ceil(K / CHUNK)):
+        lo, hi = c * CHUNK, min(K, (c + 1) * CHUNK)
+        u = chunk_stream(seed, c, "sorted-ranks", n, m).random((hi - lo, n + m))
+        out[lo:hi] = np.nonzero(np.argsort(u, axis=1) < n)[1].reshape(hi - lo, n) + 1
+    return out
+
+
+def _reference_inside(traj, lower, upper):
+    return int(np.count_nonzero(np.all((traj >= lower) & (traj <= upper), axis=1)))
+
+
+def _reference_quantile_fit(traj, delta):
+    """``(lower, upper, gamma_hat)`` by a column sort and a bisection on the level."""
+    K = traj.shape[0]
+    ordered = np.sort(traj, axis=0)
+    need = max(1, _ceil_count(1.0 - delta, K))
+
+    def feasible(j):
+        return _reference_inside(traj, ordered[j], ordered[K - 1 - j]) >= need
+
+    lo_j, hi_j = 0, K // 2
+    if feasible(hi_j):
+        best = hi_j
+    else:
+        while hi_j - lo_j > 1:
+            mid = (lo_j + hi_j) // 2
+            lo_j, hi_j = (mid, hi_j) if feasible(mid) else (lo_j, mid)
+        best = lo_j
+    lower = np.minimum.accumulate(ordered[best][::-1])[::-1]
+    upper = np.maximum.accumulate(ordered[K - 1 - best])
+    return lower, upper, best / K
+
+
+def _reference_linear_param(traj, m, delta):
+    n, K = traj.shape[1], traj.shape[0]
+    r = np.arange(1, n + 1, dtype=float)
+    deviations = np.max(np.abs(traj - (r + (m + 1) * r / n)), axis=1) / (m + 1)
+    need = max(1, _ceil_count(1.0 - delta, K))
+    return float(np.partition(deviations, need - 1)[need - 1])
+
+
+# Block sizes small enough that tiny samples cross every block boundary:
+# several sub-blocks per chunk, row blocks of one or two rows, and count
+# tables of one column.
+_TINY_BLOCKS = {"_SIM_ROWS": 3, "_BLOCK": 7, "_TABLE": 5}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m=st.integers(0, 12),
+    K=st.one_of(st.integers(1, 300), st.sampled_from([CHUNK + 1, 2 * CHUNK + 129])),
+    delta=st.sampled_from([0.0, 0.02, 0.5]),
+    seed=st.integers(0, 2**32),
+    tiny=st.booleans(),
+)
+@example(n=4, m=0, K=129, delta=0.5, seed=1, tiny=True)  # m = 0: the K // 2 cap
+@example(n=12, m=12, K=CHUNK + 1, delta=0.02, seed=2, tiny=False)
+@example(n=1, m=5, K=1, delta=0.0, seed=3, tiny=True)
+def test_blocked_kernels_match_whole_sample_references(n, m, K, delta, seed, tiny):
+    assume(delta == 0.0 or K >= 1 / delta)
+    patch = mock.patch.multiple(envelope, **_TINY_BLOCKS) if tiny else contextlib.nullcontext()
+    with patch:
+        sims = simulate_sorted_ranks(n, m, K, seed)
+        quantile = fit_quantile_envelope(sims, delta)
+        linear = fit_linear_envelope(sims, delta)
+        covered = round(envelope_coverage(quantile, sims) * K)
+    traj = _reference_trajectories(n, m, K, seed)
+    assert sims.trajectories.dtype == np.int32
+    assert np.array_equal(sims.trajectories, traj)
+    lower, upper, gamma = _reference_quantile_fit(traj, delta)
+    assert np.array_equal(quantile.lower, lower)
+    assert np.array_equal(quantile.upper, upper)
+    assert quantile.param == gamma
+    assert linear.param == _reference_linear_param(traj, m, delta)
+    assert covered == _reference_inside(traj, lower, upper)
+
+
+def test_sample_validation_checks_every_row_block_and_the_dtype():
+    traj = np.tile(np.arange(1, 5, dtype=np.int32), (9, 1))
+    traj[8, 2] = traj[8, 1]  # a repeat in the last row only
+    with mock.patch.object(envelope, "_BLOCK", 8):  # two rows per block
+        with pytest.raises(InvalidInput, match="strictly increasing"):
+            SortedRankSample(n=4, m=3, seed=0, trajectories=traj)
+    with pytest.raises(InvalidInput, match="must be integers, got float64"):
+        SortedRankSample(n=4, m=3, seed=0, trajectories=traj[:8].astype(float))
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs, above what was live before."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    result = fn(*args)
+    return result, tracemalloc.get_traced_memory()[1] - base
+
+
+def test_envelope_kernels_allocate_nothing_of_sample_size():
+    tracemalloc.start()
+    try:
+        sims, simulated = _traced_peak(simulate_sorted_ranks, 500, 100, 20_000, 5)
+        env, quantile = _traced_peak(fit_quantile_envelope, sims, 0.02)
+        _, linear = _traced_peak(fit_linear_envelope, sims, 0.02)
+        _, coverage = _traced_peak(envelope_coverage, env, sims)
+        # m + 1 > K: the fit's count tables still take less than the sample
+        small = simulate_sorted_ranks(200, 3000, 400, 6)
+        _, wide = _traced_peak(fit_quantile_envelope, small, 0.02)
+    finally:
+        tracemalloc.stop()
+    nbytes = sims.trajectories.nbytes
+    assert simulated < 1.1 * nbytes
+    # the sorted copy and two K x n masks of the sort-and-bisect fit took 1.5x
+    assert quantile < nbytes / 4
+    # the K x n float deviations of the old linear fit took 2x
+    assert linear < nbytes / 4
+    assert coverage < nbytes / 4
+    assert wide < small.trajectories.nbytes
+
+
+def test_oversized_sample_fails_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SampleTooLarge, match=r"K=10+ trajectories of n=10 ranks need"):
+            simulate_sorted_ranks(10, 10, 10**15, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

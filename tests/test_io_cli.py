@@ -11,6 +11,7 @@ from rankcp import (
     Envelope,
     InvalidData,
     InvalidInput,
+    TiesDetected,
     RankSets,
     RankingProblem,
     naive_envelope,
@@ -184,6 +185,23 @@ def test_read_scores_error_messages(tmp_path, reader, body, message):
     with pytest.raises(InvalidData) as err:
         read(path)
     assert str(err.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("body, lines, what", [
+    ("c1,calib,0.1,1,\nt1,test,0.1,,\n", (2, 3), "VA ranker outputs"),
+    # the first repeat in file order, not the first pair in sorted order
+    ("c1,calib,0.5,1,\nt1,test,0.2,,\nc2,calib,0.3,2,\n\nt2,test,0.2,,\nt3,test,0.5,,\n",
+     (3, 6), "VA ranker outputs"),
+    ("c1,calib,0.1,1,7\nc2,calib,0.3,2,1\nt1,test,0.2,,2\nt2,test,0.4,,7\n",
+     (2, 5), "truth"),
+])
+def test_read_scores_locates_ties(tmp_path, body, lines, what):
+    path = tmp_path / "scores.csv"
+    path.write_text(SCORES_HEADER + body)
+    with pytest.raises(TiesDetected) as err:
+        rio.read_scores(path, "VA")
+    assert str(err.value) == (f"{path}: lines {lines[0]} and {lines[1]}: {what} "
+                              "contain exact duplicates; see break_ties")
 
 
 def test_read_undecodable_file(tmp_path):
@@ -364,6 +382,28 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert (f"usage error: {bad_ra}:3: mode=RA requires integer ranks in the output "
                 f"column, got {value!r} (type error)") in capsys.readouterr().err
+    # usage: an integer RA output beyond int64 is out of range, with no cast
+    # warning before the error (this module runs with warnings as errors)
+    bad_ra.write_text(SCORES_HEADER + "c1,calib,1,1,\nt1,test,1e20,,\n")
+    assert main(["predict", "--scores", str(bad_ra), "--envelope", str(envelope),
+                 "--alpha", "0.25", "--mode", "RA",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert "usage error: RA ranker outputs must lie in [1, 2]" in capsys.readouterr().err
+    # data: tied VA outputs, with the file and both lines named
+    tied = tmp_path / "tied.csv"
+    tied.write_text(SCORES_HEADER + "c1,calib,0.1,1,\nt1,test,0.1,,\n")
+    assert main(["predict", "--scores", str(tied), "--envelope", str(envelope),
+                 "--alpha", "0.25", "--mode", "VA",
+                 "--out", str(tmp_path / "s.csv")]) == 4
+    assert f"data error: {tied}: lines 2 and 3: VA ranker outputs contain" in (
+        capsys.readouterr().err)
+    # data: a Monte-Carlo sample larger than the machine's memory is refused
+    # before anything is allocated
+    assert main(["simulate-envelope", "--n", "10", "--m", "10", "--kind", "quantile",
+                 "--K", str(10**15), "--out", str(tmp_path / "huge.json")]) == 4
+    assert ("data error: K=1000000000000000 trajectories of n=10 ranks need "
+            "38,146,972,656 MiB, more than the") in capsys.readouterr().err
+    assert not (tmp_path / "huge.json").exists()
     # data: an envelope file whose integer field holds a float
     doc = json.loads(envelope.read_text())
     float_env = tmp_path / "float.json"
