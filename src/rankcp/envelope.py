@@ -40,6 +40,11 @@ Monte-Carlo calibration costs an extra ``4 sqrt(log(nK) / K)`` of confidence
 (:func:`mc_guarantee_slack`), recorded in ``Envelope.mc_meta`` so reports can
 state the effective level ``1 - delta - slack``.
 
+The simulation ranks each row of uniforms by one in-place sort of their bit
+patterns, with the calibration draws tagged in the low bit (see
+:func:`simulate_sorted_ranks`); a test uniform equal to a calibration uniform
+ranks below it.
+
 Every pass over a ``K x n`` sample (simulation, validation, fits, coverage)
 runs over blocks of rows, so none allocates anything of the sample's size.
 """
@@ -68,7 +73,7 @@ DEFAULT_K = 100_000
 
 ENVELOPE_KINDS = ("naive", "theoretical", "linear", "quantile")
 
-# Rows of uniforms that simulate_sorted_ranks draws, argsorts and reads back
+# Rows of uniforms that simulate_sorted_ranks draws, sorts and reads back
 # at once: small enough for the block's working set to stay in cache.
 _SIM_ROWS = 128
 
@@ -167,6 +172,15 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     draws continue the same sequence, so the values do not depend on how
     many rows are drawn at once.
 
+    A row is ranked by one in-place sort of 64-bit keys: the bits of each
+    uniform shifted left by one, with the low bit set on the first ``n``.
+    Doubles in ``[0, 1)`` are nonnegative, so their bits order like their
+    values and the shift leaves the sign bit clear; distinct draws end at least 2
+    apart, so the tag cannot reorder them.  The sorted tags mark where the
+    calibration uniforms landed.  This reproduces an argsort of the uniforms
+    except where a calibration uniform exactly equals a test uniform: the
+    test item then ranks first, so the calibration item's rank counts it.
+
     Raises :class:`SampleTooLarge` before drawing anything if the ``K x n``
     int32 sample alone exceeds the machine's physical memory.
     """
@@ -177,15 +191,24 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     # Row i of a sub-block starts at flat index i * total; subtracting that
     # (less one) from a flat position leaves the 1-based pooled rank.
     starts = np.arange(_SIM_ROWS, dtype=np.int64)[:, None] * total - 1
+    block = min(K, _SIM_ROWS)
+    uniforms = np.empty((block, total))
+    tagged = np.empty((block, total), dtype=bool)
     for c in range(math.ceil(K / CHUNK)):
         gen = chunk_stream(seed, c, "sorted-ranks", n, m)
         end = min(K, (c + 1) * CHUNK)
         for lo in range(c * CHUNK, end, _SIM_ROWS):
             rows = min(end - lo, _SIM_ROWS)
-            order = np.argsort(gen.random((rows, total)), axis=1)
+            gen.random(out=uniforms[:rows])
+            # the calibration draws carry a tag in the freed low bit
+            keys = uniforms[:rows].view(np.int64)
+            keys <<= 1
+            keys[:, :n] |= 1
+            keys.sort(axis=1)
+            np.bitwise_and(keys, 1, out=tagged[:rows], casting="unsafe")
             # Sorted positions of the first n uniforms; the flat scan meets
             # each row's positions in increasing order, so rows arrive sorted.
-            flat = np.flatnonzero(order < n).reshape(rows, n)
+            flat = np.flatnonzero(tagged[:rows]).reshape(rows, n)
             np.subtract(flat, starts[:rows], out=out[lo:lo + rows], casting="unsafe")
     return SortedRankSample(n=n, m=m, seed=seed, trajectories=out)
 
@@ -304,12 +327,17 @@ def mc_guarantee_slack(n: int, K: int) -> float:
     return 4.0 * math.sqrt(math.log(n * K) / K)
 
 
-def _check_fit_args(sims: SortedRankSample, delta: float) -> None:
+def check_fit_level(K: int, delta: float) -> None:
+    """Refuse a level ``1 - delta`` that ``K`` trajectories cannot resolve.
+
+    The fits check their sample with it; :func:`rankcp.evaluate.build_envelope`
+    checks ``K`` before simulating, so a hopeless request draws nothing.
+    """
     if not 0.0 <= delta < 1.0:
         raise InvalidDelta(f"delta={delta} outside [0, 1)")
-    if delta > 0.0 and sims.K < 1.0 / delta:
+    if delta > 0.0 and K < 1.0 / delta:
         raise InsufficientSample(
-            f"K={sims.K} trajectories cannot resolve delta={delta}; need K >= 1/delta"
+            f"K={K} trajectories cannot resolve delta={delta}; need K >= 1/delta"
         )
 
 
@@ -343,7 +371,7 @@ def fit_linear_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     rounded outward and clipped to ``[1, n+m]``, which can only enlarge the
     envelope.
     """
-    _check_fit_args(sims, delta)
+    check_fit_level(sims.K, delta)
     n, m, K = sims.n, sims.m, sims.K
     r = np.arange(1, n + 1, dtype=float)
     center = r + (m + 1) * r / n
@@ -409,7 +437,7 @@ def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     repair (suffix-min on lower, prefix-max on upper) can only enlarge the
     envelope, so the training constraint is preserved.
     """
-    _check_fit_args(sims, delta)
+    check_fit_level(sims.K, delta)
     n, m, K = sims.n, sims.m, sims.K
     traj = sims.trajectories
     width = max(1, min(n, min(_TABLE, K * n // _TABLE_SHARE) // (m + 1)))

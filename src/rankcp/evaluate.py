@@ -45,6 +45,7 @@ from .conformal import (
 )
 from .envelope import (
     Envelope,
+    check_fit_level,
     fit_linear_envelope,
     fit_quantile_envelope,
     naive_envelope,
@@ -395,6 +396,8 @@ def build_envelope(
     if kind == "theoretical":
         return theoretical_envelope(n, m, delta)
     if kind in ("linear", "quantile"):
+        if K >= 1:  # K < 1 is left to the simulation's usage error
+            check_fit_level(K, delta)
         sims = simulate_sorted_ranks(n, m, K, seed)
         fit = fit_linear_envelope if kind == "linear" else fit_quantile_envelope
         return fit(sims, delta)

@@ -345,6 +345,54 @@ def test_blocked_kernels_match_whole_sample_references(n, m, K, delta, seed, tin
     assert covered == _reference_inside(traj, lower, upper)
 
 
+# Rows long enough for numpy's vectorized sort, which the n, m <= 12 cases
+# above never reach, and a sample that spills into a second chunk.
+@pytest.mark.parametrize("n, m, K", [
+    (700, 300, 300), (1, 999, 64), (999, 1, 64), (300, 0, 16), (50, 150, CHUNK + 1),
+])
+def test_simulation_matches_argsort_reference_at_simd_sizes(n, m, K):
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        sims = simulate_sorted_ranks(n, m, K, seed=n + m)
+    argsort.assert_not_called()
+    assert sims.trajectories.dtype == np.int32
+    assert np.array_equal(sims.trajectories, _reference_trajectories(n, m, K, n + m))
+
+
+class _GridStream:
+    """A stream of uniforms from the grid {0, 1/4, 2/4, 3/4} that keeps its draws.
+
+    Every third row of a draw is constant, so each of its uniforms ties.
+    """
+
+    def __init__(self, drawn):
+        self.rng = np.random.default_rng(len(drawn))
+        self.drawn = drawn
+
+    def random(self, out):
+        out[...] = self.rng.integers(0, 4, size=out.shape) / 4
+        out[::3] = 0.5
+        self.drawn.append(out.copy())
+
+
+@pytest.mark.parametrize("n, m, K", [(5, 7, 300), (300, 200, 20), (4, 0, 9), (1, 6, 5)])
+def test_simulation_ranks_tied_test_uniforms_first(monkeypatch, n, m, K):
+    drawn = []
+    monkeypatch.setattr(envelope, "chunk_stream", lambda *tags: _GridStream(drawn))
+    traj = simulate_sorted_ranks(n, m, K, seed=0).trajectories
+    u = np.concatenate(drawn)
+    assert u.shape == (K, n + m)
+    calib = np.arange(n + m) < n
+    for row, draws in zip(traj, u):
+        # a test uniform equal to a calibration uniform ranks below it
+        order = np.lexsort((calib, draws))
+        assert np.array_equal(row, np.flatnonzero(calib[order]) + 1)
+    constant = np.all(u == u[:, :1], axis=1)
+    assert constant.any()
+    assert np.all(traj[constant] == np.arange(m + 1, m + n + 1))
+    if n > 1:
+        assert np.all(np.diff(traj, axis=1) > 0)
+
+
 def test_sample_validation_checks_every_row_block_and_the_dtype():
     traj = np.tile(np.arange(1, 5, dtype=np.int32), (9, 1))
     traj[8, 2] = traj[8, 1]  # a repeat in the last row only

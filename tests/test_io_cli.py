@@ -9,6 +9,7 @@ import pytest
 
 from rankcp import (
     Envelope,
+    InsufficientSample,
     InvalidData,
     InvalidInput,
     TiesDetected,
@@ -521,6 +522,22 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "r.csv")]) == 2
     assert "usage error: k_top=-3 must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["quantile", "linear"])
+def test_unresolvable_delta_fails_before_simulating(monkeypatch, capsys, tmp_path, kind):
+    def no_simulation(*args):
+        raise AssertionError("simulated a sample that cannot resolve delta")
+
+    monkeypatch.setattr(evaluate, "simulate_sorted_ranks", no_simulation)
+    message = "K=20000 trajectories cannot resolve delta=1e-05; need K >= 1/delta"
+    with pytest.raises(InsufficientSample, match=message):
+        evaluate.build_envelope(kind, 1000, 1000, 1e-5, 20000, 1)
+    assert main(["simulate-envelope", "--kind", kind, "--n", "1000", "--m", "1000",
+                 "--K", "20000", "--delta", "0.00001", "--seed", "1",
+                 "--out", str(tmp_path / "e.json")]) == 3
+    assert f"sampling error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_synth_predict_evaluate_chain(tmp_path):
