@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 usage/type error, 3 insufficient Monte-Carlo sample,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -137,7 +138,14 @@ COMMANDS: dict[str, list[dict]] = {
     ],
 }
 
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves it unchanged: every flag but ``--config`` defaults to
+    ``argparse.SUPPRESS``, and each ``parse_args`` call fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog=TOOL,
         description="Prediction intervals for item ranks around a black-box ranker.",
@@ -276,17 +284,19 @@ def _cmd_evaluate(resolved: dict) -> int:
         raise DimensionMismatch(
             f"ids in sets file missing from truth file: {missing[:5]}"
         )
-    true_ranks = np.array([rank_by_id[item] for item in sets.items], dtype=np.int64)
-    covered = sets.contains(true_ranks).tolist()
-    doc = {
-        "fcp": fcp(sets, true_ranks),
-        "relative_length": relative_length(sets, n + m),
-        "items": [
-            {"id": item, "true_rank": rank, "covered": hit}
-            for item, rank, hit in zip(sets.items, true_ranks.tolist(), covered)
-        ],
-    }
-    io.write_json(doc, resolved["out"])
+    beyond = np.flatnonzero(sets.hi > n + m)
+    if beyond.size:
+        j = beyond[0]
+        raise InvalidData(
+            f"{resolved['sets']}: set [{sets.lo[j]}, {sets.hi[j]}] of item "
+            f"{sets.items[j]!r} reaches past n+m = {n + m}"
+        )
+    ranks = [rank_by_id[item] for item in sets.items]
+    true_ranks = np.array(ranks, dtype=np.int64)
+    io.write_evaluation(
+        resolved["out"], fcp(sets, true_ranks), relative_length(sets, n + m),
+        sets.items, ranks, sets.contains(true_ranks).tolist(),
+    )
     _manifest(
         "evaluate", resolved, seeds={},
         inputs={"sets": resolved["sets"], "truth": resolved["truth"]},

@@ -3,7 +3,10 @@
 Tabular data is comma-separated UTF-8 with a header row and '.' decimals,
 read and written column by column by one reader and one writer; structured
 documents are JSON.  Floats are written with ``repr`` (shortest round-trip
-form), so identical inputs always produce byte-identical payloads.  Every
+form), so identical inputs always produce byte-identical payloads.  The
+metrics JSON of ``evaluate`` can hold thousands of items, so
+:func:`write_evaluation` writes it from its columns, in the bytes
+``json.dumps(doc, indent=2)`` gives, without building a dict per item.  Every
 output file is paired with a ``<name>.manifest.json`` sidecar carrying the
 resolved configuration, seeds, and input digests needed for bit-exact replay
 (manifests contain timestamps and are excluded from byte-identity).
@@ -16,6 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,7 @@ from .conformal import RankSets
 from .envelope import Envelope, MonteCarloMeta
 from .errors import InvalidData, InvalidInput, TiesDetected
 from .evaluate import ExperimentReport
-from .ranks import RA, VA, RankingProblem
+from .ranks import RA, VA, RankingProblem, check_no_ties
 
 SCORES_HEADER = ["id", "split", "output", "calib_rank", "true_value"]
 SETS_HEADER = ["id", "lo", "hi"]
@@ -190,6 +194,12 @@ def read_truth(path) -> tuple[list[str], int, int, np.ndarray]:
     truth = _parse_truth(path, columns["true_value"], lines)
     if len(set(ids)) != len(ids):
         raise InvalidData(f"{path}: item ids must be unique")
+    try:
+        check_no_ties(truth, "truth")
+    except TiesDetected as exc:
+        first, second = _first_repeat(truth.tolist())
+        raise TiesDetected(
+            f"{path}: lines {lines[first]} and {lines[second]}: {exc}") from exc
     n = columns["split"].count("calib")
     return ids, n, len(ids) - n, truth
 
@@ -302,12 +312,34 @@ def read_sets(path) -> RankSets:
         sets = RankSets(items=columns["id"], lo=lo, hi=hi)
     except (InvalidInput, OverflowError) as exc:
         raise InvalidData(f"{path}: {exc}") from exc
-    seen = set()
-    for item in sets.items:
-        if item in seen:
-            raise InvalidData(f"{path}: item id {item!r} is listed more than once")
-        seen.add(item)
+    if len(set(sets.items)) != len(sets.items):
+        _, second = _first_repeat(sets.items)
+        raise InvalidData(
+            f"{path}: item id {sets.items[second]!r} is listed more than once")
     return sets
+
+
+# One item of the metrics JSON, laid out as json.dumps(doc, indent=2) lays it out
+_EVAL_ITEM = '    {\n      "id": %s,\n      "true_rank": %d,\n      "covered": %s\n    }'
+
+
+def write_evaluation(path, fcp: float, relative_length: float, ids: list[str],
+                     true_ranks: list[int], covered: list[bool]) -> None:
+    """Write the metrics JSON of ``evaluate`` from its per-item columns.
+
+    The document is ``{"fcp", "relative_length", "items": [{"id", "true_rank",
+    "covered"}, ...]}``, and the bytes are those of ``write_json`` on it: two-space
+    indent, ids ASCII-escaped by the function ``json.dumps`` uses.
+    """
+    text = json.dumps({"fcp": fcp, "relative_length": relative_length, "items": []},
+                      indent=2)
+    if ids:
+        items = ",\n".join([
+            _EVAL_ITEM % (encode_basestring_ascii(item), rank, "true" if hit else "false")
+            for item, rank, hit in zip(ids, true_ranks, covered, strict=True)
+        ])
+        text = text[: -len("[]\n}")] + "[\n" + items + "\n  ]\n}"
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_report(report: ExperimentReport, path) -> None:

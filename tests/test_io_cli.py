@@ -1,11 +1,17 @@
 """File formats and the command-line surface."""
 
+import argparse
+import cProfile
 import json
+import json.encoder
 import math
+import pstats
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from rankcp import (
     Envelope,
@@ -18,7 +24,7 @@ from rankcp import (
     naive_envelope,
     theoretical_envelope,
 )
-from rankcp import evaluate
+from rankcp import cli, evaluate
 from rankcp import io as rio
 from rankcp.cli import main
 from rankcp.evaluate import ExperimentConfig, run_experiment
@@ -271,21 +277,23 @@ def test_golden_predict(tmp_path):
 
 def test_predict_extra_target_columns(tmp_path):
     out = tmp_path / "sets.csv"
-    code = main(
-        [
-            "predict",
-            "--scores", str(DATA / "golden_scores.csv"),
+    base = ["predict", "--scores", str(DATA / "golden_scores.csv"),
             "--envelope", str(DATA / "golden_envelope.json"),
-            "--alpha", "0.25",
-            "--mode", "VA",
-            "--test-only", "on",
-            "--top-k", "3",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    header = out.read_text().splitlines()[0]
-    assert header == "id,lo,hi,test_lo,test_hi,top_candidate"
+            "--alpha", "0.25", "--mode", "VA", "--out", str(out)]
+
+    def header(argv):
+        assert main(argv) == 0
+        return out.read_text().splitlines()[0]
+
+    assert header(base + ["--test-only", "on", "--top-k", "3"]) == (
+        "id,lo,hi,test_lo,test_hi,top_candidate")
+    # one parser serves every call in a process: neither a flag nor a config
+    # value of one call carries over to the next
+    assert header(base) == "id,lo,hi"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"top_k": 3}')
+    assert header(base + ["--config", str(cfg)]) == "id,lo,hi,top_candidate"
+    assert header(base) == "id,lo,hi"
 
 
 def test_predict_fcp_threshold_at_least_marginal(tmp_path):
@@ -360,6 +368,72 @@ def test_evaluate_command(tmp_path):
     assert main(["evaluate", "--sets", str(sets_path), "--truth", str(truth_path),
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["fcp"] == 0.005
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    items=st.lists(st.tuples(
+        st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té€😀'), st.characters())),
+        st.integers(),
+        st.booleans(),
+    )),
+    fcp=st.floats(allow_nan=False, allow_infinity=False),
+    length=st.floats(allow_nan=False, allow_infinity=False),
+)
+@example(items=[], fcp=0.0, length=0.5)
+def test_write_evaluation_matches_json_dumps(tmp_path, items, fcp, length):
+    # the reference is the document that write_evaluation does not build
+    doc = {
+        "fcp": fcp,
+        "relative_length": length,
+        "items": [{"id": item, "true_rank": rank, "covered": hit}
+                  for item, rank, hit in items],
+    }
+    ids, ranks, covered = map(list, zip(*items)) if items else ([], [], [])
+    path = tmp_path / "metrics.json"
+    rio.write_evaluation(path, fcp, length, ids, ranks, covered)
+    assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def test_request_path_work_is_fixed(tmp_path):
+    # Under cProfile: the metrics JSON of evaluate is written from columns, so
+    # the pure-Python JSON encoder (json.dumps with an indent) only runs on
+    # the fcp/relative_length head and the manifest, and its call count does
+    # not grow with the item count; the argument parser is built by the first
+    # main call of the process alone.
+    def calls(argv, match):
+        profile = cProfile.Profile()
+        assert profile.runcall(main, argv) == 0
+        stats = pstats.Stats(profile).stats
+        return sum(nc for key, (_, nc, *_) in stats.items() if match(*key))
+
+    def encoder(filename, line, name):
+        return filename == json.encoder.__file__ and name == "_iterencode_dict"
+
+    def evaluate_argv(m):
+        problem = RankingProblem(n=1, m=m, calib_ranks=[1], ranker_mode="VA",
+                                 ranker_outputs=np.arange(m + 1.0),
+                                 truth=np.arange(m + 1.0))
+        truth, sets = tmp_path / f"truth_{m}.csv", tmp_path / f"sets_{m}.csv"
+        rio.write_scores(problem, truth)
+        ranks = np.arange(2, m + 2)
+        rio.write_sets(RankSets(items=problem.test_ids, lo=ranks, hi=ranks), sets)
+        return ["evaluate", "--sets", str(sets), "--truth", str(truth),
+                "--out", str(tmp_path / f"metrics_{m}.json")]
+
+    assert calls(evaluate_argv(10), encoder) == calls(evaluate_argv(1000), encoder)
+
+    init = argparse.ArgumentParser.__init__.__code__
+
+    def parser_init(filename, line, name):
+        return (filename, line, name) == (init.co_filename, init.co_firstlineno,
+                                          init.co_name)
+
+    cli.build_parser.cache_clear()
+    argv = evaluate_argv(10)
+    inits = [calls(argv, parser_init) for _ in range(3)]
+    assert inits[0] > 0 and inits[1:] == [0, 0]
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):
@@ -453,6 +527,24 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "dup.json")]) == 4
     assert "item id 't1' is listed more than once" in capsys.readouterr().err
     assert not (tmp_path / "dup.json").exists()
+    # data: tied true values, with the truth file and both lines named
+    sets_path.write_text("id,lo,hi\nt1,1,2\n")
+    tied_truth = tmp_path / "tied_truth.csv"
+    tied_truth.write_text(SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,0.5\n")
+    assert main(["evaluate", "--sets", str(sets_path), "--truth", str(tied_truth),
+                 "--out", str(tmp_path / "tied.json")]) == 4
+    assert (f"data error: {tied_truth}: lines 2 and 3: truth contain exact duplicates; "
+            "see break_ties") in capsys.readouterr().err
+    assert not (tmp_path / "tied.json").exists()
+    # data: a set reaching past rank n+m (it was scored, relative_length 500)
+    sets_path.write_text("id,lo,hi\nt1,1,1000\n")
+    two_items = tmp_path / "two_items.csv"
+    two_items.write_text(SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,0.7\n")
+    assert main(["evaluate", "--sets", str(sets_path), "--truth", str(two_items),
+                 "--out", str(tmp_path / "past.json")]) == 4
+    assert (f"data error: {sets_path}: set [1, 1000] of item 't1' reaches past "
+            "n+m = 2") in capsys.readouterr().err
+    assert not (tmp_path / "past.json").exists()
     # data: the envelope leaves no test-only rank for a test item whose
     # full set is [1, 3] (every calibration item is pinned at pooled rank 1)
     small = tmp_path / "small.csv"
