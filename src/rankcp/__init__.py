@@ -11,7 +11,6 @@ from .conformal import (
     FCP_CONTROLLED,
     MARGINAL,
     FcpCalibration,
-    ProxyScores,
     RankSet,
     RankSets,
     Threshold,
@@ -32,6 +31,7 @@ from .envelope import (
     Envelope,
     MonteCarloMeta,
     SortedRankSample,
+    build_envelope,
     envelope_coverage,
     fit_linear_envelope,
     fit_quantile_envelope,
@@ -58,7 +58,6 @@ from .evaluate import (
     ExperimentConfig,
     ExperimentReport,
     RepResult,
-    build_envelope,
     fcp,
     gen_beta_data,
     gen_sigmoid_data,

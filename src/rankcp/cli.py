@@ -27,7 +27,7 @@ from .conformal import (
     proxy_scores,
     select_k,
 )
-from .envelope import DEFAULT_K, ENVELOPE_KINDS
+from .envelope import DEFAULT_K, ENVELOPE_KINDS, build_envelope
 from .errors import (
     DimensionMismatch,
     InfeasibleLevel,
@@ -39,13 +39,11 @@ from .errors import (
 from .evaluate import (
     DATA_MODELS,
     ExperimentConfig,
-    build_envelope,
     fcp,
     relative_length,
     run_experiment,
     synthesize_problem,
 )
-from .ranks import ranks_within
 from .targets import test_only_set, topk_candidates
 
 TOOL = "rankcp"
@@ -218,7 +216,6 @@ def _manifest(command: str, resolved: dict, seeds: dict, inputs: dict, extras: d
 
 
 def _cmd_simulate_envelope(resolved: dict) -> int:
-    mc = resolved["kind"] in ("linear", "quantile")
     env = build_envelope(
         resolved["kind"], resolved["n"], resolved["m"], resolved["delta"],
         resolved["K"], resolved["seed"],
@@ -226,7 +223,7 @@ def _cmd_simulate_envelope(resolved: dict) -> int:
     io.write_envelope(env, resolved["out"])
     _manifest(
         "simulate-envelope", resolved,
-        seeds={"envelope": resolved["seed"] if mc else None},
+        seeds={"envelope": None if env.mc_meta is None else env.mc_meta.seed},
         inputs={},
         extras={"param": env.param},
         out=resolved["out"],
@@ -277,8 +274,8 @@ def _cmd_evaluate(resolved: dict) -> int:
     sets = io.read_sets(resolved["sets"])
     if not len(sets):
         raise InvalidData(f"{resolved['sets']}: no prediction sets to evaluate")
-    ids, n, m, truth = io.read_truth(resolved["truth"])
-    rank_by_id = dict(zip(ids, ranks_within(truth).tolist()))
+    ids, n, m, pooled = io.read_truth(resolved["truth"])
+    rank_by_id = dict(zip(ids, pooled.tolist()))
     missing = [item for item in sets.items if item not in rank_by_id]
     if missing:
         raise DimensionMismatch(

@@ -14,14 +14,17 @@ item's envelope interval, attained at the interval edges for both score
 families.  Calibrating on the k-th smallest proxy score with
 ``k = ceil((1 - alpha + delta)(n + 1))`` yields marginally valid sets at level
 ``1 - alpha`` whenever the envelope holds at level ``1 - delta``.
-:func:`predict_sets` returns the prediction sets of all test items as one
-:class:`RankSets`, int64 ``lo``/``hi`` columns; :class:`RankSet` is a view of
-a single row.
 
-:func:`scores_at`, :func:`proxy_scores`, :func:`calibrate` and
-:func:`predict_sets` also take a batch :class:`RankingProblem` (problems
-stacked along a leading axis) and then return one row per problem: ``(rows,
-n)`` scores, a per-row threshold and ``(rows, m)`` set columns.  Each row
+The stages pass plain arrays: :func:`proxy_scores` returns the scores, and
+:func:`calibrate`, the one path to a :class:`Threshold`, takes any score
+array (the oracle arm passes the true scores).  :func:`predict_sets` returns
+the prediction sets of all test items as one :class:`RankSets`, int64
+``lo``/``hi`` columns; :class:`RankSet` is a view of a single row.
+
+:func:`scores_at`, :func:`proxy_scores` and :func:`predict_sets` also take a
+batch :class:`RankingProblem` (problems stacked along a leading axis) and
+then return ``(rows, n)`` scores and ``(rows, m)`` set columns, and
+:func:`calibrate` gives ``(rows, n)`` scores a per-row threshold.  Each row
 equals the result of the same call on that problem alone.
 
 :func:`fcp_calibration` instead picks ``k`` so that the false coverage
@@ -62,24 +65,6 @@ SET_KINDS = ("full", "test_only")
 
 
 @dataclass
-class ProxyScores:
-    """Computable upper bounds on the calibration items' conformity scores.
-
-    ``scores[i]`` dominates the true score of calibration item ``i`` whenever
-    the envelope covers that item's pooled rank.  For a batch problem
-    ``scores`` is ``(rows, n)``.
-    """
-
-    scores: np.ndarray
-    mode: str
-    envelope: Envelope
-
-    @property
-    def n(self) -> int:
-        return self.scores.shape[-1]
-
-
-@dataclass
 class FcpCalibration:
     """Result of the exact FCP threshold selection."""
 
@@ -92,7 +77,7 @@ class FcpCalibration:
 
 @dataclass
 class Threshold:
-    """Calibrated score threshold: the k-th smallest proxy score.
+    """Calibrated score threshold: the k-th smallest calibration score.
 
     ``value`` is a float, or for a batch problem a ``(rows,)`` array holding
     each row's own k-th smallest score.
@@ -101,7 +86,6 @@ class Threshold:
     k: int
     value: float | np.ndarray
     alpha: float | None = None
-    delta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -247,19 +231,20 @@ def scores_at(problem: RankingProblem, calib_ranks_at) -> np.ndarray:
     return np.abs(at - problem.calib_outputs).astype(float, copy=False)
 
 
-def proxy_scores(problem: RankingProblem, env: Envelope) -> ProxyScores:
+def proxy_scores(problem: RankingProblem, env: Envelope) -> np.ndarray:
     """Proxy score of every calibration item under an envelope.
 
     The larger of :func:`scores_at` at the item's two envelope edges, which
-    is the maximum over its whole envelope interval for both score families.
+    is the maximum over its whole envelope interval for both score families,
+    so it dominates the item's true score whenever the envelope covers the
+    item's pooled rank.  Returns ``(n,)`` scores, or ``(rows, n)`` for a batch.
     """
     if (env.n, env.m) != (problem.n, problem.m):
         raise DimensionMismatch(
             f"envelope is ({env.n}, {env.m}) but problem is ({problem.n}, {problem.m})"
         )
     lo, hi = env.bounds_for_ranks(problem.calib_ranks)
-    scores = np.maximum(scores_at(problem, lo), scores_at(problem, hi))
-    return ProxyScores(scores=scores, mode=problem.ranker_mode, envelope=env)
+    return np.maximum(scores_at(problem, lo), scores_at(problem, hi))
 
 
 def select_k(alpha: float, delta: float, n: int) -> int:
@@ -283,26 +268,22 @@ def select_k(alpha: float, delta: float, n: int) -> int:
     return max(1, k)
 
 
-def calibrate(proxy: ProxyScores, k: int, alpha: float | None = None) -> Threshold:
-    """Threshold at the k-th smallest proxy score (ties counted with multiplicity).
+def calibrate(scores, k: int, alpha: float | None = None) -> Threshold:
+    """Threshold at the k-th smallest of ``n`` scores (ties counted with multiplicity).
 
-    ``k`` comes from :func:`select_k` (marginal validity) or
+    ``scores`` is any array-like of ``n`` calibration scores (proxy or true),
+    or a ``(rows, n)`` stack whose threshold value is each row's own k-th
+    smallest score.  ``k`` comes from :func:`select_k` (marginal validity) or
     :func:`fcp_calibration` (FCP control); the threshold does not depend on
-    which.  ``alpha`` is recorded on the threshold as given, and ``delta`` is
-    the envelope's.  For batch proxy scores the threshold value is each row's
-    own k-th smallest score.
+    which.  ``alpha`` is recorded on the threshold as given.
     """
-    n = proxy.n
+    arr = np.asarray(scores, dtype=float)
+    n = arr.shape[-1] if arr.ndim else 0
     if not 1 <= k <= n:
         raise RankOutOfRange(f"k={k} outside [1, {n}]")
-    return Threshold(k=int(k), value=kth_smallest(proxy.scores, k), alpha=alpha,
-                     delta=proxy.envelope.delta)
-
-
-def kth_smallest(scores: np.ndarray, k: int) -> float | np.ndarray:
-    """The k-th smallest score: a float, or one per row of a ``(rows, n)`` stack."""
-    value = np.partition(scores, k - 1, axis=-1)[..., k - 1]
-    return float(value) if value.ndim == 0 else value
+    value = np.partition(arr, k - 1, axis=-1)[..., k - 1]
+    return Threshold(k=int(k), value=float(value) if value.ndim == 0 else value,
+                     alpha=alpha)
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray, pred) -> np.ndarray:

@@ -40,6 +40,9 @@ Monte-Carlo calibration costs an extra ``4 sqrt(log(nK) / K)`` of confidence
 (:func:`mc_guarantee_slack`), recorded in ``Envelope.mc_meta`` so reports can
 state the effective level ``1 - delta - slack``.
 
+:func:`build_envelope` builds any kind by name; the experiment harness and
+the CLI build envelopes only through it.
+
 The simulation ranks each row of uniforms by one in-place sort of their bit
 patterns, with the calibration draws tagged in the low bit (see
 :func:`simulate_sorted_ranks`); a test uniform equal to a calibration uniform
@@ -233,6 +236,9 @@ class Envelope:
     param: float | None = None
     mc_meta: MonteCarloMeta | None = None
 
+    # The kinds fitted on simulated trajectories, which carry ``mc_meta``.
+    MC_KINDS = ("linear", "quantile")
+
     def __post_init__(self):
         if self.kind not in ENVELOPE_KINDS:
             raise InvalidInput(f"kind must be one of {ENVELOPE_KINDS}")
@@ -327,11 +333,11 @@ def mc_guarantee_slack(n: int, K: int) -> float:
     return 4.0 * math.sqrt(math.log(n * K) / K)
 
 
-def check_fit_level(K: int, delta: float) -> None:
+def _check_fit_level(K: int, delta: float) -> None:
     """Refuse a level ``1 - delta`` that ``K`` trajectories cannot resolve.
 
-    The fits check their sample with it; :func:`rankcp.evaluate.build_envelope`
-    checks ``K`` before simulating, so a hopeless request draws nothing.
+    The fits check their sample with it; :func:`build_envelope` checks ``K``
+    before simulating, so a hopeless request draws nothing.
     """
     if not 0.0 <= delta < 1.0:
         raise InvalidDelta(f"delta={delta} outside [0, 1)")
@@ -371,7 +377,7 @@ def fit_linear_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     rounded outward and clipped to ``[1, n+m]``, which can only enlarge the
     envelope.
     """
-    check_fit_level(sims.K, delta)
+    _check_fit_level(sims.K, delta)
     n, m, K = sims.n, sims.m, sims.K
     r = np.arange(1, n + 1, dtype=float)
     center = r + (m + 1) * r / n
@@ -437,7 +443,7 @@ def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     repair (suffix-min on lower, prefix-max on upper) can only enlarge the
     envelope, so the training constraint is preserved.
     """
-    check_fit_level(sims.K, delta)
+    _check_fit_level(sims.K, delta)
     n, m, K = sims.n, sims.m, sims.K
     traj = sims.trajectories
     width = max(1, min(n, min(_TABLE, K * n // _TABLE_SHARE) // (m + 1)))
@@ -483,3 +489,28 @@ def envelope_coverage(env: Envelope, sims: SortedRankSample) -> float:
             f"envelope is ({env.n}, {env.m}) but sample is ({sims.n}, {sims.m})"
         )
     return _count_inside(sims.trajectories, env.lower, env.upper) / sims.K
+
+
+def build_envelope(
+    kind: str, n: int, m: int, delta: float, K: int, seed: int
+) -> Envelope:
+    """Construct an envelope of the requested kind at level ``1 - delta``.
+
+    ``delta`` must lie in ``[0, 1)`` for every kind, though the naive envelope
+    records 0.  The kinds in ``Envelope.MC_KINDS`` simulate ``K`` trajectories
+    from ``seed``, after checking that ``K`` can resolve ``delta``, so a
+    hopeless request draws nothing; the other kinds ignore ``K`` and ``seed``.
+    """
+    if not 0.0 <= delta < 1.0:
+        raise InvalidDelta(f"delta={delta} outside [0, 1)")
+    if kind == "naive":
+        return naive_envelope(n, m)
+    if kind == "theoretical":
+        return theoretical_envelope(n, m, delta)
+    if kind not in Envelope.MC_KINDS:
+        raise InvalidInput(f"unknown envelope kind {kind!r}")
+    if K >= 1:  # K < 1 is left to the simulation's usage error
+        _check_fit_level(K, delta)
+    sims = simulate_sorted_ranks(n, m, K, seed)
+    fit = fit_linear_envelope if kind == "linear" else fit_quantile_envelope
+    return fit(sims, delta)

@@ -10,6 +10,10 @@ envelope, calibrate, predict, score) and reports per-repetition metrics:
                        the same conformal pipeline run with the true (normally
                        unobservable) calibration ranks and no envelope slack.
 
+The harness owns no pipeline stage: its envelope comes from
+:func:`rankcp.envelope.build_envelope`, and both arms' thresholds from
+:func:`rankcp.conformal.calibrate` (the oracle's on the true scores).
+
 Metrics read the ``lo``/``hi`` columns of :class:`RankSets` directly.  The
 generators take a seed or a 1-D array of seeds, and the metrics and the
 oracle arm a single problem or a batch (see :class:`RankingProblem`): a batch
@@ -34,24 +38,14 @@ from .conformal import (
     FCP_CONTROLLED,
     MARGINAL,
     RankSets,
-    Threshold,
     calibrate,
     fcp_calibration,
-    kth_smallest,
     predict_sets,
     proxy_scores,
     scores_at,
     select_k,
 )
-from .envelope import (
-    Envelope,
-    check_fit_level,
-    fit_linear_envelope,
-    fit_quantile_envelope,
-    naive_envelope,
-    simulate_sorted_ranks,
-    theoretical_envelope,
-)
+from .envelope import Envelope, build_envelope
 from .errors import DimensionMismatch, InvalidInput, MissingTruth
 from .ranks import RA, VA, RankingProblem, break_ties, has_ties, ranks_within
 from .streams import child_seed, stream
@@ -103,6 +97,12 @@ def _per_seed(seed, draw):
     return np.stack([draw(int(s)) for s in seed])
 
 
+def _check_noise(name: str, value: float) -> None:
+    """Refuse a noise level that is negative, infinite or NaN, naming its parameter."""
+    if not 0.0 <= value < math.inf:
+        raise InvalidInput(f"{name}={value} must be finite and nonnegative")
+
+
 def _untie_rows(values: np.ndarray, seed, tag: str) -> np.ndarray:
     """Resolve exact ties (a probability-zero event) in place, row by row.
 
@@ -133,6 +133,7 @@ def gen_sigmoid_data(
         raise InvalidInput("need at least two items")
     if d < 1:
         raise InvalidInput("need d >= 1")
+    _check_noise("noise_sd", noise_sd)
 
     def draw(s: int) -> np.ndarray:
         gen = stream(s, "sigmoid-data")
@@ -159,6 +160,7 @@ def gen_beta_data(
     """
     if n_plus_m < 2:
         raise InvalidInput("need at least two items")
+    _check_noise("noise_sd", noise_sd)
 
     def draw(s: int) -> np.ndarray:
         gen = stream(s, "beta-data")
@@ -179,6 +181,7 @@ def noisy_oracle_ranker(
     arr = np.asarray(truth, dtype=float)
     if mode not in (RA, VA):
         raise InvalidInput(f"mode must be {RA!r} or {VA!r}")
+    _check_noise("noise_sd", noise_sd)
     if np.shape(seed) != arr.shape[:-1]:
         raise DimensionMismatch("need one seed per row of truth")
     size = arr.shape[-1]
@@ -215,6 +218,8 @@ def synthesize_problem(
     A 1-D array of seeds gives the batch problem whose row ``i`` equals the
     problem for ``seeds[i]`` alone: each row draws from its own seed's streams.
     """
+    _check_noise("noise_sd", noise_sd)
+    _check_noise("data_noise_sd", data_noise_sd)
     if data_model == SIGMOID:
         truth = gen_sigmoid_data(n + m, d=d, noise_sd=data_noise_sd, seed=seed)
     elif data_model == BETA_ADAPTIVE:
@@ -237,8 +242,7 @@ def oracle_sets(problem: RankingProblem, alpha: float) -> RankSets:
     if problem.truth is None:
         raise MissingTruth("oracle baseline needs truth values")
     true_scores = scores_at(problem, problem.true_ranks[..., : problem.n])
-    k = select_k(alpha, 0.0, problem.n)
-    thr = Threshold(k=k, value=kth_smallest(true_scores, k), alpha=alpha, delta=0.0)
+    thr = calibrate(true_scores, select_k(alpha, 0.0, problem.n), alpha=alpha)
     return predict_sets(problem, thr)
 
 
@@ -290,6 +294,10 @@ class ExperimentConfig:
             )
         if self.k_top is not None and self.k_top < 0:
             raise InvalidInput(f"k_top={self.k_top} must be nonnegative")
+        _check_noise("noise_sd", self.noise_sd)
+        if self.K_env < 1 and self.envelope_kind in Envelope.MC_KINDS:
+            raise InvalidInput(f"K_env={self.K_env} must be at least 1 for a "
+                               f"{self.envelope_kind} envelope")
 
     @property
     def effective_k_top(self) -> int:
@@ -387,23 +395,6 @@ class ExperimentReport:
         ]
 
 
-def build_envelope(
-    kind: str, n: int, m: int, delta: float, K: int, seed: int
-) -> Envelope:
-    """Construct an envelope of the requested kind."""
-    if kind == "naive":
-        return naive_envelope(n, m)
-    if kind == "theoretical":
-        return theoretical_envelope(n, m, delta)
-    if kind in ("linear", "quantile"):
-        if K >= 1:  # K < 1 is left to the simulation's usage error
-            check_fit_level(K, delta)
-        sims = simulate_sorted_ranks(n, m, K, seed)
-        fit = fit_linear_envelope if kind == "linear" else fit_quantile_envelope
-        return fit(sims, delta)
-    raise InvalidInput(f"unknown envelope kind {kind!r}")
-
-
 def _masked_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per row, the mean of ``values`` where ``mask`` holds; NaN where it never does."""
     count = np.count_nonzero(mask, axis=-1)
@@ -433,8 +424,7 @@ def _block_metrics(
     )
     true_calib, true_test = problem.true_ranks[:, : cfg.n], problem.true_ranks[:, cfg.n :]
 
-    proxy = proxy_scores(problem, env)
-    thr = calibrate(proxy, k, alpha=cfg.alpha)
+    thr = calibrate(proxy_scores(problem, env), k, alpha=cfg.alpha)
     sets = predict_sets(problem, thr)
     osets = oracle_sets(problem, cfg.alpha)
 

@@ -27,8 +27,7 @@ import numpy as np
 from .conformal import RankSets
 from .envelope import Envelope, MonteCarloMeta
 from .errors import InvalidData, InvalidInput, TiesDetected
-from .evaluate import ExperimentReport
-from .ranks import RA, VA, RankingProblem, check_no_ties
+from .ranks import RA, VA, RankingProblem, ranks_within
 
 SCORES_HEADER = ["id", "split", "output", "calib_rank", "true_value"]
 SETS_HEADER = ["id", "lo", "hi"]
@@ -183,11 +182,11 @@ def _parse_truth(path, texts, lines) -> np.ndarray:
 
 
 def read_truth(path) -> tuple[list[str], int, int, np.ndarray]:
-    """ids, n, m, and truth values from a scores CSV (outputs ignored).
+    """ids, n, m, and the true pooled rank of each row from a scores CSV.
 
     Lenient companion to :func:`read_scores` for evaluation inputs: the
     output column is not typed or validated, but every row must carry a
-    true_value that is a number other than NaN.
+    true_value that is a number other than NaN, and no two may be equal.
     """
     columns, lines = _read_csv(path, SCORES_HEADER)
     ids = list(columns["id"])
@@ -195,13 +194,14 @@ def read_truth(path) -> tuple[list[str], int, int, np.ndarray]:
     if len(set(ids)) != len(ids):
         raise InvalidData(f"{path}: item ids must be unique")
     try:
-        check_no_ties(truth, "truth")
+        true_ranks = ranks_within(truth)
     except TiesDetected as exc:
         first, second = _first_repeat(truth.tolist())
         raise TiesDetected(
-            f"{path}: lines {lines[first]} and {lines[second]}: {exc}") from exc
+            f"{path}: lines {lines[first]} and {lines[second]}: truth contain exact "
+            "duplicates; see break_ties") from exc
     n = columns["split"].count("calib")
-    return ids, n, len(ids) - n, truth
+    return ids, n, len(ids) - n, true_ranks
 
 
 def envelope_to_doc(env: Envelope) -> dict:
@@ -342,8 +342,8 @@ def write_evaluation(path, fcp: float, relative_length: float, ids: list[str],
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def write_report(report: ExperimentReport, path) -> None:
-    """Write the long-format experiment table (rep, metric, value, arm)."""
+def write_report(report, path) -> None:
+    """Write an ``evaluate.ExperimentReport`` as rows (rep, metric, value, arm)."""
     reps, metrics, values, arms = list(zip(*report.to_rows())) or [()] * 4
     _write_csv(path, REPORT_HEADER, [reps, metrics, map(_fmt, values), arms])
 

@@ -14,7 +14,6 @@ from rankcp import (
     ExperimentConfig,
     InfeasibleLevel,
     InvalidInput,
-    ProxyScores,
     RankOutOfRange,
     RankingProblem,
     Threshold,
@@ -107,17 +106,15 @@ def test_select_k_examples():
 
 
 def test_calibrate_examples():
-    env = naive_envelope(3, 2)
-    proxy = ProxyScores(scores=np.array([3.0, 1.0, 2.0]), mode="RA", envelope=env)
-    assert calibrate(proxy, 2).value == 2.0
-    assert calibrate(proxy, 3).value == 3.0
+    scores = [3.0, 1.0, 2.0]  # any array-like
+    assert calibrate(scores, 2).value == 2.0
+    assert calibrate(np.array(scores), 3).value == 3.0
     with pytest.raises(RankOutOfRange):
-        calibrate(proxy, 4)
+        calibrate(scores, 4)
     rng = np.random.default_rng(3)
     scores = rng.normal(size=17)
-    proxy = ProxyScores(scores=scores, mode="RA", envelope=naive_envelope(17, 2))
     for k in (1, 5, 17):
-        assert calibrate(proxy, k).value == sorted(scores)[k - 1]
+        assert calibrate(scores, k).value == sorted(scores)[k - 1]
 
 
 def _va_problem(values, test):
@@ -348,10 +345,10 @@ def test_proxy_dominates_true_scores():
         true_scores = scores_at(problem, pooled[: problem.n])
         env = naive_envelope(problem.n, problem.m)  # always covers
         proxy = proxy_scores(problem, env)
-        assert np.all(proxy.scores >= true_scores - 1e-12)
+        assert np.all(proxy >= true_scores - 1e-12)
         for k in range(1, problem.n + 1):
             assert (
-                np.partition(proxy.scores, k - 1)[k - 1]
+                np.partition(proxy, k - 1)[k - 1]
                 >= np.partition(true_scores, k - 1)[k - 1] - 1e-12
             )
 
@@ -372,7 +369,7 @@ def test_proxy_dominance_under_fitted_envelope_coverage():
             continue
         hits += 1
         true_scores = scores_at(problem, pooled[:10])
-        assert np.all(proxy_scores(problem, env).scores >= true_scores - 1e-12)
+        assert np.all(proxy_scores(problem, env) >= true_scores - 1e-12)
     assert hits > 0
 
 

@@ -220,6 +220,27 @@ def test_experiment_config_validation():
         ExperimentConfig(reps=0)
     with pytest.raises(InvalidInput):
         ExperimentConfig(data_model="mystery")
+    with pytest.raises(InvalidInput, match="K_env=0 must be at least 1 for a linear"):
+        ExperimentConfig(envelope_kind="linear", K_env=0)
+    # the closed-form kinds draw nothing, so they ignore K_env
+    ExperimentConfig(envelope_kind="theoretical", K_env=0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -0.5])
+def test_noise_levels_must_be_finite_and_nonnegative(bad):
+    message = f"noise_sd={bad} must be finite and nonnegative"
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        gen_sigmoid_data(10, noise_sd=bad)
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        gen_beta_data(10, noise_sd=bad)
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        noisy_oracle_ranker(np.arange(10.0), bad)
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        synthesize_problem("sigmoid", 5, 5, bad, "VA", seed=0)
+    with pytest.raises(InvalidInput, match=f"^data_{message}$"):
+        synthesize_problem("sigmoid", 5, 5, 0.1, "VA", seed=0, data_noise_sd=bad)
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        ExperimentConfig(noise_sd=bad)
 
 
 # (metric, arm) of the nine report rows of one repetition, in order
@@ -386,7 +407,7 @@ def test_batched_layers_equal_single_problem_calls(data):
         assert has_ties(batch.ranker_outputs)[i] == has_ties(one.ranker_outputs)
         assert np.array_equal(scores_at(batch, pooled[:, :n])[i],
                               scores_at(one, pooled[i, :n]))
-        assert np.array_equal(proxy.scores[i], proxy_scores(one, env).scores)
+        assert np.array_equal(proxy[i], proxy_scores(one, env))
         one_thr = calibrate(proxy_scores(one, env), k, alpha=alpha)
         assert type(one_thr.value) is float and one_thr.value == thr.value[i]
         one_sets = predict_sets(one, one_thr)

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rankcp import (
+    ENVELOPE_KINDS,
     Envelope,
     InsufficientSample,
     InvalidData,
@@ -25,6 +26,7 @@ from rankcp import (
     theoretical_envelope,
 )
 from rankcp import cli, evaluate
+from rankcp import envelope as renv
 from rankcp import io as rio
 from rankcp.cli import main
 from rankcp.evaluate import ExperimentConfig, run_experiment
@@ -614,6 +616,34 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "r.csv")]) == 2
     assert "usage error: k_top=-3 must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+    # usage: a noise level that is not finite or is negative names its
+    # parameter (inf reached the tie check, NaN the rank check, and a negative
+    # level passed), and so does a Monte-Carlo envelope with K_env < 1; the
+    # experiment stops before it builds an envelope
+    for flags, message in [
+        (["--noise-sd", "inf", "--envelope-kind", "naive"], "noise_sd=inf"),
+        (["--noise-sd", "nan"], "noise_sd=nan"),
+        (["--noise-sd", "-1"], "noise_sd=-1.0"),
+    ]:
+        assert main(["experiment", "--n", "50", "--m", "5", "--reps", "2", *flags,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"usage error: {message} must be finite and nonnegative" in (
+            capsys.readouterr().err)
+    assert main(["experiment", "--K-env", "0", "--reps", "2",
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert "usage error: K_env=0 must be at least 1 for a quantile envelope" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "r.csv").exists()
+    for flags, message in [
+        (["--data-noise-sd", "inf"], "data_noise_sd=inf"),
+        (["--data-noise-sd", "-0.5"], "data_noise_sd=-0.5"),
+        (["--noise-sd", "nan"], "noise_sd=nan"),
+    ]:
+        assert main(["synth", "--n", "5", "--m", "5", "--mode", "VA", *flags,
+                     "--out", str(tmp_path / "syn.csv")]) == 2
+        assert f"usage error: {message} must be finite and nonnegative" in (
+            capsys.readouterr().err)
+    assert not (tmp_path / "syn.csv").exists()
 
 
 @pytest.mark.parametrize("kind", ["quantile", "linear"])
@@ -621,10 +651,10 @@ def test_unresolvable_delta_fails_before_simulating(monkeypatch, capsys, tmp_pat
     def no_simulation(*args):
         raise AssertionError("simulated a sample that cannot resolve delta")
 
-    monkeypatch.setattr(evaluate, "simulate_sorted_ranks", no_simulation)
+    monkeypatch.setattr(renv, "simulate_sorted_ranks", no_simulation)
     message = "K=20000 trajectories cannot resolve delta=1e-05; need K >= 1/delta"
     with pytest.raises(InsufficientSample, match=message):
-        evaluate.build_envelope(kind, 1000, 1000, 1e-5, 20000, 1)
+        renv.build_envelope(kind, 1000, 1000, 1e-5, 20000, 1)
     assert main(["simulate-envelope", "--kind", kind, "--n", "1000", "--m", "1000",
                  "--K", "20000", "--delta", "0.00001", "--seed", "1",
                  "--out", str(tmp_path / "e.json")]) == 3
@@ -649,6 +679,21 @@ def test_synth_predict_evaluate_chain(tmp_path):
     doc = json.loads(metrics.read_text())
     assert 0.0 <= doc["fcp"] <= 1.0
     assert len(doc["items"]) == 40
+
+
+@pytest.mark.parametrize("kind", ENVELOPE_KINDS)
+def test_simulate_envelope_checks_delta_for_every_kind(tmp_path, capsys, kind):
+    # the naive envelope ignored delta and wrote delta 0.0 for any value
+    out = tmp_path / "e.json"
+    for delta in ("5", "-1", "1"):
+        assert main(["simulate-envelope", "--n", "6", "--m", "4", "--kind", kind,
+                     "--K", "200", "--delta", delta, "--out", str(out)]) == 2
+        assert f"usage error: delta={float(delta)} outside [0, 1)" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+    # delta = 0 stays valid where the kind can reach it
+    assert main(["simulate-envelope", "--n", "6", "--m", "4", "--kind", "naive",
+                 "--delta", "0", "--out", str(out)]) == 0
 
 
 def test_simulate_envelope_naive_records_null_meta(tmp_path):

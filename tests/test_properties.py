@@ -61,7 +61,7 @@ def test_proxy_scores_dominate_true_scores_under_covering_envelope(data, mode):
                              ranker_mode=mode, ranker_outputs=outputs)
     true_calib = ranks_within(truth)[:n]
     env = _covering_envelope(data.draw, n, m, np.sort(true_calib))
-    assert np.all(proxy_scores(problem, env).scores >= scores_at(problem, true_calib))
+    assert np.all(proxy_scores(problem, env) >= scores_at(problem, true_calib))
 
 
 @settings(max_examples=100, deadline=None)
