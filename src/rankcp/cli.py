@@ -19,15 +19,16 @@ import numpy as np
 
 from . import __version__, io
 from .conformal import (
-    FCP_CONTROLLED,
-    MARGINAL,
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    DEFAULT_DELTA,
     calibrate,
     fcp_calibration,
     predict_sets,
     proxy_scores,
     select_k,
 )
-from .envelope import DEFAULT_K, ENVELOPE_KINDS, build_envelope
+from .envelope import DEFAULT_K, build_envelope
 from .errors import (
     DimensionMismatch,
     InfeasibleLevel,
@@ -37,13 +38,15 @@ from .errors import (
     RankCPError,
 )
 from .evaluate import (
-    DATA_MODELS,
+    DATA_NOISE_SD,
+    SIGMOID,
     ExperimentConfig,
     fcp,
     relative_length,
     run_experiment,
     synthesize_problem,
 )
+from .ranks import RA
 from .targets import test_only_set, topk_candidates
 
 TOOL = "rankcp"
@@ -55,15 +58,9 @@ EXIT_DATA = 4
 EXIT_INFEASIBLE = 5
 
 
-def _opt(name, converter, default, help_text, choices=None):
+def _opt(name, converter, default, help_text):
     """One flag; a ``None`` default makes it required."""
-    return {
-        "name": name,
-        "converter": converter,
-        "default": default,
-        "help": help_text,
-        "choices": choices,
-    }
+    return {"name": name, "converter": converter, "default": default, "help": help_text}
 
 
 def _bool_flag(value) -> bool:
@@ -77,12 +74,14 @@ def _bool_flag(value) -> bool:
     raise InvalidInput(f"expected on/off, got {value!r}")
 
 
+# Defaults are the library's own values; a value outside a flag's vocabulary
+# is refused by the library call it reaches, before anything is written.
 COMMANDS: dict[str, list[dict]] = {
     "simulate-envelope": [
         _opt("n", int, None, "calibration set size (required)"),
         _opt("m", int, None, "test set size (required)"),
-        _opt("delta", float, 0.1, "envelope miscoverage level"),
-        _opt("kind", str, "quantile", "envelope kind", choices=ENVELOPE_KINDS),
+        _opt("delta", float, DEFAULT_DELTA, "envelope miscoverage level"),
+        _opt("kind", str, ExperimentConfig.envelope_kind, "envelope kind"),
         _opt("K", int, DEFAULT_K, "Monte-Carlo trajectory count"),
         _opt("seed", int, 0, "simulation seed"),
         _opt("out", str, None, "output envelope JSON path (required)"),
@@ -90,10 +89,10 @@ COMMANDS: dict[str, list[dict]] = {
     "predict": [
         _opt("scores", str, None, "scores CSV path (required)"),
         _opt("envelope", str, None, "envelope JSON path (required)"),
-        _opt("alpha", float, 0.1, "target miscoverage per item"),
-        _opt("mode", str, "RA", "score family", choices=("RA", "VA")),
+        _opt("alpha", float, DEFAULT_ALPHA, "target miscoverage per item"),
+        _opt("mode", str, RA, "score family"),
         _opt("fcp", _bool_flag, False, "FCP-calibrated threshold (on/off)"),
-        _opt("beta", float, 0.25, "FCP exceedance budget (fcp=on)"),
+        _opt("beta", float, DEFAULT_BETA, "FCP exceedance budget (fcp=on)"),
         _opt("test-only", _bool_flag, False, "add test-only rank columns"),
         _opt("top-k", int, 0, "add a top-k candidate column (0 disables)"),
         _opt("out", str, None, "output sets CSV path (required)"),
@@ -104,33 +103,30 @@ COMMANDS: dict[str, list[dict]] = {
         _opt("out", str, None, "output metrics JSON path (required)"),
     ],
     "synth": [
-        _opt("model", str, "sigmoid", "data model", choices=DATA_MODELS),
+        _opt("model", str, SIGMOID, "data model"),
         _opt("n", int, None, "calibration set size (required)"),
         _opt("m", int, None, "test set size (required)"),
-        _opt("noise-sd", float, 0.07, "toy ranker noise"),
-        _opt("data-noise-sd", float, 0.07, "generator noise"),
+        _opt("noise-sd", float, ExperimentConfig.noise_sd, "toy ranker noise"),
+        _opt("data-noise-sd", float, DATA_NOISE_SD, "generator noise"),
         _opt("d", int, 5, "feature dimension (sigmoid model)"),
-        _opt("mode", str, "RA", "ranker output type", choices=("RA", "VA")),
+        _opt("mode", str, RA, "ranker output type"),
         _opt("seed", int, 0, "generation seed"),
         _opt("out", str, None, "output scores CSV path (required)"),
     ],
     "experiment": [
-        _opt("n", int, 200, "calibration set size"),
-        _opt("m", int, 200, "test set size"),
-        _opt("reps", int, 500, "repetitions"),
-        _opt("alpha", float, 0.1, "target miscoverage per item"),
-        _opt("beta", float, 0.25, "FCP exceedance budget"),
-        _opt("delta", float, 0.02, "envelope miscoverage level"),
-        _opt("mode", str, "RA", "score family", choices=("RA", "VA")),
-        _opt("envelope-kind", str, "quantile", "envelope kind", choices=ENVELOPE_KINDS),
-        _opt("K-env", int, 20_000, "envelope trajectory count"),
-        _opt("data-model", str, "sigmoid", "data model", choices=DATA_MODELS),
-        _opt("noise-sd", float, 0.07, "toy ranker noise"),
-        _opt("seed", int, 0, "master seed"),
-        _opt(
-            "fcp-mode", str, MARGINAL, "threshold selection",
-            choices=(MARGINAL, FCP_CONTROLLED),
-        ),
+        _opt("n", int, ExperimentConfig.n, "calibration set size"),
+        _opt("m", int, ExperimentConfig.m, "test set size"),
+        _opt("reps", int, ExperimentConfig.reps, "repetitions"),
+        _opt("alpha", float, ExperimentConfig.alpha, "target miscoverage per item"),
+        _opt("beta", float, ExperimentConfig.beta, "FCP exceedance budget"),
+        _opt("delta", float, ExperimentConfig.delta, "envelope miscoverage level"),
+        _opt("mode", str, ExperimentConfig.mode, "score family"),
+        _opt("envelope-kind", str, ExperimentConfig.envelope_kind, "envelope kind"),
+        _opt("K-env", int, ExperimentConfig.K_env, "envelope trajectory count"),
+        _opt("data-model", str, ExperimentConfig.data_model, "data model"),
+        _opt("noise-sd", float, ExperimentConfig.noise_sd, "toy ranker noise"),
+        _opt("seed", int, ExperimentConfig.master_seed, "master seed"),
+        _opt("fcp-mode", str, ExperimentConfig.fcp_mode, "threshold selection"),
         _opt("k-top", int, 0, "top-k target size (0: 5% of m)"),
         _opt("out", str, None, "output report CSV path (required)"),
     ],
@@ -194,10 +190,6 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             value = opt["converter"](value)
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"--{name}: {exc}") from exc
-        if opt["choices"] is not None and value not in opt["choices"]:
-            raise InvalidInput(
-                f"--{name} must be one of {', '.join(map(str, opt['choices']))}"
-            )
         resolved[name] = value
     return resolved
 
@@ -236,11 +228,7 @@ def _cmd_predict(resolved: dict) -> int:
         raise InvalidInput(f"--top-k must be nonnegative, got {resolved['top-k']}")
     problem = io.read_scores(resolved["scores"], resolved["mode"])
     env = io.read_envelope(resolved["envelope"])
-    if (env.n, env.m) != (problem.n, problem.m):
-        raise DimensionMismatch(
-            f"envelope is ({env.n}, {env.m}) but scores file has "
-            f"({problem.n}, {problem.m})"
-        )
+    scores = proxy_scores(problem, env)  # refuses an envelope of other sizes
     meta = None
     if resolved["fcp"]:
         if problem.m == 0:
@@ -251,7 +239,7 @@ def _cmd_predict(resolved: dict) -> int:
         k = meta.k
     else:
         k = select_k(resolved["alpha"], env.delta, problem.n)
-    thr = calibrate(proxy_scores(problem, env), k, alpha=resolved["alpha"])
+    thr = calibrate(scores, k, alpha=resolved["alpha"])
     sets = predict_sets(problem, thr)
     test_only = test_only_set(sets, env) if resolved["test-only"] else None
     top = topk_candidates(sets, resolved["top-k"]) if resolved["top-k"] > 0 else None
@@ -318,13 +306,9 @@ def _cmd_synth(resolved: dict) -> int:
 
 def _cmd_experiment(resolved: dict) -> int:
     cfg = ExperimentConfig(
-        n=resolved["n"], m=resolved["m"], reps=resolved["reps"],
-        alpha=resolved["alpha"], beta=resolved["beta"], delta=resolved["delta"],
-        mode=resolved["mode"], envelope_kind=resolved["envelope-kind"],
-        K_env=resolved["K-env"],
-        data_model=resolved["data-model"], noise_sd=resolved["noise-sd"],
-        master_seed=resolved["seed"], fcp_mode=resolved["fcp-mode"],
-        k_top=resolved["k-top"] or None,
+        **{name.replace("-", "_"): value for name, value in resolved.items()
+           if name not in ("seed", "k-top", "out")},
+        master_seed=resolved["seed"], k_top=resolved["k-top"] or None,
     )
     report = run_experiment(cfg)
     io.write_report(report, resolved["out"])

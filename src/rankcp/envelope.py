@@ -240,6 +240,8 @@ class Envelope:
     MC_KINDS = ("linear", "quantile")
 
     def __post_init__(self):
+        if self.n < 1 or self.m < 0:
+            raise InvalidInput(f"need n >= 1 and m >= 0, got n={self.n}, m={self.m}")
         if self.kind not in ENVELOPE_KINDS:
             raise InvalidInput(f"kind must be one of {ENVELOPE_KINDS}")
         if not 0.0 <= self.delta < 1.0:
@@ -277,8 +279,6 @@ class Envelope:
 
 def naive_envelope(n: int, m: int) -> Envelope:
     """The always-valid envelope [r, r + m]; delta recorded as 0."""
-    if n < 1 or m < 0:
-        raise InvalidInput("need n >= 1 and m >= 0")
     r = np.arange(1, n + 1, dtype=np.int64)
     return Envelope(n=n, m=m, delta=0.0, kind="naive", lower=r, upper=r + m)
 
@@ -508,7 +508,8 @@ def build_envelope(
     if kind == "theoretical":
         return theoretical_envelope(n, m, delta)
     if kind not in Envelope.MC_KINDS:
-        raise InvalidInput(f"unknown envelope kind {kind!r}")
+        raise InvalidInput(f"unknown envelope kind {kind!r}; expected one of "
+                           f"{', '.join(ENVELOPE_KINDS)}")
     if K >= 1:  # K < 1 is left to the simulation's usage error
         _check_fit_level(K, delta)
     sims = simulate_sorted_ranks(n, m, K, seed)

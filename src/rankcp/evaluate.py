@@ -103,12 +103,18 @@ def _check_noise(name: str, value: float) -> None:
         raise InvalidInput(f"{name}={value} must be finite and nonnegative")
 
 
-def _untie_rows(values: np.ndarray, seed, tag: str) -> np.ndarray:
-    """Resolve exact ties (a probability-zero event) in place, row by row.
+def _generated(noise_sd: float, draw, seed, tag: str) -> np.ndarray:
+    """``draw()``, checked finite, with exact ties resolved in place, row by row.
 
-    Each tied row is passed through :func:`break_ties` with its own seed's
-    ``tag`` stream; rows without ties are left as they are.
+    A huge but finite ``noise_sd`` can carry the values to infinity (and
+    inf - inf to NaN): numpy's warnings are silenced and :class:`InvalidInput`
+    names the noise level.  Ties are a probability-zero event: each tied row
+    is passed through :func:`break_ties` with its own seed's ``tag`` stream.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = draw()
+    if not np.all(np.isfinite(values)):
+        raise InvalidInput(f"noise_sd={noise_sd} makes the generated values non-finite")
     rows, seeds = np.atleast_2d(values), np.atleast_1d(seed)
     for i in np.flatnonzero(has_ties(rows)):
         rows[i] = break_ties(rows[i], child_seed(int(seeds[i]), tag))
@@ -141,7 +147,7 @@ def gen_sigmoid_data(
         w = gen.standard_normal(d)
         return 1.0 / (1.0 + np.exp(-(x @ w))) + noise_sd * gen.standard_normal(n_plus_m)
 
-    return _untie_rows(_per_seed(seed, draw), seed, "sigmoid-ties")
+    return _generated(noise_sd, lambda: _per_seed(seed, draw), seed, "sigmoid-ties")
 
 
 def gen_beta_data(
@@ -160,13 +166,16 @@ def gen_beta_data(
     """
     if n_plus_m < 2:
         raise InvalidInput("need at least two items")
+    for name, value in (("a", a), ("b", b)):
+        if not 0.0 < value < math.inf:
+            raise InvalidInput(f"{name}={value} must be finite and positive")
     _check_noise("noise_sd", noise_sd)
 
     def draw(s: int) -> np.ndarray:
         gen = stream(s, "beta-data")
         return gen.beta(a, b, n_plus_m) + noise_sd * gen.standard_normal(n_plus_m)
 
-    return _untie_rows(_per_seed(seed, draw), seed, "beta-ties")
+    return _generated(noise_sd, lambda: _per_seed(seed, draw), seed, "beta-ties")
 
 
 def noisy_oracle_ranker(
@@ -186,7 +195,7 @@ def noisy_oracle_ranker(
         raise DimensionMismatch("need one seed per row of truth")
     size = arr.shape[-1]
     noise = _per_seed(seed, lambda s: stream(s, "ranker-noise").standard_normal(size))
-    values = _untie_rows(arr + noise_sd * noise, seed, "ranker-ties")
+    values = _generated(noise_sd, lambda: arr + noise_sd * noise, seed, "ranker-ties")
     return ranks_within(values) if mode == RA else values
 
 
@@ -355,7 +364,6 @@ class ExperimentReport:
     config: ExperimentConfig
     k: int
     threshold_meta: conformal.FcpCalibration | None
-    envelope_kind: str
     metrics: dict[str, np.ndarray]
 
     @property
@@ -485,6 +493,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for start in range(0, cfg.reps, block)
     ]
     return ExperimentReport(
-        config=cfg, k=k, threshold_meta=meta, envelope_kind=env.kind,
+        config=cfg, k=k, threshold_meta=meta,
         metrics={name: np.concatenate([b[name] for b in blocks]) for name in METRICS},
     )

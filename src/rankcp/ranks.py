@@ -134,9 +134,12 @@ def break_ties(values, seed: int) -> np.ndarray:
     its predecessor to the next float above the predecessor.  The steps are
     whole ulps, so rounding cannot absorb them: the output is tie-free and
     the order of non-tied values is preserved exactly.  Returns a copy and
-    never mutates the input.
+    never mutates the input.  The values must be finite: no step parts two
+    equal infinities, and NaN has no order.
     """
     arr = _as_float_vector(values, "values")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput("break_ties needs finite values")
     order = np.lexsort((stream(seed, "tie-break").permutation(arr.size), arr))
     swept = arr[order].tolist()
     for i in range(1, len(swept)):
@@ -244,10 +247,6 @@ class RankingProblem:
     @property
     def item_ids(self) -> list[ItemId]:
         return list(self._item_ids)
-
-    @property
-    def calib_ids(self) -> list[ItemId]:
-        return self._item_ids[: self.n]
 
     @property
     def test_ids(self) -> list[ItemId]:

@@ -257,6 +257,10 @@ def test_envelope_validation():
     with pytest.raises(Exception):
         Envelope(n=3, m=2, delta=0.1, kind="quantile",
                  lower=np.array([1, 2, 3]), upper=np.array([3, 4, 6]))
+    # n = 0 reached numpy's zero-size reduction error, and m < 0 was accepted
+    for n, m, lower, upper in [(0, 1, [], []), (2, -1, [1, 2], [1, 2])]:
+        with pytest.raises(InvalidInput, match=f"^need n >= 1 and m >= 0, got n={n}, m={m}$"):
+            Envelope(n=n, m=m, delta=0.1, kind="quantile", lower=lower, upper=upper)
 
 
 # The kernels as they were before row blocks and the counting fit: whole

@@ -151,6 +151,26 @@ def test_beta_generator_reproducible():
     assert np.array_equal(gen_beta_data(100, seed=7), gen_beta_data(100, seed=7))
 
 
+def test_generated_values_must_be_finite():
+    # 1e308 times a draw beyond 1.8 overflows; the overflow warned, then the
+    # tie check failed on the infinities (or the VA check blamed the ranker)
+    message = "^noise_sd=1e\\+308 makes the generated values non-finite$"
+    with pytest.raises(InvalidInput, match=message):
+        gen_sigmoid_data(50, noise_sd=1e308)
+    with pytest.raises(InvalidInput, match=message):
+        gen_beta_data(50, noise_sd=1e308)
+    with pytest.raises(InvalidInput, match=message):
+        noisy_oracle_ranker(np.arange(50.0), 1e308)
+
+
+@pytest.mark.parametrize("name, bad", [("a", -1.0), ("a", 0.0), ("b", math.nan),
+                                       ("b", math.inf)])
+def test_beta_parameters_must_be_finite_and_positive(name, bad):
+    # a = -1 raised numpy's plain ValueError, and a = nan gave all-NaN data
+    with pytest.raises(InvalidInput, match=f"^{name}={bad} must be finite and positive$"):
+        gen_beta_data(10, **{name: bad})
+
+
 def test_noisy_oracle_ranker():
     truth = gen_sigmoid_data(50, seed=54)
     assert np.array_equal(noisy_oracle_ranker(truth, 0.0, seed=1, mode="VA"), truth)

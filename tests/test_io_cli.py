@@ -29,7 +29,8 @@ from rankcp import cli, evaluate
 from rankcp import envelope as renv
 from rankcp import io as rio
 from rankcp.cli import main
-from rankcp.evaluate import ExperimentConfig, run_experiment
+from rankcp.conformal import DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_DELTA
+from rankcp.evaluate import DATA_NOISE_SD, SIGMOID, ExperimentConfig, run_experiment
 
 DATA = Path(__file__).parent / "data"
 SCORES_HEADER = "id,split,output,calib_rank,true_value\n"
@@ -679,6 +680,81 @@ def test_synth_predict_evaluate_chain(tmp_path):
     doc = json.loads(metrics.read_text())
     assert 0.0 <= doc["fcp"] <= 1.0
     assert len(doc["items"]) == 40
+
+
+def test_default_flags_compose(tmp_path):
+    # simulate-envelope defaulted to delta 0.1, which predict's default alpha
+    # 0.1 refused: "need 0 <= delta < alpha < 1"
+    scores, env, sets = tmp_path / "s.csv", tmp_path / "env.json", tmp_path / "o.csv"
+    assert main(["synth", "--n", "100", "--m", "50", "--out", str(scores)]) == 0
+    assert main(["simulate-envelope", "--n", "100", "--m", "50", "--K", "2000",
+                 "--out", str(env)]) == 0
+    assert main(["predict", "--scores", str(scores), "--envelope", str(env),
+                 "--out", str(sets)]) == 0
+    assert len(rio.read_sets(sets)) == 50
+
+
+def test_cli_defaults_are_the_library_defaults():
+    defaults = {command: {opt["name"]: opt["default"] for opt in options}
+                for command, options in cli.COMMANDS.items()}
+    config = ExperimentConfig()
+    for name, value in defaults["experiment"].items():
+        if name == "k-top":
+            assert (value, config.k_top) == (0, None)
+        elif name != "out":
+            field = "master_seed" if name == "seed" else name.replace("-", "_")
+            assert value == getattr(config, field), name
+    assert defaults["simulate-envelope"]["delta"] == DEFAULT_DELTA
+    assert defaults["simulate-envelope"]["kind"] == config.envelope_kind
+    assert (defaults["predict"]["alpha"], defaults["predict"]["beta"]) == (
+        DEFAULT_ALPHA, DEFAULT_BETA)
+    assert defaults["predict"]["mode"] == defaults["synth"]["mode"] == config.mode
+    assert defaults["synth"]["model"] == SIGMOID
+    assert defaults["synth"]["noise-sd"] == config.noise_sd
+    assert defaults["synth"]["data-noise-sd"] == DATA_NOISE_SD
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "--scores", str(DATA / "golden_scores.csv"),
+      "--envelope", str(DATA / "golden_envelope.json"), "--mode", "XX"],
+     "mode must be 'RA' or 'VA'"),
+    (["synth", "--n", "5", "--m", "5", "--model", "foo"], "data_model must be one of"),
+    (["synth", "--n", "5", "--m", "5", "--mode", "XX"], "mode must be 'RA' or 'VA'"),
+    (["experiment", "--reps", "2", "--mode", "XX"], "mode must be 'RA' or 'VA'"),
+    (["experiment", "--reps", "2", "--envelope-kind", "exotic"],
+     "unknown envelope kind 'exotic'; expected one of naive, theoretical, linear, "
+     "quantile"),
+    (["experiment", "--reps", "2", "--fcp-mode", "nope"],
+     "fcp_mode must be 'marginal' or 'fcp_controlled'"),
+    (["experiment", "--reps", "2", "--data-model", "foo"], "data_model must be one of"),
+    # a finite noise level that overflows the generated values named no
+    # parameter: the tie check (exit 4) or the VA check caught the infinities
+    (["synth", "--n", "50", "--m", "50", "--noise-sd", "1e308", "--mode", "RA"],
+     "noise_sd=1e+308 makes the generated values non-finite"),
+    (["experiment", "--n", "50", "--m", "50", "--reps", "2", "--noise-sd", "1e308",
+      "--envelope-kind", "naive"],
+     "noise_sd=1e+308 makes the generated values non-finite"),
+    (["synth", "--n", "50", "--m", "50", "--data-noise-sd", "1e308", "--mode", "VA"],
+     "noise_sd=1e+308 makes the generated values non-finite"),
+])
+def test_library_refuses_bad_values(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_envelope_document_with_bad_sizes(tmp_path, capsys):
+    # "m": -1 loaded, and predict then blamed the scores file for the mismatch
+    doc = rio.envelope_to_doc(naive_envelope(2, 1))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "m": -1}))
+    assert main(["predict", "--scores", str(DATA / "golden_scores.csv"),
+                 "--envelope", str(bad), "--mode", "VA",
+                 "--out", str(tmp_path / "s.csv")]) == 4
+    assert ("data error: malformed envelope document: need n >= 1 and m >= 0, "
+            "got n=2, m=-1") in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("kind", ENVELOPE_KINDS)

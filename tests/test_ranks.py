@@ -101,6 +101,14 @@ def test_break_ties_all_equal():
     assert np.array_equal(values, [1e16, 1e16, 1e16 + 2])  # input untouched
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_break_ties_refuses_non_finite_values(bad):
+    # no ulp step parts two equal infinities, and NaN has no order: both came
+    # back still tied
+    with pytest.raises(InvalidInput, match="^break_ties needs finite values$"):
+        break_ties([bad, bad, 1.0], seed=0)
+
+
 def _problem(**overrides):
     base = dict(
         n=3,
