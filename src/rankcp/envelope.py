@@ -88,8 +88,9 @@ _BLOCK = 2**18
 # in a core's private cache.
 _TABLE = 2**15
 
-# The quantile fit's tables of one block of columns hold at most K * n /
-# _TABLE_SHARE entries, so its memory stays below the sample's own even when
+# The quantile fit's tables of one block of columns hold at most
+# nbytes / (4 * _TABLE_SHARE) entries for a sample of nbytes, so at a few
+# int64 words per entry its memory stays below the sample's own even when
 # m + 1 > K.
 _TABLE_SHARE = 16
 
@@ -112,7 +113,14 @@ class MonteCarloMeta:
 class SortedRankSample:
     """K simulated sorted vectors of pooled calibration ranks.
 
-    Each row is a strictly increasing n-subset of ``{1, ..., n+m}``.
+    Each row is a strictly increasing n-subset of ``{1, ..., n+m}``.  Any
+    integer dtype is accepted; :func:`simulate_sorted_ranks` stores the
+    narrowest unsigned one that holds ``n + m``.  Under numpy's promotion
+    rules an unsigned array combined with a Python int stays unsigned and can
+    wrap around, so the kernels combine the sample only with int64 arrays
+    (the quantile fit's ``shift``), float arrays (the linear fit's
+    ``center``) or bounds cast to the sample's own dtype
+    (:func:`_count_inside`), never with a Python scalar.
     """
 
     n: int
@@ -146,20 +154,27 @@ def _row_blocks(traj: np.ndarray):
     return (traj[lo:lo + step] for lo in range(0, traj.shape[0], step))
 
 
-def _allocate_trajectories(K: int, n: int) -> np.ndarray:
-    """An empty ``K x n`` int32 sample, or :class:`SampleTooLarge` naming its size."""
-    size = f"K={K} trajectories of n={n} ranks need {4 * K * n / 2**20:,.0f} MiB"
+def _allocate_trajectories(K: int, n: int, m: int) -> np.ndarray:
+    """An empty ``K x n`` sample of ranks in ``[1, n+m]``, or :class:`SampleTooLarge`.
+
+    Its dtype is the narrowest unsigned one that holds ``n + m`` (uint8 up to
+    255, uint16 up to 65535, uint32 above), and the pre-flight against
+    physical memory sizes the sample with that dtype's ``itemsize``.
+    """
+    dtype = np.min_scalar_type(n + m)
+    nbytes = dtype.itemsize * K * n
+    size = f"K={K} trajectories of n={n} ranks need {nbytes / 2**20:,.0f} MiB"
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf on this platform
         physical = None
-    if physical is not None and 4 * K * n > physical:
+    if physical is not None and nbytes > physical:
         raise SampleTooLarge(
             f"{size}, more than the {physical / 2**20:,.0f} MiB of physical "
             "memory; lower K"
         )
     try:
-        return np.empty((K, n), dtype=np.int32)
+        return np.empty((K, n), dtype=dtype)
     except MemoryError as exc:
         raise SampleTooLarge(f"{size}, which could not be allocated; lower K") from exc
 
@@ -184,13 +199,17 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     except where a calibration uniform exactly equals a test uniform: the
     test item then ranks first, so the calibration item's rank counts it.
 
-    Raises :class:`SampleTooLarge` before drawing anything if the ``K x n``
-    int32 sample alone exceeds the machine's physical memory.
+    The sample is stored in the narrowest unsigned dtype that holds ``n + m``
+    (see :func:`_allocate_trajectories`); each block's int64 positions are
+    written into it by an unsafe-casting subtraction, which cannot wrap since
+    every rank lies in ``[1, n+m]``.  Raises :class:`SampleTooLarge` before
+    drawing anything if that sample alone exceeds the machine's physical
+    memory.
     """
     if n < 1 or m < 0 or K < 1:
         raise InvalidInput("need n >= 1, m >= 0, K >= 1")
     total = n + m
-    out = _allocate_trajectories(K, n)
+    out = _allocate_trajectories(K, n, m)
     # Row i of a sub-block starts at flat index i * total; subtracting that
     # (less one) from a flat position leaves the 1-based pooled rank.
     starts = np.arange(_SIM_ROWS, dtype=np.int64)[:, None] * total - 1
@@ -211,8 +230,9 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
             np.bitwise_and(keys, 1, out=tagged[:rows], casting="unsafe")
             # Sorted positions of the first n uniforms; the flat scan meets
             # each row's positions in increasing order, so rows arrive sorted.
-            flat = np.flatnonzero(tagged[:rows]).reshape(rows, n)
-            np.subtract(flat, starts[:rows], out=out[lo:lo + rows], casting="unsafe")
+            # Not bound to a name, they are freed before the next sub-block.
+            np.subtract(np.flatnonzero(tagged[:rows]).reshape(rows, n), starts[:rows],
+                        out=out[lo:lo + rows], casting="unsafe")
     return SortedRankSample(n=n, m=m, seed=seed, trajectories=out)
 
 
@@ -436,8 +456,9 @@ def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     inside at level ``j`` iff ``j <= e_k``, so ``j*`` is the ``need``-th
     largest ``e_k``, capped at ``K // 2``; level 0 always holds.  The tables
     are built for a few columns at a time over blocks of rows, so nothing
-    ``K x n`` is allocated; when ``m + 1 > K / 4`` the cumulative counts are
-    not kept but counted again once ``j*`` is known.
+    ``K x n`` is allocated; when the cumulative counts would take more than a
+    quarter of the sample's memory they are not kept but counted again once
+    ``j*`` is known.
 
     Maximality holds for the raw per-rank bounds.  A final monotonicity
     repair (suffix-min on lower, prefix-max on upper) can only enlarge the
@@ -446,11 +467,11 @@ def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     _check_fit_level(sims.K, delta)
     n, m, K = sims.n, sims.m, sims.K
     traj = sims.trajectories
-    width = max(1, min(n, min(_TABLE, K * n // _TABLE_SHARE) // (m + 1)))
+    width = max(1, min(n, min(_TABLE, traj.nbytes // (4 * _TABLE_SHARE)) // (m + 1)))
     blocks = [(c0, min(n, c0 + width)) for c0 in range(0, n, width)]
     # every column's cumulative counts, n (m+1) int32, are kept while they
     # take at most a quarter of the sample's memory
-    keep = 4 * (m + 1) <= K
+    keep = 16 * (m + 1) <= traj.itemsize * K
     kept = []
 
     exit_level = np.full(K, K, dtype=np.int32)

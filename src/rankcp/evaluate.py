@@ -59,6 +59,9 @@ DATA_MODELS = (SIGMOID, BETA_ADAPTIVE)
 # the experiment's noise_sd drives the toy ranker instead).
 DATA_NOISE_SD = 0.07
 
+# Shape parameters a = b of the bimodal beta_adaptive truth.
+BETA_SHAPE = 0.04
+
 # Array elements per stacked (reps, n+m) array in a block of repetitions:
 # run_experiment stacks max(1, BLOCK_ELEMENTS // (n+m)) reps at a time, so the
 # working set of its rep phase is bounded by this constant, not by cfg.reps.
@@ -103,18 +106,27 @@ def _check_noise(name: str, value: float) -> None:
         raise InvalidInput(f"{name}={value} must be finite and nonnegative")
 
 
-def _generated(noise_sd: float, draw, seed, tag: str) -> np.ndarray:
+def _check_mode(mode: str) -> None:
+    """Refuse a ranker output type other than RA or VA."""
+    if mode not in (RA, VA):
+        raise InvalidInput(f"mode must be {RA!r} or {VA!r}")
+
+
+def _generated(noise_name: str, noise_sd: float, draw, seed, tag: str) -> np.ndarray:
     """``draw()``, checked finite, with exact ties resolved in place, row by row.
 
     A huge but finite ``noise_sd`` can carry the values to infinity (and
     inf - inf to NaN): numpy's warnings are silenced and :class:`InvalidInput`
-    names the noise level.  Ties are a probability-zero event: each tied row
-    is passed through :func:`break_ties` with its own seed's ``tag`` stream.
+    names the noise level as ``noise_name``, the parameter the caller was
+    given.  Ties are a probability-zero event: each tied row is passed through
+    :func:`break_ties` with its own seed's ``tag`` stream.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = draw()
     if not np.all(np.isfinite(values)):
-        raise InvalidInput(f"noise_sd={noise_sd} makes the generated values non-finite")
+        raise InvalidInput(
+            f"{noise_name}={noise_sd} makes the generated values non-finite"
+        )
     rows, seeds = np.atleast_2d(values), np.atleast_1d(seed)
     for i in np.flatnonzero(has_ties(rows)):
         rows[i] = break_ties(rows[i], child_seed(int(seeds[i]), tag))
@@ -135,11 +147,16 @@ def gen_sigmoid_data(
     the deterministic tie-break transform).  A 1-D array of seeds gives one
     row per seed, each equal to the output for that seed alone.
     """
+    return _sigmoid_data(n_plus_m, d, noise_sd, seed, "noise_sd")
+
+
+def _sigmoid_data(n_plus_m, d, noise_sd, seed, noise_name) -> np.ndarray:
+    """:func:`gen_sigmoid_data`, naming ``noise_sd`` as ``noise_name`` in errors."""
     if n_plus_m < 2:
         raise InvalidInput("need at least two items")
     if d < 1:
         raise InvalidInput("need d >= 1")
-    _check_noise("noise_sd", noise_sd)
+    _check_noise(noise_name, noise_sd)
 
     def draw(s: int) -> np.ndarray:
         gen = stream(s, "sigmoid-data")
@@ -147,13 +164,14 @@ def gen_sigmoid_data(
         w = gen.standard_normal(d)
         return 1.0 / (1.0 + np.exp(-(x @ w))) + noise_sd * gen.standard_normal(n_plus_m)
 
-    return _generated(noise_sd, lambda: _per_seed(seed, draw), seed, "sigmoid-ties")
+    return _generated(noise_name, noise_sd, lambda: _per_seed(seed, draw), seed,
+                      "sigmoid-ties")
 
 
 def gen_beta_data(
     n_plus_m: int,
-    a: float = 0.04,
-    b: float = 0.04,
+    a: float = BETA_SHAPE,
+    b: float = BETA_SHAPE,
     noise_sd: float = DATA_NOISE_SD,
     seed: int | np.ndarray = 0,
 ) -> np.ndarray:
@@ -164,18 +182,24 @@ def gen_beta_data(
     used to exercise the adaptivity of VA-mode sets.  Seeds as for
     :func:`gen_sigmoid_data`.
     """
+    return _beta_data(n_plus_m, a, b, noise_sd, seed, "noise_sd")
+
+
+def _beta_data(n_plus_m, a, b, noise_sd, seed, noise_name) -> np.ndarray:
+    """:func:`gen_beta_data`, naming ``noise_sd`` as ``noise_name`` in errors."""
     if n_plus_m < 2:
         raise InvalidInput("need at least two items")
     for name, value in (("a", a), ("b", b)):
         if not 0.0 < value < math.inf:
             raise InvalidInput(f"{name}={value} must be finite and positive")
-    _check_noise("noise_sd", noise_sd)
+    _check_noise(noise_name, noise_sd)
 
     def draw(s: int) -> np.ndarray:
         gen = stream(s, "beta-data")
         return gen.beta(a, b, n_plus_m) + noise_sd * gen.standard_normal(n_plus_m)
 
-    return _generated(noise_sd, lambda: _per_seed(seed, draw), seed, "beta-ties")
+    return _generated(noise_name, noise_sd, lambda: _per_seed(seed, draw), seed,
+                      "beta-ties")
 
 
 def noisy_oracle_ranker(
@@ -188,14 +212,14 @@ def noisy_oracle_ranker(
     a 1-D array of seeds, one per row.
     """
     arr = np.asarray(truth, dtype=float)
-    if mode not in (RA, VA):
-        raise InvalidInput(f"mode must be {RA!r} or {VA!r}")
+    _check_mode(mode)
     _check_noise("noise_sd", noise_sd)
     if np.shape(seed) != arr.shape[:-1]:
         raise DimensionMismatch("need one seed per row of truth")
     size = arr.shape[-1]
     noise = _per_seed(seed, lambda s: stream(s, "ranker-noise").standard_normal(size))
-    values = _generated(noise_sd, lambda: arr + noise_sd * noise, seed, "ranker-ties")
+    values = _generated("noise_sd", noise_sd, lambda: arr + noise_sd * noise, seed,
+                        "ranker-ties")
     return ranks_within(values) if mode == RA else values
 
 
@@ -226,13 +250,18 @@ def synthesize_problem(
 
     A 1-D array of seeds gives the batch problem whose row ``i`` equals the
     problem for ``seeds[i]`` alone: each row draws from its own seed's streams.
+    The noise levels and ``mode`` are checked before anything is drawn, and
+    errors name the parameters of this function (``data_noise_sd``, not the
+    generators' ``noise_sd``).
     """
     _check_noise("noise_sd", noise_sd)
     _check_noise("data_noise_sd", data_noise_sd)
+    _check_mode(mode)
     if data_model == SIGMOID:
-        truth = gen_sigmoid_data(n + m, d=d, noise_sd=data_noise_sd, seed=seed)
+        truth = _sigmoid_data(n + m, d, data_noise_sd, seed, "data_noise_sd")
     elif data_model == BETA_ADAPTIVE:
-        truth = gen_beta_data(n + m, noise_sd=data_noise_sd, seed=seed)
+        truth = _beta_data(n + m, BETA_SHAPE, BETA_SHAPE, data_noise_sd, seed,
+                           "data_noise_sd")
     else:
         raise InvalidInput(f"data_model must be one of {DATA_MODELS}")
     ranker_seed = _per_seed(seed, lambda s: child_seed(s, "ranker"))
@@ -293,8 +322,7 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise InvalidInput(f"{name}={v} outside (0, 1)")
-        if self.mode not in (RA, VA):
-            raise InvalidInput(f"mode must be {RA!r} or {VA!r}")
+        _check_mode(self.mode)
         if self.data_model not in DATA_MODELS:
             raise InvalidInput(f"data_model must be one of {DATA_MODELS}")
         if self.fcp_mode not in (MARGINAL, FCP_CONTROLLED):

@@ -40,7 +40,8 @@ def test_simulation_structure():
     traj = sample.trajectories
     assert traj.shape == (500, 7)
     assert traj.min() >= 1 and traj.max() <= 20
-    assert np.all(np.diff(traj, axis=1) > 0)
+    # not np.diff: on the unsigned sample a decrease wraps to a positive step
+    assert np.all(traj[:, 1:] > traj[:, :-1])
 
 
 def test_simulation_two_point_symmetry():
@@ -72,11 +73,11 @@ def test_simulation_memory_is_one_block():
     n, m, K = 20, 380, 3 * CHUNK
     tracemalloc.start()
     try:
-        simulate_sorted_ranks(n, m, K, seed=3)
+        sims = simulate_sorted_ranks(n, m, K, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    blocks = (peak - K * n * 4) / (CHUNK * (n + m) * 8)
+    blocks = (peak - sims.trajectories.nbytes) / (CHUNK * (n + m) * 8)
     assert blocks < 2.75, f"{blocks:.2f} blocks live"
 
 
@@ -339,7 +340,7 @@ def test_blocked_kernels_match_whole_sample_references(n, m, K, delta, seed, tin
         linear = fit_linear_envelope(sims, delta)
         covered = round(envelope_coverage(quantile, sims) * K)
     traj = _reference_trajectories(n, m, K, seed)
-    assert sims.trajectories.dtype == np.int32
+    assert sims.trajectories.dtype == np.min_scalar_type(n + m)
     assert np.array_equal(sims.trajectories, traj)
     lower, upper, gamma = _reference_quantile_fit(traj, delta)
     assert np.array_equal(quantile.lower, lower)
@@ -358,8 +359,27 @@ def test_simulation_matches_argsort_reference_at_simd_sizes(n, m, K):
     with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
         sims = simulate_sorted_ranks(n, m, K, seed=n + m)
     argsort.assert_not_called()
-    assert sims.trajectories.dtype == np.int32
+    assert sims.trajectories.dtype == np.min_scalar_type(n + m)
     assert np.array_equal(sims.trajectories, _reference_trajectories(n, m, K, n + m))
+
+
+# n + m at the edges of uint8 and uint16: the top rank n + m is the largest
+# value the narrow dtype holds, or the first that needs the next one.
+@pytest.mark.parametrize("n, m", [(252, 3), (253, 3), (65532, 3), (65533, 3)])
+def test_narrow_sample_dtype_edges(n, m):
+    K, delta = 40, 0.1
+    sims = simulate_sorted_ranks(n, m, K, seed=n)
+    traj = sims.trajectories
+    assert traj.dtype == np.min_scalar_type(n + m)
+    assert np.array_equal(traj, _reference_trajectories(n, m, K, n))
+    assert traj.max() == n + m
+    wide = SortedRankSample(n=n, m=m, seed=n, trajectories=traj.astype(np.int64))
+    for fit in (fit_quantile_envelope, fit_linear_envelope):
+        env, ref = fit(sims, delta), fit(wide, delta)
+        assert np.array_equal(env.lower, ref.lower)
+        assert np.array_equal(env.upper, ref.upper)
+        assert env.param == ref.param
+        assert envelope_coverage(env, sims) == envelope_coverage(env, wide)
 
 
 class _GridStream:
@@ -394,7 +414,7 @@ def test_simulation_ranks_tied_test_uniforms_first(monkeypatch, n, m, K):
     assert constant.any()
     assert np.all(traj[constant] == np.arange(m + 1, m + n + 1))
     if n > 1:
-        assert np.all(np.diff(traj, axis=1) > 0)
+        assert np.all(traj[:, 1:] > traj[:, :-1])
 
 
 def test_sample_validation_checks_every_row_block_and_the_dtype():
@@ -416,6 +436,9 @@ def _traced_peak(fn, *args):
 
 
 def test_envelope_kernels_allocate_nothing_of_sample_size():
+    # numpy imports numpy.random on a process's first draw (about 0.7 MB of
+    # module objects); that import is not memory the kernels allocate
+    simulate_sorted_ranks(1, 1, 1, 0)
     tracemalloc.start()
     try:
         sims, simulated = _traced_peak(simulate_sorted_ranks, 500, 100, 20_000, 5)
@@ -446,3 +469,15 @@ def test_oversized_sample_fails_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_preflight_sizes_the_narrow_sample(monkeypatch):
+    # 1 MiB of physical memory; n + m = 20 ranks fit in one byte each
+    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(envelope.os, "sysconf", pages.__getitem__)
+    n, m = 10, 10
+    K = 2**20 // n  # an int32 sample of this K would take 4 MiB
+    assert simulate_sorted_ranks(n, m, K, seed=1).trajectories.nbytes == K * n
+    with pytest.raises(SampleTooLarge, match=rf"^K={K + 1} trajectories of n=10 ranks "
+                       r"need 1 MiB, more than the 1 MiB of physical memory; lower K$"):
+        simulate_sorted_ranks(n, m, K + 1, seed=1)

@@ -161,6 +161,22 @@ def test_generated_values_must_be_finite():
         gen_beta_data(50, noise_sd=1e308)
     with pytest.raises(InvalidInput, match=message):
         noisy_oracle_ranker(np.arange(50.0), 1e308)
+    # synthesize_problem passed its data_noise_sd on as the generators'
+    # noise_sd, and the error named the ranker's noise_sd instead
+    for model in ("sigmoid", "beta_adaptive"):
+        with pytest.raises(InvalidInput, match=f"^data_{message[1:]}"):
+            synthesize_problem(model, 25, 25, 0.07, "VA", seed=0, data_noise_sd=1e308)
+
+
+@pytest.mark.parametrize("model", ["sigmoid", "beta_adaptive"])
+def test_synthesize_problem_checks_mode_before_drawing(monkeypatch, model):
+    # the whole truth was drawn before the ranker refused the mode
+    def no_draw(*args):
+        raise AssertionError("drew before checking mode")
+
+    monkeypatch.setattr(evaluate, "stream", no_draw)
+    with pytest.raises(InvalidInput, match="^mode must be 'RA' or 'VA'$"):
+        synthesize_problem(model, 5, 5, 0.07, "XX", seed=0)
 
 
 @pytest.mark.parametrize("name, bad", [("a", -1.0), ("a", 0.0), ("b", math.nan),

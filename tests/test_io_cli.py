@@ -480,7 +480,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["simulate-envelope", "--n", "10", "--m", "10", "--kind", "quantile",
                  "--K", str(10**15), "--out", str(tmp_path / "huge.json")]) == 4
     assert ("data error: K=1000000000000000 trajectories of n=10 ranks need "
-            "38,146,972,656 MiB, more than the") in capsys.readouterr().err
+            "9,536,743,164 MiB, more than the") in capsys.readouterr().err
     assert not (tmp_path / "huge.json").exists()
     # data: an envelope file whose integer field holds a float
     doc = json.loads(envelope.read_text())
@@ -735,7 +735,10 @@ def test_cli_defaults_are_the_library_defaults():
       "--envelope-kind", "naive"],
      "noise_sd=1e+308 makes the generated values non-finite"),
     (["synth", "--n", "50", "--m", "50", "--data-noise-sd", "1e308", "--mode", "VA"],
-     "noise_sd=1e+308 makes the generated values non-finite"),
+     "data_noise_sd=1e+308 makes the generated values non-finite"),
+    (["synth", "--n", "50", "--m", "50", "--data-noise-sd", "1e308", "--mode", "RA",
+      "--model", "beta_adaptive"],
+     "data_noise_sd=1e+308 makes the generated values non-finite"),
 ])
 def test_library_refuses_bad_values(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
