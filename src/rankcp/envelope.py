@@ -43,10 +43,13 @@ state the effective level ``1 - delta - slack``.
 :func:`build_envelope` builds any kind by name; the experiment harness and
 the CLI build envelopes only through it.
 
-The simulation ranks each row of uniforms by one in-place sort of their bit
-patterns, with the calibration draws tagged in the low bit (see
-:func:`simulate_sorted_ranks`); a test uniform equal to a calibration uniform
-ranks below it.
+The simulation draws raw Philox words, the ones ``Generator.random`` would
+turn into uniforms, and ranks each row by one in-place sort of uint32 keys:
+a word's top 31 bits with the calibration draws tagged in the low bit.  The
+few rows in which two draws share those bits, and every row longer than
+:data:`_PREFIX_ITEMS` draws, are ranked on exact 64-bit keys instead (see
+:func:`simulate_sorted_ranks`).  The ranks are those of the uniforms; a test
+uniform equal to a calibration uniform ranks below it.
 
 Every pass over a ``K x n`` sample (simulation, validation, fits, coverage)
 runs over blocks of rows, so none allocates anything of the sample's size.
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +80,22 @@ DEFAULT_K = 100_000
 
 ENVELOPE_KINDS = ("naive", "theoretical", "linear", "quantile")
 
-# Rows of uniforms that simulate_sorted_ranks draws, sorts and reads back
-# at once: small enough for the block's working set to stay in cache.
-_SIM_ROWS = 128
+# Rows of draws that simulate_sorted_ranks takes, sorts and reads back at
+# once: small enough for the block's working set to stay in cache.
+_SIM_ROWS = 64
+
+# Longest row that simulate_sorted_ranks ranks on 32-bit prefix keys; above
+# it about a quarter or more of the rows hold two draws with one prefix and
+# would be ranked twice, so every row is ranked on its 64-bit keys.
+_PREFIX_ITEMS = 2**15
+
+# A prefix key keeps a word's top 31 bits and frees the low bit for the tag;
+# an exact key keeps the 53 bits that make its uniform.
+_PREFIX_MASK = np.uint32(2**32 - 2)
+_EXACT_MASK = np.uint64(2**64 - 2**11)
+
+# Index of the high half of a uint64 word viewed as two uint32.
+_HIGH_HALF = 1 if sys.byteorder == "little" else 0
 
 # Entries of a K x n sample that one step of a row-blocked pass touches.
 _BLOCK = 2**18
@@ -158,25 +175,47 @@ def _allocate_trajectories(K: int, n: int, m: int) -> np.ndarray:
     """An empty ``K x n`` sample of ranks in ``[1, n+m]``, or :class:`SampleTooLarge`.
 
     Its dtype is the narrowest unsigned one that holds ``n + m`` (uint8 up to
-    255, uint16 up to 65535, uint32 above), and the pre-flight against
-    physical memory sizes the sample with that dtype's ``itemsize``.
+    255, uint16 up to 65535, uint32 above).  The pre-flight against physical
+    memory sizes the sample with that dtype's ``itemsize`` and adds the buffers
+    of one sub-block of :func:`simulate_sorted_ranks`: per drawn item its raw
+    word (8 B), its tag (1 B) and, on prefix keys, the key and its neighbour's
+    xor (4 B each); per calibration item its int64 sorted position (8 B).
     """
-    dtype = np.min_scalar_type(n + m)
-    nbytes = dtype.itemsize * K * n
+    total = n + m
+    dtype = np.min_scalar_type(total)
+    per_row = (17 if total <= _PREFIX_ITEMS else 9) * total + 8 * n
+    nbytes = dtype.itemsize * K * n + min(K, _SIM_ROWS) * per_row
     size = f"K={K} trajectories of n={n} ranks need {nbytes / 2**20:,.0f} MiB"
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf on this platform
         physical = None
     if physical is not None and nbytes > physical:
-        raise SampleTooLarge(
-            f"{size}, more than the {physical / 2**20:,.0f} MiB of physical "
-            "memory; lower K"
-        )
+        available = f"more than the {physical / 2**20:,.0f} MiB of physical memory"
+        one = dtype.itemsize * n + per_row
+        if one > physical:  # no K is small enough
+            raise SampleTooLarge(
+                f"one trajectory of n+m={total} draws needs {one / 2**20:,.0f} MiB "
+                f"to rank, {available}; lower n + m"
+            )
+        raise SampleTooLarge(f"{size}, {available}; lower K")
     try:
         return np.empty((K, n), dtype=dtype)
     except MemoryError as exc:
         raise SampleTooLarge(f"{size}, which could not be allocated; lower K") from exc
+
+
+def _rank_exactly(words: np.ndarray, n: int, tagged: np.ndarray) -> None:
+    """Sort one row of raw words on 64-bit keys; ``tagged`` gets the sorted tags.
+
+    The key is the word without the 11 low bits that ``Generator.random``
+    drops, so equal uniforms give equal keys until the calibration tag is set
+    in the freed low bit.
+    """
+    words &= _EXACT_MASK
+    words[:n] |= np.uint64(1)
+    words.sort()
+    np.bitwise_and(words, 1, out=tagged, casting="unsafe")
 
 
 def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample:
@@ -186,25 +225,32 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     of them, and sorts the result.  Block ``c`` of :data:`CHUNK` trajectories
     draws from its own jumped Philox stream keyed by ``(seed, n, m)``, so each
     trajectory depends only on the seed, the sizes and its index.  A block's
-    uniforms are drawn a few rows at a time from its stream; consecutive
-    draws continue the same sequence, so the values do not depend on how
-    many rows are drawn at once.
+    draws are taken :data:`_SIM_ROWS` rows at a time from its stream;
+    consecutive draws continue the same sequence, so the values do not depend
+    on how many rows are drawn at once.
 
-    A row is ranked by one in-place sort of 64-bit keys: the bits of each
-    uniform shifted left by one, with the low bit set on the first ``n``.
-    Doubles in ``[0, 1)`` are nonnegative, so their bits order like their
-    values and the shift leaves the sign bit clear; distinct draws end at least 2
-    apart, so the tag cannot reorder them.  The sorted tags mark where the
-    calibration uniforms landed.  This reproduces an argsort of the uniforms
-    except where a calibration uniform exactly equals a test uniform: the
-    test item then ranks first, so the calibration item's rank counts it.
+    The draws are the stream's raw 64-bit words ``w``, the words that
+    ``Generator.random`` turns into the uniforms ``(w >> 11) * 2**-53``, so
+    the uniforms order like ``w >> 11``.  A row is ranked by one in-place sort
+    of uint32 keys: each word's top 31 bits, shifted left by one, with the low
+    bit set on the first ``n``.  The sorted tags mark where the calibration
+    draws landed.  Where the prefixes of a row are distinct they order the
+    row like the uniforms do.  A row in which two sorted neighbours share a
+    prefix (their keys differ at most in the tag) is ranked again on exact
+    64-bit keys ``(w & ~0x7FF) | tag`` (:func:`_rank_exactly`).  Two of a
+    row's words share a prefix with probability about ``(n+m)**2 / 2**32``,
+    so above :data:`_PREFIX_ITEMS` draws per row, where that is a quarter or
+    more, every row is ranked on the 64-bit keys instead.  Either way the
+    ranks are those of an argsort of the uniforms, except where a calibration
+    uniform exactly equals a test uniform: the test item then ranks first, so
+    the calibration item's rank counts it.
 
     The sample is stored in the narrowest unsigned dtype that holds ``n + m``
     (see :func:`_allocate_trajectories`); each block's int64 positions are
     written into it by an unsafe-casting subtraction, which cannot wrap since
     every rank lies in ``[1, n+m]``.  Raises :class:`SampleTooLarge` before
-    drawing anything if that sample alone exceeds the machine's physical
-    memory.
+    drawing anything if that sample and one sub-block's buffers exceed the
+    machine's physical memory.
     """
     if n < 1 or m < 0 or K < 1:
         raise InvalidInput("need n >= 1, m >= 0, K >= 1")
@@ -214,21 +260,29 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     # (less one) from a flat position leaves the 1-based pooled rank.
     starts = np.arange(_SIM_ROWS, dtype=np.int64)[:, None] * total - 1
     block = min(K, _SIM_ROWS)
-    uniforms = np.empty((block, total))
+    prefix = total <= _PREFIX_ITEMS
+    keys = np.empty((block, total if prefix else 0), dtype=np.uint32)
+    xor = np.empty((block, total - 1 if prefix else 0), dtype=np.uint32)
     tagged = np.empty((block, total), dtype=bool)
     for c in range(math.ceil(K / CHUNK)):
-        gen = chunk_stream(seed, c, "sorted-ranks", n, m)
+        bits = chunk_stream(seed, c, "sorted-ranks", n, m).bit_generator
         end = min(K, (c + 1) * CHUNK)
         for lo in range(c * CHUNK, end, _SIM_ROWS):
             rows = min(end - lo, _SIM_ROWS)
-            gen.random(out=uniforms[:rows])
-            # the calibration draws carry a tag in the freed low bit
-            keys = uniforms[:rows].view(np.int64)
-            keys <<= 1
-            keys[:, :n] |= 1
-            keys.sort(axis=1)
-            np.bitwise_and(keys, 1, out=tagged[:rows], casting="unsafe")
-            # Sorted positions of the first n uniforms; the flat scan meets
+            words = bits.random_raw((rows, total))
+            exact = range(rows)
+            if prefix:
+                high = words.view(np.uint32)[:, _HIGH_HALF::2]
+                np.bitwise_or(high[:, :n], 1, out=keys[:rows, :n])
+                np.bitwise_and(high[:, n:], _PREFIX_MASK, out=keys[:rows, n:])
+                keys[:rows].sort(axis=1)
+                np.bitwise_and(keys[:rows], 1, out=tagged[:rows], casting="unsafe")
+                np.bitwise_xor(keys[:rows, 1:], keys[:rows, :-1], out=xor[:rows])
+                exact = np.flatnonzero(xor[:rows].min(axis=1, initial=2) <= 1)
+            for i in exact:
+                _rank_exactly(words[i], n, tagged[i])
+            del words  # freed before the next sub-block is drawn
+            # Sorted positions of the first n draws; the flat scan meets
             # each row's positions in increasing order, so rows arrive sorted.
             # Not bound to a name, they are freed before the next sub-block.
             np.subtract(np.flatnonzero(tagged[:rows]).reshape(rows, n), starts[:rows],

@@ -314,9 +314,9 @@ def _reference_linear_param(traj, m, delta):
 
 
 # Block sizes small enough that tiny samples cross every block boundary:
-# several sub-blocks per chunk, row blocks of one or two rows, and count
-# tables of one column.
-_TINY_BLOCKS = {"_SIM_ROWS": 3, "_BLOCK": 7, "_TABLE": 5}
+# several sub-blocks per chunk, row blocks of one or two rows, count tables
+# of one column, and rows longer than 6 draws ranked on exact keys.
+_TINY_BLOCKS = {"_SIM_ROWS": 3, "_BLOCK": 7, "_TABLE": 5, "_PREFIX_ITEMS": 6}
 
 
 @settings(max_examples=80, deadline=None)
@@ -351,9 +351,11 @@ def test_blocked_kernels_match_whole_sample_references(n, m, K, delta, seed, tin
 
 
 # Rows long enough for numpy's vectorized sort, which the n, m <= 12 cases
-# above never reach, and a sample that spills into a second chunk.
+# above never reach, a sample that spills into a second chunk, and the
+# longest row ranked on prefix keys and the shortest ranked on exact keys.
 @pytest.mark.parametrize("n, m, K", [
     (700, 300, 300), (1, 999, 64), (999, 1, 64), (300, 0, 16), (50, 150, CHUNK + 1),
+    (16384, 16384, 8), (20000, 12769, 4),
 ])
 def test_simulation_matches_argsort_reference_at_simd_sizes(n, m, K):
     with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
@@ -383,19 +385,25 @@ def test_narrow_sample_dtype_edges(n, m):
 
 
 class _GridStream:
-    """A stream of uniforms from the grid {0, 1/4, 2/4, 3/4} that keeps its draws.
+    """A stream of raw words whose uniforms lie on the grid {0, 1/4, 2/4, 3/4}.
 
-    Every third row of a draw is constant, so each of its uniforms ties.
+    It keeps its draws as uniforms.  Word ``(k << 62) | low`` is the uniform
+    ``k / 4`` for any ``low`` below ``2**11``, so equal uniforms mostly come
+    from different words.  Every third row of a draw is constant, so each of
+    its uniforms ties.
     """
 
     def __init__(self, drawn):
         self.rng = np.random.default_rng(len(drawn))
         self.drawn = drawn
+        self.bit_generator = self
 
-    def random(self, out):
-        out[...] = self.rng.integers(0, 4, size=out.shape) / 4
-        out[::3] = 0.5
-        self.drawn.append(out.copy())
+    def random_raw(self, size):
+        words = self.rng.integers(0, 4, size=size, dtype=np.uint64) << np.uint64(62)
+        words[::3] = np.uint64(2) << np.uint64(62)
+        words |= self.rng.integers(0, 2**11, size=size, dtype=np.uint64)
+        self.drawn.append((words >> np.uint64(11)) * 2.0**-53)
+        return words
 
 
 @pytest.mark.parametrize("n, m, K", [(5, 7, 300), (300, 200, 20), (4, 0, 9), (1, 6, 5)])
@@ -415,6 +423,56 @@ def test_simulation_ranks_tied_test_uniforms_first(monkeypatch, n, m, K):
     assert np.all(traj[constant] == np.arange(m + 1, m + n + 1))
     if n > 1:
         assert np.all(traj[:, 1:] > traj[:, :-1])
+
+
+class _ClashingStream:
+    """A stream of raw words whose rows hold shared prefixes and tied uniforms.
+
+    It keeps its draws.  In every other row a word is one of two prefixes
+    (bits 33-63), one of two middles (bits 11-32) and random low bits (0-10):
+    words with one prefix and different middles share a 31-bit prefix key but
+    not a uniform, and words equal above bit 11 are one uniform.  The other
+    rows are full random words, which almost never share a prefix.
+    """
+
+    def __init__(self, drawn):
+        self.rng = np.random.default_rng(len(drawn))
+        self.drawn = drawn
+        self.bit_generator = self
+        self.prefixes = self.rng.integers(0, 2**31, size=2, dtype=np.uint64) << np.uint64(33)
+        self.middles = self.rng.integers(0, 2**22, size=2, dtype=np.uint64) << np.uint64(11)
+
+    def random_raw(self, size):
+        words = self.rng.bit_generator.random_raw(size)
+        shape = words[::2].shape
+        words[::2] = (self.rng.choice(self.prefixes, shape) | self.rng.choice(self.middles, shape)
+                      | self.rng.integers(0, 2**11, size=shape, dtype=np.uint64))
+        self.drawn.append(words.copy())
+        return words
+
+
+@pytest.mark.parametrize("prefix_items", [envelope._PREFIX_ITEMS, 4])
+@pytest.mark.parametrize("n, m, K", [(5, 7, 300), (40, 60, 70), (3, 0, 40), (1, 2, 40)])
+def test_simulation_ranks_clashing_prefixes_on_exact_keys(monkeypatch, prefix_items, n, m, K):
+    drawn = []
+    monkeypatch.setattr(envelope, "chunk_stream", lambda *tags: _ClashingStream(drawn))
+    monkeypatch.setattr(envelope, "_PREFIX_ITEMS", prefix_items)
+    traj = simulate_sorted_ranks(n, m, K, seed=0).trajectories
+    words = np.concatenate(drawn)
+    assert words.shape == (K, n + m)
+    calib = np.arange(n + m) < n
+    uniforms = words >> np.uint64(11)
+    for row, draws in zip(traj, uniforms):
+        # the uniforms' order, with a test draw first where two are equal
+        order = np.lexsort((calib, draws))
+        assert np.array_equal(row, np.flatnonzero(calib[order]) + 1)
+    ordered = np.sort(words, axis=1)
+    same_prefix = (ordered[:, 1:] >> np.uint64(33)) == (ordered[:, :-1] >> np.uint64(33))
+    same_uniform = (ordered[:, 1:] >> np.uint64(11)) == (ordered[:, :-1] >> np.uint64(11))
+    clashing = same_prefix.any(axis=1)
+    assert clashing.any() and not clashing.all()
+    assert np.any(same_prefix & ~same_uniform)  # a clash the exact keys order
+    assert np.any(same_uniform & (ordered[:, 1:] != ordered[:, :-1]))  # a tie of two words
 
 
 def test_sample_validation_checks_every_row_block_and_the_dtype():
@@ -471,13 +529,36 @@ def test_oversized_sample_fails_before_allocating():
     assert peak < 2**20
 
 
-def test_preflight_sizes_the_narrow_sample(monkeypatch):
-    # 1 MiB of physical memory; n + m = 20 ranks fit in one byte each
+def _one_mib_of_memory(monkeypatch):
     pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(envelope.os, "sysconf", pages.__getitem__)
+
+
+def test_preflight_sizes_the_narrow_sample(monkeypatch):
+    # 1 MiB of physical memory; n + m = 20 ranks fit in one byte each
+    _one_mib_of_memory(monkeypatch)
     n, m = 10, 10
-    K = 2**20 // n  # an int32 sample of this K would take 4 MiB
+    # one sub-block: 17 B per draw on prefix keys, 8 B per calibration position
+    draws = envelope._SIM_ROWS * (17 * (n + m) + 8 * n)
+    K = (2**20 - draws) // n  # an int32 sample of this K would take 4 MiB
     assert simulate_sorted_ranks(n, m, K, seed=1).trajectories.nbytes == K * n
     with pytest.raises(SampleTooLarge, match=rf"^K={K + 1} trajectories of n=10 ranks "
                        r"need 1 MiB, more than the 1 MiB of physical memory; lower K$"):
         simulate_sorted_ranks(n, m, K + 1, seed=1)
+
+
+def test_preflight_counts_the_draws_of_a_row(monkeypatch):
+    # 1 MiB of physical memory; one row of n + m > 2^15 draws on exact keys
+    # takes 9 B per draw, 8 B per calibration position and 4 B per uint32 rank
+    _one_mib_of_memory(monkeypatch)
+    n = 10
+    m = (2**20 - 8 * n - 4 * n) // 9 - n
+    assert simulate_sorted_ranks(n, m, 1, seed=1).trajectories.shape == (1, n)
+    with pytest.raises(SampleTooLarge, match=rf"^one trajectory of n\+m={n + m + 1} draws "
+                       r"needs 1 MiB to rank, more than the 1 MiB of physical memory; "
+                       r"lower n \+ m$"):
+        simulate_sorted_ranks(n, m + 1, 1, seed=1)
+    # 1.6 MB of raw words in one row, though the sample is 10 ranks
+    with pytest.raises(SampleTooLarge, match=r"^one trajectory of n\+m=200010 draws "
+                       r"needs 2 MiB to rank"):
+        simulate_sorted_ranks(10, 200_000, 1, seed=1)
