@@ -46,10 +46,10 @@ the CLI build envelopes only through it.
 The simulation draws raw Philox words, the ones ``Generator.random`` would
 turn into uniforms, and ranks each row by one in-place sort of uint32 keys:
 a word's top 31 bits with the calibration draws tagged in the low bit.  The
-few rows in which two draws share those bits, and every row longer than
-:data:`_PREFIX_ITEMS` draws, are ranked on exact 64-bit keys instead (see
-:func:`simulate_sorted_ranks`).  The ranks are those of the uniforms; a test
-uniform equal to a calibration uniform ranks below it.
+few draws that share those bits with another draw of their row are ordered
+again on exact 64-bit keys (see :func:`simulate_sorted_ranks`).  The ranks
+are those of the uniforms; a test uniform equal to a calibration uniform
+ranks below it.
 
 Every pass over a ``K x n`` sample (simulation, validation, fits, coverage)
 runs over blocks of rows, so none allocates anything of the sample's size.
@@ -83,11 +83,6 @@ ENVELOPE_KINDS = ("naive", "theoretical", "linear", "quantile")
 # Rows of draws that simulate_sorted_ranks takes, sorts and reads back at
 # once: small enough for the block's working set to stay in cache.
 _SIM_ROWS = 64
-
-# Longest row that simulate_sorted_ranks ranks on 32-bit prefix keys; above
-# it about a quarter or more of the rows hold two draws with one prefix and
-# would be ranked twice, so every row is ranked on its 64-bit keys.
-_PREFIX_ITEMS = 2**15
 
 # A prefix key keeps a word's top 31 bits and frees the low bit for the tag;
 # an exact key keeps the 53 bits that make its uniform.
@@ -178,12 +173,14 @@ def _allocate_trajectories(K: int, n: int, m: int) -> np.ndarray:
     255, uint16 up to 65535, uint32 above).  The pre-flight against physical
     memory sizes the sample with that dtype's ``itemsize`` and adds the buffers
     of one sub-block of :func:`simulate_sorted_ranks`: per drawn item its raw
-    word (8 B), its tag (1 B) and, on prefix keys, the key and its neighbour's
-    xor (4 B each); per calibration item its int64 sorted position (8 B).
+    word (8 B), its prefix key and its neighbour's xor (4 B each) and its tag
+    (1 B); per calibration item its int64 sorted position (8 B).  The
+    temporaries of re-ranking one row's clashing draws (about 10 B per draw
+    of that row) are not counted.
     """
     total = n + m
     dtype = np.min_scalar_type(total)
-    per_row = (17 if total <= _PREFIX_ITEMS else 9) * total + 8 * n
+    per_row = 17 * total + 8 * n
     nbytes = dtype.itemsize * K * n + min(K, _SIM_ROWS) * per_row
     size = f"K={K} trajectories of n={n} ranks need {nbytes / 2**20:,.0f} MiB"
     try:
@@ -205,17 +202,24 @@ def _allocate_trajectories(K: int, n: int, m: int) -> np.ndarray:
         raise SampleTooLarge(f"{size}, which could not be allocated; lower K") from exc
 
 
-def _rank_exactly(words: np.ndarray, n: int, tagged: np.ndarray) -> None:
-    """Sort one row of raw words on 64-bit keys; ``tagged`` gets the sorted tags.
+def _rank_clashes(words: np.ndarray, keys: np.ndarray, xor: np.ndarray, n: int,
+                  tagged: np.ndarray) -> None:
+    """Re-rank the draws of one row that share a prefix, on exact 64-bit keys.
 
-    The key is the word without the 11 low bits that ``Generator.random``
-    drops, so equal uniforms give equal keys until the calibration tag is set
-    in the freed low bit.
+    ``keys`` holds the row's sorted prefix keys, ``xor`` the xor of each key
+    with the next and ``tagged`` the sorted tags.  The positions of the runs
+    of equal prefixes in ``keys`` and the words that carry those prefixes
+    are the same draws; the words' exact keys ``(w & ~0x7FF) | tag``, sorted,
+    give the tags of those positions.  The key drops the 11 low bits that
+    ``Generator.random`` drops, so equal uniforms give equal keys until the
+    calibration tag is set in the freed low bit.
     """
-    words &= _EXACT_MASK
-    words[:n] |= np.uint64(1)
-    words.sort()
-    np.bitwise_and(words, 1, out=tagged, casting="unsafe")
+    clash = xor <= 1
+    runs = np.flatnonzero(np.r_[clash, False] | np.r_[False, clash])
+    drawn = np.flatnonzero(np.isin(words >> np.uint64(33), keys[runs] >> 1))
+    exact = (words[drawn] & _EXACT_MASK) | (drawn < n)
+    exact.sort()
+    tagged[runs] = exact & np.uint64(1)
 
 
 def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample:
@@ -235,15 +239,16 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     of uint32 keys: each word's top 31 bits, shifted left by one, with the low
     bit set on the first ``n``.  The sorted tags mark where the calibration
     draws landed.  Where the prefixes of a row are distinct they order the
-    row like the uniforms do.  A row in which two sorted neighbours share a
-    prefix (their keys differ at most in the tag) is ranked again on exact
-    64-bit keys ``(w & ~0x7FF) | tag`` (:func:`_rank_exactly`).  Two of a
-    row's words share a prefix with probability about ``(n+m)**2 / 2**32``,
-    so above :data:`_PREFIX_ITEMS` draws per row, where that is a quarter or
-    more, every row is ranked on the 64-bit keys instead.  Either way the
-    ranks are those of an argsort of the uniforms, except where a calibration
-    uniform exactly equals a test uniform: the test item then ranks first, so
-    the calibration item's rank counts it.
+    row like the uniforms do.  Where sorted neighbours share a prefix (their
+    keys differ at most in the tag), the draws of those runs of one prefix
+    are sorted again on exact 64-bit keys ``(w & ~0x7FF) | tag`` and give
+    the runs their tags (:func:`_rank_clashes`).  Two of a row's words share
+    a prefix with probability about ``(n+m)**2 / 2**32``, a third of the rows
+    at ``n+m = 40000``, but a run holds two or three draws, so re-ranking a
+    row costs a few passes over it, not a second sort.  The ranks are those
+    of an argsort of the uniforms, except where a calibration uniform exactly
+    equals a test uniform: the test item then ranks first, so the calibration
+    item's rank counts it.
 
     The sample is stored in the narrowest unsigned dtype that holds ``n + m``
     (see :func:`_allocate_trajectories`); each block's int64 positions are
@@ -260,9 +265,8 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     # (less one) from a flat position leaves the 1-based pooled rank.
     starts = np.arange(_SIM_ROWS, dtype=np.int64)[:, None] * total - 1
     block = min(K, _SIM_ROWS)
-    prefix = total <= _PREFIX_ITEMS
-    keys = np.empty((block, total if prefix else 0), dtype=np.uint32)
-    xor = np.empty((block, total - 1 if prefix else 0), dtype=np.uint32)
+    keys = np.empty((block, total), dtype=np.uint32)
+    xor = np.empty((block, total - 1), dtype=np.uint32)
     tagged = np.empty((block, total), dtype=bool)
     for c in range(math.ceil(K / CHUNK)):
         bits = chunk_stream(seed, c, "sorted-ranks", n, m).bit_generator
@@ -270,17 +274,14 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
         for lo in range(c * CHUNK, end, _SIM_ROWS):
             rows = min(end - lo, _SIM_ROWS)
             words = bits.random_raw((rows, total))
-            exact = range(rows)
-            if prefix:
-                high = words.view(np.uint32)[:, _HIGH_HALF::2]
-                np.bitwise_or(high[:, :n], 1, out=keys[:rows, :n])
-                np.bitwise_and(high[:, n:], _PREFIX_MASK, out=keys[:rows, n:])
-                keys[:rows].sort(axis=1)
-                np.bitwise_and(keys[:rows], 1, out=tagged[:rows], casting="unsafe")
-                np.bitwise_xor(keys[:rows, 1:], keys[:rows, :-1], out=xor[:rows])
-                exact = np.flatnonzero(xor[:rows].min(axis=1, initial=2) <= 1)
-            for i in exact:
-                _rank_exactly(words[i], n, tagged[i])
+            high = words.view(np.uint32)[:, _HIGH_HALF::2]
+            np.bitwise_or(high[:, :n], 1, out=keys[:rows, :n])
+            np.bitwise_and(high[:, n:], _PREFIX_MASK, out=keys[:rows, n:])
+            keys[:rows].sort(axis=1)
+            np.bitwise_and(keys[:rows], 1, out=tagged[:rows], casting="unsafe")
+            np.bitwise_xor(keys[:rows, 1:], keys[:rows, :-1], out=xor[:rows])
+            for i in np.flatnonzero(xor[:rows].min(axis=1, initial=2) <= 1):
+                _rank_clashes(words[i], keys[i], xor[i], n, tagged[i])
             del words  # freed before the next sub-block is drawn
             # Sorted positions of the first n draws; the flat scan meets
             # each row's positions in increasing order, so rows arrive sorted.

@@ -1,6 +1,7 @@
 """Envelope construction: simulation law, fits, coverage, and determinism."""
 
 import contextlib
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -314,9 +315,9 @@ def _reference_linear_param(traj, m, delta):
 
 
 # Block sizes small enough that tiny samples cross every block boundary:
-# several sub-blocks per chunk, row blocks of one or two rows, count tables
-# of one column, and rows longer than 6 draws ranked on exact keys.
-_TINY_BLOCKS = {"_SIM_ROWS": 3, "_BLOCK": 7, "_TABLE": 5, "_PREFIX_ITEMS": 6}
+# several sub-blocks per chunk, row blocks of one or two rows, and count
+# tables of one column.
+_TINY_BLOCKS = {"_SIM_ROWS": 3, "_BLOCK": 7, "_TABLE": 5}
 
 
 @settings(max_examples=80, deadline=None)
@@ -351,18 +352,29 @@ def test_blocked_kernels_match_whole_sample_references(n, m, K, delta, seed, tin
 
 
 # Rows long enough for numpy's vectorized sort, which the n, m <= 12 cases
-# above never reach, a sample that spills into a second chunk, and the
-# longest row ranked on prefix keys and the shortest ranked on exact keys.
+# above never reach, a sample that spills into a second chunk, and rows of
+# 60000 draws, about half of which hold two draws with one 31-bit prefix.
 @pytest.mark.parametrize("n, m, K", [
     (700, 300, 300), (1, 999, 64), (999, 1, 64), (300, 0, 16), (50, 150, CHUNK + 1),
-    (16384, 16384, 8), (20000, 12769, 4),
+    (30000, 30000, 8),
 ])
 def test_simulation_matches_argsort_reference_at_simd_sizes(n, m, K):
-    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
+            mock.patch.object(envelope, "_rank_clashes", wraps=envelope._rank_clashes) as clashes:
         sims = simulate_sorted_ranks(n, m, K, seed=n + m)
     argsort.assert_not_called()
+    assert clashes.called == (n + m == 60000)
     assert sims.trajectories.dtype == np.min_scalar_type(n + m)
     assert np.array_equal(sims.trajectories, _reference_trajectories(n, m, K, n + m))
+
+
+def test_long_row_sample_is_pinned():
+    # sha256 of a sample frozen when the simulation ranked every row by a sort
+    # of 64-bit keys; about a third of its rows of 40000 draws share a prefix
+    traj = simulate_sorted_ranks(20000, 20000, 40, seed=0).trajectories
+    assert traj.dtype == np.uint16
+    assert hashlib.sha256(traj.tobytes()).hexdigest() == (
+        "cfd74965759714485bef2cd360c0d12358f98109680ed3d2f89c675357017e8a")
 
 
 # n + m at the edges of uint8 and uint16: the top rank n + m is the largest
@@ -451,12 +463,10 @@ class _ClashingStream:
         return words
 
 
-@pytest.mark.parametrize("prefix_items", [envelope._PREFIX_ITEMS, 4])
 @pytest.mark.parametrize("n, m, K", [(5, 7, 300), (40, 60, 70), (3, 0, 40), (1, 2, 40)])
-def test_simulation_ranks_clashing_prefixes_on_exact_keys(monkeypatch, prefix_items, n, m, K):
+def test_simulation_ranks_clashing_prefixes_on_exact_keys(monkeypatch, n, m, K):
     drawn = []
     monkeypatch.setattr(envelope, "chunk_stream", lambda *tags: _ClashingStream(drawn))
-    monkeypatch.setattr(envelope, "_PREFIX_ITEMS", prefix_items)
     traj = simulate_sorted_ranks(n, m, K, seed=0).trajectories
     words = np.concatenate(drawn)
     assert words.shape == (K, n + m)
@@ -548,11 +558,11 @@ def test_preflight_sizes_the_narrow_sample(monkeypatch):
 
 
 def test_preflight_counts_the_draws_of_a_row(monkeypatch):
-    # 1 MiB of physical memory; one row of n + m > 2^15 draws on exact keys
-    # takes 9 B per draw, 8 B per calibration position and 4 B per uint32 rank
+    # 1 MiB of physical memory; one row takes 17 B per draw, 8 B per
+    # calibration position and 2 B per uint16 rank
     _one_mib_of_memory(monkeypatch)
     n = 10
-    m = (2**20 - 8 * n - 4 * n) // 9 - n
+    m = (2**20 - 8 * n - 2 * n) // 17 - n
     assert simulate_sorted_ranks(n, m, 1, seed=1).trajectories.shape == (1, n)
     with pytest.raises(SampleTooLarge, match=rf"^one trajectory of n\+m={n + m + 1} draws "
                        r"needs 1 MiB to rank, more than the 1 MiB of physical memory; "
@@ -560,5 +570,5 @@ def test_preflight_counts_the_draws_of_a_row(monkeypatch):
         simulate_sorted_ranks(n, m + 1, 1, seed=1)
     # 1.6 MB of raw words in one row, though the sample is 10 ranks
     with pytest.raises(SampleTooLarge, match=r"^one trajectory of n\+m=200010 draws "
-                       r"needs 2 MiB to rank"):
+                       r"needs 3 MiB to rank"):
         simulate_sorted_ranks(10, 200_000, 1, seed=1)
