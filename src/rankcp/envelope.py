@@ -29,12 +29,11 @@ Four constructions are provided:
 * ``quantile``        per-rank empirical quantiles of the simulated ranks at
                       levels ``gamma`` and ``1 - gamma``, with ``gamma``
                       maximal on the grid ``{j / K}`` under the same
-                      constraint.  Column ``r`` of the sample takes values in
-                      ``[r, r + m]``, so per-column counts give every order
-                      statistic and, for each trajectory, the highest level
-                      whose bounds still contain it; ``gamma`` is an order
-                      statistic of those exit levels, with no sort and no
-                      search over ``j``.
+                      constraint.  Counts of each column's values over its
+                      observed range give every order statistic and, for
+                      each trajectory, the highest level whose bounds still
+                      contain it; ``gamma`` is an order statistic of those
+                      exit levels, with no sort and no search over ``j``.
 
 Monte-Carlo calibration costs an extra ``4 sqrt(log(nK) / K)`` of confidence
 (:func:`mc_guarantee_slack`), recorded in ``Envelope.mc_meta`` so reports can
@@ -51,8 +50,11 @@ again on exact 64-bit keys (see :func:`simulate_sorted_ranks`).  The ranks
 are those of the uniforms; a test uniform equal to a calibration uniform
 ranks below it.
 
-Every pass over a ``K x n`` sample (simulation, validation, fits, coverage)
-runs over blocks of rows, so none allocates anything of the sample's size.
+The simulated sample is column-major: the ``K`` ranks at one calibration
+rank are adjacent in memory.  The simulation writes each sub-block of rows
+into it column by column, and every pass over a sample (validation, fits,
+coverage) reads groups of whole columns, each one contiguous slab, so none
+allocates anything of the sample's size.
 """
 
 from __future__ import annotations
@@ -92,19 +94,8 @@ _EXACT_MASK = np.uint64(2**64 - 2**11)
 # Index of the high half of a uint64 word viewed as two uint32.
 _HIGH_HALF = 1 if sys.byteorder == "little" else 0
 
-# Entries of a K x n sample that one step of a row-blocked pass touches.
+# Entries of a K x n sample that one step of a column-group pass touches.
 _BLOCK = 2**18
-
-# Entries of the count table of one block of columns in the quantile fit: it
-# is hit at random by bincount and by the exit-level gather, so it should fit
-# in a core's private cache.
-_TABLE = 2**15
-
-# The quantile fit's tables of one block of columns hold at most
-# nbytes / (4 * _TABLE_SHARE) entries for a sample of nbytes, so at a few
-# int64 words per entry its memory stays below the sample's own even when
-# m + 1 > K.
-_TABLE_SHARE = 16
 
 
 def _ceil_count(q: float, K: int) -> int:
@@ -125,14 +116,17 @@ class MonteCarloMeta:
 class SortedRankSample:
     """K simulated sorted vectors of pooled calibration ranks.
 
-    Each row is a strictly increasing n-subset of ``{1, ..., n+m}``.  Any
-    integer dtype is accepted; :func:`simulate_sorted_ranks` stores the
-    narrowest unsigned one that holds ``n + m``.  Under numpy's promotion
-    rules an unsigned array combined with a Python int stays unsigned and can
-    wrap around, so the kernels combine the sample only with int64 arrays
-    (the quantile fit's ``shift``), float arrays (the linear fit's
-    ``center``) or bounds cast to the sample's own dtype
-    (:func:`_count_inside`), never with a Python scalar.
+    Each row is a strictly increasing n-subset of ``{1, ..., n+m}``; a sample
+    holds at least one row.  Any integer dtype and any memory layout are
+    accepted.  :func:`simulate_sorted_ranks` stores the narrowest unsigned
+    dtype that holds ``n + m``, column-major: ``trajectories.T`` is
+    C-contiguous, so the ``K`` ranks at one calibration rank are adjacent and
+    every pass over the sample (validation, fits, coverage) walks whole
+    columns.  Under numpy's promotion rules an unsigned array combined with a
+    Python int stays unsigned and can wrap around, so the kernels combine the
+    sample only with int64 or intp arrays (the quantile fit's offsets), float
+    arrays (the linear fit's ``center``) or bounds cast to the sample's own
+    dtype (:func:`_count_inside`), never with a Python scalar.
     """
 
     n: int
@@ -144,14 +138,17 @@ class SortedRankSample:
         traj = np.asarray(self.trajectories)
         if traj.ndim != 2 or traj.shape[1] != self.n:
             raise DimensionMismatch(f"trajectories must be (K, n={self.n})")
+        if traj.shape[0] < 1:
+            raise InsufficientSample("K=0 trajectories; a sample needs K >= 1")
         if traj.dtype.kind not in "iu":  # the fits index count tables with them
             raise InvalidInput(f"trajectory ranks must be integers, got {traj.dtype}")
         if traj.size:
             if traj.min() < 1 or traj.max() > self.n + self.m:
                 raise InvalidInput("trajectory ranks must lie in [1, n+m]")
-            if self.n > 1 and not all(
-                np.all(rows[:, 1:] > rows[:, :-1]) for rows in _row_blocks(traj)
-            ):
+            cols = traj.T
+            pairs = np.full(self.n - 1, traj.shape[0])
+            if not all(np.all(cols[c0 + 1:c1 + 1] > cols[c0:c1])
+                       for c0, c1 in _column_groups(pairs)):
                 raise InvalidInput("trajectories must be strictly increasing")
         self.trajectories = traj
 
@@ -160,14 +157,26 @@ class SortedRankSample:
         return self.trajectories.shape[0]
 
 
-def _row_blocks(traj: np.ndarray):
-    """Consecutive row slices of a 2-D array, about :data:`_BLOCK` entries each."""
-    step = max(1, _BLOCK // max(1, traj.shape[1]))
-    return (traj[lo:lo + step] for lo in range(0, traj.shape[0], step))
+def _column_groups(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Ranges ``(c0, c1)`` of consecutive columns that a pass takes at once.
+
+    ``sizes[c]`` counts the entries a pass holds for column ``c``.  A new
+    group starts with the first column whose running total of sizes crosses a
+    multiple of a budget: :data:`_BLOCK` entries, or a 64th of the total if
+    that is less, so that a pass's temporaries stay small against a small
+    sample too.  A group holds at most the budget plus one column.
+    """
+    budget = max(1, min(_BLOCK, int(sizes.sum()) // 64))
+    starts = np.cumsum(sizes) - sizes
+    edges = [0, *(np.flatnonzero(np.diff(starts // budget)) + 1).tolist(), len(sizes)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _allocate_trajectories(K: int, n: int, m: int) -> np.ndarray:
     """An empty ``K x n`` sample of ranks in ``[1, n+m]``, or :class:`SampleTooLarge`.
+
+    The sample is column-major: the ``(K, n)`` transpose of a C-contiguous
+    ``(n, K)`` buffer, so the ``K`` ranks of each column are adjacent.
 
     Its dtype is the narrowest unsigned one that holds ``n + m`` (uint8 up to
     255, uint16 up to 65535, uint32 above).  The pre-flight against physical
@@ -197,7 +206,7 @@ def _allocate_trajectories(K: int, n: int, m: int) -> np.ndarray:
             )
         raise SampleTooLarge(f"{size}, {available}; lower K")
     try:
-        return np.empty((K, n), dtype=dtype)
+        return np.empty((n, K), dtype=dtype).T
     except MemoryError as exc:
         raise SampleTooLarge(f"{size}, which could not be allocated; lower K") from exc
 
@@ -250,10 +259,11 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     equals a test uniform: the test item then ranks first, so the calibration
     item's rank counts it.
 
-    The sample is stored in the narrowest unsigned dtype that holds ``n + m``
-    (see :func:`_allocate_trajectories`); each block's int64 positions are
-    written into it by an unsafe-casting subtraction, which cannot wrap since
-    every rank lies in ``[1, n+m]``.  Raises :class:`SampleTooLarge` before
+    The sample is stored column-major, in the narrowest unsigned dtype that
+    holds ``n + m`` (see :func:`_allocate_trajectories`); each sub-block's
+    int64 positions are written into its columns by an unsafe-casting
+    subtraction, which cannot wrap since every rank lies in ``[1, n+m]``.
+    Raises :class:`SampleTooLarge` before
     drawing anything if that sample and one sub-block's buffers exceed the
     machine's physical memory.
     """
@@ -286,8 +296,11 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
             # Sorted positions of the first n draws; the flat scan meets
             # each row's positions in increasing order, so rows arrive sorted.
             # Not bound to a name, they are freed before the next sub-block.
-            np.subtract(np.flatnonzero(tagged[:rows]).reshape(rows, n), starts[:rows],
-                        out=out[lo:lo + rows], casting="unsafe")
+            # Given as (n, rows) transposes, numpy writes the column-major
+            # sample column by column; given as (rows, n), it wrote row by
+            # row and took 4x as long.
+            np.subtract(np.flatnonzero(tagged[:rows]).reshape(rows, n).T, starts[:rows].T,
+                        out=out[lo:lo + rows].T, casting="unsafe")
     return SortedRankSample(n=n, m=m, seed=seed, trajectories=out)
 
 
@@ -429,17 +442,18 @@ def _mc_meta(sims: SortedRankSample) -> MonteCarloMeta:
 
 
 def _count_inside(traj: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> int:
-    """Trajectories with every coordinate in ``[lower, upper]``, counted over row blocks."""
+    """Trajectories with every coordinate in ``[lower, upper]``, counted over column groups."""
     top = max(int(lower.max()), int(upper.max()))
     if np.can_cast(np.min_scalar_type(top), traj.dtype):
         # compare in the sample's own dtype rather than widening every entry
         lower, upper = lower.astype(traj.dtype), upper.astype(traj.dtype)
-    count = 0
-    for rows in _row_blocks(traj):
-        inside = rows >= lower
-        inside &= rows <= upper
-        count += int(np.count_nonzero(inside.all(axis=1)))
-    return count
+    cols = traj.T
+    inside = np.ones(traj.shape[0], dtype=bool)
+    for c0, c1 in _column_groups(np.full(traj.shape[1], traj.shape[0])):
+        within = cols[c0:c1] >= lower[c0:c1, None]
+        within &= cols[c0:c1] <= upper[c0:c1, None]
+        inside &= within.all(axis=0)
+    return int(np.count_nonzero(inside))
 
 
 def fit_linear_envelope(sims: SortedRankSample, delta: float) -> Envelope:
@@ -456,40 +470,32 @@ def fit_linear_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     n, m, K = sims.n, sims.m, sims.K
     r = np.arange(1, n + 1, dtype=float)
     center = r + (m + 1) * r / n
-    deviations = np.concatenate([
-        np.max(np.abs(rows - center), axis=1) for rows in _row_blocks(sims.trajectories)
-    ]) / (m + 1)
+    cols = sims.trajectories.T
+    deviations = np.zeros(K)
+    for c0, c1 in _column_groups(np.full(n, K)):
+        far = cols[c0:c1] - center[c0:c1, None]
+        np.abs(far, out=far)
+        np.maximum(deviations, far.max(axis=0), out=deviations)
+    deviations /= m + 1
     need = max(1, _ceil_count(1.0 - delta, K))
     c_hat = float(np.partition(deviations, need - 1)[need - 1])
     return _band_envelope(n, m, delta, c_hat, "linear", _mc_meta(sims))
 
 
-def _column_counts(traj: np.ndarray, m: int, c0: int, c1: int):
-    """Count tables of columns ``c0:c1`` of a sample, each ``(c1 - c0, m + 1)``.
+def _column_counts(cols: np.ndarray, first: np.ndarray, span: np.ndarray,
+                   c0: int, c1: int):
+    """Counts of the values of columns ``c0:c1`` over their observed ranges.
 
-    Column ``c`` (0-based) holds values ``v`` in ``[c + 1, c + 1 + m]``; entry
-    ``t`` of its table row stands for ``v = c + 1 + t``, at flat index
-    ``v + shift[c - c0]``.  ``le`` counts the trajectories with a value
-    ``<= v`` there, and ``level`` is the highest grid level ``j`` whose
-    quantile bounds still contain ``v``: the ``(j+1)``-th smallest value is
-    ``<= v`` iff ``le >= j + 1`` and the ``(j+1)``-th largest is ``>= v`` iff
-    ``ge >= j + 1``, so ``level = min(le, ge) - 1``.  Returns int32 ``le``,
-    flat int32 ``level`` and ``shift``.
+    Column ``c`` holds values in ``[first[c], first[c] + span[c])``; the
+    group's ranges are laid end to end in one table, value ``v`` of column
+    ``c`` at entry ``v + base[c - c0]``.  Returns ``values``, the table
+    entries of the columns' values (intp), the table's counts ``hist`` and
+    ``base``.
     """
-    K, width = traj.shape[0], c1 - c0
-    shift = np.arange(c0, c1, dtype=np.int64) * m - (c0 * (m + 1) + 1)
-    # int64 throughout, like bincount's counts: mixed-dtype arithmetic would
-    # allocate casting buffers larger than a small table
-    hist = np.zeros(width * (m + 1), dtype=np.int64)
-    for rows in _row_blocks(traj[:, c0:c1]):
-        hist += np.bincount((rows + shift).ravel(), minlength=hist.size)
-    le = np.cumsum(hist.reshape(width, m + 1), axis=1)
-    level = hist  # in place: ge = K - le + hist, then min(le, ge) - 1
-    level -= le.ravel()
-    level += K
-    np.minimum(level, le.ravel(), out=level)
-    level -= 1
-    return le.astype(np.int32), level.astype(np.int32), shift
+    base = np.cumsum(span[c0:c1]) - span[c0:c1] - first[c0:c1]
+    values = np.add(cols[c0:c1], base[:, None], dtype=np.intp)
+    hist = np.bincount(values.ravel(order="K"), minlength=int(span[c0:c1].sum()))
+    return values, hist, base
 
 
 def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
@@ -503,17 +509,21 @@ def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     the maximal ``j* <= K/2`` with at least ``need = ceil((1-delta) K)``
     trajectories fully inside.
 
-    The fit counts instead of sorting.  Column ``r`` holds values in
-    ``[r, r + m]``, so ``bincount`` fills a per-column table of counts whose
-    cumulative sums give every order statistic.  The same table gives each
-    trajectory its exit level ``e_k``, the highest ``j`` whose bounds contain
-    all its coordinates (see :func:`_column_counts`).  Trajectory ``k`` is
-    inside at level ``j`` iff ``j <= e_k``, so ``j*`` is the ``need``-th
-    largest ``e_k``, capped at ``K // 2``; level 0 always holds.  The tables
-    are built for a few columns at a time over blocks of rows, so nothing
-    ``K x n`` is allocated; when the cumulative counts would take more than a
-    quarter of the sample's memory they are not kept but counted again once
-    ``j*`` is known.
+    The fit counts instead of sorting, over groups of whole columns, each one
+    contiguous slab of a column-major sample (:func:`_column_groups`).  One
+    ``bincount`` over each column's observed range ``[min, max]`` gives
+    counts whose cumulative sums ``le`` give every order statistic: the
+    ``(j+1)``-th smallest value is the first ``v`` with ``le(v) > j``.  The
+    same table gives each trajectory its exit level ``e_k``, the highest
+    ``j`` whose bounds contain all its coordinates: the ``(j+1)``-th smallest
+    value is ``<= v`` iff ``le(v) >= j + 1`` and the ``(j+1)``-th largest is
+    ``>= v`` iff ``ge(v) >= j + 1``, so a value ``v`` allows levels up to
+    ``min(le(v), ge(v)) - 1``.  Trajectory ``k`` is inside at level ``j`` iff
+    ``j <= e_k``, so ``j*`` is the ``need``-th largest ``e_k``, capped at
+    ``K // 2``; level 0 always holds.  Nothing ``K x n`` is allocated.  The
+    cumulative counts are kept for the bounds while they take at most a
+    quarter of the sample's memory, and otherwise counted again once ``j*``
+    is known.
 
     Maximality holds for the raw per-rank bounds.  A final monotonicity
     repair (suffix-min on lower, prefix-max on upper) can only enlarge the
@@ -521,34 +531,45 @@ def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     """
     _check_fit_level(sims.K, delta)
     n, m, K = sims.n, sims.m, sims.K
-    traj = sims.trajectories
-    width = max(1, min(n, min(_TABLE, traj.nbytes // (4 * _TABLE_SHARE)) // (m + 1)))
-    blocks = [(c0, min(n, c0 + width)) for c0 in range(0, n, width)]
-    # every column's cumulative counts, n (m+1) int32, are kept while they
-    # take at most a quarter of the sample's memory
-    keep = 16 * (m + 1) <= traj.itemsize * K
+    cols = sims.trajectories.T
+    first = cols.min(axis=1).astype(np.int64)
+    span = cols.max(axis=1).astype(np.int64) - first + 1
+    groups = _column_groups(K + span)
+    # the kept cumulative counts take 8 B per table entry
+    keep = 32 * int(span.sum()) <= sims.trajectories.nbytes
     kept = []
 
-    exit_level = np.full(K, K, dtype=np.int32)
-    for c0, c1 in blocks:
-        le, level, shift = _column_counts(traj, m, c0, c1)
-        step = max(1, _BLOCK // (c1 - c0))
-        for lo in range(0, K, step):
-            at = level[traj[lo:lo + step, c0:c1] + shift].min(axis=1)
-            np.minimum(exit_level[lo:lo + step], at, out=exit_level[lo:lo + step])
+    # min(le, ge) lies in [1, K]: the narrowest dtype that holds K at least
+    # halves the gather's output
+    level_dtype = np.min_scalar_type(K)
+    exit_level = np.full(K, K, dtype=level_dtype)
+    for c0, c1 in groups:
+        values, hist, base = _column_counts(cols, first, span, c0, c1)
+        le = np.cumsum(hist)  # column i of the group holds le in (i K, (i+1) K]
+        local = le - np.repeat(np.arange(c1 - c0) * K, span[c0:c1])
+        hist += K
+        hist -= local  # ge, the count of values >= each value
+        np.minimum(hist, local, out=hist)
+        level = hist.astype(level_dtype)
+        np.minimum(exit_level, level.take(values).min(axis=0), out=exit_level)
         if keep:
-            kept.append(le)
+            kept.append((le, base))
     need = max(1, _ceil_count(1.0 - delta, K))
-    best = min(K // 2, int(np.partition(exit_level, K - need)[K - need]))
+    best = min(K // 2, int(np.partition(exit_level, K - need)[K - need]) - 1)
 
-    # The (j+1)-th smallest value of a column is the first v with le > j.
+    # The (j+1)-th smallest value of column i of a group is the first entry
+    # with le > i K + j.
     lower = np.empty(n, dtype=np.int64)
     upper = np.empty(n, dtype=np.int64)
-    for i, (c0, c1) in enumerate(blocks):
-        le = kept[i] if keep else _column_counts(traj, m, c0, c1)[0]
-        first = np.arange(c0 + 1, c1 + 1)
-        lower[c0:c1] = first + np.count_nonzero(le <= best, axis=1)
-        upper[c0:c1] = first + np.count_nonzero(le <= K - 1 - best, axis=1)
+    for i, (c0, c1) in enumerate(groups):
+        if keep:
+            le, base = kept[i]
+        else:
+            _, hist, base = _column_counts(cols, first, span, c0, c1)
+            le = np.cumsum(hist)
+        offset = np.arange(c1 - c0) * K
+        lower[c0:c1] = np.searchsorted(le, offset + best, "right") - base
+        upper[c0:c1] = np.searchsorted(le, offset + (K - 1 - best), "right") - base
 
     lower = np.minimum.accumulate(lower[::-1])[::-1]
     upper = np.maximum.accumulate(upper)

@@ -40,6 +40,7 @@ def test_simulation_structure():
     sample = simulate_sorted_ranks(7, 13, 500, seed=1)
     traj = sample.trajectories
     assert traj.shape == (500, 7)
+    assert traj.T.flags.c_contiguous  # column-major: each column's K ranks adjacent
     assert traj.min() >= 1 and traj.max() <= 20
     # not np.diff: on the unsigned sample a decrease wraps to a positive step
     assert np.all(traj[:, 1:] > traj[:, :-1])
@@ -315,9 +316,9 @@ def _reference_linear_param(traj, m, delta):
 
 
 # Block sizes small enough that tiny samples cross every block boundary:
-# several sub-blocks per chunk, row blocks of one or two rows, and count
-# tables of one column.
-_TINY_BLOCKS = {"_SIM_ROWS": 3, "_BLOCK": 7, "_TABLE": 5}
+# several sub-blocks per chunk and column groups of one column, or of a few
+# columns of a sample of K < 7.
+_TINY_BLOCKS = {"_SIM_ROWS": 3, "_BLOCK": 7}
 
 
 @settings(max_examples=80, deadline=None)
@@ -349,6 +350,82 @@ def test_blocked_kernels_match_whole_sample_references(n, m, K, delta, seed, tin
     assert quantile.param == gamma
     assert linear.param == _reference_linear_param(traj, m, delta)
     assert covered == _reference_inside(traj, lower, upper)
+
+
+# The quantile fit's column groups against the sort-and-bisect reference:
+# where m + 1 dwarfs K, each column's observed range is wider than its K
+# entries, so groups hold one or two columns and the counts are taken again
+# for the bounds; where K dwarfs m + 1, groups hold several columns, and the counts
+# are kept at K = 2000 but are too large against a sample of K = 40.
+@pytest.mark.parametrize("n, m, K, delta, several, recount", [
+    (40, 3000, 60, 0.02, False, True), (7, 5000, 3, 0.0, False, True),
+    (300, 20, 2000, 0.02, True, False), (600, 4, 40, 0.1, True, True),
+])
+def test_quantile_fit_over_column_groups_matches_the_reference(n, m, K, delta, several,
+                                                              recount):
+    sims = simulate_sorted_ranks(n, m, K, seed=m)
+    with mock.patch.object(envelope, "_column_counts", wraps=envelope._column_counts) as counts:
+        env = fit_quantile_envelope(sims, delta)
+    groups = [call.args[3:] for call in counts.call_args_list]
+    assert (max(c1 - c0 for c0, c1 in groups) > 2) == several
+    assert len(groups) == (2 if recount else 1) * len(set(groups))
+    traj = _reference_trajectories(n, m, K, m)
+    lower, upper, gamma = _reference_quantile_fit(traj, delta)
+    assert np.array_equal(env.lower, lower)
+    assert np.array_equal(env.upper, upper)
+    assert env.param == gamma
+    assert round(envelope_coverage(env, sims) * K) == _reference_inside(traj, lower, upper)
+    assert fit_linear_envelope(sims, delta).param == _reference_linear_param(traj, m, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    m=st.integers(0, 8),
+    K=st.integers(1, 60),
+    delta=st.sampled_from([0.0, 0.1, 0.5]),
+    seed=st.integers(0, 2**32),
+    block=st.integers(1, 30),
+    spot=st.tuples(st.integers(0, 59), st.integers(0, 6)),
+)
+def test_fits_coverage_and_validation_do_not_depend_on_the_layout(n, m, K, delta, seed,
+                                                                  block, spot):
+    assume(delta == 0.0 or K >= 1 / delta)
+    traj = simulate_sorted_ranks(n, m, K, seed).trajectories
+    copies = [np.ascontiguousarray(traj), np.asfortranarray(traj), traj.astype(np.int64)]
+    assert copies[0].flags.c_contiguous and copies[1].flags.f_contiguous
+    k, c = spot[0] % K, spot[1] % max(1, n - 1)
+    with mock.patch.object(envelope, "_BLOCK", block):
+        seen = []
+        for copy in copies:
+            sims = SortedRankSample(n=n, m=m, seed=seed, trajectories=copy)
+            quantile = fit_quantile_envelope(sims, delta)
+            linear = fit_linear_envelope(sims, delta)
+            seen.append([quantile.lower.tolist(), quantile.upper.tolist(), quantile.param,
+                         linear.lower.tolist(), linear.upper.tolist(), linear.param,
+                         envelope_coverage(quantile, sims), envelope_coverage(linear, sims)])
+            errors = []
+            for col, value in [(c + 1, copy[k, c]), (c, n + m + 1)]:
+                if col >= n:
+                    continue
+                broken = copy.copy(order="K")
+                broken[k, col] = value
+                with pytest.raises(InvalidInput) as err:
+                    SortedRankSample(n=n, m=m, seed=seed, trajectories=broken)
+                errors.append(str(err.value))
+            seen[-1].append(errors)
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+@pytest.mark.parametrize("entry", [
+    lambda sims: fit_quantile_envelope(sims, 0.0),
+    lambda sims: fit_linear_envelope(sims, 0.0),
+    lambda sims: envelope_coverage(naive_envelope(3, 2), sims),
+], ids=["quantile", "linear", "coverage"])
+def test_empty_sample_is_refused(entry):
+    # the fits raised IndexError and ValueError and the coverage divided by zero
+    with pytest.raises(InsufficientSample, match=r"^K=0 trajectories; a sample needs K >= 1$"):
+        entry(SortedRankSample(n=3, m=2, seed=0, trajectories=np.empty((0, 3), np.uint8)))
 
 
 # Rows long enough for numpy's vectorized sort, which the n, m <= 12 cases
@@ -485,10 +562,10 @@ def test_simulation_ranks_clashing_prefixes_on_exact_keys(monkeypatch, n, m, K):
     assert np.any(same_uniform & (ordered[:, 1:] != ordered[:, :-1]))  # a tie of two words
 
 
-def test_sample_validation_checks_every_row_block_and_the_dtype():
+def test_sample_validation_checks_every_column_group_and_the_dtype():
     traj = np.tile(np.arange(1, 5, dtype=np.int32), (9, 1))
-    traj[8, 2] = traj[8, 1]  # a repeat in the last row only
-    with mock.patch.object(envelope, "_BLOCK", 8):  # two rows per block
+    traj[8, 3] = traj[8, 2]  # a repeat in the last row and the last column pair only
+    with mock.patch.object(envelope, "_BLOCK", 18):  # two columns of K=9 per group
         with pytest.raises(InvalidInput, match="strictly increasing"):
             SortedRankSample(n=4, m=3, seed=0, trajectories=traj)
     with pytest.raises(InvalidInput, match="must be integers, got float64"):

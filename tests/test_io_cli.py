@@ -233,13 +233,19 @@ def test_report_roundtrip(tmp_path):
 
 
 # sha256 of simulate-envelope payloads, frozen when the simulation ranked
-# every row by a sort of 64-bit keys.  A kernel that moves any trajectory
-# changes them; test_envelope.py pins a sample of longer rows.
+# every row by a sort of 64-bit keys and the fits read the sample row by row.
+# A kernel that moves any trajectory or bound changes them.  At (20000, 20000)
+# about a third of the rows of 40000 draws share a 31-bit prefix, and the
+# quantile fit has twenty thousand columns of forty trajectories.
 PINNED_ENVELOPES = [
     (200, 200, 2000, 0.02, "quantile",
      "8e7f9c9b6b64b91007c82d4dc3bc690c3042d7fa2334670bf4f4549102b356b5"),
     (200, 200, 2000, 0.02, "linear",
      "1b34f23bb30df9c35a0f6d1be9ac8a08d8adb9722c229386db7c0dd119ad1a68"),
+    (20000, 20000, 40, 0.1, "quantile",
+     "a0466a00ce2e7547924817429d41b04cce466b596115c80c130cc29c98ee3c93"),
+    (20000, 20000, 40, 0.1, "linear",
+     "081c7070fad520696e1052045c201f5a6f70177c466e147916065ea55065c2f3"),
 ]
 
 
