@@ -315,10 +315,10 @@ def _reference_linear_param(traj, m, delta):
     return float(np.partition(deviations, need - 1)[need - 1])
 
 
-# Block sizes small enough that tiny samples cross every block boundary:
-# several sub-blocks per chunk and column groups of one column, or of a few
-# columns of a sample of K < 7.
-_TINY_BLOCKS = {"_SIM_ROWS": 3, "_BLOCK": 7}
+# Sub-blocks small enough that tiny samples cross every sub-block boundary,
+# several per chunk.  Column groups need no patch: a group holds at most a
+# 64th of a sample's entries, so below n = 64 every group is one column.
+_TINY_BLOCKS = {"_SIM_ROWS": 3}
 
 
 @settings(max_examples=80, deadline=None)
@@ -352,11 +352,11 @@ def test_blocked_kernels_match_whole_sample_references(n, m, K, delta, seed, tin
     assert covered == _reference_inside(traj, lower, upper)
 
 
-# The quantile fit's column groups against the sort-and-bisect reference:
-# where m + 1 dwarfs K, each column's observed range is wider than its K
+# The quantile fit's column groups against the sort-and-bisect reference.
+# Where m + 1 dwarfs K, each column's observed range is wider than its K
 # entries, so groups hold one or two columns and the counts are taken again
-# for the bounds; where K dwarfs m + 1, groups hold several columns, and the counts
-# are kept at K = 2000 but are too large against a sample of K = 40.
+# for the bounds.  Where K dwarfs m + 1, groups hold several columns; the
+# counts are kept at K = 2000 but are too large against a sample of K = 40.
 @pytest.mark.parametrize("n, m, K, delta, several, recount", [
     (40, 3000, 60, 0.02, False, True), (7, 5000, 3, 0.0, False, True),
     (300, 20, 2000, 0.02, True, False), (600, 4, 40, 0.1, True, True),
@@ -366,9 +366,9 @@ def test_quantile_fit_over_column_groups_matches_the_reference(n, m, K, delta, s
     sims = simulate_sorted_ranks(n, m, K, seed=m)
     with mock.patch.object(envelope, "_column_counts", wraps=envelope._column_counts) as counts:
         env = fit_quantile_envelope(sims, delta)
-    groups = [call.args[3:] for call in counts.call_args_list]
-    assert (max(c1 - c0 for c0, c1 in groups) > 2) == several
-    assert len(groups) == (2 if recount else 1) * len(set(groups))
+    widths = [call.args[0].shape[0] for call in counts.call_args_list]
+    assert (max(widths) > 2) == several
+    assert sum(widths) == (2 if recount else 1) * n  # every column counted once or twice
     traj = _reference_trajectories(n, m, K, m)
     lower, upper, gamma = _reference_quantile_fit(traj, delta)
     assert np.array_equal(env.lower, lower)
@@ -378,15 +378,16 @@ def test_quantile_fit_over_column_groups_matches_the_reference(n, m, K, delta, s
     assert fit_linear_envelope(sims, delta).param == _reference_linear_param(traj, m, delta)
 
 
+# Up to n = 200 with K <= 60, column groups hold one column or several.
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(1, 8),
-    m=st.integers(0, 8),
+    n=st.integers(1, 200),
+    m=st.integers(0, 30),
     K=st.integers(1, 60),
     delta=st.sampled_from([0.0, 0.1, 0.5]),
     seed=st.integers(0, 2**32),
-    block=st.integers(1, 30),
-    spot=st.tuples(st.integers(0, 59), st.integers(0, 6)),
+    block=st.integers(1, 400),
+    spot=st.tuples(st.integers(0, 59), st.integers(0, 199)),
 )
 def test_fits_coverage_and_validation_do_not_depend_on_the_layout(n, m, K, delta, seed,
                                                                   block, spot):
@@ -563,13 +564,13 @@ def test_simulation_ranks_clashing_prefixes_on_exact_keys(monkeypatch, n, m, K):
 
 
 def test_sample_validation_checks_every_column_group_and_the_dtype():
-    traj = np.tile(np.arange(1, 5, dtype=np.int32), (9, 1))
-    traj[8, 3] = traj[8, 2]  # a repeat in the last row and the last column pair only
+    traj = np.tile(np.arange(1, 131, dtype=np.int32), (9, 1))
+    traj[8, 129] = traj[8, 128]  # a repeat in the last row and the last column pair only
     with mock.patch.object(envelope, "_BLOCK", 18):  # two columns of K=9 per group
         with pytest.raises(InvalidInput, match="strictly increasing"):
-            SortedRankSample(n=4, m=3, seed=0, trajectories=traj)
+            SortedRankSample(n=130, m=3, seed=0, trajectories=traj)
     with pytest.raises(InvalidInput, match="must be integers, got float64"):
-        SortedRankSample(n=4, m=3, seed=0, trajectories=traj[:8].astype(float))
+        SortedRankSample(n=130, m=3, seed=0, trajectories=traj[:8].astype(float))
 
 
 def _traced_peak(fn, *args):
