@@ -118,13 +118,13 @@ class MonteCarloMeta:
 class SortedRankSample:
     """K simulated sorted vectors of pooled calibration ranks.
 
-    Each row is a strictly increasing n-subset of ``{1, ..., n+m}``; a sample
-    holds at least one row.  Any integer dtype and any memory layout are
-    accepted.  :func:`simulate_sorted_ranks` stores the narrowest unsigned
-    dtype that holds ``n + m``, column-major: ``trajectories.T`` is
-    C-contiguous, so the ``K`` ranks at one calibration rank are adjacent and
-    every pass over the sample (validation, fits, coverage) walks whole
-    columns.  Under numpy's promotion rules an unsigned array combined with a
+    Each row is a strictly increasing n-subset of ``{1, ..., n+m}``, with
+    ``n >= 1`` and ``m >= 0``; a sample holds at least one row.  Any integer
+    dtype and any memory layout are accepted.  :func:`simulate_sorted_ranks`
+    stores the narrowest unsigned dtype that holds ``n + m``, column-major:
+    ``trajectories.T`` is C-contiguous, so the ``K`` ranks at one calibration
+    rank are adjacent and every pass over the sample (validation, fits,
+    coverage) walks whole columns.  Under numpy's promotion rules an unsigned array combined with a
     Python int stays unsigned and can wrap around, so the kernels combine the
     sample only with int64 or intp arrays (the quantile fit's offsets), float
     arrays (the linear fit's ``center``) or bounds cast to the sample's own
@@ -137,6 +137,8 @@ class SortedRankSample:
     trajectories: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1 or self.m < 0:
+            raise InvalidInput(f"need n >= 1 and m >= 0, got n={self.n}, m={self.m}")
         traj = np.asarray(self.trajectories)
         if traj.ndim != 2 or traj.shape[1] != self.n:
             raise DimensionMismatch(f"trajectories must be (K, n={self.n})")
@@ -144,14 +146,13 @@ class SortedRankSample:
             raise InsufficientSample("K=0 trajectories; a sample needs K >= 1")
         if traj.dtype.kind not in "iu":  # the fits index count tables with them
             raise InvalidInput(f"trajectory ranks must be integers, got {traj.dtype}")
-        if traj.size:
-            if traj.min() < 1 or traj.max() > self.n + self.m:
-                raise InvalidInput("trajectory ranks must lie in [1, n+m]")
-            cols = traj.T
-            pairs = np.full(self.n - 1, traj.shape[0])
-            if not all(np.all(cols[c0 + 1:c1 + 1] > cols[c0:c1])
-                       for c0, c1 in _column_groups(pairs)):
-                raise InvalidInput("trajectories must be strictly increasing")
+        if traj.min() < 1 or traj.max() > self.n + self.m:
+            raise InvalidInput("trajectory ranks must lie in [1, n+m]")
+        cols = traj.T
+        pairs = np.full(self.n - 1, traj.shape[0])
+        if not all(np.all(cols[c0 + 1:c1 + 1] > cols[c0:c1])
+                   for c0, c1 in _column_groups(pairs)):
+            raise InvalidInput("trajectories must be strictly increasing")
         self.trajectories = traj
 
     @property

@@ -429,6 +429,15 @@ def test_empty_sample_is_refused(entry):
         entry(SortedRankSample(n=3, m=2, seed=0, trajectories=np.empty((0, 3), np.uint8)))
 
 
+def test_sample_sizes_are_checked():
+    # n = 0 reached an IndexError in the quantile fit and a zero-size reduction
+    # in the linear fit
+    with pytest.raises(InvalidInput, match=r"^need n >= 1 and m >= 0, got n=0, m=1$"):
+        SortedRankSample(n=0, m=1, seed=0, trajectories=np.empty((5, 0), np.uint8))
+    with pytest.raises(InvalidInput, match=r"^need n >= 1 and m >= 0, got n=1, m=-1$"):
+        SortedRankSample(n=1, m=-1, seed=0, trajectories=np.ones((5, 1), np.uint8))
+
+
 # Rows long enough for numpy's vectorized sort, which the n, m <= 12 cases
 # above never reach, a sample that spills into a second chunk, and rows of
 # 60000 draws, about half of which hold two draws with one 31-bit prefix.
