@@ -127,7 +127,7 @@ COMMANDS: dict[str, list[dict]] = {
         _opt("noise-sd", float, ExperimentConfig.noise_sd, "toy ranker noise"),
         _opt("seed", int, ExperimentConfig.master_seed, "master seed"),
         _opt("fcp-mode", str, ExperimentConfig.fcp_mode, "threshold selection"),
-        _opt("k-top", int, 0, "top-k target size (0: 5% of m)"),
+        _opt("k-top", int, 0, "top-k target size (0: 5%% of m)"),
         _opt("out", str, None, "output report CSV path (required)"),
     ],
 }

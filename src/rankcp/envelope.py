@@ -43,12 +43,11 @@ state the effective level ``1 - delta - slack``.
 the CLI build envelopes only through it.
 
 The simulation draws raw Philox words, the ones ``Generator.random`` would
-turn into uniforms, and ranks each row by one in-place sort of uint32 keys:
-a word's top 31 bits with the calibration draws tagged in the low bit.  The
-few draws that share those bits with another draw of their row are ordered
-again on exact 64-bit keys (see :func:`simulate_sorted_ranks`).  The ranks
-are those of the uniforms; a test uniform equal to a calibration uniform
-ranks below it.
+turn into uniforms, and ranks each row by one in-place sort of the words
+themselves, turned into exact keys: the 11 bits that ``Generator.random``
+drops are set on the calibration draws and cleared on the test draws (see
+:func:`simulate_sorted_ranks`).  The ranks are those of the uniforms; a test
+uniform equal to a calibration uniform ranks below it.
 
 The simulated sample is column-major: the ``K`` ranks at one calibration
 rank are adjacent in memory.  The simulation writes each sub-block of rows
@@ -61,7 +60,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,21 +80,18 @@ DEFAULT_K = 100_000
 
 ENVELOPE_KINDS = ("naive", "theoretical", "linear", "quantile")
 
-# Rows of draws that simulate_sorted_ranks takes, sorts and reads back at
-# once: small enough for the block's working set to stay in cache.
-_SIM_ROWS = 64
+# The low 11 bits of a raw word, which Generator.random drops to make the
+# uniform (w >> 11) * 2**-53.
+_DROPPED_BITS = np.uint64(2**11 - 1)
 
-# A prefix key keeps a word's top 31 bits and frees the low bit for the tag;
-# an exact key keeps the 53 bits that make its uniform.
-_PREFIX_MASK = np.uint32(2**32 - 2)
-_EXACT_MASK = np.uint64(2**64 - 2**11)
-
-# Index of the high half of a uint64 word viewed as two uint32.
-_HIGH_HALF = 1 if sys.byteorder == "little" else 0
-
-# Entries of a K x n sample that one step of a column-group pass touches.
-# At 2**16 a group's intp copy (512 KiB) stays in a core's private cache; it
-# ran as fast as 2**18, and the offline benchmark's peak RSS was 3 MB lower.
+# Entries of a K x n sample that one step of a column-group pass touches,
+# and draws in one sub-block of simulate_sorted_ranks.  At 2**16 a group's
+# intp copy and a sub-block's raw words (512 KiB each) stay in a core's
+# private cache.  Column groups ran as fast as at 2**18, and the offline
+# benchmark's peak RSS was 3 MB lower.  Sub-blocks of 2**16 draws ranked as
+# fast as the best constant row count at every benchmark row length, while
+# each constant lost 7-27 % at some other length (16 rows at n+m = 400,
+# 64 at 4000).
 _BLOCK = 2**16
 
 
@@ -175,7 +170,7 @@ def _column_groups(sizes: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _allocate_trajectories(K: int, n: int, m: int) -> np.ndarray:
+def _allocate_trajectories(K: int, n: int, m: int, rows: int) -> np.ndarray:
     """An empty ``K x n`` sample of ranks in ``[1, n+m]``, or :class:`SampleTooLarge`.
 
     The sample is column-major: the ``(K, n)`` transpose of a C-contiguous
@@ -184,16 +179,14 @@ def _allocate_trajectories(K: int, n: int, m: int) -> np.ndarray:
     Its dtype is the narrowest unsigned one that holds ``n + m`` (uint8 up to
     255, uint16 up to 65535, uint32 above).  The pre-flight against physical
     memory sizes the sample with that dtype's ``itemsize`` and adds the buffers
-    of one sub-block of :func:`simulate_sorted_ranks`: per drawn item its raw
-    word (8 B), its prefix key and its neighbour's xor (4 B each) and its tag
-    (1 B); per calibration item its int64 sorted position (8 B).  The
-    temporaries of re-ranking one row's clashing draws (about 10 B per draw
-    of that row) are not counted.
+    of one sub-block of ``rows`` rows of :func:`simulate_sorted_ranks`: per
+    drawn item its raw word, which becomes its sort key (8 B), and its tag
+    (1 B); per calibration item its int64 sorted position (8 B).
     """
     total = n + m
     dtype = np.min_scalar_type(total)
-    per_row = 17 * total + 8 * n
-    nbytes = dtype.itemsize * K * n + min(K, _SIM_ROWS) * per_row
+    per_row = 9 * total + 8 * n
+    nbytes = dtype.itemsize * K * n + rows * per_row
     size = f"K={K} trajectories of n={n} ranks need {nbytes / 2**20:,.0f} MiB"
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -214,26 +207,6 @@ def _allocate_trajectories(K: int, n: int, m: int) -> np.ndarray:
         raise SampleTooLarge(f"{size}, which could not be allocated; lower K") from exc
 
 
-def _rank_clashes(words: np.ndarray, keys: np.ndarray, xor: np.ndarray, n: int,
-                  tagged: np.ndarray) -> None:
-    """Re-rank the draws of one row that share a prefix, on exact 64-bit keys.
-
-    ``keys`` holds the row's sorted prefix keys, ``xor`` the xor of each key
-    with the next and ``tagged`` the sorted tags.  The positions of the runs
-    of equal prefixes in ``keys`` and the words that carry those prefixes
-    are the same draws; the words' exact keys ``(w & ~0x7FF) | tag``, sorted,
-    give the tags of those positions.  The key drops the 11 low bits that
-    ``Generator.random`` drops, so equal uniforms give equal keys until the
-    calibration tag is set in the freed low bit.
-    """
-    clash = xor <= 1
-    runs = np.flatnonzero(np.r_[clash, False] | np.r_[False, clash])
-    drawn = np.flatnonzero(np.isin(words >> np.uint64(33), keys[runs] >> 1))
-    exact = (words[drawn] & _EXACT_MASK) | (drawn < n)
-    exact.sort()
-    tagged[runs] = exact & np.uint64(1)
-
-
 def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample:
     """Simulate K sorted vectors of pooled calibration ranks.
 
@@ -241,26 +214,20 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     of them, and sorts the result.  Block ``c`` of :data:`CHUNK` trajectories
     draws from its own jumped Philox stream keyed by ``(seed, n, m)``, so each
     trajectory depends only on the seed, the sizes and its index.  A block's
-    draws are taken :data:`_SIM_ROWS` rows at a time from its stream;
-    consecutive draws continue the same sequence, so the values do not depend
-    on how many rows are drawn at once.
+    draws are taken in sub-blocks of ``max(1, _BLOCK // (n + m))`` rows from
+    its stream; consecutive draws continue the same sequence, so the values
+    do not depend on how many rows are drawn at once.
 
     The draws are the stream's raw 64-bit words ``w``, the words that
     ``Generator.random`` turns into the uniforms ``(w >> 11) * 2**-53``, so
-    the uniforms order like ``w >> 11``.  A row is ranked by one in-place sort
-    of uint32 keys: each word's top 31 bits, shifted left by one, with the low
-    bit set on the first ``n``.  The sorted tags mark where the calibration
-    draws landed.  Where the prefixes of a row are distinct they order the
-    row like the uniforms do.  Where sorted neighbours share a prefix (their
-    keys differ at most in the tag), the draws of those runs of one prefix
-    are sorted again on exact 64-bit keys ``(w & ~0x7FF) | tag`` and give
-    the runs their tags (:func:`_rank_clashes`).  Two of a row's words share
-    a prefix with probability about ``(n+m)**2 / 2**32``, a third of the rows
-    at ``n+m = 40000``, but a run holds two or three draws, so re-ranking a
-    row costs a few passes over it, not a second sort.  The ranks are those
-    of an argsort of the uniforms, except where a calibration uniform exactly
-    equals a test uniform: the test item then ranks first, so the calibration
-    item's rank counts it.
+    the uniforms order like ``w >> 11``.  Each word becomes its own sort key
+    in place: the 11 low bits that ``Generator.random`` drops are set on the
+    first ``n`` (the calibration draws) and cleared on the others, so keys
+    order like the uniforms.  Each row is sorted once, in place, and the low
+    bit of each sorted key marks where the calibration draws landed.  The
+    ranks are those of an argsort of the uniforms, except that a test item
+    whose uniform equals a calibration item's has the smaller key and ranks
+    first, so the calibration item's rank counts it.
 
     The sample is stored column-major, in the narrowest unsigned dtype that
     holds ``n + m`` (see :func:`_allocate_trajectories`); each sub-block's
@@ -273,29 +240,23 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     if n < 1 or m < 0 or K < 1:
         raise InvalidInput("need n >= 1, m >= 0, K >= 1")
     total = n + m
-    out = _allocate_trajectories(K, n, m)
+    step = min(K, max(1, _BLOCK // total))
+    out = _allocate_trajectories(K, n, m, step)
     # Row i of a sub-block starts at flat index i * total; subtracting that
     # (less one) from a flat position leaves the 1-based pooled rank.
-    starts = np.arange(_SIM_ROWS, dtype=np.int64)[:, None] * total - 1
-    block = min(K, _SIM_ROWS)
-    keys = np.empty((block, total), dtype=np.uint32)
-    xor = np.empty((block, total - 1), dtype=np.uint32)
-    tagged = np.empty((block, total), dtype=bool)
+    starts = np.arange(step, dtype=np.int64)[:, None] * total - 1
+    tagged = np.empty((step, total), dtype=bool)
     for c in range(math.ceil(K / CHUNK)):
         bits = chunk_stream(seed, c, "sorted-ranks", n, m).bit_generator
         end = min(K, (c + 1) * CHUNK)
-        for lo in range(c * CHUNK, end, _SIM_ROWS):
-            rows = min(end - lo, _SIM_ROWS)
-            words = bits.random_raw((rows, total))
-            high = words.view(np.uint32)[:, _HIGH_HALF::2]
-            np.bitwise_or(high[:, :n], 1, out=keys[:rows, :n])
-            np.bitwise_and(high[:, n:], _PREFIX_MASK, out=keys[:rows, n:])
-            keys[:rows].sort(axis=1)
-            np.bitwise_and(keys[:rows], 1, out=tagged[:rows], casting="unsafe")
-            np.bitwise_xor(keys[:rows, 1:], keys[:rows, :-1], out=xor[:rows])
-            for i in np.flatnonzero(xor[:rows].min(axis=1, initial=2) <= 1):
-                _rank_clashes(words[i], keys[i], xor[i], n, tagged[i])
-            del words  # freed before the next sub-block is drawn
+        for lo in range(c * CHUNK, end, step):
+            rows = min(end - lo, step)
+            keys = bits.random_raw((rows, total))
+            np.bitwise_or(keys[:, :n], _DROPPED_BITS, out=keys[:, :n])
+            np.bitwise_and(keys[:, n:], ~_DROPPED_BITS, out=keys[:, n:])
+            keys.sort(axis=1)
+            np.bitwise_and(keys, 1, out=tagged[:rows], casting="unsafe")
+            del keys  # freed before the next sub-block is drawn
             # Sorted positions of the first n draws; the flat scan meets
             # each row's positions in increasing order, so rows arrive sorted.
             # Not bound to a name, they are freed before the next sub-block.

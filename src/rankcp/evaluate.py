@@ -503,17 +503,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     prediction, the oracle arm and the metrics), so memory is bounded by the
     block, not by ``cfg.reps``.  Each repetition's metrics equal those of
     running its problem alone.
+
+    ``k`` is chosen before the envelope is built, at the level the envelope
+    records (0 for ``naive``), so a level no ``k`` can serve is refused
+    before anything is simulated.
     """
+    level = 0.0 if cfg.envelope_kind == "naive" else cfg.delta
+    meta = None
+    if cfg.fcp_mode == FCP_CONTROLLED:
+        meta = fcp_calibration(cfg.alpha, cfg.beta, level, cfg.n, cfg.m)
+        k = meta.k
+    else:
+        k = select_k(cfg.alpha, level, cfg.n)
     env = build_envelope(
         cfg.envelope_kind, cfg.n, cfg.m, cfg.delta, cfg.K_env,
         child_seed(cfg.master_seed, "envelope"),
     )
-    meta = None
-    if cfg.fcp_mode == FCP_CONTROLLED:
-        meta = fcp_calibration(cfg.alpha, cfg.beta, env.delta, cfg.n, cfg.m)
-        k = meta.k
-    else:
-        k = select_k(cfg.alpha, env.delta, cfg.n)
 
     block = max(1, BLOCK_ELEMENTS // (cfg.n + cfg.m))
     blocks = [

@@ -316,9 +316,10 @@ def _reference_linear_param(traj, m, delta):
 
 
 # Sub-blocks small enough that tiny samples cross every sub-block boundary,
-# several per chunk.  Column groups need no patch: a group holds at most a
-# 64th of a sample's entries, so below n = 64 every group is one column.
-_TINY_BLOCKS = {"_SIM_ROWS": 3}
+# several per chunk: 40 // (n + m) rows.  Column groups are not changed by
+# it: a group holds at most a 64th of a sample's entries, so below n = 64
+# every group is one column.
+_TINY_BLOCKS = {"_BLOCK": 40}
 
 
 @settings(max_examples=80, deadline=None)
@@ -446,11 +447,9 @@ def test_sample_sizes_are_checked():
     (30000, 30000, 8),
 ])
 def test_simulation_matches_argsort_reference_at_simd_sizes(n, m, K):
-    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
-            mock.patch.object(envelope, "_rank_clashes", wraps=envelope._rank_clashes) as clashes:
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
         sims = simulate_sorted_ranks(n, m, K, seed=n + m)
     argsort.assert_not_called()
-    assert clashes.called == (n + m == 60000)
     assert sims.trajectories.dtype == np.min_scalar_type(n + m)
     assert np.array_equal(sims.trajectories, _reference_trajectories(n, m, K, n + m))
 
@@ -462,6 +461,23 @@ def test_long_row_sample_is_pinned():
     assert traj.dtype == np.uint16
     assert hashlib.sha256(traj.tobytes()).hexdigest() == (
         "cfd74965759714485bef2cd360c0d12358f98109680ed3d2f89c675357017e8a")
+
+
+# sha256 of samples at the benchmark's sizes, frozen while the simulation
+# sorted 32-bit prefix keys; each K crosses the CHUNK boundary
+@pytest.mark.parametrize("n, m, K, digest", [
+    (200, 200, 2 * CHUNK + 4,
+     "9a06cc6c4800038fc53f1a7321fa0dcb28d547ea6e14e833edfbc7c5679ad29a"),
+    (1000, 1000, CHUNK + 1,
+     "004fd5b6fc5314f52b5307b475cc92fc30bd7f3621f2cd1e7eb7a74bc649f903"),
+    (2500, 500, CHUNK + 1,
+     "5cb708454af2eefa83dd119dccc5d34bb889ee72cb4a4e4f71a1f2059daa96dd"),
+    (2000, 2000, CHUNK + 1,
+     "61a15dd0ecd2c4f2b9997c468df1587150e716c92ce4d90518d6bcda86b5ddd0"),
+])
+def test_benchmark_size_samples_are_pinned(n, m, K, digest):
+    traj = simulate_sorted_ranks(n, m, K, seed=0).trajectories
+    assert hashlib.sha256(traj.tobytes()).hexdigest() == digest
 
 
 # n + m at the edges of uint8 and uint16: the top rank n + m is the largest
@@ -635,9 +651,10 @@ def test_preflight_sizes_the_narrow_sample(monkeypatch):
     # 1 MiB of physical memory; n + m = 20 ranks fit in one byte each
     _one_mib_of_memory(monkeypatch)
     n, m = 10, 10
-    # one sub-block: 17 B per draw on prefix keys, 8 B per calibration position
-    draws = envelope._SIM_ROWS * (17 * (n + m) + 8 * n)
-    K = (2**20 - draws) // n  # an int32 sample of this K would take 4 MiB
+    # one sub-block of 2**16 // (n + m) rows: 9 B per draw, 8 B per
+    # calibration position
+    draws = envelope._BLOCK // (n + m) * (9 * (n + m) + 8 * n)
+    K = (2**20 - draws) // n  # as int32, this sample would not fit beside the sub-block
     assert simulate_sorted_ranks(n, m, K, seed=1).trajectories.nbytes == K * n
     with pytest.raises(SampleTooLarge, match=rf"^K={K + 1} trajectories of n=10 ranks "
                        r"need 1 MiB, more than the 1 MiB of physical memory; lower K$"):
@@ -645,11 +662,11 @@ def test_preflight_sizes_the_narrow_sample(monkeypatch):
 
 
 def test_preflight_counts_the_draws_of_a_row(monkeypatch):
-    # 1 MiB of physical memory; one row takes 17 B per draw, 8 B per
-    # calibration position and 2 B per uint16 rank
+    # 1 MiB of physical memory; one row takes 9 B per draw, 8 B per
+    # calibration position and 4 B per uint32 rank
     _one_mib_of_memory(monkeypatch)
     n = 10
-    m = (2**20 - 8 * n - 2 * n) // 17 - n
+    m = (2**20 - 8 * n - 4 * n) // 9 - n
     assert simulate_sorted_ranks(n, m, 1, seed=1).trajectories.shape == (1, n)
     with pytest.raises(SampleTooLarge, match=rf"^one trajectory of n\+m={n + m + 1} draws "
                        r"needs 1 MiB to rank, more than the 1 MiB of physical memory; "
@@ -657,5 +674,5 @@ def test_preflight_counts_the_draws_of_a_row(monkeypatch):
         simulate_sorted_ranks(n, m + 1, 1, seed=1)
     # 1.6 MB of raw words in one row, though the sample is 10 ranks
     with pytest.raises(SampleTooLarge, match=r"^one trajectory of n\+m=200010 draws "
-                       r"needs 3 MiB to rank"):
+                       r"needs 2 MiB to rank"):
         simulate_sorted_ranks(10, 200_000, 1, seed=1)

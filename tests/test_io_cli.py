@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rankcp import (
     ENVELOPE_KINDS,
     Envelope,
+    InfeasibleLevel,
     InsufficientSample,
     InvalidData,
     InvalidInput,
@@ -29,7 +30,7 @@ from rankcp import cli, evaluate
 from rankcp import envelope as renv
 from rankcp import io as rio
 from rankcp.cli import main
-from rankcp.conformal import DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_DELTA
+from rankcp.conformal import DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_DELTA, select_k
 from rankcp.evaluate import DATA_NOISE_SD, SIGMOID, ExperimentConfig, run_experiment
 
 DATA = Path(__file__).parent / "data"
@@ -507,7 +508,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["simulate-envelope", "--n", "10", "--m", "10", "--kind", "quantile",
                  "--K", str(10**15), "--out", str(tmp_path / "huge.json")]) == 4
     assert ("data error: K=1000000000000000 trajectories of n=10 ranks need "
-            "9,536,743,164 MiB, more than the") in capsys.readouterr().err
+            "9,536,743,165 MiB, more than the") in capsys.readouterr().err
     assert not (tmp_path / "huge.json").exists()
     # data: an envelope file whose integer field holds a float
     doc = json.loads(envelope.read_text())
@@ -894,3 +895,81 @@ def test_removed_flags_exit_2(tmp_path, capsys):
         assert main(argv + ["--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_every_help_exits_0(capsys, command):
+    # argparse expands % in help strings: "(0: 5% of m)" ended
+    # `experiment --help` in a TypeError
+    assert main(["--help"] if command is None else [command, "--help"]) == 0
+    shown = capsys.readouterr().out
+    names = cli.COMMANDS if command is None else [
+        f"--{opt['name']}" for opt in cli.COMMANDS[command]]
+    for name in names:
+        assert name in shown
+
+
+@pytest.mark.parametrize("config, code, error, message", [
+    ({"alpha": 0.02, "delta": 0.05}, 2, InvalidInput,
+     "usage error: need 0 <= delta < alpha < 1, got alpha=0.02, delta=0.05"),
+    ({"n": 5, "m": 50}, 5, InfeasibleLevel, "infeasible level: k=6 exceeds n=5"),
+], ids=["delta-above-alpha", "n-too-small"])
+def test_hopeless_experiment_draws_no_envelope(monkeypatch, capsys, tmp_path, config, code,
+                                               error, message):
+    # the envelope was simulated before k was chosen and the level refused
+    def no_simulation(*args):
+        raise AssertionError("simulated an envelope for a hopeless experiment")
+
+    monkeypatch.setattr(renv, "simulate_sorted_ranks", no_simulation)
+    with pytest.raises(error):
+        run_experiment(ExperimentConfig(reps=10, **config))
+    out = tmp_path / "r.csv"
+    flags = [arg for key, value in config.items() for arg in (f"--{key}", str(value))]
+    assert main(["experiment", "--reps", "10", *flags, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_naive_experiment_runs_with_alpha_below_delta():
+    # the naive envelope records delta 0, so k is chosen at level 0
+    cfg = ExperimentConfig(n=60, m=20, reps=3, alpha=0.02, delta=0.05,
+                           envelope_kind="naive")
+    assert run_experiment(cfg).k == select_k(0.02, 0.0, 60)
+
+
+def test_theoretical_envelope_through_the_cli(tmp_path):
+    out = tmp_path / "env.json"
+    assert main(["simulate-envelope", "--n", "40", "--m", "60", "--kind", "theoretical",
+                 "--delta", "0.05", "--seed", "3", "--out", str(out)]) == 0
+    expected = tmp_path / "expected.json"
+    rio.write_envelope(theoretical_envelope(40, 60, 0.05), expected)
+    assert out.read_bytes() == expected.read_bytes()
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["seeds"] == {"envelope": None}
+    report = tmp_path / "report.csv"
+    assert main(["experiment", "--n", "40", "--m", "60", "--reps", "3",
+                 "--envelope-kind", "theoretical", "--out", str(report)]) == 0
+    cfg = ExperimentConfig(n=40, m=60, reps=3, envelope_kind="theoretical")
+    assert rio.read_report_rows(report) == run_experiment(cfg).to_rows()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["simulate-envelope", "--n", "5", "--m", "5"], 2,
+     "usage error: --out is required for simulate-envelope"),
+    (["simulate-envelope", "--n", "abc", "--m", "5", "--out", "{out}"], 2,
+     "usage error: --n: invalid literal for int() with base 10: 'abc'"),
+    (["predict", "--scores", str(DATA / "golden_scores.csv"),
+      "--envelope", str(DATA / "golden_envelope.json"), "--mode", "VA",
+      "--fcp", "maybe", "--out", "{out}"], 2,
+     "usage error: --fcp: expected on/off, got 'maybe'"),
+    (["synth", "--n", "5", "--m", "5", "--config", "{config}", "--out", "{out}"], 4,
+     "config must be a JSON object"),
+], ids=["missing-flag", "bad-int", "bad-on-off", "config-list"])
+def test_flag_resolution_refusals(tmp_path, capsys, argv, code, message):
+    config = tmp_path / "list.json"
+    config.write_text("[1, 2]")
+    out = tmp_path / "out"
+    argv = [arg.format(out=out, config=config) for arg in argv]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["list.json"]

@@ -75,3 +75,13 @@ def test_only_envelope_names_the_fit_level_check():
     for module in MODULES:
         if module != "envelope":
             assert not _names(module) & {"check_fit_level", "_check_fit_level"}, module
+
+
+def test_import_sites_the_benchmark_tracer_wraps():
+    # perfbench's tracer wraps these module attributes, not only the
+    # functions in conformal, and reports a site that it missed
+    from rankcp import cli, conformal, evaluate
+
+    assert cli.predict_sets is conformal.predict_sets
+    assert cli.fcp_calibration is conformal.fcp_calibration
+    assert evaluate.fcp_calibration is conformal.fcp_calibration
