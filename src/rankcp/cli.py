@@ -2,18 +2,27 @@
 
 Subcommands: ``simulate-envelope``, ``predict``, ``evaluate``, ``synth``,
 ``experiment``.  All flags are long-form; a JSON config file may supply any
-flag (command line wins on conflict).  Every output is a pure function of
-the flags and the input files.
+flag (command line wins on conflict), as a JSON value of the type the flag
+takes.  Every output is a pure function of the flags and the input files.
+
+Every subcommand runs through :func:`main`: it resolves the flags, refuses
+an ``--out`` that cannot be written before any work, runs the subcommand's
+function from :data:`COMMANDS`, which computes and writes the payload and
+returns its seeds and extras, and writes the ``<out>.manifest.json`` sidecar
+with the digests of the files the subcommand read.  ``main`` also maps every
+failure to its exit code.
 
 Exit codes: 0 ok, 2 usage/type error, 3 insufficient Monte-Carlo sample,
-4 data error, 5 infeasible level.
+4 data error (an unwritable ``--out`` included), 5 infeasible level.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,62 +83,13 @@ def _bool_flag(value) -> bool:
     raise InvalidInput(f"expected on/off, got {value!r}")
 
 
-# Defaults are the library's own values; a value outside a flag's vocabulary
-# is refused by the library call it reaches, before anything is written.
-COMMANDS: dict[str, list[dict]] = {
-    "simulate-envelope": [
-        _opt("n", int, None, "calibration set size (required)"),
-        _opt("m", int, None, "test set size (required)"),
-        _opt("delta", float, DEFAULT_DELTA, "envelope miscoverage level"),
-        _opt("kind", str, ExperimentConfig.envelope_kind, "envelope kind"),
-        _opt("K", int, DEFAULT_K, "Monte-Carlo trajectory count"),
-        _opt("seed", int, 0, "simulation seed"),
-        _opt("out", str, None, "output envelope JSON path (required)"),
-    ],
-    "predict": [
-        _opt("scores", str, None, "scores CSV path (required)"),
-        _opt("envelope", str, None, "envelope JSON path (required)"),
-        _opt("alpha", float, DEFAULT_ALPHA, "target miscoverage per item"),
-        _opt("mode", str, RA, "score family"),
-        _opt("fcp", _bool_flag, False, "FCP-calibrated threshold (on/off)"),
-        _opt("beta", float, DEFAULT_BETA, "FCP exceedance budget (fcp=on)"),
-        _opt("test-only", _bool_flag, False, "add test-only rank columns"),
-        _opt("top-k", int, 0, "add a top-k candidate column (0 disables)"),
-        _opt("out", str, None, "output sets CSV path (required)"),
-    ],
-    "evaluate": [
-        _opt("sets", str, None, "sets CSV path (required)"),
-        _opt("truth", str, None, "scores CSV with true_value column (required)"),
-        _opt("out", str, None, "output metrics JSON path (required)"),
-    ],
-    "synth": [
-        _opt("model", str, SIGMOID, "data model"),
-        _opt("n", int, None, "calibration set size (required)"),
-        _opt("m", int, None, "test set size (required)"),
-        _opt("noise-sd", float, ExperimentConfig.noise_sd, "toy ranker noise"),
-        _opt("data-noise-sd", float, DATA_NOISE_SD, "generator noise"),
-        _opt("d", int, 5, "feature dimension (sigmoid model)"),
-        _opt("mode", str, RA, "ranker output type"),
-        _opt("seed", int, 0, "generation seed"),
-        _opt("out", str, None, "output scores CSV path (required)"),
-    ],
-    "experiment": [
-        _opt("n", int, ExperimentConfig.n, "calibration set size"),
-        _opt("m", int, ExperimentConfig.m, "test set size"),
-        _opt("reps", int, ExperimentConfig.reps, "repetitions"),
-        _opt("alpha", float, ExperimentConfig.alpha, "target miscoverage per item"),
-        _opt("beta", float, ExperimentConfig.beta, "FCP exceedance budget"),
-        _opt("delta", float, ExperimentConfig.delta, "envelope miscoverage level"),
-        _opt("mode", str, ExperimentConfig.mode, "score family"),
-        _opt("envelope-kind", str, ExperimentConfig.envelope_kind, "envelope kind"),
-        _opt("K-env", int, ExperimentConfig.K_env, "envelope trajectory count"),
-        _opt("data-model", str, ExperimentConfig.data_model, "data model"),
-        _opt("noise-sd", float, ExperimentConfig.noise_sd, "toy ranker noise"),
-        _opt("seed", int, ExperimentConfig.master_seed, "master seed"),
-        _opt("fcp-mode", str, ExperimentConfig.fcp_mode, "threshold selection"),
-        _opt("k-top", int, 0, "top-k target size (0: 5%% of m)"),
-        _opt("out", str, None, "output report CSV path (required)"),
-    ],
+# The JSON types a config value may have, by its flag's converter: int()
+# would truncate 2.9 to 2 and read true as 1, and float() would read false as 0.
+_CONFIG_TYPES = {
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    _bool_flag: ("a boolean or on/off", (bool, str)),
+    str: ("a string", (str,)),
 }
 
 
@@ -146,10 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in COMMANDS.items():
+    for command, spec in COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="JSON file supplying any flag")
-        for opt in options:
+        for opt in spec.flags:
             p.add_argument(
                 f"--{opt['name']}",
                 default=argparse.SUPPRESS,
@@ -161,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and explicit flags (flags win)."""
-    options = {opt["name"]: opt for opt in COMMANDS[command]}
+    options = {opt["name"]: opt for opt in COMMANDS[command].flags}
     values = {name: opt["default"] for name, opt in options.items()}
     if args.config is not None:
         doc = io.read_json(args.config)
@@ -173,9 +133,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                 raise InvalidInput(f"unknown config key {key!r} for {command}")
             if value is None:
                 raise InvalidInput(f"config key {key!r} must not be null")
-            # int() would truncate 2.9 to 2 and read true as 1
-            if options[name]["converter"] is int and isinstance(value, (bool, float)):
-                raise InvalidInput(f"config key {key!r} must be an integer, got {value!r}")
+            noun, types = _CONFIG_TYPES[options[name]["converter"]]
+            if type(value) not in types:
+                raise InvalidInput(f"config key {key!r} must be {noun}, got {value!r}")
             values[name] = value
     for name in options:
         attr = name.replace("-", "_")
@@ -194,36 +154,17 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _manifest(command: str, resolved: dict, seeds: dict, inputs: dict, extras: dict,
-              out: str) -> None:
-    io.RunManifest(
-        tool=TOOL,
-        version=__version__,
-        command=command,
-        config={k: v for k, v in resolved.items()},
-        seeds=seeds,
-        inputs={name: io.file_digest(path) for name, path in inputs.items()},
-        extras=extras,
-    ).write(out)
-
-
-def _cmd_simulate_envelope(resolved: dict) -> int:
+def _cmd_simulate_envelope(resolved: dict) -> tuple[dict, dict]:
     env = build_envelope(
         resolved["kind"], resolved["n"], resolved["m"], resolved["delta"],
         resolved["K"], resolved["seed"],
     )
     io.write_envelope(env, resolved["out"])
-    _manifest(
-        "simulate-envelope", resolved,
-        seeds={"envelope": None if env.mc_meta is None else env.mc_meta.seed},
-        inputs={},
-        extras={"param": env.param},
-        out=resolved["out"],
-    )
-    return EXIT_OK
+    return ({"envelope": None if env.mc_meta is None else env.mc_meta.seed},
+            {"param": env.param})
 
 
-def _cmd_predict(resolved: dict) -> int:
+def _cmd_predict(resolved: dict) -> tuple[dict, dict]:
     if resolved["top-k"] < 0:
         raise InvalidInput(f"--top-k must be nonnegative, got {resolved['top-k']}")
     problem = io.read_scores(resolved["scores"], resolved["mode"])
@@ -244,21 +185,14 @@ def _cmd_predict(resolved: dict) -> int:
     test_only = test_only_set(sets, env) if resolved["test-only"] else None
     top = topk_candidates(sets, resolved["top-k"]) if resolved["top-k"] > 0 else None
     io.write_sets(sets, resolved["out"], test_only=test_only, top_candidates=top)
-    _manifest(
-        "predict", resolved,
-        seeds={},
-        inputs={"scores": resolved["scores"], "envelope": resolved["envelope"]},
-        extras={
-            "k": thr.k,
-            "threshold": thr.value,
-            "t_hat": None if meta is None else meta.t_hat,
-        },
-        out=resolved["out"],
-    )
-    return EXIT_OK
+    return {}, {
+        "k": thr.k,
+        "threshold": thr.value,
+        "t_hat": None if meta is None else meta.t_hat,
+    }
 
 
-def _cmd_evaluate(resolved: dict) -> int:
+def _cmd_evaluate(resolved: dict) -> tuple[dict, dict]:
     sets = io.read_sets(resolved["sets"])
     if not len(sets):
         raise InvalidData(f"{resolved['sets']}: no prediction sets to evaluate")
@@ -282,29 +216,20 @@ def _cmd_evaluate(resolved: dict) -> int:
         resolved["out"], fcp(sets, true_ranks), relative_length(sets, n + m),
         sets.items, ranks, sets.contains(true_ranks).tolist(),
     )
-    _manifest(
-        "evaluate", resolved, seeds={},
-        inputs={"sets": resolved["sets"], "truth": resolved["truth"]},
-        extras={}, out=resolved["out"],
-    )
-    return EXIT_OK
+    return {}, {}
 
 
-def _cmd_synth(resolved: dict) -> int:
+def _cmd_synth(resolved: dict) -> tuple[dict, dict]:
     problem = synthesize_problem(
         resolved["model"], resolved["n"], resolved["m"], resolved["noise-sd"],
         resolved["mode"], resolved["seed"], d=resolved["d"],
         data_noise_sd=resolved["data-noise-sd"],
     )
     io.write_scores(problem, resolved["out"])
-    _manifest(
-        "synth", resolved, seeds={"data": resolved["seed"]}, inputs={},
-        extras={}, out=resolved["out"],
-    )
-    return EXIT_OK
+    return {"data": resolved["seed"]}, {}
 
 
-def _cmd_experiment(resolved: dict) -> int:
+def _cmd_experiment(resolved: dict) -> tuple[dict, dict]:
     cfg = ExperimentConfig(
         **{name.replace("-", "_"): value for name, value in resolved.items()
            if name not in ("seed", "k-top", "out")},
@@ -313,23 +238,90 @@ def _cmd_experiment(resolved: dict) -> int:
     report = run_experiment(cfg)
     io.write_report(report, resolved["out"])
     summary = report.aggregates()
-    _manifest(
-        "experiment", resolved, seeds={"master": resolved["seed"]}, inputs={},
-        extras={"aggregates": summary}, out=resolved["out"],
-    )
     for key in ("mean_fcp", "fcp_exceedance", "mean_relative_length",
                 "mean_oracle_ratio"):
         print(f"{key}: {summary[key]:.6g}")
-    return EXIT_OK
+    return {"master": resolved["seed"]}, {"aggregates": summary}
 
 
-DISPATCH = {
-    "simulate-envelope": _cmd_simulate_envelope,
-    "predict": _cmd_predict,
-    "evaluate": _cmd_evaluate,
-    "synth": _cmd_synth,
-    "experiment": _cmd_experiment,
+class Command(NamedTuple):
+    """A subcommand: its function, the flags naming the files it reads, its flags.
+
+    ``run`` computes and writes the payload from the resolved flags and
+    returns the manifest's ``seeds`` and ``extras``.
+    """
+
+    run: Callable[[dict], tuple[dict, dict]]
+    reads: tuple[str, ...]
+    flags: list[dict]
+
+
+# Defaults are the library's own values; a value outside a flag's vocabulary
+# is refused by the library call it reaches, before anything is written.
+COMMANDS: dict[str, Command] = {
+    "simulate-envelope": Command(_cmd_simulate_envelope, (), [
+        _opt("n", int, None, "calibration set size (required)"),
+        _opt("m", int, None, "test set size (required)"),
+        _opt("delta", float, DEFAULT_DELTA, "envelope miscoverage level"),
+        _opt("kind", str, ExperimentConfig.envelope_kind, "envelope kind"),
+        _opt("K", int, DEFAULT_K, "Monte-Carlo trajectory count"),
+        _opt("seed", int, 0, "simulation seed"),
+        _opt("out", str, None, "output envelope JSON path (required)"),
+    ]),
+    "predict": Command(_cmd_predict, ("scores", "envelope"), [
+        _opt("scores", str, None, "scores CSV path (required)"),
+        _opt("envelope", str, None, "envelope JSON path (required)"),
+        _opt("alpha", float, DEFAULT_ALPHA, "target miscoverage per item"),
+        _opt("mode", str, RA, "score family"),
+        _opt("fcp", _bool_flag, False, "FCP-calibrated threshold (on/off)"),
+        _opt("beta", float, DEFAULT_BETA, "FCP exceedance budget (fcp=on)"),
+        _opt("test-only", _bool_flag, False, "add test-only rank columns"),
+        _opt("top-k", int, 0, "add a top-k candidate column (0 disables)"),
+        _opt("out", str, None, "output sets CSV path (required)"),
+    ]),
+    "evaluate": Command(_cmd_evaluate, ("sets", "truth"), [
+        _opt("sets", str, None, "sets CSV path (required)"),
+        _opt("truth", str, None, "scores CSV with true_value column (required)"),
+        _opt("out", str, None, "output metrics JSON path (required)"),
+    ]),
+    "synth": Command(_cmd_synth, (), [
+        _opt("model", str, SIGMOID, "data model"),
+        _opt("n", int, None, "calibration set size (required)"),
+        _opt("m", int, None, "test set size (required)"),
+        _opt("noise-sd", float, ExperimentConfig.noise_sd, "toy ranker noise"),
+        _opt("data-noise-sd", float, DATA_NOISE_SD, "generator noise"),
+        _opt("d", int, 5, "feature dimension (sigmoid model)"),
+        _opt("mode", str, RA, "ranker output type"),
+        _opt("seed", int, 0, "generation seed"),
+        _opt("out", str, None, "output scores CSV path (required)"),
+    ]),
+    "experiment": Command(_cmd_experiment, (), [
+        _opt("n", int, ExperimentConfig.n, "calibration set size"),
+        _opt("m", int, ExperimentConfig.m, "test set size"),
+        _opt("reps", int, ExperimentConfig.reps, "repetitions"),
+        _opt("alpha", float, ExperimentConfig.alpha, "target miscoverage per item"),
+        _opt("beta", float, ExperimentConfig.beta, "FCP exceedance budget"),
+        _opt("delta", float, ExperimentConfig.delta, "envelope miscoverage level"),
+        _opt("mode", str, ExperimentConfig.mode, "score family"),
+        _opt("envelope-kind", str, ExperimentConfig.envelope_kind, "envelope kind"),
+        _opt("K-env", int, ExperimentConfig.K_env, "envelope trajectory count"),
+        _opt("data-model", str, ExperimentConfig.data_model, "data model"),
+        _opt("noise-sd", float, ExperimentConfig.noise_sd, "toy ranker noise"),
+        _opt("seed", int, ExperimentConfig.master_seed, "master seed"),
+        _opt("fcp-mode", str, ExperimentConfig.fcp_mode, "threshold selection"),
+        _opt("k-top", int, 0, "top-k target size (0: 5%% of m)"),
+        _opt("out", str, None, "output report CSV path (required)"),
+    ]),
 }
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an ``--out`` that is a directory or lies in none."""
+    if os.path.isdir(out):
+        raise InvalidData(f"--out {out} is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise InvalidData(f"--out {out}: {parent} is not a directory")
 
 
 def main(argv=None) -> int:
@@ -338,9 +330,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = COMMANDS[args.command]
     try:
         resolved = _resolve(args.command, args)
-        return DISPATCH[args.command](resolved)
+        out = resolved["out"]
+        _check_out(out)
+        try:
+            seeds, extras = command.run(resolved)
+            io.RunManifest(
+                tool=TOOL, version=__version__, command=args.command, config=resolved,
+                seeds=seeds, extras=extras,
+                inputs={name: io.file_digest(resolved[name]) for name in command.reads},
+            ).write(out)
+        except OSError as exc:  # the readers name their file in an InvalidData
+            raise InvalidData(f"cannot write --out {out}: {exc}") from exc
     except InvalidInput as exc:
         print(f"{TOOL}: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -353,6 +356,7 @@ def main(argv=None) -> int:
     except RankCPError as exc:
         print(f"{TOOL}: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -94,6 +94,9 @@ _DROPPED_BITS = np.uint64(2**11 - 1)
 # 64 at 4000).
 _BLOCK = 2**16
 
+# The kernel's memory report, whose MemAvailable line the pre-flight reads.
+_MEMINFO = "/proc/meminfo"
+
 
 def _ceil_count(q: float, K: int) -> int:
     """Smallest integer >= q * K, guarded against float fuzz, clipped to [0, K]."""
@@ -170,6 +173,25 @@ def _column_groups(sizes: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _available_memory() -> int | None:
+    """Bytes that a new allocation can take, or ``None`` if unknown.
+
+    ``MemAvailable`` from :data:`_MEMINFO` where the kernel reports it, which
+    leaves out memory that other processes hold; else physical memory.
+    """
+    try:
+        with open(_MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # reported in kB
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return None
+
+
 def _allocate_trajectories(K: int, n: int, m: int, rows: int) -> np.ndarray:
     """An empty ``K x n`` sample of ranks in ``[1, n+m]``, or :class:`SampleTooLarge`.
 
@@ -177,8 +199,8 @@ def _allocate_trajectories(K: int, n: int, m: int, rows: int) -> np.ndarray:
     ``(n, K)`` buffer, so the ``K`` ranks of each column are adjacent.
 
     Its dtype is the narrowest unsigned one that holds ``n + m`` (uint8 up to
-    255, uint16 up to 65535, uint32 above).  The pre-flight against physical
-    memory sizes the sample with that dtype's ``itemsize`` and adds the buffers
+    255, uint16 up to 65535, uint32 above).  The pre-flight against available
+    memory (:func:`_available_memory`) sizes the sample with that dtype's ``itemsize`` and adds the buffers
     of one sub-block of ``rows`` rows of :func:`simulate_sorted_ranks`: per
     drawn item its raw word, which becomes its sort key (8 B), and its tag
     (1 B); per calibration item its int64 sorted position (8 B).
@@ -188,14 +210,11 @@ def _allocate_trajectories(K: int, n: int, m: int, rows: int) -> np.ndarray:
     per_row = 9 * total + 8 * n
     nbytes = dtype.itemsize * K * n + rows * per_row
     size = f"K={K} trajectories of n={n} ranks need {nbytes / 2**20:,.0f} MiB"
-    try:
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
-        physical = None
-    if physical is not None and nbytes > physical:
-        available = f"more than the {physical / 2**20:,.0f} MiB of physical memory"
+    memory = _available_memory()
+    if memory is not None and nbytes > memory:
+        available = f"more than the {memory / 2**20:,.0f} MiB of available memory"
         one = dtype.itemsize * n + per_row
-        if one > physical:  # no K is small enough
+        if one > memory:  # no K is small enough
             raise SampleTooLarge(
                 f"one trajectory of n+m={total} draws needs {one / 2**20:,.0f} MiB "
                 f"to rank, {available}; lower n + m"
@@ -235,7 +254,7 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     subtraction, which cannot wrap since every rank lies in ``[1, n+m]``.
     Raises :class:`SampleTooLarge` before
     drawing anything if that sample and one sub-block's buffers exceed the
-    machine's physical memory.
+    machine's available memory.
     """
     if n < 1 or m < 0 or K < 1:
         raise InvalidInput("need n >= 1, m >= 0, K >= 1")

@@ -643,12 +643,11 @@ def test_oversized_sample_fails_before_allocating():
 
 
 def _one_mib_of_memory(monkeypatch):
-    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
-    monkeypatch.setattr(envelope.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(envelope, "_available_memory", lambda: 2**20)
 
 
 def test_preflight_sizes_the_narrow_sample(monkeypatch):
-    # 1 MiB of physical memory; n + m = 20 ranks fit in one byte each
+    # 1 MiB of available memory; n + m = 20 ranks fit in one byte each
     _one_mib_of_memory(monkeypatch)
     n, m = 10, 10
     # one sub-block of 2**16 // (n + m) rows: 9 B per draw, 8 B per
@@ -657,22 +656,45 @@ def test_preflight_sizes_the_narrow_sample(monkeypatch):
     K = (2**20 - draws) // n  # as int32, this sample would not fit beside the sub-block
     assert simulate_sorted_ranks(n, m, K, seed=1).trajectories.nbytes == K * n
     with pytest.raises(SampleTooLarge, match=rf"^K={K + 1} trajectories of n=10 ranks "
-                       r"need 1 MiB, more than the 1 MiB of physical memory; lower K$"):
+                       r"need 1 MiB, more than the 1 MiB of available memory; lower K$"):
         simulate_sorted_ranks(n, m, K + 1, seed=1)
 
 
 def test_preflight_counts_the_draws_of_a_row(monkeypatch):
-    # 1 MiB of physical memory; one row takes 9 B per draw, 8 B per
+    # 1 MiB of available memory; one row takes 9 B per draw, 8 B per
     # calibration position and 4 B per uint32 rank
     _one_mib_of_memory(monkeypatch)
     n = 10
     m = (2**20 - 8 * n - 4 * n) // 9 - n
     assert simulate_sorted_ranks(n, m, 1, seed=1).trajectories.shape == (1, n)
     with pytest.raises(SampleTooLarge, match=rf"^one trajectory of n\+m={n + m + 1} draws "
-                       r"needs 1 MiB to rank, more than the 1 MiB of physical memory; "
+                       r"needs 1 MiB to rank, more than the 1 MiB of available memory; "
                        r"lower n \+ m$"):
         simulate_sorted_ranks(n, m + 1, 1, seed=1)
     # 1.6 MB of raw words in one row, though the sample is 10 ranks
     with pytest.raises(SampleTooLarge, match=r"^one trajectory of n\+m=200010 draws "
                        r"needs 2 MiB to rank"):
         simulate_sorted_ranks(10, 200_000, 1, seed=1)
+
+
+def test_available_memory_reads_memavailable_before_physical_memory(monkeypatch, tmp_path):
+    # 4 MiB of physical memory, 2 MiB of it available
+    pages = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(envelope.os, "sysconf", pages.__getitem__)
+    meminfo = tmp_path / "meminfo"
+    monkeypatch.setattr(envelope, "_MEMINFO", str(meminfo))
+    meminfo.write_text("MemTotal:           4096 kB\nMemFree:             100 kB\n"
+                       "MemAvailable:       2048 kB\nBuffers:              10 kB\n")
+    assert envelope._available_memory() == 2 * 2**20
+    # 3.7 MiB with one sub-block's buffers: fits in physical memory only
+    with pytest.raises(SampleTooLarge, match=r"^K=300000 trajectories of n=10 ranks need "
+                       r"4 MiB, more than the 2 MiB of available memory; lower K$"):
+        simulate_sorted_ranks(10, 10, 300_000, seed=1)
+    # a kernel without the field, or no such file: physical memory
+    meminfo.write_text("MemTotal:           4096 kB\nMemFree:             100 kB\n")
+    assert envelope._available_memory() == 4 * 2**20
+    assert simulate_sorted_ranks(10, 10, 300_000, seed=1).K == 300_000
+    meminfo.unlink()
+    assert envelope._available_memory() == 4 * 2**20
+    monkeypatch.delattr(envelope.os, "sysconf")
+    assert envelope._available_memory() is None

@@ -2,9 +2,12 @@
 
 import argparse
 import cProfile
+import errno
+import hashlib
 import json
 import json.encoder
 import math
+import os
 import pstats
 from pathlib import Path
 
@@ -723,8 +726,8 @@ def test_default_flags_compose(tmp_path):
 
 
 def test_cli_defaults_are_the_library_defaults():
-    defaults = {command: {opt["name"]: opt["default"] for opt in options}
-                for command, options in cli.COMMANDS.items()}
+    defaults = {command: {opt["name"]: opt["default"] for opt in spec.flags}
+                for command, spec in cli.COMMANDS.items()}
     config = ExperimentConfig()
     for name, value in defaults["experiment"].items():
         if name == "k-top":
@@ -904,7 +907,7 @@ def test_every_help_exits_0(capsys, command):
     assert main(["--help"] if command is None else [command, "--help"]) == 0
     shown = capsys.readouterr().out
     names = cli.COMMANDS if command is None else [
-        f"--{opt['name']}" for opt in cli.COMMANDS[command]]
+        f"--{opt['name']}" for opt in cli.COMMANDS[command].flags]
     for name in names:
         assert name in shown
 
@@ -951,6 +954,144 @@ def test_theoretical_envelope_through_the_cli(tmp_path):
                  "--envelope-kind", "theoretical", "--out", str(report)]) == 0
     cfg = ExperimentConfig(n=40, m=60, reps=3, envelope_kind="theoretical")
     assert rio.read_report_rows(report) == run_experiment(cfg).to_rows()
+
+
+GOLDEN_INPUTS = {"scores": DATA / "golden_scores.csv",
+                 "envelope": DATA / "golden_envelope.json",
+                 "sets": DATA / "golden_sets.csv", "truth": DATA / "golden_scores.csv"}
+
+# one small run of each subcommand, without its --out
+RUNS = {
+    "simulate-envelope": ["simulate-envelope", "--n", "20", "--m", "10", "--K", "2000",
+                          "--seed", "7"],
+    "predict": ["predict", "--scores", str(GOLDEN_INPUTS["scores"]),
+                "--envelope", str(GOLDEN_INPUTS["envelope"]), "--alpha", "0.25",
+                "--mode", "VA", "--fcp", "on"],
+    "evaluate": ["evaluate", "--sets", str(GOLDEN_INPUTS["sets"]),
+                 "--truth", str(GOLDEN_INPUTS["truth"])],
+    "synth": ["synth", "--n", "20", "--m", "10", "--seed", "5"],
+    "experiment": ["experiment", "--n", "40", "--m", "30", "--reps", "2",
+                   "--K-env", "2000", "--seed", "3"],
+}
+
+
+# per subcommand: the typed values some of its flags resolve to, its seeds,
+# the files it reads and its extras keys
+@pytest.mark.parametrize("command, typed, seeds, inputs, extras", [
+    ("simulate-envelope", {"n": 20, "K": 2000, "kind": "quantile"}, {"envelope": 7}, [],
+     ["param"]),
+    ("predict", {"alpha": 0.25, "fcp": True, "top-k": 0}, {}, ["scores", "envelope"],
+     ["k", "threshold", "t_hat"]),
+    ("evaluate", {"sets": str(GOLDEN_INPUTS["sets"])}, {}, ["sets", "truth"], []),
+    ("synth", {"m": 10, "seed": 5, "d": 5}, {"data": 5}, [], []),
+    ("experiment", {"reps": 2, "seed": 3, "k-top": 0}, {"master": 3}, [], ["aggregates"]),
+])
+def test_every_subcommand_writes_its_manifest(tmp_path, capsys, command, typed, seeds,
+                                              inputs, extras):
+    out = tmp_path / "payload"
+    assert main(RUNS[command] + ["--out", str(out)]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["command"] == command
+    config = manifest["config"]
+    assert config["out"] == str(out)
+    for name, value in typed.items():
+        assert config[name] == value and type(config[name]) is type(value), name
+    assert manifest["seeds"] == seeds
+    assert manifest["inputs"] == {
+        name: hashlib.sha256(GOLDEN_INPUTS[name].read_bytes()).hexdigest()
+        for name in inputs}
+    assert sorted(manifest["extras"]) == sorted(extras)
+    assert manifest["payload"] == str(out)
+    assert manifest["payload_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    # the recorded config replays the run byte for byte
+    replay_config, replay = tmp_path / "replay.json", tmp_path / "replay"
+    replay_config.write_text(json.dumps(config))
+    assert main([command, "--config", str(replay_config), "--out", str(replay)]) == 0
+    assert replay.read_bytes() == out.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", RUNS)
+@pytest.mark.parametrize("where", ["missing-directory", "existing-directory",
+                                   "under-a-file"])
+def test_an_unwritable_out_is_refused_before_any_work(tmp_path, capsys, command, where):
+    directory, file = tmp_path / "dir", tmp_path / "file"
+    directory.mkdir()
+    file.write_text("")
+    missing = tmp_path / "missing"
+    out, message = {
+        "missing-directory": (missing / "x",
+                              f"--out {missing / 'x'}: {missing} is not a directory"),
+        "existing-directory": (directory, f"--out {directory} is a directory"),
+        "under-a-file": (file / "x", f"--out {file / 'x'}: {file} is not a directory"),
+    }[where]
+    assert main(RUNS[command] + ["--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"rankcp: data error: {message}\n"
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["dir", "file"]
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("simulate-envelope", renv, "simulate_sorted_ranks"),
+    ("experiment", cli, "run_experiment"),
+])
+def test_an_unwritable_out_computes_nothing(monkeypatch, tmp_path, command, module, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(module, name, no_work)
+    with pytest.raises(AssertionError, match=f"{name} ran"):
+        main(RUNS[command] + ["--out", str(tmp_path / "x")])
+    assert main(RUNS[command] + ["--out", str(tmp_path / "missing" / "x")]) == 4
+
+
+# one flag of each converter, given a JSON value of another type
+@pytest.mark.parametrize("command, key, value, kind", [
+    ("synth", "n", 20.0, "an integer"),
+    ("simulate-envelope", "delta", False, "a number"),
+    ("experiment", "alpha", True, "a number"),
+    ("predict", "fcp", 1, "a boolean or on/off"),
+    ("synth", "mode", 1, "a string"),
+], ids=["integer", "number-false", "number-true", "on-off", "text"])
+def test_config_values_take_the_json_types_of_their_flag(tmp_path, capsys, command, key,
+                                                         value, kind):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(RUNS[command] + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"rankcp: usage error: config key {key!r} must be {kind}, got {value!r}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_values_of_the_flags_json_types_are_taken(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for command, doc, typed in [
+        ("synth", {"noise_sd": 1}, {"noise-sd": 1.0}),
+        ("predict", {"test_only": True}, {"test-only": True}),
+        ("predict", {"test_only": "off"}, {"test-only": False}),
+    ]:
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / command
+        assert main(RUNS[command] + ["--config", str(cfg), "--out", str(out)]) == 0
+        config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+        assert {name: config[name] for name in typed} == typed
+        assert all(type(config[name]) is type(value) for name, value in typed.items())
+
+
+def test_a_failed_write_exits_4_naming_the_out(tmp_path, capsys):
+    # a name too long for the file system passes the directory checks and
+    # fails when the payload is opened
+    out = tmp_path / ("x" * 300 + ".csv")
+    assert main(RUNS["synth"] + ["--out", str(out)]) == 4
+    reason = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+    assert capsys.readouterr().err.startswith(
+        f"rankcp: data error: cannot write --out {out}: {reason}")
+    assert list(tmp_path.iterdir()) == []
+    # the manifest cannot be written where a directory takes its name
+    out = tmp_path / "scores.csv"
+    Path(f"{out}.manifest.json").mkdir()
+    assert main(RUNS["synth"] + ["--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"rankcp: data error: cannot write --out {out}: [Errno {errno.EISDIR}]")
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -85,3 +85,16 @@ def test_import_sites_the_benchmark_tracer_wraps():
     assert cli.predict_sets is conformal.predict_sets
     assert cli.fcp_calibration is conformal.fcp_calibration
     assert evaluate.fcp_calibration is conformal.fcp_calibration
+
+
+def test_main_is_the_one_manifest_writer():
+    # every subcommand's manifest is built in one place, so a field added
+    # there reaches all of them
+    calls = [(module, node.lineno) for module in MODULES for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Call) and "RunManifest" in (
+                 getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    main = next(node for node in _tree("cli").body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert len(calls) == 1, calls
+    module, line = calls[0]
+    assert module == "cli" and main.lineno <= line <= main.end_lineno
