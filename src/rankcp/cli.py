@@ -6,11 +6,13 @@ flag (command line wins on conflict), as a JSON value of the type the flag
 takes.  Every output is a pure function of the flags and the input files.
 
 Every subcommand runs through :func:`main`: it resolves the flags, refuses
-an ``--out`` that cannot be written before any work, runs the subcommand's
-function from :data:`COMMANDS`, which computes and writes the payload and
-returns its seeds and extras, and writes the ``<out>.manifest.json`` sidecar
-with the digests of the files the subcommand read.  ``main`` also maps every
-failure to its exit code.
+an ``--out`` that cannot be written or that names one of the subcommand's
+input files before any work, runs the subcommand's function from
+:data:`COMMANDS`, which computes and writes the payload and returns its seeds
+and extras, and writes the ``<out>.manifest.json`` sidecar with the digests
+of the files the subcommand read.  Where the sidecar cannot be written, the
+payload just written is removed.  ``main`` also maps every failure to its
+exit code.
 
 Exit codes: 0 ok, 2 usage/type error, 3 insufficient Monte-Carlo sample,
 4 data error (an unwritable ``--out`` included), 5 infeasible level.
@@ -315,13 +317,22 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def _check_out(out: str) -> None:
-    """Refuse, before any work, an ``--out`` that is a directory or lies in none."""
+def _check_out(out: str, inputs: dict[str, str]) -> None:
+    """Refuse, before any work, an ``--out`` that cannot be written or names an input.
+
+    An ``--out`` that is a directory or lies in none cannot be written, and
+    one that names the same file as an input flag (``inputs`` maps each to its
+    path) would overwrite the input and record the payload's digest as its.
+    """
     if os.path.isdir(out):
         raise InvalidData(f"--out {out} is a directory")
     parent = os.path.dirname(out) or "."
     if not os.path.isdir(parent):
         raise InvalidData(f"--out {out}: {parent} is not a directory")
+    for name, path in inputs.items():
+        if os.path.realpath(path) == os.path.realpath(out) or (
+                os.path.exists(path) and os.path.exists(out) and os.path.samefile(path, out)):
+            raise InvalidData(f"--out and --{name} name the same file {out}")
 
 
 def main(argv=None) -> int:
@@ -334,14 +345,18 @@ def main(argv=None) -> int:
     try:
         resolved = _resolve(args.command, args)
         out = resolved["out"]
-        _check_out(out)
+        _check_out(out, {name: resolved[name] for name in command.reads})
         try:
             seeds, extras = command.run(resolved)
-            io.RunManifest(
-                tool=TOOL, version=__version__, command=args.command, config=resolved,
-                seeds=seeds, extras=extras,
-                inputs={name: io.file_digest(resolved[name]) for name in command.reads},
-            ).write(out)
+            try:
+                io.RunManifest(
+                    tool=TOOL, version=__version__, command=args.command,
+                    config=resolved, seeds=seeds, extras=extras,
+                    inputs={name: io.file_digest(resolved[name]) for name in command.reads},
+                ).write(out)
+            except OSError:
+                os.remove(out)  # no payload without its sidecar
+                raise
         except OSError as exc:  # the readers name their file in an InvalidData
             raise InvalidData(f"cannot write --out {out}: {exc}") from exc
     except InvalidInput as exc:

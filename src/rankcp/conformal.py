@@ -33,6 +33,13 @@ least ``1 - beta_bar - delta``.  The vector of conformal p-values of test
 scores among calibration scores follows a universal distribution; the one
 order statistic that decides FCP control has a negative-hypergeometric law,
 so ``k`` is computed exactly rather than simulated.
+
+The scalar scores (:func:`score_ra`, :func:`score_va` and their proxies) are
+kept for the closed-form checks of the API; ``ranks`` owns the rules they
+apply, so they refuse what the array path refuses: a rank that is not a
+whole number, and VA values that are not finite or hold ties (the item's own
+value must be finite too).  :func:`calibrate` is the one order-statistic
+selection here; every other ordering is read from ``ranks``.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from .errors import (
     InvalidInput,
     RankOutOfRange,
 )
-from .ranks import RA, ItemId, RankingProblem, check_no_ties
+from .ranks import RA, ItemId, RankingProblem, as_rank, rank_va_outputs
 
 MARGINAL = "marginal"
 FCP_CONTROLLED = "fcp_controlled"
@@ -104,6 +111,8 @@ class RankSet:
     def __post_init__(self):
         if self.kind not in SET_KINDS:
             raise InvalidInput(f"unknown set kind {self.kind!r}")
+        object.__setattr__(self, "lo", as_rank(self.lo))  # frozen: set once, here
+        object.__setattr__(self, "hi", as_rank(self.hi))
         if not 1 <= self.lo <= self.hi:
             raise InvalidInput(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
@@ -120,7 +129,9 @@ class RankSets:
     """Prediction sets ``[lo[j], hi[j]]`` of many items, held as int64 columns.
 
     ``items[j]`` names row ``j``; ``kind`` is as for :class:`RankSet` and
-    shared by all rows.  ``1 <= lo <= hi`` is checked once, on construction.
+    shared by all rows.  ``lo`` and ``hi`` must be whole numbers with
+    ``1 <= lo <= hi``, checked once, on construction (a float column is
+    scanned for fractions; an integer one needs no scan).
     ``len``, integer indexing and iteration give :class:`RankSet` views of
     single rows, for API use; library code works on the columns.
 
@@ -138,11 +149,17 @@ class RankSets:
         if self.kind not in SET_KINDS:
             raise InvalidInput(f"unknown set kind {self.kind!r}")
         self.items = list(self.items)
-        self.lo = np.asarray(self.lo, dtype=np.int64)
-        self.hi = np.asarray(self.hi, dtype=np.int64)
-        if (self.lo.ndim not in (1, 2) or self.lo.shape[-1] != len(self.items)
-                or self.hi.shape != self.lo.shape):
+        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        if (lo.ndim not in (1, 2) or lo.shape[-1] != len(self.items)
+                or hi.shape != lo.shape):
             raise DimensionMismatch("need one lo and one hi per item")
+        for edge in (lo, hi):
+            if edge.dtype.kind == "f":  # an integer column needs no scan
+                bad = np.flatnonzero((np.trunc(edge) != edge) | np.isinf(edge))
+                if bad.size:
+                    raise InvalidInput(f"ranks must be integers, got {edge.flat[bad[0]]} "
+                                       f"for item {self.items[bad[0] % len(self.items)]!r}")
+        self.lo, self.hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
         bad = np.flatnonzero((self.lo < 1) | (self.lo > self.hi))
         if bad.size:
             j = bad[0]
@@ -165,7 +182,7 @@ class RankSets:
     def __getitem__(self, j: int) -> RankSet:
         if self.lo.ndim != 1:
             raise InvalidInput("a batch of sets has no single-item views")
-        return RankSet(self.items[j], int(self.lo[j]), int(self.hi[j]), self.kind)
+        return RankSet(self.items[j], self.lo[j], self.hi[j], self.kind)
 
     def __iter__(self):
         return (self[j] for j in range(len(self)))
@@ -180,18 +197,18 @@ class RankSets:
 
 def score_ra(r: int, predicted_rank: int) -> float:
     """Residual score in RA mode: ``|r - predicted_rank|``."""
+    r, predicted_rank = as_rank(r), as_rank(predicted_rank)
     if r < 1 or predicted_rank < 1:
         raise InvalidInput("ranks must be >= 1")
-    return float(abs(int(r) - int(predicted_rank)))
+    return float(abs(r - predicted_rank))
 
 
 def score_va(r: int, value: float, all_values) -> float:
-    """Value-gap score in VA mode: ``|value_at_rank(r, all_values) - value|``."""
-    arr = np.asarray(all_values, dtype=float)
-    if not 1 <= int(r) <= arr.size:
-        raise RankOutOfRange(f"rank {r} outside [1, {arr.size}]")
-    check_no_ties(arr, "all_values")
-    return float(abs(np.partition(arr, int(r) - 1)[int(r) - 1] - float(value)))
+    """Value-gap score in VA mode: ``|value_at_rank(r, all_values) - value|``.
+
+    The proxy score over the one-rank interval ``[r, r]``.
+    """
+    return proxy_score_va(r, r, value, all_values)
 
 
 def proxy_score_ra(lo: int, hi: int, predicted_rank: int) -> float:
@@ -205,12 +222,18 @@ def proxy_score_va(lo: int, hi: int, value: float, all_values) -> float:
     """Max VA score over ``r in [lo, hi]``.
 
     The gap is decreasing then increasing as ``r`` sweeps past the value's own
-    position, so the maximum sits at an edge.
+    position, so the maximum sits at an edge; one ordering serves both edges.
+    ``all_values`` follow the VA output rule of :func:`rank_va_outputs`, and
+    ``value``, the item's own output, must be finite.
     """
     arr = np.asarray(all_values, dtype=float)
-    if not 1 <= int(lo) <= int(hi) <= arr.size:
+    lo, hi = as_rank(lo), as_rank(hi)
+    if not 1 <= lo <= hi <= arr.size:
         raise RankOutOfRange(f"need 1 <= lo <= hi <= {arr.size}, got [{lo}, {hi}]")
-    return max(score_va(lo, value, arr), score_va(hi, value, arr))
+    if not np.isfinite(value):
+        raise InvalidInput(f"value must be finite, got {value}")
+    ordered = rank_va_outputs(arr, "all_values")[0]
+    return float(max(abs(ordered[lo - 1] - value), abs(ordered[hi - 1] - value)))
 
 
 def scores_at(problem: RankingProblem, calib_ranks_at) -> np.ndarray:

@@ -125,8 +125,8 @@ class SortedRankSample:
     coverage) walks whole columns.  Under numpy's promotion rules an unsigned array combined with a
     Python int stays unsigned and can wrap around, so the kernels combine the
     sample only with int64 or intp arrays (the quantile fit's offsets), float
-    arrays (the linear fit's ``center``) or bounds cast to the sample's own
-    dtype (:func:`_count_inside`), never with a Python scalar.
+    arrays (the linear fit's ``center``) or bounds cast to the narrowest
+    dtype that holds both (:func:`_count_inside`), never with a Python scalar.
     """
 
     n: int
@@ -426,10 +426,11 @@ def _mc_meta(sims: SortedRankSample) -> MonteCarloMeta:
 
 def _count_inside(traj: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> int:
     """Trajectories with every coordinate in ``[lower, upper]``, counted over column groups."""
+    # compare in the narrowest dtype that holds the sample and the bounds,
+    # the sample's own where the bounds fit, rather than widening every entry
     top = max(int(lower.max()), int(upper.max()))
-    if np.can_cast(np.min_scalar_type(top), traj.dtype):
-        # compare in the sample's own dtype rather than widening every entry
-        lower, upper = lower.astype(traj.dtype), upper.astype(traj.dtype)
+    dtype = np.result_type(traj.dtype, np.min_scalar_type(top))
+    lower, upper = lower.astype(dtype), upper.astype(dtype)
     cols = traj.T
     inside = np.ones(traj.shape[0], dtype=bool)
     for c0, c1 in _column_groups(np.full(traj.shape[1], traj.shape[0])):

@@ -47,7 +47,7 @@ from .conformal import (
 )
 from .envelope import Envelope, build_envelope
 from .errors import DimensionMismatch, InvalidInput, MissingTruth
-from .ranks import RA, VA, RankingProblem, break_ties, has_ties, ranks_within
+from .ranks import RA, VA, RankingProblem, break_ties, check_mode, has_ties, ranks_within
 from .streams import child_seed, stream
 from .targets import topk_candidates
 
@@ -104,12 +104,6 @@ def _check_noise(name: str, value: float) -> None:
     """Refuse a noise level that is negative, infinite or NaN, naming its parameter."""
     if not 0.0 <= value < math.inf:
         raise InvalidInput(f"{name}={value} must be finite and nonnegative")
-
-
-def _check_mode(mode: str) -> None:
-    """Refuse a ranker output type other than RA or VA."""
-    if mode not in (RA, VA):
-        raise InvalidInput(f"mode must be {RA!r} or {VA!r}")
 
 
 def _generated(noise_name: str, noise_sd: float, draw, seed, tag: str) -> np.ndarray:
@@ -212,7 +206,7 @@ def noisy_oracle_ranker(
     a 1-D array of seeds, one per row.
     """
     arr = np.asarray(truth, dtype=float)
-    _check_mode(mode)
+    check_mode(mode)
     _check_noise("noise_sd", noise_sd)
     if np.shape(seed) != arr.shape[:-1]:
         raise DimensionMismatch("need one seed per row of truth")
@@ -256,7 +250,7 @@ def synthesize_problem(
     """
     _check_noise("noise_sd", noise_sd)
     _check_noise("data_noise_sd", data_noise_sd)
-    _check_mode(mode)
+    check_mode(mode)
     if data_model == SIGMOID:
         truth = _sigmoid_data(n + m, d, data_noise_sd, seed, "data_noise_sd")
     elif data_model == BETA_ADAPTIVE:
@@ -322,7 +316,7 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise InvalidInput(f"{name}={v} outside (0, 1)")
-        _check_mode(self.mode)
+        check_mode(self.mode)
         if self.data_model not in DATA_MODELS:
             raise InvalidInput(f"data_model must be one of {DATA_MODELS}")
         if self.fcp_mode not in (MARGINAL, FCP_CONTROLLED):

@@ -27,16 +27,11 @@ import numpy as np
 from .conformal import RankSets
 from .envelope import Envelope, MonteCarloMeta
 from .errors import InvalidData, InvalidInput, TiesDetected
-from .ranks import RA, VA, RankingProblem, ranks_within
+from .ranks import RA, VA, RankingProblem, check_mode, ranks_within
 
 SCORES_HEADER = ["id", "split", "output", "calib_rank", "true_value"]
 SETS_HEADER = ["id", "lo", "hi"]
 REPORT_HEADER = ["rep", "metric", "value", "arm"]
-
-
-def _fmt(x) -> str:
-    """Booleans as 0/1, integers as digits, floats in shortest round-trip form."""
-    return str(int(x)) if isinstance(x, (int, np.integer, np.bool_)) else repr(float(x))
 
 
 def _write_csv(path, header: list[str], columns) -> None:
@@ -105,8 +100,7 @@ def write_scores(problem: RankingProblem, path) -> None:
 
 def read_scores(path, mode: str) -> RankingProblem:
     """Read a scores CSV into a problem; ``mode`` types the output column."""
-    if mode not in (RA, VA):
-        raise InvalidInput(f"mode must be {RA!r} or {VA!r}")
+    check_mode(mode)
     columns, lines = _read_csv(path, SCORES_HEADER)
     ids, texts, ranks = columns["id"], columns["output"], columns["calib_rank"]
     # index() is 1 on a calib row and 0 on a test row
@@ -128,8 +122,7 @@ def read_scores(path, mode: str) -> RankingProblem:
         raise InvalidData(f"{path}:{lines[bad]}: test rows must leave calib_rank empty")
     calib_ranks = _parse(path, [ranks[i] for i in calib], [lines[i] for i in calib],
                          int, "calib_rank {!r} is not an integer")
-    if len(set(ids)) != len(ids):
-        raise InvalidData(f"{path}: item ids must be unique")
+    _check_unique_ids(path, ids)
     if not calib:
         raise InvalidData(f"{path}: no calibration rows")
     order = calib + test
@@ -154,9 +147,8 @@ def read_scores(path, mode: str) -> RankingProblem:
         raise InvalidData(f"{path}: {exc}") from exc
     except TiesDetected as exc:
         # RankingProblem checks the VA outputs first, then the truth.
-        first, second = (mode == VA and _first_repeat(outputs)) or _first_repeat(truth)
-        raise TiesDetected(
-            f"{path}: lines {lines[first]} and {lines[second]}: {exc}") from exc
+        raise _tie_at_lines(path, lines, exc, *([outputs] if mode == VA else []),
+                            truth) from exc
 
 
 def _first_repeat(values) -> tuple[int, int] | None:
@@ -167,6 +159,17 @@ def _first_repeat(values) -> tuple[int, int] | None:
             return seen[value], i
         seen[value] = i
     return None
+
+
+def _tie_at_lines(path, lines, exc: TiesDetected, *columns) -> TiesDetected:
+    """``exc`` located at the lines of the first repeat in the first column that has one."""
+    first, second = next(filter(None, map(_first_repeat, columns)))
+    return TiesDetected(f"{path}: lines {lines[first]} and {lines[second]}: {exc}")
+
+
+def _check_unique_ids(path, ids) -> None:
+    if len(set(ids)) != len(ids):
+        raise InvalidData(f"{path}: item ids must be unique")
 
 
 def _parse_truth(path, texts, lines) -> np.ndarray:
@@ -191,15 +194,11 @@ def read_truth(path) -> tuple[list[str], int, int, np.ndarray]:
     columns, lines = _read_csv(path, SCORES_HEADER)
     ids = list(columns["id"])
     truth = _parse_truth(path, columns["true_value"], lines)
-    if len(set(ids)) != len(ids):
-        raise InvalidData(f"{path}: item ids must be unique")
+    _check_unique_ids(path, ids)
     try:
-        true_ranks = ranks_within(truth)
+        true_ranks = ranks_within(truth, "truth")
     except TiesDetected as exc:
-        first, second = _first_repeat(truth.tolist())
-        raise TiesDetected(
-            f"{path}: lines {lines[first]} and {lines[second]}: truth contain exact "
-            "duplicates; see break_ties") from exc
+        raise _tie_at_lines(path, lines, exc, truth.tolist()) from exc
     n = columns["split"].count("calib")
     return ids, n, len(ids) - n, true_ranks
 
@@ -345,7 +344,7 @@ def write_evaluation(path, fcp: float, relative_length: float, ids: list[str],
 def write_report(report, path) -> None:
     """Write an ``evaluate.ExperimentReport`` as rows (rep, metric, value, arm)."""
     reps, metrics, values, arms = list(zip(*report.to_rows())) or [()] * 4
-    _write_csv(path, REPORT_HEADER, [reps, metrics, map(_fmt, values), arms])
+    _write_csv(path, REPORT_HEADER, [reps, metrics, values, arms])
 
 
 def read_report_rows(path) -> list[tuple[int, str, float, str]]:

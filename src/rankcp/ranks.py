@@ -7,6 +7,14 @@ ranks must be invertible; ties raise :class:`TiesDetected` instead of being
 jittered silently, and :func:`break_ties` offers a deterministic opt-in
 resolution.
 
+This module owns the input rules the other modules apply, so each is written
+once: the ordering of a value vector (:func:`_rank_rows`, one argsort that
+also refuses NaN and ties), the rule for VA ranker outputs
+(:func:`rank_va_outputs`: finite and tie-free), whole-number ranks
+(:func:`as_rank`) and the ranker-mode vocabulary (:func:`check_mode`).  The
+scalar scores of ``conformal`` read their order statistics through these
+rules, as :class:`RankingProblem` does for the array path.
+
 Vector operations work along the last axis, and :func:`has_ties`,
 :func:`ranks_within` and :class:`RankingProblem` also accept a leading batch
 axis: a stack of independent rows, each checked and ranked on its own.
@@ -15,6 +23,7 @@ axis: a stack of independent rows, each checked and ranked on its own.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,33 +73,48 @@ def has_ties(values):
     return bool(tied) if tied.ndim == 0 else tied
 
 
-def check_no_ties(values, name: str = "values") -> None:
-    """Raise :class:`TiesDetected` if the vector (or any row) has exact duplicates."""
-    if np.any(has_ties(values)):
-        raise TiesDetected(f"{name} contain exact duplicates; see break_ties")
+def check_mode(mode: str, name: str = "mode") -> None:
+    """Refuse a ranker output type other than RA or VA, naming the parameter ``name``."""
+    if mode not in (RA, VA):
+        raise InvalidInput(f"{name} must be {RA!r} or {VA!r}")
+
+
+def as_rank(r) -> int:
+    """``r`` as an int; a value that is not a whole number is refused, not truncated."""
+    if not (isinstance(r, numbers.Real) and math.isfinite(r) and r == int(r)):
+        raise InvalidInput(f"ranks must be integers, got {r}")
+    return int(r)
+
+
+def _refuse_nan(values: np.ndarray, name: str) -> None:
+    if np.isnan(values).any():
+        raise InvalidInput(f"{name} contain NaN, which has no rank")
 
 
 def rank_of(y: float, bag) -> int:
     """Rank of ``y`` in a bag: the number of elements ``z`` with ``y >= z``.
 
     Ranges over ``[0, len(bag)]``; membership implies a rank of at least 1.
+    The bag may hold ties, but neither it nor ``y`` may be NaN.
     """
     arr = _as_float_vector(bag, "bag")
     if arr.size == 0:
         raise InvalidInput("bag must be nonempty")
-    return int(np.count_nonzero(float(y) >= arr))
+    y = float(y)
+    _refuse_nan(np.append(arr, y), "y and bag")
+    return int(np.count_nonzero(y >= arr))
 
 
 def value_at_rank(r: int, bag) -> float:
-    """The element of rank ``r`` (the r-th smallest) in a tie-free bag.
+    """The element of rank ``r`` (the r-th smallest) in a tie-free bag without NaN.
 
     Inverse of :func:`rank_of`: ``rank_of(value_at_rank(r, bag), bag) == r``.
     """
     arr = _as_float_vector(bag, "bag")
-    if not 1 <= int(r) <= arr.size:
+    r = as_rank(r)
+    if not 1 <= r <= arr.size:
         raise RankOutOfRange(f"rank {r} outside [1, {arr.size}]")
-    check_no_ties(arr, "bag")
-    return float(np.partition(arr, int(r) - 1)[int(r) - 1])
+    return float(_rank_rows(arr, "bag")[0][r - 1])
 
 
 def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -103,8 +127,7 @@ def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """
     order = np.argsort(arr, axis=-1)
     ordered = np.take_along_axis(arr, order, axis=-1)
-    if np.isnan(ordered[..., -1:]).any():  # argsort puts NaNs last
-        raise InvalidInput(f"{name} contain NaN, which has no rank")
+    _refuse_nan(ordered[..., -1:], name)  # argsort puts NaNs last
     if np.any(_sorted_has_ties(ordered)):
         raise TiesDetected(f"{name} contain exact duplicates; see break_ties")
     ranks = np.empty(arr.shape, dtype=np.int64)
@@ -112,13 +135,27 @@ def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     return ordered, ranks
 
 
-def ranks_within(values) -> np.ndarray:
+def ranks_within(values, name: str = "values") -> np.ndarray:
     """Rank of each element within its own tie-free vector, which holds no NaN.
 
     Returns a permutation of ``1..len(values)`` as int64; for a
-    ``(rows, length)`` stack, one permutation per row.
+    ``(rows, length)`` stack, one permutation per row.  Errors name the
+    values ``name``.
     """
-    return _rank_rows(_as_float_rows(values, "values"), "values")[1]
+    return _rank_rows(_as_float_rows(values, name), name)[1]
+
+
+def rank_va_outputs(outputs: np.ndarray, name: str = "VA ranker outputs"):
+    """The rule for VA ranker outputs: finite and tie-free along the last axis.
+
+    Returns :func:`_rank_rows` of the float array ``outputs``: each row in
+    increasing order and the rank of each element.  A non-finite output
+    raises :class:`InvalidInput` and a tie :class:`TiesDetected`, naming
+    ``name``.
+    """
+    if not np.all(np.isfinite(outputs)):
+        raise InvalidInput(f"{name} must be finite")
+    return _rank_rows(outputs, name)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -200,8 +237,7 @@ class RankingProblem:
             raise InvalidInput("calib_ranks must be a permutation of 1..n")
         self.calib_ranks = ranks
 
-        if self.ranker_mode not in (RA, VA):
-            raise InvalidInput(f"ranker_mode must be {RA!r} or {VA!r}")
+        check_mode(self.ranker_mode, "ranker_mode")
         if outputs.shape != lead + (total,) or not outputs.size:
             raise DimensionMismatch(
                 f"ranker_outputs must have length n+m={total}, got {outputs.shape}"
@@ -218,11 +254,9 @@ class RankingProblem:
             self.ranker_outputs = as_int
             self.predicted_ranks = _frozen(as_int.view())
         else:
-            if not np.all(np.isfinite(as_float)):
-                raise InvalidInput("VA ranker outputs must be finite")
             self.ranker_outputs = as_float
             self.sorted_outputs, self.predicted_ranks = map(
-                _frozen, _rank_rows(as_float, "VA ranker outputs"))
+                _frozen, rank_va_outputs(as_float))
 
         if self.truth is not None:
             t = np.asarray(self.truth, dtype=float)

@@ -16,7 +16,10 @@ from rankcp import (
     InvalidInput,
     RankOutOfRange,
     RankingProblem,
+    RankSet,
+    RankSets,
     Threshold,
+    TiesDetected,
     calibrate,
     fcp_calibration,
     naive_envelope,
@@ -94,6 +97,35 @@ def test_proxy_score_va_matches_grid():
         v = float(rng.normal())
         brute = max(score_va(r, v, values) for r in range(lo, hi + 1))
         assert proxy_score_va(lo, hi, v, values) == brute
+
+
+def test_scalar_scores_refuse_what_the_array_path_refuses():
+    # each returned a number before
+    nan, inf = math.nan, math.inf
+    cases = [
+        (lambda: score_va(1, 0.5, [nan, 1.0]), "all_values must be finite"),
+        (lambda: score_va(1, nan, [0.2, 1.0]), "value must be finite, got nan"),
+        (lambda: score_va(2, 0.5, [inf, 1.0]), "all_values must be finite"),
+        (lambda: proxy_score_va(1, 2, 0.5, [nan, 1.0]), "all_values must be finite"),
+        (lambda: score_ra(1.5, 3), "ranks must be integers, got 1.5"),
+        (lambda: proxy_score_ra(1.7, 2.2, 3), "ranks must be integers, got 1.7"),
+        (lambda: score_va(1.5, 0.5, [0.2, 1.0]), "ranks must be integers, got 1.5"),
+        (lambda: RankSet("a", 1.5, 2), "ranks must be integers, got 1.5"),
+        (lambda: RankSets(["a"], [1.5], [2.9]), "ranks must be integers, got 1.5 for item 'a'"),
+        (lambda: RankSets(["a", "b"], [1, 2], [2.0, inf]),
+         "ranks must be integers, got inf for item 'b'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InvalidInput) as err:
+            call()
+        assert str(err.value) == message
+    with pytest.raises(TiesDetected, match="^all_values contain exact duplicates"):
+        proxy_score_va(1, 2, 0.5, [0.5, 0.5, 1.0])
+    # whole floats are ranks, stored as integers
+    assert score_ra(2.0, 3) == 1.0 and proxy_score_ra(1.0, 3.0, 2) == 1.0
+    sets = RankSets(["a"], [1.0], [2.0])
+    assert sets.lo.dtype == np.int64 and (sets.lo[0], sets.hi[0]) == (1, 2)
+    assert RankSet("a", 2.0, 3.0).size == 2
 
 
 def test_select_k_examples():

@@ -242,6 +242,21 @@ def test_envelope_coverage_cases():
         envelope_coverage(naive_envelope(5, 20), sims)
 
 
+def test_coverage_of_a_narrow_sample_against_wider_bounds():
+    # an int8 sample (every rank <= 127) against bounds reaching n+m = 200,
+    # which int8 cannot hold: the comparison dtype widens to hold both
+    rng = np.random.default_rng(12)
+    n, m, K = 100, 100, 400
+    wide = np.sort([rng.choice(127, n, replace=False) + 1 for _ in range(K)], axis=1)
+    r = np.arange(1, n + 1)
+    env = Envelope(n=n, m=m, delta=0.1, kind="quantile", lower=r + 1, upper=r + m)
+    assert env.upper.max() > 127
+    coverage = envelope_coverage(env, SortedRankSample(n, m, 0, wide.astype(np.int8)))
+    assert coverage == envelope_coverage(env, SortedRankSample(n, m, 0, wide))
+    inside = np.all((wide >= env.lower) & (wide <= env.upper), axis=1)
+    assert 0 < coverage == np.count_nonzero(inside) / K < 1
+
+
 def test_fit_determinism():
     a = fit_quantile_envelope(simulate_sorted_ranks(12, 24, 4000, seed=6), 0.1)
     b = fit_quantile_envelope(simulate_sorted_ranks(12, 24, 4000, seed=6), 0.1)

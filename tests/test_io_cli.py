@@ -1086,12 +1086,43 @@ def test_a_failed_write_exits_4_naming_the_out(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"rankcp: data error: cannot write --out {out}: {reason}")
     assert list(tmp_path.iterdir()) == []
-    # the manifest cannot be written where a directory takes its name
+    # the manifest cannot be written where a directory takes its name, and
+    # the payload written before it is removed
     out = tmp_path / "scores.csv"
     Path(f"{out}.manifest.json").mkdir()
     assert main(RUNS["synth"] + ["--out", str(out)]) == 4
     assert capsys.readouterr().err.startswith(
         f"rankcp: data error: cannot write --out {out}: [Errno {errno.EISDIR}]")
+    assert [path.name for path in tmp_path.iterdir()] == ["scores.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("predict", "scores"), ("predict", "envelope"), ("evaluate", "sets"),
+    ("evaluate", "truth"),
+])
+@pytest.mark.parametrize("spelling", ["same", "dot", "symlink", "hardlink"])
+def test_an_out_that_names_an_input_is_refused(tmp_path, capsys, command, flag, spelling):
+    # the run would overwrite the input and record the payload's digest as its
+    inputs = {name: tmp_path / f"{name}{GOLDEN_INPUTS[name].suffix}"
+              for name in cli.COMMANDS[command].reads}
+    for name, path in inputs.items():
+        path.write_bytes(GOLDEN_INPUTS[name].read_bytes())
+    target = inputs[flag]
+    out = {"same": str(target), "dot": f"{tmp_path}/./{target.name}",
+           "symlink": str(tmp_path / "link"), "hardlink": str(tmp_path / "hard")}[spelling]
+    if spelling == "symlink":
+        os.symlink(target, out)
+    elif spelling == "hardlink":
+        os.link(target, out)
+    argv = [RUNS[command][0]] + [arg for name, path in inputs.items()
+                                 for arg in (f"--{name}", str(path))]
+    if command == "predict":
+        argv += ["--alpha", "0.25", "--mode", "VA"]
+    assert main(argv + ["--out", out]) == 4
+    assert capsys.readouterr().err == (
+        f"rankcp: data error: --out and --{flag} name the same file {out}\n")
+    assert target.read_bytes() == GOLDEN_INPUTS[flag].read_bytes()
+    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -2,7 +2,8 @@
 
 ``envelope`` builds envelopes and depends on nothing but the error types and
 the random streams; ``conformal`` and ``io`` serve the harness and the CLI
-but never import them; and the fit-level check stays inside ``envelope``.
+but never import them; the fit-level check stays inside ``envelope``; and
+``ranks`` alone writes the ranker-mode vocabulary and the ordering rules.
 """
 
 import ast
@@ -98,3 +99,34 @@ def test_main_is_the_one_manifest_writer():
     assert len(calls) == 1, calls
     module, line = calls[0]
     assert module == "cli" and main.lineno <= line <= main.end_lineno
+
+
+def _mode_membership_tests(module: str) -> list[int]:
+    """Lines where the module tests a value's membership in the pair (RA, VA)."""
+    def names(node):
+        return {e.id if isinstance(e, ast.Name) else getattr(e, "value", None)
+                for e in getattr(node, "elts", ())}
+
+    return [node.lineno for node in ast.walk(_tree(module))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+            and any(names(c) == {"RA", "VA"} for c in node.comparators)]
+
+
+def test_ranks_owns_the_mode_vocabulary_and_the_ordering():
+    # the mode check is written once, and conformal reads every ordering
+    # from ranks but its one order-statistic selection, in calibrate
+    assert len(_mode_membership_tests("ranks")) == 1
+    for module in MODULES:
+        if module != "ranks":
+            assert not _mode_membership_tests(module), module
+    tree = _tree("conformal")
+    calibrate = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "calibrate")
+    partitions = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "partition"]
+    assert partitions and all(calibrate.lineno <= line <= calibrate.end_lineno
+                              for line in partitions), partitions
+    # the array path and the scalar VA scores apply one VA-output rule
+    assert "rank_va_outputs" in _names("ranks") & _names("conformal")
+    assert not any("check_no_ties" in _names(module) for module in MODULES)

@@ -1,7 +1,8 @@
-"""Property tests of envelopes and envelope-based targets on small random problems."""
+"""Property tests of envelopes, proxy scores and envelope-based targets on small problems."""
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from rankcp import (
     Envelope,
+    RankCPError,
     RankingProblem,
     RankSets,
     fit_linear_envelope,
     fit_quantile_envelope,
+    proxy_score_ra,
+    proxy_score_va,
     proxy_scores,
     ranks_within,
     scores_at,
@@ -62,6 +66,40 @@ def test_proxy_scores_dominate_true_scores_under_covering_envelope(data, mode):
     true_calib = ranks_within(truth)[:n]
     env = _covering_envelope(data.draw, n, m, np.sort(true_calib))
     assert np.all(proxy_scores(problem, env) >= scores_at(problem, true_calib))
+
+
+def _outcome(call):
+    """``call()``, or the class of the package error it raises."""
+    try:
+        return call()
+    except RankCPError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["RA", "VA"]))
+def test_scalar_proxy_score_is_the_array_path(data, mode):
+    # one calibration item, output values[0], under the envelope [lo, hi]:
+    # the scalar proxy score equals the array path's, and where the outputs
+    # hold a NaN, an inf, a tie or (RA) a non-integer rank both refuse alike
+    m = data.draw(st.integers(0, 6))
+    total = 1 + m
+    lo = data.draw(st.integers(1, total))
+    hi = data.draw(st.integers(lo, total))
+    if mode == "RA":
+        own = data.draw(st.integers(1, total) | st.floats(1, total))
+        values = [own] + data.draw(st.lists(st.integers(1, total), min_size=m, max_size=m))
+        scalar = partial(proxy_score_ra, lo, hi, own)
+    else:
+        # few distinct values, so ties are common
+        value = st.sampled_from([0.0, 0.5, -2.0, math.nan, math.inf, -math.inf]) | st.floats(
+            -1e6, 1e6, allow_nan=False)
+        values = data.draw(st.lists(value, min_size=total, max_size=total))
+        scalar = partial(proxy_score_va, lo, hi, values[0], values)
+    env = Envelope(n=1, m=m, delta=0.1, kind="quantile", lower=[lo], upper=[hi])
+    problem = partial(RankingProblem, n=1, m=m, calib_ranks=[1], ranker_mode=mode,
+                      ranker_outputs=values)
+    assert _outcome(scalar) == _outcome(lambda: float(proxy_scores(problem(), env)[0]))
 
 
 @settings(max_examples=100, deadline=None)

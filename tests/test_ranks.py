@@ -51,6 +51,23 @@ def test_value_at_rank_errors():
         value_at_rank(1, [1, 1, 2])
 
 
+def test_scalar_rank_functions_refuse_nan_and_fractions():
+    # each returned a number before: nan, or a rank truncated to an integer
+    cases = [
+        (lambda: value_at_rank(2, [np.nan, 1.0]), "bag contain NaN, which has no rank"),
+        (lambda: value_at_rank(1.5, [1.0, 2.0]), "ranks must be integers, got 1.5"),
+        (lambda: rank_of(np.nan, [1.0, 2.0]), "y and bag contain NaN, which has no rank"),
+        (lambda: rank_of(1.0, [np.nan, 2.0]), "y and bag contain NaN, which has no rank"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InvalidInput) as err:
+            call()
+        assert str(err.value) == message
+    # ties stay allowed in rank_of, and whole floats are ranks
+    assert rank_of(1.0, [1.0, 1.0, 2.0]) == 2
+    assert value_at_rank(2.0, [3.0, 1.0]) == 3.0
+
+
 def test_value_at_rank_inverts_rank_of():
     rng = np.random.default_rng(1)
     bag = rng.normal(size=30)
