@@ -57,7 +57,7 @@ from .errors import (
     InvalidInput,
     RankOutOfRange,
 )
-from .ranks import RA, ItemId, RankingProblem, as_rank, rank_va_outputs
+from .ranks import RA, ItemId, RankingProblem, _as_float_vector, as_rank, rank_va_outputs
 
 MARGINAL = "marginal"
 FCP_CONTROLLED = "fcp_controlled"
@@ -155,9 +155,12 @@ class RankSets:
             raise DimensionMismatch("need one lo and one hi per item")
         for edge in (lo, hi):
             if edge.dtype.kind == "f":  # an integer column needs no scan
-                bad = np.flatnonzero((np.trunc(edge) != edge) | np.isinf(edge))
+                # before the int64 cast, which is undefined from 2**63 on
+                bad = np.flatnonzero((np.trunc(edge) != edge) | ~(np.abs(edge) < 2.0**63))
                 if bad.size:
-                    raise InvalidInput(f"ranks must be integers, got {edge.flat[bad[0]]} "
+                    x = edge.flat[bad[0]]
+                    rule = "below 2**63" if float(x).is_integer() else "integers"
+                    raise InvalidInput(f"ranks must be {rule}, got {x} "
                                        f"for item {self.items[bad[0] % len(self.items)]!r}")
         self.lo, self.hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
         bad = np.flatnonzero((self.lo < 1) | (self.lo > self.hi))
@@ -226,7 +229,7 @@ def proxy_score_va(lo: int, hi: int, value: float, all_values) -> float:
     ``all_values`` follow the VA output rule of :func:`rank_va_outputs`, and
     ``value``, the item's own output, must be finite.
     """
-    arr = np.asarray(all_values, dtype=float)
+    arr = _as_float_vector(all_values, "all_values")
     lo, hi = as_rank(lo), as_rank(hi)
     if not 1 <= lo <= hi <= arr.size:
         raise RankOutOfRange(f"need 1 <= lo <= hi <= {arr.size}, got [{lo}, {hi}]")
@@ -328,22 +331,87 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, pred) -> np.ndarray:
     return lo
 
 
+def _edge_guesses(rows: np.ndarray, needles: np.ndarray, limit: np.ndarray):
+    """Guessed VA set edges: ``searchsorted`` of ``v - s`` (left) and ``v + s`` (right).
+
+    ``rows`` is ``(R, L)``, each row increasing; ``needles`` ``(R, k)`` holds
+    each row's test outputs ``v``, increasing along the row too, which keeps
+    the search local in memory; ``limit`` is each row's threshold ``s``,
+    ``(R, 1)``.  Returns two flat indices per needle, near ``b L +
+    searchsorted(rows[b], ...)`` for its row ``b``.
+
+    One search serves all rows: every value is shifted by ``-low`` and row
+    ``b`` by a further ``2 b (high - low)``, so the rows, laid end to end,
+    stay in order and apart, and each probe, clipped to ``[low, high]``
+    first, stays within its own row's span.  ``v -/+ s`` and the shifted sums
+    round, and a span that overflows gives no order at all, so the results
+    are guesses, never answers: callers check them.
+    """
+    low, high = rows[:, 0].min(), rows[:, -1].max()
+    guesses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = np.arange(rows.shape[0])[:, None] * (2.0 * (high - low))
+        keys = rows - low
+        keys += offset
+        for probes, side in ((needles - limit, "left"), (needles + limit, "right")):
+            np.clip(probes, low, high, out=probes)
+            probes -= low
+            probes += offset
+            guesses.append(np.searchsorted(keys.ravel(), probes.ravel(), side=side))
+    return guesses
+
+
+def _in_rank_order(own: np.ndarray, size: int) -> np.ndarray:
+    """Indices of the items in increasing order of their distinct flat positions ``own``.
+
+    A scatter into ``size`` slots and a gather, not a sort.
+    """
+    item_at = np.full(size, -1)
+    item_at[own] = np.arange(own.size)
+    return item_at[item_at >= 0]
+
+
+def _checked_search(guess: np.ndarray, lo: np.ndarray, hi: np.ndarray, pred) -> np.ndarray:
+    """:func:`_bisect`'s answer, from a guess that is checked on the predicate itself.
+
+    ``pred(i, at)`` evaluates the predicate at index ``i[j]`` for item
+    ``at[j]`` (``at`` is an index array, or ``slice(None)`` for every item).
+    The answer is the ``g`` in ``[lo, hi]`` with ``pred`` true at ``g`` (or
+    ``g == hi``) and false at ``g - 1`` (or ``g == lo``); the clipped guess
+    is kept where it passes, and only the items where it fails are bisected,
+    over their full range.
+    """
+    g = np.clip(guess, lo, hi)
+    # the probes at g == hi and at g - 1 == lo - 1 may lie outside the item's
+    # range (even at index -1); their answers are masked
+    ok = ((g == hi) | pred(np.minimum(g, hi - 1), slice(None))) & (
+        (g == lo) | ~pred(g - 1, slice(None)))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        g[bad] = _bisect(lo[bad], hi[bad], lambda i: pred(i, bad))
+    return g
+
+
 def predict_sets(problem: RankingProblem, thr: Threshold) -> RankSets:
     """Prediction sets of all test items: the exact sublevel sets of the score.
 
     RA: ``{r : |r - pred| <= s}``, i.e. ``pred -/+ floor(s)`` clipped to
     ``[1, n+m]``.  VA: ``{r : |sorted[r-1] - v| <= s}`` in float arithmetic.
     ``fl(x - v)`` is monotone in ``x`` and 0 at the item's own output, so this
-    is one run of ranks around the item's own rank, and each edge is found by
-    bisection on the predicate itself (O(n+m) memory).  ``searchsorted(v -/+
-    s)`` is not exact: the rounding of ``v -/+ s`` can move an edge by one.
+    is one run of ranks around the item's own rank.  Each edge is guessed by a
+    ``searchsorted`` of ``v -/+ s`` in the sorted outputs, then checked
+    against the predicate itself: the guessed edge must be in the set and its
+    outer neighbour out.  The rounding of ``v -/+ s`` (or of the shifted keys
+    of :func:`_edge_guesses`) can move a guess by one or more; an item whose
+    guess fails the check is bisected on the predicate over its full range.
+    So the sets are exact at any magnitude, with O(n+m) memory.
 
     VA reads ``problem.sorted_outputs`` and each item's own rank from
     ``problem.predicted_ranks``, so nothing is sorted here.  For a batch
     problem and its per-row threshold the result has ``(rows, m)`` columns.
-    VA then runs one bisection over all rows at once: the sorted rows are laid
-    end to end and each item searches only its own row's span, against its
-    own row's threshold.
+    VA then searches all rows at once: the sorted rows are laid end to end and
+    each item's edges lie in its own row's span, against its own row's
+    threshold.
     """
     value = np.asarray(thr.value, dtype=float)
     if value.shape != problem.calib_ranks.shape[:-1]:
@@ -358,18 +426,28 @@ def predict_sets(problem: RankingProblem, thr: Threshold) -> RankSets:
         pred = problem.test_outputs
         lo, hi = np.maximum(pred - reach, 1), np.minimum(pred + reach, total)
     else:
-        ordered = problem.sorted_outputs.ravel()
+        rows = np.atleast_2d(problem.sorted_outputs)
+        tests = np.atleast_2d(problem.test_outputs)
+        ordered = rows.ravel()
         # flat index of the first sorted output of each test item's own row
         start = np.repeat(np.arange(0, ordered.size, total), problem.m)
         own = start + problem.predicted_ranks[..., problem.n :].ravel() - 1
-        values = problem.test_outputs.ravel()
+        values = tests.ravel()
         limit = np.broadcast_to(per_item, problem.test_outputs.shape).ravel()
 
-        def within(i):
-            return np.abs(ordered[i] - values) <= limit
+        def within(i, at):
+            # outputs far apart overflow to inf, which is outside every threshold
+            with np.errstate(over="ignore"):
+                return np.abs(ordered[i] - values[at]) <= limit[at]
 
-        lo = _bisect(start, own, within) - start + 1
-        hi = _bisect(own + 1, start + total, lambda i: ~within(i)) - start
+        # the test items in sorted order, row by row, so the needles increase
+        by_rank = _in_rank_order(own, ordered.size)
+        low, high = np.empty_like(own), np.empty_like(own)
+        low[by_rank], high[by_rank] = _edge_guesses(
+            rows, values[by_rank].reshape(tests.shape), np.atleast_2d(per_item))
+        lo = _checked_search(low, start, own, within) - start + 1
+        hi = _checked_search(high, own + 1, start + total,
+                             lambda i, at: ~within(i, at)) - start
         shape = problem.test_outputs.shape
         lo, hi = lo.reshape(shape), hi.reshape(shape)
     return RankSets(items=problem.test_ids, lo=lo, hi=hi)

@@ -47,8 +47,16 @@ from .conformal import (
 )
 from .envelope import Envelope, build_envelope
 from .errors import DimensionMismatch, InvalidInput, MissingTruth
-from .ranks import RA, VA, RankingProblem, break_ties, check_mode, has_ties, ranks_within
-from .streams import child_seed, stream
+from .ranks import (
+    RA,
+    VA,
+    RankingProblem,
+    break_ties,
+    check_mode,
+    order_rows,
+    ranks_within,
+)
+from .streams import child_seed, streams
 from .targets import topk_candidates
 
 SIGMOID = "sigmoid"
@@ -93,11 +101,14 @@ def relative_length(sets: RankSets, n_plus_m: int) -> float | np.ndarray:
     return _per_row(np.mean(sets.size, axis=-1) / n_plus_m)
 
 
-def _per_seed(seed, draw):
-    """``draw(seed)``, or for a 1-D array of seeds the stacked results ``draw(s)``."""
-    if np.ndim(seed) == 0:
-        return draw(int(seed))
-    return np.stack([draw(int(s)) for s in seed])
+def _per_seed(seed, tag: str, draw):
+    """``draw(stream(seed, tag))``, or for a 1-D array of seeds the stacked results.
+
+    The generators come from :func:`~rankcp.streams.streams`: one generator,
+    re-keyed per seed, so ``draw`` must finish with it before the next.
+    """
+    rows = [draw(gen) for gen in streams(np.atleast_1d(seed), tag)]
+    return rows[0] if np.ndim(seed) == 0 else np.stack(rows)
 
 
 def _check_noise(name: str, value: float) -> None:
@@ -106,14 +117,16 @@ def _check_noise(name: str, value: float) -> None:
         raise InvalidInput(f"{name}={value} must be finite and nonnegative")
 
 
-def _generated(noise_name: str, noise_sd: float, draw, seed, tag: str) -> np.ndarray:
-    """``draw()``, checked finite, with exact ties resolved in place, row by row.
+def _generated(noise_name: str, noise_sd: float, draw, seed, tag: str):
+    """``draw()``, checked finite, with exact ties resolved in place, and its order.
 
     A huge but finite ``noise_sd`` can carry the values to infinity (and
     inf - inf to NaN): numpy's warnings are silenced and :class:`InvalidInput`
     names the noise level as ``noise_name``, the parameter the caller was
-    given.  Ties are a probability-zero event: each tied row is passed through
-    :func:`break_ties` with its own seed's ``tag`` stream.
+    given.  Ties are a probability-zero event, found on each row's argsort:
+    each tied row is passed through :func:`break_ties` with its own seed's
+    ``tag`` stream and argsorted again.  Returns the values and each row's
+    argsort, which the caller hands on instead of sorting the rows again.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = draw()
@@ -121,10 +134,12 @@ def _generated(noise_name: str, noise_sd: float, draw, seed, tag: str) -> np.nda
         raise InvalidInput(
             f"{noise_name}={noise_sd} makes the generated values non-finite"
         )
-    rows, seeds = np.atleast_2d(values), np.atleast_1d(seed)
-    for i in np.flatnonzero(has_ties(rows)):
+    order, tied = order_rows(values)
+    rows, orders, seeds = np.atleast_2d(values), np.atleast_2d(order), np.atleast_1d(seed)
+    for i in np.flatnonzero(tied):
         rows[i] = break_ties(rows[i], child_seed(int(seeds[i]), tag))
-    return values
+        orders[i] = order_rows(rows[i])[0]
+    return values, order
 
 
 def gen_sigmoid_data(
@@ -141,25 +156,24 @@ def gen_sigmoid_data(
     the deterministic tie-break transform).  A 1-D array of seeds gives one
     row per seed, each equal to the output for that seed alone.
     """
-    return _sigmoid_data(n_plus_m, d, noise_sd, seed, "noise_sd")
+    return _sigmoid_data(n_plus_m, d, noise_sd, seed, "noise_sd")[0]
 
 
-def _sigmoid_data(n_plus_m, d, noise_sd, seed, noise_name) -> np.ndarray:
-    """:func:`gen_sigmoid_data`, naming ``noise_sd`` as ``noise_name`` in errors."""
+def _sigmoid_data(n_plus_m, d, noise_sd, seed, noise_name):
+    """:func:`gen_sigmoid_data` and its order, naming ``noise_sd`` as ``noise_name``."""
     if n_plus_m < 2:
         raise InvalidInput("need at least two items")
     if d < 1:
         raise InvalidInput("need d >= 1")
     _check_noise(noise_name, noise_sd)
 
-    def draw(s: int) -> np.ndarray:
-        gen = stream(s, "sigmoid-data")
+    def draw(gen: np.random.Generator) -> np.ndarray:
         x = gen.standard_normal((n_plus_m, d))
         w = gen.standard_normal(d)
         return 1.0 / (1.0 + np.exp(-(x @ w))) + noise_sd * gen.standard_normal(n_plus_m)
 
-    return _generated(noise_name, noise_sd, lambda: _per_seed(seed, draw), seed,
-                      "sigmoid-ties")
+    return _generated(noise_name, noise_sd, lambda: _per_seed(seed, "sigmoid-data", draw),
+                      seed, "sigmoid-ties")
 
 
 def gen_beta_data(
@@ -176,11 +190,11 @@ def gen_beta_data(
     used to exercise the adaptivity of VA-mode sets.  Seeds as for
     :func:`gen_sigmoid_data`.
     """
-    return _beta_data(n_plus_m, a, b, noise_sd, seed, "noise_sd")
+    return _beta_data(n_plus_m, a, b, noise_sd, seed, "noise_sd")[0]
 
 
-def _beta_data(n_plus_m, a, b, noise_sd, seed, noise_name) -> np.ndarray:
-    """:func:`gen_beta_data`, naming ``noise_sd`` as ``noise_name`` in errors."""
+def _beta_data(n_plus_m, a, b, noise_sd, seed, noise_name):
+    """:func:`gen_beta_data` and its order, naming ``noise_sd`` as ``noise_name``."""
     if n_plus_m < 2:
         raise InvalidInput("need at least two items")
     for name, value in (("a", a), ("b", b)):
@@ -188,12 +202,11 @@ def _beta_data(n_plus_m, a, b, noise_sd, seed, noise_name) -> np.ndarray:
             raise InvalidInput(f"{name}={value} must be finite and positive")
     _check_noise(noise_name, noise_sd)
 
-    def draw(s: int) -> np.ndarray:
-        gen = stream(s, "beta-data")
+    def draw(gen: np.random.Generator) -> np.ndarray:
         return gen.beta(a, b, n_plus_m) + noise_sd * gen.standard_normal(n_plus_m)
 
-    return _generated(noise_name, noise_sd, lambda: _per_seed(seed, draw), seed,
-                      "beta-ties")
+    return _generated(noise_name, noise_sd, lambda: _per_seed(seed, "beta-data", draw),
+                      seed, "beta-ties")
 
 
 def noisy_oracle_ranker(
@@ -205,28 +218,44 @@ def noisy_oracle_ranker(
     ``noise_sd = 0`` gives the perfect ranker.  A ``(rows, n+m)`` truth takes
     a 1-D array of seeds, one per row.
     """
+    return _noisy_outputs(truth, noise_sd, seed, mode)[0]
+
+
+def _noisy_outputs(truth, noise_sd, seed, mode):
+    """:func:`noisy_oracle_ranker`, and the order of the perturbed values."""
     arr = np.asarray(truth, dtype=float)
     check_mode(mode)
     _check_noise("noise_sd", noise_sd)
     if np.shape(seed) != arr.shape[:-1]:
         raise DimensionMismatch("need one seed per row of truth")
     size = arr.shape[-1]
-    noise = _per_seed(seed, lambda s: stream(s, "ranker-noise").standard_normal(size))
-    values = _generated("noise_sd", noise_sd, lambda: arr + noise_sd * noise, seed,
-                        "ranker-ties")
-    return ranks_within(values) if mode == RA else values
+    noise = _per_seed(seed, "ranker-noise", lambda gen: gen.standard_normal(size))
+    values, order = _generated("noise_sd", noise_sd, lambda: arr + noise_sd * noise,
+                               seed, "ranker-ties")
+    return (ranks_within(values, order=order) if mode == RA else values), order
 
 
 def make_problem(
-    truth, n: int, m: int, mode: str, ranker_outputs, ids=None
+    truth, n: int, m: int, mode: str, ranker_outputs, ids=None, *,
+    truth_order=None, output_order=None,
 ) -> RankingProblem:
-    """Assemble a :class:`RankingProblem` (or a batch, from stacked rows)."""
+    """Assemble a :class:`RankingProblem` (or a batch, from stacked rows).
+
+    ``truth_order`` and ``output_order``, each row's argsort of the truth and
+    of the (VA) outputs where the caller has them, go to the problem, which
+    checks them; the calibration ranks are read from the truth's order.
+    """
     arr = np.asarray(truth, dtype=float)
     if arr.shape[-1:] != (n + m,):
         raise DimensionMismatch(f"truth must have length n+m={n + m}")
+    calib_order = None
+    if truth_order is not None and np.shape(truth_order) == arr.shape:
+        # the calibration items in the truth's order: that order, restricted
+        calib_order = truth_order[truth_order < n].reshape(arr.shape[:-1] + (n,))
     return RankingProblem(
-        n=n, m=m, calib_ranks=ranks_within(arr[..., :n]),
+        n=n, m=m, calib_ranks=ranks_within(arr[..., :n], order=calib_order),
         ranker_mode=mode, ranker_outputs=ranker_outputs, truth=arr, ids=ids,
+        output_order=output_order, truth_order=truth_order,
     )
 
 
@@ -252,15 +281,17 @@ def synthesize_problem(
     _check_noise("data_noise_sd", data_noise_sd)
     check_mode(mode)
     if data_model == SIGMOID:
-        truth = _sigmoid_data(n + m, d, data_noise_sd, seed, "data_noise_sd")
+        truth, truth_order = _sigmoid_data(n + m, d, data_noise_sd, seed, "data_noise_sd")
     elif data_model == BETA_ADAPTIVE:
-        truth = _beta_data(n + m, BETA_SHAPE, BETA_SHAPE, data_noise_sd, seed,
-                           "data_noise_sd")
+        truth, truth_order = _beta_data(n + m, BETA_SHAPE, BETA_SHAPE, data_noise_sd,
+                                        seed, "data_noise_sd")
     else:
         raise InvalidInput(f"data_model must be one of {DATA_MODELS}")
-    ranker_seed = _per_seed(seed, lambda s: child_seed(s, "ranker"))
-    outputs = noisy_oracle_ranker(truth, noise_sd, seed=ranker_seed, mode=mode)
-    return make_problem(truth, n, m, mode, outputs)
+    ranker_seed = (child_seed(seed, "ranker") if np.ndim(seed) == 0
+                   else np.array([child_seed(s, "ranker") for s in seed]))
+    outputs, output_order = _noisy_outputs(truth, noise_sd, ranker_seed, mode)
+    return make_problem(truth, n, m, mode, outputs, truth_order=truth_order,
+                        output_order=output_order)
 
 
 def oracle_sets(problem: RankingProblem, alpha: float) -> RankSets:

@@ -5,17 +5,29 @@ generator whose key is a hash of ``(seed, *tags)``.  Repetition indices,
 pipeline stages, and simulation chunks each get their own tag, so any part of
 a run can be reproduced in isolation and the order in which parts run never
 changes the numbers.
+
+:func:`streams` serves a batch of seeds with one bit generator: for each
+seed it re-keys that generator to ``philox_key(seed, *tags)`` with its counter
+at 0 and its buffer empty, the state a new ``stream(seed, *tags)`` starts in,
+so it draws exactly the numbers that generator would.  Re-keying through the
+bit generator's ``state`` costs a few microseconds; building a new Philox
+costs several times that, because numpy first seeds it from the OS.  The
+generator it yields is the same object each time, so one is valid only until
+the next is yielded: draw from it before advancing the iterator.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 
 import numpy as np
 
 # Trajectories per RNG block in chunked simulations.  Fixed constant: changing
 # it would remap trajectories to streams and break reproducibility.
 CHUNK = 2048
+
+_LOW_64 = 2**64 - 1
 
 
 def philox_key(seed: int, *tags: object) -> int:
@@ -28,6 +40,22 @@ def philox_key(seed: int, *tags: object) -> int:
 def stream(seed: int, *tags: object) -> np.random.Generator:
     """Independent generator keyed by (seed, *tags)."""
     return np.random.Generator(np.random.Philox(key=philox_key(seed, *tags)))
+
+
+def streams(seeds, *tags: object) -> Iterator[np.random.Generator]:
+    """For each seed in turn, the generator ``stream(seed, *tags)`` would give.
+
+    One generator, re-keyed per seed: it is valid until the next is yielded.
+    """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0, buffer empty: a new stream's state
+    key = state["state"]["key"]
+    for seed in seeds:
+        k = philox_key(seed, *tags)
+        key[0], key[1] = k & _LOW_64, k >> 64
+        bitgen.state = state
+        yield gen
 
 
 def chunk_stream(seed: int, chunk_index: int, *tags: object) -> np.random.Generator:

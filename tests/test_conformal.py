@@ -114,6 +114,11 @@ def test_scalar_scores_refuse_what_the_array_path_refuses():
         (lambda: RankSets(["a"], [1.5], [2.9]), "ranks must be integers, got 1.5 for item 'a'"),
         (lambda: RankSets(["a", "b"], [1, 2], [2.0, inf]),
          "ranks must be integers, got inf for item 'b'"),
+        # a 2-D list ended in numpy's bare "truth value ... is ambiguous"
+        (lambda: proxy_score_va(1, 2, 0.5, [[0.1, 0.2], [0.3, 0.4]]),
+         "all_values must be one-dimensional"),
+        (lambda: score_va(1, 0.5, [[0.1, 0.2], [0.3, 0.4]]),
+         "all_values must be one-dimensional"),
     ]
     for call, message in cases:
         with pytest.raises(InvalidInput) as err:
@@ -126,6 +131,23 @@ def test_scalar_scores_refuse_what_the_array_path_refuses():
     sets = RankSets(["a"], [1.0], [2.0])
     assert sets.lo.dtype == np.int64 and (sets.lo[0], sets.hi[0]) == (1, 2)
     assert RankSet("a", 2.0, 3.0).size == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lo, hi, message", [
+    ([1e20], [1e20], "ranks must be below 2**63, got 1e+20 for item 'a'"),
+    ([1.0], [2.0**63], "ranks must be below 2**63, got 9.223372036854776e+18 for item 'a'"),
+    ([-1e300], [1.0], "ranks must be below 2**63, got -1e+300 for item 'a'"),
+])
+def test_rank_sets_refuse_floats_beyond_int64_before_the_cast(lo, hi, message):
+    # the cast to int64 warned "invalid value encountered in cast" (an error
+    # here) and then reported lo = -9223372036854775808
+    with pytest.raises(InvalidInput) as err:
+        RankSets(["a"], lo, hi)
+    assert str(err.value) == message
+    # the largest float below 2**63 is whole and passes the scan
+    below = float(np.nextafter(2.0**63, 0))
+    assert RankSets(["a"], [1.0], [below]).hi[0] == int(below)
 
 
 def test_select_k_examples():
@@ -259,6 +281,95 @@ def test_sets_equal_sublevel_sets():
             hit = np.flatnonzero(np.abs(values - v) <= s) + 1
             assert (sets.lo[j], sets.hi[j]) == (hit[0], hit[-1])
             assert hit.size == hit[-1] - hit[0] + 1
+
+
+def _ulps(x: float, k: int) -> float:
+    """``x`` moved ``k`` floats up (``k < 0``: down)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+@st.composite
+def _edge_crowded_rows(draw):
+    """VA rows whose values crowd one test item's set edges, and a threshold per row.
+
+    Each row holds a value ``v``, placed last so it is a test item, and
+    values a few ulps around ``fl(v - s)`` and ``fl(v + s)``, where the
+    rounding of ``v -/+ s`` can put a ``searchsorted`` guess one off; the
+    magnitudes reach 1e300 and ``s`` may be 0 or large enough to overflow.
+    """
+    rows, total = draw(st.integers(1, 3)), draw(st.integers(2, 12))
+    n = draw(st.integers(1, total - 1))
+    values, limits = [], []
+    for _ in range(rows):
+        v = draw(st.sampled_from([0.0, 1.0, -3.7, 0.1, 1e-300, 2.0**52, 1e300, -1e300]))
+        s = draw(st.sampled_from([0.0, 1e-300, 0.1, 0.3, 1.0, 2.0**-52, 1e16, 1e300,
+                                  1.5e308]))
+        with np.errstate(over="ignore"):
+            edges = [v - s, v + s]
+        pool = {_ulps(e, k) for e in edges if math.isfinite(e) for k in range(-3, 4)}
+        pool |= {_ulps(v, k) for k in (-2, -1, 1, 2)}
+        pool |= {v - 2.5, v + 7.0, 0.5, -1.0, 42.0, 3e-5, 1e10, -1e10}
+        pool.discard(v)
+        pool = sorted(x for x in pool if math.isfinite(x))
+        others = draw(st.lists(st.sampled_from(pool), min_size=total - 1,
+                               max_size=total - 1, unique=True))
+        values.append(others + [v])
+        limits.append(s)
+    return n, total - n, np.array(values), np.array(limits)
+
+
+def _brute_force_bounds(outputs, n, s):
+    """``[lo, hi]`` of ``{r : |sorted[r-1] - v| <= s}`` for each test item, by scan."""
+    ordered = np.sort(outputs)
+    bounds = []
+    for v in outputs[n:]:
+        with np.errstate(over="ignore"):  # a gap beyond the largest float is inf
+            hit = np.flatnonzero(np.abs(ordered - v) <= s) + 1
+        assert hit.size == hit[-1] - hit[0] + 1  # one run of ranks
+        bounds.append((hit[0], hit[-1]))
+    return bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_edge_crowded_rows())
+def test_va_sets_equal_brute_force_where_edges_are_crowded(case):
+    n, m, values, limits = case
+    batch = RankingProblem(n=n, m=m, calib_ranks=np.tile(np.arange(1, n + 1), (len(values), 1)),
+                           ranker_mode="VA", ranker_outputs=values)
+    sets = predict_sets(batch, Threshold(k=1, value=limits))
+    for i, (row, s) in enumerate(zip(values, limits)):
+        expected = _brute_force_bounds(row, n, s)
+        assert list(zip(sets.lo[i].tolist(), sets.hi[i].tolist())) == expected
+        one = RankingProblem(n=n, m=m, calib_ranks=np.arange(1, n + 1), ranker_mode="VA",
+                             ranker_outputs=row)
+        assert _bounds(predict_sets(one, Threshold(k=1, value=float(s)))) == expected
+
+
+def test_va_guesses_that_miss_are_bisected(monkeypatch):
+    # fl(3.0 - 0.2) is 2.8, so searchsorted(v - s) puts 2.8 inside the set of
+    # 3.0, but |2.8 - 3.0| = 0.2000000000000002 > 0.2; and 1 - 0.9 rounds one
+    # float above x = 0.09999999999999996, which |x - 1| <= 0.9 admits.  Only
+    # the check sends such an item to the bisection.
+    calls = []
+    original = conformal._bisect
+
+    def counted(lo, hi, pred):
+        calls.append(lo.size)
+        return original(lo, hi, pred)
+
+    monkeypatch.setattr(conformal, "_bisect", counted)
+    for values, s, bounds in (([2.8, 3.0], 0.2, [(2, 2)]),
+                              ([0.09999999999999996, 1.0], 0.9, [(1, 2)])):
+        calls.clear()
+        sets = predict_sets(_va_problem(values, [1]), Threshold(k=1, value=s))
+        assert _bounds(sets) == bounds == _brute_force_bounds(np.array(values), 1, s)
+        assert calls == [1]
+    # where every guess holds, nothing is bisected
+    calls.clear()
+    sets = predict_sets(_va_problem([0.2, 0.7, 0.9, 1.0], [0, 2]), Threshold(k=1, value=0.25))
+    assert _bounds(sets) == [(1, 1), (2, 4)] and calls == []
 
 
 def _adjacent_float_values(rng):

@@ -174,7 +174,7 @@ def test_synthesize_problem_checks_mode_before_drawing(monkeypatch, model):
     def no_draw(*args):
         raise AssertionError("drew before checking mode")
 
-    monkeypatch.setattr(evaluate, "stream", no_draw)
+    monkeypatch.setattr(evaluate, "streams", no_draw)
     with pytest.raises(InvalidInput, match="^mode must be 'RA' or 'VA'$"):
         synthesize_problem(model, 5, 5, 0.07, "XX", seed=0)
 
@@ -492,12 +492,25 @@ def test_batch_rows_are_validated_one_by_one():
         predict_sets(ok, Threshold(k=1, value=0.5))  # one threshold for two rows
 
 
+def test_tied_generated_rows_are_broken_and_ordered_again():
+    # with no noise the outputs repeat the truth, and its first row is tied
+    truth = np.array([[0.5, 0.5, 0.1, 0.9], [0.3, 0.2, 0.1, 0.0]])
+    seeds = np.array([7, 8])
+    values, order = evaluate._noisy_outputs(truth, 0.0, seeds, "VA")
+    assert has_ties(truth).tolist() == [True, False]
+    assert not has_ties(values).any() and np.array_equal(values[1], truth[1])
+    assert np.array_equal(order, np.argsort(values, axis=-1))
+    ranks, _ = evaluate._noisy_outputs(truth, 0.0, seeds, "RA")
+    assert np.array_equal(ranks, ranks_within(values))
+
+
 @pytest.mark.parametrize("mode", ["RA", "VA"])
 def test_one_block_sorts_each_array_once(monkeypatch, mode):
-    # A block sorts the truth and the generated outputs once each to look for
-    # ties and checks the calibration permutation (np.sort), and ranks the
-    # calibration truth, the truth and the outputs once each (np.argsort);
-    # every later layer reads the problem's stored orderings.
+    # A block argsorts the truth and the generated outputs once each, to look
+    # for ties; the problem checks those orders instead of sorting again and
+    # the calibration ranks are read from the truth's order, so the one other
+    # sort is the permutation check of the calibration ranks (np.sort).  Every
+    # later layer reads the problem's stored orderings.
     calls = dict.fromkeys(("sort", "argsort"), 0)
 
     def counted(name):
@@ -514,4 +527,4 @@ def test_one_block_sorts_each_array_once(monkeypatch, mode):
                            master_seed=3)
     assert cfg.reps <= evaluate.BLOCK_ELEMENTS // (cfg.n + cfg.m)  # one block
     run_experiment(cfg)
-    assert calls == {"sort": 3, "argsort": 3}
+    assert calls == {"sort": 1, "argsort": 2}

@@ -263,6 +263,33 @@ def test_simulated_envelope_payloads_are_pinned(tmp_path, n, m, K, delta, kind, 
     assert rio.file_digest(out) == digest
 
 
+# sha256 of experiment reports, frozen when each repetition built its own
+# Philox generators and the VA set edges came from a bisection alone.  The
+# per-rep reference of test_evaluate draws through the same generators as the
+# block engine, so only these digests see a change to the draws themselves.
+# At n + m = 400 the 400 repetitions run in three blocks.
+PINNED_REPORTS = [
+    ("RA", "fcp_controlled", "sigmoid", 200, 200, 400, "quantile",
+     "391266e6193487ead656bc67cdcfe29c212c7442308d3b0b722ab8576aa31a9e"),
+    ("VA", "marginal", "sigmoid", 200, 200, 400, "quantile",
+     "9109aa2fcbc91dde0d35bf26be127c66e8f8f52333b83a0e8602d9eb56155198"),
+    ("VA", "marginal", "beta_adaptive", 40, 30, 100, "linear",
+     "4f8070b81d507ad761d26dabcb8004a80e84d061cd979358f4ccabaefeae333b"),
+]
+
+
+@pytest.mark.parametrize("mode, fcp_mode, model, n, m, reps, kind, digest", PINNED_REPORTS,
+                         ids=[f"{p[0]}-{p[1]}-{p[2]}" for p in PINNED_REPORTS])
+def test_experiment_reports_are_pinned(tmp_path, mode, fcp_mode, model, n, m, reps,
+                                       kind, digest):
+    out = tmp_path / "report.csv"
+    assert main(["experiment", "--n", str(n), "--m", str(m), "--reps", str(reps),
+                 "--mode", mode, "--fcp-mode", fcp_mode, "--data-model", model,
+                 "--envelope-kind", kind, "--K-env", "2000", "--seed", "17",
+                 "--out", str(out)]) == 0
+    assert rio.file_digest(out) == digest
+
+
 def test_golden_predict(tmp_path):
     out = tmp_path / "sets.csv"
     code = main(

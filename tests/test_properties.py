@@ -24,6 +24,7 @@ from rankcp import (
     topk_candidates,
 )
 from rankcp import test_only_set as to_test_only_set
+from rankcp.streams import stream, streams
 
 
 @st.composite
@@ -169,3 +170,31 @@ def test_quantile_envelope_level_is_maximal(sample):
     feasible = [j for j in range(K // 2 + 1)
                 if _inside(sims.trajectories, ordered[j], ordered[K - 1 - j]) >= need]
     assert round(fit_quantile_envelope(sims, delta).param * K) == max(feasible)
+
+
+# One draw from a generator: each leaves the bit generator in a different
+# state (a part-used buffer of four words, a spare 32-bit half), which the
+# next re-keyed generator must not inherit.
+_DRAWS = {
+    "normal": lambda gen, k: gen.standard_normal(k),
+    "uniform": lambda gen, k: gen.random(k),
+    "uint32": lambda gen, k: gen.integers(0, 2**32, size=k, dtype=np.uint32),
+    "int64": lambda gen, k: gen.integers(-(2**62), 2**62, size=k),
+    "beta": lambda gen, k: gen.beta(0.04, 0.04, k),
+    "raw": lambda gen, k: gen.bit_generator.random_raw(k),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+       tags=st.lists(st.one_of(st.text(max_size=5), st.integers(-3, 3)), max_size=3),
+       plan=st.lists(st.tuples(st.sampled_from(sorted(_DRAWS)), st.integers(0, 9)),
+                     min_size=1, max_size=4))
+def test_batch_streams_draw_what_each_stream_draws(seeds, tags, plan):
+    count = 0
+    for seed, gen in zip(seeds, streams(np.array(seeds, dtype=np.uint64), *tags)):
+        fresh = stream(seed, *tags)
+        for name, k in plan:
+            assert np.array_equal(_DRAWS[name](gen, k), _DRAWS[name](fresh, k))
+        count += 1
+    assert count == len(seeds)

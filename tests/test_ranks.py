@@ -15,6 +15,7 @@ from rankcp import (
     value_at_rank,
 )
 from rankcp.errors import DimensionMismatch
+from rankcp.ranks import order_rows
 
 
 def test_rank_of_examples():
@@ -225,3 +226,38 @@ def test_nan_has_no_rank():
                       dict(truth=[[0.1, 0.2, 0.4, 0.3, 0.5], [np.nan] * 5], **batch)):
         with pytest.raises(InvalidInput, match="^truth contain NaN, which has no rank$"):
             _problem(**overrides)
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_given_orders_are_checked_not_trusted(rows):
+    rng = np.random.default_rng(12)
+    n, m = 4, 3
+    shape = (n + m,) if rows is None else (rows, n + m)
+    truth, outputs = rng.normal(size=shape), rng.normal(size=shape)
+    calib_ranks = ranks_within(truth[..., :n])
+    plain = RankingProblem(n=n, m=m, calib_ranks=calib_ranks, ranker_mode="VA",
+                           ranker_outputs=outputs, truth=truth)
+    right = np.argsort(outputs, axis=-1)
+    wrong = right[..., ::-1].copy()
+    out_of_range = right + (n + m)
+    for order in (right, wrong, out_of_range, right[..., :-1], right.astype(float)):
+        assert np.array_equal(ranks_within(outputs, order=order), plain.predicted_ranks)
+        hinted = RankingProblem(n=n, m=m, calib_ranks=calib_ranks, ranker_mode="VA",
+                                ranker_outputs=outputs, truth=truth,
+                                output_order=order, truth_order=order)
+        for name in ("sorted_outputs", "predicted_ranks", "true_ranks"):
+            assert np.array_equal(getattr(hinted, name), getattr(plain, name)), name
+    # an order that sorts tied or NaN values does not hide them
+    tied = np.array([0.3, 0.1, 0.3])
+    with pytest.raises(TiesDetected):
+        ranks_within(tied, order=np.argsort(tied))
+    with pytest.raises(InvalidInput, match="NaN"):
+        ranks_within([0.3, np.nan, 0.1], order=np.array([2, 0, 1]))
+
+
+def test_order_rows_flags_tied_rows():
+    values = np.array([[0.3, 0.1, 0.2], [0.5, 0.1, 0.5]])
+    order, tied = order_rows(values)
+    assert np.array_equal(order, np.argsort(values, axis=-1))
+    assert tied.tolist() == [False, True]
+
