@@ -59,10 +59,6 @@ from .evaluate import (
     ExperimentReport,
     RepResult,
     fcp,
-    gen_beta_data,
-    gen_sigmoid_data,
-    make_problem,
-    noisy_oracle_ranker,
     oracle_sets,
     relative_length,
     run_experiment,
@@ -74,7 +70,6 @@ from .ranks import (
     ItemId,
     RankingProblem,
     break_ties,
-    has_ties,
     rank_of,
     ranks_within,
     value_at_rank,

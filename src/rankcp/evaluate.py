@@ -14,9 +14,10 @@ The harness owns no pipeline stage: its envelope comes from
 :func:`rankcp.envelope.build_envelope`, and both arms' thresholds from
 :func:`rankcp.conformal.calibrate` (the oracle's on the true scores).
 
-Metrics read the ``lo``/``hi`` columns of :class:`RankSets` directly.  The
-generators take a seed or a 1-D array of seeds, and the metrics and the
-oracle arm a single problem or a batch (see :class:`RankingProblem`): a batch
+Metrics read the ``lo``/``hi`` columns of :class:`RankSets` directly.
+:func:`synthesize_problem` is the one way to draw a synthetic problem: it
+takes an integer seed or a 1-D array of them, and the metrics and the oracle
+arm take a single problem or a batch (see :class:`RankingProblem`): a batch
 gives one row, or one metric value, per problem.
 
 Everything is a pure function of the configuration: each repetition and stage
@@ -49,7 +50,6 @@ from .envelope import Envelope, build_envelope
 from .errors import DimensionMismatch, InvalidInput, MissingTruth
 from .ranks import (
     RA,
-    VA,
     RankingProblem,
     break_ties,
     check_mode,
@@ -117,23 +117,22 @@ def _check_noise(name: str, value: float) -> None:
         raise InvalidInput(f"{name}={value} must be finite and nonnegative")
 
 
-def _generated(noise_name: str, noise_sd: float, draw, seed, tag: str):
+def _generated(name: str, noise_sd: float, draw, seed, tag: str):
     """``draw()``, checked finite, with exact ties resolved in place, and its order.
 
     A huge but finite ``noise_sd`` can carry the values to infinity (and
     inf - inf to NaN): numpy's warnings are silenced and :class:`InvalidInput`
-    names the noise level as ``noise_name``, the parameter the caller was
-    given.  Ties are a probability-zero event, found on each row's argsort:
-    each tied row is passed through :func:`break_ties` with its own seed's
-    ``tag`` stream and argsorted again.  Returns the values and each row's
-    argsort, which the caller hands on instead of sorting the rows again.
+    names the noise level as ``name``, the parameter of
+    :func:`synthesize_problem` that set it.  Ties are a probability-zero
+    event, found on each row's argsort: each tied row is passed through
+    :func:`break_ties` with its own seed's ``tag`` stream and argsorted
+    again.  Returns the values and each row's argsort, which the caller
+    hands on instead of sorting the rows again.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = draw()
     if not np.all(np.isfinite(values)):
-        raise InvalidInput(
-            f"{noise_name}={noise_sd} makes the generated values non-finite"
-        )
+        raise InvalidInput(f"{name}={noise_sd} makes the generated values non-finite")
     order, tied = order_rows(values)
     rows, orders, seeds = np.atleast_2d(values), np.atleast_2d(order), np.atleast_1d(seed)
     for i in np.flatnonzero(tied):
@@ -142,121 +141,48 @@ def _generated(noise_name: str, noise_sd: float, draw, seed, tag: str):
     return values, order
 
 
-def gen_sigmoid_data(
-    n_plus_m: int,
-    d: int = 5,
-    noise_sd: float = DATA_NOISE_SD,
-    seed: int | np.ndarray = 0,
-) -> np.ndarray:
-    """Sigmoid regression truth: ``1 / (1 + exp(-w.x)) + noise``.
+def _truth(data_model: str, total: int, d: int, data_noise_sd: float, seed):
+    """``total`` true values of the named model per seed, and their order.
 
-    Features and weights are standard Gaussian of dimension ``d``; the noise
-    is Gaussian with standard deviation ``noise_sd``.  Output is guaranteed
-    tie-free (exact collisions, a probability-zero event, are resolved with
-    the deterministic tie-break transform).  A 1-D array of seeds gives one
-    row per seed, each equal to the output for that seed alone.
+    ``sigmoid``: ``1 / (1 + exp(-w.x))`` with standard Gaussian features and
+    weights of dimension ``d``.  ``beta_adaptive``: ``Beta(BETA_SHAPE,
+    BETA_SHAPE)``, whose mass piles up near 0 and 1, so mid-ranked items are
+    far easier to rank than extreme ones (it exercises the adaptivity of VA
+    sets).  Both add Gaussian noise of standard deviation ``data_noise_sd``.
     """
-    return _sigmoid_data(n_plus_m, d, noise_sd, seed, "noise_sd")[0]
+    if data_model == SIGMOID:
+        if d < 1:
+            raise InvalidInput("need d >= 1")
+        tag = "sigmoid"
+
+        def draw(gen: np.random.Generator) -> np.ndarray:
+            x = gen.standard_normal((total, d))
+            w = gen.standard_normal(d)
+            return 1.0 / (1.0 + np.exp(-(x @ w))) + data_noise_sd * gen.standard_normal(total)
+    else:
+        tag = "beta"
+
+        def draw(gen: np.random.Generator) -> np.ndarray:
+            latent = gen.beta(BETA_SHAPE, BETA_SHAPE, total)
+            return latent + data_noise_sd * gen.standard_normal(total)
+
+    return _generated("data_noise_sd", data_noise_sd,
+                      lambda: _per_seed(seed, f"{tag}-data", draw), seed, f"{tag}-ties")
 
 
-def _sigmoid_data(n_plus_m, d, noise_sd, seed, noise_name):
-    """:func:`gen_sigmoid_data` and its order, naming ``noise_sd`` as ``noise_name``."""
-    if n_plus_m < 2:
-        raise InvalidInput("need at least two items")
-    if d < 1:
-        raise InvalidInput("need d >= 1")
-    _check_noise(noise_name, noise_sd)
+def _noisy_outputs(truth: np.ndarray, noise_sd: float, seed, mode: str):
+    """The toy ranker's outputs for ``truth``, and the order of its values.
 
-    def draw(gen: np.random.Generator) -> np.ndarray:
-        x = gen.standard_normal((n_plus_m, d))
-        w = gen.standard_normal(d)
-        return 1.0 / (1.0 + np.exp(-(x @ w))) + noise_sd * gen.standard_normal(n_plus_m)
-
-    return _generated(noise_name, noise_sd, lambda: _per_seed(seed, "sigmoid-data", draw),
-                      seed, "sigmoid-ties")
-
-
-def gen_beta_data(
-    n_plus_m: int,
-    a: float = BETA_SHAPE,
-    b: float = BETA_SHAPE,
-    noise_sd: float = DATA_NOISE_SD,
-    seed: int | np.ndarray = 0,
-) -> np.ndarray:
-    """Bimodal truth: ``Beta(a, b) + noise`` with mass piling up near 0 and 1.
-
-    With the default parameters most latent values sit within 0.1 of an
-    endpoint, so mid-ranked items are far easier to rank than extreme ones;
-    used to exercise the adaptivity of VA-mode sets.  Seeds as for
-    :func:`gen_sigmoid_data`.
-    """
-    return _beta_data(n_plus_m, a, b, noise_sd, seed, "noise_sd")[0]
-
-
-def _beta_data(n_plus_m, a, b, noise_sd, seed, noise_name):
-    """:func:`gen_beta_data` and its order, naming ``noise_sd`` as ``noise_name``."""
-    if n_plus_m < 2:
-        raise InvalidInput("need at least two items")
-    for name, value in (("a", a), ("b", b)):
-        if not 0.0 < value < math.inf:
-            raise InvalidInput(f"{name}={value} must be finite and positive")
-    _check_noise(noise_name, noise_sd)
-
-    def draw(gen: np.random.Generator) -> np.ndarray:
-        return gen.beta(a, b, n_plus_m) + noise_sd * gen.standard_normal(n_plus_m)
-
-    return _generated(noise_name, noise_sd, lambda: _per_seed(seed, "beta-data", draw),
-                      seed, "beta-ties")
-
-
-def noisy_oracle_ranker(
-    truth, noise_sd: float, seed: int | np.ndarray = 0, mode: str = VA
-) -> np.ndarray:
-    """Toy stand-in for a trained ranker: the truth plus Gaussian noise.
-
-    VA mode returns the perturbed values; RA mode returns their ranks.
-    ``noise_sd = 0`` gives the perfect ranker.  A ``(rows, n+m)`` truth takes
+    A stand-in for a trained ranker: the truth plus Gaussian noise of
+    standard deviation ``noise_sd`` (0 gives the perfect ranker), as values
+    in VA mode and as their ranks in RA mode.  A ``(rows, n+m)`` truth takes
     a 1-D array of seeds, one per row.
     """
-    return _noisy_outputs(truth, noise_sd, seed, mode)[0]
-
-
-def _noisy_outputs(truth, noise_sd, seed, mode):
-    """:func:`noisy_oracle_ranker`, and the order of the perturbed values."""
-    arr = np.asarray(truth, dtype=float)
-    check_mode(mode)
-    _check_noise("noise_sd", noise_sd)
-    if np.shape(seed) != arr.shape[:-1]:
-        raise DimensionMismatch("need one seed per row of truth")
-    size = arr.shape[-1]
+    size = truth.shape[-1]
     noise = _per_seed(seed, "ranker-noise", lambda gen: gen.standard_normal(size))
-    values, order = _generated("noise_sd", noise_sd, lambda: arr + noise_sd * noise,
+    values, order = _generated("noise_sd", noise_sd, lambda: truth + noise_sd * noise,
                                seed, "ranker-ties")
     return (ranks_within(values, order=order) if mode == RA else values), order
-
-
-def make_problem(
-    truth, n: int, m: int, mode: str, ranker_outputs, ids=None, *,
-    truth_order=None, output_order=None,
-) -> RankingProblem:
-    """Assemble a :class:`RankingProblem` (or a batch, from stacked rows).
-
-    ``truth_order`` and ``output_order``, each row's argsort of the truth and
-    of the (VA) outputs where the caller has them, go to the problem, which
-    checks them; the calibration ranks are read from the truth's order.
-    """
-    arr = np.asarray(truth, dtype=float)
-    if arr.shape[-1:] != (n + m,):
-        raise DimensionMismatch(f"truth must have length n+m={n + m}")
-    calib_order = None
-    if truth_order is not None and np.shape(truth_order) == arr.shape:
-        # the calibration items in the truth's order: that order, restricted
-        calib_order = truth_order[truth_order < n].reshape(arr.shape[:-1] + (n,))
-    return RankingProblem(
-        n=n, m=m, calib_ranks=ranks_within(arr[..., :n], order=calib_order),
-        ranker_mode=mode, ranker_outputs=ranker_outputs, truth=arr, ids=ids,
-        output_order=output_order, truth_order=truth_order,
-    )
 
 
 def synthesize_problem(
@@ -271,27 +197,33 @@ def synthesize_problem(
 ) -> RankingProblem:
     """Generate truth from a named model and rank it with the noisy oracle.
 
-    A 1-D array of seeds gives the batch problem whose row ``i`` equals the
-    problem for ``seeds[i]`` alone: each row draws from its own seed's streams.
-    The noise levels and ``mode`` are checked before anything is drawn, and
-    errors name the parameters of this function (``data_noise_sd``, not the
-    generators' ``noise_sd``).
+    The one generator of synthetic problems.  ``seed`` is an integer, or a
+    1-D array of integer seeds for the batch problem whose row ``i`` equals
+    the problem for ``seeds[i]`` alone: each row draws from its own seed's
+    streams.  The noise levels, ``mode``, the model and the sizes are
+    checked before anything is drawn, and errors name the parameters of
+    this function.
     """
     _check_noise("noise_sd", noise_sd)
     _check_noise("data_noise_sd", data_noise_sd)
     check_mode(mode)
-    if data_model == SIGMOID:
-        truth, truth_order = _sigmoid_data(n + m, d, data_noise_sd, seed, "data_noise_sd")
-    elif data_model == BETA_ADAPTIVE:
-        truth, truth_order = _beta_data(n + m, BETA_SHAPE, BETA_SHAPE, data_noise_sd,
-                                        seed, "data_noise_sd")
-    else:
+    if data_model not in DATA_MODELS:
         raise InvalidInput(f"data_model must be one of {DATA_MODELS}")
+    if n < 1 or m < 0 or n + m < 2:
+        raise InvalidInput(f"need n >= 1, m >= 0 and n + m >= 2, got n={n}, m={m}")
+    if np.ndim(seed) and not np.size(seed):
+        raise InvalidInput("seed must hold at least one seed")
+    truth, truth_order = _truth(data_model, n + m, d, data_noise_sd, seed)
     ranker_seed = (child_seed(seed, "ranker") if np.ndim(seed) == 0
                    else np.array([child_seed(s, "ranker") for s in seed]))
     outputs, output_order = _noisy_outputs(truth, noise_sd, ranker_seed, mode)
-    return make_problem(truth, n, m, mode, outputs, truth_order=truth_order,
-                        output_order=output_order)
+    # the calibration items in the truth's order: that order, restricted
+    calib_order = truth_order[truth_order < n].reshape(truth.shape[:-1] + (n,))
+    return RankingProblem(
+        n=n, m=m, calib_ranks=ranks_within(truth[..., :n], order=calib_order),
+        ranker_mode=mode, ranker_outputs=outputs, truth=truth,
+        output_order=output_order, truth_order=truth_order,
+    )
 
 
 def oracle_sets(problem: RankingProblem, alpha: float) -> RankSets:

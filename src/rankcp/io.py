@@ -108,13 +108,16 @@ def read_scores(path, mode: str) -> RankingProblem:
                       "split must be calib|test, got {!r}")
     outputs = _parse(path, texts, lines, float, "output {!r} is not a number")
     if mode == RA:
-        # is_integer() is False for nan and inf, which have no integer value
-        bad = next((i for i, value in enumerate(outputs) if not value.is_integer()), None)
-        if bad is not None:
-            raise InvalidInput(
-                f"{path}:{lines[bad]}: mode=RA requires integer ranks in the output "
-                f"column, got {texts[bad]!r} (type error)"
-            )
+        for i, value in enumerate(outputs):
+            # is_integer() is False for nan and inf, which have no integer value
+            if not value.is_integer():
+                raise InvalidInput(
+                    f"{path}:{lines[i]}: mode=RA requires integer ranks in the output "
+                    f"column, got {texts[i]!r} (type error)"
+                )
+            if not 1 <= value <= len(outputs):
+                raise InvalidInput(f"RA ranker outputs must lie in [1, {len(outputs)}], "
+                                   f"got {texts[i]!r} at {path}:{lines[i]}")
     calib = [i for i, flag in enumerate(is_calib) if flag]
     test = [i for i, flag in enumerate(is_calib) if not flag]
     bad = next((i for i in test if ranks[i]), None)
@@ -141,9 +144,7 @@ def read_scores(path, mode: str) -> RankingProblem:
             ids=[ids[i] for i in order],
         )
     except InvalidInput as exc:
-        # Everything but output typing is a data-file defect, not a flag error.
-        if "RA ranker outputs" in str(exc):
-            raise
+        # The RA outputs were checked above; what is left is a data-file defect.
         raise InvalidData(f"{path}: {exc}") from exc
     except TiesDetected as exc:
         # RankingProblem checks the VA outputs first, then the truth.
@@ -215,7 +216,7 @@ def envelope_to_doc(env: Envelope) -> dict:
         "upper": [int(v) for v in env.upper],
         "mc_meta": {
             "K": None if meta is None else meta.K,
-            "seed": None if meta is None else meta.seed,
+            "seed": None if meta is None else int(meta.seed),  # a numpy integer too
             "slack": None if meta is None else meta.slack,
         },
     }
@@ -345,16 +346,6 @@ def write_report(report, path) -> None:
     """Write an ``evaluate.ExperimentReport`` as rows (rep, metric, value, arm)."""
     reps, metrics, values, arms = list(zip(*report.to_rows())) or [()] * 4
     _write_csv(path, REPORT_HEADER, [reps, metrics, values, arms])
-
-
-def read_report_rows(path) -> list[tuple[int, str, float, str]]:
-    """Read a long-format report back into (rep, metric, value, arm) rows."""
-    columns, _ = _read_csv(path, REPORT_HEADER)
-    try:
-        return list(zip(map(int, columns["rep"]), columns["metric"],
-                        map(float, columns["value"]), columns["arm"]))
-    except ValueError as exc:
-        raise InvalidData(f"{path}: {exc}") from exc
 
 
 def file_digest(path) -> str:

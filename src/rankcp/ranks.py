@@ -16,7 +16,7 @@ from :func:`order_rows`), the rule for VA ranker outputs
 scalar scores of ``conformal`` read their order statistics through these
 rules, as :class:`RankingProblem` does for the array path.
 
-Vector operations work along the last axis, and :func:`has_ties`,
+Vector operations work along the last axis, and :func:`order_rows`,
 :func:`ranks_within` and :class:`RankingProblem` also accept a leading batch
 axis: a stack of independent rows, each checked and ranked on its own.
 """
@@ -63,15 +63,6 @@ def _sorted_has_ties(ordered: np.ndarray):
     right, left = ordered[..., 1:], ordered[..., :-1]
     tied = (right == left) | (np.isnan(right) & np.isnan(left))
     return tied.any(axis=-1)
-
-
-def has_ties(values):
-    """True if the vector contains an exact duplicate (NaNs count as equal).
-
-    For a ``(rows, length)`` stack, a boolean per row.
-    """
-    tied = _sorted_has_ties(np.sort(np.atleast_1d(values), axis=-1))
-    return bool(tied) if tied.ndim == 0 else tied
 
 
 def order_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

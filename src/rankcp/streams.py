@@ -19,9 +19,12 @@ the next is yielded: draw from it before advancing the iterator.
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections.abc import Iterator
 
 import numpy as np
+
+from .errors import InvalidInput
 
 # Trajectories per RNG block in chunked simulations.  Fixed constant: changing
 # it would remap trajectories to streams and break reproducibility.
@@ -31,8 +34,17 @@ _LOW_64 = 2**64 - 1
 
 
 def philox_key(seed: int, *tags: object) -> int:
-    """128-bit Philox key derived from a seed and hashable context tags."""
-    material = repr((int(seed),) + tags).encode()
+    """128-bit Philox key derived from an integer seed and hashable context tags.
+
+    Every seed of the package passes through here.  One that is not an
+    integer (a float, an array) raises :class:`InvalidInput`; it is not
+    truncated.
+    """
+    try:
+        seed = int(operator.index(seed))  # a bool keys as 0 or 1, not True or False
+    except TypeError:
+        raise InvalidInput(f"seed must be an integer, got {seed}") from None
+    material = repr((seed,) + tags).encode()
     digest = hashlib.blake2b(material, digest_size=16).digest()
     return int.from_bytes(digest, "little")
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankcp import (
+    DimensionMismatch,
     ExperimentConfig,
     InfeasibleLevel,
     InvalidInput,
@@ -644,3 +645,43 @@ def test_fcp_calibration_deprecated_arguments_ignored():
     old_report, new_report = run_experiment(cfg), run_experiment(ExperimentConfig(**base))
     assert old_report.k == new_report.k
     assert old_report.to_rows() == new_report.to_rows()
+
+
+def _three_item_problem():
+    return RankingProblem(n=2, m=1, calib_ranks=[2, 1], ranker_mode="VA",
+                          ranker_outputs=[0.3, 0.1, 0.2])
+
+
+# (call, exception type, the parameter its message names)
+CONFORMAL_REFUSALS = {
+    "RankSet kind": (lambda: RankSet("a", 1, 2, kind="exotic"), InvalidInput,
+                     "set kind 'exotic'"),
+    "RankSet lo > hi": (lambda: RankSet("a", 3, 2), InvalidInput, r"lo <= hi, got \[3, 2\]"),
+    "RankSets kind": (lambda: RankSets(["a"], [1], [2], kind="exotic"), InvalidInput,
+                      "set kind 'exotic'"),
+    "RankSets shape": (lambda: RankSets(["a", "b"], [1], [2]), DimensionMismatch,
+                       "one lo and one hi per item"),
+    "batch single-item view": (lambda: RankSets(["a"], [[1], [1]], [[2], [2]])[0],
+                               InvalidInput, "batch of sets"),
+    "score_ra rank < 1": (lambda: score_ra(0, 3), InvalidInput, "ranks must be >= 1"),
+    "scores_at shape": (lambda: scores_at(_three_item_problem(), [1, 2, 3]),
+                        DimensionMismatch, "one rank per calibration item"),
+    "scores_at range": (lambda: scores_at(_three_item_problem(), [1, 4]),
+                        RankOutOfRange, r"pooled ranks outside \[1, n\+m\]"),
+    "select_k n < 1": (lambda: select_k(0.1, 0.0, 0), InvalidInput, "n >= 1"),
+    "fcp_calibration alpha_bar": (lambda: fcp_calibration(1.0, 0.25, 0.0, 10, 10),
+                                  InvalidInput, "alpha_bar=1.0"),
+    "fcp_calibration delta": (lambda: fcp_calibration(0.1, 0.25, -0.1, 10, 10),
+                              InvalidInput, "delta=-0.1"),
+    "fcp_calibration n": (lambda: fcp_calibration(0.1, 0.25, 0.0, 0, 10), InvalidInput,
+                          "n, m >= 1"),
+    "fcp_calibration m": (lambda: fcp_calibration(0.1, 0.25, 0.0, 10, 0), InvalidInput,
+                          "n, m >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", CONFORMAL_REFUSALS)
+def test_conformal_refusals_name_their_parameter(case):
+    call, error, names = CONFORMAL_REFUSALS[case]
+    with pytest.raises(error, match=names):
+        call()

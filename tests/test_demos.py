@@ -1,6 +1,7 @@
-"""The demos stay runnable: each exits 0 within seconds."""
+"""The demos and the README's code stay runnable: each runs within seconds."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,15 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # in order and in one namespace, as a reader pastes them; a function the
+    # README uses that is renamed or deleted fails here
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 3
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)

@@ -713,3 +713,41 @@ def test_available_memory_reads_memavailable_before_physical_memory(monkeypatch,
     assert envelope._available_memory() == 4 * 2**20
     monkeypatch.delattr(envelope.os, "sysconf")
     assert envelope._available_memory() is None
+
+
+def _envelope(**overrides):
+    fields = dict(n=3, m=2, delta=0.1, kind="quantile", lower=[1, 2, 3], upper=[3, 4, 5])
+    return Envelope(**{**fields, **overrides})
+
+
+# (call, exception type, the parameter its message names)
+ENVELOPE_REFUSALS = {
+    "SortedRankSample shape": (
+        lambda: SortedRankSample(n=3, m=2, seed=0, trajectories=np.ones((4, 2), int)),
+        DimensionMismatch, r"trajectories must be \(K, n=3\)"),
+    "simulate n": (lambda: simulate_sorted_ranks(0, 5, 10, seed=0), InvalidInput, "n >= 1"),
+    "simulate m": (lambda: simulate_sorted_ranks(5, -1, 10, seed=0), InvalidInput, "m >= 0"),
+    "simulate K": (lambda: simulate_sorted_ranks(5, 5, 0, seed=0), InvalidInput, "K >= 1"),
+    "Envelope kind": (lambda: _envelope(kind="exotic"), InvalidInput, "kind must be one of"),
+    "Envelope delta": (lambda: _envelope(delta=1.0), InvalidDelta, r"delta=1.0 outside"),
+    "Envelope shape": (lambda: _envelope(upper=[3, 4]), DimensionMismatch,
+                       "lower/upper must have length n"),
+    "Envelope lower > upper": (lambda: _envelope(lower=[2, 2, 3], upper=[1, 4, 5]),
+                               InvalidInput, "lower must not exceed upper"),
+    "bounds_for_ranks range": (lambda: _envelope().bounds_for_ranks([1, 4]), InvalidInput,
+                               r"calibration ranks outside \[1, n\]"),
+    "halfwidth m": (lambda: envelope.theoretical_band_halfwidth(5, 0, 0.1), InvalidInput,
+                    "m >= 1"),
+    "slack n": (lambda: mc_guarantee_slack(0, 100), InvalidInput, "n >= 1"),
+    "slack K": (lambda: mc_guarantee_slack(5, 0), InvalidInput, "K >= 1"),
+    "fit level delta": (lambda: fit_linear_envelope(simulate_sorted_ranks(3, 2, 20, seed=0),
+                                                    1.5),
+                        InvalidDelta, r"delta=1.5 outside"),
+}
+
+
+@pytest.mark.parametrize("case", ENVELOPE_REFUSALS)
+def test_envelope_refusals_name_their_parameter(case):
+    call, error, names = ENVELOPE_REFUSALS[case]
+    with pytest.raises(error, match=names):
+        call()

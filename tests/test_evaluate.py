@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,11 +24,6 @@ from rankcp import (
     build_envelope,
     fcp,
     fcp_calibration,
-    gen_beta_data,
-    gen_sigmoid_data,
-    has_ties,
-    make_problem,
-    noisy_oracle_ranker,
     oracle_sets,
     predict_sets,
     proxy_scores,
@@ -42,6 +38,7 @@ from rankcp import (
     topk_candidates,
 )
 from rankcp import evaluate
+from rankcp.ranks import order_rows
 from rankcp.streams import child_seed
 
 
@@ -80,6 +77,12 @@ def test_oracle_requires_truth():
         oracle_sets(problem, 0.1)
 
 
+def _ra_problem(truth, n, m, outputs):
+    """The RA problem of ``truth`` split into its first ``n`` and last ``m`` items."""
+    return RankingProblem(n=n, m=m, calib_ranks=ranks_within(truth[:n]), ranker_mode="RA",
+                          ranker_outputs=outputs, truth=truth)
+
+
 def _truth_indexed_envelope(problem):
     """Zero-width envelope pinned at the true pooled calibration ranks."""
     pooled = ranks_within(problem.truth)[: problem.n]
@@ -95,7 +98,7 @@ def test_degenerate_envelope_reproduces_oracle():
     rng = np.random.default_rng(40)
     truth = rng.normal(size=30)
     outputs = ranks_within(truth + 0.3 * rng.normal(size=30))
-    problem = make_problem(truth, 20, 10, "RA", outputs)
+    problem = _ra_problem(truth, 20, 10, outputs)
     env = _truth_indexed_envelope(problem)
     k = select_k(0.1, env.delta, problem.n)
     thr = calibrate(proxy_scores(problem, env), k, alpha=0.1)
@@ -110,7 +113,7 @@ def test_oracle_ratio_at_least_one_under_coverage():
     for _ in range(30):
         truth = rng.normal(size=40)
         outputs = ranks_within(truth + 0.5 * rng.normal(size=40))
-        problem = make_problem(truth, 25, 15, "RA", outputs)
+        problem = _ra_problem(truth, 25, 15, outputs)
         env = naive_envelope(25, 15)  # always covers
         thr = calibrate(proxy_scores(problem, env), select_k(0.1, 0.0, 25), alpha=0.1)
         sets = predict_sets(problem, thr)
@@ -119,22 +122,30 @@ def test_oracle_ratio_at_least_one_under_coverage():
         assert np.all((sets.lo <= osets.lo) & (sets.hi >= osets.hi))
 
 
+def _truth(model, total, seed, **kwargs):
+    """The truth of a synthetic VA problem of ``total`` items."""
+    return synthesize_problem(model, total // 2, total - total // 2, 0.07, "VA",
+                              seed=seed, **kwargs).truth
+
+
 def test_sigmoid_generator():
-    y = gen_sigmoid_data(500, seed=50)
+    y = _truth("sigmoid", 500, seed=50)
     assert y.shape == (500,)
     # sigmoid plus mild noise stays near the unit interval
     assert np.mean((y > -0.3) & (y < 1.3)) > 0.99
-    assert np.array_equal(y, gen_sigmoid_data(500, seed=50))
-    assert not np.array_equal(y, gen_sigmoid_data(500, seed=51))
-    assert gen_sigmoid_data(10, d=1, seed=0).shape == (10,)
-    with pytest.raises(InvalidInput):
-        gen_sigmoid_data(10, d=0, seed=0)
-    with pytest.raises(InvalidInput):
-        gen_sigmoid_data(1, seed=0)
+    assert np.array_equal(y, _truth("sigmoid", 500, seed=50))
+    assert not np.array_equal(y, _truth("sigmoid", 500, seed=51))
+    assert _truth("sigmoid", 10, d=1, seed=0).shape == (10,)
+    with pytest.raises(InvalidInput, match="^need d >= 1$"):
+        _truth("sigmoid", 10, d=0, seed=0)
+    for n, m in ((1, 0), (0, 5), (5, -1)):
+        with pytest.raises(InvalidInput, match=f"^need n >= 1, m >= 0 and n [+] m >= 2, "
+                                               f"got n={n}, m={m}$"):
+            synthesize_problem("sigmoid", n, m, 0.07, "VA", seed=0)
 
 
 def test_beta_generator_concentrates_at_endpoints():
-    x = gen_beta_data(20_000, noise_sd=0.0, seed=52)
+    x = _truth("beta_adaptive", 20_000, data_noise_sd=0.0, seed=52)
     near_edges = np.mean((np.abs(x) < 0.1) | (np.abs(x - 1) < 0.1))
     assert near_edges > 0.8
 
@@ -143,28 +154,24 @@ def test_beta_generator_symmetry():
     # a == b and symmetric noise make Y and 1 - Y equal in law; the noise
     # also smooths the float atoms the raw Beta(.04, .04) sampler leaves at
     # the endpoints (about a quarter of its mass sits within 1e-16 of them)
-    y = gen_beta_data(20_000, seed=53)
+    y = _truth("beta_adaptive", 20_000, seed=53)
     assert stats.ks_2samp(y, 1 - y).pvalue > 0.01
 
 
 def test_beta_generator_reproducible():
-    assert np.array_equal(gen_beta_data(100, seed=7), gen_beta_data(100, seed=7))
+    assert np.array_equal(_truth("beta_adaptive", 100, seed=7),
+                          _truth("beta_adaptive", 100, seed=7))
 
 
 def test_generated_values_must_be_finite():
     # 1e308 times a draw beyond 1.8 overflows; the overflow warned, then the
     # tie check failed on the infinities (or the VA check blamed the ranker)
-    message = "^noise_sd=1e\\+308 makes the generated values non-finite$"
-    with pytest.raises(InvalidInput, match=message):
-        gen_sigmoid_data(50, noise_sd=1e308)
-    with pytest.raises(InvalidInput, match=message):
-        gen_beta_data(50, noise_sd=1e308)
-    with pytest.raises(InvalidInput, match=message):
-        noisy_oracle_ranker(np.arange(50.0), 1e308)
-    # synthesize_problem passed its data_noise_sd on as the generators'
-    # noise_sd, and the error named the ranker's noise_sd instead
+    message = "noise_sd=1e\\+308 makes the generated values non-finite$"
     for model in ("sigmoid", "beta_adaptive"):
-        with pytest.raises(InvalidInput, match=f"^data_{message[1:]}"):
+        with pytest.raises(InvalidInput, match=f"^{message}"):
+            synthesize_problem(model, 25, 25, 1e308, "VA", seed=0)
+        # the truth's noise is named data_noise_sd, not the ranker's noise_sd
+        with pytest.raises(InvalidInput, match=f"^data_{message}"):
             synthesize_problem(model, 25, 25, 0.07, "VA", seed=0, data_noise_sd=1e308)
 
 
@@ -179,27 +186,20 @@ def test_synthesize_problem_checks_mode_before_drawing(monkeypatch, model):
         synthesize_problem(model, 5, 5, 0.07, "XX", seed=0)
 
 
-@pytest.mark.parametrize("name, bad", [("a", -1.0), ("a", 0.0), ("b", math.nan),
-                                       ("b", math.inf)])
-def test_beta_parameters_must_be_finite_and_positive(name, bad):
-    # a = -1 raised numpy's plain ValueError, and a = nan gave all-NaN data
-    with pytest.raises(InvalidInput, match=f"^{name}={bad} must be finite and positive$"):
-        gen_beta_data(10, **{name: bad})
-
-
 def test_noisy_oracle_ranker():
-    truth = gen_sigmoid_data(50, seed=54)
-    assert np.array_equal(noisy_oracle_ranker(truth, 0.0, seed=1, mode="VA"), truth)
-    perfect = noisy_oracle_ranker(truth, 0.0, seed=1, mode="RA")
-    assert np.array_equal(perfect, ranks_within(truth))
-    noisy = noisy_oracle_ranker(truth, 0.3, seed=1, mode="RA")
+    def outputs(noise_sd, mode):
+        return synthesize_problem("sigmoid", 30, 20, noise_sd, mode, seed=54).ranker_outputs
+
+    truth = _truth("sigmoid", 50, seed=54)
+    assert np.array_equal(outputs(0.0, "VA"), truth)
+    assert np.array_equal(outputs(0.0, "RA"), ranks_within(truth))
+    noisy = outputs(0.3, "RA")
     assert sorted(noisy.tolist()) == list(range(1, 51))
+    assert not np.array_equal(noisy, ranks_within(truth))
 
 
 def test_perfect_ranker_oracle_sets_are_singletons():
-    truth = gen_sigmoid_data(40, seed=55)
-    outputs = noisy_oracle_ranker(truth, 0.0, seed=2, mode="RA")
-    problem = make_problem(truth, 30, 10, "RA", outputs)
+    problem = synthesize_problem("sigmoid", 30, 10, 0.0, "RA", seed=55)
     osets = oracle_sets(problem, 0.1)
     assert np.all(osets.size == 1)
 
@@ -265,16 +265,11 @@ def test_experiment_config_validation():
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -0.5])
 def test_noise_levels_must_be_finite_and_nonnegative(bad):
     message = f"noise_sd={bad} must be finite and nonnegative"
-    with pytest.raises(InvalidInput, match=f"^{message}$"):
-        gen_sigmoid_data(10, noise_sd=bad)
-    with pytest.raises(InvalidInput, match=f"^{message}$"):
-        gen_beta_data(10, noise_sd=bad)
-    with pytest.raises(InvalidInput, match=f"^{message}$"):
-        noisy_oracle_ranker(np.arange(10.0), bad)
-    with pytest.raises(InvalidInput, match=f"^{message}$"):
-        synthesize_problem("sigmoid", 5, 5, bad, "VA", seed=0)
-    with pytest.raises(InvalidInput, match=f"^data_{message}$"):
-        synthesize_problem("sigmoid", 5, 5, 0.1, "VA", seed=0, data_noise_sd=bad)
+    for model in ("sigmoid", "beta_adaptive"):
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            synthesize_problem(model, 5, 5, bad, "VA", seed=0)
+        with pytest.raises(InvalidInput, match=f"^data_{message}$"):
+            synthesize_problem(model, 5, 5, 0.1, "VA", seed=0, data_noise_sd=bad)
     with pytest.raises(InvalidInput, match=f"^{message}$"):
         ExperimentConfig(noise_sd=bad)
 
@@ -440,7 +435,7 @@ def test_batched_layers_equal_single_problem_calls(data):
     assert sets.lo.shape == (len(singles), m)
     for i, one in enumerate(singles):
         assert np.array_equal(pooled[i], ranks_within(one.truth))
-        assert has_ties(batch.ranker_outputs)[i] == has_ties(one.ranker_outputs)
+        assert order_rows(batch.ranker_outputs)[1][i] == order_rows(one.ranker_outputs)[1]
         assert np.array_equal(scores_at(batch, pooled[:, :n])[i],
                               scores_at(one, pooled[i, :n]))
         assert np.array_equal(proxy[i], proxy_scores(one, env))
@@ -497,8 +492,8 @@ def test_tied_generated_rows_are_broken_and_ordered_again():
     truth = np.array([[0.5, 0.5, 0.1, 0.9], [0.3, 0.2, 0.1, 0.0]])
     seeds = np.array([7, 8])
     values, order = evaluate._noisy_outputs(truth, 0.0, seeds, "VA")
-    assert has_ties(truth).tolist() == [True, False]
-    assert not has_ties(values).any() and np.array_equal(values[1], truth[1])
+    assert order_rows(truth)[1].tolist() == [True, False]
+    assert not order_rows(values)[1].any() and np.array_equal(values[1], truth[1])
     assert np.array_equal(order, np.argsort(values, axis=-1))
     ranks, _ = evaluate._noisy_outputs(truth, 0.0, seeds, "RA")
     assert np.array_equal(ranks, ranks_within(values))
@@ -528,3 +523,76 @@ def test_one_block_sorts_each_array_once(monkeypatch, mode):
     assert cfg.reps <= evaluate.BLOCK_ELEMENTS // (cfg.n + cfg.m)  # one block
     run_experiment(cfg)
     assert calls == {"sort": 1, "argsort": 2}
+
+
+SEED_REFUSALS = {
+    # truncated by int(): seed 1.7 drew the problem of seed 1
+    "float": (lambda: synthesize_problem("sigmoid", 5, 5, 0.07, "VA", seed=1.7),
+              "^seed must be an integer, got 1.7$"),
+    # drew seed 1's sample and wrote mc_meta.seed 1.5, which read_envelope refuses
+    "envelope float": (lambda: build_envelope("quantile", 10, 10, 0.1, 100, seed=1.5),
+                       "^seed must be an integer, got 1.5$"),
+    # ended in a bare TypeError
+    "2-D array": (lambda: synthesize_problem("sigmoid", 5, 5, 0.07, "VA",
+                                             seed=np.array([[1, 2]])),
+                  r"^seed must be an integer, got \[1 2\]$"),
+    # ended in numpy's "need at least one array to stack"
+    "empty array": (lambda: synthesize_problem("sigmoid", 5, 5, 0.07, "VA",
+                                               seed=np.array([], dtype=np.int64)),
+                    "^seed must hold at least one seed$"),
+}
+
+
+@pytest.mark.parametrize("case", SEED_REFUSALS)
+def test_seeds_must_be_integers(case):
+    call, message = SEED_REFUSALS[case]
+    with pytest.raises(InvalidInput, match=message):
+        call()
+
+
+def test_integer_seeds_of_any_integer_type_draw_alike():
+    one = synthesize_problem("beta_adaptive", 5, 5, 0.07, "RA", seed=3)
+    for seed in (np.int64(3), np.uint8(3), np.array(3)):
+        other = synthesize_problem("beta_adaptive", 5, 5, 0.07, "RA", seed=seed)
+        assert np.array_equal(other.truth, one.truth)
+        assert np.array_equal(other.ranker_outputs, one.ranker_outputs)
+
+
+@pytest.mark.parametrize("alpha", ["0.15", "0.3"])
+@pytest.mark.parametrize("n, m", [(12, 3), (13, 4), (14, 5)])
+def test_oracle_sets_cover_exactly_over_every_split(n, m, alpha):
+    # One bag of n+m items, one row per choice of the n calibration items:
+    # all C(n+m, n) splits, each equally likely under exchangeability.  An
+    # item's oracle score depends on the bag, not on the split, so when the
+    # n+m scores are distinct the test item's score is at most the k-th
+    # smallest calibration score in exactly k of every n+1 cases.
+    total = n + m
+    k = math.ceil((1 - Fraction(alpha)) * (n + 1))  # not select_k: it is under test
+    rng = np.random.default_rng(total)
+    truth = rng.normal(size=total)
+    true_ranks = ranks_within(truth)
+    # VA: the ranker rotates the output ranks by one within runs of three to
+    # five consecutive true ranks, so each score is the gap between two
+    # outputs of one run, and no two items share a pair of outputs
+    runs = np.array_split(np.arange(total), total // 3)
+    rotated = np.concatenate([np.roll(run, -1) for run in runs])
+    values = np.sort(rng.normal(size=total))[rotated[true_ranks - 1]]
+    va_scores = np.abs(np.sort(values)[true_ranks - 1] - values)
+    assert len(set(va_scores.tolist())) == total  # the premise of exactness
+    # RA: the ranks of the truth plus noise; integer scores tie, which can
+    # only add coverage
+    noisy_ranks = ranks_within(truth + 0.5 * rng.normal(size=total))
+    splits = np.array([list(calib) + [i for i in range(total) if i not in calib]
+                       for calib in itertools.combinations(range(total), n)])
+    for mode, outputs in (("VA", values), ("RA", noisy_ranks)):
+        problem = RankingProblem(n=n, m=m, calib_ranks=ranks_within(truth[splits[:, :n]]),
+                                 ranker_mode=mode, ranker_outputs=outputs[splits],
+                                 truth=truth[splits])
+        sets = oracle_sets(problem, float(alpha))
+        assert not np.any((sets.lo == 1) & (sets.hi == total))  # no trivial set
+        coverage = Fraction(int(np.count_nonzero(sets.contains(problem.true_ranks[:, n:]))),
+                            sets.lo.size)
+        if mode == "VA":
+            assert coverage == Fraction(k, n + 1)
+        else:
+            assert coverage >= Fraction(k, n + 1)

@@ -2,6 +2,7 @@
 
 import argparse
 import cProfile
+import csv
 import errno
 import hashlib
 import json
@@ -9,6 +10,7 @@ import json.encoder
 import math
 import os
 import pstats
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,14 @@ from rankcp.evaluate import DATA_NOISE_SD, SIGMOID, ExperimentConfig, run_experi
 
 DATA = Path(__file__).parent / "data"
 SCORES_HEADER = "id,split,output,calib_rank,true_value\n"
+
+
+def _report_rows(path) -> list[tuple[int, str, float, str]]:
+    """The (rep, metric, value, arm) rows of a report CSV, read with ``csv``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["rep", "metric", "value", "arm"]
+        return [(int(rep), metric, float(value), arm) for rep, metric, value, arm in reader]
 
 
 def _problem(mode="VA", with_truth=True):
@@ -80,6 +90,8 @@ def test_envelope_roundtrip(tmp_path):
         theoretical_envelope(8, 12, 0.1),
         rankcp.fit_quantile_envelope(sims, 0.1),
         rankcp.fit_linear_envelope(sims, 0.1),
+        # a numpy integer seed ended the write in json's bare TypeError
+        rankcp.build_envelope("quantile", 8, 12, 0.1, 2000, seed=np.int64(71)),
     ):
         path = tmp_path / f"{env.kind}.json"
         rio.write_envelope(env, path)
@@ -231,7 +243,7 @@ def test_report_roundtrip(tmp_path):
     report = run_experiment(cfg)
     path = tmp_path / "report.csv"
     rio.write_report(report, path)
-    rows = rio.read_report_rows(path)
+    rows = _report_rows(path)
     assert rows == report.to_rows()
     assert path.read_text().splitlines()[0] == "rep,metric,value,arm"
 
@@ -495,6 +507,21 @@ def test_request_path_work_is_fixed(tmp_path):
     argv = evaluate_argv(10)
     inits = [calls(argv, parser_init) for _ in range(3)]
     assert inits[0] > 0 and inits[1:] == [0, 0]
+
+
+def test_scores_file_errors_are_typed_by_where_they_are_found(tmp_path):
+    # read_scores told a usage error from a data error by the words of the
+    # message; the RA outputs are now checked at their line, and every other
+    # refusal of the problem is a data error
+    path = tmp_path / "ra.csv"
+    path.write_text(SCORES_HEADER + "c1,calib,1,1,\nc2,calib,0,2,\nt1,test,3,,\n")
+    with pytest.raises(InvalidInput, match=re.escape(
+            f"RA ranker outputs must lie in [1, 3], got '0' at {path}:3")):
+        rio.read_scores(path, "RA")
+    path.write_text(SCORES_HEADER + "c1,calib,1,1,\nc2,calib,2,1,\nt1,test,3,,\n")
+    with pytest.raises(InvalidData, match=re.escape(
+            f"{path}: calib_ranks must be a permutation of 1..n")):
+        rio.read_scores(path, "RA")
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):
@@ -853,7 +880,7 @@ def test_experiment_command_schema_and_config_merge(tmp_path):
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest["config"]["alpha"] == 0.2
     assert manifest["config"]["n"] == 30
-    rows = rio.read_report_rows(out)
+    rows = _report_rows(out)
     assert {r[3] for r in rows} == {"proxy", "oracle"}
     assert {r[0] for r in rows} == {0, 1, 2}
     # unknown config keys are usage errors
@@ -882,7 +909,7 @@ def test_experiment_smoke_runtime(tmp_path):
                  "--out", str(out)]) == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 60
-    rows = rio.read_report_rows(out)
+    rows = _report_rows(out)
     assert len({r[0] for r in rows}) == 20
 
 
@@ -980,7 +1007,7 @@ def test_theoretical_envelope_through_the_cli(tmp_path):
     assert main(["experiment", "--n", "40", "--m", "60", "--reps", "3",
                  "--envelope-kind", "theoretical", "--out", str(report)]) == 0
     cfg = ExperimentConfig(n=40, m=60, reps=3, envelope_kind="theoretical")
-    assert rio.read_report_rows(report) == run_experiment(cfg).to_rows()
+    assert _report_rows(report) == run_experiment(cfg).to_rows()
 
 
 GOLDEN_INPUTS = {"scores": DATA / "golden_scores.csv",

@@ -9,7 +9,6 @@ from rankcp import (
     RankingProblem,
     TiesDetected,
     break_ties,
-    has_ties,
     rank_of,
     ranks_within,
     value_at_rank,
@@ -97,7 +96,7 @@ def test_ranks_within_always_permutation():
 def test_break_ties_resolves_and_preserves_order():
     values = np.array([0.5, 0.1, 0.5, 0.9, 0.1])
     fixed = break_ties(values, seed=11)
-    assert not has_ties(fixed)
+    assert not order_rows(fixed)[1]
     # strict order of distinct values is untouched
     assert fixed[1] < fixed[0] and fixed[0] < fixed[3]
     assert fixed[4] < fixed[0] and fixed[2] < fixed[3]
@@ -110,11 +109,11 @@ def test_break_ties_resolves_and_preserves_order():
 
 def test_break_ties_all_equal():
     fixed = break_ties([2.0, 2.0, 2.0], seed=0)
-    assert not has_ties(fixed)
+    assert not order_rows(fixed)[1]
     # a gap-based offset would fall below the ulp here and be rounded away
     values = np.array([1e16, 1e16, 1e16 + 2])
     fixed = break_ties(values, seed=0)
-    assert not has_ties(fixed)
+    assert not order_rows(fixed)[1]
     assert fixed[2] > max(fixed[0], fixed[1])
     assert np.array_equal(values, [1e16, 1e16, 1e16 + 2])  # input untouched
 
@@ -214,9 +213,10 @@ def test_tie_messages():
 
 
 def test_nan_has_no_rank():
-    # has_ties still counts two NaNs as equal, but ranking rejects any NaN
+    # order_rows still flags two NaNs as a tie, but ranking rejects any NaN
     # (a single NaN was ranked last before)
-    assert has_ties([np.nan, 1.0, np.nan]) and not has_ties([np.nan, 1.0])
+    assert order_rows(np.array([np.nan, 1.0, np.nan]))[1]
+    assert not order_rows(np.array([np.nan, 1.0]))[1]
     for values in ([0.3, np.nan, 0.1], [[0.1, 0.2], [np.nan, 0.5]], [np.nan, np.nan]):
         with pytest.raises(InvalidInput) as err:
             ranks_within(values)
@@ -261,3 +261,29 @@ def test_order_rows_flags_tied_rows():
     assert np.array_equal(order, np.argsort(values, axis=-1))
     assert tied.tolist() == [False, True]
 
+
+
+def _ranking_problem(**overrides):
+    fields = dict(n=3, m=2, calib_ranks=[2, 1, 3], ranker_mode="VA",
+                  ranker_outputs=[0.5, 0.1, 0.9, 0.3, 0.7])
+    return RankingProblem(**{**fields, **overrides})
+
+
+# (call, exception type, the parameter its message names)
+RANKS_REFUSALS = {
+    "ranks_within 3-D": (lambda: ranks_within(np.zeros((2, 2, 2))), InvalidInput,
+                         "values must be a vector or a stack of vectors"),
+    "RankingProblem n": (lambda: _ranking_problem(n=0, calib_ranks=[]), InvalidInput,
+                         "n >= 1"),
+    "RankingProblem truth": (lambda: _ranking_problem(truth=[0.1, 0.2, 0.3]),
+                             DimensionMismatch, "truth must have length n[+]m=5"),
+    "RankingProblem ids": (lambda: _ranking_problem(ids=["a", "b"]), DimensionMismatch,
+                           "ids must have length n[+]m"),
+}
+
+
+@pytest.mark.parametrize("case", RANKS_REFUSALS)
+def test_ranks_refusals_name_their_parameter(case):
+    call, error, names = RANKS_REFUSALS[case]
+    with pytest.raises(error, match=names):
+        call()

@@ -187,3 +187,21 @@ def test_topk_monotone_nested():
 def test_topk_rejects_test_only_sets():
     with pytest.raises(InvalidInput):
         topk_candidates(_full([(1, 2)], kind="test_only"), 2)
+
+
+# (call, exception type, the parameter its message names)
+TARGET_REFUSALS = {
+    "calibration_sets ids": (
+        lambda: calibration_sets(naive_envelope(3, 2), [1, 2, 3], ids=["a", "b"]),
+        DimensionMismatch, "ids must match"),
+    "topk_candidates k_top": (
+        lambda: topk_candidates(RankSets(["t1"], [1], [2]), -1), InvalidInput,
+        "k_top must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", TARGET_REFUSALS)
+def test_target_refusals_name_their_parameter(case):
+    call, error, names = TARGET_REFUSALS[case]
+    with pytest.raises(error, match=names):
+        call()
