@@ -21,7 +21,6 @@ from .conformal import (
     proxy_score_va,
     proxy_scores,
     score_ra,
-    score_va,
     scores_at,
     select_k,
 )
@@ -70,9 +69,7 @@ from .ranks import (
     ItemId,
     RankingProblem,
     break_ties,
-    rank_of,
     ranks_within,
-    value_at_rank,
 )
 from .targets import calibration_sets, test_only_set, topk_candidates
 

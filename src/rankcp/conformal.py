@@ -4,9 +4,9 @@ The conformity score of an item at a candidate pooled rank ``r`` measures the
 ranker's error there:
 
 * RA mode (ranker emits ranks): ``|r - predicted_rank|``.
-* VA mode (ranker emits values): ``|value_at_rank(r, outputs) - output|``,
-  the gap between the item's output and the output it would need to sit at
-  rank ``r``.
+* VA mode (ranker emits values): ``|sorted_outputs[r - 1] - output|``, the
+  gap between the item's output and the ``r``-th smallest output, the one it
+  would need to sit at rank ``r``.
 
 True scores of calibration items are not computable (their pooled ranks are
 unknown), so each is replaced by its *proxy*: the maximum score over the
@@ -34,12 +34,13 @@ scores among calibration scores follows a universal distribution; the one
 order statistic that decides FCP control has a negative-hypergeometric law,
 so ``k`` is computed exactly rather than simulated.
 
-The scalar scores (:func:`score_ra`, :func:`score_va` and their proxies) are
-kept for the closed-form checks of the API; ``ranks`` owns the rules they
-apply, so they refuse what the array path refuses: a rank that is not a
-whole number, and VA values that are not finite or hold ties (the item's own
-value must be finite too).  :func:`calibrate` is the one order-statistic
-selection here; every other ordering is read from ``ranks``.
+The scalar scores :func:`score_ra`, :func:`proxy_score_ra` and
+:func:`proxy_score_va` are kept for the closed-form checks of the API (a VA
+score at one rank ``r`` is ``proxy_score_va(r, r, ...)``); ``ranks`` owns
+the rules they apply, so they refuse what the array path refuses: a rank
+that is not a whole number, and VA values that are not finite or hold ties
+(the item's own value must be finite too).  :func:`calibrate` is the one
+order-statistic selection here; every other ordering is read from ``ranks``.
 """
 
 from __future__ import annotations
@@ -204,14 +205,6 @@ def score_ra(r: int, predicted_rank: int) -> float:
     if r < 1 or predicted_rank < 1:
         raise InvalidInput("ranks must be >= 1")
     return float(abs(r - predicted_rank))
-
-
-def score_va(r: int, value: float, all_values) -> float:
-    """Value-gap score in VA mode: ``|value_at_rank(r, all_values) - value|``.
-
-    The proxy score over the one-rank interval ``[r, r]``.
-    """
-    return proxy_score_va(r, r, value, all_values)
 
 
 def proxy_score_ra(lo: int, hi: int, predicted_rank: int) -> float:

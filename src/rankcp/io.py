@@ -222,16 +222,19 @@ def envelope_to_doc(env: Envelope) -> dict:
     }
 
 
-def _integers(value, name: str):
-    """``value`` if it is a JSON integer or a list of them, else a TypeError naming ``name``.
+def _numbers(value, name: str, kind=int):
+    """``value`` if it is a JSON ``kind`` or a list of them, else a TypeError naming ``name``.
 
-    int() would truncate a float and read a bool as 0 or 1.
+    ``kind`` is ``int``, or ``float`` for any JSON number, which is returned
+    as a float.  int() would truncate a float, and int() and float() would
+    read a bool as 0 or 1; float() would also read a numeric string.
     """
+    allowed, noun = ({int}, "an integer") if kind is int else ({int, float}, "a number")
     items = value if isinstance(value, list) else [value]
-    if not set(map(type, items)) <= {int}:
-        bad = next(v for v in items if type(v) is not int)
-        raise TypeError(f"{name} must be an integer, got {json.dumps(bad)}")
-    return value
+    if not set(map(type, items)) <= allowed:
+        bad = next(v for v in items if type(v) not in allowed)
+        raise TypeError(f"{name} must be {noun}, got {json.dumps(bad)}")
+    return value if isinstance(value, list) else kind(value)
 
 
 def envelope_from_doc(doc: dict) -> Envelope:
@@ -240,18 +243,18 @@ def envelope_from_doc(doc: dict) -> Envelope:
         meta = None
         if meta_doc.get("K") is not None:
             meta = MonteCarloMeta(
-                K=_integers(meta_doc["K"], "mc_meta.K"),
-                seed=_integers(meta_doc["seed"], "mc_meta.seed"),
-                slack=float(meta_doc["slack"]),
+                K=_numbers(meta_doc["K"], "mc_meta.K"),
+                seed=_numbers(meta_doc["seed"], "mc_meta.seed"),
+                slack=_numbers(meta_doc["slack"], "mc_meta.slack", float),
             )
         return Envelope(
-            n=_integers(doc["n"], "n"),
-            m=_integers(doc["m"], "m"),
-            delta=float(doc["delta"]),
+            n=_numbers(doc["n"], "n"),
+            m=_numbers(doc["m"], "m"),
+            delta=_numbers(doc["delta"], "delta", float),
             kind=str(doc["kind"]),
-            lower=_integers(doc["lower"], "lower"),
-            upper=_integers(doc["upper"], "upper"),
-            param=None if doc.get("param") is None else float(doc["param"]),
+            lower=_numbers(doc["lower"], "lower"),
+            upper=_numbers(doc["upper"], "upper"),
+            param=None if doc.get("param") is None else _numbers(doc["param"], "param", float),
             mc_meta=meta,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -14,7 +14,10 @@ from :func:`order_rows`), the rule for VA ranker outputs
 (:func:`rank_va_outputs`: finite and tie-free), whole-number ranks
 (:func:`as_rank`) and the ranker-mode vocabulary (:func:`check_mode`).  The
 scalar scores of ``conformal`` read their order statistics through these
-rules, as :class:`RankingProblem` does for the array path.
+rules, as :class:`RankingProblem` does for the array path.  Ranks and order
+statistics have no scalar functions: :func:`ranks_within` ranks every
+element of a vector, and the ``r``-th smallest VA output of a problem is its
+``sorted_outputs[r - 1]``.
 
 Vector operations work along the last axis, and :func:`order_rows`,
 :func:`ranks_within` and :class:`RankingProblem` also accept a leading batch
@@ -29,12 +32,7 @@ from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidInput,
-    RankOutOfRange,
-    TiesDetected,
-)
+from .errors import DimensionMismatch, InvalidInput, TiesDetected
 from .streams import stream
 
 ItemId = str
@@ -94,37 +92,6 @@ def as_rank(r) -> int:
     return int(r)
 
 
-def _refuse_nan(values: np.ndarray, name: str) -> None:
-    if np.isnan(values).any():
-        raise InvalidInput(f"{name} contain NaN, which has no rank")
-
-
-def rank_of(y: float, bag) -> int:
-    """Rank of ``y`` in a bag: the number of elements ``z`` with ``y >= z``.
-
-    Ranges over ``[0, len(bag)]``; membership implies a rank of at least 1.
-    The bag may hold ties, but neither it nor ``y`` may be NaN.
-    """
-    arr = _as_float_vector(bag, "bag")
-    if arr.size == 0:
-        raise InvalidInput("bag must be nonempty")
-    y = float(y)
-    _refuse_nan(np.append(arr, y), "y and bag")
-    return int(np.count_nonzero(y >= arr))
-
-
-def value_at_rank(r: int, bag) -> float:
-    """The element of rank ``r`` (the r-th smallest) in a tie-free bag without NaN.
-
-    Inverse of :func:`rank_of`: ``rank_of(value_at_rank(r, bag), bag) == r``.
-    """
-    arr = _as_float_vector(bag, "bag")
-    r = as_rank(r)
-    if not 1 <= r <= arr.size:
-        raise RankOutOfRange(f"rank {r} outside [1, {arr.size}]")
-    return float(_rank_rows(arr, "bag")[0][r - 1])
-
-
 def _rank_rows(arr: np.ndarray, name: str, order=None) -> tuple[np.ndarray, np.ndarray]:
     """Each row of ``arr`` in increasing order, and the 1-based rank of each element.
 
@@ -145,7 +112,8 @@ def _rank_rows(arr: np.ndarray, name: str, order=None) -> tuple[np.ndarray, np.n
             return ordered, _inverse(order)
     order = np.argsort(arr, axis=-1)
     ordered = np.take_along_axis(arr, order, axis=-1)
-    _refuse_nan(ordered[..., -1:], name)  # argsort puts NaNs last
+    if np.isnan(ordered[..., -1:]).any():  # argsort puts NaNs last
+        raise InvalidInput(f"{name} contain NaN, which has no rank")
     if np.any(_sorted_has_ties(ordered)):
         raise TiesDetected(f"{name} contain exact duplicates; see break_ties")
     return ordered, _inverse(order)

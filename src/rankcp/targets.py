@@ -63,10 +63,11 @@ def test_only_set(sets: RankSets, env: Envelope) -> RankSets:
     hi = np.minimum(sets.hi - n_plus, env.m)
     empty = np.flatnonzero(lo > hi)
     if empty.size:
-        j = empty[0]
+        j = empty[0]  # a flat index: batch sets are (rows, m) columns
         raise EmptyPredictionSet(
-            f"test-only set of item {sets.items[j]!r} is empty: the envelope rules "
-            f"out every rank of its full set [{sets.lo[j]}, {sets.hi[j]}]")
+            f"test-only set of item {sets.items[j % len(sets.items)]!r} is empty: the "
+            f"envelope rules out every rank of its full set "
+            f"[{sets.lo.flat[j]}, {sets.hi.flat[j]}]")
     return RankSets(items=sets.items, lo=lo, hi=hi, kind="test_only")
 
 

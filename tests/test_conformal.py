@@ -30,7 +30,6 @@ from rankcp import (
     proxy_scores,
     run_experiment,
     score_ra,
-    score_va,
     scores_at,
     select_k,
     simulate_sorted_ranks,
@@ -44,25 +43,6 @@ def test_score_ra_examples():
     assert score_ra(7, 10) == 3
     assert score_ra(5, 5) == 0
     assert score_ra(1, 100) == 99
-
-
-def test_score_va_examples():
-    assert score_va(3, 0.4, [0.1, 0.4, 0.9]) == pytest.approx(0.5)
-    values = [0.3, 0.7, 0.1]
-    assert score_va(2, 0.3, values) == 0.0  # own rank, own value
-    with pytest.raises(RankOutOfRange):
-        score_va(4, 0.4, values)
-
-
-def test_score_va_matches_sort_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        values = rng.normal(size=int(rng.integers(2, 30)))
-        r = int(rng.integers(1, values.size + 1))
-        v = float(rng.normal())
-        assert score_va(r, v, values) == pytest.approx(
-            abs(sorted(values)[r - 1] - v)
-        )
 
 
 def test_proxy_score_ra_examples():
@@ -86,7 +66,7 @@ def test_proxy_score_ra_matches_grid():
 def test_proxy_score_va_examples():
     values = [0.1, 0.25, 0.45, 0.5, 0.65, 0.8]
     assert proxy_score_va(2, 5, 0.5, values) == pytest.approx(0.25)
-    assert proxy_score_va(3, 3, 0.5, values) == score_va(3, 0.5, values)
+    assert proxy_score_va(3, 3, 0.5, values) == abs(np.sort(values)[2] - 0.5)
 
 
 def test_proxy_score_va_matches_grid():
@@ -96,7 +76,8 @@ def test_proxy_score_va_matches_grid():
         lo = int(rng.integers(1, values.size + 1))
         hi = int(rng.integers(lo, values.size + 1))
         v = float(rng.normal())
-        brute = max(score_va(r, v, values) for r in range(lo, hi + 1))
+        ordered = np.sort(values)
+        brute = max(abs(ordered[r - 1] - v) for r in range(lo, hi + 1))
         assert proxy_score_va(lo, hi, v, values) == brute
 
 
@@ -104,13 +85,13 @@ def test_scalar_scores_refuse_what_the_array_path_refuses():
     # each returned a number before
     nan, inf = math.nan, math.inf
     cases = [
-        (lambda: score_va(1, 0.5, [nan, 1.0]), "all_values must be finite"),
-        (lambda: score_va(1, nan, [0.2, 1.0]), "value must be finite, got nan"),
-        (lambda: score_va(2, 0.5, [inf, 1.0]), "all_values must be finite"),
+        (lambda: proxy_score_va(1, 1, 0.5, [nan, 1.0]), "all_values must be finite"),
+        (lambda: proxy_score_va(1, 1, nan, [0.2, 1.0]), "value must be finite, got nan"),
+        (lambda: proxy_score_va(2, 2, 0.5, [inf, 1.0]), "all_values must be finite"),
         (lambda: proxy_score_va(1, 2, 0.5, [nan, 1.0]), "all_values must be finite"),
         (lambda: score_ra(1.5, 3), "ranks must be integers, got 1.5"),
         (lambda: proxy_score_ra(1.7, 2.2, 3), "ranks must be integers, got 1.7"),
-        (lambda: score_va(1.5, 0.5, [0.2, 1.0]), "ranks must be integers, got 1.5"),
+        (lambda: proxy_score_va(1.5, 1.5, 0.5, [0.2, 1.0]), "ranks must be integers, got 1.5"),
         (lambda: RankSet("a", 1.5, 2), "ranks must be integers, got 1.5"),
         (lambda: RankSets(["a"], [1.5], [2.9]), "ranks must be integers, got 1.5 for item 'a'"),
         (lambda: RankSets(["a", "b"], [1, 2], [2.0, inf]),
@@ -118,7 +99,7 @@ def test_scalar_scores_refuse_what_the_array_path_refuses():
         # a 2-D list ended in numpy's bare "truth value ... is ambiguous"
         (lambda: proxy_score_va(1, 2, 0.5, [[0.1, 0.2], [0.3, 0.4]]),
          "all_values must be one-dimensional"),
-        (lambda: score_va(1, 0.5, [[0.1, 0.2], [0.3, 0.4]]),
+        (lambda: proxy_score_va(1, 1, 0.5, [[0.1, 0.2], [0.3, 0.4]]),
          "all_values must be one-dimensional"),
     ]
     for call, message in cases:
@@ -212,7 +193,7 @@ def test_predict_set_va_examples():
     s = predict_sets(problem, Threshold(k=1, value=0.2))
     assert (s.items, _bounds(s), s.kind) == (["t1"], [(3, 5)], "full")
     # brute-force membership over all six ranks
-    member = [r for r in range(1, 7) if score_va(r, 0.5, values) <= 0.2]
+    member = [r for r in range(1, 7) if abs(np.sort(values)[r - 1] - 0.5) <= 0.2]
     assert list(range(s.lo[0], s.hi[0] + 1)) == member
 
     assert _bounds(predict_sets(problem, Threshold(k=1, value=10.0))) == [(1, 6)]
@@ -471,7 +452,7 @@ def test_va_reduces_to_ra():
     for _ in range(200):
         r = int(rng.integers(1, total + 1))
         pred = int(rng.integers(1, total + 1))
-        assert score_va(r, float(pred), all_values) == score_ra(r, pred)
+        assert proxy_score_va(r, r, float(pred), all_values) == score_ra(r, pred)
     for _ in range(50):
         test = rng.choice(total, size=int(rng.integers(1, total)), replace=False)
         thr = Threshold(k=1, value=float(np.round(rng.uniform(0, 10), 1)))

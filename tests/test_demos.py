@@ -11,15 +11,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["rank_prediction.py", "adaptivity.py"])
-def test_demo_runs(demo):
+@pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    # in a scratch directory: envelope_shapes.py writes its table to the cwd
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

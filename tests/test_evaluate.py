@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rankcp import (
+    ENVELOPE_KINDS,
     DimensionMismatch,
     Envelope,
     ExperimentConfig,
@@ -19,9 +20,11 @@ from rankcp import (
     MissingTruth,
     RankSets,
     RankingProblem,
+    SortedRankSample,
     Threshold,
     TiesDetected,
     build_envelope,
+    envelope_coverage,
     fcp,
     fcp_calibration,
     oracle_sets,
@@ -558,6 +561,36 @@ def test_integer_seeds_of_any_integer_type_draw_alike():
         assert np.array_equal(other.ranker_outputs, one.ranker_outputs)
 
 
+def _audit_proxy_arm(problem, env, alpha, inside):
+    """Coverage and FCP control of ``env``'s proxy sets over every split (rows of ``problem``).
+
+    ``inside`` marks the rows on which ``env`` holds.  Prints the share of
+    trivial ``[1, n+m]`` sets of each arm (shown by ``pytest -rP``).
+    """
+    n, m, total = problem.n, problem.m, problem.total
+    c = Fraction(int(np.count_nonzero(inside)), inside.size)
+    k = math.ceil((1 - Fraction(alpha) + Fraction(str(env.delta))) * (n + 1))
+    proxies = proxy_scores(problem, env)
+    # the premise of both bounds: where the envelope holds, no proxy score
+    # falls below the item's true score
+    assert np.all(proxies[inside] >= scores_at(problem, problem.true_ranks[:, :n])[inside])
+    test_ranks = problem.true_ranks[:, n:]
+    sets = predict_sets(problem, calibrate(proxies, k))
+    coverage = Fraction(int(np.count_nonzero(sets.contains(test_ranks))), sets.lo.size)
+    where = f"{env.kind} envelope, {problem.ranker_mode} bag, c={float(c):.3f}"
+    assert coverage >= Fraction(k, n + 1) - (1 - c), where
+    beta = Fraction(1, 4)
+    k_fcp = fcp_calibration(float(alpha), float(beta), env.delta, n, m).k
+    fcp_sets = predict_sets(problem, calibrate(proxies, k_fcp))
+    missed = np.count_nonzero(~fcp_sets.contains(test_ranks), axis=1)
+    controlled = Fraction(int(np.count_nonzero(missed <= Fraction(alpha) * m)), len(missed))
+    assert controlled >= 1 - beta - (1 - c), where
+    trivial = [np.mean((arm.lo == 1) & (arm.hi == total)) for arm in (sets, fcp_sets)]
+    print(f"{where}: coverage {float(coverage):.3f}, FCP <= alpha in "
+          f"{float(controlled):.3f}, trivial sets {trivial[0]:.3f} (marginal), "
+          f"{trivial[1]:.3f} (FCP)")
+
+
 @pytest.mark.parametrize("alpha", ["0.15", "0.3"])
 @pytest.mark.parametrize("n, m", [(12, 3), (13, 4), (14, 5)])
 def test_oracle_sets_cover_exactly_over_every_split(n, m, alpha):
@@ -566,6 +599,13 @@ def test_oracle_sets_cover_exactly_over_every_split(n, m, alpha):
     # item's oracle score depends on the bag, not on the split, so when the
     # n+m scores are distinct the test item's score is at most the k-th
     # smallest calibration score in exactly k of every n+1 cases.
+    #
+    # The proxy arm of every envelope kind is audited over the same splits.
+    # The envelope holds on a share c of them, counted exactly; there every
+    # proxy score dominates the true one, so the proxy sets contain the
+    # oracle sets of the same k.  Hence proxy coverage is at least
+    # k/(n+1) - (1 - c), and with fcp_calibration's k the share of splits
+    # with FCP <= alpha at least 1 - beta - (1 - c).
     total = n + m
     k = math.ceil((1 - Fraction(alpha)) * (n + 1))  # not select_k: it is under test
     rng = np.random.default_rng(total)
@@ -584,6 +624,16 @@ def test_oracle_sets_cover_exactly_over_every_split(n, m, alpha):
     noisy_ranks = ranks_within(truth + 0.5 * rng.normal(size=total))
     splits = np.array([list(calib) + [i for i in range(total) if i not in calib]
                        for calib in itertools.combinations(range(total), n)])
+    # the sorted pooled calibration ranks of the splits are all n-subsets
+    every_subset = SortedRankSample(n, m, seed=0, trajectories=np.array(
+        list(itertools.combinations(range(1, total + 1), n))))
+    envelopes = [build_envelope(kind, n, m, 0.05, 2000, seed=total) for kind in ENVELOPE_KINDS]
+    pooled = np.sort(true_ranks[splits[:, :n]], axis=1)
+    inside = {}
+    for env in envelopes:
+        inside[env.kind] = np.all((env.lower <= pooled) & (pooled <= env.upper), axis=1)
+        c = Fraction(int(np.count_nonzero(inside[env.kind])), len(splits))
+        assert envelope_coverage(env, every_subset) == float(c)
     for mode, outputs in (("VA", values), ("RA", noisy_ranks)):
         problem = RankingProblem(n=n, m=m, calib_ranks=ranks_within(truth[splits[:, :n]]),
                                  ranker_mode=mode, ranker_outputs=outputs[splits],
@@ -596,3 +646,5 @@ def test_oracle_sets_cover_exactly_over_every_split(n, m, alpha):
             assert coverage == Fraction(k, n + 1)
         else:
             assert coverage >= Fraction(k, n + 1)
+        for env in envelopes:
+            _audit_proxy_arm(problem, env, alpha, inside[env.kind])

@@ -111,6 +111,14 @@ def test_envelope_roundtrip(tmp_path):
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def _set_key(doc: dict, key: str, value) -> None:
+    """Set ``doc``'s entry at the dotted ``key`` (``mc_meta.seed``) to ``value``."""
+    *parents, last = key.split(".")
+    for name in parents:
+        doc = doc[name]
+    doc[last] = value
+
+
 @pytest.mark.parametrize("key, value, shown", [
     ("lower", [1.9, 2.5, 3.2], "1.9"),
     ("upper", [4, 5, True], "true"),
@@ -126,14 +134,44 @@ def test_envelope_document_rejects_non_integers(key, value, shown):
     doc = rio.envelope_to_doc(naive_envelope(3, 4))
     doc["mc_meta"] = {"K": 10, "seed": 1, "slack": 0.1}
     assert rio.envelope_to_doc(rio.envelope_from_doc(doc)) == doc
-    *parents, last = key.split(".")
-    target = doc
-    for name in parents:
-        target = target[name]
-    target[last] = value
+    _set_key(doc, key, value)
     with pytest.raises(InvalidData) as err:
         rio.envelope_from_doc(doc)
     assert str(err.value) == f"malformed envelope document: {key} must be an integer, got {shown}"
+
+
+@pytest.mark.parametrize("key", ["delta", "param", "mc_meta.slack"])
+@pytest.mark.parametrize("value, shown", [(False, "false"), (True, "true"), ("0.02", '"0.02"')])
+def test_envelope_document_rejects_non_numbers(tmp_path, key, value, shown):
+    # float() read false as 0.0, true as 1.0 and "0.02" as 0.02
+    doc = rio.read_json(DATA / "golden_envelope.json")
+    _set_key(doc, key, value)
+    path = tmp_path / "env.json"
+    rio.write_json(doc, path)
+    with pytest.raises(InvalidData) as err:
+        rio.read_envelope(path)
+    assert str(err.value) == f"malformed envelope document: {key} must be a number, got {shown}"
+    # a JSON integer is a number, read as a float
+    _set_key(doc, key, 0)
+    rio.write_json(doc, path)
+    env = rio.read_envelope(path)
+    read = env.mc_meta.slack if key == "mc_meta.slack" else getattr(env, key)
+    assert type(read) is float and read == 0.0
+
+
+def test_predict_refuses_an_envelope_whose_delta_is_false(tmp_path, capsys):
+    # "delta": false was read as 0.0: predict exited 0 with a smaller k, as
+    # though the envelope held with certainty
+    doc = rio.read_json(DATA / "golden_envelope.json")
+    bad = tmp_path / "bad.json"
+    rio.write_json({**doc, "delta": False}, bad)
+    out = tmp_path / "s.csv"
+    assert main(["predict", "--scores", str(DATA / "golden_scores.csv"),
+                 "--envelope", str(bad), "--alpha", "0.25", "--mode", "VA",
+                 "--out", str(out)]) == 4
+    assert ("data error: malformed envelope document: delta must be a number, got false"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_sets_roundtrip(tmp_path):

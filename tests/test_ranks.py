@@ -5,74 +5,13 @@ import pytest
 
 from rankcp import (
     InvalidInput,
-    RankOutOfRange,
     RankingProblem,
     TiesDetected,
     break_ties,
-    rank_of,
     ranks_within,
-    value_at_rank,
 )
 from rankcp.errors import DimensionMismatch
 from rankcp.ranks import order_rows
-
-
-def test_rank_of_examples():
-    assert rank_of(3, [1, 2, 5]) == 2
-    assert rank_of(0.5, [0.5]) == 1  # equality counts: y >= z
-    assert rank_of(-1, [0, 1, 2]) == 0
-
-
-def test_rank_of_empty_bag_rejected():
-    with pytest.raises(InvalidInput):
-        rank_of(1.0, [])
-
-
-def test_rank_of_monotone_in_y():
-    rng = np.random.default_rng(0)
-    bag = rng.normal(size=40)
-    ys = np.sort(rng.normal(size=25))
-    ranks = [rank_of(y, bag) for y in ys]
-    assert ranks == sorted(ranks)
-
-
-def test_value_at_rank_examples():
-    assert value_at_rank(2, [1, 4, 9]) == 4
-    assert value_at_rank(1, [7]) == 7
-    assert value_at_rank(3, [9, 1, 4]) == 9  # order-insensitive input
-
-
-def test_value_at_rank_errors():
-    with pytest.raises(RankOutOfRange):
-        value_at_rank(0, [1, 2])
-    with pytest.raises(RankOutOfRange):
-        value_at_rank(3, [1, 2])
-    with pytest.raises(TiesDetected):
-        value_at_rank(1, [1, 1, 2])
-
-
-def test_scalar_rank_functions_refuse_nan_and_fractions():
-    # each returned a number before: nan, or a rank truncated to an integer
-    cases = [
-        (lambda: value_at_rank(2, [np.nan, 1.0]), "bag contain NaN, which has no rank"),
-        (lambda: value_at_rank(1.5, [1.0, 2.0]), "ranks must be integers, got 1.5"),
-        (lambda: rank_of(np.nan, [1.0, 2.0]), "y and bag contain NaN, which has no rank"),
-        (lambda: rank_of(1.0, [np.nan, 2.0]), "y and bag contain NaN, which has no rank"),
-    ]
-    for call, message in cases:
-        with pytest.raises(InvalidInput) as err:
-            call()
-        assert str(err.value) == message
-    # ties stay allowed in rank_of, and whole floats are ranks
-    assert rank_of(1.0, [1.0, 1.0, 2.0]) == 2
-    assert value_at_rank(2.0, [3.0, 1.0]) == 3.0
-
-
-def test_value_at_rank_inverts_rank_of():
-    rng = np.random.default_rng(1)
-    bag = rng.normal(size=30)
-    for r in range(1, 31):
-        assert rank_of(value_at_rank(r, bag), bag) == r
 
 
 def test_ranks_within_examples():
@@ -90,7 +29,7 @@ def test_ranks_within_always_permutation():
         values = rng.normal(size=size)
         ranks = ranks_within(values)
         assert sorted(ranks.tolist()) == list(range(1, size + 1))
-        assert all(rank_of(values[i], values) == ranks[i] for i in range(size))
+        assert all(np.count_nonzero(values[i] >= values) == ranks[i] for i in range(size))
 
 
 def test_break_ties_resolves_and_preserves_order():

@@ -111,6 +111,19 @@ def test_test_only_set_empty_raises():
         to_test_only_set(_full([(1, 1)]), env)
 
 
+@pytest.mark.parametrize("row", [0, 1])
+def test_test_only_set_empty_in_a_batch_names_the_item(row):
+    # the flat index of the empty set read past the items (a bare IndexError
+    # from row 1 on) and the message printed whole rows of the edges
+    env = build_envelope("quantile", 1000, 1, 0.02, 2000, 3)
+    lo, hi = np.ones((2, 2), dtype=np.int64), np.full((2, 2), 1001)
+    hi[row, 1] = 1
+    with pytest.raises(EmptyPredictionSet) as err:
+        to_test_only_set(RankSets(["t0", "t1"], lo, hi), env)
+    assert str(err.value) == ("test-only set of item 't1' is empty: the envelope rules "
+                              "out every rank of its full set [1, 1]")
+
+
 def test_test_only_set_matches_per_item_counts():
     rng = np.random.default_rng(35)
     for _ in range(200):
