@@ -96,6 +96,10 @@ _BLOCK = 2**16
 
 # The kernel's memory report, whose MemAvailable line the pre-flight reads.
 _MEMINFO = "/proc/meminfo"
+# The cgroup v2 limit and use of this process's memory, in bytes, where the
+# cgroup file system is mounted; a limit below the host's memory caps it.
+_CGROUP_MAX = "/sys/fs/cgroup/memory.max"
+_CGROUP_CURRENT = "/sys/fs/cgroup/memory.current"
 
 
 def _ceil_count(q: float, K: int) -> int:
@@ -177,8 +181,24 @@ def _available_memory() -> int | None:
     """Bytes that a new allocation can take, or ``None`` if unknown.
 
     ``MemAvailable`` from :data:`_MEMINFO` where the kernel reports it, which
-    leaves out memory that other processes hold; else physical memory.
+    leaves out memory that other processes hold; else physical memory.  Where
+    the cgroup's :data:`_CGROUP_MAX` holds a number, the result is at most
+    that limit less the cgroup's :data:`_CGROUP_CURRENT` use, so that a
+    container below the host's memory is not killed first.
     """
+    host = _host_memory()
+    try:
+        with open(_CGROUP_MAX, encoding="ascii") as fh:
+            limit = int(fh.read())  # "max" where there is no limit
+        with open(_CGROUP_CURRENT, encoding="ascii") as fh:
+            left = max(0, limit - int(fh.read()))
+    except (OSError, ValueError):
+        return host
+    return left if host is None else min(host, left)
+
+
+def _host_memory() -> int | None:
+    """``MemAvailable`` from :data:`_MEMINFO`, else physical memory, else ``None``."""
     try:
         with open(_MEMINFO, encoding="ascii") as fh:
             for line in fh:
@@ -317,6 +337,14 @@ class Envelope:
             raise InvalidInput(f"kind must be one of {ENVELOPE_KINDS}")
         if not 0.0 <= self.delta < 1.0:
             raise InvalidDelta(f"delta={self.delta} outside [0, 1)")
+        if self.param is not None and not math.isfinite(self.param):
+            raise InvalidInput(f"param must be finite, got {self.param}")
+        meta = self.mc_meta
+        if meta is not None and meta.K < 1:
+            raise InvalidInput(f"mc_meta.K must be at least 1, got {meta.K}")
+        if meta is not None and not 0.0 <= meta.slack < math.inf:  # False for nan
+            raise InvalidInput(
+                f"mc_meta.slack must be finite and nonnegative, got {meta.slack}")
         lower = np.asarray(self.lower, dtype=np.int64)
         upper = np.asarray(self.upper, dtype=np.int64)
         if lower.shape != (self.n,) or upper.shape != (self.n,):

@@ -2,14 +2,19 @@
 
 Tabular data is comma-separated UTF-8 with a header row and '.' decimals,
 read and written column by column by one reader and one writer; structured
-documents are JSON.  Floats are written with ``repr`` (shortest round-trip
-form), so identical inputs always produce byte-identical payloads.  The
-metrics JSON of ``evaluate`` can hold thousands of items, so
-:func:`write_evaluation` writes it from its columns, in the bytes
-``json.dumps(doc, indent=2)`` gives, without building a dict per item.  Every
-output file is paired with a ``<name>.manifest.json`` sidecar carrying the
-resolved configuration, seeds, and input digests needed for bit-exact replay
-(manifests contain timestamps and are excluded from byte-identity).
+documents are JSON.  Tables are read as Python's ``csv.reader`` reads them:
+a cell may be quoted as ``csv.writer`` quotes it, and a cell longer than
+``csv.field_size_limit()`` (131072 characters by default) is refused.  A
+table with no quote and rows of one width, which is what the writers here
+produce for plain ids, is split as one text, with no object per row.
+Floats are written with ``repr`` (shortest round-trip form), so identical
+inputs always produce byte-identical payloads.  The metrics JSON of
+``evaluate`` can hold thousands of items, so :func:`write_evaluation` writes
+it from its columns, in the bytes ``json.dumps(doc, indent=2)`` gives,
+without building a dict per item.  Every output file is paired with a
+``<name>.manifest.json`` sidecar carrying the resolved configuration, seeds,
+and input digests needed for bit-exact replay (manifests contain timestamps
+and are excluded from byte-identity).
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from io import StringIO
+from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -47,31 +54,72 @@ def _read_csv(path, header: list[str], extra_columns: bool = False):
 
     Blank lines are skipped.  Every row has one cell per name in ``header``;
     with ``extra_columns`` the file may carry further columns after those,
-    which are ignored.
+    which are ignored.  A text that only ``csv.reader`` reads as it should
+    (one holding a ``"``, a NUL, a line longer than ``csv.field_size_limit()``
+    or rows of several widths or of the wrong width) goes through
+    :func:`_reader_table`; any other is split whole, with no object per row.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            first = next(reader, None)
-            rows, lines = [], []
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidData(f"{path}: {exc}") from exc
-    if first is None:
-        raise InvalidData(f"{path}: empty file")
+    # csv.reader reads a NUL in a cell from Python 3.11 on, and refuses it before
+    if '"' in text or "\0" in text:
+        return _reader_table(path, StringIO(text, newline=""), header, extra_columns)
+    # the line ends that csv.reader and a file opened with newline="" know
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    del text  # each intermediate is dropped once the next is built
+    if lines[-1] == "":  # the end of the last line, or an empty text
+        lines.pop()
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return _reader_table(path, lines, header, extra_columns)
+    rows = list(filter(None, islice(lines, 1, None)))  # blank lines are skipped
+    commas = set(map(str.count, rows, repeat(",")))
     width = len(header)
-    names = [name.strip() for name in first]
-    if (names[:width] if extra_columns else names) != header:
-        rule = "start with" if extra_columns else "be"
-        raise InvalidData(f"{path}: header must {rule} {','.join(header)}")
+    cells = commas.pop() + 1 if commas else width
+    if commas or cells < width or (cells > width and not extra_columns):
+        return _reader_table(path, lines, header, extra_columns)
+    _check_header(path, lines[0].split(","), header, extra_columns)
+    numbers = (range(2, len(lines) + 1) if len(rows) == len(lines) - 1
+               else list(compress(range(2, len(lines) + 1), islice(lines, 1, None))))
+    del lines
+    joined = ",".join(rows)
+    del rows
+    flat = joined.split(",") if joined else []
+    del joined
+    return dict(zip(header, (flat[i::cells] for i in range(width)))), numbers
+
+
+def _reader_table(path, source, header: list[str], extra_columns: bool):
+    """:func:`_read_csv` by ``csv.reader`` over ``source``, an iterable of the file's lines."""
+    try:
+        reader = csv.reader(source)
+        first = next(reader, None)
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise InvalidData(f"{path}: {exc}") from exc
+    _check_header(path, first, header, extra_columns)
+    width = len(header)
     for row, line in zip(rows, lines):
         if len(row) < width or (len(row) > width and not extra_columns):
             raise InvalidData(f"{path}:{line}: wrong number of columns")
     columns = list(zip(*rows)) if rows else [()] * width
     return dict(zip(header, columns)), lines
+
+
+def _check_header(path, first: list[str] | None, header: list[str], extra_columns: bool):
+    """Refuse an empty file (``first`` is ``None``) or a header row other than ``header``."""
+    if first is None:
+        raise InvalidData(f"{path}: empty file")
+    names = [name.strip() for name in first]
+    if (names[:len(header)] if extra_columns else names) != header:
+        rule = "start with" if extra_columns else "be"
+        raise InvalidData(f"{path}: header must {rule} {','.join(header)}")
 
 
 def _parse(path, texts, lines, convert, message: str) -> list:

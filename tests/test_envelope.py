@@ -17,6 +17,7 @@ from rankcp import (
     InsufficientSample,
     InvalidDelta,
     InvalidInput,
+    MonteCarloMeta,
     SampleTooLarge,
     SortedRankSample,
     envelope_coverage,
@@ -698,6 +699,7 @@ def test_available_memory_reads_memavailable_before_physical_memory(monkeypatch,
     monkeypatch.setattr(envelope.os, "sysconf", pages.__getitem__)
     meminfo = tmp_path / "meminfo"
     monkeypatch.setattr(envelope, "_MEMINFO", str(meminfo))
+    monkeypatch.setattr(envelope, "_CGROUP_MAX", str(tmp_path / "no-cgroup"))
     meminfo.write_text("MemTotal:           4096 kB\nMemFree:             100 kB\n"
                        "MemAvailable:       2048 kB\nBuffers:              10 kB\n")
     assert envelope._available_memory() == 2 * 2**20
@@ -713,6 +715,36 @@ def test_available_memory_reads_memavailable_before_physical_memory(monkeypatch,
     assert envelope._available_memory() == 4 * 2**20
     monkeypatch.delattr(envelope.os, "sysconf")
     assert envelope._available_memory() is None
+
+
+def test_available_memory_is_capped_by_the_cgroup_limit(monkeypatch, tmp_path):
+    # 8 MiB available on the host; the cgroup may use 4 MiB and holds 1 MiB
+    meminfo, limit, current = (tmp_path / name for name in ("meminfo", "max", "current"))
+    meminfo.write_text("MemTotal:           9000 kB\nMemAvailable:       8192 kB\n")
+    for name, path in (("_MEMINFO", meminfo), ("_CGROUP_MAX", limit),
+                       ("_CGROUP_CURRENT", current)):
+        monkeypatch.setattr(envelope, name, str(path))
+    limit.write_text(f"{4 * 2**20}\n")
+    current.write_text(f"{2**20}\n")
+    assert envelope._available_memory() == 3 * 2**20
+    # 3.7 MiB with one sub-block's buffers: fits on the host only
+    with pytest.raises(SampleTooLarge, match=r"^K=300000 trajectories of n=10 ranks need "
+                       r"4 MiB, more than the 3 MiB of available memory; lower K$"):
+        simulate_sorted_ranks(10, 10, 300_000, seed=1)
+    # a cgroup over its limit has nothing left
+    current.write_text(f"{5 * 2**20}\n")
+    assert envelope._available_memory() == 0
+    # a limit above the host's memory does not raise it
+    limit.write_text(f"{2**40}\n")
+    assert envelope._available_memory() == 8 * 2**20
+    # no limit, or no cgroup files: the host's memory
+    limit.write_text("max\n")
+    assert envelope._available_memory() == 8 * 2**20
+    limit.unlink()
+    assert envelope._available_memory() == 8 * 2**20
+    limit.write_text(f"{4 * 2**20}\n")
+    current.unlink()
+    assert envelope._available_memory() == 8 * 2**20
 
 
 def _envelope(**overrides):
@@ -734,6 +766,13 @@ ENVELOPE_REFUSALS = {
                        "lower/upper must have length n"),
     "Envelope lower > upper": (lambda: _envelope(lower=[2, 2, 3], upper=[1, 4, 5]),
                                InvalidInput, "lower must not exceed upper"),
+    "Envelope param": (lambda: _envelope(param=math.nan), InvalidInput,
+                       "param must be finite"),
+    "Envelope mc_meta.K": (lambda: _envelope(mc_meta=MonteCarloMeta(K=0, seed=1, slack=0.1)),
+                           InvalidInput, "mc_meta.K must be at least 1"),
+    "Envelope mc_meta.slack": (
+        lambda: _envelope(mc_meta=MonteCarloMeta(K=10, seed=1, slack=-1.0)),
+        InvalidInput, "mc_meta.slack must be finite and nonnegative"),
     "bounds_for_ranks range": (lambda: _envelope().bounds_for_ranks([1, 4]), InvalidInput,
                                r"calibration ranks outside \[1, n\]"),
     "halfwidth m": (lambda: envelope.theoretical_band_halfwidth(5, 0, 0.1), InvalidInput,

@@ -4,6 +4,7 @@ import argparse
 import cProfile
 import csv
 import errno
+import gc
 import hashlib
 import json
 import json.encoder
@@ -174,6 +175,33 @@ def test_predict_refuses_an_envelope_whose_delta_is_false(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("param", math.nan, "param must be finite, got nan"),
+    ("param", math.inf, "param must be finite, got inf"),
+    ("param", -math.inf, "param must be finite, got -inf"),
+    ("mc_meta.slack", math.nan, "mc_meta.slack must be finite and nonnegative, got nan"),
+    ("mc_meta.slack", -0.1, "mc_meta.slack must be finite and nonnegative, got -0.1"),
+    ("mc_meta.slack", math.inf, "mc_meta.slack must be finite and nonnegative, got inf"),
+    ("mc_meta.K", 0, "mc_meta.K must be at least 1, got 0"),
+])
+def test_envelope_document_refuses_values_with_no_meaning(tmp_path, capsys, key, value,
+                                                           message):
+    # each was loaded, and predict exited 0 on it
+    doc = rio.read_json(DATA / "golden_envelope.json")
+    _set_key(doc, key, value)
+    bad = tmp_path / "bad.json"
+    rio.write_json(doc, bad)  # json writes NaN, Infinity and -Infinity
+    with pytest.raises(InvalidData) as err:
+        rio.read_envelope(bad)
+    assert str(err.value) == f"malformed envelope document: {message}"
+    out = tmp_path / "s.csv"
+    assert main(["predict", "--scores", str(DATA / "golden_scores.csv"),
+                 "--envelope", str(bad), "--alpha", "0.25", "--mode", "VA",
+                 "--out", str(out)]) == 4
+    assert f"data error: malformed envelope document: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sets_roundtrip(tmp_path):
     items = [f"t{i}" for i in range(5)]
     sets = RankSets(items=items, lo=np.arange(1, 6), hi=np.arange(4, 9))
@@ -274,6 +302,193 @@ def test_read_undecodable_file(tmp_path):
     for read in (rio.read_truth, rio.read_sets, lambda p: rio.read_scores(p, "VA")):
         with pytest.raises(InvalidData, match=f"^{path}: 'utf-8' codec can't decode"):
             read(path)
+
+
+def _table_outcome(read):
+    """The columns (as lists) and lines ``read()`` gives, or its InvalidData message."""
+    try:
+        columns, lines = read()
+    except InvalidData as exc:
+        return str(exc)
+    return {name: list(cells) for name, cells in columns.items()}, list(lines)
+
+
+def _reader_outcome(path, header, extra_columns):
+    """``rio._read_csv``'s result by the csv.reader loop over the open file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _table_outcome(lambda: rio._reader_table(path, fh, header, extra_columns))
+
+
+_PLAIN_CELLS = st.text(st.sampled_from("ab1 .\u00e9"), max_size=3)
+# a quote, the line ends, NUL, and line ends that only str.splitlines knows
+_ODD_CELLS = st.text(st.sampled_from('a,"\r\n\x00\x0b\x1c\x85\u2028 '), max_size=4)
+
+
+@st.composite
+def _tables(draw):
+    """Texts of a few lines, most with the id,lo,hi header and rows of one width."""
+    header = draw(st.sampled_from(["id,lo,hi", "id,lo,hi", " id ,lo, hi", "id,lo,hi,x",
+                                   "id,lo", ""]))
+    cells = st.one_of(*[_PLAIN_CELLS] * 6, _ODD_CELLS)
+    width = draw(st.sampled_from([3, 3, 4, 2]))
+    widths = st.sampled_from([width] * 6 + [0, 2, 3, 4])
+    rows = draw(st.lists(widths.flatmap(lambda w: st.lists(cells, min_size=w, max_size=w)),
+                         max_size=6))
+    lines = [header, *map(",".join, rows)]
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-len(ends[-1])] if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_tables(), extra_columns=st.booleans(),
+       limit=st.sampled_from([4, 131072, 131072]))
+@example(text="", extra_columns=False, limit=131072)
+@example(text="\n", extra_columns=False, limit=131072)
+@example(text="id,lo,hi\r\n\r\nt1,1,2\rt2,2,3", extra_columns=False, limit=131072)
+@example(text="id,lo,hi\nt1,1,2\nt2,2\n", extra_columns=True, limit=131072)
+@example(text="id,lo,hi\nt1,1,2,a\nt2,2,3,b,c\n", extra_columns=True, limit=131072)
+@example(text="id,lo,hi\nt1,1,12345\n", extra_columns=False, limit=4)
+def test_tables_are_read_as_csv_reader_reads_them(tmp_path, text, extra_columns, limit):
+    # the whole-text split against the csv.reader loop, on the same file: the
+    # same columns, the same lines and the same refusal; a limit of 4 puts
+    # some lines, and some cells, over csv.field_size_limit()
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    header = list(rio.SETS_HEADER)
+    old = csv.field_size_limit(limit)
+    try:
+        got = _table_outcome(lambda: rio._read_csv(path, header, extra_columns))
+        assert got == _reader_outcome(path, header, extra_columns)
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("text, extra_columns", [
+    ("id,lo,hi\r\nt1,1,2\r\nt2,2,3\r\n", False),
+    # blank lines are counted, a bare \r ends a line, the last has no end
+    ("id ,lo,hi\n\nt1,1,2\r\r\nt2,2,3\rt3,3,4", False),
+    ("id,lo,hi,test_lo\nt1,1,2,1\nt2,2,3,1\n", True),
+    ("id,lo,hi\n\n", False),
+    ("id,lo,hi\n,,\n", False),
+])
+def test_plain_tables_are_split_whole(monkeypatch, tmp_path, text, extra_columns):
+    # no quote, no NUL, no over-long line, one width: csv.reader is not reached
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _reader_outcome(path, list(rio.SETS_HEADER), extra_columns)
+    assert not isinstance(expected, str)
+
+    def refuse(*args):
+        raise AssertionError("csv.reader read a plain table")
+
+    monkeypatch.setattr(rio, "_reader_table", refuse)
+    assert _table_outcome(lambda: rio._read_csv(path, list(rio.SETS_HEADER),
+                                                 extra_columns)) == expected
+
+
+def test_reading_a_table_starts_no_garbage_collection(tmp_path):
+    # csv.reader made a list per row: a 4000-row file started 11 gen-0
+    # collections (from gc.get_stats()), each walking every young container
+    path = tmp_path / "scores.csv"
+    rio.write_scores(evaluate.synthesize_problem(SIGMOID, 2000, 2000, 0.07, "VA", 3), path)
+    assert gc.isenabled()
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    ids, n, m, _ = rio.read_truth(path)
+    assert gc.get_stats()[0]["collections"] == before
+    assert (len(ids), n, m) == (4000, 2000, 2000)
+
+
+# ids that csv.writer quotes: a comma, a quote, a line end, edge spaces
+ODD_IDS = ["a,b", 'say "hi"', "two\nlines", "  padded  ", "cr\r\nlf"]
+
+
+def test_quoted_cells_round_trip(tmp_path):
+    plain = evaluate.synthesize_problem(SIGMOID, 30, 20, 0.07, "VA", 4)
+    ids = [f"{ODD_IDS[i % len(ODD_IDS)]}{i}" for i in range(plain.total)]
+    odd = RankingProblem(n=plain.n, m=plain.m, calib_ranks=plain.calib_ranks,
+                         ranker_mode="VA", ranker_outputs=plain.ranker_outputs,
+                         truth=plain.truth, ids=ids)
+    scores = tmp_path / "odd.csv"
+    rio.write_scores(odd, scores)
+    assert '"' in scores.read_text(encoding="utf-8")
+    back = rio.read_scores(scores, "VA")
+    assert back.item_ids == ids
+    assert np.array_equal(back.ranker_outputs, plain.ranker_outputs)
+    truth_ids, n, m, true_ranks = rio.read_truth(scores)
+    assert (truth_ids, n, m) == (ids, plain.n, plain.m)
+    sets = RankSets(items=ids, lo=np.arange(1, 51), hi=np.arange(1, 51) + 3)
+    rio.write_sets(sets, tmp_path / "sets.csv")
+    assert rio.read_sets(tmp_path / "sets.csv") == sets
+
+    # predict and evaluate give the sets and metrics of the plain ids
+    rio.write_scores(plain, tmp_path / "plain.csv")
+    rio.write_envelope(theoretical_envelope(30, 20, 0.05), tmp_path / "env.json")
+    results = {}
+    for name in ("plain", "odd"):
+        scores, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_sets.csv"
+        assert main(["predict", "--scores", str(scores), "--envelope",
+                     str(tmp_path / "env.json"), "--alpha", "0.2", "--mode", "VA",
+                     "--out", str(out)]) == 0
+        metrics = tmp_path / f"{name}.json"
+        assert main(["evaluate", "--sets", str(out), "--truth", str(scores),
+                     "--out", str(metrics)]) == 0
+        results[name] = rio.read_sets(out), json.loads(metrics.read_text())
+    (plain_sets, plain_doc), (odd_sets, odd_doc) = results["plain"], results["odd"]
+    assert odd_sets.items == ids[plain.n:]
+    assert np.array_equal(odd_sets.lo, plain_sets.lo)
+    assert np.array_equal(odd_sets.hi, plain_sets.hi)
+    for doc in (plain_doc, odd_doc):
+        for item in doc["items"]:
+            del item["id"]
+    assert odd_doc == plain_doc
+
+
+def test_a_cell_over_the_field_limit_is_refused(tmp_path):
+    # csv.reader refuses a cell of more than csv.field_size_limit() characters;
+    # the whole-text split must not take it, quoted or not
+    path = tmp_path / "scores.csv"
+    limit = csv.field_size_limit()
+    for cell in ("x" * (limit + 1), '"' + "x" * (limit + 1) + '"'):
+        path.write_text(SCORES_HEADER + f"c1,calib,0.1,1,\n{cell},test,0.2,,\n")
+        for read in (rio.read_truth, rio.read_sets, lambda p: rio.read_scores(p, "VA")):
+            with pytest.raises(InvalidData) as err:
+                read(path)
+            assert str(err.value) == f"{path}: field larger than field limit ({limit})"
+    # a line over the limit whose cells are all short is read
+    path.write_text("id,lo,hi\nt1,1,2," + ",".join(["9"] * limit) + "\n")
+    assert rio.read_sets(path) == RankSets(items=["t1"], lo=[1], hi=[2])
+
+
+# sha256 of request payloads at n=m=300 and on the golden files, taken when
+# tables were read by csv.reader row by row
+PINNED_REQUESTS = {
+    "golden_metrics": "fc5373c1cef672daf4de638bf3d43205f964be213b74b65c2bd539bdf63e74dc",
+    "scores": "e64ee36b8051fb541c45b5d6b837dee0763f5fd0a96ca0c58413773276e9d31d",
+    "sets": "ed5b9b19eb1cdbe6135a9351d95b5a890f91bef01c7c649c7630f56521c4ef70",
+    "metrics": "6d321766aa98ee3f38ead47276a9a1989d09fe2598cc168470fb777adbb39594",
+}
+
+
+def test_request_payloads_are_pinned(tmp_path):
+    out = {name: tmp_path / name for name in PINNED_REQUESTS}
+    assert main(["evaluate", "--sets", str(DATA / "golden_sets.csv"),
+                 "--truth", str(DATA / "golden_scores.csv"),
+                 "--out", str(out["golden_metrics"])]) == 0
+    env = tmp_path / "env.json"
+    assert main(["synth", "--n", "300", "--m", "300", "--mode", "VA", "--seed", "5",
+                 "--out", str(out["scores"])]) == 0
+    assert main(["simulate-envelope", "--kind", "theoretical", "--n", "300",
+                 "--m", "300", "--out", str(env)]) == 0
+    assert main(["predict", "--scores", str(out["scores"]), "--envelope", str(env),
+                 "--mode", "VA", "--test-only", "on", "--top-k", "5",
+                 "--out", str(out["sets"])]) == 0
+    assert main(["evaluate", "--sets", str(out["sets"]), "--truth", str(out["scores"]),
+                 "--out", str(out["metrics"])]) == 0
+    assert {name: rio.file_digest(path) for name, path in out.items()} == PINNED_REQUESTS
 
 
 def test_report_roundtrip(tmp_path):
