@@ -11,7 +11,6 @@ from .conformal import (
     FCP_CONTROLLED,
     MARGINAL,
     FcpCalibration,
-    RankSet,
     RankSets,
     Threshold,
     calibrate,

@@ -126,10 +126,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     options = {opt["name"]: opt for opt in COMMANDS[command].flags}
     values = {name: opt["default"] for name, opt in options.items()}
     if args.config is not None:
-        doc = io.read_json(args.config)
-        if not isinstance(doc, dict):
-            raise InvalidData(f"{args.config}: config must be a JSON object")
-        for key, value in doc.items():
+        for key, value in io.read_json(args.config, "config").items():
             name = key.replace("_", "-")
             if name not in options:
                 raise InvalidInput(f"unknown config key {key!r} for {command}")

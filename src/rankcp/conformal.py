@@ -19,7 +19,8 @@ The stages pass plain arrays: :func:`proxy_scores` returns the scores, and
 :func:`calibrate`, the one path to a :class:`Threshold`, takes any score
 array (the oracle arm passes the true scores).  :func:`predict_sets` returns
 the prediction sets of all test items as one :class:`RankSets`, int64
-``lo``/``hi`` columns; :class:`RankSet` is a view of a single row.
+``lo``/``hi`` columns; indexing it gives :class:`RankSet`, a plain
+``NamedTuple`` view of a single row, which is not validated again.
 
 :func:`scores_at`, :func:`proxy_scores` and :func:`predict_sets` also take a
 batch :class:`RankingProblem` (problems stacked along a leading axis) and
@@ -38,9 +39,11 @@ The scalar scores :func:`score_ra`, :func:`proxy_score_ra` and
 :func:`proxy_score_va` are kept for the closed-form checks of the API (a VA
 score at one rank ``r`` is ``proxy_score_va(r, r, ...)``); ``ranks`` owns
 the rules they apply, so they refuse what the array path refuses: a rank
-that is not a whole number, and VA values that are not finite or hold ties
-(the item's own value must be finite too).  :func:`calibrate` is the one
-order-statistic selection here; every other ordering is read from ``ranks``.
+that is not a whole number (``ranks.as_rank``, the one-value case of the
+rule that :class:`RankSets` and :func:`scores_at` apply), and VA values
+that are not finite or hold ties (the item's own value must be finite
+too).  :func:`calibrate` is the one order-statistic selection here; every
+other ordering is read from ``ranks``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +62,8 @@ from .errors import (
     InvalidInput,
     RankOutOfRange,
 )
-from .ranks import RA, ItemId, RankingProblem, _as_float_vector, as_rank, rank_va_outputs
+from .ranks import (RA, ItemId, RankingProblem, _as_float_vector, as_rank, as_ranks,
+                    rank_va_outputs)
 
 MARGINAL = "marginal"
 FCP_CONTROLLED = "fcp_controlled"
@@ -96,43 +101,29 @@ class Threshold:
     alpha: float | None = None
 
 
-@dataclass(frozen=True)
-class RankSet:
-    """Integer interval prediction set ``[lo, hi]`` for one item's rank.
+class RankSet(NamedTuple):
+    """Row ``j`` of a :class:`RankSets`: item ``item``'s set ``[lo, hi]`` of ``size`` ranks.
 
-    ``kind`` is ``"full"`` (rank among all n+m items) or ``"test_only"``
-    (rank among the m test items).
+    Only indexing and iterating a :class:`RankSets` build one; the columns
+    were validated there.
     """
 
     item: ItemId
     lo: int
     hi: int
-    kind: str = "full"
-
-    def __post_init__(self):
-        if self.kind not in SET_KINDS:
-            raise InvalidInput(f"unknown set kind {self.kind!r}")
-        object.__setattr__(self, "lo", as_rank(self.lo))  # frozen: set once, here
-        object.__setattr__(self, "hi", as_rank(self.hi))
-        if not 1 <= self.lo <= self.hi:
-            raise InvalidInput(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
-    def contains(self, r: int) -> bool:
-        return self.lo <= r <= self.hi
+    kind: str
+    size: int
 
 
 @dataclass(eq=False)
 class RankSets:
     """Prediction sets ``[lo[j], hi[j]]`` of many items, held as int64 columns.
 
-    ``items[j]`` names row ``j``; ``kind`` is as for :class:`RankSet` and
-    shared by all rows.  ``lo`` and ``hi`` must be whole numbers with
-    ``1 <= lo <= hi``, checked once, on construction (a float column is
-    scanned for fractions; an integer one needs no scan).
+    ``items[j]`` names row ``j``; ``kind``, shared by all rows, is
+    ``"full"`` (rank among all n+m items) or ``"test_only"`` (rank among the
+    m test items).  ``lo`` and ``hi`` must be whole numbers with
+    ``1 <= lo <= hi``, checked once, on construction, by the rank rule of
+    :func:`~rankcp.ranks.as_ranks` (an integer column needs no scan).
     ``len``, integer indexing and iteration give :class:`RankSet` views of
     single rows, for API use; library code works on the columns.
 
@@ -154,16 +145,7 @@ class RankSets:
         if (lo.ndim not in (1, 2) or lo.shape[-1] != len(self.items)
                 or hi.shape != lo.shape):
             raise DimensionMismatch("need one lo and one hi per item")
-        for edge in (lo, hi):
-            if edge.dtype.kind == "f":  # an integer column needs no scan
-                # before the int64 cast, which is undefined from 2**63 on
-                bad = np.flatnonzero((np.trunc(edge) != edge) | ~(np.abs(edge) < 2.0**63))
-                if bad.size:
-                    x = edge.flat[bad[0]]
-                    rule = "below 2**63" if float(x).is_integer() else "integers"
-                    raise InvalidInput(f"ranks must be {rule}, got {x} "
-                                       f"for item {self.items[bad[0] % len(self.items)]!r}")
-        self.lo, self.hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+        self.lo, self.hi = (as_ranks(edge, "ranks", self.items) for edge in (lo, hi))
         bad = np.flatnonzero((self.lo < 1) | (self.lo > self.hi))
         if bad.size:
             j = bad[0]
@@ -186,7 +168,8 @@ class RankSets:
     def __getitem__(self, j: int) -> RankSet:
         if self.lo.ndim != 1:
             raise InvalidInput("a batch of sets has no single-item views")
-        return RankSet(self.items[j], self.lo[j], self.hi[j], self.kind)
+        lo, hi = int(self.lo[j]), int(self.hi[j])
+        return RankSet(self.items[j], lo, hi, self.kind, hi - lo + 1)
 
     def __iter__(self):
         return (self[j] for j in range(len(self)))
@@ -240,7 +223,7 @@ def scores_at(problem: RankingProblem, calib_ranks_at) -> np.ndarray:
     VA mode.  The oracle evaluates it at the true pooled ranks and
     :func:`proxy_scores` at the envelope edges.  Batch ranks are ``(rows, n)``.
     """
-    ranks = np.asarray(calib_ranks_at, dtype=np.int64)
+    ranks = as_ranks(calib_ranks_at, "pooled ranks")
     if ranks.shape != problem.calib_ranks.shape:
         raise DimensionMismatch("need one rank per calibration item")
     if ranks.min() < 1 or ranks.max() > problem.total:

@@ -116,6 +116,12 @@ class MonteCarloMeta:
     slack: float
 
 
+def _check_integers(values: np.ndarray, name: str) -> None:
+    """Refuse an array of a dtype other than an integer one: a float is not truncated."""
+    if values.dtype.kind not in "iu":
+        raise InvalidInput(f"{name} must be integers, got {values.dtype}")
+
+
 @dataclass
 class SortedRankSample:
     """K simulated sorted vectors of pooled calibration ranks.
@@ -146,8 +152,7 @@ class SortedRankSample:
             raise DimensionMismatch(f"trajectories must be (K, n={self.n})")
         if traj.shape[0] < 1:
             raise InsufficientSample("K=0 trajectories; a sample needs K >= 1")
-        if traj.dtype.kind not in "iu":  # the fits index count tables with them
-            raise InvalidInput(f"trajectory ranks must be integers, got {traj.dtype}")
+        _check_integers(traj, "trajectory ranks")  # the fits index count tables with them
         if traj.min() < 1 or traj.max() > self.n + self.m:
             raise InvalidInput("trajectory ranks must lie in [1, n+m]")
         cols = traj.T
@@ -345,10 +350,12 @@ class Envelope:
         if meta is not None and not 0.0 <= meta.slack < math.inf:  # False for nan
             raise InvalidInput(
                 f"mc_meta.slack must be finite and nonnegative, got {meta.slack}")
-        lower = np.asarray(self.lower, dtype=np.int64)
-        upper = np.asarray(self.upper, dtype=np.int64)
+        lower, upper = np.asarray(self.lower), np.asarray(self.upper)
         if lower.shape != (self.n,) or upper.shape != (self.n,):
             raise DimensionMismatch("lower/upper must have length n")
+        for bounds in (lower, upper):
+            _check_integers(bounds, "bounds")
+        lower, upper = lower.astype(np.int64, copy=False), upper.astype(np.int64, copy=False)
         total = self.n + self.m
         if lower.min() < 1 or upper.max() > total:
             raise InvalidInput("bounds must lie in [1, n+m]")
@@ -370,7 +377,8 @@ class Envelope:
 
     def bounds_for_ranks(self, calib_ranks) -> tuple[np.ndarray, np.ndarray]:
         """``(lower[r - 1], upper[r - 1])`` for a vector of calibration ranks ``r``."""
-        ranks = np.asarray(calib_ranks, dtype=np.int64)
+        ranks = np.asarray(calib_ranks)
+        _check_integers(ranks, "calibration ranks")
         if ranks.size and (ranks.min() < 1 or ranks.max() > self.n):
             raise InvalidInput("calibration ranks outside [1, n]")
         return self.lower[ranks - 1], self.upper[ranks - 1]

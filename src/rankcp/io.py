@@ -34,7 +34,7 @@ import numpy as np
 from .conformal import RankSets
 from .envelope import Envelope, MonteCarloMeta
 from .errors import InvalidData, InvalidInput, TiesDetected
-from .ranks import RA, VA, RankingProblem, check_mode, ranks_within
+from .ranks import RA, VA, RankingProblem, check_mode, ranks_within, whole_numbers
 
 SCORES_HEADER = ["id", "split", "output", "calib_rank", "true_value"]
 SETS_HEADER = ["id", "lo", "hi"]
@@ -135,6 +135,12 @@ def _parse(path, texts, lines, convert, message: str) -> list:
             raise InvalidData(f"{path}:{line}: {message.format(text)}") from exc
 
 
+def _parse_split(path, texts, lines) -> list[int]:
+    """The split column: 1 on a calib row and 0 on a test row (``index()`` of the pair)."""
+    return _parse(path, texts, lines, ("test", "calib").index,
+                  "split must be calib|test, got {!r}")
+
+
 def write_scores(problem: RankingProblem, path) -> None:
     """Write a problem as a scores CSV (one row per item)."""
     _write_csv(path, SCORES_HEADER, [
@@ -151,21 +157,20 @@ def read_scores(path, mode: str) -> RankingProblem:
     check_mode(mode)
     columns, lines = _read_csv(path, SCORES_HEADER)
     ids, texts, ranks = columns["id"], columns["output"], columns["calib_rank"]
-    # index() is 1 on a calib row and 0 on a test row
-    is_calib = _parse(path, columns["split"], lines, ("test", "calib").index,
-                      "split must be calib|test, got {!r}")
+    is_calib = _parse_split(path, columns["split"], lines)
     outputs = _parse(path, texts, lines, float, "output {!r} is not a number")
     if mode == RA:
-        for i, value in enumerate(outputs):
-            # is_integer() is False for nan and inf, which have no integer value
-            if not value.is_integer():
-                raise InvalidInput(
-                    f"{path}:{lines[i]}: mode=RA requires integer ranks in the output "
-                    f"column, got {texts[i]!r} (type error)"
-                )
-            if not 1 <= value <= len(outputs):
-                raise InvalidInput(f"RA ranker outputs must lie in [1, {len(outputs)}], "
-                                   f"got {texts[i]!r} at {path}:{lines[i]}")
+        outputs = np.asarray(outputs)
+        whole = whole_numbers(outputs)
+        # the first row in file order that is not a whole number, or out of range
+        bad = np.flatnonzero(~whole | (outputs < 1) | (outputs > outputs.size))
+        if bad.size:
+            i = bad[0]
+            if not whole[i]:
+                raise InvalidInput(f"{path}:{lines[i]}: mode=RA requires integer ranks in "
+                                   f"the output column, got {texts[i]!r} (type error)")
+            raise InvalidInput(f"RA ranker outputs must lie in [1, {outputs.size}], "
+                               f"got {texts[i]!r} at {path}:{lines[i]}")
     calib = [i for i, flag in enumerate(is_calib) if flag]
     test = [i for i, flag in enumerate(is_calib) if not flag]
     bad = next((i for i in test if ranks[i]), None)
@@ -237,18 +242,19 @@ def read_truth(path) -> tuple[list[str], int, int, np.ndarray]:
     """ids, n, m, and the true pooled rank of each row from a scores CSV.
 
     Lenient companion to :func:`read_scores` for evaluation inputs: the
-    output column is not typed or validated, but every row must carry a
-    true_value that is a number other than NaN, and no two may be equal.
+    output column is not typed or validated, but the split is read by the
+    same rule, and every row must carry a true_value that is a number other
+    than NaN, and no two may be equal.
     """
     columns, lines = _read_csv(path, SCORES_HEADER)
     ids = list(columns["id"])
+    n = sum(_parse_split(path, columns["split"], lines))
     truth = _parse_truth(path, columns["true_value"], lines)
     _check_unique_ids(path, ids)
     try:
         true_ranks = ranks_within(truth, "truth")
     except TiesDetected as exc:
         raise _tie_at_lines(path, lines, exc, truth.tolist()) from exc
-    n = columns["split"].count("calib")
     return ids, n, len(ids) - n, true_ranks
 
 
@@ -288,6 +294,8 @@ def _numbers(value, name: str, kind=int):
 def envelope_from_doc(doc: dict) -> Envelope:
     try:
         meta_doc = doc.get("mc_meta") or {}
+        if not isinstance(meta_doc, dict):
+            raise TypeError(f"mc_meta must be an object, got {json.dumps(meta_doc)}")
         meta = None
         if meta_doc.get("K") is not None:
             meta = MonteCarloMeta(
@@ -313,11 +321,18 @@ def write_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def read_json(path) -> dict:
+def read_json(path, name: str = "document") -> dict:
+    """The JSON object in ``path``; a file that is not UTF-8 JSON holding an object is refused.
+
+    The refusal names the file, and ``name`` says what it should hold.
+    """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
         raise InvalidData(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidData(f"{path}: {name} must be a JSON object")
+    return doc
 
 
 def write_envelope(env: Envelope, path) -> None:
@@ -325,7 +340,7 @@ def write_envelope(env: Envelope, path) -> None:
 
 
 def read_envelope(path) -> Envelope:
-    return envelope_from_doc(read_json(path))
+    return envelope_from_doc(read_json(path, "envelope"))
 
 
 def write_sets(
@@ -361,7 +376,7 @@ def read_sets(path) -> RankSets:
     hi = _parse(path, columns["hi"], lines, int, "hi {!r} is not an integer")
     try:
         sets = RankSets(items=columns["id"], lo=lo, hi=hi)
-    except (InvalidInput, OverflowError) as exc:
+    except InvalidInput as exc:
         raise InvalidData(f"{path}: {exc}") from exc
     if len(set(sets.items)) != len(sets.items):
         _, second = _first_repeat(sets.items)

@@ -11,13 +11,18 @@ This module owns the input rules the other modules apply, so each is written
 once: the ordering of a value vector (:func:`_rank_rows`, one argsort that
 also refuses NaN and ties, or a check of an argsort the caller already has
 from :func:`order_rows`), the rule for VA ranker outputs
-(:func:`rank_va_outputs`: finite and tie-free), whole-number ranks
-(:func:`as_rank`) and the ranker-mode vocabulary (:func:`check_mode`).  The
-scalar scores of ``conformal`` read their order statistics through these
-rules, as :class:`RankingProblem` does for the array path.  Ranks and order
-statistics have no scalar functions: :func:`ranks_within` ranks every
-element of a vector, and the ``r``-th smallest VA output of a problem is its
-``sorted_outputs[r - 1]``.
+(:func:`rank_va_outputs`: finite and tie-free), whole-number ranks and the
+ranker-mode vocabulary (:func:`check_mode`).  A rank enters as an array
+through :func:`as_ranks` (the calibration ranks and RA outputs of a
+:class:`RankingProblem`, the columns of ``conformal.RankSets``, the ranks
+of ``conformal.scores_at`` and ``targets.calibration_sets``) or as one
+value through :func:`as_rank`, its one-value case; ``io.read_scores``
+reads the rule's mask, :func:`whole_numbers`, to name the line of a bad RA
+output.  The scalar scores of ``conformal`` read their order statistics
+through these rules, as :class:`RankingProblem` does for the array path.
+Ranks and order statistics have no scalar functions: :func:`ranks_within`
+ranks every element of a vector, and the ``r``-th smallest VA output of a
+problem is its ``sorted_outputs[r - 1]``.
 
 Vector operations work along the last axis, and :func:`order_rows`,
 :func:`ranks_within` and :class:`RankingProblem` also accept a leading batch
@@ -27,7 +32,6 @@ axis: a stack of independent rows, each checked and ranked on its own.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
@@ -85,11 +89,42 @@ def check_mode(mode: str, name: str = "mode") -> None:
         raise InvalidInput(f"{name} must be {RA!r} or {VA!r}")
 
 
+def whole_numbers(values: np.ndarray) -> np.ndarray:
+    """Where the float array ``values`` holds a whole number: not a fraction, NaN or ±inf."""
+    return (np.trunc(values) == values) & np.isfinite(values)
+
+
+def as_ranks(values, name: str = "ranks", items=None) -> np.ndarray:
+    """``values`` as int64; a value that is not a whole number is refused, not truncated.
+
+    The one rule for ranks.  An integer array passes without a scan, and an
+    int64 one without a copy.  Any other numbers are read as floats: NaN,
+    ±inf, a fraction or a magnitude of 2**63 or more (which int64 cannot
+    hold) raises :class:`InvalidInput` naming ``name`` and, where the caller
+    names the items of the last axis, the item.
+    """
+    arr = np.asarray(values)
+    if np.can_cast(arr.dtype, np.int64):  # an integer array needs no scan
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind not in "fuO":
+        raise InvalidInput(f"{name} must be integers, got {arr.dtype}")
+    as_float = arr.astype(float)
+    whole = whole_numbers(as_float)
+    bad = np.flatnonzero(~(whole & (np.abs(as_float) < 2.0**63)))
+    if bad.size:
+        j = bad[0]
+        rule = "integers" if not whole.flat[j] else "below 2**63"
+        where = "" if items is None else f" for item {items[j % len(items)]!r}"
+        raise InvalidInput(f"{name} must be {rule}, got {arr.flat[j]}{where}")
+    return as_float.astype(np.int64)
+
+
 def as_rank(r) -> int:
-    """``r`` as an int; a value that is not a whole number is refused, not truncated."""
-    if not (isinstance(r, numbers.Real) and math.isfinite(r) and r == int(r)):
-        raise InvalidInput(f"ranks must be integers, got {r}")
-    return int(r)
+    """``r`` as an int: the one-value case of :func:`as_ranks`."""
+    rank = as_ranks(r)
+    if rank.ndim:
+        raise InvalidInput(f"a rank must be one number, got {r}")
+    return int(rank)
 
 
 def _rank_rows(arr: np.ndarray, name: str, order=None) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +264,7 @@ class RankingProblem:
         total = self.n + self.m
         outputs = np.asarray(self.ranker_outputs)
         lead = outputs.shape[:1] if outputs.ndim == 2 else ()
-        ranks = np.asarray(self.calib_ranks, dtype=np.int64)
+        ranks = as_ranks(self.calib_ranks, "calib_ranks")
         if ranks.shape != lead + (self.n,) or not np.array_equal(
             np.sort(ranks, axis=-1), np.broadcast_to(np.arange(1, self.n + 1), ranks.shape)
         ):
@@ -241,21 +276,17 @@ class RankingProblem:
             raise DimensionMismatch(
                 f"ranker_outputs must have length n+m={total}, got {outputs.shape}"
             )
-        as_float = outputs.astype(float)
         self.sorted_outputs = self.true_ranks = None
         if self.ranker_mode == RA:
-            if not np.all(as_float == np.round(as_float)):
-                raise InvalidInput("RA ranker outputs must be integers")
-            # range first, on the floats: a cast of 1e20 to int64 is undefined
-            if as_float.min() < 1 or as_float.max() > total:
+            ranks = as_ranks(outputs, "RA ranker outputs")
+            if ranks.min() < 1 or ranks.max() > total:
                 raise InvalidInput(f"RA ranker outputs must lie in [1, {total}]")
-            as_int = as_float.astype(np.int64)
-            self.ranker_outputs = as_int
-            self.predicted_ranks = _frozen(as_int.view())
+            self.ranker_outputs = ranks
+            self.predicted_ranks = _frozen(ranks.view())
         else:
-            self.ranker_outputs = as_float
+            self.ranker_outputs = outputs.astype(float)
             self.sorted_outputs, self.predicted_ranks = map(
-                _frozen, rank_va_outputs(as_float, order=output_order))
+                _frozen, rank_va_outputs(self.ranker_outputs, order=output_order))
 
         if self.truth is not None:
             t = np.asarray(self.truth, dtype=float)

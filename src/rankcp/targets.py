@@ -19,7 +19,7 @@ import numpy as np
 from .conformal import RankSets
 from .envelope import Envelope
 from .errors import DimensionMismatch, EmptyPredictionSet, InvalidInput
-from .ranks import ItemId, _default_ids
+from .ranks import ItemId, _default_ids, as_ranks
 
 
 def calibration_sets(
@@ -30,7 +30,7 @@ def calibration_sets(
     All ``n`` sets cover their items' pooled ranks simultaneously with
     probability at least ``1 - delta`` (minus Monte-Carlo slack).
     """
-    ranks = np.asarray(calib_ranks, dtype=np.int64)
+    ranks = as_ranks(calib_ranks, "calib_ranks")
     if ranks.shape != (env.n,):
         raise DimensionMismatch(f"need {env.n} calibration ranks, got {ranks.shape}")
     lo, hi = env.bounds_for_ranks(ranks)

@@ -17,7 +17,6 @@ from rankcp import (
     InvalidInput,
     RankOutOfRange,
     RankingProblem,
-    RankSet,
     RankSets,
     Threshold,
     TiesDetected,
@@ -92,7 +91,6 @@ def test_scalar_scores_refuse_what_the_array_path_refuses():
         (lambda: score_ra(1.5, 3), "ranks must be integers, got 1.5"),
         (lambda: proxy_score_ra(1.7, 2.2, 3), "ranks must be integers, got 1.7"),
         (lambda: proxy_score_va(1.5, 1.5, 0.5, [0.2, 1.0]), "ranks must be integers, got 1.5"),
-        (lambda: RankSet("a", 1.5, 2), "ranks must be integers, got 1.5"),
         (lambda: RankSets(["a"], [1.5], [2.9]), "ranks must be integers, got 1.5 for item 'a'"),
         (lambda: RankSets(["a", "b"], [1, 2], [2.0, inf]),
          "ranks must be integers, got inf for item 'b'"),
@@ -112,7 +110,7 @@ def test_scalar_scores_refuse_what_the_array_path_refuses():
     assert score_ra(2.0, 3) == 1.0 and proxy_score_ra(1.0, 3.0, 2) == 1.0
     sets = RankSets(["a"], [1.0], [2.0])
     assert sets.lo.dtype == np.int64 and (sets.lo[0], sets.hi[0]) == (1, 2)
-    assert RankSet("a", 2.0, 3.0).size == 2
+    assert RankSets(["a"], [2.0], [3.0])[0].size == 2
 
 
 @pytest.mark.filterwarnings("error")
@@ -635,11 +633,10 @@ def _three_item_problem():
 
 # (call, exception type, the parameter its message names)
 CONFORMAL_REFUSALS = {
-    "RankSet kind": (lambda: RankSet("a", 1, 2, kind="exotic"), InvalidInput,
-                     "set kind 'exotic'"),
-    "RankSet lo > hi": (lambda: RankSet("a", 3, 2), InvalidInput, r"lo <= hi, got \[3, 2\]"),
     "RankSets kind": (lambda: RankSets(["a"], [1], [2], kind="exotic"), InvalidInput,
                       "set kind 'exotic'"),
+    "RankSets lo > hi": (lambda: RankSets(["a"], [3], [2]), InvalidInput,
+                         r"lo <= hi, got \[3, 2\] for item 'a'"),
     "RankSets shape": (lambda: RankSets(["a", "b"], [1], [2]), DimensionMismatch,
                        "one lo and one hi per item"),
     "batch single-item view": (lambda: RankSets(["a"], [[1], [1]], [[2], [2]])[0],

@@ -775,6 +775,11 @@ ENVELOPE_REFUSALS = {
         InvalidInput, "mc_meta.slack must be finite and nonnegative"),
     "bounds_for_ranks range": (lambda: _envelope().bounds_for_ranks([1, 4]), InvalidInput,
                                r"calibration ranks outside \[1, n\]"),
+    # floats were truncated: the bounds [1.9, 2.2, 3.0] read as [1, 2, 3], rank 1.5 as 1
+    "Envelope float bounds": (lambda: _envelope(lower=[1.9, 2.2, 3.0]), InvalidInput,
+                              "^bounds must be integers, got float64$"),
+    "bounds_for_ranks float": (lambda: _envelope().bounds_for_ranks([1.5]), InvalidInput,
+                               "^calibration ranks must be integers, got float64$"),
     "halfwidth m": (lambda: envelope.theoretical_band_halfwidth(5, 0, 0.1), InvalidInput,
                     "m >= 1"),
     "slack n": (lambda: mc_guarantee_slack(0, 100), InvalidInput, "n >= 1"),

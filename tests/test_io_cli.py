@@ -225,6 +225,9 @@ def test_read_sets_error_messages(tmp_path):
         ("id,lo,hi\nt0,1,2\n\nt1,x,2\n", f"{path}:4: lo 'x' is not an integer"),
         ("id,lo,hi\nt1,1,2.5\n", f"{path}:2: hi '2.5' is not an integer"),
         ("id,lo,hi\nt1,3,2\n", f"{path}: need 1 <= lo <= hi, got [3, 2] for item 't1'"),
+        # was numpy's "Python int too large to convert to C long"
+        ("id,lo,hi\nt1,1,2\nt2,1,99999999999999999999\n",
+         f"{path}: ranks must be below 2**63, got 99999999999999999999 for item 't2'"),
     ):
         path.write_text(text)
         with pytest.raises(InvalidData) as err:
@@ -267,6 +270,9 @@ def test_read_sets_error_messages(tmp_path):
      "{path}:4: true_value 'nan' has no rank"),
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,NaN\nt1,test,0.2,,0.7\n",
      "{path}:2: true_value 'NaN' has no rank"),
+    # the split was not read: evaluate counted a 'bogus' row as a test item
+    ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\n\nt1,bogus,0.2,,0.7\n",
+     "{path}:4: split must be calib|test, got 'bogus'"),
 ])
 def test_read_scores_error_messages(tmp_path, reader, body, message):
     # one defect per file; the message names the file and, where the defect
@@ -302,6 +308,35 @@ def test_read_undecodable_file(tmp_path):
     for read in (rio.read_truth, rio.read_sets, lambda p: rio.read_scores(p, "VA")):
         with pytest.raises(InvalidData, match=f"^{path}: 'utf-8' codec can't decode"):
             read(path)
+
+
+_GOLDEN_ENVELOPE = json.loads((DATA / "golden_envelope.json").read_text())
+
+
+@pytest.mark.parametrize("flag, body, message", [
+    ("envelope", b"[]", "{path}: envelope must be a JSON object"),
+    ("envelope", b'"x"', "{path}: envelope must be a JSON object"),
+    ("envelope", b"\xff{}", "{path}: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ("envelope", json.dumps({**_GOLDEN_ENVELOPE, "mc_meta": "abc"}).encode(),
+     'malformed envelope document: mc_meta must be an object, got "abc"'),
+    ("config", b'"x"', "{path}: config must be a JSON object"),
+    ("config", b"\xff{}", "{path}: 'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["envelope-list", "envelope-string", "envelope-not-utf8", "envelope-mc_meta-string",
+        "config-string", "config-not-utf8"])
+def test_json_documents_that_are_not_objects_are_refused(tmp_path, capsys, flag, body,
+                                                         message):
+    # the envelope cases and the undecodable config ended in an AttributeError
+    # or a UnicodeDecodeError traceback
+    path = tmp_path / "doc.json"
+    path.write_bytes(body)
+    out = tmp_path / "out.csv"
+    argv = (["predict", "--scores", str(GOLDEN_INPUTS["scores"]), "--envelope", str(path),
+             "--alpha", "0.25", "--mode", "VA"] if flag == "envelope"
+            else ["synth", "--n", "5", "--m", "5", "--config", str(path)])
+    assert main(argv + ["--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"rankcp: data error: {message.format(path=path)}")
+    assert not out.exists()
 
 
 def _table_outcome(read):

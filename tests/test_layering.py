@@ -3,7 +3,8 @@
 ``envelope`` builds envelopes and depends on nothing but the error types and
 the random streams; ``conformal`` and ``io`` serve the harness and the CLI
 but never import them; the fit-level check stays inside ``envelope``; and
-``ranks`` alone writes the ranker-mode vocabulary and the ordering rules.
+``ranks`` alone writes the ranker-mode vocabulary, the ordering rules and the
+whole-number rule for ranks.
 """
 
 import ast
@@ -130,3 +131,52 @@ def test_ranks_owns_the_mode_vocabulary_and_the_ordering():
     # the array path and the scalar VA scores apply one VA-output rule
     assert "rank_va_outputs" in _names("ranks") & _names("conformal")
     assert not any("check_no_ties" in _names(module) for module in MODULES)
+
+
+# calls that test a value for being a whole number
+_WHOLE_NUMBER_TESTS = {"trunc", "round", "around", "rint", "fix", "is_integer"}
+
+
+def _whole_number_tests(node) -> list[int]:
+    """Lines under ``node`` that call ``np.trunc``, ``np.round``, ``.is_integer()`` and the like."""
+    return [call.lineno for call in ast.walk(node) if isinstance(call, ast.Call)
+            and (getattr(call.func, "attr", None) in _WHOLE_NUMBER_TESTS
+                 or getattr(call.func, "id", None) == "round")]
+
+
+def _definition(module: str, *path: str):
+    """The function or class at the dotted ``path`` of names in ``module``."""
+    node = _tree(module)
+    for name in path:
+        node = next(child for child in node.body
+                    if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name)
+    return node
+
+
+def test_ranks_owns_the_whole_number_rule():
+    # one rule decides what is a rank: the only whole-number test is
+    # ranks.whole_numbers, and the set, problem and file readers apply it
+    # instead of a test of their own
+    rule = _definition("ranks", "whole_numbers")
+    tests = _whole_number_tests(_tree("ranks"))
+    assert tests and all(rule.lineno <= line <= rule.end_lineno for line in tests), tests
+    for module in MODULES:
+        if module != "ranks":
+            assert not _whole_number_tests(_tree(module)), module
+    for module, path, name in [("conformal", ("RankSets", "__post_init__"), "as_ranks"),
+                               ("ranks", ("RankingProblem", "__post_init__"), "as_ranks"),
+                               ("io", ("read_scores",), "whole_numbers")]:
+        node = _definition(module, *path)
+        assert name in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}, path
+
+
+def test_rank_set_is_a_plain_view():
+    # RankSets validates its columns once; a row is a NamedTuple built by
+    # indexing, with no constructor checks of its own, and is not exported
+    from rankcp import conformal
+
+    assert not hasattr(rankcp, "RankSet")
+    assert issubclass(conformal.RankSet, tuple)
+    assert conformal.RankSet._fields == ("item", "lo", "hi", "kind", "size")
+    view = _definition("conformal", "RankSet")
+    assert not [node for node in view.body if isinstance(node, ast.FunctionDef)]

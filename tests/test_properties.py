@@ -10,20 +10,25 @@ from hypothesis import strategies as st
 
 from rankcp import (
     Envelope,
+    InvalidInput,
     RankCPError,
     RankingProblem,
+    RankOutOfRange,
     RankSets,
+    calibration_sets,
     fit_linear_envelope,
     fit_quantile_envelope,
     proxy_score_ra,
     proxy_score_va,
     proxy_scores,
+    naive_envelope,
     ranks_within,
     scores_at,
     simulate_sorted_ranks,
     topk_candidates,
 )
 from rankcp import test_only_set as to_test_only_set
+from rankcp.ranks import as_rank
 from rankcp.streams import stream, streams
 
 
@@ -101,6 +106,61 @@ def test_scalar_proxy_score_is_the_array_path(data, mode):
     problem = partial(RankingProblem, n=1, m=m, calib_ranks=[1], ranker_mode=mode,
                       ranker_outputs=values)
     assert _outcome(scalar) == _outcome(lambda: float(proxy_scores(problem(), env)[0]))
+
+
+# Values a caller may pass as a rank: ints, whole floats, fractions, signed
+# zeros, NaN, ±inf, and ints and floats on both sides of 2**63
+_RANK_LIKE = (
+    st.integers(-2, 10)
+    | st.integers(-2, 10).map(float)
+    | st.floats(-2, 10)
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+    | st.sampled_from([2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1, 10**30])
+    | st.sampled_from([2.0**63, float(np.nextafter(2.0**63, 0)), -(2.0**63), 1e20])
+)
+_M = 8  # the test items of the one-calibration-item problem below
+
+
+def _ra_problem(calib_rank=1, output=1):
+    return RankingProblem(n=1, m=_M, calib_ranks=[calib_rank], ranker_mode="RA",
+                          ranker_outputs=[output] + [1] * _M)
+
+
+# Each array entry point of a rank: a call that reads a value ``v`` back as
+# an int64 array, and the ranks it serves
+_RANK_ENTRY_POINTS = {
+    "RankSets lo": (lambda v: RankSets(["a"], [v], [2**62]).lo, 1, 2**62),
+    "RankSets hi": (lambda v: RankSets(["a"], [1], [v]).hi, 1, 2**63 - 1),
+    "calib_ranks": (lambda v: _ra_problem(calib_rank=v).calib_ranks, 1, 1),
+    "RA outputs": (lambda v: _ra_problem(output=v).ranker_outputs[:1], 1, 1 + _M),
+    # the calibration item's RA output is 1, so its score at rank v is v - 1
+    "scores_at": (lambda v: scores_at(_ra_problem(), [v]).astype(np.int64) + 1, 1, 1 + _M),
+    # a naive envelope's lower bound at calibration rank r is r
+    "calibration_sets": (lambda v: calibration_sets(naive_envelope(_M, 1),
+                                                    [v] + [1] * (_M - 1)).lo[:1], 1, _M),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_RANK_LIKE)
+def test_one_whole_number_rule_for_every_rank_entry_point(value):
+    # the scalar rule and every array entry point accept exactly the int64
+    # values and the whole floats below 2**63, and read them as the same int64
+    if isinstance(value, int):
+        whole = -(2**63) <= value < 2**63
+    else:
+        whole = math.isfinite(value) and value.is_integer() and abs(value) < 2**63
+    rank = _outcome(lambda: as_rank(value))
+    assert (type(rank), rank) == ((int, int(value)) if whole else (type, InvalidInput))
+    for name, (read, low, high) in _RANK_ENTRY_POINTS.items():
+        got = _outcome(lambda: read(value))
+        if whole and low <= rank <= high:
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64, name
+            assert got.tolist() == [rank], name
+        elif whole:  # a rank that the entry point does not serve
+            assert got in (InvalidInput, RankOutOfRange), name
+        else:
+            assert got is InvalidInput, name
 
 
 @settings(max_examples=100, deadline=None)

@@ -218,6 +218,11 @@ RANKS_REFUSALS = {
                              DimensionMismatch, "truth must have length n[+]m=5"),
     "RankingProblem ids": (lambda: _ranking_problem(ids=["a", "b"]), DimensionMismatch,
                            "ids must have length n[+]m"),
+    # inf passed the old whole-number test (np.round(inf) == inf) and was
+    # refused as "must lie in [1, 5]"
+    "RankingProblem RA inf": (
+        lambda: _ranking_problem(ranker_mode="RA", ranker_outputs=[2, 1, 4, 3, np.inf]),
+        InvalidInput, r"^RA ranker outputs must be integers, got inf$"),
 }
 
 
