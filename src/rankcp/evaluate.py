@@ -53,8 +53,8 @@ from .ranks import (
     RankingProblem,
     break_ties,
     check_mode,
-    order_rows,
     ranks_within,
+    tied_rows,
 )
 from .streams import child_seed, streams
 from .targets import topk_candidates
@@ -118,31 +118,27 @@ def _check_noise(name: str, value: float) -> None:
 
 
 def _generated(name: str, noise_sd: float, draw, seed, tag: str):
-    """``draw()``, checked finite, with exact ties resolved in place, and its order.
+    """``draw()``, checked finite, with exact ties resolved in place.
 
     A huge but finite ``noise_sd`` can carry the values to infinity (and
     inf - inf to NaN): numpy's warnings are silenced and :class:`InvalidInput`
     names the noise level as ``name``, the parameter of
     :func:`synthesize_problem` that set it.  Ties are a probability-zero
-    event, found on each row's argsort: each tied row is passed through
-    :func:`break_ties` with its own seed's ``tag`` stream and argsorted
-    again.  Returns the values and each row's argsort, which the caller
-    hands on instead of sorting the rows again.
+    event: each tied row is passed through :func:`break_ties` with its own
+    seed's ``tag`` stream.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = draw()
     if not np.all(np.isfinite(values)):
         raise InvalidInput(f"{name}={noise_sd} makes the generated values non-finite")
-    order, tied = order_rows(values)
-    rows, orders, seeds = np.atleast_2d(values), np.atleast_2d(order), np.atleast_1d(seed)
-    for i in np.flatnonzero(tied):
+    rows, seeds = np.atleast_2d(values), np.atleast_1d(seed)
+    for i in np.flatnonzero(tied_rows(values)):
         rows[i] = break_ties(rows[i], child_seed(int(seeds[i]), tag))
-        orders[i] = order_rows(rows[i])[0]
-    return values, order
+    return values
 
 
 def _truth(data_model: str, total: int, d: int, data_noise_sd: float, seed):
-    """``total`` true values of the named model per seed, and their order.
+    """``total`` true values of the named model per seed.
 
     ``sigmoid``: ``1 / (1 + exp(-w.x))`` with standard Gaussian features and
     weights of dimension ``d``.  ``beta_adaptive``: ``Beta(BETA_SHAPE,
@@ -171,7 +167,7 @@ def _truth(data_model: str, total: int, d: int, data_noise_sd: float, seed):
 
 
 def _noisy_outputs(truth: np.ndarray, noise_sd: float, seed, mode: str):
-    """The toy ranker's outputs for ``truth``, and the order of its values.
+    """The toy ranker's outputs for ``truth``.
 
     A stand-in for a trained ranker: the truth plus Gaussian noise of
     standard deviation ``noise_sd`` (0 gives the perfect ranker), as values
@@ -180,9 +176,9 @@ def _noisy_outputs(truth: np.ndarray, noise_sd: float, seed, mode: str):
     """
     size = truth.shape[-1]
     noise = _per_seed(seed, "ranker-noise", lambda gen: gen.standard_normal(size))
-    values, order = _generated("noise_sd", noise_sd, lambda: truth + noise_sd * noise,
-                               seed, "ranker-ties")
-    return (ranks_within(values, order=order) if mode == RA else values), order
+    values = _generated("noise_sd", noise_sd, lambda: truth + noise_sd * noise,
+                        seed, "ranker-ties")
+    return ranks_within(values) if mode == RA else values
 
 
 def synthesize_problem(
@@ -213,16 +209,13 @@ def synthesize_problem(
         raise InvalidInput(f"need n >= 1, m >= 0 and n + m >= 2, got n={n}, m={m}")
     if np.ndim(seed) and not np.size(seed):
         raise InvalidInput("seed must hold at least one seed")
-    truth, truth_order = _truth(data_model, n + m, d, data_noise_sd, seed)
+    truth = _truth(data_model, n + m, d, data_noise_sd, seed)
     ranker_seed = (child_seed(seed, "ranker") if np.ndim(seed) == 0
                    else np.array([child_seed(s, "ranker") for s in seed]))
-    outputs, output_order = _noisy_outputs(truth, noise_sd, ranker_seed, mode)
-    # the calibration items in the truth's order: that order, restricted
-    calib_order = truth_order[truth_order < n].reshape(truth.shape[:-1] + (n,))
+    outputs = _noisy_outputs(truth, noise_sd, ranker_seed, mode)
     return RankingProblem(
-        n=n, m=m, calib_ranks=ranks_within(truth[..., :n], order=calib_order),
+        n=n, m=m, calib_ranks=ranks_within(truth[..., :n]),
         ranker_mode=mode, ranker_outputs=outputs, truth=truth,
-        output_order=output_order, truth_order=truth_order,
     )
 
 

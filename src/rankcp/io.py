@@ -67,8 +67,10 @@ def _read_csv(path, header: list[str], extra_columns: bool = False):
     # csv.reader reads a NUL in a cell from Python 3.11 on, and refuses it before
     if '"' in text or "\0" in text:
         return _reader_table(path, StringIO(text, newline=""), header, extra_columns)
-    # the line ends that csv.reader and a file opened with newline="" know
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    # the line ends that csv.reader and a file opened with newline="" know;
+    # csv.writer ends every line in \r\n, so a bare \r is rare
+    text = text.replace("\r\n", "\n")
+    lines = (text.replace("\r", "\n") if "\r" in text else text).split("\n")
     del text  # each intermediate is dropped once the next is built
     if lines[-1] == "":  # the end of the last line, or an empty text
         lines.pop()
@@ -281,18 +283,24 @@ def _numbers(value, name: str, kind=int):
 
     ``kind`` is ``int``, or ``float`` for any JSON number, which is returned
     as a float.  int() would truncate a float, and int() and float() would
-    read a bool as 0 or 1; float() would also read a numeric string.
+    read a bool as 0 or 1; float() would also read a numeric string.  An
+    integer must fit in int64, which the envelope's arrays hold.
     """
     allowed, noun = ({int}, "an integer") if kind is int else ({int, float}, "a number")
     items = value if isinstance(value, list) else [value]
     if not set(map(type, items)) <= allowed:
         bad = next(v for v in items if type(v) not in allowed)
         raise TypeError(f"{name} must be {noun}, got {json.dumps(bad)}")
+    if kind is int and items and (min(items) < -2**63 or max(items) >= 2**63):
+        bad = next(v for v in items if not -2**63 <= v < 2**63)
+        raise ValueError(f"{name} must be an integer in [-2**63, 2**63), got {bad}")
     return value if isinstance(value, list) else kind(value)
 
 
 def envelope_from_doc(doc: dict) -> Envelope:
     try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"the document must be an object, got {type(doc).__name__}")
         meta_doc = doc.get("mc_meta") or {}
         if not isinstance(meta_doc, dict):
             raise TypeError(f"mc_meta must be an object, got {json.dumps(meta_doc)}")

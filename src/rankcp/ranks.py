@@ -8,12 +8,11 @@ jittered silently, and :func:`break_ties` offers a deterministic opt-in
 resolution.
 
 This module owns the input rules the other modules apply, so each is written
-once: the ordering of a value vector (:func:`_rank_rows`, one argsort that
-also refuses NaN and ties, or a check of an argsort the caller already has
-from :func:`order_rows`), the rule for VA ranker outputs
-(:func:`rank_va_outputs`: finite and tie-free), whole-number ranks and the
-ranker-mode vocabulary (:func:`check_mode`).  A rank enters as an array
-through :func:`as_ranks` (the calibration ranks and RA outputs of a
+once: the ordering of a value vector (:func:`_rank_rows`, the package's one
+argsort of a value row, which also refuses NaN and ties), the rule for VA
+ranker outputs (:func:`rank_va_outputs`: finite and tie-free), whole-number
+ranks and the ranker-mode vocabulary (:func:`check_mode`).  A rank enters as
+an array through :func:`as_ranks` (the calibration ranks and RA outputs of a
 :class:`RankingProblem`, the columns of ``conformal.RankSets``, the ranks
 of ``conformal.scores_at`` and ``targets.calibration_sets``) or as one
 value through :func:`as_rank`, its one-value case; ``io.read_scores``
@@ -24,7 +23,7 @@ Ranks and order statistics have no scalar functions: :func:`ranks_within`
 ranks every element of a vector, and the ``r``-th smallest VA output of a
 problem is its ``sorted_outputs[r - 1]``.
 
-Vector operations work along the last axis, and :func:`order_rows`,
+Vector operations work along the last axis, and :func:`tied_rows`,
 :func:`ranks_within` and :class:`RankingProblem` also accept a leading batch
 axis: a stack of independent rows, each checked and ranked on its own.
 """
@@ -32,7 +31,7 @@ axis: a stack of independent rows, each checked and ranked on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,20 +66,9 @@ def _sorted_has_ties(ordered: np.ndarray):
     return tied.any(axis=-1)
 
 
-def order_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's argsort, and per row whether it holds an exact duplicate.
-
-    The order can be handed on as the ``order`` of :func:`ranks_within` or
-    :class:`RankingProblem`, so a row that is checked for ties here is not
-    sorted again there.  It is int32 where the rows allow, half the bytes of
-    numpy's int64: the experiment holds two orders per block until the
-    problem is built, and with int64 ones the heap the rep phase leaves made
-    the next envelope fit's peak RSS about 5 % higher in about half the runs.
-    """
-    order = np.argsort(values, axis=-1)
-    if values.shape[-1] <= np.iinfo(np.int32).max:
-        order = order.astype(np.int32)
-    return order, _sorted_has_ties(np.take_along_axis(values, order, axis=-1))
+def tied_rows(values: np.ndarray):
+    """Per row of ``values``, whether it holds an exact duplicate (or two NaNs)."""
+    return _sorted_has_ties(np.sort(values, axis=-1))
 
 
 def check_mode(mode: str, name: str = "mode") -> None:
@@ -127,24 +115,14 @@ def as_rank(r) -> int:
     return int(rank)
 
 
-def _rank_rows(arr: np.ndarray, name: str, order=None) -> tuple[np.ndarray, np.ndarray]:
+def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Each row of ``arr`` in increasing order, and the 1-based rank of each element.
 
-    At most one argsort per call: a NaN, which has no rank, raises
+    One argsort per call: a NaN, which has no rank, raises
     :class:`InvalidInput`, the sorted neighbours are checked for ties (raising
     :class:`TiesDetected`), both naming ``name``, and the ranks are the
-    inverse permutation of the order.  An ``order`` the caller already has
-    (each row's argsort) is checked, not trusted: it is used if it puts every
-    row in strictly increasing order, which also rules out NaN and ties, and
-    the rows are argsorted otherwise.
+    inverse permutation of the order.
     """
-    if order is not None and np.shape(order) == arr.shape:
-        try:
-            ordered = np.take_along_axis(arr, order, axis=-1)
-        except (IndexError, TypeError):  # not an array of in-range indices
-            ordered = None
-        if ordered is not None and np.all(ordered[..., 1:] > ordered[..., :-1]):
-            return ordered, _inverse(order)
     order = np.argsort(arr, axis=-1)
     ordered = np.take_along_axis(arr, order, axis=-1)
     if np.isnan(ordered[..., -1:]).any():  # argsort puts NaNs last
@@ -161,29 +139,27 @@ def _inverse(order: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def ranks_within(values, name: str = "values", order=None) -> np.ndarray:
+def ranks_within(values, name: str = "values") -> np.ndarray:
     """Rank of each element within its own tie-free vector, which holds no NaN.
 
     Returns a permutation of ``1..len(values)`` as int64; for a
     ``(rows, length)`` stack, one permutation per row.  Errors name the
-    values ``name``.  ``order``, each row's argsort if the caller has it
-    (see :func:`order_rows`), is checked as in :func:`_rank_rows` and saves
-    the sort.
+    values ``name``.
     """
-    return _rank_rows(_as_float_rows(values, name), name, order)[1]
+    return _rank_rows(_as_float_rows(values, name), name)[1]
 
 
-def rank_va_outputs(outputs: np.ndarray, name: str = "VA ranker outputs", order=None):
+def rank_va_outputs(outputs: np.ndarray, name: str = "VA ranker outputs"):
     """The rule for VA ranker outputs: finite and tie-free along the last axis.
 
-    Returns :func:`_rank_rows` of the float array ``outputs`` (and the
-    caller's ``order``, if any): each row in increasing order and the rank of
-    each element.  A non-finite output raises :class:`InvalidInput` and a tie
-    :class:`TiesDetected`, naming ``name``.
+    Returns :func:`_rank_rows` of the float array ``outputs``: each row in
+    increasing order and the rank of each element.  A non-finite output
+    raises :class:`InvalidInput` and a tie :class:`TiesDetected`, naming
+    ``name``.
     """
     if not np.all(np.isfinite(outputs)):
         raise InvalidInput(f"{name} must be finite")
-    return _rank_rows(outputs, name, order)
+    return _rank_rows(outputs, name)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -236,10 +212,7 @@ class RankingProblem:
     outputs, or the ranks of the VA outputs within their row); and
     ``true_ranks``, the pooled ranks of ``truth`` (``None`` without truth).
     They are not recomputed, so build a new problem rather than edit
-    ``ranker_outputs`` or ``truth`` in place.  A caller that has already
-    argsorted the rows (see :func:`order_rows`) passes the orders as the
-    keyword-only ``output_order`` and ``truth_order``; each is checked as in
-    :func:`_rank_rows`, so a wrong one costs a sort, never a wrong rank.
+    ``ranker_outputs`` or ``truth`` in place.
 
     A *batch* of problems of the same sizes stacks them along a leading axis:
     ``calib_ranks`` is ``(rows, n)`` and ``ranker_outputs`` (and ``truth``)
@@ -254,11 +227,8 @@ class RankingProblem:
     ranker_outputs: np.ndarray
     truth: np.ndarray | None = None
     ids: list[ItemId] | None = None
-    _: KW_ONLY
-    output_order: InitVar[np.ndarray | None] = None
-    truth_order: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, output_order, truth_order):
+    def __post_init__(self):
         if self.n < 1 or self.m < 0:
             raise InvalidInput("need n >= 1 and m >= 0")
         total = self.n + self.m
@@ -286,13 +256,13 @@ class RankingProblem:
         else:
             self.ranker_outputs = outputs.astype(float)
             self.sorted_outputs, self.predicted_ranks = map(
-                _frozen, rank_va_outputs(self.ranker_outputs, order=output_order))
+                _frozen, rank_va_outputs(self.ranker_outputs))
 
         if self.truth is not None:
             t = np.asarray(self.truth, dtype=float)
             if t.shape != outputs.shape:
                 raise DimensionMismatch(f"truth must have length n+m={total}")
-            self.true_ranks = _frozen(_rank_rows(t, "truth", truth_order)[1])
+            self.true_ranks = _frozen(_rank_rows(t, "truth")[1])
             self.truth = t
 
         if self.ids is not None:

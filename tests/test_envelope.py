@@ -15,6 +15,7 @@ from rankcp import (
     DimensionMismatch,
     Envelope,
     InsufficientSample,
+    InvalidData,
     InvalidDelta,
     InvalidInput,
     MonteCarloMeta,
@@ -30,6 +31,7 @@ from rankcp import (
 )
 from rankcp import envelope
 from rankcp.envelope import _ceil_count, _count_inside
+from rankcp.io import envelope_from_doc
 from rankcp.streams import CHUNK, chunk_stream
 
 # frozen by high-precision evaluation of sqrt(log(C sqrt(tau)/delta)/tau)
@@ -787,6 +789,16 @@ ENVELOPE_REFUSALS = {
     "fit level delta": (lambda: fit_linear_envelope(simulate_sorted_ranks(3, 2, 20, seed=0),
                                                     1.5),
                         InvalidDelta, r"delta=1.5 outside"),
+    # each ended in an AttributeError: '...' object has no attribute 'get'
+    "envelope_from_doc list": (lambda: envelope_from_doc([]), InvalidData,
+                               "^malformed envelope document: the document must be "
+                               "an object, got list$"),
+    "envelope_from_doc str": (lambda: envelope_from_doc("x"), InvalidData,
+                              "^malformed envelope document: the document must be "
+                              "an object, got str$"),
+    "envelope_from_doc int": (lambda: envelope_from_doc(3), InvalidData,
+                              "^malformed envelope document: the document must be "
+                              "an object, got int$"),
 }
 
 

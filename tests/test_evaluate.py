@@ -41,7 +41,7 @@ from rankcp import (
     topk_candidates,
 )
 from rankcp import evaluate
-from rankcp.ranks import order_rows
+from rankcp.ranks import tied_rows
 from rankcp.streams import child_seed
 
 
@@ -438,7 +438,7 @@ def test_batched_layers_equal_single_problem_calls(data):
     assert sets.lo.shape == (len(singles), m)
     for i, one in enumerate(singles):
         assert np.array_equal(pooled[i], ranks_within(one.truth))
-        assert order_rows(batch.ranker_outputs)[1][i] == order_rows(one.ranker_outputs)[1]
+        assert tied_rows(batch.ranker_outputs)[i] == tied_rows(one.ranker_outputs)
         assert np.array_equal(scores_at(batch, pooled[:, :n])[i],
                               scores_at(one, pooled[i, :n]))
         assert np.array_equal(proxy[i], proxy_scores(one, env))
@@ -490,25 +490,25 @@ def test_batch_rows_are_validated_one_by_one():
         predict_sets(ok, Threshold(k=1, value=0.5))  # one threshold for two rows
 
 
-def test_tied_generated_rows_are_broken_and_ordered_again():
+def test_tied_generated_rows_are_broken():
     # with no noise the outputs repeat the truth, and its first row is tied
     truth = np.array([[0.5, 0.5, 0.1, 0.9], [0.3, 0.2, 0.1, 0.0]])
     seeds = np.array([7, 8])
-    values, order = evaluate._noisy_outputs(truth, 0.0, seeds, "VA")
-    assert order_rows(truth)[1].tolist() == [True, False]
-    assert not order_rows(values)[1].any() and np.array_equal(values[1], truth[1])
-    assert np.array_equal(order, np.argsort(values, axis=-1))
-    ranks, _ = evaluate._noisy_outputs(truth, 0.0, seeds, "RA")
+    values = evaluate._noisy_outputs(truth, 0.0, seeds, "VA")
+    assert tied_rows(truth).tolist() == [True, False]
+    assert not tied_rows(values).any() and np.array_equal(values[1], truth[1])
+    ranks = evaluate._noisy_outputs(truth, 0.0, seeds, "RA")
     assert np.array_equal(ranks, ranks_within(values))
 
 
 @pytest.mark.parametrize("mode", ["RA", "VA"])
 def test_one_block_sorts_each_array_once(monkeypatch, mode):
-    # A block argsorts the truth and the generated outputs once each, to look
-    # for ties; the problem checks those orders instead of sorting again and
-    # the calibration ranks are read from the truth's order, so the one other
-    # sort is the permutation check of the calibration ranks (np.sort).  Every
-    # later layer reads the problem's stored orderings.
+    # A block sorts the truth and the generated outputs once each, to look
+    # for ties, and sorts the calibration ranks once, to check they are a
+    # permutation.  It argsorts each of them once where it is ranked: the
+    # calibration part of the truth, the whole truth, and the outputs (the
+    # problem's VA rule, or the RA outputs' ranks).  Every later layer reads
+    # the problem's stored orderings.
     calls = dict.fromkeys(("sort", "argsort"), 0)
 
     def counted(name):
@@ -525,7 +525,7 @@ def test_one_block_sorts_each_array_once(monkeypatch, mode):
                            master_seed=3)
     assert cfg.reps <= evaluate.BLOCK_ELEMENTS // (cfg.n + cfg.m)  # one block
     run_experiment(cfg)
-    assert calls == {"sort": 1, "argsort": 2}
+    assert calls == {"sort": 3, "argsort": 3}
 
 
 SEED_REFUSALS = {

@@ -141,6 +141,30 @@ def test_envelope_document_rejects_non_integers(key, value, shown):
     assert str(err.value) == f"malformed envelope document: {key} must be an integer, got {shown}"
 
 
+@pytest.mark.parametrize("key, index, value", [
+    ("upper", 2, 2**70),
+    ("lower", 0, -2**70),
+    ("upper", 2, 2**63),
+    ("lower", 0, -2**63 - 1),
+    ("n", None, 2**70),
+    ("mc_meta.K", None, 2**64),
+])
+def test_envelope_document_refuses_integers_beyond_int64(key, index, value):
+    # the bounds read "bounds must be integers, got object" (or "got float64"
+    # at 2**63), n = 2**70 read "lower/upper must have length n", and
+    # mc_meta.K = 2**64 was loaded
+    doc = rio.envelope_to_doc(naive_envelope(3, 4))
+    doc["mc_meta"] = {"K": 10, "seed": 1, "slack": 0.1}
+    if index is None:
+        _set_key(doc, key, value)
+    else:
+        doc[key][index] = value
+    with pytest.raises(InvalidData) as err:
+        rio.envelope_from_doc(doc)
+    assert str(err.value) == ("malformed envelope document: "
+                              f"{key} must be an integer in [-2**63, 2**63), got {value}")
+
+
 @pytest.mark.parametrize("key", ["delta", "param", "mc_meta.slack"])
 @pytest.mark.parametrize("value, shown", [(False, "false"), (True, "true"), ("0.02", '"0.02"')])
 def test_envelope_document_rejects_non_numbers(tmp_path, key, value, shown):

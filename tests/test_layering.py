@@ -114,6 +114,14 @@ def _mode_membership_tests(module: str) -> list[int]:
             and any(names(c) == {"RA", "VA"} for c in node.comparators)]
 
 
+def _numpy_sorts(module: str) -> list[int]:
+    """Lines where the module calls ``np.sort``, ``np.argsort`` or ``np.lexsort``."""
+    return [node.lineno for node in ast.walk(_tree(module)) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("sort", "argsort", "lexsort")
+            and getattr(node.func.value, "id", None) == "np"]
+
+
 def test_ranks_owns_the_mode_vocabulary_and_the_ordering():
     # the mode check is written once, and conformal reads every ordering
     # from ranks but its one order-statistic selection, in calibrate
@@ -131,6 +139,12 @@ def test_ranks_owns_the_mode_vocabulary_and_the_ordering():
     # the array path and the scalar VA scores apply one VA-output rule
     assert "rank_va_outputs" in _names("ranks") & _names("conformal")
     assert not any("check_no_ties" in _names(module) for module in MODULES)
+    # no module but ranks sorts values or hands an argsort order to another
+    # (envelope's in-place keys.sort is a method of its own key block)
+    assert _numpy_sorts("ranks")
+    for module in MODULES:
+        if module != "ranks":
+            assert not _numpy_sorts(module), module
 
 
 # calls that test a value for being a whole number

@@ -11,7 +11,7 @@ from rankcp import (
     ranks_within,
 )
 from rankcp.errors import DimensionMismatch
-from rankcp.ranks import order_rows
+from rankcp.ranks import tied_rows
 
 
 def test_ranks_within_examples():
@@ -35,7 +35,7 @@ def test_ranks_within_always_permutation():
 def test_break_ties_resolves_and_preserves_order():
     values = np.array([0.5, 0.1, 0.5, 0.9, 0.1])
     fixed = break_ties(values, seed=11)
-    assert not order_rows(fixed)[1]
+    assert not tied_rows(fixed)
     # strict order of distinct values is untouched
     assert fixed[1] < fixed[0] and fixed[0] < fixed[3]
     assert fixed[4] < fixed[0] and fixed[2] < fixed[3]
@@ -48,11 +48,11 @@ def test_break_ties_resolves_and_preserves_order():
 
 def test_break_ties_all_equal():
     fixed = break_ties([2.0, 2.0, 2.0], seed=0)
-    assert not order_rows(fixed)[1]
+    assert not tied_rows(fixed)
     # a gap-based offset would fall below the ulp here and be rounded away
     values = np.array([1e16, 1e16, 1e16 + 2])
     fixed = break_ties(values, seed=0)
-    assert not order_rows(fixed)[1]
+    assert not tied_rows(fixed)
     assert fixed[2] > max(fixed[0], fixed[1])
     assert np.array_equal(values, [1e16, 1e16, 1e16 + 2])  # input untouched
 
@@ -152,10 +152,10 @@ def test_tie_messages():
 
 
 def test_nan_has_no_rank():
-    # order_rows still flags two NaNs as a tie, but ranking rejects any NaN
+    # tied_rows still flags two NaNs as a tie, but ranking rejects any NaN
     # (a single NaN was ranked last before)
-    assert order_rows(np.array([np.nan, 1.0, np.nan]))[1]
-    assert not order_rows(np.array([np.nan, 1.0]))[1]
+    assert tied_rows(np.array([np.nan, 1.0, np.nan]))
+    assert not tied_rows(np.array([np.nan, 1.0]))
     for values in ([0.3, np.nan, 0.1], [[0.1, 0.2], [np.nan, 0.5]], [np.nan, np.nan]):
         with pytest.raises(InvalidInput) as err:
             ranks_within(values)
@@ -167,38 +167,9 @@ def test_nan_has_no_rank():
             _problem(**overrides)
 
 
-@pytest.mark.parametrize("rows", [None, 3])
-def test_given_orders_are_checked_not_trusted(rows):
-    rng = np.random.default_rng(12)
-    n, m = 4, 3
-    shape = (n + m,) if rows is None else (rows, n + m)
-    truth, outputs = rng.normal(size=shape), rng.normal(size=shape)
-    calib_ranks = ranks_within(truth[..., :n])
-    plain = RankingProblem(n=n, m=m, calib_ranks=calib_ranks, ranker_mode="VA",
-                           ranker_outputs=outputs, truth=truth)
-    right = np.argsort(outputs, axis=-1)
-    wrong = right[..., ::-1].copy()
-    out_of_range = right + (n + m)
-    for order in (right, wrong, out_of_range, right[..., :-1], right.astype(float)):
-        assert np.array_equal(ranks_within(outputs, order=order), plain.predicted_ranks)
-        hinted = RankingProblem(n=n, m=m, calib_ranks=calib_ranks, ranker_mode="VA",
-                                ranker_outputs=outputs, truth=truth,
-                                output_order=order, truth_order=order)
-        for name in ("sorted_outputs", "predicted_ranks", "true_ranks"):
-            assert np.array_equal(getattr(hinted, name), getattr(plain, name)), name
-    # an order that sorts tied or NaN values does not hide them
-    tied = np.array([0.3, 0.1, 0.3])
-    with pytest.raises(TiesDetected):
-        ranks_within(tied, order=np.argsort(tied))
-    with pytest.raises(InvalidInput, match="NaN"):
-        ranks_within([0.3, np.nan, 0.1], order=np.array([2, 0, 1]))
-
-
-def test_order_rows_flags_tied_rows():
+def test_tied_rows_flags_tied_rows():
     values = np.array([[0.3, 0.1, 0.2], [0.5, 0.1, 0.5]])
-    order, tied = order_rows(values)
-    assert np.array_equal(order, np.argsort(values, axis=-1))
-    assert tied.tolist() == [False, True]
+    assert tied_rows(values).tolist() == [False, True]
 
 
 
