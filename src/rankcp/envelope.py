@@ -98,8 +98,11 @@ _BLOCK = 2**16
 _MEMINFO = "/proc/meminfo"
 # The cgroup v2 limit and use of this process's memory, in bytes, where the
 # cgroup file system is mounted; a limit below the host's memory caps it.
+# The use counts page cache, of which the kernel reclaims the inactive_file
+# line of the cgroup's memory statistics before it kills.
 _CGROUP_MAX = "/sys/fs/cgroup/memory.max"
 _CGROUP_CURRENT = "/sys/fs/cgroup/memory.current"
+_CGROUP_STAT = "/sys/fs/cgroup/memory.stat"
 
 
 def _ceil_count(q: float, K: int) -> int:
@@ -189,17 +192,29 @@ def _available_memory() -> int | None:
     leaves out memory that other processes hold; else physical memory.  Where
     the cgroup's :data:`_CGROUP_MAX` holds a number, the result is at most
     that limit less the cgroup's :data:`_CGROUP_CURRENT` use, so that a
-    container below the host's memory is not killed first.
+    container below the host's memory is not killed first.  The use is net
+    of the reclaimable cache (:func:`_cgroup_inactive_file`).
     """
     host = _host_memory()
     try:
         with open(_CGROUP_MAX, encoding="ascii") as fh:
             limit = int(fh.read())  # "max" where there is no limit
         with open(_CGROUP_CURRENT, encoding="ascii") as fh:
-            left = max(0, limit - int(fh.read()))
+            used = int(fh.read())
     except (OSError, ValueError):
         return host
+    left = max(0, limit - max(0, used - _cgroup_inactive_file()))
     return left if host is None else min(host, left)
+
+
+def _cgroup_inactive_file() -> int:
+    """Bytes on the ``inactive_file`` line of :data:`_CGROUP_STAT`, else 0."""
+    try:
+        with open(_CGROUP_STAT, encoding="ascii") as fh:
+            return next((int(line.removeprefix("inactive_file ")) for line in fh
+                         if line.startswith("inactive_file ")), 0)
+    except (OSError, ValueError):
+        return 0
 
 
 def _host_memory() -> int | None:

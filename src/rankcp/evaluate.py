@@ -123,9 +123,11 @@ def _generated(name: str, noise_sd: float, draw, seed, tag: str):
     A huge but finite ``noise_sd`` can carry the values to infinity (and
     inf - inf to NaN): numpy's warnings are silenced and :class:`InvalidInput`
     names the noise level as ``name``, the parameter of
-    :func:`synthesize_problem` that set it.  Ties are a probability-zero
-    event: each tied row is passed through :func:`break_ties` with its own
-    seed's ``tag`` stream.
+    :func:`synthesize_problem` that set it.  Each row with an exact tie is
+    passed through :func:`break_ties` with its own seed's ``tag`` stream.
+    Ties are not rare: ``beta_adaptive`` with ``data_noise_sd=0`` draws
+    exactly 1.0 for about 12 % of its items, and the ``beta-ties`` stream
+    then sets those items' true order.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = draw()

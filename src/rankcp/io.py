@@ -137,12 +137,6 @@ def _parse(path, texts, lines, convert, message: str) -> list:
             raise InvalidData(f"{path}:{line}: {message.format(text)}") from exc
 
 
-def _parse_split(path, texts, lines) -> list[int]:
-    """The split column: 1 on a calib row and 0 on a test row (``index()`` of the pair)."""
-    return _parse(path, texts, lines, ("test", "calib").index,
-                  "split must be calib|test, got {!r}")
-
-
 def write_scores(problem: RankingProblem, path) -> None:
     """Write a problem as a scores CSV (one row per item)."""
     _write_csv(path, SCORES_HEADER, [
@@ -154,15 +148,26 @@ def write_scores(problem: RankingProblem, path) -> None:
     ])
 
 
+def _read_scores_table(path):
+    """The columns and row lines of a scores CSV, and its split as a calib mask.
+
+    The split of each row must be calib or test, and no id may be listed
+    twice.  :func:`read_scores` and :func:`read_truth` read through here.
+    """
+    columns, lines = _read_csv(path, SCORES_HEADER)
+    is_calib = np.array(_parse(path, columns["split"], lines, ("test", "calib").index,
+                               "split must be calib|test, got {!r}"), dtype=bool)
+    _check_unique_ids(path, columns["id"], lines)
+    return columns, lines, is_calib
+
+
 def read_scores(path, mode: str) -> RankingProblem:
     """Read a scores CSV into a problem; ``mode`` types the output column."""
     check_mode(mode)
-    columns, lines = _read_csv(path, SCORES_HEADER)
-    ids, texts, ranks = columns["id"], columns["output"], columns["calib_rank"]
-    is_calib = _parse_split(path, columns["split"], lines)
-    outputs = _parse(path, texts, lines, float, "output {!r} is not a number")
+    columns, lines, is_calib = _read_scores_table(path)
+    texts, ranks = columns["output"], np.array(columns["calib_rank"], dtype=object)
+    outputs = np.asarray(_parse(path, texts, lines, float, "output {!r} is not a number"))
     if mode == RA:
-        outputs = np.asarray(outputs)
         whole = whole_numbers(outputs)
         # the first row in file order that is not a whole number, or out of range
         bad = np.flatnonzero(~whole | (outputs < 1) | (outputs > outputs.size))
@@ -173,37 +178,36 @@ def read_scores(path, mode: str) -> RankingProblem:
                                    f"the output column, got {texts[i]!r} (type error)")
             raise InvalidInput(f"RA ranker outputs must lie in [1, {outputs.size}], "
                                f"got {texts[i]!r} at {path}:{lines[i]}")
-    calib = [i for i, flag in enumerate(is_calib) if flag]
-    test = [i for i, flag in enumerate(is_calib) if not flag]
-    bad = next((i for i in test if ranks[i]), None)
-    if bad is not None:
-        raise InvalidData(f"{path}:{lines[bad]}: test rows must leave calib_rank empty")
-    calib_ranks = _parse(path, [ranks[i] for i in calib], [lines[i] for i in calib],
+    bad = np.flatnonzero(ranks.astype(bool) & ~is_calib)  # a cell is true unless empty
+    if bad.size:
+        raise InvalidData(f"{path}:{lines[bad[0]]}: test rows must leave calib_rank empty")
+    calib, test = np.flatnonzero(is_calib), np.flatnonzero(~is_calib)
+    # the lines are read only to locate a cell that is not an integer
+    calib_ranks = _parse(path, ranks[calib].tolist(), compress(lines, is_calib),
                          int, "calib_rank {!r} is not an integer")
-    _check_unique_ids(path, ids)
-    if not calib:
+    if not calib.size:
         raise InvalidData(f"{path}: no calibration rows")
-    order = calib + test
+    order = np.concatenate([calib, test])
     truths = columns["true_value"]
     if any(truths) and not all(truths):
         raise InvalidData(f"{path}: true_value must be set on all rows or none")
     truth = _parse_truth(path, truths, lines) if all(truths) else None
     try:
         return RankingProblem(
-            n=len(calib),
-            m=len(test),
+            n=calib.size,
+            m=test.size,
             calib_ranks=np.asarray(calib_ranks),
             ranker_mode=mode,
-            ranker_outputs=np.asarray(outputs)[order],
+            ranker_outputs=outputs[order],
             truth=None if truth is None else truth[order],
-            ids=[ids[i] for i in order],
+            ids=np.array(columns["id"], dtype=object)[order].tolist(),
         )
     except InvalidInput as exc:
         # The RA outputs were checked above; what is left is a data-file defect.
         raise InvalidData(f"{path}: {exc}") from exc
     except TiesDetected as exc:
         # RankingProblem checks the VA outputs first, then the truth.
-        raise _tie_at_lines(path, lines, exc, *([outputs] if mode == VA else []),
+        raise _tie_at_lines(path, lines, exc, *([outputs.tolist()] if mode == VA else []),
                             truth) from exc
 
 
@@ -223,9 +227,12 @@ def _tie_at_lines(path, lines, exc: TiesDetected, *columns) -> TiesDetected:
     return TiesDetected(f"{path}: lines {lines[first]} and {lines[second]}: {exc}")
 
 
-def _check_unique_ids(path, ids) -> None:
+def _check_unique_ids(path, ids, lines) -> None:
+    """Refuse a table that lists an item id twice, at the line of its second row."""
     if len(set(ids)) != len(ids):
-        raise InvalidData(f"{path}: item ids must be unique")
+        _, second = _first_repeat(ids)
+        raise InvalidData(f"{path}:{lines[second]}: item id {ids[second]!r} "
+                          "is listed more than once")
 
 
 def _parse_truth(path, texts, lines) -> np.ndarray:
@@ -244,20 +251,18 @@ def read_truth(path) -> tuple[list[str], int, int, np.ndarray]:
     """ids, n, m, and the true pooled rank of each row from a scores CSV.
 
     Lenient companion to :func:`read_scores` for evaluation inputs: the
-    output column is not typed or validated, but the split is read by the
-    same rule, and every row must carry a true_value that is a number other
-    than NaN, and no two may be equal.
+    output column is not typed or validated, but the split and the ids are
+    read by the same rules, and every row must carry a true_value that is a
+    number other than NaN, and no two may be equal.
     """
-    columns, lines = _read_csv(path, SCORES_HEADER)
-    ids = list(columns["id"])
-    n = sum(_parse_split(path, columns["split"], lines))
+    columns, lines, is_calib = _read_scores_table(path)
     truth = _parse_truth(path, columns["true_value"], lines)
-    _check_unique_ids(path, ids)
     try:
         true_ranks = ranks_within(truth, "truth")
     except TiesDetected as exc:
         raise _tie_at_lines(path, lines, exc, truth.tolist()) from exc
-    return ids, n, len(ids) - n, true_ranks
+    n = int(np.count_nonzero(is_calib))
+    return list(columns["id"]), n, len(is_calib) - n, true_ranks
 
 
 def envelope_to_doc(env: Envelope) -> dict:
@@ -386,10 +391,7 @@ def read_sets(path) -> RankSets:
         sets = RankSets(items=columns["id"], lo=lo, hi=hi)
     except InvalidInput as exc:
         raise InvalidData(f"{path}: {exc}") from exc
-    if len(set(sets.items)) != len(sets.items):
-        _, second = _first_repeat(sets.items)
-        raise InvalidData(
-            f"{path}: item id {sets.items[second]!r} is listed more than once")
+    _check_unique_ids(path, sets.items, lines)
     return sets
 
 

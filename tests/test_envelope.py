@@ -724,7 +724,7 @@ def test_available_memory_is_capped_by_the_cgroup_limit(monkeypatch, tmp_path):
     meminfo, limit, current = (tmp_path / name for name in ("meminfo", "max", "current"))
     meminfo.write_text("MemTotal:           9000 kB\nMemAvailable:       8192 kB\n")
     for name, path in (("_MEMINFO", meminfo), ("_CGROUP_MAX", limit),
-                       ("_CGROUP_CURRENT", current)):
+                       ("_CGROUP_CURRENT", current), ("_CGROUP_STAT", tmp_path / "no-stat")):
         monkeypatch.setattr(envelope, name, str(path))
     limit.write_text(f"{4 * 2**20}\n")
     current.write_text(f"{2**20}\n")
@@ -747,6 +747,37 @@ def test_available_memory_is_capped_by_the_cgroup_limit(monkeypatch, tmp_path):
     limit.write_text(f"{4 * 2**20}\n")
     current.unlink()
     assert envelope._available_memory() == 8 * 2**20
+
+
+def test_available_memory_does_not_count_reclaimable_cache(monkeypatch, tmp_path):
+    # the cgroup may use 4 MiB and holds 3 MiB, 2 MiB of it inactive page cache
+    meminfo, limit, current, stat = (tmp_path / name
+                                     for name in ("meminfo", "max", "current", "stat"))
+    meminfo.write_text("MemAvailable:       8192 kB\n")
+    for name, path in (("_MEMINFO", meminfo), ("_CGROUP_MAX", limit),
+                       ("_CGROUP_CURRENT", current), ("_CGROUP_STAT", stat)):
+        monkeypatch.setattr(envelope, name, str(path))
+    limit.write_text(f"{4 * 2**20}\n")
+    current.write_text(f"{3 * 2**20}\n")
+    stat.write_text(f"anon {2**20}\nfile {2 * 2**20}\nactive_file 0\n"
+                    f"inactive_file {2 * 2**20}\nslab 4096\n")
+    assert envelope._available_memory() == 3 * 2**20
+    # a sample of about 2 MiB with one sub-block's buffers fits
+    assert simulate_sorted_ranks(10, 10, 150_000, seed=1).K == 150_000
+    # the reclaimable part never exceeds the use, nor the result the limit
+    stat.write_text(f"inactive_file {8 * 2**20}\n")
+    assert envelope._available_memory() == 4 * 2**20
+    # a stat file without the line, unreadable, or missing: the use as reported
+    for text in ("anon 0\nfile 0\n", "inactive_file many\n"):
+        stat.write_text(text)
+        assert envelope._available_memory() == 2**20
+    stat.unlink()
+    assert envelope._available_memory() == 2**20
+    with pytest.raises(SampleTooLarge, match=r"^K=150000 trajectories of n=10 ranks need "
+                       r"2 MiB, more than the 1 MiB of available memory; lower K$"):
+        simulate_sorted_ranks(10, 10, 150_000, seed=1)
+    stat.mkdir()  # reading a directory raises an OSError
+    assert envelope._available_memory() == 2**20
 
 
 def _envelope(**overrides):

@@ -249,6 +249,8 @@ def test_read_sets_error_messages(tmp_path):
         ("id,lo,hi\nt0,1,2\n\nt1,x,2\n", f"{path}:4: lo 'x' is not an integer"),
         ("id,lo,hi\nt1,1,2.5\n", f"{path}:2: hi '2.5' is not an integer"),
         ("id,lo,hi\nt1,3,2\n", f"{path}: need 1 <= lo <= hi, got [3, 2] for item 't1'"),
+        ("id,lo,hi\nt1,1,2\nt2,1,2\n\nt1,1,2\n",
+         f"{path}:5: item id 't1' is listed more than once"),
         # was numpy's "Python int too large to convert to C long"
         ("id,lo,hi\nt1,1,2\nt2,1,99999999999999999999\n",
          f"{path}: ranks must be below 2**63, got 99999999999999999999 for item 't2'"),
@@ -278,7 +280,7 @@ def test_read_sets_error_messages(tmp_path):
      "{path}: true_value must be set on all rows or none"),
     ("scores", SCORES_HEADER + "t1,test,0.1,,\nt2,test,0.2,,\n", "{path}: no calibration rows"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nc1,test,0.2,,\n",
-     "{path}: item ids must be unique"),
+     "{path}:3: item id 'c1' is listed more than once"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nc2,calib,0.3,3,\nt1,test,0.2,,\n",
      "{path}: calib_ranks must be a permutation of 1..n"),
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\n\nt1,test,0.2,,\n",
@@ -286,7 +288,7 @@ def test_read_sets_error_messages(tmp_path):
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,x\n",
      "{path}:3: bad true_value"),
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\nc1,test,0.2,,0.7\n",
-     "{path}: item ids must be unique"),
+     "{path}:3: item id 'c1' is listed more than once"),
     # a bad or NaN true_value: a traceback, or a NaN ranked last, before
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,x\n",
      "{path}:3: bad true_value"),

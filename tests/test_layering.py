@@ -8,6 +8,8 @@ whole-number rule for ranks.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,24 @@ def test_import_sites_the_benchmark_tracer_wraps():
     assert cli.predict_sets is conformal.predict_sets
     assert cli.fcp_calibration is conformal.fcp_calibration
     assert evaluate.fcp_calibration is conformal.fcp_calibration
+
+
+def test_the_benchmark_tracer_finds_every_layer_it_times():
+    # perfbench/tracer.py wraps its layers by name; a renamed or re-imported
+    # function would stop a traced benchmark run, and only the benchmark's
+    # own tests would say so
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "import tracer, workloads\n"
+        "tracer.install(tracer.Tracer())\n"
+        "assert tracer.unwrapped_sites() == []\n"
+        "layers = {name for names in workloads.EXPECTED_LAYERS.values() for name in names}\n"
+        "assert layers <= set(tracer.LAYER_NAMES), sorted(layers - set(tracer.LAYER_NAMES))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(perfbench), str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_main_is_the_one_manifest_writer():
