@@ -320,13 +320,22 @@ def _edge_guesses(rows: np.ndarray, needles: np.ndarray, limit: np.ndarray):
     ``b`` by a further ``2 b (high - low)``, so the rows, laid end to end,
     stay in order and apart, and each probe, clipped to ``[low, high]``
     first, stays within its own row's span.  ``v -/+ s`` and the shifted sums
-    round, and a span that overflows gives no order at all, so the results
-    are guesses, never answers: callers check them.
+    round, so the results are guesses, never answers: callers check them.
+    Where the shifted layout would overflow (``2 R (high - low)`` not
+    finite for ``R`` rows), every value is first scaled by
+    ``2**-(3 + R.bit_length())``: a power of two scales exactly, and this
+    one keeps every shifted sum finite.
     """
     low, high = rows[:, 0].min(), rows[:, -1].max()
+    count = rows.shape[0]
+    # Python floats overflow to inf without a warning
+    if not math.isfinite(2.0 * count * (float(high) - float(low))):
+        scale = 2.0 ** -(3 + count.bit_length())
+        rows, needles, limit = rows * scale, needles * scale, limit * scale
+        low, high = low * scale, high * scale
     guesses = []
     with np.errstate(over="ignore", invalid="ignore"):
-        offset = np.arange(rows.shape[0])[:, None] * (2.0 * (high - low))
+        offset = np.arange(count)[:, None] * (2.0 * (high - low))
         keys = rows - low
         keys += offset
         for probes, side in ((needles - limit, "left"), (needles + limit, "right")):

@@ -35,6 +35,13 @@ Four constructions are provided:
                       contain it; ``gamma`` is an order statistic of those
                       exit levels, with no sort and no search over ``j``.
 
+Every simulated trajectory is strictly increasing, and
+:class:`SortedRankSample` refuses one that is not.  So at each level the
+per-rank order statistics are strictly increasing in the rank too: where
+every row has ``R(r) < R(r + 1)``, the ``j``-th smallest (or largest) value
+at rank ``r + 1`` lies above the one at rank ``r``.  The quantile bounds are
+those order statistics as they are, with no monotonicity repair.
+
 Monte-Carlo calibration costs an extra ``4 sqrt(log(nK) / K)`` of confidence
 (:func:`mc_guarantee_slack`), recorded in ``Envelope.mc_meta`` so reports can
 state the effective level ``1 - delta - slack``.
@@ -135,11 +142,11 @@ class SortedRankSample:
     stores the narrowest unsigned dtype that holds ``n + m``, column-major:
     ``trajectories.T`` is C-contiguous, so the ``K`` ranks at one calibration
     rank are adjacent and every pass over the sample (validation, fits,
-    coverage) walks whole columns.  Under numpy's promotion rules an unsigned array combined with a
-    Python int stays unsigned and can wrap around, so the kernels combine the
-    sample only with int64 or intp arrays (the quantile fit's offsets), float
-    arrays (the linear fit's ``center``) or bounds cast to the narrowest
-    dtype that holds both (:func:`_count_inside`), never with a Python scalar.
+    coverage) walks whole columns.  Under numpy's promotion rules an unsigned
+    array combined with a Python int stays unsigned and can wrap around, so
+    the kernels combine the sample only with int64 or intp arrays (the
+    quantile fit's offsets, :func:`_count_inside`'s bounds) or float arrays
+    (the linear fit's ``center``), never with a Python scalar.
     """
 
     n: int
@@ -156,13 +163,15 @@ class SortedRankSample:
         if traj.shape[0] < 1:
             raise InsufficientSample("K=0 trajectories; a sample needs K >= 1")
         _check_integers(traj, "trajectory ranks")  # the fits index count tables with them
-        if traj.min() < 1 or traj.max() > self.n + self.m:
-            raise InvalidInput("trajectory ranks must lie in [1, n+m]")
         cols = traj.T
         pairs = np.full(self.n - 1, traj.shape[0])
         if not all(np.all(cols[c0 + 1:c1 + 1] > cols[c0:c1])
                    for c0, c1 in _column_groups(pairs)):
             raise InvalidInput("trajectories must be strictly increasing")
+        # increasing rows take their least value in the first column and
+        # their greatest in the last
+        if cols[0].min() < 1 or cols[-1].max() > self.n + self.m:
+            raise InvalidInput("trajectory ranks must lie in [1, n+m]")
         self.trajectories = traj
 
     @property
@@ -455,11 +464,12 @@ def mc_guarantee_slack(n: int, K: int) -> float:
     return 4.0 * math.sqrt(math.log(n * K) / K)
 
 
-def _check_fit_level(K: int, delta: float) -> None:
+def _check_fit_level(K: int, delta: float) -> int:
     """Refuse a level ``1 - delta`` that ``K`` trajectories cannot resolve.
 
-    The fits check their sample with it; :func:`build_envelope` checks ``K``
-    before simulating, so a hopeless request draws nothing.
+    Returns ``need = max(1, ceil((1 - delta) K))``, the trajectories a fit
+    must hold.  The fits check their sample with it; :func:`build_envelope`
+    checks ``K`` before simulating, so a hopeless request draws nothing.
     """
     if not 0.0 <= delta < 1.0:
         raise InvalidDelta(f"delta={delta} outside [0, 1)")
@@ -467,6 +477,7 @@ def _check_fit_level(K: int, delta: float) -> None:
         raise InsufficientSample(
             f"K={K} trajectories cannot resolve delta={delta}; need K >= 1/delta"
         )
+    return max(1, _ceil_count(1.0 - delta, K))
 
 
 def _mc_meta(sims: SortedRankSample) -> MonteCarloMeta:
@@ -477,11 +488,6 @@ def _mc_meta(sims: SortedRankSample) -> MonteCarloMeta:
 
 def _count_inside(traj: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> int:
     """Trajectories with every coordinate in ``[lower, upper]``, counted over column groups."""
-    # compare in the narrowest dtype that holds the sample and the bounds,
-    # the sample's own where the bounds fit, rather than widening every entry
-    top = max(int(lower.max()), int(upper.max()))
-    dtype = np.result_type(traj.dtype, np.min_scalar_type(top))
-    lower, upper = lower.astype(dtype), upper.astype(dtype)
     cols = traj.T
     inside = np.ones(traj.shape[0], dtype=bool)
     for c0, c1 in _column_groups(np.full(traj.shape[1], traj.shape[0])):
@@ -501,7 +507,7 @@ def fit_linear_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     rounded outward and clipped to ``[1, n+m]``, which can only enlarge the
     envelope.
     """
-    _check_fit_level(sims.K, delta)
+    need = _check_fit_level(sims.K, delta)
     n, m, K = sims.n, sims.m, sims.K
     r = np.arange(1, n + 1, dtype=float)
     center = r + (m + 1) * r / n
@@ -512,7 +518,6 @@ def fit_linear_envelope(sims: SortedRankSample, delta: float) -> Envelope:
         np.abs(far, out=far)
         np.maximum(deviations, far.max(axis=0), out=deviations)
     deviations /= m + 1
-    need = max(1, _ceil_count(1.0 - delta, K))
     c_hat = float(np.partition(deviations, need - 1)[need - 1])
     return _band_envelope(n, m, delta, c_hat, "linear", _mc_meta(sims))
 
@@ -550,11 +555,12 @@ def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
     quarter of the sample's memory, and otherwise counted again once ``j*``
     is known.
 
-    Maximality holds for the raw per-rank bounds.  A final monotonicity
-    repair (suffix-min on lower, prefix-max on upper) can only enlarge the
-    envelope, so the training constraint is preserved.
+    The bounds need no monotonicity repair: every trajectory of a valid
+    sample is strictly increasing, so at any one level the order statistics
+    are strictly increasing in the rank (see the module docstring), and
+    ``j*`` is maximal for the bounds as returned.
     """
-    _check_fit_level(sims.K, delta)
+    need = _check_fit_level(sims.K, delta)
     n, m, K = sims.n, sims.m, sims.K
     cols = sims.trajectories.T
     first = cols.min(axis=1).astype(np.int64)
@@ -585,7 +591,6 @@ def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
         np.minimum(hist, local, out=hist)
         level = hist.astype(level_dtype)
         np.minimum(exit_level, level.take(values).min(axis=0), out=exit_level)
-    need = max(1, _ceil_count(1.0 - delta, K))
     best = min(K // 2, int(np.partition(exit_level, K - need)[K - need]) - 1)
 
     # The (j+1)-th smallest value of column i of a group is the first entry
@@ -601,9 +606,6 @@ def fit_quantile_envelope(sims: SortedRankSample, delta: float) -> Envelope:
         at = np.arange(c1 - c0) * K
         lower[c0:c1] = np.searchsorted(le, at + best, "right") - offsets
         upper[c0:c1] = np.searchsorted(le, at + (K - 1 - best), "right") - offsets
-
-    lower = np.minimum.accumulate(lower[::-1])[::-1]
-    upper = np.maximum.accumulate(upper)
     return Envelope(
         n=n, m=m, delta=delta, kind="quantile", lower=lower, upper=upper,
         param=best / K, mc_meta=_mc_meta(sims),

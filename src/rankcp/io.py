@@ -178,6 +178,11 @@ def read_scores(path, mode: str) -> RankingProblem:
                                    f"the output column, got {texts[i]!r} (type error)")
             raise InvalidInput(f"RA ranker outputs must lie in [1, {outputs.size}], "
                                f"got {texts[i]!r} at {path}:{lines[i]}")
+    else:
+        bad = np.flatnonzero(~np.isfinite(outputs))  # float('1e400') is inf
+        if bad.size:
+            i = bad[0]
+            raise InvalidData(f"{path}:{lines[i]}: output {texts[i]!r} is not finite")
     bad = np.flatnonzero(ranks.astype(bool) & ~is_calib)  # a cell is true unless empty
     if bad.size:
         raise InvalidData(f"{path}:{lines[bad[0]]}: test rows must leave calib_rank empty")

@@ -327,11 +327,8 @@ def test_va_sets_equal_brute_force_where_edges_are_crowded(case):
         assert _bounds(predict_sets(one, Threshold(k=1, value=float(s)))) == expected
 
 
-def test_va_guesses_that_miss_are_bisected(monkeypatch):
-    # fl(3.0 - 0.2) is 2.8, so searchsorted(v - s) puts 2.8 inside the set of
-    # 3.0, but |2.8 - 3.0| = 0.2000000000000002 > 0.2; and 1 - 0.9 rounds one
-    # float above x = 0.09999999999999996, which |x - 1| <= 0.9 admits.  Only
-    # the check sends such an item to the bisection.
+def _count_bisected(monkeypatch) -> list[int]:
+    """A list that records the item count of each :func:`conformal._bisect` call."""
     calls = []
     original = conformal._bisect
 
@@ -340,6 +337,15 @@ def test_va_guesses_that_miss_are_bisected(monkeypatch):
         return original(lo, hi, pred)
 
     monkeypatch.setattr(conformal, "_bisect", counted)
+    return calls
+
+
+def test_va_guesses_that_miss_are_bisected(monkeypatch):
+    # fl(3.0 - 0.2) is 2.8, so searchsorted(v - s) puts 2.8 inside the set of
+    # 3.0, but |2.8 - 3.0| = 0.2000000000000002 > 0.2; and 1 - 0.9 rounds one
+    # float above x = 0.09999999999999996, which |x - 1| <= 0.9 admits.  Only
+    # the check sends such an item to the bisection.
+    calls = _count_bisected(monkeypatch)
     for values, s, bounds in (([2.8, 3.0], 0.2, [(2, 2)]),
                               ([0.09999999999999996, 1.0], 0.9, [(1, 2)])):
         calls.clear()
@@ -350,6 +356,25 @@ def test_va_guesses_that_miss_are_bisected(monkeypatch):
     calls.clear()
     sets = predict_sets(_va_problem([0.2, 0.7, 0.9, 1.0], [0, 2]), Threshold(k=1, value=0.25))
     assert _bounds(sets) == [(1, 1), (2, 4)] and calls == []
+
+
+@pytest.mark.parametrize("rows", [1, 50])
+def test_va_guesses_hold_at_spans_near_the_largest_float(monkeypatch, rows):
+    # outputs in +-1.5e308 overflowed the shifted layout of _edge_guesses,
+    # and nearly every guess went to the bisection (191 of 200 edges on one
+    # row); scaled by a power of two first, every guess holds
+    calls = _count_bisected(monkeypatch)
+    rng = np.random.default_rng(rows)
+    n = m = 100
+    values = 1.5e308 * rng.uniform(-1.0, 1.0, (rows, n + m))
+    limits = 1.5e308 * rng.uniform(0.0, 0.2, rows)
+    batch = RankingProblem(n=n, m=m, calib_ranks=np.tile(np.arange(1, n + 1), (rows, 1)),
+                           ranker_mode="VA", ranker_outputs=values)
+    sets = predict_sets(batch, Threshold(k=1, value=limits))
+    assert calls == []
+    for i, (row, s) in enumerate(zip(values, limits)):
+        expected = _brute_force_bounds(row, n, s)
+        assert list(zip(sets.lo[i].tolist(), sets.hi[i].tolist())) == expected
 
 
 def _adjacent_float_values(rng):

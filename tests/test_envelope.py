@@ -162,7 +162,7 @@ def test_quantile_fit_gamma_zero_is_min_max():
     sims = simulate_sorted_ranks(6, 10, 100, seed=9)
     env = fit_quantile_envelope(sims, delta=0.01)
     assert env.param == 0.0
-    # suffix-min / prefix-max of column min / max equal them (already monotone)
+    # the column minima and maxima, increasing in the rank as they are
     assert np.array_equal(env.lower, sims.trajectories.min(axis=0))
     assert np.array_equal(env.upper, sims.trajectories.max(axis=0))
     assert envelope_coverage(env, sims) == 1.0
@@ -246,8 +246,8 @@ def test_envelope_coverage_cases():
 
 
 def test_coverage_of_a_narrow_sample_against_wider_bounds():
-    # an int8 sample (every rank <= 127) against bounds reaching n+m = 200,
-    # which int8 cannot hold: the comparison dtype widens to hold both
+    # an int8 sample (every rank <= 127) against int64 bounds reaching
+    # n+m = 200, which int8 cannot hold: numpy compares them as int64
     rng = np.random.default_rng(12)
     n, m, K = 100, 100, 400
     wide = np.sort([rng.choice(127, n, replace=False) + 1 for _ in range(K)], axis=1)
@@ -320,9 +320,7 @@ def _reference_quantile_fit(traj, delta):
             mid = (lo_j + hi_j) // 2
             lo_j, hi_j = (mid, hi_j) if feasible(mid) else (lo_j, mid)
         best = lo_j
-    lower = np.minimum.accumulate(ordered[best][::-1])[::-1]
-    upper = np.maximum.accumulate(ordered[K - 1 - best])
-    return lower, upper, best / K
+    return ordered[best], ordered[K - 1 - best], best / K
 
 
 def _reference_linear_param(traj, m, delta):
@@ -604,6 +602,49 @@ def test_simulation_ranks_clashing_prefixes_on_exact_keys(monkeypatch, n, m, K):
     assert clashing.any() and not clashing.all()
     assert np.any(same_prefix & ~same_uniform)  # a clash the exact keys order
     assert np.any(same_uniform & (ordered[:, 1:] != ordered[:, :-1]))  # a tie of two words
+
+
+@st.composite
+def _valid_samples(draw):
+    """``(n, m, traj)``: strictly increasing rows of any law, dtype and layout."""
+    n, m, K = draw(st.integers(1, 12)), draw(st.integers(0, 12)), draw(st.integers(1, 60))
+    rows = [sorted(draw(st.lists(st.integers(1, n + m), min_size=n, max_size=n,
+                                 unique=True))) for _ in range(K)]
+    dtype = draw(st.sampled_from([np.uint8, np.int8, np.uint16, np.int32, np.int64,
+                                  np.uint64]))
+    traj = np.array(rows, dtype=dtype)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        traj = np.asfortranarray(traj)
+    elif layout == "strided":  # every other row of a larger array
+        traj = np.repeat(traj, 2, axis=0)[::2]
+    return n, m, traj
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample=_valid_samples(), delta=st.floats(0.0, 0.9))
+def test_quantile_bounds_are_the_column_order_statistics(sample, delta):
+    # strictly increasing rows make each level's order statistics strictly
+    # increasing in the rank, so the fit's bounds are them, unrepaired
+    n, m, traj = sample
+    K = traj.shape[0]
+    assume(delta == 0.0 or K >= 1 / delta)
+    env = fit_quantile_envelope(SortedRankSample(n=n, m=m, seed=0, trajectories=traj), delta)
+    j = round(env.param * K)
+    ordered = np.sort(traj, axis=0)
+    assert np.array_equal(env.lower, ordered[j])
+    assert np.array_equal(env.upper, ordered[K - 1 - j])
+    assert np.all(np.diff(env.lower) > 0) and np.all(np.diff(env.upper) > 0)
+
+
+def test_sample_breaking_order_and_range_reports_the_order():
+    # the order is checked first; the range is then read from the end columns
+    traj = np.array([[1, 2, 3], [2, 9, 4]], dtype=np.uint8)  # 9 > n+m and 9 > 4
+    with pytest.raises(InvalidInput, match="^trajectories must be strictly increasing$"):
+        SortedRankSample(n=3, m=2, seed=0, trajectories=traj)
+    for row in ([0, 2, 3], [1, 2, 6]):
+        with pytest.raises(InvalidInput, match=r"^trajectory ranks must lie in \[1, n\+m\]$"):
+            SortedRankSample(n=3, m=2, seed=0, trajectories=np.array([[1, 2, 3], row]))
 
 
 def test_sample_validation_checks_every_column_group_and_the_dtype():

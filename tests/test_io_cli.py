@@ -276,6 +276,13 @@ def test_read_sets_error_messages(tmp_path):
      "{path}:2: calib_rank '1.5' is not an integer"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nt1,test,abc,,\n",
      "{path}:3: output 'abc' is not a number"),
+    # a VA output that is not finite was refused without its line
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,\n\nt1,test,inf,,\n",
+     "{path}:4: output 'inf' is not finite"),
+    ("scores", SCORES_HEADER + "c1,calib,nan,1,\nt1,test,-inf,,\n",
+     "{path}:2: output 'nan' is not finite"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nt1,test,1e400,,\n",
+     "{path}:3: output '1e400' is not finite"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,\n",
      "{path}: true_value must be set on all rows or none"),
     ("scores", SCORES_HEADER + "t1,test,0.1,,\nt2,test,0.2,,\n", "{path}: no calibration rows"),
@@ -874,6 +881,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "s.csv")]) == 4
     assert f"data error: {tied}: lines 2 and 3: VA ranker outputs contain" in (
         capsys.readouterr().err)
+    # data: a VA output that is not finite, by line
+    tied.write_text(SCORES_HEADER + "c1,calib,0.1,1,\nt1,test,1e400,,\n")
+    assert main(["predict", "--scores", str(tied), "--envelope", str(envelope),
+                 "--alpha", "0.25", "--mode", "VA",
+                 "--out", str(tmp_path / "s.csv")]) == 4
+    assert f"data error: {tied}:3: output '1e400' is not finite" in capsys.readouterr().err
     # data: a Monte-Carlo sample larger than the machine's memory is refused
     # before anything is allocated
     assert main(["simulate-envelope", "--n", "10", "--m", "10", "--kind", "quantile",

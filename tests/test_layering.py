@@ -109,6 +109,28 @@ def test_the_benchmark_tracer_finds_every_layer_it_times():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_benchmark_oracles_accept_one_pass_of_every_workload(tmp_path):
+    # a library change that makes the benchmark count failed operations or
+    # wrong outputs fails here, at the self-test sizes, and not only in the
+    # benchmark's own suite
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        "import sys; from pathlib import Path\n"
+        "work = Path(sys.argv[1]); sys.path[:0] = sys.argv[2:]\n"
+        "import workloads\n"
+        "for name, sz in workloads.TINY.items():\n"
+        "    d = work / name; d.mkdir()\n"
+        "    workloads.setup(name, 3, d, sz)\n"
+        "    ops = workloads.run_pass(name, 3, d, sz)['ops']\n"
+        "    assert all(rec['ok'] for rec in ops), [rec['op'] for rec in ops if not rec['ok']]\n"
+        "    failures, _ = workloads.CHECKS[name](3, d, sz, ops)\n"
+        "    assert not failures, (name, failures)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(perfbench),
+                           str(PACKAGE.parent)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_main_is_the_one_manifest_writer():
     # every subcommand's manifest is built in one place, so a field added
     # there reaches all of them
