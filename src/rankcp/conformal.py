@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .envelope import Envelope
+from .envelope import Envelope, _ceil_count, check_delta
 from .errors import (
     DimensionMismatch,
     InfeasibleLevel,
@@ -252,6 +252,7 @@ def proxy_scores(problem: RankingProblem, env: Envelope) -> np.ndarray:
 def select_k(alpha: float, delta: float, n: int) -> int:
     """Calibration index ``k = ceil((1 - alpha + delta)(n + 1))``.
 
+    The ceiling is the envelope fits' own, ``envelope._ceil_count``.
     ``delta = 0`` recovers plain split calibration (used by the oracle
     baseline and the naive envelope).  Raises :class:`InfeasibleLevel` when
     ``k > n``: there is no finite k-th order statistic among n scores, so the
@@ -261,7 +262,7 @@ def select_k(alpha: float, delta: float, n: int) -> int:
         raise InvalidInput(f"need 0 <= delta < alpha < 1, got alpha={alpha}, delta={delta}")
     if n < 1:
         raise InvalidInput("need n >= 1")
-    k = int(math.ceil((1.0 - alpha + delta) * (n + 1) - 1e-9))
+    k = _ceil_count(1.0 - alpha + delta, n + 1)
     if k > n:
         raise InfeasibleLevel(
             f"k={k} exceeds n={n} for alpha={alpha}, delta={delta}; "
@@ -346,16 +347,6 @@ def _edge_guesses(rows: np.ndarray, needles: np.ndarray, limit: np.ndarray):
     return guesses
 
 
-def _in_rank_order(own: np.ndarray, size: int) -> np.ndarray:
-    """Indices of the items in increasing order of their distinct flat positions ``own``.
-
-    A scatter into ``size`` slots and a gather, not a sort.
-    """
-    item_at = np.full(size, -1)
-    item_at[own] = np.arange(own.size)
-    return item_at[item_at >= 0]
-
-
 def _checked_search(guess: np.ndarray, lo: np.ndarray, hi: np.ndarray, pred) -> np.ndarray:
     """:func:`_bisect`'s answer, from a guess that is checked on the predicate itself.
 
@@ -391,8 +382,9 @@ def predict_sets(problem: RankingProblem, thr: Threshold) -> RankSets:
     guess fails the check is bisected on the predicate over its full range.
     So the sets are exact at any magnitude, with O(n+m) memory.
 
-    VA reads ``problem.sorted_outputs`` and each item's own rank from
-    ``problem.predicted_ranks``, so nothing is sorted here.  For a batch
+    VA reads ``problem.sorted_outputs``, each item's own rank from
+    ``problem.predicted_ranks`` and the order of its needles from
+    ``problem.test_order``, so nothing is sorted here.  For a batch
     problem and its per-row threshold the result has ``(rows, m)`` columns.
     VA then searches all rows at once: the sorted rows are laid end to end and
     each item's edges lie in its own row's span, against its own row's
@@ -412,12 +404,11 @@ def predict_sets(problem: RankingProblem, thr: Threshold) -> RankSets:
         lo, hi = np.maximum(pred - reach, 1), np.minimum(pred + reach, total)
     else:
         rows = np.atleast_2d(problem.sorted_outputs)
-        tests = np.atleast_2d(problem.test_outputs)
         ordered = rows.ravel()
         # flat index of the first sorted output of each test item's own row
         start = np.repeat(np.arange(0, ordered.size, total), problem.m)
         own = start + problem.predicted_ranks[..., problem.n :].ravel() - 1
-        values = tests.ravel()
+        values = problem.test_outputs.ravel()
         limit = np.broadcast_to(per_item, problem.test_outputs.shape).ravel()
 
         def within(i, at):
@@ -425,11 +416,11 @@ def predict_sets(problem: RankingProblem, thr: Threshold) -> RankSets:
             with np.errstate(over="ignore"):
                 return np.abs(ordered[i] - values[at]) <= limit[at]
 
-        # the test items in sorted order, row by row, so the needles increase
-        by_rank = _in_rank_order(own, ordered.size)
+        # the flat test items in rank order, row by row, so the needles increase
+        by_rank = (problem.test_order + np.arange(len(rows))[:, None] * problem.m).ravel()
         low, high = np.empty_like(own), np.empty_like(own)
         low[by_rank], high[by_rank] = _edge_guesses(
-            rows, values[by_rank].reshape(tests.shape), np.atleast_2d(per_item))
+            rows, values[by_rank].reshape(len(rows), problem.m), np.atleast_2d(per_item))
         lo = _checked_search(low, start, own, within) - start + 1
         hi = _checked_search(high, own + 1, start + total,
                              lambda i, at: ~within(i, at)) - start
@@ -475,8 +466,7 @@ def fcp_calibration(
         raise InvalidInput(f"alpha_bar={alpha_bar} outside [0, 1)")
     if not 0.0 < beta_bar < 1.0:
         raise InvalidInput(f"beta_bar={beta_bar} outside (0, 1)")
-    if not 0.0 <= delta < 1.0:
-        raise InvalidInput(f"delta={delta} outside [0, 1)")
+    check_delta(delta)
     if n < 1 or m < 1:
         raise InvalidInput("need n, m >= 1")
 

@@ -47,7 +47,10 @@ Monte-Carlo calibration costs an extra ``4 sqrt(log(nK) / K)`` of confidence
 state the effective level ``1 - delta - slack``.
 
 :func:`build_envelope` builds any kind by name; the experiment harness and
-the CLI build envelopes only through it.
+the CLI build envelopes only through it.  Two level rules live here once:
+:func:`check_delta` refuses a ``delta`` outside ``[0, 1)`` (for envelopes
+and for ``conformal.fcp_calibration``), and :func:`_ceil_count` turns a
+level into a count (the fits' ``need`` and ``conformal.select_k``'s ``k``).
 
 The simulation draws raw Philox words, the ones ``Generator.random`` would
 turn into uniforms, and ranks each row by one in-place sort of the words
@@ -113,8 +116,18 @@ _CGROUP_STAT = "/sys/fs/cgroup/memory.stat"
 
 
 def _ceil_count(q: float, K: int) -> int:
-    """Smallest integer >= q * K, guarded against float fuzz, clipped to [0, K]."""
+    """Smallest integer >= q * K, guarded against float fuzz, clipped to [0, K].
+
+    The one count ceiling of a level: the fits' ``ceil((1 - delta) K)`` and
+    ``conformal.select_k``'s ``ceil((1 - alpha + delta)(n + 1))``.
+    """
     return min(K, max(0, int(math.ceil(q * K - 1e-9))))
+
+
+def check_delta(delta: float) -> None:
+    """Refuse an envelope level ``1 - delta`` with ``delta`` outside ``[0, 1)``."""
+    if not 0.0 <= delta < 1.0:
+        raise InvalidDelta(f"delta={delta} outside [0, 1)")
 
 
 @dataclass
@@ -364,8 +377,7 @@ class Envelope:
             raise InvalidInput(f"need n >= 1 and m >= 0, got n={self.n}, m={self.m}")
         if self.kind not in ENVELOPE_KINDS:
             raise InvalidInput(f"kind must be one of {ENVELOPE_KINDS}")
-        if not 0.0 <= self.delta < 1.0:
-            raise InvalidDelta(f"delta={self.delta} outside [0, 1)")
+        check_delta(self.delta)
         if self.param is not None and not math.isfinite(self.param):
             raise InvalidInput(f"param must be finite, got {self.param}")
         meta = self.mc_meta
@@ -471,8 +483,7 @@ def _check_fit_level(K: int, delta: float) -> int:
     must hold.  The fits check their sample with it; :func:`build_envelope`
     checks ``K`` before simulating, so a hopeless request draws nothing.
     """
-    if not 0.0 <= delta < 1.0:
-        raise InvalidDelta(f"delta={delta} outside [0, 1)")
+    check_delta(delta)
     if delta > 0.0 and K < 1.0 / delta:
         raise InsufficientSample(
             f"K={K} trajectories cannot resolve delta={delta}; need K >= 1/delta"
@@ -631,8 +642,7 @@ def build_envelope(
     from ``seed``, after checking that ``K`` can resolve ``delta``, so a
     hopeless request draws nothing; the other kinds ignore ``K`` and ``seed``.
     """
-    if not 0.0 <= delta < 1.0:
-        raise InvalidDelta(f"delta={delta} outside [0, 1)")
+    check_delta(delta)
     if kind == "naive":
         return naive_envelope(n, m)
     if kind == "theoretical":

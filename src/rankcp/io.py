@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from io import StringIO
 from itertools import compress, islice, repeat
@@ -208,8 +208,10 @@ def read_scores(path, mode: str) -> RankingProblem:
             ids=np.array(columns["id"], dtype=object)[order].tolist(),
         )
     except InvalidInput as exc:
-        # The RA outputs were checked above; what is left is a data-file defect.
-        raise InvalidData(f"{path}: {exc}") from exc
+        # The outputs, the truth and the ids were checked above; what is left
+        # is a set of calib_ranks that is not a permutation of 1..n.
+        raise _bad_calib_rank(path, ranks[calib], list(compress(lines, is_calib)),
+                              calib_ranks) from exc
     except TiesDetected as exc:
         # RankingProblem checks the VA outputs first, then the truth.
         raise _tie_at_lines(path, lines, exc, *([outputs.tolist()] if mode == VA else []),
@@ -224,6 +226,20 @@ def _first_repeat(values) -> tuple[int, int] | None:
             return seen[value], i
         seen[value] = i
     return None
+
+
+def _bad_calib_rank(path, texts, lines, ranks) -> InvalidData:
+    """The first calib row, in file order, whose rank is outside ``[1, n]`` or repeats.
+
+    ``ranks`` that make no permutation of ``1..n`` always hold such a row:
+    ``n`` ranks in ``[1, n]`` with no repeat are one.
+    """
+    n = len(ranks)
+    outside = next((i for i, rank in enumerate(ranks) if not 1 <= rank <= n), n)
+    first, second = _first_repeat(ranks) or (n, n)
+    i = min(outside, second)
+    rule = f"is outside [1, {n}]" if i == outside else f"repeats line {lines[first]}"
+    return InvalidData(f"{path}:{lines[i]}: calib_rank {texts[i]!r} {rule}")
 
 
 def _tie_at_lines(path, lines, exc: TiesDetected, *columns) -> TiesDetected:
@@ -447,13 +463,7 @@ class RunManifest:
 
     def write(self, payload_path) -> None:
         doc = {
-            "tool": self.tool,
-            "version": self.version,
-            "command": self.command,
-            "config": self.config,
-            "seeds": self.seeds,
-            "inputs": self.inputs,
-            "extras": self.extras,
+            **asdict(self),  # the fields, in the order they are declared
             "payload": str(payload_path),
             "payload_sha256": file_digest(payload_path),
             "created_utc": datetime.now(timezone.utc).isoformat(),

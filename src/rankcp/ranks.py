@@ -115,13 +115,13 @@ def as_rank(r) -> int:
     return int(rank)
 
 
-def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``arr`` in increasing order, and the 1-based rank of each element.
+def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of ``arr`` in increasing order, each element's 1-based rank, and the order.
 
     One argsort per call: a NaN, which has no rank, raises
     :class:`InvalidInput`, the sorted neighbours are checked for ties (raising
     :class:`TiesDetected`), both naming ``name``, and the ranks are the
-    inverse permutation of the order.
+    inverse permutation of the order, which is returned as the argsort gave it.
     """
     order = np.argsort(arr, axis=-1)
     ordered = np.take_along_axis(arr, order, axis=-1)
@@ -129,7 +129,7 @@ def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInput(f"{name} contain NaN, which has no rank")
     if np.any(_sorted_has_ties(ordered)):
         raise TiesDetected(f"{name} contain exact duplicates; see break_ties")
-    return ordered, _inverse(order)
+    return ordered, _inverse(order), order
 
 
 def _inverse(order: np.ndarray) -> np.ndarray:
@@ -153,9 +153,9 @@ def rank_va_outputs(outputs: np.ndarray, name: str = "VA ranker outputs"):
     """The rule for VA ranker outputs: finite and tie-free along the last axis.
 
     Returns :func:`_rank_rows` of the float array ``outputs``: each row in
-    increasing order and the rank of each element.  A non-finite output
-    raises :class:`InvalidInput` and a tie :class:`TiesDetected`, naming
-    ``name``.
+    increasing order, the rank of each element and the argsort order.  A
+    non-finite output raises :class:`InvalidInput` and a tie
+    :class:`TiesDetected`, naming ``name``.
     """
     if not np.all(np.isfinite(outputs)):
         raise InvalidInput(f"{name} must be finite")
@@ -206,11 +206,14 @@ class RankingProblem:
     ``truth`` is optional and used for evaluation only; it must hold no NaN.
 
     Validation ranks each row once, and the layers read the result from
-    three read-only arrays instead of sorting again: ``sorted_outputs``, each
+    four read-only arrays instead of sorting again: ``sorted_outputs``, each
     row of VA outputs in increasing order (``None`` in RA mode);
     ``predicted_ranks``, the pooled rank the ranker gives each item (the RA
-    outputs, or the ranks of the VA outputs within their row); and
-    ``true_ranks``, the pooled ranks of ``truth`` (``None`` without truth).
+    outputs, or the ranks of the VA outputs within their row);
+    ``test_order``, the test items' indices ``0..m-1`` in increasing order of
+    their VA outputs, ``(..., m)``, taken from the same argsort (``None`` in
+    RA mode); and ``true_ranks``, the pooled ranks of ``truth`` (``None``
+    without truth).
     They are not recomputed, so build a new problem rather than edit
     ``ranker_outputs`` or ``truth`` in place.
 
@@ -246,7 +249,7 @@ class RankingProblem:
             raise DimensionMismatch(
                 f"ranker_outputs must have length n+m={total}, got {outputs.shape}"
             )
-        self.sorted_outputs = self.true_ranks = None
+        self.sorted_outputs = self.test_order = self.true_ranks = None
         if self.ranker_mode == RA:
             ranks = as_ranks(outputs, "RA ranker outputs")
             if ranks.min() < 1 or ranks.max() > total:
@@ -255,8 +258,10 @@ class RankingProblem:
             self.predicted_ranks = _frozen(ranks.view())
         else:
             self.ranker_outputs = outputs.astype(float)
-            self.sorted_outputs, self.predicted_ranks = map(
+            self.sorted_outputs, self.predicted_ranks, order = map(
                 _frozen, rank_va_outputs(self.ranker_outputs))
+            # each row's order lists its m test items, at n..n+m-1, in rank order
+            self.test_order = _frozen(order[order >= self.n].reshape(lead + (self.m,)) - self.n)
 
         if self.truth is not None:
             t = np.asarray(self.truth, dtype=float)

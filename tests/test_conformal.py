@@ -278,9 +278,11 @@ def _edge_crowded_rows(draw):
     values a few ulps around ``fl(v - s)`` and ``fl(v + s)``, where the
     rounding of ``v -/+ s`` can put a ``searchsorted`` guess one off; the
     magnitudes reach 1e300 and ``s`` may be 0 or large enough to overflow.
+    ``n`` may be the whole row: then ``v`` is a calibration item, and there
+    are no test items (``m = 0``).
     """
     rows, total = draw(st.integers(1, 3)), draw(st.integers(2, 12))
-    n = draw(st.integers(1, total - 1))
+    n = draw(st.integers(1, total))
     values, limits = [], []
     for _ in range(rows):
         v = draw(st.sampled_from([0.0, 1.0, -3.7, 0.1, 1e-300, 2.0**52, 1e300, -1e300]))

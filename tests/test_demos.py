@@ -2,11 +2,14 @@
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from rankcp.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +39,17 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     namespace = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    # the README's rankcp commands, in order and in one directory, as a reader
+    # runs them; a flag the README uses that is renamed or removed fails here
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line.startswith("rankcp ")]
+    assert [argv[1] for argv in commands] == [
+        "synth", "simulate-envelope", "predict", "evaluate", "experiment"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv

@@ -288,8 +288,21 @@ def test_read_sets_error_messages(tmp_path):
     ("scores", SCORES_HEADER + "t1,test,0.1,,\nt2,test,0.2,,\n", "{path}: no calibration rows"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nc1,test,0.2,,\n",
      "{path}:3: item id 'c1' is listed more than once"),
+    # a calib_rank that makes no permutation of 1..n was refused without its
+    # line: the first calib row, in file order, outside [1, n] or repeating
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nc2,calib,0.3,3,\nt1,test,0.2,,\n",
-     "{path}: calib_ranks must be a permutation of 1..n"),
+     "{path}:3: calib_rank '3' is outside [1, 2]"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,\n\nc2,calib,0.3,5,\nt1,test,0.2,,\n",
+     "{path}:4: calib_rank '5' is outside [1, 2]"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nc2,calib,0.3,1,\nt1,test,0.2,,\n",
+     "{path}:3: calib_rank '1' repeats line 2"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,2,\nt1,test,0.2,,\nc2,calib,0.3,2,\n"
+     "c3,calib,0.4,9,\n", "{path}:4: calib_rank '2' repeats line 2"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,0,\nc2,calib,0.3,1,\nc3,calib,0.4,1,\n",
+     "{path}:2: calib_rank '0' is outside [1, 3]"),
+    # was "calib_ranks must be below 2**63", with no line
+    ("scores", SCORES_HEADER + "c1,calib,0.1,99999999999999999999,\nt1,test,0.2,,\n",
+     "{path}:2: calib_rank '99999999999999999999' is outside [1, 1]"),
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\n\nt1,test,0.2,,\n",
      "{path}:4: true_value required for evaluation"),
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,x\n",
@@ -841,7 +854,7 @@ def test_scores_file_errors_are_typed_by_where_they_are_found(tmp_path):
         rio.read_scores(path, "RA")
     path.write_text(SCORES_HEADER + "c1,calib,1,1,\nc2,calib,2,1,\nt1,test,3,,\n")
     with pytest.raises(InvalidData, match=re.escape(
-            f"{path}: calib_ranks must be a permutation of 1..n")):
+            f"{path}:3: calib_rank '1' repeats line 2")):
         rio.read_scores(path, "RA")
 
 

@@ -2,9 +2,10 @@
 
 ``envelope`` builds envelopes and depends on nothing but the error types and
 the random streams; ``conformal`` and ``io`` serve the harness and the CLI
-but never import them; the fit-level check stays inside ``envelope``; and
-``ranks`` alone writes the ranker-mode vocabulary, the ordering rules and the
-whole-number rule for ranks.
+but never import them; the fit-level check stays inside ``envelope``, which
+also writes the ``delta`` range and the count ceiling of a level once each;
+and ``ranks`` alone writes the ranker-mode vocabulary, the ordering rules and
+the whole-number rule for ranks.
 """
 
 import ast
@@ -156,6 +157,12 @@ def _mode_membership_tests(module: str) -> list[int]:
             and any(names(c) == {"RA", "VA"} for c in node.comparators)]
 
 
+def _attribute_uses(module: str, attr: str, context: type) -> list[int]:
+    """Lines where the module reads (``ast.Load``) or sets (``ast.Store``) attribute ``attr``."""
+    return [node.lineno for node in ast.walk(_tree(module)) if isinstance(node, ast.Attribute)
+            and node.attr == attr and isinstance(node.ctx, context)]
+
+
 def _numpy_sorts(module: str) -> list[int]:
     """Lines where the module calls ``np.sort``, ``np.argsort`` or ``np.lexsort``."""
     return [node.lineno for node in ast.walk(_tree(module)) if isinstance(node, ast.Call)
@@ -180,6 +187,11 @@ def test_ranks_owns_the_mode_vocabulary_and_the_ordering():
                               for line in partitions), partitions
     # the array path and the scalar VA scores apply one VA-output rule
     assert "rank_va_outputs" in _names("ranks") & _names("conformal")
+    # the VA test items' order is set where the problem is ranked, and the
+    # sets read it
+    assert {module for module in MODULES
+            if _attribute_uses(module, "test_order", ast.Store)} == {"ranks"}
+    assert _attribute_uses("conformal", "test_order", ast.Load)
     assert not any("check_no_ties" in _names(module) for module in MODULES)
     # no module but ranks sorts values or hands an argsort order to another
     # (envelope's in-place keys.sort is a method of its own key block)
@@ -236,3 +248,40 @@ def test_rank_set_is_a_plain_view():
     assert conformal.RankSet._fields == ("item", "lo", "hi", "kind", "size")
     view = _definition("conformal", "RankSet")
     assert not [node for node in view.body if isinstance(node, ast.FunctionDef)]
+
+
+def _sites(match) -> set[tuple[str, str | None]]:
+    """``(module, function)`` of every node that ``match`` accepts.
+
+    ``function`` is the innermost function around the node, ``None`` at
+    module or class level.
+    """
+    sites = set()
+
+    def visit(module, node, function):
+        if match(node):
+            sites.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            visit(module, child, inner)
+
+    for module in MODULES:
+        visit(module, _tree(module), None)
+    return sites
+
+
+def _message(node) -> str:
+    """The literal text of a ``raise`` node's message, its f-string fields left out."""
+    return "".join(piece.value for piece in ast.walk(node) if isinstance(piece, ast.Constant)
+                   and isinstance(piece.value, str))
+
+
+def test_envelope_owns_the_delta_range_and_the_count_ceiling():
+    # one function refuses a delta outside [0, 1), for envelopes and for the
+    # FCP index alike, and one rounds a level up to a count with the float
+    # guard, for the fits' need and select_k's k; fcp_calibration's floor of
+    # m alpha_bar is the guard's one other use
+    assert _sites(lambda node: isinstance(node, ast.Raise) and "delta=" in _message(node)
+                  and "outside [0, 1)" in _message(node)) == {("envelope", "check_delta")}
+    assert _sites(lambda node: isinstance(node, ast.Constant) and node.value == 1e-9) == {
+        ("envelope", "_ceil_count"), ("conformal", "fcp_calibration")}

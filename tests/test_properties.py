@@ -1,4 +1,4 @@
-"""Property tests of envelopes, proxy scores and envelope-based targets on small problems."""
+"""Property tests of envelopes, proxy scores, targets and stored orders on small problems."""
 
 import math
 from fractions import Fraction
@@ -258,3 +258,24 @@ def test_batch_streams_draw_what_each_stream_draws(seeds, tags, plan):
             assert np.array_equal(_DRAWS[name](gen, k), _DRAWS[name](fresh, k))
         count += 1
     assert count == len(seeds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.sampled_from([None, 1, 3]))
+def test_test_order_is_the_argsort_of_the_test_ranks(data, rows):
+    # a single problem (rows=None) or a batch, m = 0 included: the order that
+    # RankingProblem keeps is the one an argsort of the test items' ranks gives
+    n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 8))
+    row = st.lists(st.floats(-1e300, 1e300), min_size=n + m, max_size=n + m, unique=True)
+    outputs = np.array(data.draw(row) if rows is None
+                       else [data.draw(row) for _ in range(rows)])
+    calib_ranks = np.tile(np.arange(1, n + 1), outputs.shape[:-1] + (1,))
+    problem = RankingProblem(n=n, m=m, calib_ranks=calib_ranks, ranker_mode="VA",
+                             ranker_outputs=outputs)
+    order = problem.test_order
+    assert order.shape == outputs.shape[:-1] + (m,)
+    assert np.array_equal(order, np.argsort(problem.predicted_ranks[..., n:], axis=-1))
+    assert not order.flags.writeable
+    ra = RankingProblem(n=n, m=m, calib_ranks=calib_ranks, ranker_mode="RA",
+                        ranker_outputs=problem.predicted_ranks)
+    assert ra.test_order is None
