@@ -240,7 +240,9 @@ def _cmd_experiment(resolved: dict) -> tuple[dict, dict]:
     for key in ("mean_fcp", "fcp_exceedance", "mean_relative_length",
                 "mean_oracle_ratio"):
         print(f"{key}: {summary[key]:.6g}")
-    return {"master": resolved["seed"]}, {"aggregates": summary}
+    meta = report.threshold_meta
+    return {"master": resolved["seed"]}, {
+        "aggregates": summary, "t_hat": None if meta is None else meta.t_hat}
 
 
 class Command(NamedTuple):

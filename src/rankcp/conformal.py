@@ -39,7 +39,7 @@ The scalar scores :func:`score_ra`, :func:`proxy_score_ra` and
 :func:`proxy_score_va` are kept for the closed-form checks of the API (a VA
 score at one rank ``r`` is ``proxy_score_va(r, r, ...)``); ``ranks`` owns
 the rules they apply, so they refuse what the array path refuses: a rank
-that is not a whole number (``ranks.as_rank``, the one-value case of the
+that is not a whole number (``ranks.as_count``, the one-value case of the
 rule that :class:`RankSets` and :func:`scores_at` apply), and VA values
 that are not finite or hold ties (the item's own value must be finite
 too).  :func:`calibrate` is the one order-statistic selection here; every
@@ -62,7 +62,7 @@ from .errors import (
     InvalidInput,
     RankOutOfRange,
 )
-from .ranks import (RA, ItemId, RankingProblem, _as_float_vector, as_rank, as_ranks,
+from .ranks import (RA, ItemId, RankingProblem, _as_float_vector, as_count, as_ranks,
                     rank_va_outputs)
 
 MARGINAL = "marginal"
@@ -184,14 +184,13 @@ class RankSets:
 
 def score_ra(r: int, predicted_rank: int) -> float:
     """Residual score in RA mode: ``|r - predicted_rank|``."""
-    r, predicted_rank = as_rank(r), as_rank(predicted_rank)
-    if r < 1 or predicted_rank < 1:
-        raise InvalidInput("ranks must be >= 1")
-    return float(abs(r - predicted_rank))
+    r = as_count(r, "r", least=1)
+    return float(abs(r - as_count(predicted_rank, "predicted_rank", least=1)))
 
 
 def proxy_score_ra(lo: int, hi: int, predicted_rank: int) -> float:
     """Max RA score over ``r in [lo, hi]``; attained at an interval edge."""
+    lo, hi = as_count(lo, "lo", least=1), as_count(hi, "hi", least=1)
     if lo > hi:
         raise InvalidInput(f"need lo <= hi, got [{lo}, {hi}]")
     return max(score_ra(lo, predicted_rank), score_ra(hi, predicted_rank))
@@ -206,7 +205,7 @@ def proxy_score_va(lo: int, hi: int, value: float, all_values) -> float:
     ``value``, the item's own output, must be finite.
     """
     arr = _as_float_vector(all_values, "all_values")
-    lo, hi = as_rank(lo), as_rank(hi)
+    lo, hi = as_count(lo, "lo"), as_count(hi, "hi")
     if not 1 <= lo <= hi <= arr.size:
         raise RankOutOfRange(f"need 1 <= lo <= hi <= {arr.size}, got [{lo}, {hi}]")
     if not np.isfinite(value):
@@ -260,8 +259,7 @@ def select_k(alpha: float, delta: float, n: int) -> int:
     """
     if not 0.0 <= delta < alpha < 1.0:
         raise InvalidInput(f"need 0 <= delta < alpha < 1, got alpha={alpha}, delta={delta}")
-    if n < 1:
-        raise InvalidInput("need n >= 1")
+    n = as_count(n, "n", least=1)
     k = _ceil_count(1.0 - alpha + delta, n + 1)
     if k > n:
         raise InfeasibleLevel(
@@ -282,10 +280,11 @@ def calibrate(scores, k: int, alpha: float | None = None) -> Threshold:
     """
     arr = np.asarray(scores, dtype=float)
     n = arr.shape[-1] if arr.ndim else 0
-    if not 1 <= k <= n:
+    k = as_count(k, "k")
+    if not 1 <= k <= n:  # a rank among the n scores, so RankOutOfRange
         raise RankOutOfRange(f"k={k} outside [1, {n}]")
     value = np.partition(arr, k - 1, axis=-1)[..., k - 1]
-    return Threshold(k=int(k), value=float(value) if value.ndim == 0 else value,
+    return Threshold(k=k, value=float(value) if value.ndim == 0 else value,
                      alpha=alpha)
 
 
@@ -467,8 +466,7 @@ def fcp_calibration(
     if not 0.0 < beta_bar < 1.0:
         raise InvalidInput(f"beta_bar={beta_bar} outside (0, 1)")
     check_delta(delta)
-    if n < 1 or m < 1:
-        raise InvalidInput("need n, m >= 1")
+    n, m = as_count(n, "n", least=1), as_count(m, "m", least=1)
 
     a = min(m, int(math.floor(m * alpha_bar + 1e-9)) + 1)
     j0 = m - a  # the a-th smallest p-value belongs to the a-th largest score

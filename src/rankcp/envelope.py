@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,6 +81,7 @@ from .errors import (
     InvalidInput,
     SampleTooLarge,
 )
+from .ranks import as_count, as_ranks
 from .streams import CHUNK, chunk_stream
 
 THEORETICAL_C = 4.0 * math.sqrt(2.0 * math.pi)
@@ -124,10 +125,11 @@ def _ceil_count(q: float, K: int) -> int:
     return min(K, max(0, int(math.ceil(q * K - 1e-9))))
 
 
-def check_delta(delta: float) -> None:
-    """Refuse an envelope level ``1 - delta`` with ``delta`` outside ``[0, 1)``."""
+def check_delta(delta: float) -> float:
+    """``delta`` as a float, refusing a level ``1 - delta`` with ``delta`` outside ``[0, 1)``."""
     if not 0.0 <= delta < 1.0:
         raise InvalidDelta(f"delta={delta} outside [0, 1)")
+    return float(delta)
 
 
 @dataclass
@@ -140,7 +142,11 @@ class MonteCarloMeta:
 
 
 def _check_integers(values: np.ndarray, name: str) -> None:
-    """Refuse an array of a dtype other than an integer one: a float is not truncated."""
+    """Refuse an array of a dtype other than an integer one: a float is not truncated.
+
+    Stricter than ``ranks.as_ranks``, which reads whole floats: a sample keeps
+    its own integer dtype, since the fits index count tables with it.
+    """
     if values.dtype.kind not in "iu":
         raise InvalidInput(f"{name} must be integers, got {values.dtype}")
 
@@ -168,8 +174,7 @@ class SortedRankSample:
     trajectories: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 0:
-            raise InvalidInput(f"need n >= 1 and m >= 0, got n={self.n}, m={self.m}")
+        self.n, self.m = as_count(self.n, "n", least=1), as_count(self.m, "m", least=0)
         traj = np.asarray(self.trajectories)
         if traj.ndim != 2 or traj.shape[1] != self.n:
             raise DimensionMismatch(f"trajectories must be (K, n={self.n})")
@@ -318,8 +323,8 @@ def simulate_sorted_ranks(n: int, m: int, K: int, seed: int) -> SortedRankSample
     drawing anything if that sample and one sub-block's buffers exceed the
     machine's available memory.
     """
-    if n < 1 or m < 0 or K < 1:
-        raise InvalidInput("need n >= 1, m >= 0, K >= 1")
+    n, m = as_count(n, "n", least=1), as_count(m, "m", least=0)
+    K = as_count(K, "K", least=1)
     total = n + m
     step = min(K, max(1, _BLOCK // total))
     out = _allocate_trajectories(K, n, m, step)
@@ -357,7 +362,11 @@ class Envelope:
     ``r in 1..n``, holding jointly with probability at least ``1 - delta``
     (minus ``mc_meta.slack`` for simulation-calibrated kinds).  ``param`` is
     the shape parameter: ``lam`` (theoretical), ``c_hat`` (linear),
-    ``gamma_hat`` (quantile), ``None`` (naive).
+    ``gamma_hat`` (quantile), ``None`` (naive).  The sizes are read by
+    ``ranks.as_count`` and the bounds by ``ranks.as_ranks``, so whole floats
+    and numpy scalars are accepted; the sizes, ``mc_meta.K``, ``delta``,
+    ``param`` and ``mc_meta.slack`` are stored as Python ints and floats (a
+    new ``mc_meta``: the caller's is not changed), which JSON can write.
     """
 
     n: int
@@ -373,33 +382,29 @@ class Envelope:
     MC_KINDS = ("linear", "quantile")
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 0:
-            raise InvalidInput(f"need n >= 1 and m >= 0, got n={self.n}, m={self.m}")
+        self.n, self.m = as_count(self.n, "n", least=1), as_count(self.m, "m", least=0)
         if self.kind not in ENVELOPE_KINDS:
             raise InvalidInput(f"kind must be one of {ENVELOPE_KINDS}")
-        check_delta(self.delta)
+        self.delta = check_delta(self.delta)
         if self.param is not None and not math.isfinite(self.param):
             raise InvalidInput(f"param must be finite, got {self.param}")
+        self.param = None if self.param is None else float(self.param)
         meta = self.mc_meta
-        if meta is not None and meta.K < 1:
-            raise InvalidInput(f"mc_meta.K must be at least 1, got {meta.K}")
-        if meta is not None and not 0.0 <= meta.slack < math.inf:  # False for nan
-            raise InvalidInput(
-                f"mc_meta.slack must be finite and nonnegative, got {meta.slack}")
-        lower, upper = np.asarray(self.lower), np.asarray(self.upper)
+        if meta is not None:
+            K = as_count(meta.K, "mc_meta.K", least=1)
+            if not 0.0 <= meta.slack < math.inf:  # False for nan
+                raise InvalidInput(
+                    f"mc_meta.slack must be finite and nonnegative, got {meta.slack}")
+            self.mc_meta = replace(meta, K=K, slack=float(meta.slack))
+        lower, upper = as_ranks(self.lower, "bounds"), as_ranks(self.upper, "bounds")
         if lower.shape != (self.n,) or upper.shape != (self.n,):
             raise DimensionMismatch("lower/upper must have length n")
-        for bounds in (lower, upper):
-            _check_integers(bounds, "bounds")
-        lower, upper = lower.astype(np.int64, copy=False), upper.astype(np.int64, copy=False)
         total = self.n + self.m
         if lower.min() < 1 or upper.max() > total:
             raise InvalidInput("bounds must lie in [1, n+m]")
         if np.any(lower > upper):
             raise InvalidInput("lower must not exceed upper")
-        if self.n > 1 and (
-            np.any(np.diff(lower) < 0) or np.any(np.diff(upper) < 0)
-        ):
+        if np.any(np.diff(lower) < 0) or np.any(np.diff(upper) < 0):
             raise InvalidInput("bounds must be nondecreasing in the rank")
         if self.kind == "naive":
             r = np.arange(1, self.n + 1)
@@ -413,8 +418,7 @@ class Envelope:
 
     def bounds_for_ranks(self, calib_ranks) -> tuple[np.ndarray, np.ndarray]:
         """``(lower[r - 1], upper[r - 1])`` for a vector of calibration ranks ``r``."""
-        ranks = np.asarray(calib_ranks)
-        _check_integers(ranks, "calibration ranks")
+        ranks = as_ranks(calib_ranks, "calibration ranks")
         if ranks.size and (ranks.min() < 1 or ranks.max() > self.n):
             raise InvalidInput("calibration ranks outside [1, n]")
         return self.lower[ranks - 1], self.upper[ranks - 1]
@@ -422,6 +426,7 @@ class Envelope:
 
 def naive_envelope(n: int, m: int) -> Envelope:
     """The always-valid envelope [r, r + m]; delta recorded as 0."""
+    n, m = as_count(n, "n", least=1), as_count(m, "m", least=0)
     r = np.arange(1, n + 1, dtype=np.int64)
     return Envelope(n=n, m=m, delta=0.0, kind="naive", lower=r, upper=r + m)
 
@@ -430,8 +435,7 @@ def theoretical_band_halfwidth(n: int, m: int, delta: float) -> float:
     """The closed-form normalized half-width ``lam`` for given sizes and level."""
     if not 0.0 < delta < 1.0:
         raise InvalidDelta(f"delta={delta} outside (0, 1)")
-    if n < 1 or m < 1:
-        raise InvalidInput("need n >= 1 and m >= 1")
+    n, m = as_count(n, "n", least=1), as_count(m, "m", least=1)
     tau = n * m / (n + m)
     return math.sqrt(math.log(THEORETICAL_C * math.sqrt(tau) / delta) / tau)
 
@@ -449,7 +453,7 @@ def _band_envelope(
     upper = np.clip(np.ceil(raw_hi), 1, n + m).astype(np.int64)
     return Envelope(
         n=n, m=m, delta=delta, kind=kind, lower=lower, upper=upper,
-        param=float(halfwidth), mc_meta=mc_meta,
+        param=halfwidth, mc_meta=mc_meta,
     )
 
 
@@ -471,8 +475,7 @@ def mc_guarantee_slack(n: int, K: int) -> float:
     training trajectories covers fresh data with probability at least
     ``1 - delta - slack``.
     """
-    if n < 1 or K < 1:
-        raise InvalidInput("need n >= 1 and K >= 1")
+    n, K = as_count(n, "n", least=1), as_count(K, "K", least=1)
     return 4.0 * math.sqrt(math.log(n * K) / K)
 
 
@@ -650,8 +653,8 @@ def build_envelope(
     if kind not in Envelope.MC_KINDS:
         raise InvalidInput(f"unknown envelope kind {kind!r}; expected one of "
                            f"{', '.join(ENVELOPE_KINDS)}")
-    if K >= 1:  # K < 1 is left to the simulation's usage error
-        _check_fit_level(K, delta)
+    K = as_count(K, "K", least=1)
+    _check_fit_level(K, delta)
     sims = simulate_sorted_ranks(n, m, K, seed)
     fit = fit_linear_envelope if kind == "linear" else fit_quantile_envelope
     return fit(sims, delta)

@@ -51,6 +51,7 @@ from .errors import DimensionMismatch, InvalidInput, MissingTruth
 from .ranks import (
     RA,
     RankingProblem,
+    as_count,
     break_ties,
     check_mode,
     ranks_within,
@@ -149,8 +150,7 @@ def _truth(data_model: str, total: int, d: int, data_noise_sd: float, seed):
     sets).  Both add Gaussian noise of standard deviation ``data_noise_sd``.
     """
     if data_model == SIGMOID:
-        if d < 1:
-            raise InvalidInput("need d >= 1")
+        d = as_count(d, "d", least=1)
         tag = "sigmoid"
 
         def draw(gen: np.random.Generator) -> np.ndarray:
@@ -207,8 +207,9 @@ def synthesize_problem(
     check_mode(mode)
     if data_model not in DATA_MODELS:
         raise InvalidInput(f"data_model must be one of {DATA_MODELS}")
-    if n < 1 or m < 0 or n + m < 2:
-        raise InvalidInput(f"need n >= 1, m >= 0 and n + m >= 2, got n={n}, m={m}")
+    n, m = as_count(n, "n", least=1), as_count(m, "m", least=0)
+    if n + m < 2:
+        raise InvalidInput(f"need n + m >= 2, got n={n}, m={m}")
     if np.ndim(seed) and not np.size(seed):
         raise InvalidInput("seed must hold at least one seed")
     truth = _truth(data_model, n + m, d, data_noise_sd, seed)
@@ -245,7 +246,8 @@ class ExperimentConfig:
     ranker's noise.  ``K_env`` is a desk-scale default; raise it for tighter
     envelopes.  ``K_fcp`` is deprecated and ignored (the FCP index is exact)
     and will be removed in the next release.  ``k_top`` defaults to
-    ``ceil(0.05 m)``.
+    ``ceil(0.05 m)``.  The whole-number fields are read by ``ranks.as_count``
+    and stored as Python ints.
     """
 
     n: int = 200
@@ -268,8 +270,8 @@ class ExperimentConfig:
         if self.K_fcp is not None:
             warnings.warn("ExperimentConfig: K_fcp is deprecated and ignored "
                           "(the FCP index is exact)", DeprecationWarning, stacklevel=3)
-        if self.n < 1 or self.m < 1 or self.reps < 1:
-            raise InvalidInput("need n, m, reps >= 1")
+        self.n, self.m = as_count(self.n, "n", least=1), as_count(self.m, "m", least=1)
+        self.reps = as_count(self.reps, "reps", least=1)
         for name in ("alpha", "beta", "delta"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -281,9 +283,9 @@ class ExperimentConfig:
             raise InvalidInput(
                 f"fcp_mode must be {MARGINAL!r} or {FCP_CONTROLLED!r}"
             )
-        if self.k_top is not None and self.k_top < 0:
-            raise InvalidInput(f"k_top={self.k_top} must be nonnegative")
+        self.k_top = None if self.k_top is None else as_count(self.k_top, "k_top", least=0)
         _check_noise("noise_sd", self.noise_sd)
+        self.K_env = as_count(self.K_env, "K_env")
         if self.K_env < 1 and self.envelope_kind in Envelope.MC_KINDS:
             raise InvalidInput(f"K_env={self.K_env} must be at least 1 for a "
                                f"{self.envelope_kind} envelope")

@@ -10,15 +10,19 @@ resolution.
 This module owns the input rules the other modules apply, so each is written
 once: the ordering of a value vector (:func:`_rank_rows`, the package's one
 argsort of a value row, which also refuses NaN and ties), the rule for VA
-ranker outputs (:func:`rank_va_outputs`: finite and tie-free), whole-number
-ranks and the ranker-mode vocabulary (:func:`check_mode`).  A rank enters as
-an array through :func:`as_ranks` (the calibration ranks and RA outputs of a
-:class:`RankingProblem`, the columns of ``conformal.RankSets``, the ranks
-of ``conformal.scores_at`` and ``targets.calibration_sets``) or as one
-value through :func:`as_rank`, its one-value case; ``io.read_scores``
+ranker outputs (:func:`rank_va_outputs`: finite and tie-free), whole numbers
+and the ranker-mode vocabulary (:func:`check_mode`).  A rank enters as an
+array through :func:`as_ranks` (the calibration ranks and RA outputs of a
+:class:`RankingProblem`, the columns of ``conformal.RankSets``, the bounds
+of an ``envelope.Envelope`` and the ranks of ``Envelope.bounds_for_ranks``,
+``conformal.scores_at`` and ``targets.calibration_sets``); ``io.read_scores``
 reads the rule's mask, :func:`whole_numbers`, to name the line of a bad RA
-output.  The scalar scores of ``conformal`` read their order statistics
-through these rules, as :class:`RankingProblem` does for the array path.
+output.  A whole number given alone goes through :func:`as_count`, the
+rule's one-value case, which also refuses a value below a floor: every size
+and index of the package (``n``, ``m``, ``K``, ``k``, ``reps``, ``d``,
+``k_top``) and the ranks of the scalar scores of ``conformal``.  Seeds keep
+``streams.philox_key``'s stricter rule, since ``streams`` cannot import this
+module.
 Ranks and order statistics have no scalar functions: :func:`ranks_within`
 ranks every element of a vector, and the ``r``-th smallest VA output of a
 problem is its ``sorted_outputs[r - 1]``.
@@ -94,25 +98,34 @@ def as_ranks(values, name: str = "ranks", items=None) -> np.ndarray:
     arr = np.asarray(values)
     if np.can_cast(arr.dtype, np.int64):  # an integer array needs no scan
         return arr.astype(np.int64, copy=False)
+    noun = "integers" if arr.ndim else "an integer"
     if arr.dtype.kind not in "fuO":
-        raise InvalidInput(f"{name} must be integers, got {arr.dtype}")
+        raise InvalidInput(f"{name} must be {noun}, got {arr.dtype}")
     as_float = arr.astype(float)
     whole = whole_numbers(as_float)
     bad = np.flatnonzero(~(whole & (np.abs(as_float) < 2.0**63)))
     if bad.size:
         j = bad[0]
-        rule = "integers" if not whole.flat[j] else "below 2**63"
+        rule = noun if not whole.flat[j] else "below 2**63"
         where = "" if items is None else f" for item {items[j % len(items)]!r}"
         raise InvalidInput(f"{name} must be {rule}, got {arr.flat[j]}{where}")
     return as_float.astype(np.int64)
 
 
-def as_rank(r) -> int:
-    """``r`` as an int: the one-value case of :func:`as_ranks`."""
-    rank = as_ranks(r)
-    if rank.ndim:
-        raise InvalidInput(f"a rank must be one number, got {r}")
-    return int(rank)
+def as_count(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int: the one-value case of :func:`as_ranks`, for a size or an index.
+
+    The one rule for a whole number given alone: a numpy integer or a whole
+    float is read as the Python int it holds, and a fraction, NaN, ±inf or a
+    magnitude of 2**63 or more raises :class:`InvalidInput` naming ``name``,
+    as does a value below ``least``.
+    """
+    count = as_ranks(value, name)
+    if count.ndim:
+        raise InvalidInput(f"{name} must be one number, got {value}")
+    if least is not None and count < least:
+        raise InvalidInput(f"need {name} >= {least}, got {name}={count}")
+    return int(count)
 
 
 def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,9 +212,11 @@ def _default_ids(n: int, m: int) -> list[ItemId]:
 class RankingProblem:
     """Calibration relative ranks, test items, and black-box ranker outputs.
 
-    ``calib_ranks`` must be a permutation of ``1..n``.  In RA mode the ranker
-    outputs are predicted pooled ranks (integers in ``[1, n+m]``, repeats
-    allowed); in VA mode they are real scores whose order induces the
+    The sizes ``n >= 1`` and ``m >= 0`` are read by :func:`as_count`, so a
+    numpy integer or a whole float is stored as a Python int and a fraction
+    is refused.  ``calib_ranks`` must be a permutation of ``1..n``.  In RA
+    mode the ranker outputs are predicted pooled ranks (integers in
+    ``[1, n+m]``, repeats allowed); in VA mode they are real scores whose order induces the
     predicted ranking (ties rejected, same policy as for ``truth``).
     ``truth`` is optional and used for evaluation only; it must hold no NaN.
 
@@ -232,8 +247,7 @@ class RankingProblem:
     ids: list[ItemId] | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 0:
-            raise InvalidInput("need n >= 1 and m >= 0")
+        self.n, self.m = as_count(self.n, "n", least=1), as_count(self.m, "m", least=0)
         total = self.n + self.m
         outputs = np.asarray(self.ranker_outputs)
         lead = outputs.shape[:1] if outputs.ndim == 2 else ()

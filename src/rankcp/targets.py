@@ -19,7 +19,7 @@ import numpy as np
 from .conformal import RankSets
 from .envelope import Envelope
 from .errors import DimensionMismatch, EmptyPredictionSet, InvalidInput
-from .ranks import ItemId, _default_ids, as_ranks
+from .ranks import ItemId, _default_ids, as_count, as_ranks
 
 
 def calibration_sets(
@@ -78,8 +78,7 @@ def topk_candidates(sets: RankSets, k_top: int) -> np.ndarray:
     ``k_top - alpha * m`` in expectation, and the mask is monotone (nested) in
     ``k_top``.  Batch sets give one mask row per problem.
     """
-    if k_top < 0:
-        raise InvalidInput("k_top must be nonnegative")
+    k_top = as_count(k_top, "k_top", least=0)
     if sets.kind != "full":
         raise InvalidInput("topk_candidates expects full-rank sets")
     return sets.lo <= k_top

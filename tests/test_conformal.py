@@ -88,9 +88,9 @@ def test_scalar_scores_refuse_what_the_array_path_refuses():
         (lambda: proxy_score_va(1, 1, nan, [0.2, 1.0]), "value must be finite, got nan"),
         (lambda: proxy_score_va(2, 2, 0.5, [inf, 1.0]), "all_values must be finite"),
         (lambda: proxy_score_va(1, 2, 0.5, [nan, 1.0]), "all_values must be finite"),
-        (lambda: score_ra(1.5, 3), "ranks must be integers, got 1.5"),
-        (lambda: proxy_score_ra(1.7, 2.2, 3), "ranks must be integers, got 1.7"),
-        (lambda: proxy_score_va(1.5, 1.5, 0.5, [0.2, 1.0]), "ranks must be integers, got 1.5"),
+        (lambda: score_ra(1.5, 3), "r must be an integer, got 1.5"),
+        (lambda: proxy_score_ra(1.7, 2.2, 3), "lo must be an integer, got 1.7"),
+        (lambda: proxy_score_va(1.5, 1.5, 0.5, [0.2, 1.0]), "lo must be an integer, got 1.5"),
         (lambda: RankSets(["a"], [1.5], [2.9]), "ranks must be integers, got 1.5 for item 'a'"),
         (lambda: RankSets(["a", "b"], [1, 2], [2.0, inf]),
          "ranks must be integers, got inf for item 'b'"),
@@ -667,6 +667,13 @@ def test_fcp_calibration_within_simulation_band(n, m):
     assert k_lo <= k_mc <= k_hi
 
 
+def test_fcp_calibration_reads_numpy_sizes_as_python_ints():
+    # the exact tail multiplied a Python bigint by an int64 size, which raised
+    # "OverflowError: Python int too large to convert to C long"
+    assert fcp_calibration(0.1, 0.25, 0.02, np.int64(200), np.int64(200)).k == 183
+    assert fcp_calibration(0.1, 0.25, 0.02, 200.0, 200).k == 183
+
+
 def test_fcp_calibration_deprecated_arguments_ignored():
     exact = fcp_calibration(0.1, 0.25, 0.02, 50, 80)
     with pytest.warns(DeprecationWarning, match="K and seed"):
@@ -696,7 +703,7 @@ CONFORMAL_REFUSALS = {
                        "one lo and one hi per item"),
     "batch single-item view": (lambda: RankSets(["a"], [[1], [1]], [[2], [2]])[0],
                                InvalidInput, "batch of sets"),
-    "score_ra rank < 1": (lambda: score_ra(0, 3), InvalidInput, "ranks must be >= 1"),
+    "score_ra rank < 1": (lambda: score_ra(0, 3), InvalidInput, "^need r >= 1, got r=0$"),
     "scores_at shape": (lambda: scores_at(_three_item_problem(), [1, 2, 3]),
                         DimensionMismatch, "one rank per calibration item"),
     "scores_at range": (lambda: scores_at(_three_item_problem(), [1, 4]),
@@ -707,9 +714,9 @@ CONFORMAL_REFUSALS = {
     "fcp_calibration delta": (lambda: fcp_calibration(0.1, 0.25, -0.1, 10, 10),
                               InvalidInput, "delta=-0.1"),
     "fcp_calibration n": (lambda: fcp_calibration(0.1, 0.25, 0.0, 0, 10), InvalidInput,
-                          "n, m >= 1"),
+                          "^need n >= 1, got n=0$"),
     "fcp_calibration m": (lambda: fcp_calibration(0.1, 0.25, 0.0, 10, 0), InvalidInput,
-                          "n, m >= 1"),
+                          "^need m >= 1, got m=0$"),
 }
 
 

@@ -279,8 +279,9 @@ def test_envelope_validation():
         Envelope(n=3, m=2, delta=0.1, kind="quantile",
                  lower=np.array([1, 2, 3]), upper=np.array([3, 4, 6]))
     # n = 0 reached numpy's zero-size reduction error, and m < 0 was accepted
-    for n, m, lower, upper in [(0, 1, [], []), (2, -1, [1, 2], [1, 2])]:
-        with pytest.raises(InvalidInput, match=f"^need n >= 1 and m >= 0, got n={n}, m={m}$"):
+    for n, m, lower, upper, message in [(0, 1, [], [], "need n >= 1, got n=0"),
+                                        (2, -1, [1, 2], [1, 2], "need m >= 0, got m=-1")]:
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
             Envelope(n=n, m=m, delta=0.1, kind="quantile", lower=lower, upper=upper)
 
 
@@ -449,9 +450,9 @@ def test_empty_sample_is_refused(entry):
 def test_sample_sizes_are_checked():
     # n = 0 reached an IndexError in the quantile fit and a zero-size reduction
     # in the linear fit
-    with pytest.raises(InvalidInput, match=r"^need n >= 1 and m >= 0, got n=0, m=1$"):
+    with pytest.raises(InvalidInput, match=r"^need n >= 1, got n=0$"):
         SortedRankSample(n=0, m=1, seed=0, trajectories=np.empty((5, 0), np.uint8))
-    with pytest.raises(InvalidInput, match=r"^need n >= 1 and m >= 0, got n=1, m=-1$"):
+    with pytest.raises(InvalidInput, match=r"^need m >= 0, got m=-1$"):
         SortedRankSample(n=1, m=-1, seed=0, trajectories=np.ones((5, 1), np.uint8))
 
 
@@ -843,7 +844,7 @@ ENVELOPE_REFUSALS = {
     "Envelope param": (lambda: _envelope(param=math.nan), InvalidInput,
                        "param must be finite"),
     "Envelope mc_meta.K": (lambda: _envelope(mc_meta=MonteCarloMeta(K=0, seed=1, slack=0.1)),
-                           InvalidInput, "mc_meta.K must be at least 1"),
+                           InvalidInput, "^need mc_meta.K >= 1, got mc_meta.K=0$"),
     "Envelope mc_meta.slack": (
         lambda: _envelope(mc_meta=MonteCarloMeta(K=10, seed=1, slack=-1.0)),
         InvalidInput, "mc_meta.slack must be finite and nonnegative"),
@@ -851,9 +852,9 @@ ENVELOPE_REFUSALS = {
                                r"calibration ranks outside \[1, n\]"),
     # floats were truncated: the bounds [1.9, 2.2, 3.0] read as [1, 2, 3], rank 1.5 as 1
     "Envelope float bounds": (lambda: _envelope(lower=[1.9, 2.2, 3.0]), InvalidInput,
-                              "^bounds must be integers, got float64$"),
+                              "^bounds must be integers, got 1.9$"),
     "bounds_for_ranks float": (lambda: _envelope().bounds_for_ranks([1.5]), InvalidInput,
-                               "^calibration ranks must be integers, got float64$"),
+                               "^calibration ranks must be integers, got 1.5$"),
     "halfwidth m": (lambda: envelope.theoretical_band_halfwidth(5, 0, 0.1), InvalidInput,
                     "m >= 1"),
     "slack n": (lambda: mc_guarantee_slack(0, 100), InvalidInput, "n >= 1"),

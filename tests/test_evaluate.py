@@ -139,11 +139,11 @@ def test_sigmoid_generator():
     assert np.array_equal(y, _truth("sigmoid", 500, seed=50))
     assert not np.array_equal(y, _truth("sigmoid", 500, seed=51))
     assert _truth("sigmoid", 10, d=1, seed=0).shape == (10,)
-    with pytest.raises(InvalidInput, match="^need d >= 1$"):
+    with pytest.raises(InvalidInput, match="^need d >= 1, got d=0$"):
         _truth("sigmoid", 10, d=0, seed=0)
-    for n, m in ((1, 0), (0, 5), (5, -1)):
-        with pytest.raises(InvalidInput, match=f"^need n >= 1, m >= 0 and n [+] m >= 2, "
-                                               f"got n={n}, m={m}$"):
+    for n, m, message in ((1, 0, "need n [+] m >= 2, got n=1, m=0"),
+                          (0, 5, "need n >= 1, got n=0"), (5, -1, "need m >= 0, got m=-1")):
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
             synthesize_problem("sigmoid", n, m, 0.07, "VA", seed=0)
 
 

@@ -206,7 +206,7 @@ def test_predict_refuses_an_envelope_whose_delta_is_false(tmp_path, capsys):
     ("mc_meta.slack", math.nan, "mc_meta.slack must be finite and nonnegative, got nan"),
     ("mc_meta.slack", -0.1, "mc_meta.slack must be finite and nonnegative, got -0.1"),
     ("mc_meta.slack", math.inf, "mc_meta.slack must be finite and nonnegative, got inf"),
-    ("mc_meta.K", 0, "mc_meta.K must be at least 1, got 0"),
+    ("mc_meta.K", 0, "need mc_meta.K >= 1, got mc_meta.K=0"),
 ])
 def test_envelope_document_refuses_values_with_no_meaning(tmp_path, capsys, key, value,
                                                            message):
@@ -1031,7 +1031,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "s.csv").exists()
     # usage: a negative k_top is rejected by the config itself, so the
     # experiment stops before it builds an envelope
-    with pytest.raises(InvalidInput, match="k_top=-3 must be nonnegative"):
+    with pytest.raises(InvalidInput, match="^need k_top >= 0, got k_top=-3$"):
         ExperimentConfig(k_top=-3)
 
     def no_envelope(*args):
@@ -1040,7 +1040,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(evaluate, "build_envelope", no_envelope)
     assert main(["experiment", "--k-top", "-3", "--reps", "2",
                  "--out", str(tmp_path / "r.csv")]) == 2
-    assert "usage error: k_top=-3 must be nonnegative" in capsys.readouterr().err
+    assert "usage error: need k_top >= 0, got k_top=-3" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
     # usage: a noise level that is not finite or is negative names its
     # parameter (inf reached the tie check, NaN the rank check, and a negative
@@ -1172,6 +1172,37 @@ def test_library_refuses_bad_values(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_envelopes_of_numpy_scalars_write_the_documents_of_python_scalars(tmp_path):
+    # np.int64 sizes and an np.float32 delta were stored as given, and
+    # write_envelope raised "Object of type int64 is not JSON serializable"
+    plain, numpy = tmp_path / "plain.json", tmp_path / "numpy.json"
+    for kind in ENVELOPE_KINDS:
+        rio.write_envelope(renv.build_envelope(kind, 20, 10, 0.1, 2000, 0), plain)
+        rio.write_envelope(renv.build_envelope(kind, np.int64(20), np.int64(10), np.float64(0.1),
+                                               np.int64(2000), np.int64(0)), numpy)
+        assert numpy.read_bytes() == plain.read_bytes(), kind
+    env = renv.build_envelope("theoretical", 20, 10, np.float32(0.1), 1, 0)
+    rio.write_envelope(env, numpy)
+    assert rio.envelope_to_doc(rio.read_envelope(numpy)) == rio.envelope_to_doc(env)
+    # naive_envelope(3.0, 2) stored n = 3.0, and its file was then refused
+    # with "n must be an integer, got 3.0"
+    rio.write_envelope(naive_envelope(3.0, 2), numpy)
+    rio.write_envelope(naive_envelope(3, 2), plain)
+    assert numpy.read_bytes() == plain.read_bytes()
+    assert rio.read_envelope(numpy).n == 3
+
+
+def test_envelope_stores_python_scalars_without_changing_its_mc_meta():
+    meta = renv.MonteCarloMeta(K=np.int64(10), seed=1, slack=np.float32(0.5))
+    env = Envelope(n=np.int64(3), m=2.0, delta=np.float64(0.1), kind="quantile",
+                   lower=[1.0, 2.0, 3.0], upper=np.array([3, 4, 5], np.uint8),
+                   param=np.float32(0.25), mc_meta=meta)
+    assert [type(v) for v in (env.n, env.m, env.delta, env.param, env.mc_meta.K,
+                              env.mc_meta.slack)] == [int, int, float, float, int, float]
+    assert env.lower.dtype == env.upper.dtype == np.int64  # whole floats are bounds
+    assert (type(meta.K), type(meta.slack)) == (np.int64, np.float32)
+
+
 def test_envelope_document_with_bad_sizes(tmp_path, capsys):
     # "m": -1 loaded, and predict then blamed the scores file for the mismatch
     doc = rio.envelope_to_doc(naive_envelope(2, 1))
@@ -1180,8 +1211,8 @@ def test_envelope_document_with_bad_sizes(tmp_path, capsys):
     assert main(["predict", "--scores", str(DATA / "golden_scores.csv"),
                  "--envelope", str(bad), "--mode", "VA",
                  "--out", str(tmp_path / "s.csv")]) == 4
-    assert ("data error: malformed envelope document: need n >= 1 and m >= 0, "
-            "got n=2, m=-1") in capsys.readouterr().err
+    assert ("data error: malformed envelope document: need m >= 0, "
+            "got m=-1") in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -1378,7 +1409,8 @@ RUNS = {
      ["k", "threshold", "t_hat"]),
     ("evaluate", {"sets": str(GOLDEN_INPUTS["sets"])}, {}, ["sets", "truth"], []),
     ("synth", {"m": 10, "seed": 5, "d": 5}, {"data": 5}, [], []),
-    ("experiment", {"reps": 2, "seed": 3, "k-top": 0}, {"master": 3}, [], ["aggregates"]),
+    ("experiment", {"reps": 2, "seed": 3, "k-top": 0}, {"master": 3}, [],
+     ["aggregates", "t_hat"]),
 ])
 def test_every_subcommand_writes_its_manifest(tmp_path, capsys, command, typed, seeds,
                                               inputs, extras):

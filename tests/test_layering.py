@@ -1,11 +1,14 @@
 """Each pipeline stage has one owning module: a guard on the package's imports.
 
-``envelope`` builds envelopes and depends on nothing but the error types and
-the random streams; ``conformal`` and ``io`` serve the harness and the CLI
-but never import them; the fit-level check stays inside ``envelope``, which
-also writes the ``delta`` range and the count ceiling of a level once each;
-and ``ranks`` alone writes the ranker-mode vocabulary, the ordering rules and
-the whole-number rule for ranks.
+``envelope`` builds envelopes and depends on nothing but the error types,
+the random streams and ``ranks``, whose whole-number rule it applies to its
+sizes and bounds (``ranks`` imports neither of the others, so there is no
+cycle); ``conformal`` and ``io`` serve the harness and the CLI but never
+import them; the fit-level check stays inside ``envelope``, which also writes
+the ``delta`` range and the count ceiling of a level once each; and ``ranks``
+alone writes the ranker-mode vocabulary, the ordering rules and the
+whole-number rule for ranks and counts: no other function compares a size or
+an index with a number of its own.
 """
 
 import ast
@@ -65,8 +68,8 @@ def _names(module: str) -> set[str]:
     return names
 
 
-def test_envelope_imports_only_errors_and_streams():
-    assert _package_imports("envelope") == {"errors", "streams"}
+def test_envelope_imports_only_errors_ranks_and_streams():
+    assert _package_imports("envelope") == {"errors", "ranks", "streams"}
 
 
 @pytest.mark.parametrize("module", ["conformal", "io"])
@@ -285,3 +288,70 @@ def test_envelope_owns_the_delta_range_and_the_count_ceiling():
                   and "outside [0, 1)" in _message(node)) == {("envelope", "check_delta")}
     assert _sites(lambda node: isinstance(node, ast.Constant) and node.value == 1e-9) == {
         ("envelope", "_ceil_count"), ("conformal", "fcp_calibration")}
+
+
+# the sizes and indices that ranks.as_count reads, by parameter or attribute name
+_COUNT_NAMES = {"n", "m", "K", "k", "reps", "d", "k_top", "K_env"}
+
+# (module, function, name) of the domain rules that compare a count with a
+# literal once as_count has read it: --fcp on needs test rows, a Monte-Carlo
+# envelope needs K_env >= 1 (the closed-form kinds ignore it), and calibrate's
+# k is a rank among the n scores, refused with RankOutOfRange
+_COUNT_RULES = {
+    ("cli", "_cmd_predict", "m"),
+    ("evaluate", "ExperimentConfig.__post_init__", "K_env"),
+    ("conformal", "calibrate", "k"),
+}
+
+
+def _count_literal_compares(module: str, tree: ast.AST) -> set[tuple[str, str, str]]:
+    """``(module, function, name)`` of each comparison of a count name with an integer literal.
+
+    ``function`` is the dotted path of the innermost function around it
+    (``Class.method``), empty at module level.
+    """
+    def literal(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return (isinstance(node, ast.Constant) and isinstance(node.value, int)
+                and not isinstance(node.value, bool))
+
+    def count_name(node):
+        return (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+
+    found = set()
+
+    def visit(node, path):
+        if isinstance(node, ast.Compare):  # each link of a chain on its own
+            operands = [node.left, *node.comparators]
+            for pair in zip(operands, operands[1:]):
+                names = set(map(count_name, pair)) & _COUNT_NAMES
+                if names and any(map(literal, pair)):
+                    found.add((module, ".".join(path), names.pop()))
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, path + [child.name] if named else path)
+
+    visit(tree, [])
+    # the rule itself compares with its floor, which the caller names
+    return {site for site in found if site[:2] != ("ranks", "as_count")}
+
+
+def test_ranks_owns_the_count_rule():
+    # every size and index is read by ranks.as_count, which refuses a value
+    # below its floor; no other function compares one with a literal but the
+    # domain rules named in _COUNT_RULES
+    found = set().union(*(_count_literal_compares(m, _tree(m)) for m in MODULES))
+    assert found == _COUNT_RULES
+    assert "as_rank" not in set().union(*map(_names, MODULES))
+
+
+def test_a_restored_size_check_fails_the_count_guard():
+    source = (PACKAGE / "conformal.py").read_text(encoding="utf-8")
+    read = '    n = as_count(n, "n", least=1)\n    k = _ceil_count'
+    assert source.count(read) == 1
+    restored = source.replace(read, '    if n < 1:\n        raise InvalidInput("need n >= 1")\n'
+                                    '    k = _ceil_count')
+    assert _count_literal_compares("conformal", ast.parse(restored)) - _COUNT_RULES == {
+        ("conformal", "select_k", "n")}

@@ -10,25 +10,37 @@ from hypothesis import strategies as st
 
 from rankcp import (
     Envelope,
+    ExperimentConfig,
     InvalidInput,
+    MonteCarloMeta,
     RankCPError,
     RankingProblem,
     RankOutOfRange,
     RankSets,
+    SortedRankSample,
+    build_envelope,
+    calibrate,
     calibration_sets,
+    fcp_calibration,
     fit_linear_envelope,
     fit_quantile_envelope,
+    mc_guarantee_slack,
     proxy_score_ra,
     proxy_score_va,
     proxy_scores,
     naive_envelope,
     ranks_within,
+    score_ra,
     scores_at,
+    select_k,
     simulate_sorted_ranks,
+    synthesize_problem,
     topk_candidates,
 )
 from rankcp import test_only_set as to_test_only_set
-from rankcp.ranks import as_rank
+from rankcp.envelope import theoretical_band_halfwidth
+from rankcp.io import envelope_to_doc
+from rankcp.ranks import as_count
 from rankcp.streams import stream, streams
 
 
@@ -150,7 +162,7 @@ def test_one_whole_number_rule_for_every_rank_entry_point(value):
         whole = -(2**63) <= value < 2**63
     else:
         whole = math.isfinite(value) and value.is_integer() and abs(value) < 2**63
-    rank = _outcome(lambda: as_rank(value))
+    rank = _outcome(lambda: as_count(value, "ranks"))
     assert (type(rank), rank) == ((int, int(value)) if whole else (type, InvalidInput))
     for name, (read, low, high) in _RANK_ENTRY_POINTS.items():
         got = _outcome(lambda: read(value))
@@ -161,6 +173,124 @@ def test_one_whole_number_rule_for_every_rank_entry_point(value):
             assert got in (InvalidInput, RankOutOfRange), name
         else:
             assert got is InvalidInput, name
+
+
+def _served(value) -> int:
+    """``value`` as an int where it is a whole number below 2**63 in magnitude, else 1.
+
+    Sizes the other inputs of a count entry point; a value that is not a
+    count is refused before they are read.
+    """
+    whole = math.isfinite(value) and float(value).is_integer() and abs(value) < 2**63
+    return int(value) if whole else 1
+
+
+def _problem(n=2, m=1):
+    size = _served(n)
+    return RankingProblem(n=n, m=m, calib_ranks=np.arange(1, size + 1), ranker_mode="RA",
+                          ranker_outputs=np.arange(1, size + _served(m) + 1))
+
+
+_SAMPLE = simulate_sorted_ranks(3, 2, 5, seed=0).trajectories
+_ENVELOPE = dict(n=3, m=2, delta=0.1, kind="quantile", lower=[1, 2, 3], upper=[3, 4, 5])
+
+
+# Each scalar entry point of a count: the call that reads a value ``v``, the
+# name its refusals give it, and its floor (``None`` where a rank below 1 is
+# RankOutOfRange); the calls return what they stored or computed
+_COUNT_ENTRY_POINTS = {
+    "RankingProblem n": (lambda v: _problem(n=v).n, "n", 1),
+    "RankingProblem m": (lambda v: _problem(m=v).m, "m", 0),
+    "SortedRankSample n": (lambda v: SortedRankSample(v, 2, 0, _SAMPLE).n, "n", 1),
+    "SortedRankSample m": (lambda v: SortedRankSample(3, v, 0, _SAMPLE).m, "m", 0),
+    "simulate n": (lambda v: simulate_sorted_ranks(v, 2, 5, 0).trajectories.tolist(), "n", 1),
+    "simulate m": (lambda v: simulate_sorted_ranks(3, v, 5, 0).trajectories.tolist(), "m", 0),
+    "simulate K": (lambda v: simulate_sorted_ranks(3, 2, v, 0).trajectories.tolist(), "K", 1),
+    "Envelope n": (lambda v: envelope_to_doc(Envelope(**{**_ENVELOPE, "n": v})), "n", 1),
+    "Envelope m": (lambda v: envelope_to_doc(Envelope(**{**_ENVELOPE, "m": v})), "m", 0),
+    "Envelope mc_meta.K": (lambda v: envelope_to_doc(Envelope(
+        **_ENVELOPE, mc_meta=MonteCarloMeta(K=v, seed=1, slack=0.5))), "mc_meta.K", 1),
+    "naive_envelope n": (lambda v: envelope_to_doc(naive_envelope(v, 2)), "n", 1),
+    "naive_envelope m": (lambda v: envelope_to_doc(naive_envelope(3, v)), "m", 0),
+    "halfwidth n": (lambda v: theoretical_band_halfwidth(v, 5, 0.1), "n", 1),
+    "halfwidth m": (lambda v: theoretical_band_halfwidth(5, v, 0.1), "m", 1),
+    "slack n": (lambda v: mc_guarantee_slack(v, 100), "n", 1),
+    "slack K": (lambda v: mc_guarantee_slack(5, v), "K", 1),
+    "build_envelope K": (lambda v: envelope_to_doc(build_envelope("quantile", 3, 2, 0.5, v, 0)),
+                         "K", 1),
+    "score_ra r": (lambda v: score_ra(v, 3), "r", 1),
+    "score_ra predicted_rank": (lambda v: score_ra(3, v), "predicted_rank", 1),
+    "proxy_score_ra lo": (lambda v: proxy_score_ra(v, 6, 3), "lo", 1),
+    "proxy_score_ra hi": (lambda v: proxy_score_ra(1, v, 3), "hi", 1),
+    "proxy_score_va lo": (lambda v: proxy_score_va(v, 4, 0.5, [0.1, 0.5, 0.7, 2.0]),
+                          "lo", None),
+    "proxy_score_va hi": (lambda v: proxy_score_va(1, v, 0.5, [0.1, 0.5, 0.7, 2.0]),
+                          "hi", None),
+    "select_k n": (lambda v: select_k(0.5, 0.02, v), "n", 1),
+    "calibrate k": (lambda v: calibrate([3.0, 1.0, 2.0, 5.0], v).value, "k", None),
+    "fcp_calibration n": (lambda v: fcp_calibration(0.1, 0.25, 0.02, v, 5).k, "n", 1),
+    "fcp_calibration m": (lambda v: fcp_calibration(0.1, 0.25, 0.02, 5, v).k, "m", 1),
+    "synthesize n": (lambda v: synthesize_problem("sigmoid", v, 2, 0.1, "VA", 0).truth.tolist(),
+                     "n", 1),
+    "synthesize m": (lambda v: synthesize_problem("sigmoid", 2, v, 0.1, "VA", 0).truth.tolist(),
+                     "m", 0),
+    "synthesize d": (lambda v: synthesize_problem("sigmoid", 2, 2, 0.1, "VA", 0,
+                                                  d=v).truth.tolist(), "d", 1),
+    "ExperimentConfig n": (lambda v: ExperimentConfig(n=v).n, "n", 1),
+    "ExperimentConfig m": (lambda v: ExperimentConfig(m=v).m, "m", 1),
+    "ExperimentConfig reps": (lambda v: ExperimentConfig(reps=v).reps, "reps", 1),
+    "ExperimentConfig k_top": (lambda v: ExperimentConfig(k_top=v).k_top, "k_top", 0),
+    # the kind rule, in its own words: the default quantile kind needs K_env >= 1
+    "ExperimentConfig K_env": (lambda v: ExperimentConfig(K_env=v).K_env, "K_env", 1),
+    "topk_candidates k_top": (lambda v: topk_candidates(RankSets(["a", "b"], [1, 4], [2, 6]),
+                                                        v).tolist(), "k_top", 0),
+}
+
+# Values a caller may pass as a count: Python and numpy ints, whole floats,
+# fractions, NaN, ±inf and magnitudes of 2**63 or more; no large whole
+# number, which some entry points would try to serve
+_COUNT_LIKE = (
+    st.integers(-2, 10)
+    | st.integers(-2, 10).map(float)
+    | st.integers(-2, 10).map(np.int64)
+    | st.integers(0, 10).map(np.uint8)
+    | st.floats(-2, 10)
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, -(2**63)])
+    | st.sampled_from([2**63, 2**64, -(2**63) - 1, 10**30, 2.0**63, -(2.0**63), 1e20])
+)
+
+
+def _refusal(call):
+    """``call()``, or the class and message of the package error it raises."""
+    try:
+        return call()
+    except RankCPError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_COUNT_LIKE)
+def test_one_whole_number_rule_for_every_count_entry_point(value):
+    # every size and index reads its value through ranks.as_count: a numpy
+    # int or a whole float gives what the Python int gives, and a value that
+    # is not a whole number below 2**63, or lies below the floor, is refused
+    # with InvalidInput naming the parameter
+    if isinstance(value, (int, np.integer)):
+        whole = -(2**63) <= value < 2**63
+    else:
+        whole = math.isfinite(value) and value.is_integer() and abs(value) < 2**63
+    for entry, (read, name, floor) in _COUNT_ENTRY_POINTS.items():
+        got = _refusal(lambda: read(value))
+        if not whole:
+            assert got[0] is InvalidInput, entry
+            assert got[1].startswith(f"{name} must be "), (entry, got)
+        elif floor is not None and value < floor:
+            assert got[0] is InvalidInput and name in got[1], (entry, got)
+            if name != "K_env":
+                assert got[1] == f"need {name} >= {floor}, got {name}={int(value)}", entry
+        else:
+            reference = _refusal(lambda: read(int(value)))
+            assert got == reference and type(got) is type(reference), entry
 
 
 @settings(max_examples=100, deadline=None)

@@ -209,7 +209,7 @@ TARGET_REFUSALS = {
         DimensionMismatch, "ids must match"),
     "topk_candidates k_top": (
         lambda: topk_candidates(RankSets(["t1"], [1], [2]), -1), InvalidInput,
-        "k_top must be nonnegative"),
+        "^need k_top >= 0, got k_top=-1$"),
 }
 
 
