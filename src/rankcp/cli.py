@@ -50,6 +50,7 @@ from .errors import (
 )
 from .evaluate import (
     DATA_NOISE_SD,
+    FEATURE_DIM,
     SIGMOID,
     ExperimentConfig,
     fcp,
@@ -291,7 +292,7 @@ COMMANDS: dict[str, Command] = {
         _opt("m", int, None, "test set size (required)"),
         _opt("noise-sd", float, ExperimentConfig.noise_sd, "toy ranker noise"),
         _opt("data-noise-sd", float, DATA_NOISE_SD, "generator noise"),
-        _opt("d", int, 5, "feature dimension (sigmoid model)"),
+        _opt("d", int, FEATURE_DIM, "feature dimension (sigmoid model)"),
         _opt("mode", str, RA, "ranker output type"),
         _opt("seed", int, 0, "generation seed"),
         _opt("out", str, None, "output scores CSV path (required)"),

@@ -635,6 +635,13 @@ def envelope_coverage(env: Envelope, sims: SortedRankSample) -> float:
     return _count_inside(sims.trajectories, env.lower, env.upper) / sims.K
 
 
+def check_envelope_kind(kind: str) -> None:
+    """Refuse an envelope kind :func:`build_envelope` cannot construct."""
+    if kind not in ENVELOPE_KINDS:
+        raise InvalidInput(f"unknown envelope kind {kind!r}; expected one of "
+                           f"{', '.join(ENVELOPE_KINDS)}")
+
+
 def build_envelope(
     kind: str, n: int, m: int, delta: float, K: int, seed: int
 ) -> Envelope:
@@ -646,13 +653,11 @@ def build_envelope(
     hopeless request draws nothing; the other kinds ignore ``K`` and ``seed``.
     """
     check_delta(delta)
+    check_envelope_kind(kind)
     if kind == "naive":
         return naive_envelope(n, m)
     if kind == "theoretical":
         return theoretical_envelope(n, m, delta)
-    if kind not in Envelope.MC_KINDS:
-        raise InvalidInput(f"unknown envelope kind {kind!r}; expected one of "
-                           f"{', '.join(ENVELOPE_KINDS)}")
     K = as_count(K, "K", least=1)
     _check_fit_level(K, delta)
     sims = simulate_sorted_ranks(n, m, K, seed)

@@ -46,7 +46,7 @@ from .conformal import (
     scores_at,
     select_k,
 )
-from .envelope import Envelope, build_envelope
+from .envelope import Envelope, build_envelope, check_envelope_kind
 from .errors import DimensionMismatch, InvalidInput, MissingTruth
 from .ranks import (
     RA,
@@ -67,6 +67,9 @@ DATA_MODELS = (SIGMOID, BETA_ADAPTIVE)
 # Noise level of the synthetic generation recipes (their own fixed parameter;
 # the experiment's noise_sd drives the toy ranker instead).
 DATA_NOISE_SD = 0.07
+
+# Dimension of the sigmoid truth's Gaussian features and weights.
+FEATURE_DIM = 5
 
 # Shape parameters a = b of the bimodal beta_adaptive truth.
 BETA_SHAPE = 0.04
@@ -102,46 +105,46 @@ def relative_length(sets: RankSets, n_plus_m: int) -> float | np.ndarray:
     return _per_row(np.mean(sets.size, axis=-1) / n_plus_m)
 
 
-def _per_seed(seed, tag: str, draw):
-    """``draw(stream(seed, tag))``, or for a 1-D array of seeds the stacked results.
-
-    The generators come from :func:`~rankcp.streams.streams`: one generator,
-    re-keyed per seed, so ``draw`` must finish with it before the next.
-    """
-    rows = [draw(gen) for gen in streams(np.atleast_1d(seed), tag)]
-    return rows[0] if np.ndim(seed) == 0 else np.stack(rows)
-
-
 def _check_noise(name: str, value: float) -> None:
     """Refuse a noise level that is negative, infinite or NaN, naming its parameter."""
     if not 0.0 <= value < math.inf:
         raise InvalidInput(f"{name}={value} must be finite and nonnegative")
 
 
-def _generated(name: str, noise_sd: float, draw, seed, tag: str):
-    """``draw()``, checked finite, with exact ties resolved in place.
+def _check_settings(data_model: str, mode: str, noise_sd: float) -> None:
+    """Refuse a data model, ranker mode or ranker noise level no problem is drawn with.
+
+    The one check of these settings, for :func:`synthesize_problem` and
+    :class:`ExperimentConfig` alike.
+    """
+    _check_noise("noise_sd", noise_sd)
+    check_mode(mode)
+    if data_model not in DATA_MODELS:
+        raise InvalidInput(f"data_model must be one of {DATA_MODELS}")
+
+
+def _tie_free(values: np.ndarray, name: str, noise_sd: float, seeds, tag: str) -> np.ndarray:
+    """The ``(rows, total)`` generated ``values``, checked finite, tied rows broken in place.
 
     A huge but finite ``noise_sd`` can carry the values to infinity (and
-    inf - inf to NaN): numpy's warnings are silenced and :class:`InvalidInput`
-    names the noise level as ``name``, the parameter of
-    :func:`synthesize_problem` that set it.  Each row with an exact tie is
-    passed through :func:`break_ties` with its own seed's ``tag`` stream.
-    Ties are not rare: ``beta_adaptive`` with ``data_noise_sd=0`` draws
-    exactly 1.0 for about 12 % of its items, and the ``beta-ties`` stream
-    then sets those items' true order.
+    inf - inf to NaN): :class:`InvalidInput` names the noise level as
+    ``name``, the parameter of :func:`synthesize_problem` that set it.  Row
+    ``i``, if it holds an exact tie, is passed through :func:`break_ties`
+    with the ``tag`` stream of ``seeds[i]``.  Ties are not rare:
+    ``beta_adaptive`` with ``data_noise_sd=0`` draws exactly 1.0 for about
+    12 % of its items, and the ``beta-ties`` stream then sets those items'
+    true order.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = draw()
     if not np.all(np.isfinite(values)):
         raise InvalidInput(f"{name}={noise_sd} makes the generated values non-finite")
-    rows, seeds = np.atleast_2d(values), np.atleast_1d(seed)
     for i in np.flatnonzero(tied_rows(values)):
-        rows[i] = break_ties(rows[i], child_seed(int(seeds[i]), tag))
+        values[i] = break_ties(values[i], child_seed(int(seeds[i]), tag))
     return values
 
 
-def _truth(data_model: str, total: int, d: int, data_noise_sd: float, seed):
-    """``total`` true values of the named model per seed.
+def _truth(gen: np.random.Generator, data_model: str, total: int, d: int,
+           data_noise_sd: float) -> np.ndarray:
+    """``total`` true values of the named model, drawn from ``gen``.
 
     ``sigmoid``: ``1 / (1 + exp(-w.x))`` with standard Gaussian features and
     weights of dimension ``d``.  ``beta_adaptive``: ``Beta(BETA_SHAPE,
@@ -150,37 +153,11 @@ def _truth(data_model: str, total: int, d: int, data_noise_sd: float, seed):
     sets).  Both add Gaussian noise of standard deviation ``data_noise_sd``.
     """
     if data_model == SIGMOID:
-        d = as_count(d, "d", least=1)
-        tag = "sigmoid"
-
-        def draw(gen: np.random.Generator) -> np.ndarray:
-            x = gen.standard_normal((total, d))
-            w = gen.standard_normal(d)
-            return 1.0 / (1.0 + np.exp(-(x @ w))) + data_noise_sd * gen.standard_normal(total)
+        x = gen.standard_normal((total, d))
+        latent = 1.0 / (1.0 + np.exp(-(x @ gen.standard_normal(d))))
     else:
-        tag = "beta"
-
-        def draw(gen: np.random.Generator) -> np.ndarray:
-            latent = gen.beta(BETA_SHAPE, BETA_SHAPE, total)
-            return latent + data_noise_sd * gen.standard_normal(total)
-
-    return _generated("data_noise_sd", data_noise_sd,
-                      lambda: _per_seed(seed, f"{tag}-data", draw), seed, f"{tag}-ties")
-
-
-def _noisy_outputs(truth: np.ndarray, noise_sd: float, seed, mode: str):
-    """The toy ranker's outputs for ``truth``.
-
-    A stand-in for a trained ranker: the truth plus Gaussian noise of
-    standard deviation ``noise_sd`` (0 gives the perfect ranker), as values
-    in VA mode and as their ranks in RA mode.  A ``(rows, n+m)`` truth takes
-    a 1-D array of seeds, one per row.
-    """
-    size = truth.shape[-1]
-    noise = _per_seed(seed, "ranker-noise", lambda gen: gen.standard_normal(size))
-    values = _generated("noise_sd", noise_sd, lambda: truth + noise_sd * noise,
-                        seed, "ranker-ties")
-    return ranks_within(values) if mode == RA else values
+        latent = gen.beta(BETA_SHAPE, BETA_SHAPE, total)
+    return latent + data_noise_sd * gen.standard_normal(total)
 
 
 def synthesize_problem(
@@ -190,7 +167,7 @@ def synthesize_problem(
     noise_sd: float,
     mode: str,
     seed: int | np.ndarray,
-    d: int = 5,
+    d: int = FEATURE_DIM,
     data_noise_sd: float = DATA_NOISE_SD,
 ) -> RankingProblem:
     """Generate truth from a named model and rank it with the noisy oracle.
@@ -198,28 +175,39 @@ def synthesize_problem(
     The one generator of synthetic problems.  ``seed`` is an integer, or a
     1-D array of integer seeds for the batch problem whose row ``i`` equals
     the problem for ``seeds[i]`` alone: each row draws from its own seed's
-    streams.  The noise levels, ``mode``, the model and the sizes are
-    checked before anything is drawn, and errors name the parameters of
-    this function.
+    streams, and an integer seed gives row 0 of the one-seed batch.  The
+    noise levels, ``mode``, the model and the sizes are checked before
+    anything is drawn, and errors name the parameters of this function.
+
+    The toy ranker stands in for a trained one: the truth plus Gaussian
+    noise of standard deviation ``noise_sd`` (0 gives the perfect ranker),
+    as values in VA mode and as their ranks in RA mode.
     """
-    _check_noise("noise_sd", noise_sd)
+    _check_settings(data_model, mode, noise_sd)
     _check_noise("data_noise_sd", data_noise_sd)
-    check_mode(mode)
-    if data_model not in DATA_MODELS:
-        raise InvalidInput(f"data_model must be one of {DATA_MODELS}")
     n, m = as_count(n, "n", least=1), as_count(m, "m", least=0)
     if n + m < 2:
         raise InvalidInput(f"need n + m >= 2, got n={n}, m={m}")
-    if np.ndim(seed) and not np.size(seed):
+    seeds = np.atleast_1d(seed)
+    if not seeds.size:
         raise InvalidInput("seed must hold at least one seed")
-    truth = _truth(data_model, n + m, d, data_noise_sd, seed)
-    ranker_seed = (child_seed(seed, "ranker") if np.ndim(seed) == 0
-                   else np.array([child_seed(s, "ranker") for s in seed]))
-    outputs = _noisy_outputs(truth, noise_sd, ranker_seed, mode)
-    return RankingProblem(
-        n=n, m=m, calib_ranks=ranks_within(truth[..., :n]),
-        ranker_mode=mode, ranker_outputs=outputs, truth=truth,
-    )
+    if data_model == SIGMOID:
+        d = as_count(d, "d", least=1)
+    tag = "sigmoid" if data_model == SIGMOID else "beta"
+    ranker_seeds = [child_seed(s, "ranker") for s in seeds]
+    with np.errstate(over="ignore", invalid="ignore"):
+        truth = np.stack([_truth(gen, data_model, n + m, d, data_noise_sd)
+                          for gen in streams(seeds, f"{tag}-data")])
+        truth = _tie_free(truth, "data_noise_sd", data_noise_sd, seeds, f"{tag}-ties")
+        noise = np.stack([gen.standard_normal(n + m)
+                          for gen in streams(ranker_seeds, "ranker-noise")])
+        outputs = _tie_free(truth + noise_sd * noise, "noise_sd", noise_sd,
+                            ranker_seeds, "ranker-ties")
+    outputs = ranks_within(outputs) if mode == RA else outputs
+    if np.ndim(seed) == 0:
+        truth, outputs = truth[0], outputs[0]
+    return RankingProblem(n=n, m=m, calib_ranks=ranks_within(truth[..., :n]),
+                          ranker_mode=mode, ranker_outputs=outputs, truth=truth)
 
 
 def oracle_sets(problem: RankingProblem, alpha: float) -> RankSets:
@@ -276,15 +264,13 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise InvalidInput(f"{name}={v} outside (0, 1)")
-        check_mode(self.mode)
-        if self.data_model not in DATA_MODELS:
-            raise InvalidInput(f"data_model must be one of {DATA_MODELS}")
+        _check_settings(self.data_model, self.mode, self.noise_sd)
         if self.fcp_mode not in (MARGINAL, FCP_CONTROLLED):
             raise InvalidInput(
                 f"fcp_mode must be {MARGINAL!r} or {FCP_CONTROLLED!r}"
             )
         self.k_top = None if self.k_top is None else as_count(self.k_top, "k_top", least=0)
-        _check_noise("noise_sd", self.noise_sd)
+        check_envelope_kind(self.envelope_kind)
         self.K_env = as_count(self.K_env, "K_env")
         if self.K_env < 1 and self.envelope_kind in Envelope.MC_KINDS:
             raise InvalidInput(f"K_env={self.K_env} must be at least 1 for a "
@@ -410,7 +396,7 @@ def _block_metrics(
     """Metric arrays of the repetitions ``reps``, run as one batch problem."""
     problem = synthesize_problem(
         cfg.data_model, cfg.n, cfg.m, cfg.noise_sd, cfg.mode,
-        seed=np.array([child_seed(cfg.master_seed, "rep", rep) for rep in reps]), d=5,
+        seed=np.array([child_seed(cfg.master_seed, "rep", rep) for rep in reps]),
     )
     true_calib, true_test = problem.true_ranks[:, : cfg.n], problem.true_ranks[:, cfg.n :]
 

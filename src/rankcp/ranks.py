@@ -90,13 +90,14 @@ def as_ranks(values, name: str = "ranks", items=None) -> np.ndarray:
     """``values`` as int64; a value that is not a whole number is refused, not truncated.
 
     The one rule for ranks.  An integer array passes without a scan, and an
-    int64 one without a copy.  Any other numbers are read as floats: NaN,
+    int64 one without a copy.  A boolean is not a number here and is refused
+    (``True`` is no count of 1).  Any other numbers are read as floats: NaN,
     ±inf, a fraction or a magnitude of 2**63 or more (which int64 cannot
     hold) raises :class:`InvalidInput` naming ``name`` and, where the caller
     names the items of the last axis, the item.
     """
     arr = np.asarray(values)
-    if np.can_cast(arr.dtype, np.int64):  # an integer array needs no scan
+    if arr.dtype != bool and np.can_cast(arr.dtype, np.int64):  # integers need no scan
         return arr.astype(np.int64, copy=False)
     noun = "integers" if arr.ndim else "an integer"
     if arr.dtype.kind not in "fuO":

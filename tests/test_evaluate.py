@@ -41,7 +41,7 @@ from rankcp import (
     topk_candidates,
 )
 from rankcp import evaluate
-from rankcp.ranks import tied_rows
+from rankcp.ranks import break_ties, tied_rows
 from rankcp.streams import child_seed
 
 
@@ -263,6 +263,10 @@ def test_experiment_config_validation():
         ExperimentConfig(envelope_kind="linear", K_env=0)
     # the closed-form kinds draw nothing, so they ignore K_env
     ExperimentConfig(envelope_kind="theoretical", K_env=0)
+    # an unknown kind was accepted here and refused only by run_experiment
+    with pytest.raises(InvalidInput, match="^unknown envelope kind 'bogus'; expected one of "
+                                           "naive, theoretical, linear, quantile$"):
+        ExperimentConfig(envelope_kind="bogus", K_env=0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -0.5])
@@ -491,14 +495,20 @@ def test_batch_rows_are_validated_one_by_one():
 
 
 def test_tied_generated_rows_are_broken():
-    # with no noise the outputs repeat the truth, and its first row is tied
+    # each tied row is broken with its own seed's stream; an untied row is
+    # left as drawn
     truth = np.array([[0.5, 0.5, 0.1, 0.9], [0.3, 0.2, 0.1, 0.0]])
     seeds = np.array([7, 8])
-    values = evaluate._noisy_outputs(truth, 0.0, seeds, "VA")
+    values = evaluate._tie_free(truth.copy(), "noise_sd", 0.0, seeds, "ranker-ties")
     assert tied_rows(truth).tolist() == [True, False]
     assert not tied_rows(values).any() and np.array_equal(values[1], truth[1])
-    ranks = evaluate._noisy_outputs(truth, 0.0, seeds, "RA")
-    assert np.array_equal(ranks, ranks_within(values))
+    assert np.array_equal(values[0], break_ties(truth[0], child_seed(7, "ranker-ties")))
+    # with no noise the outputs repeat the tie-free truth of a tie-heavy
+    # model, and the RA outputs are the ranks of the VA values
+    va, ra = (synthesize_problem("beta_adaptive", 20, 20, 0.0, mode, seed=seeds,
+                                 data_noise_sd=0.0) for mode in ("VA", "RA"))
+    assert np.array_equal(va.ranker_outputs, va.truth)
+    assert np.array_equal(ra.ranker_outputs, ranks_within(va.ranker_outputs))
 
 
 def test_noise_free_beta_truth_is_tie_heavy_and_comes_out_tie_free():

@@ -572,6 +572,25 @@ def test_request_payloads_are_pinned(tmp_path):
     assert {name: rio.file_digest(path) for name, path in out.items()} == PINNED_REQUESTS
 
 
+# sha256 of single-seed synth payloads, taken when a single seed drew
+# through a path of its own beside the batch.  Noise-free beta truth ties
+# about a tenth of its items at 1.0, so the first payload pins the
+# beta-ties stream of a single seed.
+PINNED_SYNTH = {
+    ("--data-noise-sd", "0", "--mode", "RA"):
+        "8eec233cd78d4288f393848c2a24ad0c11eee58b3ffbef1dc28315bb014c0ab3",
+    ("--mode", "VA"): "6b9b1b3281b2bf0920e22b9e8705af6d634c73b81504a78236af92c5b0b0824e",
+}
+
+
+@pytest.mark.parametrize("flags", PINNED_SYNTH, ids=["beta-tied-RA", "beta-VA"])
+def test_single_seed_synth_payloads_are_pinned(tmp_path, flags):
+    out = tmp_path / "scores.csv"
+    assert main(["synth", "--model", "beta_adaptive", "--n", "200", "--m", "200",
+                 "--seed", "9", *flags, "--out", str(out)]) == 0
+    assert rio.file_digest(out) == PINNED_SYNTH[flags]
+
+
 def test_report_roundtrip(tmp_path):
     cfg = ExperimentConfig(n=20, m=10, reps=3, envelope_kind="naive", master_seed=72)
     report = run_experiment(cfg)

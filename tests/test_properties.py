@@ -86,6 +86,18 @@ def test_proxy_scores_dominate_true_scores_under_covering_envelope(data, mode):
     assert np.all(proxy_scores(problem, env) >= scores_at(problem, true_calib))
 
 
+def _whole(value) -> bool:
+    """Whether ``value`` is a whole number below 2**63 in magnitude: a rank or a count.
+
+    A boolean is not, though ``isinstance(True, int)`` holds.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    if isinstance(value, (int, np.integer)):
+        return -(2**63) <= value < 2**63
+    return math.isfinite(value) and value.is_integer() and abs(value) < 2**63
+
+
 def _outcome(call):
     """``call()``, or the class of the package error it raises."""
     try:
@@ -129,17 +141,20 @@ _RANK_LIKE = (
     | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
     | st.sampled_from([2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1, 10**30])
     | st.sampled_from([2.0**63, float(np.nextafter(2.0**63, 0)), -(2.0**63), 1e20])
+    | st.sampled_from([True, False, np.True_])
 )
 _M = 8  # the test items of the one-calibration-item problem below
 
 
 def _ra_problem(calib_rank=1, output=1):
     return RankingProblem(n=1, m=_M, calib_ranks=[calib_rank], ranker_mode="RA",
-                          ranker_outputs=[output] + [1] * _M)
+                          ranker_outputs=[output] * (1 + _M))
 
 
 # Each array entry point of a rank: a call that reads a value ``v`` back as
-# an int64 array, and the ranks it serves
+# an int64 array, and the ranks it serves.  Every entry of the array read
+# holds ``v``, so the array has ``v``'s own dtype: numpy reads the list
+# ``[True, 1]`` as int64, the array ``[True, True]`` is a boolean one
 _RANK_ENTRY_POINTS = {
     "RankSets lo": (lambda v: RankSets(["a"], [v], [2**62]).lo, 1, 2**62),
     "RankSets hi": (lambda v: RankSets(["a"], [1], [v]).hi, 1, 2**63 - 1),
@@ -149,7 +164,7 @@ _RANK_ENTRY_POINTS = {
     "scores_at": (lambda v: scores_at(_ra_problem(), [v]).astype(np.int64) + 1, 1, 1 + _M),
     # a naive envelope's lower bound at calibration rank r is r
     "calibration_sets": (lambda v: calibration_sets(naive_envelope(_M, 1),
-                                                    [v] + [1] * (_M - 1)).lo[:1], 1, _M),
+                                                    [v] * _M).lo[:1], 1, _M),
 }
 
 
@@ -158,10 +173,7 @@ _RANK_ENTRY_POINTS = {
 def test_one_whole_number_rule_for_every_rank_entry_point(value):
     # the scalar rule and every array entry point accept exactly the int64
     # values and the whole floats below 2**63, and read them as the same int64
-    if isinstance(value, int):
-        whole = -(2**63) <= value < 2**63
-    else:
-        whole = math.isfinite(value) and value.is_integer() and abs(value) < 2**63
+    whole = _whole(value)
     rank = _outcome(lambda: as_count(value, "ranks"))
     assert (type(rank), rank) == ((int, int(value)) if whole else (type, InvalidInput))
     for name, (read, low, high) in _RANK_ENTRY_POINTS.items():
@@ -181,8 +193,7 @@ def _served(value) -> int:
     Sizes the other inputs of a count entry point; a value that is not a
     count is refused before they are read.
     """
-    whole = math.isfinite(value) and float(value).is_integer() and abs(value) < 2**63
-    return int(value) if whole else 1
+    return int(value) if _whole(value) else 1
 
 
 def _problem(n=2, m=1):
@@ -257,6 +268,7 @@ _COUNT_LIKE = (
     | st.floats(-2, 10)
     | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, -(2**63)])
     | st.sampled_from([2**63, 2**64, -(2**63) - 1, 10**30, 2.0**63, -(2.0**63), 1e20])
+    | st.sampled_from([True, False, np.True_])
 )
 
 
@@ -275,10 +287,7 @@ def test_one_whole_number_rule_for_every_count_entry_point(value):
     # int or a whole float gives what the Python int gives, and a value that
     # is not a whole number below 2**63, or lies below the floor, is refused
     # with InvalidInput naming the parameter
-    if isinstance(value, (int, np.integer)):
-        whole = -(2**63) <= value < 2**63
-    else:
-        whole = math.isfinite(value) and value.is_integer() and abs(value) < 2**63
+    whole = _whole(value)
     for entry, (read, name, floor) in _COUNT_ENTRY_POINTS.items():
         got = _refusal(lambda: read(value))
         if not whole:
