@@ -55,15 +55,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .envelope import Envelope, _ceil_count, check_delta
+from .envelope import Envelope, _ceil_count
 from .errors import (
     DimensionMismatch,
     InfeasibleLevel,
     InvalidInput,
     RankOutOfRange,
 )
-from .ranks import (RA, ItemId, RankingProblem, _as_float_vector, as_count, as_ranks,
-                    rank_va_outputs)
+from .ranks import (RA, ItemId, RankingProblem, _as_float_vector, as_count, as_level,
+                    as_ranks, rank_va_outputs)
 
 MARGINAL = "marginal"
 FCP_CONTROLLED = "fcp_controlled"
@@ -145,7 +145,7 @@ class RankSets:
         if (lo.ndim not in (1, 2) or lo.shape[-1] != len(self.items)
                 or hi.shape != lo.shape):
             raise DimensionMismatch("need one lo and one hi per item")
-        self.lo, self.hi = (as_ranks(edge, "ranks", self.items) for edge in (lo, hi))
+        self.lo, self.hi = (as_ranks(edge, "ranks", self.items) for edge in (self.lo, self.hi))
         bad = np.flatnonzero((self.lo < 1) | (self.lo > self.hi))
         if bad.size:
             j = bad[0]
@@ -257,7 +257,8 @@ def select_k(alpha: float, delta: float, n: int) -> int:
     ``k > n``: there is no finite k-th order statistic among n scores, so the
     requested levels need a larger calibration set.
     """
-    if not 0.0 <= delta < alpha < 1.0:
+    alpha, delta = as_level(alpha, "alpha", positive=True), as_level(delta, "delta")
+    if not delta < alpha:
         raise InvalidInput(f"need 0 <= delta < alpha < 1, got alpha={alpha}, delta={delta}")
     n = as_count(n, "n", least=1)
     k = _ceil_count(1.0 - alpha + delta, n + 1)
@@ -461,17 +462,15 @@ def fcp_calibration(
     if K is not None or seed is not None:
         warnings.warn("fcp_calibration: K and seed are deprecated and ignored "
                       "(the FCP index is exact)", DeprecationWarning, stacklevel=2)
-    if not 0.0 <= alpha_bar < 1.0:
-        raise InvalidInput(f"alpha_bar={alpha_bar} outside [0, 1)")
-    if not 0.0 < beta_bar < 1.0:
-        raise InvalidInput(f"beta_bar={beta_bar} outside (0, 1)")
-    check_delta(delta)
+    alpha_bar = as_level(alpha_bar, "alpha_bar")
+    beta_bar = as_level(beta_bar, "beta_bar", positive=True)
+    delta = as_level(delta, "delta")
     n, m = as_count(n, "n", least=1), as_count(m, "m", least=1)
 
     a = min(m, int(math.floor(m * alpha_bar + 1e-9)) + 1)
     j0 = m - a  # the a-th smallest p-value belongs to the a-th largest score
     r = m - j0 - 1
-    num, den = float(beta_bar).as_integer_ratio()  # exactly Fraction(beta_bar)
+    num, den = beta_bar.as_integer_ratio()  # exactly Fraction(beta_bar)
     # P(X >= x) >= beta_bar  <=>  tail * den >= num * C(n+m, n)
     need = num * math.comb(n + m, n)
     term = math.comb(n + j0, n)  # C(n+m, n) P(X = n)

@@ -47,10 +47,9 @@ Monte-Carlo calibration costs an extra ``4 sqrt(log(nK) / K)`` of confidence
 state the effective level ``1 - delta - slack``.
 
 :func:`build_envelope` builds any kind by name; the experiment harness and
-the CLI build envelopes only through it.  Two level rules live here once:
-:func:`check_delta` refuses a ``delta`` outside ``[0, 1)`` (for envelopes
-and for ``conformal.fcp_calibration``), and :func:`_ceil_count` turns a
-level into a count (the fits' ``need`` and ``conformal.select_k``'s ``k``).
+the CLI build envelopes only through it.  Every ``delta`` is read by
+``ranks.as_level``, and :func:`_ceil_count` turns a level into a count (the
+fits' ``need`` and ``conformal.select_k``'s ``k``).
 
 The simulation draws raw Philox words, the ones ``Generator.random`` would
 turn into uniforms, and ranks each row by one in-place sort of the words
@@ -74,14 +73,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InsufficientSample,
-    InvalidDelta,
-    InvalidInput,
-    SampleTooLarge,
-)
-from .ranks import as_count, as_ranks
+from .errors import DimensionMismatch, InsufficientSample, InvalidInput, SampleTooLarge
+from .ranks import as_count, as_level, as_ranks
 from .streams import CHUNK, chunk_stream
 
 THEORETICAL_C = 4.0 * math.sqrt(2.0 * math.pi)
@@ -123,13 +116,6 @@ def _ceil_count(q: float, K: int) -> int:
     ``conformal.select_k``'s ``ceil((1 - alpha + delta)(n + 1))``.
     """
     return min(K, max(0, int(math.ceil(q * K - 1e-9))))
-
-
-def check_delta(delta: float) -> float:
-    """``delta`` as a float, refusing a level ``1 - delta`` with ``delta`` outside ``[0, 1)``."""
-    if not 0.0 <= delta < 1.0:
-        raise InvalidDelta(f"delta={delta} outside [0, 1)")
-    return float(delta)
 
 
 @dataclass
@@ -383,9 +369,8 @@ class Envelope:
 
     def __post_init__(self):
         self.n, self.m = as_count(self.n, "n", least=1), as_count(self.m, "m", least=0)
-        if self.kind not in ENVELOPE_KINDS:
-            raise InvalidInput(f"kind must be one of {ENVELOPE_KINDS}")
-        self.delta = check_delta(self.delta)
+        check_envelope_kind(self.kind)
+        self.delta = as_level(self.delta, "delta")
         if self.param is not None and not math.isfinite(self.param):
             raise InvalidInput(f"param must be finite, got {self.param}")
         self.param = None if self.param is None else float(self.param)
@@ -433,8 +418,7 @@ def naive_envelope(n: int, m: int) -> Envelope:
 
 def theoretical_band_halfwidth(n: int, m: int, delta: float) -> float:
     """The closed-form normalized half-width ``lam`` for given sizes and level."""
-    if not 0.0 < delta < 1.0:
-        raise InvalidDelta(f"delta={delta} outside (0, 1)")
+    delta = as_level(delta, "delta", positive=True)
     n, m = as_count(n, "n", least=1), as_count(m, "m", least=1)
     tau = n * m / (n + m)
     return math.sqrt(math.log(THEORETICAL_C * math.sqrt(tau) / delta) / tau)
@@ -486,7 +470,7 @@ def _check_fit_level(K: int, delta: float) -> int:
     must hold.  The fits check their sample with it; :func:`build_envelope`
     checks ``K`` before simulating, so a hopeless request draws nothing.
     """
-    check_delta(delta)
+    delta = as_level(delta, "delta")
     if delta > 0.0 and K < 1.0 / delta:
         raise InsufficientSample(
             f"K={K} trajectories cannot resolve delta={delta}; need K >= 1/delta"
@@ -652,7 +636,7 @@ def build_envelope(
     from ``seed``, after checking that ``K`` can resolve ``delta``, so a
     hopeless request draws nothing; the other kinds ignore ``K`` and ``seed``.
     """
-    check_delta(delta)
+    delta = as_level(delta, "delta")
     check_envelope_kind(kind)
     if kind == "naive":
         return naive_envelope(n, m)

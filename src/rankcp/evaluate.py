@@ -51,7 +51,9 @@ from .errors import DimensionMismatch, InvalidInput, MissingTruth
 from .ranks import (
     RA,
     RankingProblem,
+    _as_number,
     as_count,
+    as_level,
     break_ties,
     check_mode,
     ranks_within,
@@ -106,8 +108,8 @@ def relative_length(sets: RankSets, n_plus_m: int) -> float | np.ndarray:
 
 
 def _check_noise(name: str, value: float) -> None:
-    """Refuse a noise level that is negative, infinite or NaN, naming its parameter."""
-    if not 0.0 <= value < math.inf:
+    """Refuse a noise level that is no number, negative, infinite or NaN, naming its parameter."""
+    if not 0.0 <= _as_number(value, name) < math.inf:
         raise InvalidInput(f"{name}={value} must be finite and nonnegative")
 
 
@@ -261,9 +263,7 @@ class ExperimentConfig:
         self.n, self.m = as_count(self.n, "n", least=1), as_count(self.m, "m", least=1)
         self.reps = as_count(self.reps, "reps", least=1)
         for name in ("alpha", "beta", "delta"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise InvalidInput(f"{name}={v} outside (0, 1)")
+            setattr(self, name, as_level(getattr(self, name), name, positive=True))
         _check_settings(self.data_model, self.mode, self.noise_sd)
         if self.fcp_mode not in (MARGINAL, FCP_CONTROLLED):
             raise InvalidInput(

@@ -342,8 +342,9 @@ def envelope_from_doc(doc: dict) -> Envelope:
             m=_numbers(doc["m"], "m"),
             delta=_numbers(doc["delta"], "delta", float),
             kind=str(doc["kind"]),
-            lower=_numbers(doc["lower"], "lower"),
-            upper=_numbers(doc["upper"], "upper"),
+            # _numbers refuses a bool, so the bounds skip the rank rule's scan of a list
+            lower=np.asarray(_numbers(doc["lower"], "lower")),
+            upper=np.asarray(_numbers(doc["upper"], "upper")),
             param=None if doc.get("param") is None else _numbers(doc["param"], "param", float),
             mc_meta=meta,
         )
@@ -408,8 +409,8 @@ def read_sets(path) -> RankSets:
     columns, lines = _read_csv(path, SETS_HEADER, extra_columns=True)
     lo = _parse(path, columns["lo"], lines, int, "lo {!r} is not an integer")
     hi = _parse(path, columns["hi"], lines, int, "hi {!r} is not an integer")
-    try:
-        sets = RankSets(items=columns["id"], lo=lo, hi=hi)
+    try:  # int() gives no bool, so the columns skip the rank rule's scan of a list
+        sets = RankSets(items=columns["id"], lo=np.asarray(lo), hi=np.asarray(hi))
     except InvalidInput as exc:
         raise InvalidData(f"{path}: {exc}") from exc
     _check_unique_ids(path, sets.items, lines)

@@ -22,7 +22,10 @@ rule's one-value case, which also refuses a value below a floor: every size
 and index of the package (``n``, ``m``, ``K``, ``k``, ``reps``, ``d``,
 ``k_top``) and the ranks of the scalar scores of ``conformal``.  Seeds keep
 ``streams.philox_key``'s stricter rule, since ``streams`` cannot import this
-module.
+module.  A probability level (``alpha``, ``beta``, ``delta``, ``alpha_bar``,
+``beta_bar``) goes through :func:`as_level`, which refuses what is not one
+real number and a value outside its interval; ``evaluate``'s noise levels
+apply its number test, :func:`_as_number`.
 Ranks and order statistics have no scalar functions: :func:`ranks_within`
 ranks every element of a vector, and the ``r``-th smallest VA output of a
 problem is its ``sorted_outputs[r - 1]``.
@@ -35,11 +38,12 @@ axis: a stack of independent rows, each checked and ranked on its own.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, TiesDetected
+from .errors import DimensionMismatch, InvalidDelta, InvalidInput, TiesDetected
 from .streams import stream
 
 ItemId = str
@@ -91,17 +95,22 @@ def as_ranks(values, name: str = "ranks", items=None) -> np.ndarray:
 
     The one rule for ranks.  An integer array passes without a scan, and an
     int64 one without a copy.  A boolean is not a number here and is refused
-    (``True`` is no count of 1).  Any other numbers are read as floats: NaN,
-    ±inf, a fraction or a magnitude of 2**63 or more (which int64 cannot
-    hold) raises :class:`InvalidInput` naming ``name`` and, where the caller
-    names the items of the last axis, the item.
+    (``True`` is no count of 1), also inside a list or tuple of integers,
+    which numpy would read as int64.  Any other numbers are read as floats:
+    NaN, ±inf, a fraction or a magnitude of 2**63 or more (which int64
+    cannot hold) raises :class:`InvalidInput` naming ``name`` and, where the
+    caller names the items of the last axis, the item.
     """
     arr = np.asarray(values)
-    if arr.dtype != bool and np.can_cast(arr.dtype, np.int64):  # integers need no scan
+    dtype = arr.dtype
+    if isinstance(values, (list, tuple)) and {bool, np.bool_} & set(
+            map(type, np.asarray(values, dtype=object).ravel())):
+        dtype = np.dtype(bool)  # numpy reads [True, 2] as int64
+    if dtype != bool and np.can_cast(dtype, np.int64):  # integers need no scan
         return arr.astype(np.int64, copy=False)
     noun = "integers" if arr.ndim else "an integer"
-    if arr.dtype.kind not in "fuO":
-        raise InvalidInput(f"{name} must be {noun}, got {arr.dtype}")
+    if dtype.kind not in "fuO":
+        raise InvalidInput(f"{name} must be {noun}, got {dtype}")
     as_float = arr.astype(float)
     whole = whole_numbers(as_float)
     bad = np.flatnonzero(~(whole & (np.abs(as_float) < 2.0**63)))
@@ -127,6 +136,32 @@ def as_count(value, name: str, least: int | None = None) -> int:
     if least is not None and count < least:
         raise InvalidInput(f"need {name} >= {least}, got {name}={count}")
     return int(count)
+
+
+def _as_number(value, name: str) -> float:
+    """``value``, one real number (a 0-d array holding one too), as a float.
+
+    A boolean (``True`` is no level of 1), a string, ``None`` and an array
+    of any shape but 0-d raise :class:`InvalidInput` naming ``name``.
+    """
+    number = value[()] if isinstance(value, np.ndarray) and not value.ndim else value
+    if isinstance(number, (bool, np.bool_)) or not isinstance(number, numbers.Real):
+        raise InvalidInput(f"{name} must be a number, got {value!r}")
+    return float(number)
+
+
+def as_level(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float: the one rule for a probability level.
+
+    A level lies in ``[0, 1)``, or in ``(0, 1)`` where ``positive``.  What is
+    not one real number (:func:`_as_number`) raises :class:`InvalidInput`,
+    and NaN or a number outside the interval :class:`InvalidDelta`, naming
+    ``name``.
+    """
+    level = _as_number(value, name)
+    if not (0.0 < level < 1.0 if positive else 0.0 <= level < 1.0):  # False for nan
+        raise InvalidDelta(f"{name}={value} outside " + ("(0, 1)" if positive else "[0, 1)"))
+    return level
 
 
 def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

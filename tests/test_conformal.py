@@ -94,6 +94,8 @@ def test_scalar_scores_refuse_what_the_array_path_refuses():
         (lambda: RankSets(["a"], [1.5], [2.9]), "ranks must be integers, got 1.5 for item 'a'"),
         (lambda: RankSets(["a", "b"], [1, 2], [2.0, inf]),
          "ranks must be integers, got inf for item 'b'"),
+        # numpy reads the list [True, 1] as int64, and lo was [1, 1]
+        (lambda: RankSets(["a", "b"], [True, 1], [2, 2]), "ranks must be integers, got bool"),
         # a 2-D list ended in numpy's bare "truth value ... is ambiguous"
         (lambda: proxy_score_va(1, 2, 0.5, [[0.1, 0.2], [0.3, 0.4]]),
          "all_values must be one-dimensional"),

@@ -835,7 +835,9 @@ ENVELOPE_REFUSALS = {
     "simulate n": (lambda: simulate_sorted_ranks(0, 5, 10, seed=0), InvalidInput, "n >= 1"),
     "simulate m": (lambda: simulate_sorted_ranks(5, -1, 10, seed=0), InvalidInput, "m >= 0"),
     "simulate K": (lambda: simulate_sorted_ranks(5, 5, 0, seed=0), InvalidInput, "K >= 1"),
-    "Envelope kind": (lambda: _envelope(kind="exotic"), InvalidInput, "kind must be one of"),
+    "Envelope kind": (lambda: _envelope(kind="exotic"), InvalidInput,
+                      "^unknown envelope kind 'exotic'; expected one of naive, theoretical, "
+                      "linear, quantile$"),
     "Envelope delta": (lambda: _envelope(delta=1.0), InvalidDelta, r"delta=1.0 outside"),
     "Envelope shape": (lambda: _envelope(upper=[3, 4]), DimensionMismatch,
                        "lower/upper must have length n"),

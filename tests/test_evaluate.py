@@ -281,6 +281,22 @@ def test_noise_levels_must_be_finite_and_nonnegative(bad):
         ExperimentConfig(noise_sd=bad)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, "0.1", np.array([0.1]), None])
+def test_noise_levels_must_be_numbers(bad):
+    # True drew with noise 1.0, the array was accepted and the string ended
+    # in a bare TypeError
+    message = f"noise_sd must be a number, got {bad!r}"
+    with pytest.raises(InvalidInput) as err:
+        synthesize_problem("sigmoid", 5, 5, bad, "VA", seed=0)
+    assert str(err.value) == message
+    with pytest.raises(InvalidInput) as err:
+        synthesize_problem("sigmoid", 5, 5, 0.1, "VA", seed=0, data_noise_sd=bad)
+    assert str(err.value) == f"data_{message}"
+    with pytest.raises(InvalidInput) as err:
+        ExperimentConfig(noise_sd=bad)
+    assert str(err.value) == message
+
+
 # (metric, arm) of the nine report rows of one repetition, in order
 REPORT_LAYOUT = (
     ("fcp", "proxy"), ("relative_length", "proxy"), ("oracle_ratio", "proxy"),

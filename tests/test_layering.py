@@ -5,15 +5,16 @@ the random streams and ``ranks``, whose whole-number rule it applies to its
 sizes and bounds (``ranks`` imports neither of the others, so there is no
 cycle); ``conformal`` and ``io`` serve the harness and the CLI but never
 import them; the fit-level check stays inside ``envelope``, which also writes
-the ``delta`` range and the count ceiling of a level once each; and ``ranks``
-alone writes the ranker-mode vocabulary, the ordering rules and the
-whole-number rule for ranks and counts: no other function compares a size or
-an index with a number of its own.
+the count ceiling of a level once; and ``ranks`` alone writes the
+ranker-mode vocabulary, the ordering rules, the whole-number rule for ranks
+and counts and the interval rule for probability levels: no other function
+compares a size, an index or a level with a number of its own.
 """
 
 import ast
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -253,11 +254,12 @@ def test_rank_set_is_a_plain_view():
     assert not [node for node in view.body if isinstance(node, ast.FunctionDef)]
 
 
-def _sites(match) -> set[tuple[str, str | None]]:
+def _sites(match, trees=None) -> set[tuple[str, str | None]]:
     """``(module, function)`` of every node that ``match`` accepts.
 
     ``function`` is the innermost function around the node, ``None`` at
-    module or class level.
+    module or class level.  ``trees`` maps module names to their parsed
+    source, by default every module of the package as it is.
     """
     sites = set()
 
@@ -268,8 +270,8 @@ def _sites(match) -> set[tuple[str, str | None]]:
             inner = child.name if isinstance(child, ast.FunctionDef) else function
             visit(module, child, inner)
 
-    for module in MODULES:
-        visit(module, _tree(module), None)
+    for module, tree in (trees or {m: _tree(m) for m in MODULES}).items():
+        visit(module, tree, None)
     return sites
 
 
@@ -279,13 +281,10 @@ def _message(node) -> str:
                    and isinstance(piece.value, str))
 
 
-def test_envelope_owns_the_delta_range_and_the_count_ceiling():
-    # one function refuses a delta outside [0, 1), for envelopes and for the
-    # FCP index alike, and one rounds a level up to a count with the float
-    # guard, for the fits' need and select_k's k; fcp_calibration's floor of
+def test_envelope_owns_the_count_ceiling():
+    # one function rounds a level up to a count with the float guard, for
+    # the fits' need and select_k's k; fcp_calibration's floor of
     # m alpha_bar is the guard's one other use
-    assert _sites(lambda node: isinstance(node, ast.Raise) and "delta=" in _message(node)
-                  and "outside [0, 1)" in _message(node)) == {("envelope", "check_delta")}
     assert _sites(lambda node: isinstance(node, ast.Constant) and node.value == 1e-9) == {
         ("envelope", "_ceil_count"), ("conformal", "fcp_calibration")}
 
@@ -304,19 +303,22 @@ _COUNT_RULES = {
 }
 
 
-def _count_literal_compares(module: str, tree: ast.AST) -> set[tuple[str, str, str]]:
-    """``(module, function, name)`` of each comparison of a count name with an integer literal.
+def _literal_compares(module: str, tree: ast.AST, names: set[str], rule: str,
+                      kinds: tuple[type, ...]) -> set[tuple[str, str, str]]:
+    """``(module, function, name)`` of each comparison of one of ``names`` with a literal.
 
-    ``function`` is the dotted path of the innermost function around it
-    (``Class.method``), empty at module level.
+    A literal is a constant of one of ``kinds`` (never a bool).  ``function``
+    is the dotted path of the innermost function around it (``Class.method``),
+    empty at module level.  The rule itself, ``ranks.<rule>``, compares with
+    the bounds its caller names, and is left out.
     """
     def literal(node):
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             node = node.operand
-        return (isinstance(node, ast.Constant) and isinstance(node.value, int)
+        return (isinstance(node, ast.Constant) and isinstance(node.value, kinds)
                 and not isinstance(node.value, bool))
 
-    def count_name(node):
+    def name_of(node):
         return (node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute) else None)
 
@@ -326,16 +328,19 @@ def _count_literal_compares(module: str, tree: ast.AST) -> set[tuple[str, str, s
         if isinstance(node, ast.Compare):  # each link of a chain on its own
             operands = [node.left, *node.comparators]
             for pair in zip(operands, operands[1:]):
-                names = set(map(count_name, pair)) & _COUNT_NAMES
-                if names and any(map(literal, pair)):
-                    found.add((module, ".".join(path), names.pop()))
+                compared = set(map(name_of, pair)) & names
+                if compared and any(map(literal, pair)):
+                    found.add((module, ".".join(path), compared.pop()))
         for child in ast.iter_child_nodes(node):
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(child, path + [child.name] if named else path)
 
     visit(tree, [])
-    # the rule itself compares with its floor, which the caller names
-    return {site for site in found if site[:2] != ("ranks", "as_count")}
+    return {site for site in found if site[:2] != ("ranks", rule)}
+
+
+_count_literal_compares = partial(_literal_compares, names=_COUNT_NAMES, rule="as_count",
+                                  kinds=(int,))
 
 
 def test_ranks_owns_the_count_rule():
@@ -355,3 +360,49 @@ def test_a_restored_size_check_fails_the_count_guard():
                                     '    k = _ceil_count')
     assert _count_literal_compares("conformal", ast.parse(restored)) - _COUNT_RULES == {
         ("conformal", "select_k", "n")}
+
+
+# the probability levels that ranks.as_level reads, by parameter or attribute name
+_LEVEL_NAMES = {"alpha", "beta", "delta", "alpha_bar", "beta_bar"}
+
+# (module, function, name) of the domain rules that compare a level with a
+# literal once as_level has read it: a positive delta needs K >= 1/delta
+_LEVEL_RULES = {("envelope", "_check_fit_level", "delta")}
+
+_level_literal_compares = partial(_literal_compares, names=_LEVEL_NAMES, rule="as_level",
+                                  kinds=(int, float))
+
+
+def _interval_refusal(node) -> bool:
+    """Whether ``node`` raises a level's interval error, ``... outside [0, 1)`` or ``(0, 1)``."""
+    return isinstance(node, ast.Raise) and any(
+        f"outside {interval}" in _message(node) for interval in ("[0, 1)", "(0, 1)"))
+
+
+def test_ranks_owns_the_level_rule():
+    # one function tests alpha, beta, delta, alpha_bar and beta_bar against
+    # their interval and raises the interval error; no other function
+    # compares a level with a literal but the domain rules in _LEVEL_RULES
+    assert _sites(_interval_refusal) == {("ranks", "as_level")}
+    found = set().union(*(_level_literal_compares(m, _tree(m)) for m in MODULES))
+    assert found == _LEVEL_RULES
+    assert "check_delta" not in set().union(*map(_names, MODULES))
+
+
+@pytest.mark.parametrize("restored", [
+    # the interval test of alpha, written out
+    '    if not 0.0 < alpha < 1.0:\n'
+    '        raise InvalidDelta(f"alpha={alpha} outside (0, 1)")\n'
+    '    delta = as_level(delta, "delta")\n',
+    # the chain select_k held, with its relation message
+    '    if not 0.0 <= delta < alpha < 1.0:\n'
+    '        raise InvalidInput(f"need 0 <= delta < alpha < 1, got {alpha}, {delta}")\n',
+])
+def test_a_restored_level_check_fails_the_level_guard(restored):
+    source = (PACKAGE / "conformal.py").read_text(encoding="utf-8")
+    read = '    alpha, delta = as_level(alpha, "alpha", positive=True), as_level(delta, "delta")\n'
+    assert source.count(read) == 1
+    tree = ast.parse(source.replace(read, restored))
+    caught = {site[:2] for site in _level_literal_compares("conformal", tree) - _LEVEL_RULES}
+    caught |= _sites(_interval_refusal, {"conformal": tree})
+    assert caught == {("conformal", "select_k")}

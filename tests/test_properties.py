@@ -1,6 +1,7 @@
 """Property tests of envelopes, proxy scores, targets and stored orders on small problems."""
 
 import math
+import numbers
 from fractions import Fraction
 from functools import partial
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from rankcp import (
     Envelope,
     ExperimentConfig,
+    InvalidDelta,
     InvalidInput,
     MonteCarloMeta,
     RankCPError,
@@ -299,6 +301,63 @@ def test_one_whole_number_rule_for_every_count_entry_point(value):
                 assert got[1] == f"need {name} >= {floor}, got {name}={int(value)}", entry
         else:
             reference = _refusal(lambda: read(int(value)))
+            assert got == reference and type(got) is type(reference), entry
+
+
+# Each entry point of a probability level: the call that reads a value ``v``,
+# the name its refusals give it, and whether its interval leaves out 0; the
+# calls return what they stored or computed.  select_k's delta is read with
+# alpha = 0.999, so a delta of 0.999 or more in [0, 1) meets its own relation
+# rule, ``need 0 <= delta < alpha < 1``
+_LEVEL_ENTRY_POINTS = {
+    "select_k alpha": (lambda v: select_k(v, 0.0, 50), "alpha", True),
+    "select_k delta": (lambda v: select_k(0.999, v, 50), "delta", False),
+    "fcp_calibration alpha_bar": (lambda v: fcp_calibration(v, 0.25, 0.02, 10, 10),
+                                  "alpha_bar", False),
+    "fcp_calibration beta_bar": (lambda v: fcp_calibration(0.1, v, 0.02, 10, 10),
+                                 "beta_bar", True),
+    "fcp_calibration delta": (lambda v: fcp_calibration(0.1, 0.25, v, 10, 10), "delta", False),
+    "build_envelope delta": (lambda v: envelope_to_doc(build_envelope("quantile", 3, 2, v,
+                                                                      200, 0)), "delta", False),
+    "Envelope delta": (lambda v: envelope_to_doc(Envelope(**{**_ENVELOPE, "delta": v})),
+                       "delta", False),
+    "halfwidth delta": (lambda v: theoretical_band_halfwidth(5, 5, v), "delta", True),
+    "ExperimentConfig alpha": (lambda v: ExperimentConfig(alpha=v).alpha, "alpha", True),
+    "ExperimentConfig beta": (lambda v: ExperimentConfig(beta=v).beta, "beta", True),
+    "ExperimentConfig delta": (lambda v: ExperimentConfig(delta=v).delta, "delta", True),
+}
+
+# Values a caller may pass as a level: floats in and out of [0, 1), numpy
+# floats, the interval's ends as ints and floats, signed zeros, NaN, ±inf,
+# other real numbers (a fraction, an int beyond int64), and what is not one
+# number: booleans, a numeric string, an array and None
+_LEVEL_LIKE = (
+    st.floats(-0.5, 1.5)
+    | st.floats(0, 1.5).map(np.float64)
+    | st.sampled_from([0, 1, 0.0, 1.0, -0.0, math.nan, math.inf, -math.inf])
+    | st.sampled_from([Fraction(1, 4), Fraction(5, 4), 2**64])
+    | st.sampled_from([True, False, np.True_, "0.1", np.array([0.1]), None])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_LEVEL_LIKE)
+def test_one_level_rule_for_every_level_entry_point(value):
+    # every probability level is read by ranks.as_level: a number in its
+    # interval gives what the same Python float gives, a value that is not
+    # one number is refused with InvalidInput and a number outside the
+    # interval (NaN too) with InvalidDelta, both naming the parameter
+    number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    for entry, (read, name, positive) in _LEVEL_ENTRY_POINTS.items():
+        got = _refusal(lambda: read(value))
+        if not number:
+            assert got[0] is InvalidInput, (entry, got)
+            assert got[1].startswith(f"{name} must be a number, got "), (entry, got)
+        elif not (0.0 < value < 1.0 if positive else 0.0 <= value < 1.0):
+            interval = "(0, 1)" if positive else "[0, 1)"
+            assert got == (InvalidDelta, f"{name}={value} outside {interval}"), (entry, got)
+        else:
+            reference = _refusal(lambda: read(float(value)))
             assert got == reference and type(got) is type(reference), entry
 
 

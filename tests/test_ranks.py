@@ -11,7 +11,7 @@ from rankcp import (
     ranks_within,
 )
 from rankcp.errors import DimensionMismatch
-from rankcp.ranks import tied_rows
+from rankcp.ranks import as_ranks, tied_rows
 
 
 def test_ranks_within_examples():
@@ -194,6 +194,11 @@ RANKS_REFUSALS = {
     "RankingProblem RA inf": (
         lambda: _ranking_problem(ranker_mode="RA", ranker_outputs=[2, 1, 4, 3, np.inf]),
         InvalidInput, r"^RA ranker outputs must be integers, got inf$"),
+    # numpy reads [True, 2] as int64, and the rule returned [1, 2]
+    "as_ranks bool in list": (lambda: as_ranks([True, 2]), InvalidInput,
+                              "^ranks must be integers, got bool$"),
+    "as_ranks bool in tuple": (lambda: as_ranks((2.5, np.True_), "lo"), InvalidInput,
+                               "^lo must be integers, got bool$"),
 }
 
 
