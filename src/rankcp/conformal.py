@@ -39,8 +39,9 @@ The scalar scores :func:`score_ra`, :func:`proxy_score_ra` and
 :func:`proxy_score_va` are kept for the closed-form checks of the API (a VA
 score at one rank ``r`` is ``proxy_score_va(r, r, ...)``); ``ranks`` owns
 the rules they apply, so they refuse what the array path refuses: a rank
-that is not a whole number (``ranks.as_count``, the one-value case of the
-rule that :class:`RankSets` and :func:`scores_at` apply), and VA values
+that is not a whole number or, in :func:`proxy_score_va`, lies outside the
+values (``ranks.as_count``, the one-value case of the rule that
+:class:`RankSets` and :func:`scores_at` apply), and VA values
 that are not finite or hold ties (the item's own value must be finite
 too).  :func:`calibrate` is the one order-statistic selection here; every
 other ordering is read from ``ranks``.
@@ -56,14 +57,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .envelope import Envelope, _ceil_count
-from .errors import (
-    DimensionMismatch,
-    InfeasibleLevel,
-    InvalidInput,
-    RankOutOfRange,
-)
-from .ranks import (RA, ItemId, RankingProblem, _as_float_vector, as_count, as_level,
-                    as_ranks, rank_va_outputs)
+from .errors import DimensionMismatch, InfeasibleLevel, InvalidInput
+from .ranks import (RA, ItemId, RankingProblem, _as_array, _as_float_vector, _as_number,
+                    as_count, as_level, as_ranks, rank_va_outputs)
 
 MARGINAL = "marginal"
 FCP_CONTROLLED = "fcp_controlled"
@@ -123,7 +119,9 @@ class RankSets:
     ``"full"`` (rank among all n+m items) or ``"test_only"`` (rank among the
     m test items).  ``lo`` and ``hi`` must be whole numbers with
     ``1 <= lo <= hi``, checked once, on construction, by the rank rule of
-    :func:`~rankcp.ranks.as_ranks` (an integer column needs no scan).
+    :func:`~rankcp.ranks.as_ranks` (an integer column needs no scan); a list
+    column is turned into an array once, and its shape checked before any
+    message names an item.
     ``len``, integer indexing and iteration give :class:`RankSet` views of
     single rows, for API use; library code works on the columns.
 
@@ -141,11 +139,11 @@ class RankSets:
         if self.kind not in SET_KINDS:
             raise InvalidInput(f"unknown set kind {self.kind!r}")
         self.items = list(self.items)
-        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        lo, hi = _as_array(self.lo), _as_array(self.hi)
         if (lo.ndim not in (1, 2) or lo.shape[-1] != len(self.items)
                 or hi.shape != lo.shape):
             raise DimensionMismatch("need one lo and one hi per item")
-        self.lo, self.hi = (as_ranks(edge, "ranks", self.items) for edge in (self.lo, self.hi))
+        self.lo, self.hi = (as_ranks(edge, "ranks", self.items) for edge in (lo, hi))
         bad = np.flatnonzero((self.lo < 1) | (self.lo > self.hi))
         if bad.size:
             j = bad[0]
@@ -205,10 +203,10 @@ def proxy_score_va(lo: int, hi: int, value: float, all_values) -> float:
     ``value``, the item's own output, must be finite.
     """
     arr = _as_float_vector(all_values, "all_values")
-    lo, hi = as_count(lo, "lo"), as_count(hi, "hi")
-    if not 1 <= lo <= hi <= arr.size:
-        raise RankOutOfRange(f"need 1 <= lo <= hi <= {arr.size}, got [{lo}, {hi}]")
-    if not np.isfinite(value):
+    lo, hi = as_count(lo, "lo", top=arr.size), as_count(hi, "hi", top=arr.size)
+    if lo > hi:
+        raise InvalidInput(f"need lo <= hi, got [{lo}, {hi}]")
+    if not math.isfinite(_as_number(value, "value")):
         raise InvalidInput(f"value must be finite, got {value}")
     ordered = rank_va_outputs(arr, "all_values")[0]
     return float(max(abs(ordered[lo - 1] - value), abs(ordered[hi - 1] - value)))
@@ -222,11 +220,9 @@ def scores_at(problem: RankingProblem, calib_ranks_at) -> np.ndarray:
     VA mode.  The oracle evaluates it at the true pooled ranks and
     :func:`proxy_scores` at the envelope edges.  Batch ranks are ``(rows, n)``.
     """
-    ranks = as_ranks(calib_ranks_at, "pooled ranks")
+    ranks = as_ranks(calib_ranks_at, "pooled ranks", top=problem.total)
     if ranks.shape != problem.calib_ranks.shape:
         raise DimensionMismatch("need one rank per calibration item")
-    if ranks.min() < 1 or ranks.max() > problem.total:
-        raise RankOutOfRange("pooled ranks outside [1, n+m]")
     at = (ranks if problem.ranker_mode == RA
           else np.take_along_axis(problem.sorted_outputs, ranks - 1, axis=-1))
     return np.abs(at - problem.calib_outputs).astype(float, copy=False)
@@ -281,9 +277,7 @@ def calibrate(scores, k: int, alpha: float | None = None) -> Threshold:
     """
     arr = np.asarray(scores, dtype=float)
     n = arr.shape[-1] if arr.ndim else 0
-    k = as_count(k, "k")
-    if not 1 <= k <= n:  # a rank among the n scores, so RankOutOfRange
-        raise RankOutOfRange(f"k={k} outside [1, {n}]")
+    k = as_count(k, "k", top=n)  # a rank among the n scores
     value = np.partition(arr, k - 1, axis=-1)[..., k - 1]
     return Threshold(k=k, value=float(value) if value.ndim == 0 else value,
                      alpha=alpha)

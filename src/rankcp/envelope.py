@@ -74,8 +74,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSample, InvalidInput, SampleTooLarge
-from .ranks import as_count, as_level, as_ranks
-from .streams import CHUNK, chunk_stream
+from .ranks import _as_number, as_count, as_level, as_ranks
+from .streams import CHUNK, as_seed, chunk_stream
 
 THEORETICAL_C = 4.0 * math.sqrt(2.0 * math.pi)
 
@@ -174,8 +174,7 @@ class SortedRankSample:
             raise InvalidInput("trajectories must be strictly increasing")
         # increasing rows take their least value in the first column and
         # their greatest in the last
-        if cols[0].min() < 1 or cols[-1].max() > self.n + self.m:
-            raise InvalidInput("trajectory ranks must lie in [1, n+m]")
+        as_ranks(cols[[0, -1]], "trajectory ranks", top=self.n + self.m)
         self.trajectories = traj
 
     @property
@@ -349,10 +348,13 @@ class Envelope:
     (minus ``mc_meta.slack`` for simulation-calibrated kinds).  ``param`` is
     the shape parameter: ``lam`` (theoretical), ``c_hat`` (linear),
     ``gamma_hat`` (quantile), ``None`` (naive).  The sizes are read by
-    ``ranks.as_count`` and the bounds by ``ranks.as_ranks``, so whole floats
-    and numpy scalars are accepted; the sizes, ``mc_meta.K``, ``delta``,
-    ``param`` and ``mc_meta.slack`` are stored as Python ints and floats (a
-    new ``mc_meta``: the caller's is not changed), which JSON can write.
+    ``ranks.as_count`` and the bounds by ``ranks.as_ranks``, in ``[1, n+m]``,
+    so whole floats and numpy scalars are accepted; ``param`` and
+    ``mc_meta.slack`` must be real numbers and ``mc_meta.seed`` an integer
+    (``streams.as_seed``).  The sizes, ``mc_meta.K``, ``mc_meta.seed``,
+    ``delta``, ``param`` and ``mc_meta.slack`` are stored as Python ints and
+    floats (a new ``mc_meta``: the caller's is not changed), which JSON can
+    write.
     """
 
     n: int
@@ -371,22 +373,22 @@ class Envelope:
         self.n, self.m = as_count(self.n, "n", least=1), as_count(self.m, "m", least=0)
         check_envelope_kind(self.kind)
         self.delta = as_level(self.delta, "delta")
+        self.param = None if self.param is None else _as_number(self.param, "param")
         if self.param is not None and not math.isfinite(self.param):
             raise InvalidInput(f"param must be finite, got {self.param}")
-        self.param = None if self.param is None else float(self.param)
         meta = self.mc_meta
         if meta is not None:
             K = as_count(meta.K, "mc_meta.K", least=1)
-            if not 0.0 <= meta.slack < math.inf:  # False for nan
+            slack = _as_number(meta.slack, "mc_meta.slack")
+            if not 0.0 <= slack < math.inf:  # False for nan
                 raise InvalidInput(
                     f"mc_meta.slack must be finite and nonnegative, got {meta.slack}")
-            self.mc_meta = replace(meta, K=K, slack=float(meta.slack))
-        lower, upper = as_ranks(self.lower, "bounds"), as_ranks(self.upper, "bounds")
+            self.mc_meta = replace(meta, K=K, seed=as_seed(meta.seed, "mc_meta.seed"),
+                                   slack=slack)
+        lower, upper = (as_ranks(bound, "bounds", top=self.n + self.m)
+                        for bound in (self.lower, self.upper))
         if lower.shape != (self.n,) or upper.shape != (self.n,):
             raise DimensionMismatch("lower/upper must have length n")
-        total = self.n + self.m
-        if lower.min() < 1 or upper.max() > total:
-            raise InvalidInput("bounds must lie in [1, n+m]")
         if np.any(lower > upper):
             raise InvalidInput("lower must not exceed upper")
         if np.any(np.diff(lower) < 0) or np.any(np.diff(upper) < 0):
@@ -402,10 +404,8 @@ class Envelope:
         return self.upper - self.lower
 
     def bounds_for_ranks(self, calib_ranks) -> tuple[np.ndarray, np.ndarray]:
-        """``(lower[r - 1], upper[r - 1])`` for a vector of calibration ranks ``r``."""
-        ranks = as_ranks(calib_ranks, "calibration ranks")
-        if ranks.size and (ranks.min() < 1 or ranks.max() > self.n):
-            raise InvalidInput("calibration ranks outside [1, n]")
+        """``(lower[r - 1], upper[r - 1])`` for an array of calibration ranks ``r`` in [1, n]."""
+        ranks = as_ranks(calib_ranks, "calibration ranks", top=self.n)
         return self.lower[ranks - 1], self.upper[ranks - 1]
 
 

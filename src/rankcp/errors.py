@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A usage error is an :class:`InvalidInput`, and the CLI exits with code 2 on
+one; :class:`InvalidDelta` and :class:`RankOutOfRange` are kinds of it.
+"""
 
 
 class RankCPError(Exception):
@@ -21,8 +25,11 @@ class TiesDetected(RankCPError, ValueError):
     """Exact duplicate values where a strict total order is required."""
 
 
-class RankOutOfRange(RankCPError, IndexError):
-    """A rank index lies outside [1, size]."""
+class RankOutOfRange(InvalidInput, IndexError):
+    """A rank or an index lies outside [1, size]: a usage error, so an :class:`InvalidInput`.
+
+    The one range rule, ``ranks.as_ranks(..., top=size)``, raises it.
+    """
 
 
 class InsufficientSample(RankCPError, ValueError):

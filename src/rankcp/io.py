@@ -298,7 +298,7 @@ def envelope_to_doc(env: Envelope) -> dict:
         "upper": [int(v) for v in env.upper],
         "mc_meta": {
             "K": None if meta is None else meta.K,
-            "seed": None if meta is None else int(meta.seed),  # a numpy integer too
+            "seed": None if meta is None else meta.seed,
             "slack": None if meta is None else meta.slack,
         },
     }

@@ -17,15 +17,27 @@ array through :func:`as_ranks` (the calibration ranks and RA outputs of a
 of an ``envelope.Envelope`` and the ranks of ``Envelope.bounds_for_ranks``,
 ``conformal.scores_at`` and ``targets.calibration_sets``); ``io.read_scores``
 reads the rule's mask, :func:`whole_numbers`, to name the line of a bad RA
-output.  A whole number given alone goes through :func:`as_count`, the
-rule's one-value case, which also refuses a value below a floor: every size
-and index of the package (``n``, ``m``, ``K``, ``k``, ``reps``, ``d``,
-``k_top``) and the ranks of the scalar scores of ``conformal``.  Seeds keep
-``streams.philox_key``'s stricter rule, since ``streams`` cannot import this
-module.  A probability level (``alpha``, ``beta``, ``delta``, ``alpha_bar``,
-``beta_bar``) goes through :func:`as_level`, which refuses what is not one
-real number and a value outside its interval; ``evaluate``'s noise levels
-apply its number test, :func:`_as_number`.
+output.  The same function holds the one range rule for ranks and indices:
+given ``top``, a value outside ``[1, top]`` raises
+:class:`~rankcp.errors.RankOutOfRange` (an ``InvalidInput``), worded
+``<name> must lie in [1, <top>], got <v>``.  Its sites are the RA outputs of
+a :class:`RankingProblem` and the ranks of ``conformal.scores_at``
+(``n+m``), the bounds of an ``envelope.Envelope`` (``n+m``), the ranks of
+``Envelope.bounds_for_ranks`` (``n``), the end columns of an
+``envelope.SortedRankSample`` (``n+m``), ``conformal.calibrate``'s ``k``
+(the number of scores) and ``conformal.proxy_score_va``'s ``lo`` and ``hi``
+(the number of values); no other function tests a rank against a bound by
+its least or greatest value.  A whole number given alone goes through
+:func:`as_count`, the rule's one-value case, which also refuses a value
+below a floor: every size and index of the package (``n``, ``m``, ``K``,
+``k``, ``reps``, ``d``, ``k_top``) and the ranks of the scalar scores of
+``conformal``.  Seeds keep ``streams.as_seed``'s stricter rule, since
+``streams`` cannot import this module.  A probability level (``alpha``,
+``beta``, ``delta``, ``alpha_bar``, ``beta_bar``) goes through
+:func:`as_level`, which refuses what is not one real number and a value
+outside its interval; ``evaluate``'s noise levels, ``Envelope``'s ``param``
+and ``mc_meta.slack`` and ``proxy_score_va``'s ``value`` apply its number
+test, :func:`_as_number`.
 Ranks and order statistics have no scalar functions: :func:`ranks_within`
 ranks every element of a vector, and the ``r``-th smallest VA output of a
 problem is its ``sorted_outputs[r - 1]``.
@@ -43,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDelta, InvalidInput, TiesDetected
+from .errors import DimensionMismatch, InvalidDelta, InvalidInput, RankOutOfRange, TiesDetected
 from .streams import stream
 
 ItemId = str
@@ -90,47 +102,74 @@ def whole_numbers(values: np.ndarray) -> np.ndarray:
     return (np.trunc(values) == values) & np.isfinite(values)
 
 
-def as_ranks(values, name: str = "ranks", items=None) -> np.ndarray:
-    """``values`` as int64; a value that is not a whole number is refused, not truncated.
+def _as_array(values) -> np.ndarray:
+    """``values`` as an array, of the boolean dtype where a list or tuple holds a boolean.
 
-    The one rule for ranks.  An integer array passes without a scan, and an
-    int64 one without a copy.  A boolean is not a number here and is refused
-    (``True`` is no count of 1), also inside a list or tuple of integers,
-    which numpy would read as int64.  Any other numbers are read as floats:
-    NaN, ±inf, a fraction or a magnitude of 2**63 or more (which int64
-    cannot hold) raises :class:`InvalidInput` naming ``name`` and, where the
-    caller names the items of the last axis, the item.
+    numpy reads ``[True, 2]`` as int64, so the elements of a list or tuple are
+    looked at, once, beside the one conversion; an array is taken as it is.
     """
     arr = np.asarray(values)
-    dtype = arr.dtype
-    if isinstance(values, (list, tuple)) and {bool, np.bool_} & set(
-            map(type, np.asarray(values, dtype=object).ravel())):
-        dtype = np.dtype(bool)  # numpy reads [True, 2] as int64
-    if dtype != bool and np.can_cast(dtype, np.int64):  # integers need no scan
-        return arr.astype(np.int64, copy=False)
-    noun = "integers" if arr.ndim else "an integer"
-    if dtype.kind not in "fuO":
-        raise InvalidInput(f"{name} must be {noun}, got {dtype}")
-    as_float = arr.astype(float)
-    whole = whole_numbers(as_float)
-    bad = np.flatnonzero(~(whole & (np.abs(as_float) < 2.0**63)))
-    if bad.size:
-        j = bad[0]
-        rule = noun if not whole.flat[j] else "below 2**63"
-        where = "" if items is None else f" for item {items[j % len(items)]!r}"
-        raise InvalidInput(f"{name} must be {rule}, got {arr.flat[j]}{where}")
-    return as_float.astype(np.int64)
+    if isinstance(values, (list, tuple)) and arr.dtype != bool:
+        flat = values if arr.ndim == 1 else np.asarray(values, dtype=object).ravel()
+        if {bool, np.bool_} & set(map(type, flat)):
+            return arr.astype(bool)
+    return arr
 
 
-def as_count(value, name: str, least: int | None = None) -> int:
+def _where(items, j) -> str:
+    """`` for item ...``, naming the item of flat index ``j``, or nothing without ``items``."""
+    return "" if items is None else f" for item {items[j % len(items)]!r}"
+
+
+def as_ranks(values, name: str = "ranks", items=None, top: int | None = None) -> np.ndarray:
+    """``values`` as int64; a value that is not a whole number is refused, not truncated.
+
+    The one rule for ranks and indices.  An integer array passes without a
+    scan, and an int64 one without a copy.  A boolean is not a number here
+    and is refused (``True`` is no count of 1), also inside a list or tuple
+    of integers, which numpy would read as int64.  Any other numbers are
+    read as floats: NaN, ±inf, a fraction or a magnitude of 2**63 or more
+    (which int64 cannot hold; an int beyond the float range too) raises
+    :class:`InvalidInput` naming ``name`` and, where the caller names the
+    items of the last axis, the item.  Where ``top`` is given, a value
+    outside ``[1, top]`` raises :class:`RankOutOfRange` in the same terms;
+    one ``min()``/``max()`` pass tests the range, and the value is looked up
+    only on failure.
+    """
+    arr = _as_array(values)
+    if arr.dtype != bool and np.can_cast(arr.dtype, np.int64):  # integers need no scan
+        ranks = arr.astype(np.int64, copy=False)
+    else:
+        noun = "integers" if arr.ndim else "an integer"
+        if arr.dtype.kind not in "fuO":
+            raise InvalidInput(f"{name} must be {noun}, got {arr.dtype}")
+        as_float = (arr.astype(float) if arr.dtype.kind != "O"  # a huge int reads as ±inf
+                    else np.array([_as_number(v, name) for v in arr.flat]).reshape(arr.shape))
+        whole = whole_numbers(as_float)
+        bad = np.flatnonzero(~(whole & (np.abs(as_float) < 2.0**63)))
+        if bad.size:
+            j = bad[0]
+            big = whole.flat[j] or isinstance(arr.flat[j], numbers.Integral)
+            raise InvalidInput(f"{name} must be {'below 2**63' if big else noun}, "
+                               f"got {arr.flat[j]}{_where(items, j)}")
+        ranks = as_float.astype(np.int64)
+    if top is not None and ranks.size and (ranks.min() < 1 or ranks.max() > top):
+        j = np.flatnonzero((ranks < 1) | (ranks > top))[0]
+        raise RankOutOfRange(f"{name} must lie in [1, {top}], got {ranks.flat[j]}"
+                             f"{_where(items, j)}")
+    return ranks
+
+
+def as_count(value, name: str, least: int | None = None, top: int | None = None) -> int:
     """``value`` as an int: the one-value case of :func:`as_ranks`, for a size or an index.
 
     The one rule for a whole number given alone: a numpy integer or a whole
     float is read as the Python int it holds, and a fraction, NaN, ±inf or a
     magnitude of 2**63 or more raises :class:`InvalidInput` naming ``name``,
-    as does a value below ``least``.
+    as does a value below ``least``; an index outside ``[1, top]`` raises
+    :class:`RankOutOfRange`.
     """
-    count = as_ranks(value, name)
+    count = as_ranks(value, name, top=top)
     if count.ndim:
         raise InvalidInput(f"{name} must be one number, got {value}")
     if least is not None and count < least:
@@ -142,12 +181,16 @@ def _as_number(value, name: str) -> float:
     """``value``, one real number (a 0-d array holding one too), as a float.
 
     A boolean (``True`` is no level of 1), a string, ``None`` and an array
-    of any shape but 0-d raise :class:`InvalidInput` naming ``name``.
+    of any shape but 0-d raise :class:`InvalidInput` naming ``name``.  A
+    number beyond the float range (a huge int) reads as ±inf.
     """
     number = value[()] if isinstance(value, np.ndarray) and not value.ndim else value
     if isinstance(number, (bool, np.bool_)) or not isinstance(number, numbers.Real):
         raise InvalidInput(f"{name} must be a number, got {value!r}")
-    return float(number)
+    try:
+        return float(number)
+    except OverflowError:  # an int beyond the float range; math.copysign overflows too
+        return math.inf if number > 0 else -math.inf
 
 
 def as_level(value, name: str, positive: bool = False) -> float:
@@ -301,9 +344,7 @@ class RankingProblem:
             )
         self.sorted_outputs = self.test_order = self.true_ranks = None
         if self.ranker_mode == RA:
-            ranks = as_ranks(outputs, "RA ranker outputs")
-            if ranks.min() < 1 or ranks.max() > total:
-                raise InvalidInput(f"RA ranker outputs must lie in [1, {total}]")
+            ranks = as_ranks(self.ranker_outputs, "RA ranker outputs", top=total)
             self.ranker_outputs = ranks
             self.predicted_ranks = _frozen(ranks.view())
         else:

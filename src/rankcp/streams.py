@@ -33,17 +33,25 @@ CHUNK = 2048
 _LOW_64 = 2**64 - 1
 
 
+def as_seed(seed, name: str = "seed") -> int:
+    """``seed`` as a Python int: the one rule for a seed.
+
+    A value that is not an integer (a float, an array, a string) raises
+    :class:`InvalidInput` naming ``name``; it is not truncated.  A bool
+    reads as 0 or 1.
+    """
+    try:
+        return int(operator.index(seed))  # a bool keys as 0 or 1, not True or False
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {seed}") from None
+
+
 def philox_key(seed: int, *tags: object) -> int:
     """128-bit Philox key derived from an integer seed and hashable context tags.
 
-    Every seed of the package passes through here.  One that is not an
-    integer (a float, an array) raises :class:`InvalidInput`; it is not
-    truncated.
+    Every seed of the package passes through here, read by :func:`as_seed`.
     """
-    try:
-        seed = int(operator.index(seed))  # a bool keys as 0 or 1, not True or False
-    except TypeError:
-        raise InvalidInput(f"seed must be an integer, got {seed}") from None
+    seed = as_seed(seed)
     material = repr((seed,) + tags).encode()
     digest = hashlib.blake2b(material, digest_size=16).digest()
     return int.from_bytes(digest, "little")

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,6 +81,31 @@ def test_proxy_score_va_matches_grid():
         assert proxy_score_va(lo, hi, v, values) == brute
 
 
+def test_rank_sets_convert_each_list_column_once():
+    # the shape check and the rank rule read one array per column; a list
+    # column was converted three times, twice inside the rank rule
+    converted = []
+    asarray = np.asarray
+
+    def counting(values, *args, **kwargs):
+        converted.extend([values] if isinstance(values, list) else [])
+        return asarray(values, *args, **kwargs)
+
+    with mock.patch.object(np, "asarray", counting):
+        sets = RankSets(["a", "b"], [1, 2], [3, 4])
+    assert converted == [[1, 2], [3, 4]]
+    assert sets == RankSets(["a", "b"], np.array([1, 2]), np.array([3, 4]))
+    # the shape is checked before any message names an item, also for no items
+    for lo, hi in (([0], [1]), ([[0.5]], [[1]]), ([True], [1])):
+        with pytest.raises(DimensionMismatch, match="^need one lo and one hi per item$"):
+            RankSets([], lo, hi)
+
+
+def test_a_rank_out_of_range_is_a_usage_error():
+    # every except InvalidInput, the CLI's exit code 2 among them, takes it
+    assert issubclass(RankOutOfRange, InvalidInput) and issubclass(RankOutOfRange, IndexError)
+
+
 def test_scalar_scores_refuse_what_the_array_path_refuses():
     # each returned a number before
     nan, inf = math.nan, math.inf
@@ -91,6 +117,11 @@ def test_scalar_scores_refuse_what_the_array_path_refuses():
         (lambda: score_ra(1.5, 3), "r must be an integer, got 1.5"),
         (lambda: proxy_score_ra(1.7, 2.2, 3), "lo must be an integer, got 1.7"),
         (lambda: proxy_score_va(1.5, 1.5, 0.5, [0.2, 1.0]), "lo must be an integer, got 1.5"),
+        # the string ended in a bare TypeError, and True was read as 1.0
+        (lambda: proxy_score_va(1, 2, "x", [0.1, 0.2, 0.3]), "value must be a number, got 'x'"),
+        (lambda: proxy_score_va(1, 2, True, [0.1, 0.2, 0.3]), "value must be a number, got True"),
+        # RankOutOfRange, worded "need 1 <= lo <= hi <= 3"; proxy_score_ra's words
+        (lambda: proxy_score_va(3, 2, 0.5, [0.1, 0.2, 0.3]), "need lo <= hi, got [3, 2]"),
         (lambda: RankSets(["a"], [1.5], [2.9]), "ranks must be integers, got 1.5 for item 'a'"),
         (lambda: RankSets(["a", "b"], [1, 2], [2.0, inf]),
          "ranks must be integers, got inf for item 'b'"),
@@ -709,7 +740,7 @@ CONFORMAL_REFUSALS = {
     "scores_at shape": (lambda: scores_at(_three_item_problem(), [1, 2, 3]),
                         DimensionMismatch, "one rank per calibration item"),
     "scores_at range": (lambda: scores_at(_three_item_problem(), [1, 4]),
-                        RankOutOfRange, r"pooled ranks outside \[1, n\+m\]"),
+                        RankOutOfRange, r"^pooled ranks must lie in \[1, 3\], got 4$"),
     "select_k n < 1": (lambda: select_k(0.1, 0.0, 0), InvalidInput, "n >= 1"),
     "fcp_calibration alpha_bar": (lambda: fcp_calibration(1.0, 0.25, 0.0, 10, 10),
                                   InvalidInput, "alpha_bar=1.0"),

@@ -19,6 +19,7 @@ from rankcp import (
     InvalidDelta,
     InvalidInput,
     MonteCarloMeta,
+    RankOutOfRange,
     SampleTooLarge,
     SortedRankSample,
     envelope_coverage,
@@ -643,8 +644,9 @@ def test_sample_breaking_order_and_range_reports_the_order():
     traj = np.array([[1, 2, 3], [2, 9, 4]], dtype=np.uint8)  # 9 > n+m and 9 > 4
     with pytest.raises(InvalidInput, match="^trajectories must be strictly increasing$"):
         SortedRankSample(n=3, m=2, seed=0, trajectories=traj)
-    for row in ([0, 2, 3], [1, 2, 6]):
-        with pytest.raises(InvalidInput, match=r"^trajectory ranks must lie in \[1, n\+m\]$"):
+    for row, value in (([0, 2, 3], 0), ([1, 2, 6], 6)):
+        with pytest.raises(RankOutOfRange,
+                           match=rf"^trajectory ranks must lie in \[1, 5\], got {value}$"):
             SortedRankSample(n=3, m=2, seed=0, trajectories=np.array([[1, 2, 3], row]))
 
 
@@ -845,13 +847,36 @@ ENVELOPE_REFUSALS = {
                                InvalidInput, "lower must not exceed upper"),
     "Envelope param": (lambda: _envelope(param=math.nan), InvalidInput,
                        "param must be finite"),
+    # the string ended in a bare TypeError, True was stored as 1.0 and the
+    # array as its one float
+    "Envelope param str": (lambda: _envelope(param="x"), InvalidInput,
+                           "^param must be a number, got 'x'$"),
+    "Envelope param bool": (lambda: _envelope(param=True), InvalidInput,
+                            "^param must be a number, got True$"),
+    "Envelope param array": (lambda: _envelope(param=np.array([0.1])), InvalidInput,
+                             r"^param must be a number, got array\(\[0.1\]\)$"),
+    "Envelope mc_meta.slack str": (
+        lambda: _envelope(mc_meta=MonteCarloMeta(K=10, seed=1, slack="x")),
+        InvalidInput, "^mc_meta.slack must be a number, got 'x'$"),
+    "Envelope mc_meta.slack bool": (
+        lambda: _envelope(mc_meta=MonteCarloMeta(K=10, seed=1, slack=True)),
+        InvalidInput, "^mc_meta.slack must be a number, got True$"),
+    # 1.5 was stored and written as seed 1; "x" ended in a ValueError at write time
+    "Envelope mc_meta.seed float": (
+        lambda: _envelope(mc_meta=MonteCarloMeta(K=10, seed=1.5, slack=0.1)),
+        InvalidInput, "^mc_meta.seed must be an integer, got 1.5$"),
+    "Envelope mc_meta.seed str": (
+        lambda: _envelope(mc_meta=MonteCarloMeta(K=10, seed="x", slack=0.1)),
+        InvalidInput, "^mc_meta.seed must be an integer, got x$"),
+    "Envelope bounds range": (lambda: _envelope(upper=[3, 4, 6]), RankOutOfRange,
+                              r"^bounds must lie in \[1, 5\], got 6$"),
     "Envelope mc_meta.K": (lambda: _envelope(mc_meta=MonteCarloMeta(K=0, seed=1, slack=0.1)),
                            InvalidInput, "^need mc_meta.K >= 1, got mc_meta.K=0$"),
     "Envelope mc_meta.slack": (
         lambda: _envelope(mc_meta=MonteCarloMeta(K=10, seed=1, slack=-1.0)),
         InvalidInput, "mc_meta.slack must be finite and nonnegative"),
-    "bounds_for_ranks range": (lambda: _envelope().bounds_for_ranks([1, 4]), InvalidInput,
-                               r"calibration ranks outside \[1, n\]"),
+    "bounds_for_ranks range": (lambda: _envelope().bounds_for_ranks([1, 4]), RankOutOfRange,
+                               r"^calibration ranks must lie in \[1, 3\], got 4$"),
     # floats were truncated: the bounds [1.9, 2.2, 3.0] read as [1, 2, 3], rank 1.5 as 1
     "Envelope float bounds": (lambda: _envelope(lower=[1.9, 2.2, 3.0]), InvalidInput,
                               "^bounds must be integers, got 1.9$"),

@@ -269,7 +269,10 @@ def test_experiment_config_validation():
         ExperimentConfig(envelope_kind="bogus", K_env=0)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -0.5])
+# 10**400 ended in a bare OverflowError: int too large to convert to float
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -0.5,
+                                 pytest.param(10**400, id="10**400"),
+                                 pytest.param(-(10**400), id="-10**400")])
 def test_noise_levels_must_be_finite_and_nonnegative(bad):
     message = f"noise_sd={bad} must be finite and nonnegative"
     for model in ("sigmoid", "beta_adaptive"):

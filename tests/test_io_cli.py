@@ -1212,14 +1212,17 @@ def test_envelopes_of_numpy_scalars_write_the_documents_of_python_scalars(tmp_pa
 
 
 def test_envelope_stores_python_scalars_without_changing_its_mc_meta():
-    meta = renv.MonteCarloMeta(K=np.int64(10), seed=1, slack=np.float32(0.5))
+    meta = renv.MonteCarloMeta(K=np.int64(10), seed=np.uint64(7), slack=np.float32(0.5))
     env = Envelope(n=np.int64(3), m=2.0, delta=np.float64(0.1), kind="quantile",
                    lower=[1.0, 2.0, 3.0], upper=np.array([3, 4, 5], np.uint8),
                    param=np.float32(0.25), mc_meta=meta)
     assert [type(v) for v in (env.n, env.m, env.delta, env.param, env.mc_meta.K,
-                              env.mc_meta.slack)] == [int, int, float, float, int, float]
+                              env.mc_meta.seed, env.mc_meta.slack)] == [
+        int, int, float, float, int, int, float]
     assert env.lower.dtype == env.upper.dtype == np.int64  # whole floats are bounds
-    assert (type(meta.K), type(meta.slack)) == (np.int64, np.float32)
+    assert (type(meta.K), type(meta.seed), type(meta.slack)) == (
+        np.int64, np.uint64, np.float32)
+    assert rio.envelope_to_doc(env)["mc_meta"] == {"K": 10, "seed": 7, "slack": 0.5}
 
 
 def test_envelope_document_with_bad_sizes(tmp_path, capsys):

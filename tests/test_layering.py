@@ -7,8 +7,10 @@ cycle); ``conformal`` and ``io`` serve the harness and the CLI but never
 import them; the fit-level check stays inside ``envelope``, which also writes
 the count ceiling of a level once; and ``ranks`` alone writes the
 ranker-mode vocabulary, the ordering rules, the whole-number rule for ranks
-and counts and the interval rule for probability levels: no other function
-compares a size, an index or a level with a number of its own.
+and counts, the range rule ``[1, top]`` for ranks and indices and the
+interval rule for probability levels: no other function compares a size, an
+index or a level with a number of its own, tests an array's least or
+greatest value against a bound, or raises ``RankOutOfRange``.
 """
 
 import ast
@@ -293,13 +295,12 @@ def test_envelope_owns_the_count_ceiling():
 _COUNT_NAMES = {"n", "m", "K", "k", "reps", "d", "k_top", "K_env"}
 
 # (module, function, name) of the domain rules that compare a count with a
-# literal once as_count has read it: --fcp on needs test rows, a Monte-Carlo
-# envelope needs K_env >= 1 (the closed-form kinds ignore it), and calibrate's
-# k is a rank among the n scores, refused with RankOutOfRange
+# literal once as_count has read it: --fcp on needs test rows, and a
+# Monte-Carlo envelope needs K_env >= 1 (the closed-form kinds ignore it);
+# calibrate's k, a rank among the n scores, is read with top=n
 _COUNT_RULES = {
     ("cli", "_cmd_predict", "m"),
     ("evaluate", "ExperimentConfig.__post_init__", "K_env"),
-    ("conformal", "calibrate", "k"),
 }
 
 
@@ -360,6 +361,47 @@ def test_a_restored_size_check_fails_the_count_guard():
                                     '    k = _ceil_count')
     assert _count_literal_compares("conformal", ast.parse(restored)) - _COUNT_RULES == {
         ("conformal", "select_k", "n")}
+
+
+def _extreme_compare(node) -> bool:
+    """Whether ``node`` compares the result of a ``.min()`` or ``.max()`` call with something."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Call) and getattr(side.func, "attr", None) in ("min", "max")
+        for side in (node.left, *node.comparators))
+
+
+def _range_refusal(node) -> bool:
+    """Whether ``node`` raises :class:`RankOutOfRange`."""
+    return isinstance(node, ast.Raise) and "RankOutOfRange" in {
+        name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+
+
+def test_ranks_owns_the_range_rule():
+    # one function tests ranks and indices against [1, top], by one min()/max()
+    # pass, and raises RankOutOfRange; the RankSets, file-reader and
+    # sets-against-truth rules compare elementwise and raise errors of their own
+    assert _sites(_extreme_compare) == {("ranks", "as_ranks")}
+    assert _sites(_range_refusal) == {("ranks", "as_ranks")}
+    for module, path in [("conformal", ("scores_at",)), ("conformal", ("calibrate",)),
+                         ("conformal", ("proxy_score_va",)),
+                         ("envelope", ("SortedRankSample", "__post_init__")),
+                         ("envelope", ("Envelope", "__post_init__")),
+                         ("envelope", ("Envelope", "bounds_for_ranks")),
+                         ("ranks", ("RankingProblem", "__post_init__"))]:
+        node = _definition(module, *path)
+        assert "top" in {kw.arg for kw in ast.walk(node) if isinstance(kw, ast.keyword)}, path
+
+
+def test_a_restored_range_check_fails_the_range_guard():
+    source = (PACKAGE / "conformal.py").read_text(encoding="utf-8")
+    read = '    ranks = as_ranks(calib_ranks_at, "pooled ranks", top=problem.total)\n'
+    assert source.count(read) == 1
+    tree = ast.parse(source.replace(read, (
+        '    ranks = as_ranks(calib_ranks_at, "pooled ranks")\n'
+        '    if ranks.min() < 1 or ranks.max() > problem.total:\n'
+        '        raise RankOutOfRange("pooled ranks outside [1, n+m]")\n')))
+    assert _sites(_extreme_compare, {"conformal": tree}) == {("conformal", "scores_at")}
+    assert _sites(_range_refusal, {"conformal": tree}) == {("conformal", "scores_at")}
 
 
 # the probability levels that ranks.as_level reads, by parameter or attribute name

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankcp import (
@@ -108,6 +108,14 @@ def _outcome(call):
         return type(exc)
 
 
+def _refusal(call):
+    """``call()``, or the class and message of the package error it raises."""
+    try:
+        return call()
+    except RankCPError as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), mode=st.sampled_from(["RA", "VA"]))
 def test_scalar_proxy_score_is_the_array_path(data, mode):
@@ -135,13 +143,15 @@ def test_scalar_proxy_score_is_the_array_path(data, mode):
 
 
 # Values a caller may pass as a rank: ints, whole floats, fractions, signed
-# zeros, NaN, ±inf, and ints and floats on both sides of 2**63
+# zeros, NaN, ±inf, ints and floats on both sides of 2**63, and ints beyond
+# the float range
 _RANK_LIKE = (
     st.integers(-2, 10)
     | st.integers(-2, 10).map(float)
     | st.floats(-2, 10)
     | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
     | st.sampled_from([2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1, 10**30])
+    | st.sampled_from([10**400, -(10**400)])
     | st.sampled_from([2.0**63, float(np.nextafter(2.0**63, 0)), -(2.0**63), 1e20])
     | st.sampled_from([True, False, np.True_])
 )
@@ -153,40 +163,69 @@ def _ra_problem(calib_rank=1, output=1):
                           ranker_outputs=[output] * (1 + _M))
 
 
-# Each array entry point of a rank: a call that reads a value ``v`` back as
-# an int64 array, and the ranks it serves.  Every entry of the array read
+def _int64(number) -> np.ndarray:
+    """A scalar entry point's result ``number``, a whole number, as a one-entry int64 array."""
+    return np.array([number], dtype=np.int64)
+
+
+_VALUES = [1.0, 2.0, 3.0, 4.0]  # the value at rank r is r
+
+# Each entry point of a rank or an index: a call that reads a value ``v``
+# back as an int64 array, the ranks it serves, and the name its range rule
+# gives it (``None`` for a rule of its own: RankSets' ``1 <= lo <= hi`` and
+# the permutation rule of ``calib_ranks``).  Every entry of the array read
 # holds ``v``, so the array has ``v``'s own dtype: numpy reads the list
 # ``[True, 1]`` as int64, the array ``[True, True]`` is a boolean one
 _RANK_ENTRY_POINTS = {
-    "RankSets lo": (lambda v: RankSets(["a"], [v], [2**62]).lo, 1, 2**62),
-    "RankSets hi": (lambda v: RankSets(["a"], [1], [v]).hi, 1, 2**63 - 1),
-    "calib_ranks": (lambda v: _ra_problem(calib_rank=v).calib_ranks, 1, 1),
-    "RA outputs": (lambda v: _ra_problem(output=v).ranker_outputs[:1], 1, 1 + _M),
+    "RankSets lo": (lambda v: RankSets(["a"], [v], [2**62]).lo, 2**62, None),
+    "RankSets hi": (lambda v: RankSets(["a"], [1], [v]).hi, 2**63 - 1, None),
+    "calib_ranks": (lambda v: _ra_problem(calib_rank=v).calib_ranks, 1, None),
+    "RA outputs": (lambda v: _ra_problem(output=v).ranker_outputs[:1], 1 + _M,
+                   "RA ranker outputs"),
     # the calibration item's RA output is 1, so its score at rank v is v - 1
-    "scores_at": (lambda v: scores_at(_ra_problem(), [v]).astype(np.int64) + 1, 1, 1 + _M),
+    "scores_at": (lambda v: scores_at(_ra_problem(), [v]).astype(np.int64) + 1, 1 + _M,
+                  "pooled ranks"),
     # a naive envelope's lower bound at calibration rank r is r
     "calibration_sets": (lambda v: calibration_sets(naive_envelope(_M, 1),
-                                                    [v] * _M).lo[:1], 1, _M),
+                                                    [v] * _M).lo[:1], _M, "calibration ranks"),
+    "bounds_for_ranks": (lambda v: naive_envelope(_M, 1).bounds_for_ranks([v])[0], _M,
+                         "calibration ranks"),
+    "Envelope lower": (lambda v: Envelope(n=1, m=_M, delta=0.1, kind="quantile", lower=[v],
+                                          upper=[1 + _M]).lower, 1 + _M, "bounds"),
+    "Envelope upper": (lambda v: Envelope(n=1, m=_M, delta=0.1, kind="quantile", lower=[1],
+                                          upper=[v]).upper, 1 + _M, "bounds"),
+    "calibrate k": (lambda v: _int64(calibrate([3.0, 1.0, 4.0, 2.0], v).value), 4, "k"),
+    # the value 5 lies 5 - r above the value at rank r, and 1 above the one at rank 4
+    "proxy_score_va lo": (lambda v: _int64(5 - proxy_score_va(v, 4, 5.0, _VALUES)), 4, "lo"),
+    # the value 0 lies r below the value at rank r, and 1 below the one at rank 1
+    "proxy_score_va hi": (lambda v: _int64(proxy_score_va(1, v, 0.0, _VALUES)), 4, "hi"),
 }
 
 
 @settings(max_examples=300, deadline=None)
+@example(value=10**400)
+@example(value=-(10**400))
 @given(value=_RANK_LIKE)
 def test_one_whole_number_rule_for_every_rank_entry_point(value):
-    # the scalar rule and every array entry point accept exactly the int64
-    # values and the whole floats below 2**63, and read them as the same int64
+    # the scalar rule and every entry point accept exactly the int64 values
+    # and the whole floats below 2**63, read them as the same int64, and
+    # refuse a whole number outside their range [1, top] with RankOutOfRange
+    # in the range rule's words
     whole = _whole(value)
     rank = _outcome(lambda: as_count(value, "ranks"))
     assert (type(rank), rank) == ((int, int(value)) if whole else (type, InvalidInput))
-    for name, (read, low, high) in _RANK_ENTRY_POINTS.items():
-        got = _outcome(lambda: read(value))
-        if whole and low <= rank <= high:
-            assert isinstance(got, np.ndarray) and got.dtype == np.int64, name
-            assert got.tolist() == [rank], name
-        elif whole:  # a rank that the entry point does not serve
-            assert got in (InvalidInput, RankOutOfRange), name
+    for entry, (read, top, name) in _RANK_ENTRY_POINTS.items():
+        got = _refusal(lambda: read(value))
+        if whole and 1 <= rank <= top:
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64, entry
+            assert got.tolist() == [rank], entry
+        elif whole and name is None:  # a rank refused by the entry point's own rule
+            assert got[0] is InvalidInput, (entry, got)
+        elif whole:
+            assert got == (RankOutOfRange, f"{name} must lie in [1, {top}], got {rank}"), (
+                entry, got)
         else:
-            assert got is InvalidInput, name
+            assert got[0] is InvalidInput, (entry, got)
 
 
 def _served(value) -> int:
@@ -260,8 +299,9 @@ _COUNT_ENTRY_POINTS = {
 }
 
 # Values a caller may pass as a count: Python and numpy ints, whole floats,
-# fractions, NaN, ±inf and magnitudes of 2**63 or more; no large whole
-# number, which some entry points would try to serve
+# fractions, NaN, ±inf and magnitudes of 2**63 or more, ints beyond the
+# float range too; no large whole number, which some entry points would try
+# to serve
 _COUNT_LIKE = (
     st.integers(-2, 10)
     | st.integers(-2, 10).map(float)
@@ -270,19 +310,14 @@ _COUNT_LIKE = (
     | st.floats(-2, 10)
     | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, -(2**63)])
     | st.sampled_from([2**63, 2**64, -(2**63) - 1, 10**30, 2.0**63, -(2.0**63), 1e20])
+    | st.sampled_from([10**400, -(10**400)])
     | st.sampled_from([True, False, np.True_])
 )
 
 
-def _refusal(call):
-    """``call()``, or the class and message of the package error it raises."""
-    try:
-        return call()
-    except RankCPError as exc:
-        return type(exc), str(exc)
-
-
 @settings(max_examples=150, deadline=None)
+@example(value=10**400)
+@example(value=-(10**400))
 @given(value=_COUNT_LIKE)
 def test_one_whole_number_rule_for_every_count_entry_point(value):
     # every size and index reads its value through ranks.as_count: a numpy
@@ -329,18 +364,21 @@ _LEVEL_ENTRY_POINTS = {
 
 # Values a caller may pass as a level: floats in and out of [0, 1), numpy
 # floats, the interval's ends as ints and floats, signed zeros, NaN, ±inf,
-# other real numbers (a fraction, an int beyond int64), and what is not one
+# other real numbers (a fraction, an int beyond int64 or beyond the float
+# range), and what is not one
 # number: booleans, a numeric string, an array and None
 _LEVEL_LIKE = (
     st.floats(-0.5, 1.5)
     | st.floats(0, 1.5).map(np.float64)
     | st.sampled_from([0, 1, 0.0, 1.0, -0.0, math.nan, math.inf, -math.inf])
-    | st.sampled_from([Fraction(1, 4), Fraction(5, 4), 2**64])
+    | st.sampled_from([Fraction(1, 4), Fraction(5, 4), 2**64, 10**400, -(10**400)])
     | st.sampled_from([True, False, np.True_, "0.1", np.array([0.1]), None])
 )
 
 
 @settings(max_examples=150, deadline=None)
+@example(value=10**400)
+@example(value=-(10**400))
 @given(value=_LEVEL_LIKE)
 def test_one_level_rule_for_every_level_entry_point(value):
     # every probability level is read by ranks.as_level: a number in its

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from rankcp import (
+    InvalidDelta,
     InvalidInput,
+    RankOutOfRange,
     RankingProblem,
     TiesDetected,
     break_ties,
     ranks_within,
 )
 from rankcp.errors import DimensionMismatch
-from rankcp.ranks import as_ranks, tied_rows
+from rankcp.ranks import as_count, as_level, as_ranks, tied_rows
 
 
 def test_ranks_within_examples():
@@ -194,11 +196,31 @@ RANKS_REFUSALS = {
     "RankingProblem RA inf": (
         lambda: _ranking_problem(ranker_mode="RA", ranker_outputs=[2, 1, 4, 3, np.inf]),
         InvalidInput, r"^RA ranker outputs must be integers, got inf$"),
+    # the rule was handed the list as an array, in which numpy reads True as 1
+    "RankingProblem RA bool in list": (
+        lambda: _ranking_problem(ranker_mode="RA", ranker_outputs=[2, 1, 4, 3, True]),
+        InvalidInput, r"^RA ranker outputs must be integers, got bool$"),
     # numpy reads [True, 2] as int64, and the rule returned [1, 2]
     "as_ranks bool in list": (lambda: as_ranks([True, 2]), InvalidInput,
                               "^ranks must be integers, got bool$"),
     "as_ranks bool in tuple": (lambda: as_ranks((2.5, np.True_), "lo"), InvalidInput,
                                "^lo must be integers, got bool$"),
+    # each ended in a bare OverflowError: int too large to convert to float
+    "as_count int beyond floats": (lambda: as_count(10**400, "n"), InvalidInput,
+                                   f"^n must be below 2\\*\\*63, got {10**400}$"),
+    "as_count list of it": (lambda: as_count([-(10**400)], "n"), InvalidInput,
+                            f"^n must be below 2\\*\\*63, got {-(10**400)}$"),
+    "as_ranks int beyond floats": (
+        lambda: as_ranks([1, 10**400], "lo", items=["a", "b"]), InvalidInput,
+        f"^lo must be below 2\\*\\*63, got {10**400} for item 'b'$"),
+    "as_level int beyond floats": (lambda: as_level(10**400, "delta"), InvalidDelta,
+                                   f"^delta={10**400} outside \\[0, 1\\)$"),
+    "as_level negative": (lambda: as_level(-(10**400), "alpha", positive=True), InvalidDelta,
+                          f"^alpha={-(10**400)} outside \\(0, 1\\)$"),
+    "as_ranks range": (lambda: as_ranks([[1, 2], [3, 0]], "lo", items=["a", "b"], top=3),
+                       RankOutOfRange, r"^lo must lie in \[1, 3\], got 0 for item 'b'$"),
+    "as_count range": (lambda: as_count(4.0, "k", top=3), RankOutOfRange,
+                       r"^k must lie in \[1, 3\], got 4$"),
 }
 
 
