@@ -165,8 +165,6 @@ def _cmd_simulate_envelope(resolved: dict) -> tuple[dict, dict]:
 
 
 def _cmd_predict(resolved: dict) -> tuple[dict, dict]:
-    if resolved["top-k"] < 0:
-        raise InvalidInput(f"--top-k must be nonnegative, got {resolved['top-k']}")
     problem = io.read_scores(resolved["scores"], resolved["mode"])
     env = io.read_envelope(resolved["envelope"])
     scores = proxy_scores(problem, env)  # refuses an envelope of other sizes
@@ -183,7 +181,7 @@ def _cmd_predict(resolved: dict) -> tuple[dict, dict]:
     thr = calibrate(scores, k, alpha=resolved["alpha"])
     sets = predict_sets(problem, thr)
     test_only = test_only_set(sets, env) if resolved["test-only"] else None
-    top = topk_candidates(sets, resolved["top-k"]) if resolved["top-k"] > 0 else None
+    top = topk_candidates(sets, resolved["top-k"]) if resolved["top-k"] else None
     io.write_sets(sets, resolved["out"], test_only=test_only, top_candidates=top)
     return {}, {
         "k": thr.k,

@@ -20,7 +20,11 @@ The stages pass plain arrays: :func:`proxy_scores` returns the scores, and
 array (the oracle arm passes the true scores).  :func:`predict_sets` returns
 the prediction sets of all test items as one :class:`RankSets`, int64
 ``lo``/``hi`` columns; indexing it gives :class:`RankSet`, a plain
-``NamedTuple`` view of a single row, which is not validated again.
+``NamedTuple`` view of a single row, which is not validated again.  The
+scores of :func:`calibrate`, the values of :func:`proxy_score_va` and the
+threshold value :func:`predict_sets` reads go through ``ranks.as_values``,
+the one rule for real-valued arrays, and the ranks of
+:meth:`RankSets.contains` through ``ranks.as_ranks``.
 
 :func:`scores_at`, :func:`proxy_scores` and :func:`predict_sets` also take a
 batch :class:`RankingProblem` (problems stacked along a leading axis) and
@@ -58,8 +62,8 @@ import numpy as np
 
 from .envelope import Envelope, _ceil_count
 from .errors import DimensionMismatch, InfeasibleLevel, InvalidInput
-from .ranks import (RA, ItemId, RankingProblem, _as_array, _as_float_vector, _as_number,
-                    as_count, as_level, as_ranks, rank_va_outputs)
+from .ranks import (RA, ItemId, RankingProblem, _as_array, _as_number, as_count, as_level,
+                    as_ranks, as_values, rank_va_outputs)
 
 MARGINAL = "marginal"
 FCP_CONTROLLED = "fcp_controlled"
@@ -139,7 +143,7 @@ class RankSets:
         if self.kind not in SET_KINDS:
             raise InvalidInput(f"unknown set kind {self.kind!r}")
         self.items = list(self.items)
-        lo, hi = _as_array(self.lo), _as_array(self.hi)
+        lo, hi = _as_array(self.lo, "ranks"), _as_array(self.hi, "ranks")
         if (lo.ndim not in (1, 2) or lo.shape[-1] != len(self.items)
                 or hi.shape != lo.shape):
             raise DimensionMismatch("need one lo and one hi per item")
@@ -157,7 +161,7 @@ class RankSets:
         return self.hi - self.lo + 1
 
     def contains(self, ranks) -> np.ndarray:
-        ranks = np.asarray(ranks)
+        ranks = as_ranks(ranks, "ranks")
         return (self.lo <= ranks) & (ranks <= self.hi)
 
     def __len__(self) -> int:
@@ -202,7 +206,7 @@ def proxy_score_va(lo: int, hi: int, value: float, all_values) -> float:
     ``all_values`` follow the VA output rule of :func:`rank_va_outputs`, and
     ``value``, the item's own output, must be finite.
     """
-    arr = _as_float_vector(all_values, "all_values")
+    arr = as_values(all_values, "all_values", ndims=(1,))
     lo, hi = as_count(lo, "lo", top=arr.size), as_count(hi, "hi", top=arr.size)
     if lo > hi:
         raise InvalidInput(f"need lo <= hi, got [{lo}, {hi}]")
@@ -275,8 +279,8 @@ def calibrate(scores, k: int, alpha: float | None = None) -> Threshold:
     :func:`fcp_calibration` (FCP control); the threshold does not depend on
     which.  ``alpha`` is recorded on the threshold as given.
     """
-    arr = np.asarray(scores, dtype=float)
-    n = arr.shape[-1] if arr.ndim else 0
+    arr = as_values(scores, "scores", ndims=(1, 2))
+    n = arr.shape[-1]
     k = as_count(k, "k", top=n)  # a rank among the n scores
     value = np.partition(arr, k - 1, axis=-1)[..., k - 1]
     return Threshold(k=k, value=float(value) if value.ndim == 0 else value,
@@ -384,7 +388,7 @@ def predict_sets(problem: RankingProblem, thr: Threshold) -> RankSets:
     each item's edges lie in its own row's span, against its own row's
     threshold.
     """
-    value = np.asarray(thr.value, dtype=float)
+    value = as_values(thr.value, "threshold")
     if value.shape != problem.calib_ranks.shape[:-1]:
         raise DimensionMismatch("need one threshold per problem of the batch")
     if not np.all(value >= 0):

@@ -54,12 +54,13 @@ from .ranks import (
     _as_number,
     as_count,
     as_level,
+    as_ranks,
     break_ties,
     check_mode,
     ranks_within,
     tied_rows,
 )
-from .streams import child_seed, streams
+from .streams import as_seed, child_seed, streams
 from .targets import topk_candidates
 
 SIGMOID = "sigmoid"
@@ -94,7 +95,7 @@ def fcp(sets: RankSets, true_ranks) -> float | np.ndarray:
     """
     if not len(sets):
         raise InvalidInput("need at least one set")
-    ranks = np.asarray(true_ranks, dtype=np.int64)
+    ranks = as_ranks(true_ranks, "true_ranks")
     if ranks.shape != sets.lo.shape:
         raise DimensionMismatch(f"sets are {sets.lo.shape} but true ranks {ranks.shape}")
     return _per_row(np.count_nonzero(~sets.contains(ranks), axis=-1) / len(sets))
@@ -104,7 +105,7 @@ def relative_length(sets: RankSets, n_plus_m: int) -> float | np.ndarray:
     """Mean set size divided by the number of items (per row for batch sets)."""
     if not len(sets):
         raise InvalidInput("need at least one set")
-    return _per_row(np.mean(sets.size, axis=-1) / n_plus_m)
+    return _per_row(np.mean(sets.size, axis=-1) / as_count(n_plus_m, "n_plus_m", least=1))
 
 
 def _check_noise(name: str, value: float) -> None:
@@ -237,7 +238,8 @@ class ExperimentConfig:
     envelopes.  ``K_fcp`` is deprecated and ignored (the FCP index is exact)
     and will be removed in the next release.  ``k_top`` defaults to
     ``ceil(0.05 m)``.  The whole-number fields are read by ``ranks.as_count``
-    and stored as Python ints.
+    and ``master_seed`` by ``streams.as_seed``, and all are stored as Python
+    ints.
     """
 
     n: int = 200
@@ -262,6 +264,7 @@ class ExperimentConfig:
                           "(the FCP index is exact)", DeprecationWarning, stacklevel=3)
         self.n, self.m = as_count(self.n, "n", least=1), as_count(self.m, "m", least=1)
         self.reps = as_count(self.reps, "reps", least=1)
+        self.master_seed = as_seed(self.master_seed, "master_seed")
         for name in ("alpha", "beta", "delta"):
             setattr(self, name, as_level(getattr(self, name), name, positive=True))
         _check_settings(self.data_model, self.mode, self.noise_sd)
@@ -382,7 +385,7 @@ def _quintile_widths(
     sets: RankSets, predicted: np.ndarray, total: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean set size in the middle vs extreme quintiles of predicted rank, per row."""
-    widths = sets.size.astype(float)
+    widths = sets.size
     quintile = np.minimum(4, (5 * (predicted - 1)) // total)
     return (
         _masked_mean(widths, quintile == 2),

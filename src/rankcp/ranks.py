@@ -30,14 +30,24 @@ a :class:`RankingProblem` and the ranks of ``conformal.scores_at``
 its least or greatest value.  A whole number given alone goes through
 :func:`as_count`, the rule's one-value case, which also refuses a value
 below a floor: every size and index of the package (``n``, ``m``, ``K``,
-``k``, ``reps``, ``d``, ``k_top``) and the ranks of the scalar scores of
-``conformal``.  Seeds keep ``streams.as_seed``'s stricter rule, since
+``k``, ``reps``, ``d``, ``k_top``, ``n_plus_m``) and the ranks of the scalar
+scores of ``conformal``.  Seeds keep ``streams.as_seed``'s stricter rule, since
 ``streams`` cannot import this module.  A probability level (``alpha``,
 ``beta``, ``delta``, ``alpha_bar``, ``beta_bar``) goes through
 :func:`as_level`, which refuses what is not one real number and a value
 outside its interval; ``evaluate``'s noise levels, ``Envelope``'s ``param``
 and ``mc_meta.slack`` and ``proxy_score_va``'s ``value`` apply its number
-test, :func:`_as_number`.
+test, :func:`_as_number`.  An array of real numbers goes through
+:func:`as_values`, the value rule, which reads integers and floats as
+float64, each element of an object array by that number test, and refuses a
+boolean, a string, ``None``, a ragged list and a number of dimensions the
+caller does not serve: the values of :func:`break_ties` and
+:func:`ranks_within`, the VA outputs and ``truth`` of a
+:class:`RankingProblem`, ``conformal.proxy_score_va``'s ``all_values``,
+``conformal.calibrate``'s scores, the threshold value of
+``conformal.predict_sets``, and the float path of :func:`as_ranks` itself;
+no other function reads an input as floats.  ``evaluate.fcp`` and
+``conformal.RankSets.contains`` read true ranks by :func:`as_ranks`.
 Ranks and order statistics have no scalar functions: :func:`ranks_within`
 ranks every element of a vector, and the ``r``-th smallest VA output of a
 problem is its ``sorted_outputs[r - 1]``.
@@ -64,21 +74,6 @@ RA = "RA"
 VA = "VA"
 
 
-def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInput(f"{name} must be one-dimensional")
-    return arr
-
-
-def _as_float_rows(values, name: str) -> np.ndarray:
-    """A vector, or a ``(rows, length)`` stack of vectors, as floats."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise InvalidInput(f"{name} must be a vector or a stack of vectors")
-    return arr
-
-
 def _sorted_has_ties(ordered: np.ndarray):
     """Per row of sorted values: an equal neighbour pair, or two NaNs (sorted last)."""
     right, left = ordered[..., 1:], ordered[..., :-1]
@@ -102,13 +97,18 @@ def whole_numbers(values: np.ndarray) -> np.ndarray:
     return (np.trunc(values) == values) & np.isfinite(values)
 
 
-def _as_array(values) -> np.ndarray:
+def _as_array(values, name: str) -> np.ndarray:
     """``values`` as an array, of the boolean dtype where a list or tuple holds a boolean.
 
     numpy reads ``[True, 2]`` as int64, so the elements of a list or tuple are
     looked at, once, beside the one conversion; an array is taken as it is.
+    A ragged list, which numpy cannot read, raises :class:`InvalidInput`
+    naming ``name``.
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise InvalidInput(f"{name} must be a rectangular array, not a ragged list") from None
     if isinstance(values, (list, tuple)) and arr.dtype != bool:
         flat = values if arr.ndim == 1 else np.asarray(values, dtype=object).ravel()
         if {bool, np.bool_} & set(map(type, flat)):
@@ -136,15 +136,12 @@ def as_ranks(values, name: str = "ranks", items=None, top: int | None = None) ->
     one ``min()``/``max()`` pass tests the range, and the value is looked up
     only on failure.
     """
-    arr = _as_array(values)
+    arr = _as_array(values, name)
     if arr.dtype != bool and np.can_cast(arr.dtype, np.int64):  # integers need no scan
         ranks = arr.astype(np.int64, copy=False)
     else:
         noun = "integers" if arr.ndim else "an integer"
-        if arr.dtype.kind not in "fuO":
-            raise InvalidInput(f"{name} must be {noun}, got {arr.dtype}")
-        as_float = (arr.astype(float) if arr.dtype.kind != "O"  # a huge int reads as ±inf
-                    else np.array([_as_number(v, name) for v in arr.flat]).reshape(arr.shape))
+        as_float = as_values(arr, name, noun=noun)  # a huge int reads as ±inf
         whole = whole_numbers(as_float)
         bad = np.flatnonzero(~(whole & (np.abs(as_float) < 2.0**63)))
         if bad.size:
@@ -193,6 +190,29 @@ def _as_number(value, name: str) -> float:
         return math.inf if number > 0 else -math.inf
 
 
+def as_values(values, name: str, ndims: tuple[int, ...] | None = None,
+              noun: str = "numbers") -> np.ndarray:
+    """``values`` as float64: the one rule for an array of real numbers.
+
+    An integer or float array is read as it is, a float64 one without a
+    copy, and each element of an object array by :func:`_as_number` (an int
+    beyond the float range reads as ±inf).  A boolean (``True`` is no score
+    of 1), a string, ``None`` and a ragged list raise :class:`InvalidInput`
+    naming ``name`` (``<name> must be <noun>, got bool``), and so does a
+    number of dimensions outside ``ndims``: ``(1,)`` for a vector, ``(1,
+    2)`` for a vector or a ``(rows, length)`` stack of vectors.
+    """
+    arr = _as_array(values, name)
+    if arr.dtype.kind not in "iufO":
+        raise InvalidInput(f"{name} must be {noun}, got {arr.dtype}")
+    arr = (arr.astype(float, copy=False) if arr.dtype.kind != "O"
+           else np.reshape([_as_number(v, name) for v in arr.flat], arr.shape))
+    if ndims is not None and arr.ndim not in ndims:
+        shape = "one-dimensional" if ndims == (1,) else "a vector or a stack of vectors"
+        raise InvalidInput(f"{name} must be {shape}")
+    return arr
+
+
 def as_level(value, name: str, positive: bool = False) -> float:
     """``value`` as a float: the one rule for a probability level.
 
@@ -238,7 +258,7 @@ def ranks_within(values, name: str = "values") -> np.ndarray:
     ``(rows, length)`` stack, one permutation per row.  Errors name the
     values ``name``.
     """
-    return _rank_rows(_as_float_rows(values, name), name)[1]
+    return _rank_rows(as_values(values, name, ndims=(1, 2)), name)[1]
 
 
 def rank_va_outputs(outputs: np.ndarray, name: str = "VA ranker outputs"):
@@ -270,7 +290,7 @@ def break_ties(values, seed: int) -> np.ndarray:
     never mutates the input.  The values must be finite: no step parts two
     equal infinities, and NaN has no order.
     """
-    arr = _as_float_vector(values, "values")
+    arr = as_values(values, "values", ndims=(1,))
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("break_ties needs finite values")
     order = np.lexsort((stream(seed, "tie-break").permutation(arr.size), arr))
@@ -298,6 +318,9 @@ class RankingProblem:
     ``[1, n+m]``, repeats allowed); in VA mode they are real scores whose order induces the
     predicted ranking (ties rejected, same policy as for ``truth``).
     ``truth`` is optional and used for evaluation only; it must hold no NaN.
+    The VA outputs (stored as a float64 copy) and ``truth`` are read by the
+    value rule, :func:`as_values`, so a boolean or a string among them
+    raises :class:`InvalidInput`.
 
     Validation ranks each row once, and the layers read the result from
     four read-only arrays instead of sorting again: ``sorted_outputs``, each
@@ -328,7 +351,8 @@ class RankingProblem:
     def __post_init__(self):
         self.n, self.m = as_count(self.n, "n", least=1), as_count(self.m, "m", least=0)
         total = self.n + self.m
-        outputs = np.asarray(self.ranker_outputs)
+        check_mode(self.ranker_mode, "ranker_mode")
+        outputs = _as_array(self.ranker_outputs, f"{self.ranker_mode} ranker outputs")
         lead = outputs.shape[:1] if outputs.ndim == 2 else ()
         ranks = as_ranks(self.calib_ranks, "calib_ranks")
         if ranks.shape != lead + (self.n,) or not np.array_equal(
@@ -337,7 +361,6 @@ class RankingProblem:
             raise InvalidInput("calib_ranks must be a permutation of 1..n")
         self.calib_ranks = ranks
 
-        check_mode(self.ranker_mode, "ranker_mode")
         if outputs.shape != lead + (total,) or not outputs.size:
             raise DimensionMismatch(
                 f"ranker_outputs must have length n+m={total}, got {outputs.shape}"
@@ -348,14 +371,14 @@ class RankingProblem:
             self.ranker_outputs = ranks
             self.predicted_ranks = _frozen(ranks.view())
         else:
-            self.ranker_outputs = outputs.astype(float)
+            self.ranker_outputs = as_values(outputs, "VA ranker outputs").copy()
             self.sorted_outputs, self.predicted_ranks, order = map(
                 _frozen, rank_va_outputs(self.ranker_outputs))
             # each row's order lists its m test items, at n..n+m-1, in rank order
             self.test_order = _frozen(order[order >= self.n].reshape(lead + (self.m,)) - self.n)
 
         if self.truth is not None:
-            t = np.asarray(self.truth, dtype=float)
+            t = as_values(self.truth, "truth")
             if t.shape != outputs.shape:
                 raise DimensionMismatch(f"truth must have length n+m={total}")
             self.true_ranks = _frozen(_rank_rows(t, "truth")[1])

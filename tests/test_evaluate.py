@@ -267,6 +267,11 @@ def test_experiment_config_validation():
     with pytest.raises(InvalidInput, match="^unknown envelope kind 'bogus'; expected one of "
                                            "naive, theoretical, linear, quantile$"):
         ExperimentConfig(envelope_kind="bogus", K_env=0)
+    # both were accepted here, and run_experiment then refused "seed", a
+    # parameter the caller never set
+    for seed in (1.5, "x"):
+        with pytest.raises(InvalidInput, match=f"^master_seed must be an integer, got {seed}$"):
+            ExperimentConfig(master_seed=seed)
 
 
 # 10**400 ended in a bare OverflowError: int too large to convert to float

@@ -1046,7 +1046,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["predict", "--scores", str(scores), "--envelope", str(envelope),
                  "--alpha", "0.25", "--mode", "VA", "--top-k", "-5",
                  "--out", str(tmp_path / "s.csv")]) == 2
-    assert "usage error: --top-k must be nonnegative, got -5" in capsys.readouterr().err
+    assert "usage error: need k_top >= 0, got k_top=-5" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
     # usage: a negative k_top is rejected by the config itself, so the
     # experiment stops before it builds an envelope

@@ -7,10 +7,11 @@ cycle); ``conformal`` and ``io`` serve the harness and the CLI but never
 import them; the fit-level check stays inside ``envelope``, which also writes
 the count ceiling of a level once; and ``ranks`` alone writes the
 ranker-mode vocabulary, the ordering rules, the whole-number rule for ranks
-and counts, the range rule ``[1, top]`` for ranks and indices and the
-interval rule for probability levels: no other function compares a size, an
-index or a level with a number of its own, tests an array's least or
-greatest value against a bound, or raises ``RankOutOfRange``.
+and counts, the range rule ``[1, top]`` for ranks and indices, the
+interval rule for probability levels and the value rule for real-valued
+arrays: no other function compares a size, an index or a level with a
+number of its own, tests an array's least or greatest value against a
+bound, raises ``RankOutOfRange`` or reads an input as floats.
 """
 
 import ast
@@ -448,3 +449,81 @@ def test_a_restored_level_check_fails_the_level_guard(restored):
     caught = {site[:2] for site in _level_literal_compares("conformal", tree) - _LEVEL_RULES}
     caught |= _sites(_interval_refusal, {"conformal": tree})
     assert caught == {("conformal", "select_k")}
+
+
+# the spellings of a float dtype that numpy reads as float64
+_FLOAT_DTYPES = {"float", "float64", "float_", "double"}
+
+
+def _float_dtype(node) -> bool:
+    """Whether ``node`` names float64: ``float``, ``np.float64``, ``"float"`` and the like."""
+    return (getattr(node, "id", None) in _FLOAT_DTYPES
+            or getattr(node, "attr", None) in _FLOAT_DTYPES
+            or getattr(node, "value", None) in _FLOAT_DTYPES)
+
+
+def _bare_float_reads(module: str, tree: ast.AST) -> set[tuple[str, str]]:
+    """``(module, function)`` of each float read of an input outside ``ranks.as_values``.
+
+    A float read is ``np.asarray(x, dtype=float)``, ``np.array(x, dtype=float)``
+    or ``x.astype(float)``; an input is a parameter of the function around
+    it or an attribute of one: ``thr.value``, and a ``self.`` field in a
+    ``__post_init__``.
+    """
+    found = set()
+
+    def is_input(node, function):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in {
+            a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+
+    def read_of(call):
+        """The array ``call`` reads as floats, or ``None``."""
+        func = call.func
+        dtype = next((kw.value for kw in call.keywords if kw.arg == "dtype"), None)
+        if getattr(func, "attr", None) in ("asarray", "array") and call.args:
+            dtype = dtype or (call.args[1] if len(call.args) > 1 else None)
+            return call.args[0] if _float_dtype(dtype) else None
+        if getattr(func, "attr", None) == "astype":
+            dtype = dtype or (call.args[0] if call.args else None)
+            return func.value if _float_dtype(dtype) else None
+        return None
+
+    def visit(node, function):
+        if isinstance(node, ast.Call) and function is not None:
+            read = read_of(node)
+            if read is not None and is_input(read, function):
+                found.add((module, function.name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, child if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, None)
+    return {site for site in found if site != ("ranks", "as_values")}
+
+
+# the functions that read a real-valued array, and the parameters they read
+_VALUE_SITES = [("ranks", ("break_ties",)), ("ranks", ("ranks_within",)),
+                ("ranks", ("RankingProblem", "__post_init__")),  # VA outputs and truth
+                ("conformal", ("proxy_score_va",)), ("conformal", ("calibrate",)),
+                ("conformal", ("predict_sets",)), ("ranks", ("as_ranks",))]
+
+
+def test_ranks_owns_the_value_rule():
+    # one function reads real-valued arrays, ranks.as_values; the sites that
+    # read scores, VA outputs, truth, a threshold or a rank's float path call
+    # it instead of numpy's float conversion
+    assert not set().union(*(_bare_float_reads(m, _tree(m)) for m in MODULES))
+    for module, path in _VALUE_SITES:
+        calls = [node for node in ast.walk(_definition(module, *path))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "as_values"]
+        assert len(calls) >= (2 if path[0] == "RankingProblem" else 1), path
+    assert not set().union(*map(_names, MODULES)) & {"_as_float_vector", "_as_float_rows"}
+
+
+def test_a_restored_float_read_fails_the_value_guard():
+    source = (PACKAGE / "conformal.py").read_text(encoding="utf-8")
+    read = '    arr = as_values(scores, "scores", ndims=(1, 2))\n'
+    assert source.count(read) == 1
+    tree = ast.parse(source.replace(read, '    arr = np.asarray(scores, dtype=float)\n'))
+    assert _bare_float_reads("conformal", tree) == {("conformal", "calibrate")}

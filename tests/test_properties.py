@@ -20,9 +20,11 @@ from rankcp import (
     RankOutOfRange,
     RankSets,
     SortedRankSample,
+    break_ties,
     build_envelope,
     calibrate,
     calibration_sets,
+    fcp,
     fcp_calibration,
     fit_linear_envelope,
     fit_quantile_envelope,
@@ -31,7 +33,9 @@ from rankcp import (
     proxy_score_va,
     proxy_scores,
     naive_envelope,
+    predict_sets,
     ranks_within,
+    relative_length,
     score_ra,
     scores_at,
     select_k,
@@ -42,7 +46,8 @@ from rankcp import (
 from rankcp import test_only_set as to_test_only_set
 from rankcp.envelope import theoretical_band_halfwidth
 from rankcp.io import envelope_to_doc
-from rankcp.ranks import as_count
+from rankcp.conformal import Threshold
+from rankcp.ranks import as_count, as_values
 from rankcp.streams import stream, streams
 
 
@@ -175,7 +180,10 @@ _VALUES = [1.0, 2.0, 3.0, 4.0]  # the value at rank r is r
 # gives it (``None`` for a rule of its own: RankSets' ``1 <= lo <= hi`` and
 # the permutation rule of ``calib_ranks``).  Every entry of the array read
 # holds ``v``, so the array has ``v``'s own dtype: numpy reads the list
-# ``[True, 1]`` as int64, the array ``[True, True]`` is a boolean one
+# ``[True, 1]`` as int64, the array ``[True, True]`` is a boolean one.  The
+# readers of true ranks, ``fcp`` and ``RankSets.contains``, have no range
+# rule (a rank outside a set is missed, not refused): their served ranks are
+# ``None``, and they return what the same int returns
 _RANK_ENTRY_POINTS = {
     "RankSets lo": (lambda v: RankSets(["a"], [v], [2**62]).lo, 2**62, None),
     "RankSets hi": (lambda v: RankSets(["a"], [1], [v]).hi, 2**63 - 1, None),
@@ -199,6 +207,9 @@ _RANK_ENTRY_POINTS = {
     "proxy_score_va lo": (lambda v: _int64(5 - proxy_score_va(v, 4, 5.0, _VALUES)), 4, "lo"),
     # the value 0 lies r below the value at rank r, and 1 below the one at rank 1
     "proxy_score_va hi": (lambda v: _int64(proxy_score_va(1, v, 0.0, _VALUES)), 4, "hi"),
+    "fcp": (lambda v: fcp(RankSets(["a"], [1], [3]), [v]), None, None),
+    "RankSets.contains": (lambda v: RankSets(["a"], [1], [3]).contains([v]).tolist(), None,
+                          None),
 }
 
 
@@ -216,7 +227,9 @@ def test_one_whole_number_rule_for_every_rank_entry_point(value):
     assert (type(rank), rank) == ((int, int(value)) if whole else (type, InvalidInput))
     for entry, (read, top, name) in _RANK_ENTRY_POINTS.items():
         got = _refusal(lambda: read(value))
-        if whole and 1 <= rank <= top:
+        if whole and top is None:
+            assert got == read(rank), entry
+        elif whole and 1 <= rank <= top:
             assert isinstance(got, np.ndarray) and got.dtype == np.int64, entry
             assert got.tolist() == [rank], entry
         elif whole and name is None:  # a rank refused by the entry point's own rule
@@ -296,6 +309,8 @@ _COUNT_ENTRY_POINTS = {
     "ExperimentConfig K_env": (lambda v: ExperimentConfig(K_env=v).K_env, "K_env", 1),
     "topk_candidates k_top": (lambda v: topk_candidates(RankSets(["a", "b"], [1, 4], [2, 6]),
                                                         v).tolist(), "k_top", 0),
+    "relative_length n_plus_m": (lambda v: relative_length(RankSets(["a"], [1], [2]), v),
+                                 "n_plus_m", 1),
 }
 
 # Values a caller may pass as a count: Python and numpy ints, whole floats,
@@ -396,6 +411,71 @@ def test_one_level_rule_for_every_level_entry_point(value):
             assert got == (InvalidDelta, f"{name}={value} outside {interval}"), (entry, got)
         else:
             reference = _refusal(lambda: read(float(value)))
+            assert got == reference and type(got) is type(reference), entry
+
+
+_VA_PROBLEM = RankingProblem(n=1, m=2, calib_ranks=[1], ranker_mode="VA",
+                             ranker_outputs=[0.1, 0.5, 2.0])
+
+
+def _va_problem(outputs=(0.1, 0.5, 2.0), truth=None):
+    """The outputs, truth and ranks, as lists, of a one-calibration-item VA problem."""
+    problem = RankingProblem(n=1, m=2, calib_ranks=[1], ranker_mode="VA",
+                             ranker_outputs=list(outputs), truth=truth)
+    return [problem.ranker_outputs.tolist(), problem.predicted_ranks.tolist(),
+            None if truth is None else problem.truth.tolist(),
+            None if truth is None else problem.true_ranks.tolist()]
+
+
+# Each entry point of a real-valued array: the call that reads a value ``v``
+# (an element of a list beside the values 0.5 and 2.0, or, for the
+# threshold, the value itself) and the name its refusals give it; the calls
+# return what they stored or computed
+_VALUE_ENTRY_POINTS = {
+    "break_ties values": (lambda v: break_ties([v, 0.5, 2.0], 0).tolist(), "values"),
+    "ranks_within values": (lambda v: ranks_within([v, 0.5, 2.0]).tolist(), "values"),
+    "proxy_score_va all_values": (lambda v: proxy_score_va(1, 3, 0.25, [v, 0.5, 2.0]),
+                                  "all_values"),
+    "calibrate scores": (lambda v: calibrate([v, 0.5, 2.0], 2).value, "scores"),
+    "VA ranker outputs": (lambda v: _va_problem(outputs=(v, 0.5, 2.0)), "VA ranker outputs"),
+    "truth": (lambda v: _va_problem(truth=[v, 0.5, 2.0]), "truth"),
+    "predict_sets threshold": (lambda v: predict_sets(_VA_PROBLEM, Threshold(k=1, value=v)),
+                               "threshold"),
+}
+
+# Values a caller may pass as a real number: floats in and out of the other
+# values' range, NaN, ±inf, Python and numpy ints, numpy floats, a fraction,
+# ints beyond int64 and beyond the float range, and what is not a number:
+# booleans, strings (numeric ones too), None and ragged lists
+_VALUE_LIKE = (
+    st.floats(-3, 3)
+    | st.sampled_from([0.5, 2.0, -0.0, math.nan, math.inf, -math.inf])
+    | st.integers(-3, 3)
+    | st.integers(-3, 3).map(np.int64)
+    | st.floats(-3, 3, width=32).map(np.float32)
+    | st.sampled_from([Fraction(1, 4), 2**64, 10**400, -(10**400)])
+    | st.sampled_from([True, False, np.True_, np.False_])
+    | st.sampled_from(["0.5", "1", "x", None, [1.0, [2.0]], [[1.0], [2.0, 3.0]]])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(value=10**400)
+@example(value=True)
+@example(value="0.5")
+@given(value=_VALUE_LIKE)
+def test_one_value_rule_for_every_value_entry_point(value):
+    # every real-valued array is read by ranks.as_values: a number gives
+    # what the float that as_values reads from it gives, and what is not a
+    # number is refused with InvalidInput naming the parameter
+    number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    for entry, (read, name) in _VALUE_ENTRY_POINTS.items():
+        got = _refusal(lambda: read(value))
+        if not number:
+            assert got[0] is InvalidInput, (entry, got)
+            assert got[1].startswith(f"{name} must be "), (entry, got)
+        else:
+            reference = _refusal(lambda: read(float(as_values(value, "value"))))
             assert got == reference and type(got) is type(reference), entry
 
 

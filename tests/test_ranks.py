@@ -8,12 +8,18 @@ from rankcp import (
     InvalidInput,
     RankOutOfRange,
     RankingProblem,
+    RankSets,
     TiesDetected,
     break_ties,
+    calibrate,
+    fcp,
+    predict_sets,
+    proxy_score_va,
     ranks_within,
 )
+from rankcp.conformal import Threshold
 from rankcp.errors import DimensionMismatch
-from rankcp.ranks import as_count, as_level, as_ranks, tied_rows
+from rankcp.ranks import as_count, as_level, as_ranks, as_values, tied_rows
 
 
 def test_ranks_within_examples():
@@ -229,3 +235,69 @@ def test_ranks_refusals_name_their_parameter(case):
     call, error, names = RANKS_REFUSALS[case]
     with pytest.raises(error, match=names):
         call()
+
+
+def test_as_values_reads_numbers_as_float64():
+    scores = np.array([0.5, 2.0])
+    assert as_values(scores, "scores") is scores  # float64 is taken without a copy
+    for given in ([1, 2], np.array([1, 2], dtype=np.uint8), np.float32([1, 2]),
+                  np.array([1, 2.0], dtype=object)):
+        read = as_values(given, "scores")
+        assert read.dtype == np.float64 and read.tolist() == [1.0, 2.0]
+    # an int beyond the float range reads as ±inf, as as_level reads it
+    assert as_values([[10**400], [-(10**400)]], "scores").tolist() == [[np.inf], [-np.inf]]
+    assert as_values(2, "threshold").shape == ()
+    assert as_values(np.zeros((0, 3)), "scores", ndims=(1, 2)).shape == (0, 3)
+
+
+_TWO_SETS = RankSets(["a", "b"], [1, 2], [2, 3])
+
+# (call, the message of its InvalidInput); each ended in numpy's bare
+# ValueError or UFuncTypeError, or read a bool as 1.0, a numeric string as
+# its number, or a fraction of a rank as the whole number below it
+VALUE_REFUSALS = {
+    "calibrate string": (lambda: calibrate(["a", "b"], 1), "scores must be numbers, got <U1"),
+    "calibrate numeric string": (lambda: calibrate(["1.5", "0.5"], 1),
+                                 "scores must be numbers, got <U3"),
+    "calibrate bool": (lambda: calibrate([True, False], 1), "scores must be numbers, got bool"),
+    "calibrate None": (lambda: calibrate([0.5, None], 1), "scores must be a number, got None"),
+    "calibrate 3-D": (lambda: calibrate(np.zeros((2, 2, 2)), 1),
+                      "scores must be a vector or a stack of vectors"),
+    "proxy_score_va string": (lambda: proxy_score_va(1, 1, 0.5, ["a", "b"]),
+                              "all_values must be numbers, got <U1"),
+    "ranks_within string": (lambda: ranks_within(["a", "b"]), "values must be numbers, got <U1"),
+    "ranks_within bool": (lambda: ranks_within([True, False]),
+                          "values must be numbers, got bool"),
+    "break_ties bool": (lambda: break_ties([True, True, False], 0),
+                        "values must be numbers, got bool"),
+    "VA outputs string": (lambda: _ranking_problem(ranker_outputs=list("abcde")),
+                          "VA ranker outputs must be numbers, got <U1"),
+    "VA outputs numeric string": (
+        lambda: _ranking_problem(ranker_outputs=["2", "1", "3", "5", "4"]),
+        "VA ranker outputs must be numbers, got <U1"),
+    "VA outputs bool": (lambda: _ranking_problem(ranker_outputs=[True, False, 0.5, 0.2, 0.3]),
+                        "VA ranker outputs must be numbers, got bool"),
+    "VA outputs ragged": (lambda: _ranking_problem(ranker_outputs=[[0.1, 0.2], [0.3]]),
+                          "VA ranker outputs must be a rectangular array, not a ragged list"),
+    "truth string": (lambda: _ranking_problem(truth=list("abcde")),
+                     "truth must be numbers, got <U1"),
+    "truth bool": (lambda: _ranking_problem(truth=[True, False, 0.5, 0.2, 0.3]),
+                   "truth must be numbers, got bool"),
+    "threshold bool": (lambda: predict_sets(_ranking_problem(), Threshold(k=1, value=True)),
+                       "threshold must be numbers, got bool"),
+    "as_ranks ragged": (lambda: as_ranks([[1, 2], [3]]),
+                        "ranks must be a rectangular array, not a ragged list"),
+    "RankSets ragged": (lambda: RankSets(["a", "b"], [[1, 2], [3]], [[1, 2], [3, 4]]),
+                        "ranks must be a rectangular array, not a ragged list"),
+    "fcp fraction": (lambda: fcp(_TWO_SETS, [3.9, 4.0]), "true_ranks must be integers, got 3.9"),
+    "contains string": (lambda: _TWO_SETS.contains(["a", "b"]),
+                        "ranks must be integers, got <U1"),
+}
+
+
+@pytest.mark.parametrize("case", VALUE_REFUSALS)
+def test_value_refusals_name_their_parameter(case):
+    call, message = VALUE_REFUSALS[case]
+    with pytest.raises(InvalidInput) as err:
+        call()
+    assert str(err.value) == message
