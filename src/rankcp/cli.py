@@ -10,9 +10,10 @@ an ``--out`` that cannot be written or that names one of the subcommand's
 input files before any work, runs the subcommand's function from
 :data:`COMMANDS`, which computes and writes the payload and returns its seeds
 and extras, and writes the ``<out>.manifest.json`` sidecar with the digests
-of the files the subcommand read.  Where the sidecar cannot be written, the
-payload just written is removed.  ``main`` also maps every failure to its
-exit code.
+of the files the subcommand read: the sha256 of the bytes its readers
+parsed, which they record as they read, so no input is read twice.  Where
+the sidecar cannot be written, the payload just written is removed.
+``main`` also maps every failure to its exit code.
 
 Exit codes: 0 ok, 2 usage/type error, 3 insufficient Monte-Carlo sample,
 4 data error (an unwritable ``--out`` included), 5 infeasible level.
@@ -154,7 +155,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _cmd_simulate_envelope(resolved: dict) -> tuple[dict, dict]:
+def _cmd_simulate_envelope(resolved: dict, digests: dict) -> tuple[dict, dict]:
     env = build_envelope(
         resolved["kind"], resolved["n"], resolved["m"], resolved["delta"],
         resolved["K"], resolved["seed"],
@@ -164,9 +165,9 @@ def _cmd_simulate_envelope(resolved: dict) -> tuple[dict, dict]:
             {"param": env.param})
 
 
-def _cmd_predict(resolved: dict) -> tuple[dict, dict]:
-    problem = io.read_scores(resolved["scores"], resolved["mode"])
-    env = io.read_envelope(resolved["envelope"])
+def _cmd_predict(resolved: dict, digests: dict) -> tuple[dict, dict]:
+    problem = io.read_scores(resolved["scores"], resolved["mode"], digests)
+    env = io.read_envelope(resolved["envelope"], digests)
     scores = proxy_scores(problem, env)  # refuses an envelope of other sizes
     meta = None
     if resolved["fcp"]:
@@ -190,11 +191,11 @@ def _cmd_predict(resolved: dict) -> tuple[dict, dict]:
     }
 
 
-def _cmd_evaluate(resolved: dict) -> tuple[dict, dict]:
-    sets = io.read_sets(resolved["sets"])
+def _cmd_evaluate(resolved: dict, digests: dict) -> tuple[dict, dict]:
+    sets = io.read_sets(resolved["sets"], digests)
     if not len(sets):
         raise InvalidData(f"{resolved['sets']}: no prediction sets to evaluate")
-    ids, n, m, pooled = io.read_truth(resolved["truth"])
+    ids, n, m, pooled = io.read_truth(resolved["truth"], digests)
     rank_by_id = dict(zip(ids, pooled.tolist()))
     missing = [item for item in sets.items if item not in rank_by_id]
     if missing:
@@ -217,7 +218,7 @@ def _cmd_evaluate(resolved: dict) -> tuple[dict, dict]:
     return {}, {}
 
 
-def _cmd_synth(resolved: dict) -> tuple[dict, dict]:
+def _cmd_synth(resolved: dict, digests: dict) -> tuple[dict, dict]:
     problem = synthesize_problem(
         resolved["model"], resolved["n"], resolved["m"], resolved["noise-sd"],
         resolved["mode"], resolved["seed"], d=resolved["d"],
@@ -227,7 +228,7 @@ def _cmd_synth(resolved: dict) -> tuple[dict, dict]:
     return {"data": resolved["seed"]}, {}
 
 
-def _cmd_experiment(resolved: dict) -> tuple[dict, dict]:
+def _cmd_experiment(resolved: dict, digests: dict) -> tuple[dict, dict]:
     cfg = ExperimentConfig(
         **{name.replace("-", "_"): value for name, value in resolved.items()
            if name not in ("seed", "k-top", "out")},
@@ -247,11 +248,12 @@ def _cmd_experiment(resolved: dict) -> tuple[dict, dict]:
 class Command(NamedTuple):
     """A subcommand: its function, the flags naming the files it reads, its flags.
 
-    ``run`` computes and writes the payload from the resolved flags and
-    returns the manifest's ``seeds`` and ``extras``.
+    ``run`` computes and writes the payload from the resolved flags, records
+    in a dict the sha256 of each file it reads, by path, and returns the
+    manifest's ``seeds`` and ``extras``.
     """
 
-    run: Callable[[dict], tuple[dict, dict]]
+    run: Callable[[dict, dict], tuple[dict, dict]]
     reads: tuple[str, ...]
     flags: list[dict]
 
@@ -345,12 +347,13 @@ def main(argv=None) -> int:
         out = resolved["out"]
         _check_out(out, {name: resolved[name] for name in command.reads})
         try:
-            seeds, extras = command.run(resolved)
+            digests = {}
+            seeds, extras = command.run(resolved, digests)
             try:
                 io.RunManifest(
                     tool=TOOL, version=__version__, command=args.command,
                     config=resolved, seeds=seeds, extras=extras,
-                    inputs={name: io.file_digest(resolved[name]) for name in command.reads},
+                    inputs={name: digests[resolved[name]] for name in command.reads},
                 ).write(out)
             except OSError:
                 os.remove(out)  # no payload without its sidecar

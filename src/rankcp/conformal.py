@@ -161,7 +161,8 @@ class RankSets:
         return self.hi - self.lo + 1
 
     def contains(self, ranks) -> np.ndarray:
-        ranks = as_ranks(ranks, "ranks")
+        """Whether each rank lies in its set; a rank below 1 is refused."""
+        ranks = as_ranks(ranks, "ranks", top=math.inf)
         return (self.lo <= ranks) & (ranks <= self.hi)
 
     def __len__(self) -> int:

@@ -91,11 +91,12 @@ def _per_row(value):
 def fcp(sets: RankSets, true_ranks) -> float | np.ndarray:
     """False coverage proportion: the count of missed true ranks over ``len(sets)``.
 
-    For batch sets and ``(rows, m)`` true ranks, one proportion per row.
+    For batch sets and ``(rows, m)`` true ranks, one proportion per row.  A
+    true rank below 1, which no item holds, is refused.
     """
     if not len(sets):
         raise InvalidInput("need at least one set")
-    ranks = as_ranks(true_ranks, "true_ranks")
+    ranks = as_ranks(true_ranks, "true_ranks", top=math.inf)
     if ranks.shape != sets.lo.shape:
         raise DimensionMismatch(f"sets are {sets.lo.shape} but true ranks {ranks.shape}")
     return _per_row(np.count_nonzero(~sets.contains(ranks), axis=-1) / len(sets))

@@ -8,7 +8,21 @@ a cell may be quoted as ``csv.writer`` quotes it, and a cell longer than
 table with no quote and rows of one width, which is what the writers here
 produce for plain ids, is split as one text, with no object per row.
 Floats are written with ``repr`` (shortest round-trip form), so identical
-inputs always produce byte-identical payloads.  The metrics JSON of
+inputs always produce byte-identical payloads.
+
+Each input file is read once: :func:`_read_file` takes its bytes and their
+sha256, the reader parses those bytes, and records the digest in the
+``digests`` dict its caller passes, for the run manifest.  One slot per file
+kind keeps the last table or document read, validated and typed, under that
+digest: the scores table (:func:`read_scores` and :func:`read_truth` serve
+each other from it wherever it holds the columns they need), the sets table
+(filled by :func:`write_sets` too, so reading back the sets just written
+parses nothing) and the envelope.  A table's slot is also keyed by
+``csv.field_size_limit()``, the one setting its reading depends on.  A file
+whose bytes differ misses, a file that fails to parse leaves the slot as it
+was, and every call builds a new object from the slot's read-only arrays,
+so a caller that changes its result changes no later read.  There is one
+slot per kind, no cache across files, and no setting.  The metrics JSON of
 ``evaluate`` can hold thousands of items, so :func:`write_evaluation` writes
 it from its columns, in the bytes ``json.dumps(doc, indent=2)`` gives,
 without building a dict per item.  Every output file is paired with a
@@ -22,37 +36,72 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from io import StringIO
 from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .conformal import RankSets
 from .envelope import Envelope, MonteCarloMeta
 from .errors import InvalidData, InvalidInput, TiesDetected
-from .ranks import RA, VA, RankingProblem, check_mode, ranks_within, whole_numbers
+from .ranks import RA, VA, RankingProblem, _frozen, check_mode, ranks_within, whole_numbers
 
 SCORES_HEADER = ["id", "split", "output", "calib_rank", "true_value"]
 SETS_HEADER = ["id", "lo", "hi"]
 REPORT_HEADER = ["rep", "metric", "value", "arm"]
 
 
-def _write_csv(path, header: list[str], columns) -> None:
-    """Write a table: the header row, then one row across the equal-length columns."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns, strict=True))
+# The last file of each kind read (or, for sets, written): "scores" holds a
+# _Scores, "sets" a _Sets and "envelope" a (digest, Envelope) pair.
+_slots: dict[str, object] = {}
 
 
-def _read_csv(path, header: list[str], extra_columns: bool = False):
-    """The columns of a table by header name, and the file line of each row.
+def _read_file(path, digests: dict | None) -> tuple[bytes, str]:
+    """The bytes of ``path`` and their sha256, recorded in ``digests[path]`` where given.
 
-    Blank lines are skipped.  Every row has one cell per name in ``header``;
+    The one read of an input file: its reader parses these bytes, finds its
+    slot by the digest, and the command's manifest records it.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidData(f"{path}: {exc}") from exc
+    digest = hashlib.sha256(data).hexdigest()
+    if digests is not None:
+        digests[path] = digest
+    return data, digest
+
+
+def _read_table(path, digests: dict | None) -> tuple[bytes, tuple[str, int]]:
+    """The bytes of a table file and the key of its slot: the digest and the field limit."""
+    data, digest = _read_file(path, digests)
+    return data, (digest, csv.field_size_limit())
+
+
+def _write_csv(path, header: list[str], columns) -> bytes:
+    """Write a table: the header row, then one row across the equal-length columns.
+
+    The text is built in memory and written at once; its bytes are returned.
+    """
+    buffer = StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(zip(*columns, strict=True))
+    data = buffer.getvalue().encode("utf-8")
+    Path(path).write_bytes(data)
+    return data
+
+
+def _read_csv(path, data: bytes, header: list[str], extra_columns: bool = False):
+    """The columns of the table ``data`` by header name, and the file line of each row.
+
+    ``path``, the file ``data`` was read from, is named in refusals.  Blank
+    lines are skipped.  Every row has one cell per name in ``header``;
     with ``extra_columns`` the file may carry further columns after those,
     which are ignored.  A text that only ``csv.reader`` reads as it should
     (one holding a ``"``, a NUL, a line longer than ``csv.field_size_limit()``
@@ -60,9 +109,8 @@ def _read_csv(path, header: list[str], extra_columns: bool = False):
     :func:`_reader_table`; any other is split whole, with no object per row.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise InvalidData(f"{path}: {exc}") from exc
     # csv.reader reads a NUL in a cell from Python 3.11 on, and refuses it before
     if '"' in text or "\0" in text:
@@ -148,23 +196,64 @@ def write_scores(problem: RankingProblem, path) -> None:
     ])
 
 
-def _read_scores_table(path):
-    """The columns and row lines of a scores CSV, and its split as a calib mask.
+class _Scores(NamedTuple):
+    """A scores table as its reader validated it: read-only columns in file order.
+
+    ``truth`` is ``None`` where the table holds no true values; ``mode``,
+    ``outputs`` (floats) and ``calib_ranks`` (the calib rows' own) are
+    ``None`` where only :func:`read_truth` has read the table.
+    """
+
+    key: tuple[str, int]
+    ids: tuple[str, ...]
+    lines: Sequence[int]
+    is_calib: np.ndarray
+    truth: np.ndarray | None
+    mode: str | None = None
+    outputs: np.ndarray | None = None
+    calib_ranks: np.ndarray | None = None
+
+
+def _read_scores_table(path, data: bytes):
+    """The columns and row lines of the scores CSV ``data``, and its split as a calib mask.
 
     The split of each row must be calib or test, and no id may be listed
     twice.  :func:`read_scores` and :func:`read_truth` read through here.
     """
-    columns, lines = _read_csv(path, SCORES_HEADER)
+    columns, lines = _read_csv(path, data, SCORES_HEADER)
     is_calib = np.array(_parse(path, columns["split"], lines, ("test", "calib").index,
                                "split must be calib|test, got {!r}"), dtype=bool)
     _check_unique_ids(path, columns["id"], lines)
     return columns, lines, is_calib
 
 
-def read_scores(path, mode: str) -> RankingProblem:
-    """Read a scores CSV into a problem; ``mode`` types the output column."""
+def _problem(table: _Scores) -> RankingProblem:
+    """A new problem of a scores table read in a mode: calib rows first, then test rows."""
+    calib, test = np.flatnonzero(table.is_calib), np.flatnonzero(~table.is_calib)
+    order = np.concatenate([calib, test])
+    return RankingProblem(
+        n=calib.size,
+        m=test.size,
+        calib_ranks=table.calib_ranks.copy(),
+        ranker_mode=table.mode,
+        ranker_outputs=table.outputs[order],
+        truth=None if table.truth is None else table.truth[order],
+        ids=[table.ids[i] for i in order.tolist()],
+    )
+
+
+def read_scores(path, mode: str, digests: dict | None = None) -> RankingProblem:
+    """Read a scores CSV into a problem; ``mode`` types the output column.
+
+    ``digests``, where given, records the sha256 of the bytes read (see
+    :func:`_read_file`).
+    """
     check_mode(mode)
-    columns, lines, is_calib = _read_scores_table(path)
+    data, key = _read_table(path, digests)
+    table = _slots.get("scores")
+    if table is not None and table.key == key and table.mode == mode:
+        return _problem(table)
+    columns, lines, is_calib = _read_scores_table(path, data)
     texts, ranks = columns["output"], np.array(columns["calib_rank"], dtype=object)
     outputs = np.asarray(_parse(path, texts, lines, float, "output {!r} is not a number"))
     if mode == RA:
@@ -186,36 +275,30 @@ def read_scores(path, mode: str) -> RankingProblem:
     bad = np.flatnonzero(ranks.astype(bool) & ~is_calib)  # a cell is true unless empty
     if bad.size:
         raise InvalidData(f"{path}:{lines[bad[0]]}: test rows must leave calib_rank empty")
-    calib, test = np.flatnonzero(is_calib), np.flatnonzero(~is_calib)
     # the lines are read only to locate a cell that is not an integer
-    calib_ranks = _parse(path, ranks[calib].tolist(), compress(lines, is_calib),
+    calib_ranks = _parse(path, ranks[is_calib].tolist(), compress(lines, is_calib),
                          int, "calib_rank {!r} is not an integer")
-    if not calib.size:
+    if not calib_ranks:
         raise InvalidData(f"{path}: no calibration rows")
-    order = np.concatenate([calib, test])
     truths = columns["true_value"]
     if any(truths) and not all(truths):
         raise InvalidData(f"{path}: true_value must be set on all rows or none")
-    truth = _parse_truth(path, truths, lines) if all(truths) else None
+    truth = _frozen(_parse_truth(path, truths, lines)) if all(truths) else None
+    table = _Scores(key, tuple(columns["id"]), lines, _frozen(is_calib), truth, mode,
+                    _frozen(outputs), _frozen(np.asarray(calib_ranks)))
     try:
-        return RankingProblem(
-            n=calib.size,
-            m=test.size,
-            calib_ranks=np.asarray(calib_ranks),
-            ranker_mode=mode,
-            ranker_outputs=outputs[order],
-            truth=None if truth is None else truth[order],
-            ids=np.array(columns["id"], dtype=object)[order].tolist(),
-        )
+        problem = _problem(table)
     except InvalidInput as exc:
         # The outputs, the truth and the ids were checked above; what is left
         # is a set of calib_ranks that is not a permutation of 1..n.
-        raise _bad_calib_rank(path, ranks[calib], list(compress(lines, is_calib)),
+        raise _bad_calib_rank(path, ranks[is_calib], list(compress(lines, is_calib)),
                               calib_ranks) from exc
     except TiesDetected as exc:
         # RankingProblem checks the VA outputs first, then the truth.
         raise _tie_at_lines(path, lines, exc, *([outputs.tolist()] if mode == VA else []),
                             truth) from exc
+    _slots["scores"] = table
+    return problem
 
 
 def _first_repeat(values) -> tuple[int, int] | None:
@@ -268,22 +351,28 @@ def _parse_truth(path, texts, lines) -> np.ndarray:
     return truth
 
 
-def read_truth(path) -> tuple[list[str], int, int, np.ndarray]:
+def read_truth(path, digests: dict | None = None) -> tuple[list[str], int, int, np.ndarray]:
     """ids, n, m, and the true pooled rank of each row from a scores CSV.
 
     Lenient companion to :func:`read_scores` for evaluation inputs: the
     output column is not typed or validated, but the split and the ids are
     read by the same rules, and every row must carry a true_value that is a
-    number other than NaN, and no two may be equal.
+    number other than NaN, and no two may be equal.  A table in the slot
+    with its true values is not parsed again, but its truth is ranked anew.
     """
-    columns, lines, is_calib = _read_scores_table(path)
-    truth = _parse_truth(path, columns["true_value"], lines)
+    data, key = _read_table(path, digests)
+    table = _slots.get("scores")
+    if table is None or table.key != key or table.truth is None:
+        columns, lines, is_calib = _read_scores_table(path, data)
+        truth = _parse_truth(path, columns["true_value"], lines)
+        table = _Scores(key, tuple(columns["id"]), lines, _frozen(is_calib), _frozen(truth))
     try:
-        true_ranks = ranks_within(truth, "truth")
+        true_ranks = ranks_within(table.truth, "truth")
     except TiesDetected as exc:
-        raise _tie_at_lines(path, lines, exc, truth.tolist()) from exc
-    n = int(np.count_nonzero(is_calib))
-    return list(columns["id"]), n, len(is_calib) - n, true_ranks
+        raise _tie_at_lines(path, table.lines, exc, table.truth.tolist()) from exc
+    _slots["scores"] = table
+    n = int(np.count_nonzero(table.is_calib))
+    return list(table.ids), n, len(table.ids) - n, true_ranks
 
 
 def envelope_to_doc(env: Envelope) -> dict:
@@ -361,9 +450,14 @@ def read_json(path, name: str = "document") -> dict:
 
     The refusal names the file, and ``name`` says what it should hold.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
+    return _json_object(path, _read_file(path, None)[0], name)
+
+
+def _json_object(path, data: bytes, name: str) -> dict:
+    """:func:`read_json` of the bytes ``data`` read from ``path``."""
+    try:  # the text as a file opened in text mode reads it, with \r\n and \r as \n
+        doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise InvalidData(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidData(f"{path}: {name} must be a JSON object")
@@ -374,8 +468,16 @@ def write_envelope(env: Envelope, path) -> None:
     write_json(envelope_to_doc(env), path)
 
 
-def read_envelope(path) -> Envelope:
-    return envelope_from_doc(read_json(path, "envelope"))
+def read_envelope(path, digests: dict | None = None) -> Envelope:
+    """Read an envelope JSON; ``digests`` as for :func:`read_scores`."""
+    data, digest = _read_file(path, digests)
+    slot = _slots.get("envelope")
+    if slot is None or slot[0] != digest:
+        env = envelope_from_doc(_json_object(path, data, "envelope"))
+        env.lower.flags.writeable = env.upper.flags.writeable = False
+        slot = _slots["envelope"] = (digest, env)
+    env = slot[1]
+    return replace(env, lower=env.lower.copy(), upper=env.upper.copy())
 
 
 def write_sets(
@@ -387,7 +489,9 @@ def write_sets(
     """Write prediction sets, one row per item, with optional target columns.
 
     ``test_only`` adds ``test_lo``/``test_hi``; ``top_candidates``, a boolean
-    mask over the rows, adds a 0/1 ``top_candidate`` column.
+    mask over the rows, adds a 0/1 ``top_candidate`` column.  The sets slot
+    then holds the table written, where :func:`read_sets` reads it back as
+    ``sets``' own columns (see :func:`_written_sets`).
     """
     header = list(SETS_HEADER)
     columns = [sets.items, sets.lo.tolist(), sets.hi.tolist()]
@@ -397,23 +501,61 @@ def write_sets(
     if top_candidates is not None:
         header += ["top_candidate"]
         columns.append(np.asarray(top_candidates, dtype=np.int64).tolist())
-    _write_csv(path, header, columns)
+    table = _written_sets(sets, _write_csv(path, header, columns))
+    if table is not None:
+        _slots["sets"] = table
 
 
-def read_sets(path) -> RankSets:
+class _Sets(NamedTuple):
+    """A sets table as :func:`read_sets` reads it: ids and read-only int64 ends."""
+
+    key: tuple[str, int]
+    items: tuple[str, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _rank_sets(table: _Sets) -> RankSets:
+    return RankSets(items=table.items, lo=table.lo.copy(), hi=table.hi.copy())
+
+
+def _written_sets(sets: RankSets, data: bytes) -> _Sets | None:
+    """The sets slot of ``sets`` just written as the table ``data``, or ``None``.
+
+    ``None`` where :func:`read_sets` would not give back the ids and ends of
+    ``sets``: for a batch of sets, for ids that are not distinct strings (it
+    reads strings, and refuses a repeat), and for a table it refuses, with
+    an id longer than ``csv.field_size_limit()`` or, before Python 3.11, a NUL.
+    """
+    items, limit = sets.items, csv.field_size_limit()
+    if (sets.lo.ndim != 1 or set(map(type, items)) - {str} or len(set(items)) != len(items)
+            or max(map(len, items), default=0) > limit or b"\0" in data):
+        return None
+    return _Sets((hashlib.sha256(data).hexdigest(), limit), tuple(items),
+                 _frozen(sets.lo.copy()), _frozen(sets.hi.copy()))
+
+
+def read_sets(path, digests: dict | None = None) -> RankSets:
     """Read the id/lo/hi columns of a sets CSV (extra columns ignored).
 
     Item ids must be unique: a repeated id would be counted twice by the
-    metrics.
+    metrics.  ``digests`` as for :func:`read_scores`.
     """
-    columns, lines = _read_csv(path, SETS_HEADER, extra_columns=True)
+    data, key = _read_table(path, digests)
+    table = _slots.get("sets")
+    if table is not None and table.key == key:
+        return _rank_sets(table)
+    columns, lines = _read_csv(path, data, SETS_HEADER, extra_columns=True)
     lo = _parse(path, columns["lo"], lines, int, "lo {!r} is not an integer")
     hi = _parse(path, columns["hi"], lines, int, "hi {!r} is not an integer")
-    try:  # int() gives no bool, so the columns skip the rank rule's scan of a list
-        sets = RankSets(items=columns["id"], lo=np.asarray(lo), hi=np.asarray(hi))
+    # int() gives no bool, so the columns skip the rank rule's scan of a list
+    table = _Sets(key, tuple(columns["id"]), _frozen(np.asarray(lo)), _frozen(np.asarray(hi)))
+    try:
+        sets = _rank_sets(table)
     except InvalidInput as exc:
         raise InvalidData(f"{path}: {exc}") from exc
     _check_unique_ids(path, sets.items, lines)
+    _slots["sets"] = table
     return sets
 
 

@@ -47,7 +47,9 @@ caller does not serve: the values of :func:`break_ties` and
 ``conformal.calibrate``'s scores, the threshold value of
 ``conformal.predict_sets``, and the float path of :func:`as_ranks` itself;
 no other function reads an input as floats.  ``evaluate.fcp`` and
-``conformal.RankSets.contains`` read true ranks by :func:`as_ranks`.
+``conformal.RankSets.contains`` read true ranks by :func:`as_ranks` with
+``top=math.inf``: a rank above every set is missed, and one below 1, which no
+item holds, is refused (``[1, inf)``).
 Ranks and order statistics have no scalar functions: :func:`ranks_within`
 ranks every element of a vector, and the ``r``-th smallest VA output of a
 problem is its ``sorted_outputs[r - 1]``.
@@ -121,7 +123,7 @@ def _where(items, j) -> str:
     return "" if items is None else f" for item {items[j % len(items)]!r}"
 
 
-def as_ranks(values, name: str = "ranks", items=None, top: int | None = None) -> np.ndarray:
+def as_ranks(values, name: str = "ranks", items=None, top: float | None = None) -> np.ndarray:
     """``values`` as int64; a value that is not a whole number is refused, not truncated.
 
     The one rule for ranks and indices.  An integer array passes without a
@@ -132,9 +134,9 @@ def as_ranks(values, name: str = "ranks", items=None, top: int | None = None) ->
     (which int64 cannot hold; an int beyond the float range too) raises
     :class:`InvalidInput` naming ``name`` and, where the caller names the
     items of the last axis, the item.  Where ``top`` is given, a value
-    outside ``[1, top]`` raises :class:`RankOutOfRange` in the same terms;
-    one ``min()``/``max()`` pass tests the range, and the value is looked up
-    only on failure.
+    outside ``[1, top]`` raises :class:`RankOutOfRange` in the same terms
+    (``top=math.inf`` refuses only a value below 1); one ``min()``/``max()``
+    pass tests the range, and the value is looked up only on failure.
     """
     arr = _as_array(values, name)
     if arr.dtype != bool and np.can_cast(arr.dtype, np.int64):  # integers need no scan
@@ -152,7 +154,8 @@ def as_ranks(values, name: str = "ranks", items=None, top: int | None = None) ->
         ranks = as_float.astype(np.int64)
     if top is not None and ranks.size and (ranks.min() < 1 or ranks.max() > top):
         j = np.flatnonzero((ranks < 1) | (ranks > top))[0]
-        raise RankOutOfRange(f"{name} must lie in [1, {top}], got {ranks.flat[j]}"
+        span = f"[1, {top}]" if top < math.inf else "[1, inf)"
+        raise RankOutOfRange(f"{name} must lie in {span}, got {ranks.flat[j]}"
                              f"{_where(items, j)}")
     return ranks
 
@@ -191,19 +194,21 @@ def _as_number(value, name: str) -> float:
 
 
 def as_values(values, name: str, ndims: tuple[int, ...] | None = None,
-              noun: str = "numbers") -> np.ndarray:
+              noun: str | None = None) -> np.ndarray:
     """``values`` as float64: the one rule for an array of real numbers.
 
     An integer or float array is read as it is, a float64 one without a
     copy, and each element of an object array by :func:`_as_number` (an int
     beyond the float range reads as ±inf).  A boolean (``True`` is no score
     of 1), a string, ``None`` and a ragged list raise :class:`InvalidInput`
-    naming ``name`` (``<name> must be <noun>, got bool``), and so does a
+    naming ``name`` (``<name> must be <noun>, got bool``, where ``noun`` is
+    by default ``numbers``, or ``a number`` for a 0-d value), and so does a
     number of dimensions outside ``ndims``: ``(1,)`` for a vector, ``(1,
     2)`` for a vector or a ``(rows, length)`` stack of vectors.
     """
     arr = _as_array(values, name)
     if arr.dtype.kind not in "iufO":
+        noun = noun or ("numbers" if arr.ndim else "a number")
         raise InvalidInput(f"{name} must be {noun}, got {arr.dtype}")
     arr = (arr.astype(float, copy=False) if arr.dtype.kind != "O"
            else np.reshape([_as_number(v, name) for v in arr.flat], arr.shape))

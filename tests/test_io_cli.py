@@ -12,6 +12,7 @@ import math
 import os
 import pstats
 import re
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -441,7 +442,8 @@ def test_tables_are_read_as_csv_reader_reads_them(tmp_path, text, extra_columns,
     header = list(rio.SETS_HEADER)
     old = csv.field_size_limit(limit)
     try:
-        got = _table_outcome(lambda: rio._read_csv(path, header, extra_columns))
+        got = _table_outcome(lambda: rio._read_csv(path, path.read_bytes(), header,
+                                                   extra_columns))
         assert got == _reader_outcome(path, header, extra_columns)
     finally:
         csv.field_size_limit(old)
@@ -466,7 +468,7 @@ def test_plain_tables_are_split_whole(monkeypatch, tmp_path, text, extra_columns
         raise AssertionError("csv.reader read a plain table")
 
     monkeypatch.setattr(rio, "_reader_table", refuse)
-    assert _table_outcome(lambda: rio._read_csv(path, list(rio.SETS_HEADER),
+    assert _table_outcome(lambda: rio._read_csv(path, path.read_bytes(), list(rio.SETS_HEADER),
                                                  extra_columns)) == expected
 
 
@@ -542,6 +544,330 @@ def test_a_cell_over_the_field_limit_is_refused(tmp_path):
     # a line over the limit whose cells are all short is read
     path.write_text("id,lo,hi\nt1,1,2," + ",".join(["9"] * limit) + "\n")
     assert rio.read_sets(path) == RankSets(items=["t1"], lo=[1], hi=[2])
+
+
+# --------------------------------------------------------------------------
+# the slots: one per file kind, keyed by the sha256 of the file's bytes
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the type and message of its refusal."""
+    try:
+        return read()
+    except (InvalidData, InvalidInput, TiesDetected) as exc:
+        return type(exc), str(exc)
+
+
+def _fresh(read):
+    """:func:`_outcome` of ``read`` with every slot empty: a parse of the file's bytes."""
+    rio._slots.clear()
+    return _outcome(read)
+
+
+def _parsing_refused(monkeypatch):
+    """Make any parse of a table or a document fail, so that only a slot can serve a read."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was parsed")
+
+    for name in ("_read_csv", "_json_object"):
+        monkeypatch.setattr(rio, name, refuse)
+
+
+def _state(result):
+    """A read's result in terms ``==`` compares: arrays as lists, dtypes and writable flags.
+
+    A problem gives every stored field, an envelope its document, and
+    ``read_truth`` its ids, sizes and ranks; a refusal or a set is as it is.
+    """
+    if isinstance(result, Envelope):
+        return rio.envelope_to_doc(result)
+    if isinstance(result, RankingProblem):
+        arrays = {name: getattr(result, name) for name in (
+            "calib_ranks", "ranker_outputs", "truth", "sorted_outputs", "predicted_ranks",
+            "test_order", "true_ranks")}
+        return (result.n, result.m, result.ranker_mode, result.item_ids,
+                {name: None if arr is None else (arr.tolist(), arr.dtype.str, arr.flags.writeable)
+                 for name, arr in arrays.items()})
+    if isinstance(result, tuple) and len(result) == 4:
+        ids, n, m, ranks = result
+        return ids, n, m, ranks.tolist(), ranks.dtype.str
+    return result
+
+
+# ids that csv.writer quotes and leaves alone: a comma, a quote, line ends,
+# edge spaces, non-ASCII, and characters that only str.splitlines ends a line at
+_ID_CHARS = st.sampled_from('ab,"\r\n é \x85')
+
+
+@st.composite
+def _scores_files(draw):
+    """A scores CSV of distinct ids and true values, rows shuffled, and its mode."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    total = n + m
+    mode = draw(st.sampled_from(["RA", "VA"]))
+    ids = draw(st.lists(st.text(_ID_CHARS, max_size=4), min_size=total, max_size=total,
+                        unique=True))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    truth = draw(st.lists(values, min_size=total, max_size=total, unique=True))
+    outputs = (draw(st.lists(st.integers(1, total), min_size=total, max_size=total))
+               if mode == "RA" else
+               draw(st.lists(values, min_size=total, max_size=total, unique=True)))
+    calib_ranks = draw(st.permutations(range(1, n + 1))) + [""] * m
+    rows = [[ids[i], "calib" if i < n else "test", outputs[i], calib_ranks[i], truth[i]]
+            for i in range(total)]
+    rows = draw(st.permutations(rows))
+    buffer = StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(rio.SCORES_HEADER)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8"), mode
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_scores_files(), truth_first=st.booleans())
+def test_a_scores_slot_hit_is_a_fresh_parse(tmp_path, table, truth_first):
+    # read_truth after read_scores parses nothing, and so does a second
+    # read_scores in the same mode; read_scores after read_truth parses the
+    # outputs it lacks.  Each gives what a parse of the same bytes gives.
+    data, mode = table
+    path = tmp_path / "scores.csv"
+    path.write_bytes(data)
+    rio._slots.clear()
+    first = (rio.read_truth, lambda p: rio.read_scores(p, mode))[::1 if truth_first else -1]
+    reads = [_outcome(lambda: read(path)) for read in first]
+    with pytest.MonkeyPatch.context() as patch:
+        _parsing_refused(patch)
+        hits = [_outcome(lambda: rio.read_truth(path)),
+                _outcome(lambda: rio.read_scores(path, mode))]
+    fresh = [_fresh(lambda: rio.read_truth(path)), _fresh(lambda: rio.read_scores(path, mode))]
+    by_reader = reads if truth_first else reads[::-1]
+    assert _state(by_reader[0]) == _state(hits[0]) == _state(fresh[0])
+    assert _state(by_reader[1]) == _state(hits[1]) == _state(fresh[1])
+
+
+@st.composite
+def _written_sets(draw):
+    """Sets of ids that need quoting (repeats and a NUL now and then), and target columns."""
+    count = draw(st.integers(0, 6))
+    chars = st.one_of(*[_ID_CHARS] * 20, st.just("\x00"))
+    ids = draw(st.lists(st.text(chars, max_size=4), min_size=count, max_size=count,
+                        unique=draw(st.booleans()) or count < 2))
+    lo = draw(st.lists(st.integers(1, 9), min_size=count, max_size=count))
+    hi = [a + draw(st.integers(0, 3)) for a in lo]
+    kind = draw(st.sampled_from(["full", "test_only"]))
+    extra = {}
+    if draw(st.booleans()):
+        extra["test_only"] = RankSets(items=ids, lo=lo, hi=hi, kind="test_only")
+    if draw(st.booleans()):
+        extra["top_candidates"] = np.array([a <= 3 for a in lo], dtype=bool)
+    return RankSets(items=ids, lo=lo, hi=hi, kind=kind), extra
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(written=_written_sets())
+def test_reading_the_sets_just_written_is_a_fresh_parse(tmp_path, written):
+    # write_sets leaves its table in the sets slot; reading it back parses
+    # nothing where the ids are distinct and hold no NUL, and gives what a
+    # parse of the file gives (a refusal of repeated ids included)
+    sets, extra = written
+    path = tmp_path / "sets.csv"
+    rio.write_sets(sets, path, **extra)
+    served = len(set(sets.items)) == len(sets) and "\x00" not in "".join(sets.items)
+    with pytest.MonkeyPatch.context() as patch:
+        if served:
+            _parsing_refused(patch)
+        hit = _outcome(lambda: rio.read_sets(path))
+    fresh = _fresh(lambda: rio.read_sets(path))
+    assert hit == fresh
+    if served:
+        assert hit == RankSets(items=sets.items, lo=sets.lo, hi=sets.hi)
+        assert hit.kind == "full" and hit.lo.flags.writeable and hit.hi.flags.writeable
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 30), m=st.integers(1, 30), delta=st.floats(0.01, 0.5),
+       kind=st.sampled_from(["naive", "theoretical", "golden"]))
+def test_reading_an_envelope_twice_is_a_fresh_parse(tmp_path, n, m, delta, kind):
+    path = tmp_path / "env.json"
+    if kind == "golden":
+        path.write_bytes((DATA / "golden_envelope.json").read_bytes())
+    else:
+        env = naive_envelope(n, m) if kind == "naive" else theoretical_envelope(n, m, delta)
+        rio.write_envelope(env, path)
+    rio._slots.clear()
+    first = rio.read_envelope(path)
+    with pytest.MonkeyPatch.context() as patch:
+        _parsing_refused(patch)
+        patch.setattr(rio, "envelope_from_doc", None)
+        hit = rio.read_envelope(path)
+    fresh = _fresh(lambda: rio.read_envelope(path))
+    assert rio.envelope_to_doc(first) == rio.envelope_to_doc(hit) == rio.envelope_to_doc(fresh)
+    assert hit.mc_meta == fresh.mc_meta
+    assert hit.mc_meta is None or hit.mc_meta is not first.mc_meta
+    assert hit.lower.flags.writeable and hit.upper.flags.writeable
+
+
+def test_a_changed_result_changes_no_later_read(tmp_path):
+    scores, sets_path, env_path = (tmp_path / name for name in
+                                   ("scores.csv", "sets.csv", "env.json"))
+    problem = _problem("VA")
+    rio.write_scores(problem, scores)
+    rio._slots.clear()
+    first = rio.read_scores(scores, "VA")
+    want, want_truth = _state(first), _state(rio.read_truth(scores))
+    first.calib_ranks[:] = 1
+    first.ranker_outputs[:] = 0.0
+    first.truth[:] = 0.0
+    first.ids[0] = "changed"
+    ids, _, _, ranks = rio.read_truth(scores)
+    ids[0], ranks[:] = "changed", 1
+    assert _state(rio.read_scores(scores, "VA")) == want
+    assert _state(rio.read_truth(scores)) == want_truth
+
+    written = RankSets(items=["a", "b"], lo=[1, 2], hi=[3, 4])
+    rio.write_sets(written, sets_path)
+    written.lo[:] = 2
+    written.items[0] = "changed"
+    got = rio.read_sets(sets_path)
+    assert got == RankSets(items=["a", "b"], lo=[1, 2], hi=[3, 4])
+    got.lo[:], got.items[1] = 3, "changed"
+    assert rio.read_sets(sets_path) == RankSets(items=["a", "b"], lo=[1, 2], hi=[3, 4])
+
+    env_path.write_bytes((DATA / "golden_envelope.json").read_bytes())
+    env = rio.read_envelope(env_path)
+    want = rio.envelope_to_doc(env)
+    env.lower[:] = 1
+    env.mc_meta.K = 5
+    env.param = 0.0
+    assert rio.envelope_to_doc(rio.read_envelope(env_path)) == want
+
+
+def test_a_file_rewritten_at_the_same_path_is_read_anew(tmp_path):
+    scores, sets_path, env_path = (tmp_path / name for name in
+                                   ("scores.csv", "sets.csv", "env.json"))
+    for mode in ("VA", "RA"):
+        rio.write_scores(_problem(mode), scores)
+        assert rio.read_truth(scores)[3].tolist() == _problem(mode).true_ranks.tolist()
+        back = rio.read_scores(scores, mode)
+        assert back.ranker_outputs.tolist() == _problem(mode).ranker_outputs.tolist()
+    rio.write_sets(RankSets(items=["a"], lo=[1], hi=[2]), sets_path)
+    sets_path.write_text("id,lo,hi\na,2,3\n")
+    assert rio.read_sets(sets_path) == RankSets(items=["a"], lo=[2], hi=[3])
+    for n in (3, 4):
+        rio.write_envelope(naive_envelope(n, 2), env_path)
+        assert rio.read_envelope(env_path).n == n
+
+
+def test_a_field_limit_lowered_after_a_read_refuses_the_table(tmp_path):
+    # a table's slot is keyed by the field limit too: a cell over the limit
+    # in force is refused, however the table was read before
+    path = tmp_path / "sets.csv"
+    rio.write_sets(RankSets(items=["x" * 10], lo=[1], hi=[2]), path)
+    assert rio.read_sets(path).items == ["x" * 10]
+    old = csv.field_size_limit(4)
+    try:
+        with pytest.raises(InvalidData, match="field larger than field limit"):
+            rio.read_sets(path)
+    finally:
+        csv.field_size_limit(old)
+    assert rio.read_sets(path).items == ["x" * 10]
+
+
+@pytest.mark.parametrize("name, text, read, message", [
+    ("scores.csv", SCORES_HEADER + "c1,calib,0.5,1,1\nt1,test,x,,2\n",
+     lambda p: rio.read_scores(p, "VA"), "{path}:3: output 'x' is not a number"),
+    ("scores.csv", SCORES_HEADER + "c1,calib,0.5,1,1\nt1,test,0.7,,1\n", rio.read_truth,
+     "{path}: lines 2 and 3: truth contain exact duplicates; see break_ties"),
+    ("sets.csv", "id,lo,hi\nt1,1,2\nt2,x,3\n", rio.read_sets,
+     "{path}:3: lo 'x' is not an integer"),
+    ("sets.csv", "id,lo,hi\nt1,1,2\nt1,2,3\n", rio.read_sets,
+     "{path}:3: item id 't1' is listed more than once"),
+    ("env.json", '{"n": 1,\r\n "m": }', rio.read_envelope,
+     "{path}: Expecting value: line 2 column 7 (char 15)"),
+])
+def test_a_malformed_file_is_refused_alike_on_every_read(tmp_path, name, text, read,
+                                                         message):
+    # a failed parse leaves the slot as it was: the good file read before
+    # is still served, and the bad one raises the same located message
+    good = tmp_path / f"good_{name}"
+    good.write_bytes({"scores.csv": (DATA / "golden_scores.csv").read_bytes(),
+                      "sets.csv": (DATA / "golden_sets.csv").read_bytes(),
+                      "env.json": (DATA / "golden_envelope.json").read_bytes()}[name])
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    rio._slots.clear()
+    before = _state(_outcome(lambda: read(good)))
+    for _ in range(2):
+        got = _outcome(lambda: read(path))
+        assert isinstance(got, tuple) and got[1] == message.format(path=path)
+    with pytest.MonkeyPatch.context() as patch:
+        _parsing_refused(patch)
+        patch.setattr(rio, "envelope_from_doc", None)
+        assert _state(_outcome(lambda: read(good))) == before
+
+
+def test_the_text_of_a_json_document_is_read_as_a_text_file_reads_it(tmp_path):
+    # \r\n and \r read as \n, so a refusal locates its character as before
+    path = tmp_path / "doc.json"
+    for text in ('{"a": 1,\r\n\r\n "b": }', '{"a":\r 1,\r "b": [1,\r\n 2,]}', "[1,\r2]"):
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            json.loads(path.read_text(encoding="utf-8"))
+            want = f"{path}: document must be a JSON object"
+        except ValueError as exc:
+            want = f"{path}: {exc}"
+        with pytest.raises(InvalidData) as err:
+            rio.read_json(path)
+        assert str(err.value) == want
+
+
+def test_truth_of_a_table_without_true_values_is_refused_after_read_scores(tmp_path):
+    path = tmp_path / "scores.csv"
+    rio.write_scores(_problem("VA", with_truth=False), path)
+    rio._slots.clear()
+    assert rio.read_scores(path, "VA").truth is None
+    with pytest.raises(InvalidData) as err:
+        rio.read_truth(path)
+    assert str(err.value) == f"{path}:2: true_value required for evaluation"
+
+
+def test_a_command_reads_each_input_once_and_records_the_bytes_it_parsed(tmp_path,
+                                                                          monkeypatch):
+    # the manifest's input digest is that of the bytes the reader parsed,
+    # even where the file changes after the read
+    scores, env, out = tmp_path / "scores.csv", tmp_path / "env.json", tmp_path / "sets.csv"
+    scores.write_bytes((DATA / "golden_scores.csv").read_bytes())
+    env.write_bytes((DATA / "golden_envelope.json").read_bytes())
+    parsed = hashlib.sha256(scores.read_bytes()).hexdigest()
+    reads = []
+    read_file, read_scores = rio._read_file, rio.read_scores
+
+    def counted(path, digests):
+        reads.append(str(path))
+        return read_file(path, digests)
+
+    def read_then_rewrite(path, *args, **kwargs):
+        problem = read_scores(path, *args, **kwargs)
+        Path(path).write_text(Path(path).read_text() + "\n")
+        return problem
+
+    monkeypatch.setattr(rio, "_read_file", counted)
+    monkeypatch.setattr(rio, "read_scores", read_then_rewrite)
+    assert main(["predict", "--scores", str(scores), "--envelope", str(env), "--alpha", "0.25",
+                 "--mode", "VA", "--out", str(out)]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["inputs"] == {
+        "scores": parsed, "envelope": hashlib.sha256(env.read_bytes()).hexdigest()}
+    assert hashlib.sha256(scores.read_bytes()).hexdigest() != parsed
+    assert sorted(reads) == sorted([str(scores), str(env)])
+    reads.clear()
+    metrics = tmp_path / "metrics.json"
+    assert main(["evaluate", "--sets", str(out), "--truth", str(scores),
+                 "--out", str(metrics)]) == 0
+    assert sorted(reads) == sorted([str(out), str(scores)])
 
 
 # sha256 of request payloads at n=m=300 and on the golden files, taken when

@@ -139,6 +139,31 @@ def test_the_benchmark_oracles_accept_one_pass_of_every_workload(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_traced_pass_of_every_workload_reaches_its_layers(tmp_path):
+    # a traced benchmark run fails when a layer its workload must reach
+    # records no call: a reader that serves a file from memory must still
+    # call what it called before (read_truth ranks the truth by ranks_within)
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        "import sys; from pathlib import Path\n"
+        "work = Path(sys.argv[1]); sys.path[:0] = sys.argv[2:]\n"
+        "import tracer, workloads\n"
+        "spans = tracer.Tracer(); tracer.install(spans)\n"
+        "for name, sz in workloads.TINY.items():\n"
+        "    d = work / name; d.mkdir()\n"
+        "    workloads.setup(name, 3, d, sz)\n"
+        "    before = dict(spans.calls)\n"
+        "    ops = workloads.run_pass(name, 3, d, sz)['ops']\n"
+        "    assert all(rec['ok'] for rec in ops), [rec['op'] for rec in ops if not rec['ok']]\n"
+        "    silent = [layer for layer in workloads.EXPECTED_LAYERS[name]\n"
+        "              if spans.calls[layer] == before[layer]]\n"
+        "    assert not silent, (name, silent)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(perfbench),
+                           str(PACKAGE.parent)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_main_is_the_one_manifest_writer():
     # every subcommand's manifest is built in one place, so a field added
     # there reaches all of them

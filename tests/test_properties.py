@@ -181,9 +181,10 @@ _VALUES = [1.0, 2.0, 3.0, 4.0]  # the value at rank r is r
 # the permutation rule of ``calib_ranks``).  Every entry of the array read
 # holds ``v``, so the array has ``v``'s own dtype: numpy reads the list
 # ``[True, 1]`` as int64, the array ``[True, True]`` is a boolean one.  The
-# readers of true ranks, ``fcp`` and ``RankSets.contains``, have no range
-# rule (a rank outside a set is missed, not refused): their served ranks are
-# ``None``, and they return what the same int returns
+# readers of true ranks, ``fcp`` and ``RankSets.contains``, have no ceiling
+# (a rank above a set is missed, not refused): their served ranks are
+# ``None``, they return what the same int returns, and they refuse a rank
+# below 1, which no item holds, by the range rule with no ceiling
 _RANK_ENTRY_POINTS = {
     "RankSets lo": (lambda v: RankSets(["a"], [v], [2**62]).lo, 2**62, None),
     "RankSets hi": (lambda v: RankSets(["a"], [1], [v]).hi, 2**63 - 1, None),
@@ -207,9 +208,9 @@ _RANK_ENTRY_POINTS = {
     "proxy_score_va lo": (lambda v: _int64(5 - proxy_score_va(v, 4, 5.0, _VALUES)), 4, "lo"),
     # the value 0 lies r below the value at rank r, and 1 below the one at rank 1
     "proxy_score_va hi": (lambda v: _int64(proxy_score_va(1, v, 0.0, _VALUES)), 4, "hi"),
-    "fcp": (lambda v: fcp(RankSets(["a"], [1], [3]), [v]), None, None),
+    "fcp": (lambda v: fcp(RankSets(["a"], [1], [3]), [v]), None, "true_ranks"),
     "RankSets.contains": (lambda v: RankSets(["a"], [1], [3]).contains([v]).tolist(), None,
-                          None),
+                          "ranks"),
 }
 
 
@@ -227,8 +228,11 @@ def test_one_whole_number_rule_for_every_rank_entry_point(value):
     assert (type(rank), rank) == ((int, int(value)) if whole else (type, InvalidInput))
     for entry, (read, top, name) in _RANK_ENTRY_POINTS.items():
         got = _refusal(lambda: read(value))
-        if whole and top is None:
+        if whole and top is None and rank >= 1:
             assert got == read(rank), entry
+        elif whole and top is None:
+            assert got == (RankOutOfRange, f"{name} must lie in [1, inf), got {rank}"), (
+                entry, got)
         elif whole and 1 <= rank <= top:
             assert isinstance(got, np.ndarray) and got.dtype == np.int64, entry
             assert got.tolist() == [rank], entry

@@ -284,7 +284,7 @@ VALUE_REFUSALS = {
     "truth bool": (lambda: _ranking_problem(truth=[True, False, 0.5, 0.2, 0.3]),
                    "truth must be numbers, got bool"),
     "threshold bool": (lambda: predict_sets(_ranking_problem(), Threshold(k=1, value=True)),
-                       "threshold must be numbers, got bool"),
+                       "threshold must be a number, got bool"),
     "as_ranks ragged": (lambda: as_ranks([[1, 2], [3]]),
                         "ranks must be a rectangular array, not a ragged list"),
     "RankSets ragged": (lambda: RankSets(["a", "b"], [[1, 2], [3]], [[1, 2], [3, 4]]),
