@@ -7,12 +7,13 @@ takes.  Every output is a pure function of the flags and the input files.
 
 Every subcommand runs through :func:`main`: it resolves the flags, refuses
 an ``--out`` that cannot be written or that names one of the subcommand's
-input files before any work, runs the subcommand's function from
-:data:`COMMANDS`, which computes and writes the payload and returns its seeds
-and extras, and writes the ``<out>.manifest.json`` sidecar with the digests
-of the files the subcommand read: the sha256 of the bytes its readers
-parsed, which they record as they read, so no input is read twice.  Where
-the sidecar cannot be written, the payload just written is removed.
+input files or the ``--config`` file before any work, runs the subcommand's
+function from :data:`COMMANDS`, which computes and writes the payload and
+returns its seeds and extras, and writes the ``<out>.manifest.json`` sidecar
+with the digests of the files the subcommand read and of the payload: the
+sha256 of the bytes its readers parsed and its writer wrote, which they
+record as they go, so no input is read twice and no payload read back.
+Where the sidecar cannot be written, the payload just written is removed.
 ``main`` also maps every failure to its exit code.
 
 Exit codes: 0 ok, 2 usage/type error, 3 insufficient Monte-Carlo sample,
@@ -160,7 +161,7 @@ def _cmd_simulate_envelope(resolved: dict, digests: dict) -> tuple[dict, dict]:
         resolved["kind"], resolved["n"], resolved["m"], resolved["delta"],
         resolved["K"], resolved["seed"],
     )
-    io.write_envelope(env, resolved["out"])
+    io.write_envelope(env, resolved["out"], digests)
     return ({"envelope": None if env.mc_meta is None else env.mc_meta.seed},
             {"param": env.param})
 
@@ -183,7 +184,7 @@ def _cmd_predict(resolved: dict, digests: dict) -> tuple[dict, dict]:
     sets = predict_sets(problem, thr)
     test_only = test_only_set(sets, env) if resolved["test-only"] else None
     top = topk_candidates(sets, resolved["top-k"]) if resolved["top-k"] else None
-    io.write_sets(sets, resolved["out"], test_only=test_only, top_candidates=top)
+    io.write_sets(sets, resolved["out"], test_only=test_only, top_candidates=top, digests=digests)
     return {}, {
         "k": thr.k,
         "threshold": thr.value,
@@ -213,7 +214,7 @@ def _cmd_evaluate(resolved: dict, digests: dict) -> tuple[dict, dict]:
     true_ranks = np.array(ranks, dtype=np.int64)
     io.write_evaluation(
         resolved["out"], fcp(sets, true_ranks), relative_length(sets, n + m),
-        sets.items, ranks, sets.contains(true_ranks).tolist(),
+        sets.items, ranks, sets.contains(true_ranks).tolist(), digests,
     )
     return {}, {}
 
@@ -224,7 +225,7 @@ def _cmd_synth(resolved: dict, digests: dict) -> tuple[dict, dict]:
         resolved["mode"], resolved["seed"], d=resolved["d"],
         data_noise_sd=resolved["data-noise-sd"],
     )
-    io.write_scores(problem, resolved["out"])
+    io.write_scores(problem, resolved["out"], digests)
     return {"data": resolved["seed"]}, {}
 
 
@@ -235,7 +236,7 @@ def _cmd_experiment(resolved: dict, digests: dict) -> tuple[dict, dict]:
         master_seed=resolved["seed"], k_top=resolved["k-top"] or None,
     )
     report = run_experiment(cfg)
-    io.write_report(report, resolved["out"])
+    io.write_report(report, resolved["out"], digests)
     summary = report.aggregates()
     for key in ("mean_fcp", "fcp_exceedance", "mean_relative_length",
                 "mean_oracle_ratio"):
@@ -249,8 +250,8 @@ class Command(NamedTuple):
     """A subcommand: its function, the flags naming the files it reads, its flags.
 
     ``run`` computes and writes the payload from the resolved flags, records
-    in a dict the sha256 of each file it reads, by path, and returns the
-    manifest's ``seeds`` and ``extras``.
+    in a dict the sha256 of each file it reads and of the payload, by path,
+    and returns the manifest's ``seeds`` and ``extras``.
     """
 
     run: Callable[[dict, dict], tuple[dict, dict]]
@@ -321,8 +322,8 @@ def _check_out(out: str, inputs: dict[str, str]) -> None:
     """Refuse, before any work, an ``--out`` that cannot be written or names an input.
 
     An ``--out`` that is a directory or lies in none cannot be written, and
-    one that names the same file as an input flag (``inputs`` maps each to its
-    path) would overwrite the input and record the payload's digest as its.
+    one that names the same file as an input flag or the config file
+    (``inputs`` maps each flag to its path) would overwrite that file.
     """
     if os.path.isdir(out):
         raise InvalidData(f"--out {out} is a directory")
@@ -345,7 +346,8 @@ def main(argv=None) -> int:
     try:
         resolved = _resolve(args.command, args)
         out = resolved["out"]
-        _check_out(out, {name: resolved[name] for name in command.reads})
+        reads = {name: resolved[name] for name in command.reads}
+        _check_out(out, reads if args.config is None else {**reads, "config": args.config})
         try:
             digests = {}
             seeds, extras = command.run(resolved, digests)
@@ -354,7 +356,7 @@ def main(argv=None) -> int:
                     tool=TOOL, version=__version__, command=args.command,
                     config=resolved, seeds=seeds, extras=extras,
                     inputs={name: digests[resolved[name]] for name in command.reads},
-                ).write(out)
+                ).write(out, digests[out])
             except OSError:
                 os.remove(out)  # no payload without its sidecar
                 raise

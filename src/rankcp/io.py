@@ -12,17 +12,21 @@ inputs always produce byte-identical payloads.
 
 Each input file is read once: :func:`_read_file` takes its bytes and their
 sha256, the reader parses those bytes, and records the digest in the
-``digests`` dict its caller passes, for the run manifest.  One slot per file
-kind keeps the last table or document read, validated and typed, under that
-digest: the scores table (:func:`read_scores` and :func:`read_truth` serve
-each other from it wherever it holds the columns they need), the sets table
-(filled by :func:`write_sets` too, so reading back the sets just written
-parses nothing) and the envelope.  A table's slot is also keyed by
-``csv.field_size_limit()``, the one setting its reading depends on.  A file
-whose bytes differ misses, a file that fails to parse leaves the slot as it
-was, and every call builds a new object from the slot's read-only arrays,
-so a caller that changes its result changes no later read.  There is one
-slot per kind, no cache across files, and no setting.  The metrics JSON of
+``digests`` dict its caller passes, for the run manifest.  Each writer builds
+its payload's bytes and writes them through :func:`_write_file`, which
+records their sha256 there too, so no payload is read back to be hashed.
+One slot per file kind keeps the last file read, validated, as ``(key,
+parsed)`` with read-only arrays, under the digest of its bytes: of a scores
+table, what :func:`read_truth` reads (ids, row lines, split and true
+values), which :func:`read_scores` fills too but is not served from, since
+it parses on every call; the sets table, filled by :func:`write_sets` too,
+so reading back the sets just written parses nothing; and the envelope.  A
+table's key also holds ``csv.field_size_limit()``, the one setting its
+reading depends on.  A file whose bytes differ misses, a file that fails any
+check leaves the slot as it was, and every read builds a new object from
+what the slot holds, so a caller that changes its result changes no later
+read.  There is one slot per kind, no cache across files, and no setting.
+The metrics JSON of
 ``evaluate`` can hold thousands of items, so :func:`write_evaluation` writes
 it from its columns, in the bytes ``json.dumps(doc, indent=2)`` gives,
 without building a dict per item.  Every output file is paired with a
@@ -56,9 +60,16 @@ SETS_HEADER = ["id", "lo", "hi"]
 REPORT_HEADER = ["rep", "metric", "value", "arm"]
 
 
-# The last file of each kind read (or, for sets, written): "scores" holds a
-# _Scores, "sets" a _Sets and "envelope" a (digest, Envelope) pair.
-_slots: dict[str, object] = {}
+# The last file of each kind read (or, for sets, written) as (key, parsed):
+# "scores" a _Scores, "sets" a RankSets and "envelope" an Envelope.  A file is
+# stored only once every check on it has passed.
+_slots: dict[str, tuple] = {}
+
+
+def _hit(kind: str, key):
+    """What the slot of ``kind`` holds where it was stored under ``key``, else ``None``."""
+    held, parsed = _slots.get(kind, (None, None))
+    return parsed if held == key else None
 
 
 def _read_file(path, digests: dict | None) -> tuple[bytes, str]:
@@ -83,18 +94,29 @@ def _read_table(path, digests: dict | None) -> tuple[bytes, tuple[str, int]]:
     return data, (digest, csv.field_size_limit())
 
 
-def _write_csv(path, header: list[str], columns) -> bytes:
+def _write_file(path, data: bytes, digests: dict | None) -> str:
+    """Write ``data`` to ``path``; their sha256, recorded in ``digests[path]`` where given.
+
+    The one write of an output file: the command's manifest records the
+    digest of the bytes written, so no payload is read back.
+    """
+    Path(path).write_bytes(data)
+    digest = hashlib.sha256(data).hexdigest()
+    if digests is not None:
+        digests[path] = digest
+    return digest
+
+
+def _write_csv(path, header: list[str], columns, digests: dict | None) -> str:
     """Write a table: the header row, then one row across the equal-length columns.
 
-    The text is built in memory and written at once; its bytes are returned.
+    The text is built in memory and written at once (see :func:`_write_file`).
     """
     buffer = StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(header)
     writer.writerows(zip(*columns, strict=True))
-    data = buffer.getvalue().encode("utf-8")
-    Path(path).write_bytes(data)
-    return data
+    return _write_file(path, buffer.getvalue().encode("utf-8"), digests)
 
 
 def _read_csv(path, data: bytes, header: list[str], extra_columns: bool = False):
@@ -185,33 +207,28 @@ def _parse(path, texts, lines, convert, message: str) -> list:
             raise InvalidData(f"{path}:{line}: {message.format(text)}") from exc
 
 
-def write_scores(problem: RankingProblem, path) -> None:
-    """Write a problem as a scores CSV (one row per item)."""
+def write_scores(problem: RankingProblem, path, digests: dict | None = None) -> None:
+    """Write a problem as a scores CSV (one row per item).
+
+    ``digests``, where given, records the sha256 of the bytes written (see
+    :func:`_write_file`); so do the other writers'.
+    """
     _write_csv(path, SCORES_HEADER, [
         problem.item_ids,
         ["calib"] * problem.n + ["test"] * problem.m,
         problem.ranker_outputs.tolist(),
         problem.calib_ranks.tolist() + [""] * problem.m,
         [""] * problem.total if problem.truth is None else problem.truth.tolist(),
-    ])
+    ], digests)
 
 
 class _Scores(NamedTuple):
-    """A scores table as its reader validated it: read-only columns in file order.
+    """What :func:`read_truth` reads of a scores table: read-only columns in file order."""
 
-    ``truth`` is ``None`` where the table holds no true values; ``mode``,
-    ``outputs`` (floats) and ``calib_ranks`` (the calib rows' own) are
-    ``None`` where only :func:`read_truth` has read the table.
-    """
-
-    key: tuple[str, int]
     ids: tuple[str, ...]
     lines: Sequence[int]
     is_calib: np.ndarray
-    truth: np.ndarray | None
-    mode: str | None = None
-    outputs: np.ndarray | None = None
-    calib_ranks: np.ndarray | None = None
+    truth: np.ndarray
 
 
 def _read_scores_table(path, data: bytes):
@@ -227,32 +244,15 @@ def _read_scores_table(path, data: bytes):
     return columns, lines, is_calib
 
 
-def _problem(table: _Scores) -> RankingProblem:
-    """A new problem of a scores table read in a mode: calib rows first, then test rows."""
-    calib, test = np.flatnonzero(table.is_calib), np.flatnonzero(~table.is_calib)
-    order = np.concatenate([calib, test])
-    return RankingProblem(
-        n=calib.size,
-        m=test.size,
-        calib_ranks=table.calib_ranks.copy(),
-        ranker_mode=table.mode,
-        ranker_outputs=table.outputs[order],
-        truth=None if table.truth is None else table.truth[order],
-        ids=[table.ids[i] for i in order.tolist()],
-    )
-
-
 def read_scores(path, mode: str, digests: dict | None = None) -> RankingProblem:
-    """Read a scores CSV into a problem; ``mode`` types the output column.
+    """Read a scores CSV into a problem, calib rows first; ``mode`` types the output column.
 
     ``digests``, where given, records the sha256 of the bytes read (see
-    :func:`_read_file`).
+    :func:`_read_file`).  The file is parsed on every call; a table with
+    true values fills the scores slot that :func:`read_truth` is served from.
     """
     check_mode(mode)
     data, key = _read_table(path, digests)
-    table = _slots.get("scores")
-    if table is not None and table.key == key and table.mode == mode:
-        return _problem(table)
     columns, lines, is_calib = _read_scores_table(path, data)
     texts, ranks = columns["output"], np.array(columns["calib_rank"], dtype=object)
     outputs = np.asarray(_parse(path, texts, lines, float, "output {!r} is not a number"))
@@ -283,11 +283,20 @@ def read_scores(path, mode: str, digests: dict | None = None) -> RankingProblem:
     truths = columns["true_value"]
     if any(truths) and not all(truths):
         raise InvalidData(f"{path}: true_value must be set on all rows or none")
-    truth = _frozen(_parse_truth(path, truths, lines)) if all(truths) else None
-    table = _Scores(key, tuple(columns["id"]), lines, _frozen(is_calib), truth, mode,
-                    _frozen(outputs), _frozen(np.asarray(calib_ranks)))
+    truth = _parse_truth(path, truths, lines) if all(truths) else None
+    ids = columns["id"]
+    calib, test = np.flatnonzero(is_calib), np.flatnonzero(~is_calib)
+    order = np.concatenate([calib, test])
     try:
-        problem = _problem(table)
+        problem = RankingProblem(
+            n=calib.size,
+            m=test.size,
+            calib_ranks=np.asarray(calib_ranks),
+            ranker_mode=mode,
+            ranker_outputs=outputs[order],
+            truth=None if truth is None else truth[order],
+            ids=[ids[i] for i in order.tolist()],
+        )
     except InvalidInput as exc:
         # The outputs, the truth and the ids were checked above; what is left
         # is a set of calib_ranks that is not a permutation of 1..n.
@@ -297,7 +306,8 @@ def read_scores(path, mode: str, digests: dict | None = None) -> RankingProblem:
         # RankingProblem checks the VA outputs first, then the truth.
         raise _tie_at_lines(path, lines, exc, *([outputs.tolist()] if mode == VA else []),
                             truth) from exc
-    _slots["scores"] = table
+    if truth is not None:
+        _slots["scores"] = (key, _Scores(tuple(ids), lines, _frozen(is_calib), _frozen(truth)))
     return problem
 
 
@@ -357,20 +367,20 @@ def read_truth(path, digests: dict | None = None) -> tuple[list[str], int, int, 
     Lenient companion to :func:`read_scores` for evaluation inputs: the
     output column is not typed or validated, but the split and the ids are
     read by the same rules, and every row must carry a true_value that is a
-    number other than NaN, and no two may be equal.  A table in the slot
-    with its true values is not parsed again, but its truth is ranked anew.
+    number other than NaN, and no two may be equal.  A table in the scores
+    slot is not parsed again, but its truth is ranked anew.
     """
     data, key = _read_table(path, digests)
-    table = _slots.get("scores")
-    if table is None or table.key != key or table.truth is None:
+    table = _hit("scores", key)
+    if table is None:
         columns, lines, is_calib = _read_scores_table(path, data)
         truth = _parse_truth(path, columns["true_value"], lines)
-        table = _Scores(key, tuple(columns["id"]), lines, _frozen(is_calib), _frozen(truth))
+        table = _Scores(tuple(columns["id"]), lines, _frozen(is_calib), _frozen(truth))
     try:
         true_ranks = ranks_within(table.truth, "truth")
     except TiesDetected as exc:
         raise _tie_at_lines(path, table.lines, exc, table.truth.tolist()) from exc
-    _slots["scores"] = table
+    _slots["scores"] = (key, table)
     n = int(np.count_nonzero(table.is_calib))
     return list(table.ids), n, len(table.ids) - n, true_ranks
 
@@ -441,8 +451,8 @@ def envelope_from_doc(doc: dict) -> Envelope:
         raise InvalidData(f"malformed envelope document: {exc}") from exc
 
 
-def write_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+def write_json(doc: dict, path, digests: dict | None = None) -> None:
+    _write_file(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"), digests)
 
 
 def read_json(path, name: str = "document") -> dict:
@@ -464,19 +474,18 @@ def _json_object(path, data: bytes, name: str) -> dict:
     return doc
 
 
-def write_envelope(env: Envelope, path) -> None:
-    write_json(envelope_to_doc(env), path)
+def write_envelope(env: Envelope, path, digests: dict | None = None) -> None:
+    write_json(envelope_to_doc(env), path, digests)
 
 
 def read_envelope(path, digests: dict | None = None) -> Envelope:
     """Read an envelope JSON; ``digests`` as for :func:`read_scores`."""
     data, digest = _read_file(path, digests)
-    slot = _slots.get("envelope")
-    if slot is None or slot[0] != digest:
+    env = _hit("envelope", digest)
+    if env is None:
         env = envelope_from_doc(_json_object(path, data, "envelope"))
         env.lower.flags.writeable = env.upper.flags.writeable = False
-        slot = _slots["envelope"] = (digest, env)
-    env = slot[1]
+        _slots["envelope"] = (digest, env)
     return replace(env, lower=env.lower.copy(), upper=env.upper.copy())
 
 
@@ -485,13 +494,14 @@ def write_sets(
     path,
     test_only: RankSets | None = None,
     top_candidates: np.ndarray | None = None,
+    digests: dict | None = None,
 ) -> None:
     """Write prediction sets, one row per item, with optional target columns.
 
     ``test_only`` adds ``test_lo``/``test_hi``; ``top_candidates``, a boolean
     mask over the rows, adds a 0/1 ``top_candidate`` column.  The sets slot
-    then holds the table written, where :func:`read_sets` reads it back as
-    ``sets``' own columns (see :func:`_written_sets`).
+    then holds ``sets`` under the digest of the bytes written, where
+    :func:`read_sets` reads them back as written (see :func:`_reads_back`).
     """
     header = list(SETS_HEADER)
     columns = [sets.items, sets.lo.tolist(), sets.hi.tolist()]
@@ -501,38 +511,22 @@ def write_sets(
     if top_candidates is not None:
         header += ["top_candidate"]
         columns.append(np.asarray(top_candidates, dtype=np.int64).tolist())
-    table = _written_sets(sets, _write_csv(path, header, columns))
-    if table is not None:
-        _slots["sets"] = table
+    digest = _write_csv(path, header, columns, digests)
+    if _reads_back(sets):
+        _slots["sets"] = ((digest, csv.field_size_limit()), RankSets(
+            items=sets.items, lo=_frozen(sets.lo.copy()), hi=_frozen(sets.hi.copy())))
 
 
-class _Sets(NamedTuple):
-    """A sets table as :func:`read_sets` reads it: ids and read-only int64 ends."""
+def _reads_back(sets: RankSets) -> bool:
+    """Whether :func:`read_sets` gives back the ids and ends of ``sets`` as written.
 
-    key: tuple[str, int]
-    items: tuple[str, ...]
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-def _rank_sets(table: _Sets) -> RankSets:
-    return RankSets(items=table.items, lo=table.lo.copy(), hi=table.hi.copy())
-
-
-def _written_sets(sets: RankSets, data: bytes) -> _Sets | None:
-    """The sets slot of ``sets`` just written as the table ``data``, or ``None``.
-
-    ``None`` where :func:`read_sets` would not give back the ids and ends of
-    ``sets``: for a batch of sets, for ids that are not distinct strings (it
-    reads strings, and refuses a repeat), and for a table it refuses, with
-    an id longer than ``csv.field_size_limit()`` or, before Python 3.11, a NUL.
+    Not for a batch of sets, for ids that are not distinct strings (it reads
+    strings, and refuses a repeat), or for a table it refuses, with an id
+    longer than ``csv.field_size_limit()`` or, before Python 3.11, a NUL.
     """
     items, limit = sets.items, csv.field_size_limit()
-    if (sets.lo.ndim != 1 or set(map(type, items)) - {str} or len(set(items)) != len(items)
-            or max(map(len, items), default=0) > limit or b"\0" in data):
-        return None
-    return _Sets((hashlib.sha256(data).hexdigest(), limit), tuple(items),
-                 _frozen(sets.lo.copy()), _frozen(sets.hi.copy()))
+    return not (sets.lo.ndim != 1 or set(map(type, items)) - {str} or len(set(items)) != len(items)
+                or max(map(len, items), default=0) > limit or "\0" in "".join(items))
 
 
 def read_sets(path, digests: dict | None = None) -> RankSets:
@@ -542,21 +536,19 @@ def read_sets(path, digests: dict | None = None) -> RankSets:
     metrics.  ``digests`` as for :func:`read_scores`.
     """
     data, key = _read_table(path, digests)
-    table = _slots.get("sets")
-    if table is not None and table.key == key:
-        return _rank_sets(table)
-    columns, lines = _read_csv(path, data, SETS_HEADER, extra_columns=True)
-    lo = _parse(path, columns["lo"], lines, int, "lo {!r} is not an integer")
-    hi = _parse(path, columns["hi"], lines, int, "hi {!r} is not an integer")
-    # int() gives no bool, so the columns skip the rank rule's scan of a list
-    table = _Sets(key, tuple(columns["id"]), _frozen(np.asarray(lo)), _frozen(np.asarray(hi)))
-    try:
-        sets = _rank_sets(table)
-    except InvalidInput as exc:
-        raise InvalidData(f"{path}: {exc}") from exc
-    _check_unique_ids(path, sets.items, lines)
-    _slots["sets"] = table
-    return sets
+    sets = _hit("sets", key)
+    if sets is None:
+        columns, lines = _read_csv(path, data, SETS_HEADER, extra_columns=True)
+        lo = _parse(path, columns["lo"], lines, int, "lo {!r} is not an integer")
+        hi = _parse(path, columns["hi"], lines, int, "hi {!r} is not an integer")
+        try:  # int() gives no bool, so the columns skip the rank rule's scan of a list
+            sets = RankSets(items=columns["id"], lo=_frozen(np.asarray(lo)),
+                            hi=_frozen(np.asarray(hi)))
+        except InvalidInput as exc:
+            raise InvalidData(f"{path}: {exc}") from exc
+        _check_unique_ids(path, sets.items, lines)
+        _slots["sets"] = (key, sets)
+    return RankSets(items=sets.items, lo=sets.lo.copy(), hi=sets.hi.copy())
 
 
 # One item of the metrics JSON, laid out as json.dumps(doc, indent=2) lays it out
@@ -564,7 +556,8 @@ _EVAL_ITEM = '    {\n      "id": %s,\n      "true_rank": %d,\n      "covered": %
 
 
 def write_evaluation(path, fcp: float, relative_length: float, ids: list[str],
-                     true_ranks: list[int], covered: list[bool]) -> None:
+                     true_ranks: list[int], covered: list[bool],
+                     digests: dict | None = None) -> None:
     """Write the metrics JSON of ``evaluate`` from its per-item columns.
 
     The document is ``{"fcp", "relative_length", "items": [{"id", "true_rank",
@@ -579,17 +572,13 @@ def write_evaluation(path, fcp: float, relative_length: float, ids: list[str],
             for item, rank, hit in zip(ids, true_ranks, covered, strict=True)
         ])
         text = text[: -len("[]\n}")] + "[\n" + items + "\n  ]\n}"
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    _write_file(path, (text + "\n").encode("utf-8"), digests)
 
 
-def write_report(report, path) -> None:
+def write_report(report, path, digests: dict | None = None) -> None:
     """Write an ``evaluate.ExperimentReport`` as rows (rep, metric, value, arm)."""
     reps, metrics, values, arms = list(zip(*report.to_rows())) or [()] * 4
-    _write_csv(path, REPORT_HEADER, [reps, metrics, values, arms])
-
-
-def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    _write_csv(path, REPORT_HEADER, [reps, metrics, values, arms], digests)
 
 
 @dataclass
@@ -604,11 +593,12 @@ class RunManifest:
     inputs: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
-    def write(self, payload_path) -> None:
+    def write(self, payload_path, payload_sha256: str) -> None:
+        """Write ``<payload_path>.manifest.json``; ``payload_sha256`` is the writer's digest."""
         doc = {
             **asdict(self),  # the fields, in the order they are declared
             "payload": str(payload_path),
-            "payload_sha256": file_digest(payload_path),
+            "payload_sha256": payload_sha256,
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
         write_json(doc, f"{payload_path}.manifest.json")

@@ -74,9 +74,13 @@ def test_only_set(sets: RankSets, env: Envelope) -> RankSets:
 def topk_candidates(sets: RankSets, k_top: int) -> np.ndarray:
     """Boolean mask of the test items whose full-rank set meets ``[1, k_top]``.
 
-    The selected items overlap the true top ``k_top`` by at least
-    ``k_top - alpha * m`` in expectation, and the mask is monotone (nested) in
-    ``k_top``.  Batch sets give one mask row per problem.
+    A test item of the true top ``k_top`` is left out only where its set
+    misses its true rank.  Of the true top ``k_top``, ``k_top * m / (n + m)``
+    are test items in expectation and the calibration items hold the rest, so
+    with marginal sets at level ``alpha`` the selected items overlap the true
+    top ``k_top`` by at least ``k_top * m / (n + m) - alpha * m`` in
+    expectation.  The mask is monotone (nested) in ``k_top``.  Batch sets give
+    one mask row per problem.
     """
     k_top = as_count(k_top, "k_top", least=0)
     if sets.kind != "full":

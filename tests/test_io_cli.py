@@ -1,6 +1,7 @@
 """File formats and the command-line surface."""
 
 import argparse
+import builtins
 import cProfile
 import csv
 import errno
@@ -627,23 +628,22 @@ def _scores_files(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=_scores_files(), truth_first=st.booleans())
 def test_a_scores_slot_hit_is_a_fresh_parse(tmp_path, table, truth_first):
-    # read_truth after read_scores parses nothing, and so does a second
-    # read_scores in the same mode; read_scores after read_truth parses the
-    # outputs it lacks.  Each gives what a parse of the same bytes gives.
+    # read_truth after read_scores or after read_truth parses nothing, and
+    # read_scores after either parses anew.  Each gives what a parse of the
+    # same bytes gives.
     data, mode = table
     path = tmp_path / "scores.csv"
     path.write_bytes(data)
     rio._slots.clear()
-    first = (rio.read_truth, lambda p: rio.read_scores(p, mode))[::1 if truth_first else -1]
-    reads = [_outcome(lambda: read(path)) for read in first]
+    first = _outcome(lambda: rio.read_truth(path) if truth_first else rio.read_scores(path, mode))
     with pytest.MonkeyPatch.context() as patch:
         _parsing_refused(patch)
-        hits = [_outcome(lambda: rio.read_truth(path)),
-                _outcome(lambda: rio.read_scores(path, mode))]
+        hit = _outcome(lambda: rio.read_truth(path))
+    scores = _outcome(lambda: rio.read_scores(path, mode))
     fresh = [_fresh(lambda: rio.read_truth(path)), _fresh(lambda: rio.read_scores(path, mode))]
-    by_reader = reads if truth_first else reads[::-1]
-    assert _state(by_reader[0]) == _state(hits[0]) == _state(fresh[0])
-    assert _state(by_reader[1]) == _state(hits[1]) == _state(fresh[1])
+    assert _state(first) == _state(fresh[0 if truth_first else 1])
+    assert _state(hit) == _state(fresh[0])
+    assert _state(scores) == _state(fresh[1])
 
 
 @st.composite
@@ -791,7 +791,8 @@ def test_a_field_limit_lowered_after_a_read_refuses_the_table(tmp_path):
 def test_a_malformed_file_is_refused_alike_on_every_read(tmp_path, name, text, read,
                                                          message):
     # a failed parse leaves the slot as it was: the good file read before
-    # is still served, and the bad one raises the same located message
+    # is still served (read_scores has no hit, and parses it anew), and the
+    # bad one raises the same located message
     good = tmp_path / f"good_{name}"
     good.write_bytes({"scores.csv": (DATA / "golden_scores.csv").read_bytes(),
                       "sets.csv": (DATA / "golden_sets.csv").read_bytes(),
@@ -804,8 +805,9 @@ def test_a_malformed_file_is_refused_alike_on_every_read(tmp_path, name, text, r
         got = _outcome(lambda: read(path))
         assert isinstance(got, tuple) and got[1] == message.format(path=path)
     with pytest.MonkeyPatch.context() as patch:
-        _parsing_refused(patch)
-        patch.setattr(rio, "envelope_from_doc", None)
+        if name != "scores.csv" or read is rio.read_truth:
+            _parsing_refused(patch)
+            patch.setattr(rio, "envelope_from_doc", None)
         assert _state(_outcome(lambda: read(good))) == before
 
 
@@ -895,7 +897,8 @@ def test_request_payloads_are_pinned(tmp_path):
                  "--out", str(out["sets"])]) == 0
     assert main(["evaluate", "--sets", str(out["sets"]), "--truth", str(out["scores"]),
                  "--out", str(out["metrics"])]) == 0
-    assert {name: rio.file_digest(path) for name, path in out.items()} == PINNED_REQUESTS
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in out.items()} == PINNED_REQUESTS
 
 
 # sha256 of single-seed synth payloads, taken when a single seed drew
@@ -914,7 +917,7 @@ def test_single_seed_synth_payloads_are_pinned(tmp_path, flags):
     out = tmp_path / "scores.csv"
     assert main(["synth", "--model", "beta_adaptive", "--n", "200", "--m", "200",
                  "--seed", "9", *flags, "--out", str(out)]) == 0
-    assert rio.file_digest(out) == PINNED_SYNTH[flags]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SYNTH[flags]
 
 
 def test_report_roundtrip(tmp_path):
@@ -951,7 +954,7 @@ def test_simulated_envelope_payloads_are_pinned(tmp_path, n, m, K, delta, kind, 
     assert main(["simulate-envelope", "--n", str(n), "--m", str(m), "--K", str(K),
                  "--delta", str(delta), "--kind", kind, "--seed", "0",
                  "--out", str(out)]) == 0
-    assert rio.file_digest(out) == digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # sha256 of experiment reports, frozen when each repetition built its own
@@ -978,7 +981,7 @@ def test_experiment_reports_are_pinned(tmp_path, mode, fcp_mode, model, n, m, re
                  "--mode", mode, "--fcp-mode", fcp_mode, "--data-model", model,
                  "--envelope-kind", kind, "--K-env", "2000", "--seed", "17",
                  "--out", str(out)]) == 0
-    assert rio.file_digest(out) == digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_golden_predict(tmp_path):
@@ -997,7 +1000,7 @@ def test_golden_predict(tmp_path):
     assert out.read_bytes() == (DATA / "golden_sets.csv").read_bytes()
     manifest = json.loads((str(out) + ".manifest.json" and Path(str(out) + ".manifest.json")).read_text())
     assert manifest["extras"]["k"] == 11
-    assert manifest["payload_sha256"] == rio.file_digest(out)
+    assert manifest["payload_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
     # independent check of the committed golden: exhaustive membership
     problem = rio.read_scores(DATA / "golden_scores.csv", "VA")
@@ -1872,16 +1875,20 @@ def test_a_failed_write_exits_4_naming_the_out(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag", [
     ("predict", "scores"), ("predict", "envelope"), ("evaluate", "sets"),
-    ("evaluate", "truth"),
+    ("evaluate", "truth"), ("predict", "config"), ("synth", "config"),
 ])
 @pytest.mark.parametrize("spelling", ["same", "dot", "symlink", "hardlink"])
 def test_an_out_that_names_an_input_is_refused(tmp_path, capsys, command, flag, spelling):
-    # the run would overwrite the input and record the payload's digest as its
+    # the run would overwrite the input (or the config file) with its payload
     inputs = {name: tmp_path / f"{name}{GOLDEN_INPUTS[name].suffix}"
               for name in cli.COMMANDS[command].reads}
     for name, path in inputs.items():
         path.write_bytes(GOLDEN_INPUTS[name].read_bytes())
+    if flag == "config":
+        inputs["config"] = tmp_path / "config.json"
+        inputs["config"].write_text('{"seed": 1}\n' if command == "synth" else "{}\n")
     target = inputs[flag]
+    before = target.read_bytes()
     out = {"same": str(target), "dot": f"{tmp_path}/./{target.name}",
            "symlink": str(tmp_path / "link"), "hardlink": str(tmp_path / "hard")}[spelling]
     if spelling == "symlink":
@@ -1890,13 +1897,41 @@ def test_an_out_that_names_an_input_is_refused(tmp_path, capsys, command, flag, 
         os.link(target, out)
     argv = [RUNS[command][0]] + [arg for name, path in inputs.items()
                                  for arg in (f"--{name}", str(path))]
-    if command == "predict":
-        argv += ["--alpha", "0.25", "--mode", "VA"]
+    argv += {"predict": ["--alpha", "0.25", "--mode", "VA"],
+             "synth": ["--n", "20", "--m", "10"]}.get(command, [])
     assert main(argv + ["--out", out]) == 4
     assert capsys.readouterr().err == (
         f"rankcp: data error: --out and --{flag} name the same file {out}\n")
-    assert target.read_bytes() == GOLDEN_INPUTS[flag].read_bytes()
+    assert target.read_bytes() == before
     assert not list(tmp_path.glob("*.manifest.json"))
+
+
+# the files the envelope simulation reads to size its work to the memory left
+_MEMORY_FILES = {renv._MEMINFO, renv._CGROUP_MAX, renv._CGROUP_CURRENT, renv._CGROUP_STAT}
+
+
+@pytest.mark.parametrize("command", RUNS)
+def test_no_command_reads_back_its_payload(tmp_path, monkeypatch, command):
+    # main reads the config file and each input file once, and nothing else:
+    # the manifest's payload digest is that of the bytes the writer wrote
+    config, out = tmp_path / "config.json", tmp_path / "payload"
+    config.write_text("{}\n")
+    reads, real_open = [], builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if not set(mode) & set("wax+"):
+            reads.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", recording_open)
+        patch.setattr("io.open", recording_open)  # what pathlib opens files by
+        assert main(RUNS[command] + ["--config", str(config), "--out", str(out)]) == 0
+    inputs = [str(GOLDEN_INPUTS[name]) for name in cli.COMMANDS[command].reads]
+    assert sorted(path for path in reads if path not in _MEMORY_FILES) == sorted(
+        [str(config), *inputs])
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["payload_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("argv, code, message", [

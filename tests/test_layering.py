@@ -11,7 +11,9 @@ and counts, the range rule ``[1, top]`` for ranks and indices, the
 interval rule for probability levels and the value rule for real-valued
 arrays: no other function compares a size, an index or a level with a
 number of its own, tests an array's least or greatest value against a
-bound, raises ``RankOutOfRange`` or reads an input as floats.
+bound, raises ``RankOutOfRange`` or reads an input as floats.  In ``io``,
+one function reads a file's bytes and one writes them, and no other
+function in the package takes a sha256.
 """
 
 import ast
@@ -552,3 +554,38 @@ def test_a_restored_float_read_fails_the_value_guard():
     assert source.count(read) == 1
     tree = ast.parse(source.replace(read, '    arr = np.asarray(scores, dtype=float)\n'))
     assert _bare_float_reads("conformal", tree) == {("conformal", "calibrate")}
+
+
+# the calls that touch the file system from io or hash a file's bytes
+_FILE_CALLS = {"open", "Path", "read_bytes", "read_text", "write_bytes", "write_text", "sha256"}
+
+# the one read and the one write of a file, each of which takes the sha256
+# of the bytes it moves for the run manifest
+_FILE_SITES = {("io", "_read_file"), ("io", "_write_file")}
+
+
+def _called(node) -> str | None:
+    """The name a call calls: ``f`` of ``f(...)`` and of ``x.f(...)``; ``None`` for other nodes."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return None
+
+
+def test_io_reads_writes_and_hashes_each_file_in_one_place():
+    # no input is read twice and no payload is read back to be hashed: the
+    # package takes a sha256 only where io reads or writes a file's bytes
+    assert _sites(lambda node: _called(node) == "sha256") == _FILE_SITES
+    assert _sites(lambda node: _called(node) in _FILE_CALLS, {"io": _tree("io")}) == _FILE_SITES
+    assert "file_digest" not in _names("io")
+
+
+def test_a_restored_payload_read_fails_the_file_guard():
+    source = (PACKAGE / "io.py").read_text(encoding="utf-8")
+    site = '            "payload_sha256": payload_sha256,\n'
+    assert source.count(site) == 1
+    restored = source.replace(site, '            "payload_sha256": file_digest(payload_path),\n')
+    tree = ast.parse(restored + ("\n\ndef file_digest(path) -> str:\n"
+                                 "    return hashlib.sha256(Path(path).read_bytes()).hexdigest()\n"))
+    for calls in ({"sha256"}, _FILE_CALLS):
+        found = _sites(lambda node: _called(node) in calls, {"io": tree})
+        assert found - _FILE_SITES == {("io", "file_digest")}
