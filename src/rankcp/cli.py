@@ -322,18 +322,23 @@ def _check_out(out: str, inputs: dict[str, str]) -> None:
     """Refuse, before any work, an ``--out`` that cannot be written or names an input.
 
     An ``--out`` that is a directory or lies in none cannot be written, and
-    one that names the same file as an input flag or the config file
-    (``inputs`` maps each flag to its path) would overwrite that file.
+    one whose payload or ``<out>.manifest.json`` names the same file as an
+    input flag or the config file (``inputs`` maps each flag to its path)
+    would overwrite that file.
     """
     if os.path.isdir(out):
         raise InvalidData(f"--out {out} is a directory")
     parent = os.path.dirname(out) or "."
     if not os.path.isdir(parent):
         raise InvalidData(f"--out {out}: {parent} is not a directory")
+    manifest = f"{out}.manifest.json"
     for name, path in inputs.items():
-        if os.path.realpath(path) == os.path.realpath(out) or (
-                os.path.exists(path) and os.path.exists(out) and os.path.samefile(path, out)):
-            raise InvalidData(f"--out and --{name} name the same file {out}")
+        for written in (out, manifest):
+            if os.path.realpath(path) == os.path.realpath(written) or (os.path.exists(path)
+                    and os.path.exists(written) and os.path.samefile(path, written)):
+                raise InvalidData(f"--out and --{name} name the same file {out}"
+                                  if written is out else
+                                  f"--{name} names {manifest}, the manifest of --out")
 
 
 def main(argv=None) -> int:

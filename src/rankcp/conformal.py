@@ -153,7 +153,7 @@ class RankSets:
             j = bad[0]
             raise InvalidInput(
                 f"need 1 <= lo <= hi, got [{self.lo.flat[j]}, {self.hi.flat[j]}] "
-                f"for item {self.items[j % len(self.items)]!r}"
+                f"for item {self.items[j % len(self.items)]!r}", at=(j,)
             )
 
     @property

@@ -6,7 +6,17 @@ one; :class:`InvalidDelta` and :class:`RankOutOfRange` are kinds of it.
 
 
 class RankCPError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``at`` holds the flat positions of the refused element in the array the
+    rule was given, or two positions for a repeat (earlier first); it is
+    empty where no one element is refused.  A reader of a file maps them to
+    the lines of its rows.
+    """
+
+    def __init__(self, *args, at: tuple[int, ...] = ()):
+        super().__init__(*args)
+        self.at = tuple(map(int, at))
 
 
 class InvalidInput(RankCPError, ValueError):

@@ -26,7 +26,12 @@ reading depends on.  A file whose bytes differ misses, a file that fails any
 check leaves the slot as it was, and every read builds a new object from
 what the slot holds, so a caller that changes its result changes no later
 read.  There is one slot per kind, no cache across files, and no setting.
-The metrics JSON of
+A table's values are judged by the rules of the library
+(``RankingProblem``, ``ranks_within``, ``RankSets``), not again here: a
+refusal carries in ``at`` the positions it refused in the array it was
+given, and :func:`_located` names the file and the line of each, as
+``<file>:<line>: <message>`` or, for a repeat, ``<file>: lines <a> and <b>:
+<message>``.  The metrics JSON of
 ``evaluate`` can hold thousands of items, so :func:`write_evaluation` writes
 it from its columns, in the bytes ``json.dumps(doc, indent=2)`` gives,
 without building a dict per item.  Every output file is paired with a
@@ -52,8 +57,8 @@ import numpy as np
 
 from .conformal import RankSets
 from .envelope import Envelope, MonteCarloMeta
-from .errors import InvalidData, InvalidInput, TiesDetected
-from .ranks import RA, VA, RankingProblem, _frozen, check_mode, ranks_within, whole_numbers
+from .errors import InvalidData, InvalidInput, RankCPError, TiesDetected
+from .ranks import RA, RankingProblem, _first_repeat, _frozen, as_ranks, check_mode, ranks_within
 
 SCORES_HEADER = ["id", "split", "output", "calib_rank", "true_value"]
 SETS_HEADER = ["id", "lo", "hi"]
@@ -250,28 +255,22 @@ def read_scores(path, mode: str, digests: dict | None = None) -> RankingProblem:
     ``digests``, where given, records the sha256 of the bytes read (see
     :func:`_read_file`).  The file is parsed on every call; a table with
     true values fills the scores slot that :func:`read_truth` is served from.
+    The RA outputs are read here by the rank rule, so a bad one is a usage
+    error; :class:`RankingProblem` applies every other rule of the table, and
+    its refusal is a data error (a tie stays a ``TiesDetected``), each named
+    at its line by :func:`_located`.
     """
     check_mode(mode)
     data, key = _read_table(path, digests)
     columns, lines, is_calib = _read_scores_table(path, data)
-    texts, ranks = columns["output"], np.array(columns["calib_rank"], dtype=object)
-    outputs = np.asarray(_parse(path, texts, lines, float, "output {!r} is not a number"))
+    ranks = np.array(columns["calib_rank"], dtype=object)
+    outputs = np.asarray(_parse(path, columns["output"], lines, float,
+                                "output {!r} is not a number"))
     if mode == RA:
-        whole = whole_numbers(outputs)
-        # the first row in file order that is not a whole number, or out of range
-        bad = np.flatnonzero(~whole | (outputs < 1) | (outputs > outputs.size))
-        if bad.size:
-            i = bad[0]
-            if not whole[i]:
-                raise InvalidInput(f"{path}:{lines[i]}: mode=RA requires integer ranks in "
-                                   f"the output column, got {texts[i]!r} (type error)")
-            raise InvalidInput(f"RA ranker outputs must lie in [1, {outputs.size}], "
-                               f"got {texts[i]!r} at {path}:{lines[i]}")
-    else:
-        bad = np.flatnonzero(~np.isfinite(outputs))  # float('1e400') is inf
-        if bad.size:
-            i = bad[0]
-            raise InvalidData(f"{path}:{lines[i]}: output {texts[i]!r} is not finite")
+        try:
+            outputs = as_ranks(outputs, "RA ranker outputs", top=outputs.size)
+        except InvalidInput as exc:
+            raise _located(path, exc, lines, InvalidInput) from exc
     bad = np.flatnonzero(ranks.astype(bool) & ~is_calib)  # a cell is true unless empty
     if bad.size:
         raise InvalidData(f"{path}:{lines[bad[0]]}: test rows must leave calib_rank empty")
@@ -297,48 +296,27 @@ def read_scores(path, mode: str, digests: dict | None = None) -> RankingProblem:
             truth=None if truth is None else truth[order],
             ids=[ids[i] for i in order.tolist()],
         )
-    except InvalidInput as exc:
-        # The outputs, the truth and the ids were checked above; what is left
-        # is a set of calib_ranks that is not a permutation of 1..n.
-        raise _bad_calib_rank(path, ranks[is_calib], list(compress(lines, is_calib)),
-                              calib_ranks) from exc
-    except TiesDetected as exc:
-        # RankingProblem checks the VA outputs first, then the truth.
-        raise _tie_at_lines(path, lines, exc, *([outputs.tolist()] if mode == VA else []),
-                            truth) from exc
+    except (InvalidInput, TiesDetected) as exc:
+        # a position among the calib ranks is one among the first n of order too
+        raise _located(path, exc, lines, order=order) from exc
     if truth is not None:
         _slots["scores"] = (key, _Scores(tuple(ids), lines, _frozen(is_calib), _frozen(truth)))
     return problem
 
 
-def _first_repeat(values) -> tuple[int, int] | None:
-    """Rows of the first value, in file order, that equals an earlier one."""
-    seen = {}
-    for i, value in enumerate(values):
-        if value in seen:
-            return seen[value], i
-        seen[value] = i
-    return None
+def _located(path, exc: RankCPError, lines, kind=InvalidData, order=None) -> RankCPError:
+    """The refusal ``exc`` of a rule, named at the lines of the rows it refused.
 
-
-def _bad_calib_rank(path, texts, lines, ranks) -> InvalidData:
-    """The first calib row, in file order, whose rank is outside ``[1, n]`` or repeats.
-
-    ``ranks`` that make no permutation of ``1..n`` always hold such a row:
-    ``n`` ranks in ``[1, n]`` with no repeat are one.
+    The one place a refusal's positions, ``exc.at``, become lines: ``order``,
+    where given, maps a position of the array the rule was given to its row
+    in file order, and ``lines`` a row to its line.  One position gives
+    ``<file>:<line>: <message>``, a repeat ``<file>: lines <a> and <b>:
+    <message>``.  A tie stays a ``TiesDetected``; any other refusal becomes
+    a ``kind``.
     """
-    n = len(ranks)
-    outside = next((i for i, rank in enumerate(ranks) if not 1 <= rank <= n), n)
-    first, second = _first_repeat(ranks) or (n, n)
-    i = min(outside, second)
-    rule = f"is outside [1, {n}]" if i == outside else f"repeats line {lines[first]}"
-    return InvalidData(f"{path}:{lines[i]}: calib_rank {texts[i]!r} {rule}")
-
-
-def _tie_at_lines(path, lines, exc: TiesDetected, *columns) -> TiesDetected:
-    """``exc`` located at the lines of the first repeat in the first column that has one."""
-    first, second = next(filter(None, map(_first_repeat, columns)))
-    return TiesDetected(f"{path}: lines {lines[first]} and {lines[second]}: {exc}")
+    at = sorted(lines[i if order is None else order[i]] for i in exc.at)
+    where = ": lines {} and {}".format(*at) if len(at) == 2 else "".join(f":{i}" for i in at)
+    return (TiesDetected if isinstance(exc, TiesDetected) else kind)(f"{path}{where}: {exc}")
 
 
 def _check_unique_ids(path, ids, lines) -> None:
@@ -350,15 +328,11 @@ def _check_unique_ids(path, ids, lines) -> None:
 
 
 def _parse_truth(path, texts, lines) -> np.ndarray:
-    """The true_value column as floats; every row must carry a number, and NaN has no rank."""
+    """The true_value column as floats; every row must carry a number."""
     if "" in texts:
         raise InvalidData(
             f"{path}:{lines[texts.index('')]}: true_value required for evaluation")
-    truth = np.asarray(_parse(path, texts, lines, float, "bad true_value"), dtype=float)
-    nan = np.flatnonzero(np.isnan(truth))
-    if nan.size:
-        raise InvalidData(f"{path}:{lines[nan[0]]}: true_value {texts[nan[0]]!r} has no rank")
-    return truth
+    return np.asarray(_parse(path, texts, lines, float, "bad true_value"), dtype=float)
 
 
 def read_truth(path, digests: dict | None = None) -> tuple[list[str], int, int, np.ndarray]:
@@ -378,8 +352,8 @@ def read_truth(path, digests: dict | None = None) -> tuple[list[str], int, int, 
         table = _Scores(tuple(columns["id"]), lines, _frozen(is_calib), _frozen(truth))
     try:
         true_ranks = ranks_within(table.truth, "truth")
-    except TiesDetected as exc:
-        raise _tie_at_lines(path, table.lines, exc, table.truth.tolist()) from exc
+    except (InvalidInput, TiesDetected) as exc:
+        raise _located(path, exc, table.lines) from exc
     _slots["scores"] = (key, table)
     n = int(np.count_nonzero(table.is_calib))
     return list(table.ids), n, len(table.ids) - n, true_ranks
@@ -545,7 +519,7 @@ def read_sets(path, digests: dict | None = None) -> RankSets:
             sets = RankSets(items=columns["id"], lo=_frozen(np.asarray(lo)),
                             hi=_frozen(np.asarray(hi)))
         except InvalidInput as exc:
-            raise InvalidData(f"{path}: {exc}") from exc
+            raise _located(path, exc, lines) from exc
         _check_unique_ids(path, sets.items, lines)
         _slots["sets"] = (key, sets)
     return RankSets(items=sets.items, lo=sets.lo.copy(), hi=sets.hi.copy())

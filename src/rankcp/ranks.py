@@ -16,8 +16,8 @@ array through :func:`as_ranks` (the calibration ranks and RA outputs of a
 :class:`RankingProblem`, the columns of ``conformal.RankSets``, the bounds
 of an ``envelope.Envelope`` and the ranks of ``Envelope.bounds_for_ranks``,
 ``conformal.scores_at`` and ``targets.calibration_sets``); ``io.read_scores``
-reads the rule's mask, :func:`whole_numbers`, to name the line of a bad RA
-output.  The same function holds the one range rule for ranks and indices:
+applies it to the RA outputs of a table itself, so a bad one is a usage
+error.  The same function holds the one range rule for ranks and indices:
 given ``top``, a value outside ``[1, top]`` raises
 :class:`~rankcp.errors.RankOutOfRange` (an ``InvalidInput``), worded
 ``<name> must lie in [1, <top>], got <v>``.  Its sites are the RA outputs of
@@ -53,6 +53,11 @@ item holds, is refused (``[1, inf)``).
 Ranks and order statistics have no scalar functions: :func:`ranks_within`
 ranks every element of a vector, and the ``r``-th smallest VA output of a
 problem is its ``sorted_outputs[r - 1]``.
+
+A rule that refuses one element of an array says which: the error's ``at``
+holds its flat position, or, for a repeat (a tie, or a calibration rank
+given twice), the positions of both, found by :func:`_first_repeat`, the
+package's one repeat search.  ``io`` turns them into the lines of a file.
 
 Vector operations work along the last axis, and :func:`tied_rows`,
 :func:`ranks_within` and :class:`RankingProblem` also accept a leading batch
@@ -150,13 +155,13 @@ def as_ranks(values, name: str = "ranks", items=None, top: float | None = None) 
             j = bad[0]
             big = whole.flat[j] or isinstance(arr.flat[j], numbers.Integral)
             raise InvalidInput(f"{name} must be {'below 2**63' if big else noun}, "
-                               f"got {arr.flat[j]}{_where(items, j)}")
+                               f"got {arr.flat[j]}{_where(items, j)}", at=(j,))
         ranks = as_float.astype(np.int64)
     if top is not None and ranks.size and (ranks.min() < 1 or ranks.max() > top):
         j = np.flatnonzero((ranks < 1) | (ranks > top))[0]
         span = f"[1, {top}]" if top < math.inf else "[1, inf)"
         raise RankOutOfRange(f"{name} must lie in {span}, got {ranks.flat[j]}"
-                             f"{_where(items, j)}")
+                             f"{_where(items, j)}", at=(j,))
     return ranks
 
 
@@ -243,9 +248,11 @@ def _rank_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.n
     order = np.argsort(arr, axis=-1)
     ordered = np.take_along_axis(arr, order, axis=-1)
     if np.isnan(ordered[..., -1:]).any():  # argsort puts NaNs last
-        raise InvalidInput(f"{name} contain NaN, which has no rank")
+        raise InvalidInput(f"{name} contain NaN, which has no rank",
+                           at=(np.argmax(np.isnan(arr)),))
     if np.any(_sorted_has_ties(ordered)):
-        raise TiesDetected(f"{name} contain exact duplicates; see break_ties")
+        raise TiesDetected(f"{name} contain exact duplicates; see break_ties",
+                           at=_first_repeat(arr.ravel().tolist(), arr.shape[-1]))
     return ordered, _inverse(order), order
 
 
@@ -275,8 +282,24 @@ def rank_va_outputs(outputs: np.ndarray, name: str = "VA ranker outputs"):
     :class:`TiesDetected`, naming ``name``.
     """
     if not np.all(np.isfinite(outputs)):
-        raise InvalidInput(f"{name} must be finite")
+        raise InvalidInput(f"{name} must be finite", at=(np.argmin(np.isfinite(outputs)),))
     return _rank_rows(outputs, name)
+
+
+def _first_repeat(values, width: int = 0) -> tuple[int, int] | None:
+    """``(i, j)``, ``i < j``, where ``values[j]`` is the first to equal an earlier value.
+
+    The package's one repeat search, in order over the sequence ``values``.
+    With a ``width``, ``values`` is a flat run of rows of that length, and a
+    value repeats only within its row.  ``None`` where no value repeats.
+    """
+    seen = {}
+    for i, value in enumerate(values):
+        key = (i // width, value) if width else value
+        if key in seen:
+            return seen[key], i
+        seen[key] = i
+    return None
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -360,10 +383,17 @@ class RankingProblem:
         outputs = _as_array(self.ranker_outputs, f"{self.ranker_mode} ranker outputs")
         lead = outputs.shape[:1] if outputs.ndim == 2 else ()
         ranks = as_ranks(self.calib_ranks, "calib_ranks")
-        if ranks.shape != lead + (self.n,) or not np.array_equal(
+        if ranks.shape != lead + (self.n,):
+            raise InvalidInput("calib_ranks must be a permutation of 1..n")
+        if not np.array_equal(
             np.sort(ranks, axis=-1), np.broadcast_to(np.arange(1, self.n + 1), ranks.shape)
         ):
-            raise InvalidInput("calib_ranks must be a permutation of 1..n")
+            outside = np.flatnonzero((ranks < 1) | (ranks > self.n))[:1]
+            # n ranks in [1, n] that make no permutation hold a repeat
+            at = outside if outside.size else _first_repeat(ranks.ravel().tolist(), self.n)
+            got = (f"{ranks.flat[at[0]]} outside [1, {self.n}]" if outside.size
+                   else f"{ranks.flat[at[1]]} twice")
+            raise InvalidInput(f"calib_ranks must be a permutation of 1..n, got {got}", at=at)
         self.calib_ranks = ranks
 
         if outputs.shape != lead + (total,) or not outputs.size:

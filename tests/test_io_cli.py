@@ -250,12 +250,15 @@ def test_read_sets_error_messages(tmp_path):
         ("x,lo,hi\nt1,1,2\n", f"{path}: header must start with id,lo,hi"),
         ("id,lo,hi\nt0,1,2\n\nt1,x,2\n", f"{path}:4: lo 'x' is not an integer"),
         ("id,lo,hi\nt1,1,2.5\n", f"{path}:2: hi '2.5' is not an integer"),
-        ("id,lo,hi\nt1,3,2\n", f"{path}: need 1 <= lo <= hi, got [3, 2] for item 't1'"),
+        # a set that breaks 1 <= lo <= hi was refused without its line
+        ("id,lo,hi\nt1,3,2\n", f"{path}:2: need 1 <= lo <= hi, got [3, 2] for item 't1'"),
+        ("id,lo,hi\nt0,1,2\n\nt1,0,2\n",
+         f"{path}:4: need 1 <= lo <= hi, got [0, 2] for item 't1'"),
         ("id,lo,hi\nt1,1,2\nt2,1,2\n\nt1,1,2\n",
          f"{path}:5: item id 't1' is listed more than once"),
         # was numpy's "Python int too large to convert to C long"
         ("id,lo,hi\nt1,1,2\nt2,1,99999999999999999999\n",
-         f"{path}: ranks must be below 2**63, got 99999999999999999999 for item 't2'"),
+         f"{path}:3: ranks must be below 2**63, got 99999999999999999999 for item 't2'"),
     ):
         path.write_text(text)
         with pytest.raises(InvalidData) as err:
@@ -280,31 +283,36 @@ def test_read_sets_error_messages(tmp_path):
      "{path}:3: output 'abc' is not a number"),
     # a VA output that is not finite was refused without its line
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\n\nt1,test,inf,,\n",
-     "{path}:4: output 'inf' is not finite"),
+     "{path}:4: VA ranker outputs must be finite"),
     ("scores", SCORES_HEADER + "c1,calib,nan,1,\nt1,test,-inf,,\n",
-     "{path}:2: output 'nan' is not finite"),
+     "{path}:2: VA ranker outputs must be finite"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nt1,test,1e400,,\n",
-     "{path}:3: output '1e400' is not finite"),
+     "{path}:3: VA ranker outputs must be finite"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,\n",
      "{path}: true_value must be set on all rows or none"),
     ("scores", SCORES_HEADER + "t1,test,0.1,,\nt2,test,0.2,,\n", "{path}: no calibration rows"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nc1,test,0.2,,\n",
      "{path}:3: item id 'c1' is listed more than once"),
     # a calib_rank that makes no permutation of 1..n was refused without its
-    # line: the first calib row, in file order, outside [1, n] or repeating
+    # line: the first calib row, in file order, outside [1, n], or else both
+    # rows of the first repeat
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nc2,calib,0.3,3,\nt1,test,0.2,,\n",
-     "{path}:3: calib_rank '3' is outside [1, 2]"),
+     "{path}:3: calib_ranks must be a permutation of 1..n, got 3 outside [1, 2]"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\n\nc2,calib,0.3,5,\nt1,test,0.2,,\n",
-     "{path}:4: calib_rank '5' is outside [1, 2]"),
+     "{path}:4: calib_ranks must be a permutation of 1..n, got 5 outside [1, 2]"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nc2,calib,0.3,1,\nt1,test,0.2,,\n",
-     "{path}:3: calib_rank '1' repeats line 2"),
+     "{path}: lines 2 and 3: calib_ranks must be a permutation of 1..n, got 1 twice"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,2,\nt1,test,0.2,,\nc2,calib,0.3,2,\n"
-     "c3,calib,0.4,9,\n", "{path}:4: calib_rank '2' repeats line 2"),
+     "c3,calib,0.4,1,\n", "{path}: lines 2 and 4: calib_ranks must be a permutation of "
+     "1..n, got 2 twice"),
+    ("scores", SCORES_HEADER + "c1,calib,0.1,2,\nt1,test,0.2,,\nc2,calib,0.3,2,\n"
+     "c3,calib,0.4,9,\n",
+     "{path}:5: calib_ranks must be a permutation of 1..n, got 9 outside [1, 3]"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,0,\nc2,calib,0.3,1,\nc3,calib,0.4,1,\n",
-     "{path}:2: calib_rank '0' is outside [1, 3]"),
+     "{path}:2: calib_ranks must be a permutation of 1..n, got 0 outside [1, 3]"),
     # was "calib_ranks must be below 2**63", with no line
     ("scores", SCORES_HEADER + "c1,calib,0.1,99999999999999999999,\nt1,test,0.2,,\n",
-     "{path}:2: calib_rank '99999999999999999999' is outside [1, 1]"),
+     "{path}:2: calib_ranks must be below 2**63, got 99999999999999999999"),
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\n\nt1,test,0.2,,\n",
      "{path}:4: true_value required for evaluation"),
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,x\n",
@@ -315,9 +323,9 @@ def test_read_sets_error_messages(tmp_path):
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,x\n",
      "{path}:3: bad true_value"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,0.5\n\nt1,test,0.2,,nan\n",
-     "{path}:4: true_value 'nan' has no rank"),
+     "{path}:4: truth contain NaN, which has no rank"),
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,NaN\nt1,test,0.2,,0.7\n",
-     "{path}:2: true_value 'NaN' has no rank"),
+     "{path}:2: truth contain NaN, which has no rank"),
     # the split was not read: evaluate counted a 'bogus' row as a test item
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\n\nt1,bogus,0.2,,0.7\n",
      "{path}:4: split must be calib|test, got 'bogus'"),
@@ -335,7 +343,7 @@ def test_read_scores_error_messages(tmp_path, reader, body, message):
 
 @pytest.mark.parametrize("body, lines, what", [
     ("c1,calib,0.1,1,\nt1,test,0.1,,\n", (2, 3), "VA ranker outputs"),
-    # the first repeat in file order, not the first pair in sorted order
+    # the first repeat, not the first pair in sorted order
     ("c1,calib,0.5,1,\nt1,test,0.2,,\nc2,calib,0.3,2,\n\nt2,test,0.2,,\nt3,test,0.5,,\n",
      (3, 6), "VA ranker outputs"),
     ("c1,calib,0.1,1,7\nc2,calib,0.3,2,1\nt1,test,0.2,,2\nt2,test,0.4,,7\n",
@@ -1193,17 +1201,93 @@ def test_request_path_work_is_fixed(tmp_path):
 
 def test_scores_file_errors_are_typed_by_where_they_are_found(tmp_path):
     # read_scores told a usage error from a data error by the words of the
-    # message; the RA outputs are now checked at their line, and every other
-    # refusal of the problem is a data error
+    # message; read_scores applies the RA outputs' rule itself, and every
+    # other refusal of the problem is a data error
     path = tmp_path / "ra.csv"
     path.write_text(SCORES_HEADER + "c1,calib,1,1,\nc2,calib,0,2,\nt1,test,3,,\n")
     with pytest.raises(InvalidInput, match=re.escape(
-            f"RA ranker outputs must lie in [1, 3], got '0' at {path}:3")):
+            f"{path}:3: RA ranker outputs must lie in [1, 3], got 0")):
         rio.read_scores(path, "RA")
     path.write_text(SCORES_HEADER + "c1,calib,1,1,\nc2,calib,2,1,\nt1,test,3,,\n")
     with pytest.raises(InvalidData, match=re.escape(
-            f"{path}:3: calib_rank '1' repeats line 2")):
+            f"{path}: lines 2 and 3: calib_ranks must be a permutation of 1..n, got 1 twice")):
         rio.read_scores(path, "RA")
+
+
+# one defect of a scores table each: (name, the mode it needs or None for
+# either, the cell it changes, and whether the rule is the RA outputs')
+_DEFECTS = [
+    ("RA fraction", "RA", "output", True), ("RA outside", "RA", "output", True),
+    ("RA 2**63", "RA", "output", True), ("VA inf", "VA", "output", False),
+    ("VA nan", "VA", "output", False), ("VA 1e400", "VA", "output", False),
+    ("calib outside", None, "calib_rank", False), ("calib repeat", None, "calib_rank", False),
+    ("tied outputs", "VA", "output", False), ("tied truth", None, "true_value", False),
+    ("nan truth", None, "true_value", False),
+]
+
+
+@st.composite
+def _defective_tables(draw):
+    """A valid scores table with one defective cell, the lines it names, and its defect.
+
+    The test rows come before the calib rows, and blank lines fall between
+    rows.  A repeat names two lines, in file order; any other defect one.
+    """
+    name, mode, column, ra_rule = draw(st.sampled_from(_DEFECTS))
+    mode = mode or draw(st.sampled_from(["RA", "VA"]))
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    total = n + m
+    outputs = (draw(st.lists(st.integers(1, total), min_size=total, max_size=total))
+               if mode == "RA" else [v / 4 for v in draw(st.permutations(range(total)))])
+    truth = [v / 2 for v in draw(st.permutations(range(total)))]
+    calib_ranks = draw(st.permutations(range(1, n + 1)))
+    rows = [{"id": f"t{j}", "split": "test", "output": str(outputs[n + j]),
+             "calib_rank": "", "true_value": str(truth[n + j])} for j in range(m)]
+    rows += [{"id": f"c{i}", "split": "calib", "output": str(outputs[i]),
+              "calib_rank": str(calib_ranks[i]), "true_value": str(truth[i])}
+             for i in range(n)]
+    pool = range(m, total) if column == "calib_rank" else range(total)
+    if "repeat" in name or "tied" in name:
+        at = sorted(draw(st.permutations(pool))[:2])
+        rows[at[0]][column] = rows[at[1]][column]
+    else:
+        at = [draw(st.sampled_from(pool))]
+        rows[at[0]][column] = draw(st.sampled_from({
+            "RA fraction": ["1.5", f"{total}.25"], "RA outside": ["0", "-3", str(total + 1)],
+            "RA 2**63": ["9223372036854775808", "1e19", "-1e30"],
+            "VA inf": ["inf", "-inf"], "VA nan": ["nan", "NaN"], "VA 1e400": ["1e400"],
+            "calib outside": ["0", str(n + 1)], "nan truth": ["nan"]}[name]))
+    blank = draw(st.lists(st.booleans(), min_size=total, max_size=total))
+    text, lines = SCORES_HEADER, []
+    for row, skip in zip(rows, blank):
+        text += "\n" * skip + ",".join(row[key] for key in rio.SCORES_HEADER) + "\n"
+        lines.append(text.count("\n"))
+    return text, mode, [lines[i] for i in at], name, ra_rule
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_defective_tables())
+def test_a_defective_scores_row_is_named_by_its_line(tmp_path, capsys, table):
+    # every refusal of a scores table names the row (both rows of a repeat)
+    # that breaks the rule it states, wherever the row sits in the file, and
+    # exits 2 for the RA outputs' rule and 4 for the others
+    text, mode, lines, name, ra_rule = table
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    where = (f"{path}:{lines[0]}: " if len(lines) == 1
+             else f"{path}: lines {lines[0]} and {lines[1]}: ")
+    assert main(["predict", "--scores", str(path), "--mode", mode,
+                 "--envelope", str(GOLDEN_INPUTS["envelope"]),
+                 "--out", str(tmp_path / "sets.csv")]) == (2 if ra_rule else 4)
+    kind = "usage" if ra_rule else "data"
+    assert capsys.readouterr().err.startswith(f"rankcp: {kind} error: {where}"), name
+    if "truth" in name:
+        rio._slots.clear()
+        with pytest.raises(TiesDetected if "tied" in name else InvalidData) as err:
+            rio.read_truth(path)
+        assert str(err.value).startswith(where)
+    assert not (tmp_path / "sets.csv").exists()
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):
@@ -1225,15 +1309,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["predict", "--scores", str(bad_ra), "--envelope", str(envelope),
                      "--alpha", "0.25", "--mode", "RA",
                      "--out", str(tmp_path / "s.csv")]) == 2
-        assert (f"usage error: {bad_ra}:3: mode=RA requires integer ranks in the output "
-                f"column, got {value!r} (type error)") in capsys.readouterr().err
-    # usage: an integer RA output beyond int64 is out of range, with no cast
+        assert (f"usage error: {bad_ra}:3: RA ranker outputs must be integers, got "
+                f"{float(value)}") in capsys.readouterr().err
+    # usage: an integer RA output beyond int64 is refused at its line, with no cast
     # warning before the error (this module runs with warnings as errors)
     bad_ra.write_text(SCORES_HEADER + "c1,calib,1,1,\nt1,test,1e20,,\n")
     assert main(["predict", "--scores", str(bad_ra), "--envelope", str(envelope),
                  "--alpha", "0.25", "--mode", "RA",
                  "--out", str(tmp_path / "s.csv")]) == 2
-    assert "usage error: RA ranker outputs must lie in [1, 2]" in capsys.readouterr().err
+    assert (f"usage error: {bad_ra}:3: RA ranker outputs must be below 2**63, got 1e+20"
+            in capsys.readouterr().err)
     # data: tied VA outputs, with the file and both lines named
     tied = tmp_path / "tied.csv"
     tied.write_text(SCORES_HEADER + "c1,calib,0.1,1,\nt1,test,0.1,,\n")
@@ -1247,7 +1332,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["predict", "--scores", str(tied), "--envelope", str(envelope),
                  "--alpha", "0.25", "--mode", "VA",
                  "--out", str(tmp_path / "s.csv")]) == 4
-    assert f"data error: {tied}:3: output '1e400' is not finite" in capsys.readouterr().err
+    assert f"data error: {tied}:3: VA ranker outputs must be finite" in capsys.readouterr().err
     # data: a Monte-Carlo sample larger than the machine's memory is refused
     # before anything is allocated
     assert main(["simulate-envelope", "--n", "10", "--m", "10", "--kind", "quantile",
@@ -1289,7 +1374,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     nan_truth.write_text(SCORES_HEADER + "c1,calib,0.1,1,0.3\nghost,test,0.2,,nan\n")
     assert main(["evaluate", "--sets", str(sets_path), "--truth", str(nan_truth),
                  "--out", str(tmp_path / "m.json")]) == 4
-    assert f"data error: {nan_truth}:3: true_value 'nan' has no rank" in (
+    assert f"data error: {nan_truth}:3: truth contain NaN, which has no rank" in (
         capsys.readouterr().err)
     assert not (tmp_path / "m.json").exists()
     # data: a sets file with a header and no rows has nothing to evaluate
@@ -1878,32 +1963,41 @@ def test_a_failed_write_exits_4_naming_the_out(tmp_path, capsys):
     ("evaluate", "truth"), ("predict", "config"), ("synth", "config"),
 ])
 @pytest.mark.parametrize("spelling", ["same", "dot", "symlink", "hardlink"])
-def test_an_out_that_names_an_input_is_refused(tmp_path, capsys, command, flag, spelling):
+@pytest.mark.parametrize("written", ["payload", "manifest"])
+def test_an_out_that_names_an_input_is_refused(tmp_path, capsys, command, flag, spelling,
+                                               written):
     # the run would overwrite the input (or the config file) with its payload
+    # or, where the input is named <out>.manifest.json, with its manifest
+    # (which it did: synth --config s.csv.manifest.json --out s.csv exited 0)
     inputs = {name: tmp_path / f"{name}{GOLDEN_INPUTS[name].suffix}"
               for name in cli.COMMANDS[command].reads}
-    for name, path in inputs.items():
-        path.write_bytes(GOLDEN_INPUTS[name].read_bytes())
     if flag == "config":
         inputs["config"] = tmp_path / "config.json"
-        inputs["config"].write_text('{"seed": 1}\n' if command == "synth" else "{}\n")
+    suffix = ".manifest.json" if written == "manifest" else ""
+    if suffix:
+        inputs[flag] = tmp_path / f"run{suffix}"
+    for name, path in inputs.items():
+        path.write_bytes(GOLDEN_INPUTS[name].read_bytes() if name != "config"
+                         else b'{"seed": 1}\n' if command == "synth" else b"{}\n")
     target = inputs[flag]
-    before = target.read_bytes()
-    out = {"same": str(target), "dot": f"{tmp_path}/./{target.name}",
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    stem = target.name[: len(target.name) - len(suffix)]
+    out = {"same": str(tmp_path / stem), "dot": f"{tmp_path}/./{stem}",
            "symlink": str(tmp_path / "link"), "hardlink": str(tmp_path / "hard")}[spelling]
     if spelling == "symlink":
-        os.symlink(target, out)
+        os.symlink(target, out + suffix)
     elif spelling == "hardlink":
-        os.link(target, out)
+        os.link(target, out + suffix)
     argv = [RUNS[command][0]] + [arg for name, path in inputs.items()
                                  for arg in (f"--{name}", str(path))]
     argv += {"predict": ["--alpha", "0.25", "--mode", "VA"],
              "synth": ["--n", "20", "--m", "10"]}.get(command, [])
     assert main(argv + ["--out", out]) == 4
-    assert capsys.readouterr().err == (
-        f"rankcp: data error: --out and --{flag} name the same file {out}\n")
-    assert target.read_bytes() == before
-    assert not list(tmp_path.glob("*.manifest.json"))
+    assert capsys.readouterr().err == "rankcp: data error: " + (
+        f"--{flag} names {out}{suffix}, the manifest of --out\n" if suffix
+        else f"--out and --{flag} name the same file {out}\n")
+    links = {Path(out + suffix)} if spelling in ("symlink", "hardlink") else set()
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path not in links} == files
 
 
 # the files the envelope simulation reads to size its work to the memory left

@@ -13,7 +13,10 @@ arrays: no other function compares a size, an index or a level with a
 number of its own, tests an array's least or greatest value against a
 bound, raises ``RankOutOfRange`` or reads an input as floats.  In ``io``,
 one function reads a file's bytes and one writes them, and no other
-function in the package takes a sha256.
+function in the package takes a sha256.  A refusal carries the positions it
+refused: ``io`` applies no value rule of its own to a parsed column, the
+package has one repeat search, ``ranks._first_repeat``, and one ``io``
+helper turns the positions into file lines.
 """
 
 import ast
@@ -267,7 +270,7 @@ def test_ranks_owns_the_whole_number_rule():
             assert not _whole_number_tests(_tree(module)), module
     for module, path, name in [("conformal", ("RankSets", "__post_init__"), "as_ranks"),
                                ("ranks", ("RankingProblem", "__post_init__"), "as_ranks"),
-                               ("io", ("read_scores",), "whole_numbers")]:
+                               ("io", ("read_scores",), "as_ranks")]:
         node = _definition(module, *path)
         assert name in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}, path
 
@@ -589,3 +592,106 @@ def test_a_restored_payload_read_fails_the_file_guard():
     for calls in ({"sha256"}, _FILE_CALLS):
         found = _sites(lambda node: _called(node) in calls, {"io": tree})
         assert found - _FILE_SITES == {("io", "file_digest")}
+
+
+# the calls that test a parsed value for what a rule of ranks refuses
+_VALUE_TESTS = {"isfinite", "isnan", "whole_numbers"}
+
+# the parsers of a table's column in io
+_COLUMN_PARSERS = {"_parse", "_parse_truth"}
+
+
+def _io_value_tests(tree: ast.Module) -> set[tuple[str, str]]:
+    """``("io", function)`` of each io function that tests a parsed value itself.
+
+    That is a call in ``_VALUE_TESTS``, or an ordering comparison (``<``,
+    ``<=``, ``>``, ``>=``) of a name the function assigns from a column parser.
+    """
+    found = {("io", function) for _, function in
+             _sites(lambda node: _called(node) in _VALUE_TESTS, {"io": tree})}
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        parsed = {target.id for node in ast.walk(function) if isinstance(node, ast.Assign)
+                  and any(_called(call) in _COLUMN_PARSERS for call in ast.walk(node.value))
+                  for target in node.targets if isinstance(target, ast.Name)}
+        if any(isinstance(node, ast.Compare)
+               and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+               and {name.id for name in ast.walk(node) if isinstance(name, ast.Name)} & parsed
+               for node in ast.walk(function)):
+            found.add(("io", function.name))
+    return found
+
+
+def _repeat_search(node) -> bool:
+    """Whether ``node`` is a loop that tests each value against a collection it fills."""
+    if not isinstance(node, ast.For):
+        return False
+    tested = {compare.comparators[-1].id for compare in ast.walk(node)
+              if isinstance(compare, ast.Compare)
+              and any(isinstance(op, (ast.In, ast.NotIn)) for op in compare.ops)
+              and isinstance(compare.comparators[-1], ast.Name)}
+    filled = {getattr(store.value, "id", None) for store in ast.walk(node)
+              if isinstance(store, ast.Subscript) and isinstance(store.ctx, ast.Store)}
+    filled |= {getattr(call.func.value, "id", None) for call in ast.walk(node)
+               if _called(call) in ("add", "append") and isinstance(call.func, ast.Attribute)}
+    return bool(tested & filled)
+
+
+def _reads_at(node) -> bool:
+    """Whether ``node`` reads a refusal's positions, ``exc.at``."""
+    return isinstance(node, ast.Attribute) and node.attr == "at" and isinstance(node.ctx, ast.Load)
+
+
+def _located_refusal_breaks(trees) -> set[tuple[str, str]]:
+    """Sites that restate a rule ``RankingProblem`` applies, search for a repeat or locate one.
+
+    ``trees`` maps module names to their parsed source, as for :func:`_sites`.
+    """
+    return (_io_value_tests(trees["io"])
+            | _sites(_repeat_search, trees) - {("ranks", "_first_repeat")}
+            | _sites(_reads_at, trees) - {("io", "_located")})
+
+
+def test_a_refusal_is_located_in_one_place():
+    # RankingProblem judges a scores table once: io applies the RA rule by
+    # as_ranks and no value rule of its own, the one repeat search is
+    # ranks._first_repeat, and one io helper names the lines of exc.at
+    trees = {module: _tree(module) for module in MODULES}
+    assert not _located_refusal_breaks(trees)
+    assert _sites(_repeat_search) == {("ranks", "_first_repeat")}
+    assert _sites(_reads_at) == {("io", "_located")}
+    assert {"_bad_calib_rank", "_tie_at_lines"}.isdisjoint(set().union(*map(_names, MODULES)))
+
+
+@pytest.mark.parametrize("site, restored, found", [
+    # the VA outputs' finiteness test
+    ("    bad = np.flatnonzero(ranks.astype(bool) & ~is_calib)",
+     "    if not np.all(np.isfinite(outputs)):\n"
+     "        raise InvalidData(f'{path}: output is not finite')\n"
+     "    bad = np.flatnonzero(ranks.astype(bool) & ~is_calib)", ("io", "read_scores")),
+    # the RA outputs' range test
+    ("    bad = np.flatnonzero(ranks.astype(bool) & ~is_calib)",
+     "    if (outputs < 1).any() or (outputs > outputs.size).any():\n"
+     "        raise InvalidInput(f'{path}: RA ranker outputs out of range')\n"
+     "    bad = np.flatnonzero(ranks.astype(bool) & ~is_calib)", ("io", "read_scores")),
+    # io's own repeat search
+    ("def _check_unique_ids(",
+     "def _first_repeat(values):\n"
+     "    seen = {}\n"
+     "    for i, value in enumerate(values):\n"
+     "        if value in seen:\n"
+     "            return seen[value], i\n"
+     "        seen[value] = i\n\n\n"
+     "def _check_unique_ids(", ("io", "_first_repeat")),
+    # a located message built outside the helper
+    ("        raise _located(path, exc, table.lines) from exc",
+     "        raise InvalidData(f'{path}:{table.lines[exc.at[0]]}: {exc}') from exc",
+     ("io", "read_truth")),
+])
+def test_a_restored_check_fails_the_refusal_guard(site, restored, found):
+    source = (PACKAGE / "io.py").read_text(encoding="utf-8")
+    assert source.count(site) == 1
+    trees = {module: _tree(module) for module in MODULES}
+    trees["io"] = ast.parse(source.replace(site, restored))
+    assert _located_refusal_breaks(trees) == {found}
