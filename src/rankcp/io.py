@@ -13,31 +13,30 @@ inputs always produce byte-identical payloads.
 Each input file is read once: :func:`_read_file` takes its bytes and their
 sha256, the reader parses those bytes, and records the digest in the
 ``digests`` dict its caller passes, for the run manifest.  Each writer builds
-its payload's bytes and writes them through :func:`_write_file`, which
-records their sha256 there too, so no payload is read back to be hashed.
-One slot per file kind keeps the last file read, validated, as ``(key,
-parsed)`` with read-only arrays, under the digest of its bytes: of a scores
-table, what :func:`read_truth` reads (ids, row lines, split and true
-values), which :func:`read_scores` fills too but is not served from, since
-it parses on every call; the sets table, filled by :func:`write_sets` too,
-so reading back the sets just written parses nothing; and the envelope.  A
-table's key also holds ``csv.field_size_limit()``, the one setting its
-reading depends on.  A file whose bytes differ misses, a file that fails any
-check leaves the slot as it was, and every read builds a new object from
-what the slot holds, so a caller that changes its result changes no later
-read.  There is one slot per kind, no cache across files, and no setting.
-A table's values are judged by the rules of the library
-(``RankingProblem``, ``ranks_within``, ``RankSets``), not again here: a
-refusal carries in ``at`` the positions it refused in the array it was
-given, and :func:`_located` names the file and the line of each, as
+its payload's bytes and writes them through :func:`_write_file`, which records
+their sha256 there too, so no payload is read back to be hashed. One slot per
+file kind keeps the last file read, validated, as ``(key, parsed)`` with
+read-only arrays, under the digest of its bytes: of a scores table, what
+:func:`read_truth` returns (the ids, ``n`` and the true ranks, in file order),
+which :func:`read_scores` fills too, from the ranks its problem computed, but
+is not served from, since it parses on every call; the sets table, filled by
+:func:`write_sets` too, so reading back the sets just written parses nothing;
+and the envelope.  A table's key also holds ``csv.field_size_limit()``, the
+one setting its reading depends on.  A file whose bytes differ misses, a file
+that fails any check leaves the slot as it was, and every read builds a new
+object from what the slot holds, so a caller that changes its result changes
+no later read.  There is one slot per kind, no cache across files, and no
+setting. A table's values are judged by the rules of the library
+(``RankingProblem``, ``ranks_within``, ``RankSets``, ``unique_ids``), not
+again here: a refusal carries in ``at`` the positions it refused in the array
+it was given, and :func:`_located` names the file and the line of each, as
 ``<file>:<line>: <message>`` or, for a repeat, ``<file>: lines <a> and <b>:
-<message>``.  The metrics JSON of
-``evaluate`` can hold thousands of items, so :func:`write_evaluation` writes
-it from its columns, in the bytes ``json.dumps(doc, indent=2)`` gives,
-without building a dict per item.  Every output file is paired with a
-``<name>.manifest.json`` sidecar carrying the resolved configuration, seeds,
-and input digests needed for bit-exact replay (manifests contain timestamps
-and are excluded from byte-identity).
+<message>``.  The metrics JSON of ``evaluate`` can hold thousands of items, so
+:func:`write_evaluation` writes it from its columns, in the bytes
+``json.dumps(doc, indent=2)`` gives, without building a dict per item.  Every
+output file is paired with a ``<name>.manifest.json`` sidecar carrying the
+resolved configuration, seeds, and input digests needed for bit-exact replay
+(manifests contain timestamps and are excluded from byte-identity).
 """
 
 from __future__ import annotations
@@ -51,14 +50,13 @@ from io import StringIO
 from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .conformal import RankSets
 from .envelope import Envelope, MonteCarloMeta
 from .errors import InvalidData, InvalidInput, RankCPError, TiesDetected
-from .ranks import RA, RankingProblem, _first_repeat, _frozen, as_ranks, check_mode, ranks_within
+from .ranks import RA, RankingProblem, _frozen, as_ranks, check_mode, ranks_within, unique_ids
 
 SCORES_HEADER = ["id", "split", "output", "calib_rank", "true_value"]
 SETS_HEADER = ["id", "lo", "hi"]
@@ -66,8 +64,8 @@ REPORT_HEADER = ["rep", "metric", "value", "arm"]
 
 
 # The last file of each kind read (or, for sets, written) as (key, parsed):
-# "scores" a _Scores, "sets" a RankSets and "envelope" an Envelope.  A file is
-# stored only once every check on it has passed.
+# "scores" what read_truth returns, "sets" a RankSets and "envelope" an
+# Envelope.  A file is stored only once every check on it has passed.
 _slots: dict[str, tuple] = {}
 
 
@@ -227,25 +225,15 @@ def write_scores(problem: RankingProblem, path, digests: dict | None = None) -> 
     ], digests)
 
 
-class _Scores(NamedTuple):
-    """What :func:`read_truth` reads of a scores table: read-only columns in file order."""
-
-    ids: tuple[str, ...]
-    lines: Sequence[int]
-    is_calib: np.ndarray
-    truth: np.ndarray
-
-
 def _read_scores_table(path, data: bytes):
     """The columns and row lines of the scores CSV ``data``, and its split as a calib mask.
 
-    The split of each row must be calib or test, and no id may be listed
-    twice.  :func:`read_scores` and :func:`read_truth` read through here.
+    The split of each row must be calib or test.  :func:`read_scores` and
+    :func:`read_truth` read through here.
     """
     columns, lines = _read_csv(path, data, SCORES_HEADER)
     is_calib = np.array(_parse(path, columns["split"], lines, ("test", "calib").index,
                                "split must be calib|test, got {!r}"), dtype=bool)
-    _check_unique_ids(path, columns["id"], lines)
     return columns, lines, is_calib
 
 
@@ -254,7 +242,8 @@ def read_scores(path, mode: str, digests: dict | None = None) -> RankingProblem:
 
     ``digests``, where given, records the sha256 of the bytes read (see
     :func:`_read_file`).  The file is parsed on every call; a table with
-    true values fills the scores slot that :func:`read_truth` is served from.
+    true values fills the scores slot that :func:`read_truth` is served from,
+    with the problem's true ranks put back in file order.
     The RA outputs are read here by the rank rule, so a bad one is a usage
     error; :class:`RankingProblem` applies every other rule of the table, and
     its refusal is a data error (a tie stays a ``TiesDetected``), each named
@@ -300,7 +289,9 @@ def read_scores(path, mode: str, digests: dict | None = None) -> RankingProblem:
         # a position among the calib ranks is one among the first n of order too
         raise _located(path, exc, lines, order=order) from exc
     if truth is not None:
-        _slots["scores"] = (key, _Scores(tuple(ids), lines, _frozen(is_calib), _frozen(truth)))
+        true_ranks = np.empty_like(problem.true_ranks)
+        true_ranks[order] = problem.true_ranks
+        _slots["scores"] = (key, (tuple(ids), problem.n, _frozen(true_ranks)))
     return problem
 
 
@@ -319,14 +310,6 @@ def _located(path, exc: RankCPError, lines, kind=InvalidData, order=None) -> Ran
     return (TiesDetected if isinstance(exc, TiesDetected) else kind)(f"{path}{where}: {exc}")
 
 
-def _check_unique_ids(path, ids, lines) -> None:
-    """Refuse a table that lists an item id twice, at the line of its second row."""
-    if len(set(ids)) != len(ids):
-        _, second = _first_repeat(ids)
-        raise InvalidData(f"{path}:{lines[second]}: item id {ids[second]!r} "
-                          "is listed more than once")
-
-
 def _parse_truth(path, texts, lines) -> np.ndarray:
     """The true_value column as floats; every row must carry a number."""
     if "" in texts:
@@ -342,21 +325,22 @@ def read_truth(path, digests: dict | None = None) -> tuple[list[str], int, int, 
     output column is not typed or validated, but the split and the ids are
     read by the same rules, and every row must carry a true_value that is a
     number other than NaN, and no two may be equal.  A table in the scores
-    slot is not parsed again, but its truth is ranked anew.
+    slot is neither parsed nor ranked again.
     """
     data, key = _read_table(path, digests)
     table = _hit("scores", key)
     if table is None:
         columns, lines, is_calib = _read_scores_table(path, data)
-        truth = _parse_truth(path, columns["true_value"], lines)
-        table = _Scores(tuple(columns["id"]), lines, _frozen(is_calib), _frozen(truth))
-    try:
-        true_ranks = ranks_within(table.truth, "truth")
-    except (InvalidInput, TiesDetected) as exc:
-        raise _located(path, exc, table.lines) from exc
-    _slots["scores"] = (key, table)
-    n = int(np.count_nonzero(table.is_calib))
-    return list(table.ids), n, len(table.ids) - n, true_ranks
+        ids = columns["id"]
+        try:
+            unique_ids(ids)
+            true_ranks = ranks_within(_parse_truth(path, columns["true_value"], lines), "truth")
+        except (InvalidInput, TiesDetected) as exc:
+            raise _located(path, exc, lines) from exc
+        table = (tuple(ids), int(np.count_nonzero(is_calib)), _frozen(true_ranks))
+        _slots["scores"] = (key, table)
+    ids, n, true_ranks = table
+    return list(ids), n, len(ids) - n, true_ranks.copy()
 
 
 def envelope_to_doc(env: Envelope) -> dict:
@@ -518,9 +502,9 @@ def read_sets(path, digests: dict | None = None) -> RankSets:
         try:  # int() gives no bool, so the columns skip the rank rule's scan of a list
             sets = RankSets(items=columns["id"], lo=_frozen(np.asarray(lo)),
                             hi=_frozen(np.asarray(hi)))
+            unique_ids(sets.items)
         except InvalidInput as exc:
             raise _located(path, exc, lines) from exc
-        _check_unique_ids(path, sets.items, lines)
         _slots["sets"] = (key, sets)
     return RankSets(items=sets.items, lo=sets.lo.copy(), hi=sets.hi.copy())
 

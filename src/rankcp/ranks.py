@@ -10,54 +10,54 @@ resolution.
 This module owns the input rules the other modules apply, so each is written
 once: the ordering of a value vector (:func:`_rank_rows`, the package's one
 argsort of a value row, which also refuses NaN and ties), the rule for VA
-ranker outputs (:func:`rank_va_outputs`: finite and tie-free), whole numbers
-and the ranker-mode vocabulary (:func:`check_mode`).  A rank enters as an
-array through :func:`as_ranks` (the calibration ranks and RA outputs of a
-:class:`RankingProblem`, the columns of ``conformal.RankSets``, the bounds
-of an ``envelope.Envelope`` and the ranks of ``Envelope.bounds_for_ranks``,
-``conformal.scores_at`` and ``targets.calibration_sets``); ``io.read_scores``
-applies it to the RA outputs of a table itself, so a bad one is a usage
-error.  The same function holds the one range rule for ranks and indices:
-given ``top``, a value outside ``[1, top]`` raises
-:class:`~rankcp.errors.RankOutOfRange` (an ``InvalidInput``), worded
-``<name> must lie in [1, <top>], got <v>``.  Its sites are the RA outputs of
-a :class:`RankingProblem` and the ranks of ``conformal.scores_at``
+ranker outputs (:func:`rank_va_outputs`: finite and tie-free), whole numbers,
+the ranker-mode vocabulary (:func:`check_mode`) and item ids
+(:func:`unique_ids`: no id listed twice, the rule of a
+:class:`RankingProblem`'s ``ids`` and of the ids of the tables ``io`` reads).
+A rank enters as an array through :func:`as_ranks` (the calibration ranks and
+RA outputs of a :class:`RankingProblem`, the columns of
+``conformal.RankSets``, the bounds of an ``envelope.Envelope`` and the ranks
+of ``Envelope.bounds_for_ranks``, ``conformal.scores_at`` and
+``targets.calibration_sets``); ``io.read_scores`` applies it to the RA outputs
+of a table itself, so a bad one is a usage error.  The same function holds the
+one range rule for ranks and indices: given ``top``, a value outside ``[1,
+top]`` raises :class:`~rankcp.errors.RankOutOfRange` (an ``InvalidInput``),
+worded ``<name> must lie in [1, <top>], got <v>``.  Its sites are the RA
+outputs of a :class:`RankingProblem` and the ranks of ``conformal.scores_at``
 (``n+m``), the bounds of an ``envelope.Envelope`` (``n+m``), the ranks of
 ``Envelope.bounds_for_ranks`` (``n``), the end columns of an
-``envelope.SortedRankSample`` (``n+m``), ``conformal.calibrate``'s ``k``
-(the number of scores) and ``conformal.proxy_score_va``'s ``lo`` and ``hi``
-(the number of values); no other function tests a rank against a bound by
-its least or greatest value.  A whole number given alone goes through
-:func:`as_count`, the rule's one-value case, which also refuses a value
-below a floor: every size and index of the package (``n``, ``m``, ``K``,
-``k``, ``reps``, ``d``, ``k_top``, ``n_plus_m``) and the ranks of the scalar
-scores of ``conformal``.  Seeds keep ``streams.as_seed``'s stricter rule, since
-``streams`` cannot import this module.  A probability level (``alpha``,
-``beta``, ``delta``, ``alpha_bar``, ``beta_bar``) goes through
-:func:`as_level`, which refuses what is not one real number and a value
-outside its interval; ``evaluate``'s noise levels, ``Envelope``'s ``param``
-and ``mc_meta.slack`` and ``proxy_score_va``'s ``value`` apply its number
-test, :func:`_as_number`.  An array of real numbers goes through
-:func:`as_values`, the value rule, which reads integers and floats as
-float64, each element of an object array by that number test, and refuses a
-boolean, a string, ``None``, a ragged list and a number of dimensions the
-caller does not serve: the values of :func:`break_ties` and
-:func:`ranks_within`, the VA outputs and ``truth`` of a
+``envelope.SortedRankSample`` (``n+m``), ``conformal.calibrate``'s ``k`` (the
+number of scores) and ``conformal.proxy_score_va``'s ``lo`` and ``hi`` (the
+number of values); no other function tests a rank against a bound by its least
+or greatest value.  A whole number given alone goes through :func:`as_count`,
+the rule's one-value case, which also refuses a value below a floor: every
+size and index of the package (``n``, ``m``, ``K``, ``k``, ``reps``, ``d``,
+``k_top``, ``n_plus_m``) and the ranks of the scalar scores of ``conformal``.
+Seeds keep ``streams.as_seed``'s stricter rule, since ``streams`` cannot
+import this module.  A probability level (``alpha``, ``beta``, ``delta``,
+``alpha_bar``, ``beta_bar``) goes through :func:`as_level`, which refuses what
+is not one real number and a value outside its interval; ``evaluate``'s noise
+levels, ``Envelope``'s ``param`` and ``mc_meta.slack`` and
+``proxy_score_va``'s ``value`` apply its number test, :func:`_as_number`.  An
+array of real numbers goes through :func:`as_values`, the value rule, which
+reads integers and floats as float64, each element of an object array by that
+number test, and refuses a boolean, a string, ``None``, a ragged list and a
+number of dimensions the caller does not serve: the values of
+:func:`break_ties` and :func:`ranks_within`, the VA outputs and ``truth`` of a
 :class:`RankingProblem`, ``conformal.proxy_score_va``'s ``all_values``,
 ``conformal.calibrate``'s scores, the threshold value of
-``conformal.predict_sets``, and the float path of :func:`as_ranks` itself;
-no other function reads an input as floats.  ``evaluate.fcp`` and
+``conformal.predict_sets``, and the float path of :func:`as_ranks` itself; no
+other function reads an input as floats.  ``evaluate.fcp`` and
 ``conformal.RankSets.contains`` read true ranks by :func:`as_ranks` with
 ``top=math.inf``: a rank above every set is missed, and one below 1, which no
-item holds, is refused (``[1, inf)``).
-Ranks and order statistics have no scalar functions: :func:`ranks_within`
-ranks every element of a vector, and the ``r``-th smallest VA output of a
-problem is its ``sorted_outputs[r - 1]``.
+item holds, is refused (``[1, inf)``). Ranks and order statistics have no
+scalar functions: :func:`ranks_within` ranks every element of a vector, and
+the ``r``-th smallest VA output of a problem is its ``sorted_outputs[r - 1]``.
 
 A rule that refuses one element of an array says which: the error's ``at``
-holds its flat position, or, for a repeat (a tie, or a calibration rank
-given twice), the positions of both, found by :func:`_first_repeat`, the
-package's one repeat search.  ``io`` turns them into the lines of a file.
+holds its flat position, or, for a repeat (a tie, a calibration rank or an
+item id given twice), the positions of both, found by :func:`_first_repeat`,
+the package's one repeat search.  ``io`` turns them into the lines of a file.
 
 Vector operations work along the last axis, and :func:`tied_rows`,
 :func:`ranks_within` and :class:`RankingProblem` also accept a leading batch
@@ -138,10 +138,12 @@ def as_ranks(values, name: str = "ranks", items=None, top: float | None = None) 
     read as floats: NaN, ±inf, a fraction or a magnitude of 2**63 or more
     (which int64 cannot hold; an int beyond the float range too) raises
     :class:`InvalidInput` naming ``name`` and, where the caller names the
-    items of the last axis, the item.  Where ``top`` is given, a value
-    outside ``[1, top]`` raises :class:`RankOutOfRange` in the same terms
-    (``top=math.inf`` refuses only a value below 1); one ``min()``/``max()``
-    pass tests the range, and the value is looked up only on failure.
+    items of the last axis, the item (a whole number is worded ``must be
+    below 2**63``, or ``must be above -2**63`` where negative).  Where
+    ``top`` is given, a value outside ``[1, top]`` raises
+    :class:`RankOutOfRange` in the same terms (``top=math.inf`` refuses only
+    a value below 1); one ``min()``/``max()`` pass tests the range, and the
+    value is looked up only on failure.
     """
     arr = _as_array(values, name)
     if arr.dtype != bool and np.can_cast(arr.dtype, np.int64):  # integers need no scan
@@ -154,7 +156,8 @@ def as_ranks(values, name: str = "ranks", items=None, top: float | None = None) 
         if bad.size:
             j = bad[0]
             big = whole.flat[j] or isinstance(arr.flat[j], numbers.Integral)
-            raise InvalidInput(f"{name} must be {'below 2**63' if big else noun}, "
+            bound = "below 2**63" if as_float.flat[j] > 0 else "above -2**63"
+            raise InvalidInput(f"{name} must be {bound if big else noun}, "
                                f"got {arr.flat[j]}{_where(items, j)}", at=(j,))
         ranks = as_float.astype(np.int64)
     if top is not None and ranks.size and (ranks.min() < 1 or ranks.max() > top):
@@ -278,11 +281,13 @@ def rank_va_outputs(outputs: np.ndarray, name: str = "VA ranker outputs"):
 
     Returns :func:`_rank_rows` of the float array ``outputs``: each row in
     increasing order, the rank of each element and the argsort order.  A
-    non-finite output raises :class:`InvalidInput` and a tie
+    non-finite output raises :class:`InvalidInput`, naming ``name`` and the
+    first such value (``inf``, ``-inf`` or ``nan``), and a tie
     :class:`TiesDetected`, naming ``name``.
     """
     if not np.all(np.isfinite(outputs)):
-        raise InvalidInput(f"{name} must be finite", at=(np.argmin(np.isfinite(outputs)),))
+        j = np.argmin(np.isfinite(outputs))
+        raise InvalidInput(f"{name} must be finite, got {outputs.flat[j]}", at=(j,))
     return _rank_rows(outputs, name)
 
 
@@ -300,6 +305,20 @@ def _first_repeat(values, width: int = 0) -> tuple[int, int] | None:
             return seen[key], i
         seen[key] = i
     return None
+
+
+def unique_ids(ids, name: str = "item ids") -> None:
+    """The one item-id rule: no id of the sequence ``ids`` is listed twice.
+
+    A repeat raises :class:`InvalidInput` naming ``name`` and the id, with
+    the positions of its first two listings in ``at``.  The set size is
+    tested on every call, and :func:`_first_repeat` runs only to locate a
+    repeat.
+    """
+    if len(set(ids)) != len(ids):
+        first, second = _first_repeat(ids)
+        raise InvalidInput(f"{name} must be unique, got {ids[second]!r} twice",
+                           at=(first, second))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -416,14 +435,13 @@ class RankingProblem:
             t = as_values(self.truth, "truth")
             if t.shape != outputs.shape:
                 raise DimensionMismatch(f"truth must have length n+m={total}")
-            self.true_ranks = _frozen(_rank_rows(t, "truth")[1])
+            self.true_ranks = _frozen(ranks_within(t, "truth"))
             self.truth = t
 
         if self.ids is not None:
             if len(self.ids) != total:
                 raise DimensionMismatch("ids must have length n+m")
-            if len(set(self.ids)) != total:
-                raise InvalidInput("ids must be unique")
+            unique_ids(self.ids)
         self._item_ids = (
             list(self.ids) if self.ids is not None else _default_ids(self.n, self.m)
         )

@@ -110,10 +110,10 @@ def test_scalar_scores_refuse_what_the_array_path_refuses():
     # each returned a number before
     nan, inf = math.nan, math.inf
     cases = [
-        (lambda: proxy_score_va(1, 1, 0.5, [nan, 1.0]), "all_values must be finite"),
+        (lambda: proxy_score_va(1, 1, 0.5, [nan, 1.0]), "all_values must be finite, got nan"),
         (lambda: proxy_score_va(1, 1, nan, [0.2, 1.0]), "value must be finite, got nan"),
-        (lambda: proxy_score_va(2, 2, 0.5, [inf, 1.0]), "all_values must be finite"),
-        (lambda: proxy_score_va(1, 2, 0.5, [nan, 1.0]), "all_values must be finite"),
+        (lambda: proxy_score_va(2, 2, 0.5, [inf, 1.0]), "all_values must be finite, got inf"),
+        (lambda: proxy_score_va(1, 2, 0.5, [nan, 1.0]), "all_values must be finite, got nan"),
         (lambda: score_ra(1.5, 3), "r must be an integer, got 1.5"),
         (lambda: proxy_score_ra(1.7, 2.2, 3), "lo must be an integer, got 1.7"),
         (lambda: proxy_score_va(1.5, 1.5, 0.5, [0.2, 1.0]), "lo must be an integer, got 1.5"),
@@ -150,7 +150,7 @@ def test_scalar_scores_refuse_what_the_array_path_refuses():
 @pytest.mark.parametrize("lo, hi, message", [
     ([1e20], [1e20], "ranks must be below 2**63, got 1e+20 for item 'a'"),
     ([1.0], [2.0**63], "ranks must be below 2**63, got 9.223372036854776e+18 for item 'a'"),
-    ([-1e300], [1.0], "ranks must be below 2**63, got -1e+300 for item 'a'"),
+    ([-1e300], [1.0], "ranks must be above -2**63, got -1e+300 for item 'a'"),
 ])
 def test_rank_sets_refuse_floats_beyond_int64_before_the_cast(lo, hi, message):
     # the cast to int64 warned "invalid value encountered in cast" (an error

@@ -37,6 +37,7 @@ from rankcp import (
 from rankcp import cli, evaluate
 from rankcp import envelope as renv
 from rankcp import io as rio
+from rankcp import ranks as rranks
 from rankcp.cli import main
 from rankcp.conformal import DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_DELTA, select_k
 from rankcp.evaluate import DATA_NOISE_SD, SIGMOID, ExperimentConfig, run_experiment
@@ -254,8 +255,9 @@ def test_read_sets_error_messages(tmp_path):
         ("id,lo,hi\nt1,3,2\n", f"{path}:2: need 1 <= lo <= hi, got [3, 2] for item 't1'"),
         ("id,lo,hi\nt0,1,2\n\nt1,0,2\n",
          f"{path}:4: need 1 <= lo <= hi, got [0, 2] for item 't1'"),
+        # was named at its second line only, "item id 't1' is listed more than once"
         ("id,lo,hi\nt1,1,2\nt2,1,2\n\nt1,1,2\n",
-         f"{path}:5: item id 't1' is listed more than once"),
+         f"{path}: lines 2 and 5: item ids must be unique, got 't1' twice"),
         # was numpy's "Python int too large to convert to C long"
         ("id,lo,hi\nt1,1,2\nt2,1,99999999999999999999\n",
          f"{path}:3: ranks must be below 2**63, got 99999999999999999999 for item 't2'"),
@@ -281,18 +283,24 @@ def test_read_sets_error_messages(tmp_path):
      "{path}:2: calib_rank '1.5' is not an integer"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nt1,test,abc,,\n",
      "{path}:3: output 'abc' is not a number"),
-    # a VA output that is not finite was refused without its line
+    # a VA output that is not finite was refused without its line, and
+    # then without its value
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\n\nt1,test,inf,,\n",
-     "{path}:4: VA ranker outputs must be finite"),
+     "{path}:4: VA ranker outputs must be finite, got inf"),
     ("scores", SCORES_HEADER + "c1,calib,nan,1,\nt1,test,-inf,,\n",
-     "{path}:2: VA ranker outputs must be finite"),
+     "{path}:2: VA ranker outputs must be finite, got nan"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nt1,test,1e400,,\n",
-     "{path}:3: VA ranker outputs must be finite"),
+     "{path}:3: VA ranker outputs must be finite, got inf"),
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,\n",
      "{path}: true_value must be set on all rows or none"),
     ("scores", SCORES_HEADER + "t1,test,0.1,,\nt2,test,0.2,,\n", "{path}: no calibration rows"),
+    # a repeated id was named at its second line only, "item id 'c1' is
+    # listed more than once"; RankingProblem refuses it by ranks.unique_ids,
+    # whose positions io maps back to file order
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,\nc1,test,0.2,,\n",
-     "{path}:3: item id 'c1' is listed more than once"),
+     "{path}: lines 2 and 3: item ids must be unique, got 'c1' twice"),
+    ("scores", SCORES_HEADER + "t1,test,0.2,,\nc1,calib,0.1,1,\n\nt1,test,0.3,,\n",
+     "{path}: lines 2 and 5: item ids must be unique, got 't1' twice"),
     # a calib_rank that makes no permutation of 1..n was refused without its
     # line: the first calib row, in file order, outside [1, n], or else both
     # rows of the first repeat
@@ -318,7 +326,11 @@ def test_read_sets_error_messages(tmp_path):
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,x\n",
      "{path}:3: bad true_value"),
     ("truth", SCORES_HEADER + "c1,calib,0.1,1,0.5\nc1,test,0.2,,0.7\n",
-     "{path}:3: item id 'c1' is listed more than once"),
+     "{path}: lines 2 and 3: item ids must be unique, got 'c1' twice"),
+    # read_scores refuses the table and leaves the scores slot as it was, so
+    # read_truth after it parses the table and refuses it in the same words
+    ("scores,truth", SCORES_HEADER + "t1,test,0.2,,0.7\nc1,calib,0.1,1,0.5\nt1,test,0.3,,0.2\n",
+     "{path}: lines 2 and 4: item ids must be unique, got 't1' twice"),
     # a bad or NaN true_value: a traceback, or a NaN ranked last, before
     ("scores", SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,x\n",
      "{path}:3: bad true_value"),
@@ -335,10 +347,11 @@ def test_read_scores_error_messages(tmp_path, reader, body, message):
     # sits in one row, the line (blank lines count)
     path = tmp_path / "scores.csv"
     path.write_text(body)
-    read = rio.read_truth if reader == "truth" else lambda p: rio.read_scores(p, "VA")
-    with pytest.raises(InvalidData) as err:
-        read(path)
-    assert str(err.value) == message.format(path=path)
+    for name in reader.split(","):
+        read = rio.read_truth if name == "truth" else lambda p: rio.read_scores(p, "VA")
+        with pytest.raises(InvalidData) as err:
+            read(path)
+        assert str(err.value) == message.format(path=path)
 
 
 @pytest.mark.parametrize("body, lines, what", [
@@ -654,6 +667,23 @@ def test_a_scores_slot_hit_is_a_fresh_parse(tmp_path, table, truth_first):
     assert _state(scores) == _state(fresh[1])
 
 
+def test_a_predict_and_evaluate_rank_the_truth_once(tmp_path, monkeypatch):
+    # read_scores's problem ranks the truth, and read_truth answers evaluate
+    # from the scores slot that read_scores filled (it ranked the truth again)
+    rank_rows, ranked = rranks._rank_rows, []
+
+    def counted(arr, name):
+        ranked.append(name)
+        return rank_rows(arr, name)
+
+    monkeypatch.setattr(rranks, "_rank_rows", counted)
+    sets, metrics = tmp_path / "sets.csv", tmp_path / "metrics.json"
+    assert main(RUNS["predict"] + ["--out", str(sets)]) == 0
+    assert main(["evaluate", "--sets", str(sets), "--truth", str(GOLDEN_INPUTS["truth"]),
+                 "--out", str(metrics)]) == 0
+    assert ranked.count("truth") == 1
+
+
 @st.composite
 def _written_sets(draw):
     """Sets of ids that need quoting (repeats and a NUL now and then), and target columns."""
@@ -792,7 +822,12 @@ def test_a_field_limit_lowered_after_a_read_refuses_the_table(tmp_path):
     ("sets.csv", "id,lo,hi\nt1,1,2\nt2,x,3\n", rio.read_sets,
      "{path}:3: lo 'x' is not an integer"),
     ("sets.csv", "id,lo,hi\nt1,1,2\nt1,2,3\n", rio.read_sets,
-     "{path}:3: item id 't1' is listed more than once"),
+     "{path}: lines 2 and 3: item ids must be unique, got 't1' twice"),
+    ("scores.csv", SCORES_HEADER + "c1,calib,0.5,1,1\nc1,test,0.7,,2\n", rio.read_truth,
+     "{path}: lines 2 and 3: item ids must be unique, got 'c1' twice"),
+    ("scores.csv", SCORES_HEADER + "c1,calib,0.5,1,1\nc1,test,0.7,,2\n",
+     lambda p: rio.read_scores(p, "VA"),
+     "{path}: lines 2 and 3: item ids must be unique, got 'c1' twice"),
     ("env.json", '{"n": 1,\r\n "m": }', rio.read_envelope,
      "{path}: Expecting value: line 2 column 7 (char 15)"),
 ])
@@ -1222,7 +1257,7 @@ _DEFECTS = [
     ("VA nan", "VA", "output", False), ("VA 1e400", "VA", "output", False),
     ("calib outside", None, "calib_rank", False), ("calib repeat", None, "calib_rank", False),
     ("tied outputs", "VA", "output", False), ("tied truth", None, "true_value", False),
-    ("nan truth", None, "true_value", False),
+    ("nan truth", None, "true_value", False), ("id repeat", None, "id", False),
 ]
 
 
@@ -1282,7 +1317,7 @@ def test_a_defective_scores_row_is_named_by_its_line(tmp_path, capsys, table):
                  "--out", str(tmp_path / "sets.csv")]) == (2 if ra_rule else 4)
     kind = "usage" if ra_rule else "data"
     assert capsys.readouterr().err.startswith(f"rankcp: {kind} error: {where}"), name
-    if "truth" in name:
+    if "truth" in name or name == "id repeat":
         rio._slots.clear()
         with pytest.raises(TiesDetected if "tied" in name else InvalidData) as err:
             rio.read_truth(path)
@@ -1319,6 +1354,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "s.csv")]) == 2
     assert (f"usage error: {bad_ra}:3: RA ranker outputs must be below 2**63, got 1e+20"
             in capsys.readouterr().err)
+    # ... and one below -2**63 is worded by its sign (was "must be below 2**63")
+    bad_ra.write_text(SCORES_HEADER + "c1,calib,1,1,\nt1,test,-1e30,,\n")
+    assert main(["predict", "--scores", str(bad_ra), "--envelope", str(envelope),
+                 "--alpha", "0.25", "--mode", "RA",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert (f"usage error: {bad_ra}:3: RA ranker outputs must be above -2**63, got -1e+30"
+            in capsys.readouterr().err)
     # data: tied VA outputs, with the file and both lines named
     tied = tmp_path / "tied.csv"
     tied.write_text(SCORES_HEADER + "c1,calib,0.1,1,\nt1,test,0.1,,\n")
@@ -1332,7 +1374,23 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["predict", "--scores", str(tied), "--envelope", str(envelope),
                  "--alpha", "0.25", "--mode", "VA",
                  "--out", str(tmp_path / "s.csv")]) == 4
-    assert f"data error: {tied}:3: VA ranker outputs must be finite" in capsys.readouterr().err
+    assert (f"data error: {tied}:3: VA ranker outputs must be finite, got inf"
+            in capsys.readouterr().err)
+    # data: a repeated id, with both lines named by predict, and in the same
+    # words by evaluate after it (read_scores refused the file, so read_truth
+    # parses it)
+    repeat = tmp_path / "repeat.csv"
+    repeat.write_text(SCORES_HEADER + "c1,calib,0.1,1,0.5\nt1,test,0.2,,0.6\n"
+                      "t1,test,0.3,,0.7\n")
+    assert main(["predict", "--scores", str(repeat), "--envelope", str(envelope),
+                 "--alpha", "0.25", "--mode", "VA",
+                 "--out", str(tmp_path / "s.csv")]) == 4
+    refusal = f"data error: {repeat}: lines 3 and 4: item ids must be unique, got 't1' twice"
+    assert refusal in capsys.readouterr().err
+    rio.write_sets(RankSets(items=["t1"], lo=[1], hi=[2]), tmp_path / "one.csv")
+    assert main(["evaluate", "--sets", str(tmp_path / "one.csv"), "--truth", str(repeat),
+                 "--out", str(tmp_path / "m.json")]) == 4
+    assert refusal in capsys.readouterr().err
     # data: a Monte-Carlo sample larger than the machine's memory is refused
     # before anything is allocated
     assert main(["simulate-envelope", "--n", "10", "--m", "10", "--kind", "quantile",
@@ -1386,7 +1444,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     sets_path.write_text("id,lo,hi\nt1,2,2\nt1,2,2\nt2,1,1\n")
     assert main(["evaluate", "--sets", str(sets_path), "--truth", str(truth),
                  "--out", str(tmp_path / "dup.json")]) == 4
-    assert "item id 't1' is listed more than once" in capsys.readouterr().err
+    assert (f"data error: {sets_path}: lines 2 and 3: item ids must be unique, got 't1' twice"
+            in capsys.readouterr().err)
     assert not (tmp_path / "dup.json").exists()
     # data: tied true values, with the truth file and both lines named
     sets_path.write_text("id,lo,hi\nt1,1,2\n")

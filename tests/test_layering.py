@@ -147,7 +147,8 @@ def test_the_benchmark_oracles_accept_one_pass_of_every_workload(tmp_path):
 def test_a_traced_pass_of_every_workload_reaches_its_layers(tmp_path):
     # a traced benchmark run fails when a layer its workload must reach
     # records no call: a reader that serves a file from memory must still
-    # call what it called before (read_truth ranks the truth by ranks_within)
+    # call what it called before (read_scores's problem ranks the truth by
+    # ranks_within, and read_truth answers from what it computed)
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     code = (
         "import sys; from pathlib import Path\n"
@@ -676,18 +677,18 @@ def test_a_refusal_is_located_in_one_place():
      "        raise InvalidInput(f'{path}: RA ranker outputs out of range')\n"
      "    bad = np.flatnonzero(ranks.astype(bool) & ~is_calib)", ("io", "read_scores")),
     # io's own repeat search
-    ("def _check_unique_ids(",
+    ("def _parse_truth(",
      "def _first_repeat(values):\n"
      "    seen = {}\n"
      "    for i, value in enumerate(values):\n"
      "        if value in seen:\n"
      "            return seen[value], i\n"
      "        seen[value] = i\n\n\n"
-     "def _check_unique_ids(", ("io", "_first_repeat")),
+     "def _parse_truth(", ("io", "_first_repeat")),
     # a located message built outside the helper
-    ("        raise _located(path, exc, table.lines) from exc",
-     "        raise InvalidData(f'{path}:{table.lines[exc.at[0]]}: {exc}') from exc",
-     ("io", "read_truth")),
+    ("            raise _located(path, exc, lines) from exc\n        table = (",
+     "            raise InvalidData(f'{path}:{lines[exc.at[0]]}: {exc}') from exc\n"
+     "        table = (", ("io", "read_truth")),
 ])
 def test_a_restored_check_fails_the_refusal_guard(site, restored, found):
     source = (PACKAGE / "io.py").read_text(encoding="utf-8")
@@ -695,3 +696,32 @@ def test_a_restored_check_fails_the_refusal_guard(site, restored, found):
     trees = {module: _tree(module) for module in MODULES}
     trees["io"] = ast.parse(source.replace(site, restored))
     assert _located_refusal_breaks(trees) == {found}
+
+
+def _refuses_on_set_size(node) -> bool:
+    """Whether ``node`` is an ``if`` that compares a ``len(set(...))`` and raises in its body."""
+    return (isinstance(node, ast.If)
+            and any(_called(call) == "len" and call.args and _called(call.args[0]) == "set"
+                    for call in ast.walk(node.test))
+            and any(isinstance(inner, ast.Raise) for stmt in node.body for inner in ast.walk(stmt)))
+
+
+def test_a_repeated_id_is_refused_in_one_place():
+    # ranks.unique_ids is the one item-id rule: no other function raises
+    # after comparing the len(set(...)) of its ids
+    assert _sites(_refuses_on_set_size) == {("ranks", "unique_ids")}
+
+
+def test_a_restored_id_check_fails_the_id_guard():
+    source = (PACKAGE / "io.py").read_text(encoding="utf-8")
+    site = "def _parse_truth("
+    assert source.count(site) == 1
+    trees = {module: _tree(module) for module in MODULES}
+    trees["io"] = ast.parse(source.replace(site, (
+        "def _check_unique_ids(path, ids, lines) -> None:\n"
+        "    if len(set(ids)) != len(ids):\n"
+        "        _, second = _first_repeat(ids)\n"
+        "        raise InvalidData(f'{path}:{lines[second]}: item id {ids[second]!r} '\n"
+        "                          'is listed more than once')\n\n\n" + site)))
+    assert _sites(_refuses_on_set_size, trees) == {("ranks", "unique_ids"),
+                                                    ("io", "_check_unique_ids")}

@@ -19,7 +19,7 @@ from rankcp import (
 )
 from rankcp.conformal import Threshold
 from rankcp.errors import DimensionMismatch
-from rankcp.ranks import as_count, as_level, as_ranks, as_values, tied_rows
+from rankcp.ranks import as_count, as_level, as_ranks, as_values, tied_rows, unique_ids
 
 
 def test_ranks_within_examples():
@@ -107,6 +107,21 @@ def test_problem_validation():
             _problem(ranker_mode="VA", ranker_outputs=[0.1, 0.2, 0.4, 0.3, bad])
     with pytest.raises(InvalidInput):
         _problem(ids=["a", "a", "b", "c", "d"])
+
+
+def test_unique_ids_names_the_first_repeat_and_both_positions():
+    assert unique_ids(["a", "b", "c"]) is None and unique_ids([]) is None
+    for ids, at, message in (
+        (["a", "b", "a", "b"], (0, 2), "item ids must be unique, got 'a' twice"),
+        (("t1", "c1", "c2", "c1", "t1"), (1, 3), "item ids must be unique, got 'c1' twice"),
+    ):
+        with pytest.raises(InvalidInput) as err:
+            unique_ids(ids)
+        assert (str(err.value), err.value.at) == (message, at)
+    # RankingProblem applies the same rule to its ids (it said "ids must be unique")
+    with pytest.raises(InvalidInput) as err:
+        _problem(ids=["c1", "t1", "c2", "t1", "t2"])
+    assert (str(err.value), err.value.at) == ("item ids must be unique, got 't1' twice", (1, 3))
 
 
 def test_problem_ra_outputs_may_repeat():
@@ -215,7 +230,7 @@ RANKS_REFUSALS = {
     "as_count int beyond floats": (lambda: as_count(10**400, "n"), InvalidInput,
                                    f"^n must be below 2\\*\\*63, got {10**400}$"),
     "as_count list of it": (lambda: as_count([-(10**400)], "n"), InvalidInput,
-                            f"^n must be below 2\\*\\*63, got {-(10**400)}$"),
+                            f"^n must be above -2\\*\\*63, got {-(10**400)}$"),
     "as_ranks int beyond floats": (
         lambda: as_ranks([1, 10**400], "lo", items=["a", "b"]), InvalidInput,
         f"^lo must be below 2\\*\\*63, got {10**400} for item 'b'$"),
