@@ -23,7 +23,8 @@ the prediction sets of all test items as one :class:`RankSets`, int64
 ``NamedTuple`` view of a single row, which is not validated again.  The
 scores of :func:`calibrate`, the values of :func:`proxy_score_va` and the
 threshold value :func:`predict_sets` reads go through ``ranks.as_values``,
-the one rule for real-valued arrays, and the ranks of
+the one rule for real-valued arrays, which also refuses a score or a
+threshold that is NaN or below 0 (a score of +inf is one), and the ranks of
 :meth:`RankSets.contains` through ``ranks.as_ranks``.
 
 :func:`scores_at`, :func:`proxy_scores` and :func:`predict_sets` also take a
@@ -45,10 +46,10 @@ score at one rank ``r`` is ``proxy_score_va(r, r, ...)``); ``ranks`` owns
 the rules they apply, so they refuse what the array path refuses: a rank
 that is not a whole number or, in :func:`proxy_score_va`, lies outside the
 values (``ranks.as_count``, the one-value case of the rule that
-:class:`RankSets` and :func:`scores_at` apply), and VA values
-that are not finite or hold ties (the item's own value must be finite
-too).  :func:`calibrate` is the one order-statistic selection here; every
-other ordering is read from ``ranks``.
+:class:`RankSets` and :func:`scores_at` apply), and VA values that are not
+finite or hold ties (the item's own value is read by ``ranks.as_number``,
+finite too).  :func:`calibrate` is the one order-statistic selection here;
+every other ordering is read from ``ranks``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import numpy as np
 
 from .envelope import Envelope, _ceil_count
 from .errors import DimensionMismatch, InfeasibleLevel, InvalidInput
-from .ranks import (RA, ItemId, RankingProblem, _as_array, _as_number, as_count, as_level,
+from .ranks import (RA, ItemId, RankingProblem, _as_array, as_count, as_level, as_number,
                     as_ranks, as_values, rank_va_outputs)
 
 MARGINAL = "marginal"
@@ -205,14 +206,13 @@ def proxy_score_va(lo: int, hi: int, value: float, all_values) -> float:
     The gap is decreasing then increasing as ``r`` sweeps past the value's own
     position, so the maximum sits at an edge; one ordering serves both edges.
     ``all_values`` follow the VA output rule of :func:`rank_va_outputs`, and
-    ``value``, the item's own output, must be finite.
+    ``value``, the item's own output, is finite too.
     """
     arr = as_values(all_values, "all_values", ndims=(1,))
     lo, hi = as_count(lo, "lo", top=arr.size), as_count(hi, "hi", top=arr.size)
     if lo > hi:
         raise InvalidInput(f"need lo <= hi, got [{lo}, {hi}]")
-    if not math.isfinite(_as_number(value, "value")):
-        raise InvalidInput(f"value must be finite, got {value}")
+    value = as_number(value, "value")
     ordered = rank_va_outputs(arr, "all_values")[0]
     return float(max(abs(ordered[lo - 1] - value), abs(ordered[hi - 1] - value)))
 
@@ -274,13 +274,14 @@ def select_k(alpha: float, delta: float, n: int) -> int:
 def calibrate(scores, k: int, alpha: float | None = None) -> Threshold:
     """Threshold at the k-th smallest of ``n`` scores (ties counted with multiplicity).
 
-    ``scores`` is any array-like of ``n`` calibration scores (proxy or true),
-    or a ``(rows, n)`` stack whose threshold value is each row's own k-th
-    smallest score.  ``k`` comes from :func:`select_k` (marginal validity) or
-    :func:`fcp_calibration` (FCP control); the threshold does not depend on
-    which.  ``alpha`` is recorded on the threshold as given.
+    ``scores`` is any array-like of ``n`` calibration scores (proxy or true,
+    read by ``ranks.as_values`` as nonnegative), or a ``(rows, n)`` stack
+    whose threshold value is each row's own k-th smallest score.  ``k`` comes
+    from :func:`select_k` (marginal validity) or :func:`fcp_calibration` (FCP
+    control); the threshold does not depend on which.  ``alpha`` is recorded
+    on the threshold as given.
     """
-    arr = as_values(scores, "scores", ndims=(1, 2))
+    arr = as_values(scores, "scores", ndims=(1, 2), nonnegative=True)
     n = arr.shape[-1]
     k = as_count(k, "k", top=n)  # a rank among the n scores
     value = np.partition(arr, k - 1, axis=-1)[..., k - 1]
@@ -389,11 +390,9 @@ def predict_sets(problem: RankingProblem, thr: Threshold) -> RankSets:
     each item's edges lie in its own row's span, against its own row's
     threshold.
     """
-    value = as_values(thr.value, "threshold")
+    value = as_values(thr.value, "threshold", nonnegative=True)
     if value.shape != problem.calib_ranks.shape[:-1]:
         raise DimensionMismatch("need one threshold per problem of the batch")
-    if not np.all(value >= 0):
-        raise InvalidInput("threshold must be nonnegative")
     total = problem.total
     # one threshold per row, broadcast against that row's m test items
     per_item = value[..., None]

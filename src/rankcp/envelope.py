@@ -74,7 +74,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSample, InvalidInput, SampleTooLarge
-from .ranks import _as_number, as_count, as_level, as_ranks
+from .ranks import as_count, as_level, as_number, as_ranks
 from .streams import CHUNK, as_seed, chunk_stream
 
 THEORETICAL_C = 4.0 * math.sqrt(2.0 * math.pi)
@@ -349,12 +349,12 @@ class Envelope:
     the shape parameter: ``lam`` (theoretical), ``c_hat`` (linear),
     ``gamma_hat`` (quantile), ``None`` (naive).  The sizes are read by
     ``ranks.as_count`` and the bounds by ``ranks.as_ranks``, in ``[1, n+m]``,
-    so whole floats and numpy scalars are accepted; ``param`` and
-    ``mc_meta.slack`` must be real numbers and ``mc_meta.seed`` an integer
-    (``streams.as_seed``).  The sizes, ``mc_meta.K``, ``mc_meta.seed``,
-    ``delta``, ``param`` and ``mc_meta.slack`` are stored as Python ints and
-    floats (a new ``mc_meta``: the caller's is not changed), which JSON can
-    write.
+    so whole floats and numpy scalars are accepted; ``param`` is read by
+    ``ranks.as_number`` as finite, ``mc_meta.slack`` as finite and
+    nonnegative, and ``mc_meta.seed`` by ``streams.as_seed``.  The sizes,
+    ``mc_meta.K``, ``mc_meta.seed``, ``delta``, ``param`` and
+    ``mc_meta.slack`` are stored as Python ints and floats (a new
+    ``mc_meta``: the caller's is not changed), which JSON can write.
     """
 
     n: int
@@ -373,16 +373,11 @@ class Envelope:
         self.n, self.m = as_count(self.n, "n", least=1), as_count(self.m, "m", least=0)
         check_envelope_kind(self.kind)
         self.delta = as_level(self.delta, "delta")
-        self.param = None if self.param is None else _as_number(self.param, "param")
-        if self.param is not None and not math.isfinite(self.param):
-            raise InvalidInput(f"param must be finite, got {self.param}")
+        self.param = None if self.param is None else as_number(self.param, "param")
         meta = self.mc_meta
         if meta is not None:
             K = as_count(meta.K, "mc_meta.K", least=1)
-            slack = _as_number(meta.slack, "mc_meta.slack")
-            if not 0.0 <= slack < math.inf:  # False for nan
-                raise InvalidInput(
-                    f"mc_meta.slack must be finite and nonnegative, got {meta.slack}")
+            slack = as_number(meta.slack, "mc_meta.slack", nonnegative=True)
             self.mc_meta = replace(meta, K=K, seed=as_seed(meta.seed, "mc_meta.seed"),
                                    slack=slack)
         lower, upper = (as_ranks(bound, "bounds", top=self.n + self.m)

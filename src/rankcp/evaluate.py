@@ -51,9 +51,9 @@ from .errors import DimensionMismatch, InvalidInput, MissingTruth
 from .ranks import (
     RA,
     RankingProblem,
-    _as_number,
     as_count,
     as_level,
+    as_number,
     as_ranks,
     break_ties,
     check_mode,
@@ -109,19 +109,13 @@ def relative_length(sets: RankSets, n_plus_m: int) -> float | np.ndarray:
     return _per_row(np.mean(sets.size, axis=-1) / as_count(n_plus_m, "n_plus_m", least=1))
 
 
-def _check_noise(name: str, value: float) -> None:
-    """Refuse a noise level that is no number, negative, infinite or NaN, naming its parameter."""
-    if not 0.0 <= _as_number(value, name) < math.inf:
-        raise InvalidInput(f"{name}={value} must be finite and nonnegative")
-
-
 def _check_settings(data_model: str, mode: str, noise_sd: float) -> None:
     """Refuse a data model, ranker mode or ranker noise level no problem is drawn with.
 
     The one check of these settings, for :func:`synthesize_problem` and
     :class:`ExperimentConfig` alike.
     """
-    _check_noise("noise_sd", noise_sd)
+    as_number(noise_sd, "noise_sd", nonnegative=True)
     check_mode(mode)
     if data_model not in DATA_MODELS:
         raise InvalidInput(f"data_model must be one of {DATA_MODELS}")
@@ -180,15 +174,16 @@ def synthesize_problem(
     1-D array of integer seeds for the batch problem whose row ``i`` equals
     the problem for ``seeds[i]`` alone: each row draws from its own seed's
     streams, and an integer seed gives row 0 of the one-seed batch.  The
-    noise levels, ``mode``, the model and the sizes are checked before
-    anything is drawn, and errors name the parameters of this function.
+    noise levels (finite and nonnegative, by ``ranks.as_number``), ``mode``,
+    the model and the sizes are checked before anything is drawn, and errors
+    name the parameters of this function.
 
     The toy ranker stands in for a trained one: the truth plus Gaussian
     noise of standard deviation ``noise_sd`` (0 gives the perfect ranker),
     as values in VA mode and as their ranks in RA mode.
     """
     _check_settings(data_model, mode, noise_sd)
-    _check_noise("data_noise_sd", data_noise_sd)
+    as_number(data_noise_sd, "data_noise_sd", nonnegative=True)
     n, m = as_count(n, "n", least=1), as_count(m, "m", least=0)
     if n + m < 2:
         raise InvalidInput(f"need n + m >= 2, got n={n}, m={m}")

@@ -36,18 +36,27 @@ size and index of the package (``n``, ``m``, ``K``, ``k``, ``reps``, ``d``,
 Seeds keep ``streams.as_seed``'s stricter rule, since ``streams`` cannot
 import this module.  A probability level (``alpha``, ``beta``, ``delta``,
 ``alpha_bar``, ``beta_bar``) goes through :func:`as_level`, which refuses what
-is not one real number and a value outside its interval; ``evaluate``'s noise
-levels, ``Envelope``'s ``param`` and ``mc_meta.slack`` and
-``proxy_score_va``'s ``value`` apply its number test, :func:`_as_number`.  An
-array of real numbers goes through :func:`as_values`, the value rule, which
-reads integers and floats as float64, each element of an object array by that
-number test, and refuses a boolean, a string, ``None``, a ragged list and a
-number of dimensions the caller does not serve: the values of
+is not one real number (:func:`_as_number`) and a value outside its interval.
+An array of real numbers goes through :func:`as_values`, the value rule, which
+reads integers and floats as float64, each element of an object array by
+:func:`_as_number`, and refuses a boolean, a string, ``None``, a ragged list
+and a number of dimensions the caller does not serve: the values of
 :func:`break_ties` and :func:`ranks_within`, the VA outputs and ``truth`` of a
 :class:`RankingProblem`, ``conformal.proxy_score_va``'s ``all_values``,
 ``conformal.calibrate``'s scores, the threshold value of
 ``conformal.predict_sets``, and the float path of :func:`as_ranks` itself; no
-other function reads an input as floats.  ``evaluate.fcp`` and
+other function reads an input as floats.  A real number given alone goes
+through :func:`as_number`, the value rule's one-value case, always finite:
+``evaluate``'s noise levels, ``Envelope``'s ``param`` and ``mc_meta.slack``
+and ``proxy_score_va``'s ``value``.  The value rule is also the one finite rule:
+``finite`` refuses NaN and ±inf (the noise levels, ``param``,
+``mc_meta.slack``, ``proxy_score_va``'s ``value`` and ``all_values``, the VA
+outputs of :func:`rank_va_outputs` and the values of :func:`break_ties`), and
+``nonnegative`` refuses NaN and a value below 0 but lets +inf pass (the noise
+levels, ``mc_meta.slack``, ``conformal.calibrate``'s scores and the threshold
+of ``conformal.predict_sets``, which is one of them: the VA gap of far-apart
+outputs overflows to +inf, a score all the same).  No other module tests an
+input for finiteness or sign.  ``evaluate.fcp`` and
 ``conformal.RankSets.contains`` read true ranks by :func:`as_ranks` with
 ``top=math.inf``: a rank above every set is missed, and one below 1, which no
 item holds, is refused (``[1, inf)``). Ranks and order statistics have no
@@ -201,8 +210,20 @@ def _as_number(value, name: str) -> float:
         return math.inf if number > 0 else -math.inf
 
 
+def as_number(value, name: str, nonnegative: bool = False) -> float:
+    """``value`` as a finite float: the one-value case of :func:`as_values`.
+
+    What is not one real number is refused as :func:`_as_number` refuses
+    it, and NaN, ±inf and, with ``nonnegative``, a value below 0 as
+    :func:`as_values` refuses them.
+    """
+    return float(as_values(_as_number(value, name), name, finite=True,
+                           nonnegative=nonnegative))
+
+
 def as_values(values, name: str, ndims: tuple[int, ...] | None = None,
-              noun: str | None = None) -> np.ndarray:
+              noun: str | None = None, finite: bool = False,
+              nonnegative: bool = False) -> np.ndarray:
     """``values`` as float64: the one rule for an array of real numbers.
 
     An integer or float array is read as it is, a float64 one without a
@@ -213,6 +234,12 @@ def as_values(values, name: str, ndims: tuple[int, ...] | None = None,
     by default ``numbers``, or ``a number`` for a 0-d value), and so does a
     number of dimensions outside ``ndims``: ``(1,)`` for a vector, ``(1,
     2)`` for a vector or a ``(rows, length)`` stack of vectors.
+
+    The finite rule: ``finite`` refuses NaN and ±inf, and ``nonnegative``
+    NaN and a value below 0 (+inf passes).  The first refused element
+    raises :class:`InvalidInput` worded ``<name> must be finite``,
+    ``nonnegative`` or ``finite and nonnegative, got <v>``, with its flat
+    position in ``at``.
     """
     arr = _as_array(values, name)
     if arr.dtype.kind not in "iufO":
@@ -223,6 +250,15 @@ def as_values(values, name: str, ndims: tuple[int, ...] | None = None,
     if ndims is not None and arr.ndim not in ndims:
         shape = "one-dimensional" if ndims == (1,) else "a vector or a stack of vectors"
         raise InvalidInput(f"{name} must be {shape}")
+    if finite or nonnegative:
+        ok = np.isfinite(arr) if finite else arr >= 0  # False for NaN
+        if finite and nonnegative:
+            ok &= arr >= 0
+        if not ok.all():
+            j = np.argmin(ok)
+            rule = ("finite and nonnegative" if finite and nonnegative
+                    else "finite" if finite else "nonnegative")
+            raise InvalidInput(f"{name} must be {rule}, got {arr.flat[j]}", at=(j,))
     return arr
 
 
@@ -280,15 +316,11 @@ def rank_va_outputs(outputs: np.ndarray, name: str = "VA ranker outputs"):
     """The rule for VA ranker outputs: finite and tie-free along the last axis.
 
     Returns :func:`_rank_rows` of the float array ``outputs``: each row in
-    increasing order, the rank of each element and the argsort order.  A
-    non-finite output raises :class:`InvalidInput`, naming ``name`` and the
-    first such value (``inf``, ``-inf`` or ``nan``), and a tie
+    increasing order, the rank of each element and the argsort order.  The
+    outputs are read by :func:`as_values` with ``finite``, and a tie raises
     :class:`TiesDetected`, naming ``name``.
     """
-    if not np.all(np.isfinite(outputs)):
-        j = np.argmin(np.isfinite(outputs))
-        raise InvalidInput(f"{name} must be finite, got {outputs.flat[j]}", at=(j,))
-    return _rank_rows(outputs, name)
+    return _rank_rows(as_values(outputs, name, finite=True), name)
 
 
 def _first_repeat(values, width: int = 0) -> tuple[int, int] | None:
@@ -337,9 +369,7 @@ def break_ties(values, seed: int) -> np.ndarray:
     never mutates the input.  The values must be finite: no step parts two
     equal infinities, and NaN has no order.
     """
-    arr = as_values(values, "values", ndims=(1,))
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput("break_ties needs finite values")
+    arr = as_values(values, "values", ndims=(1,), finite=True)
     order = np.lexsort((stream(seed, "tie-break").permutation(arr.size), arr))
     swept = arr[order].tolist()
     for i in range(1, len(swept)):

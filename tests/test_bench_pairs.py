@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -104,3 +105,26 @@ def test_pairs_alternate_their_order_and_keep_other_workloads(tmp_path, monkeypa
     # no BENCHMARK.json in the change checkout: no direction, so no wins
     assert entry["metrics"]["wall_s"]["change"] == pytest.approx([1.4, 1.41, 1.42])
     assert entry["metrics"]["wall_s"]["change_wins"] is None
+
+
+def test_each_side_names_its_commit_or_null(tmp_path, monkeypatch):
+    # the change holds a .git, whose HEAD git names; the parent a directory
+    # with none, as a git archive copy is, which git is not asked about
+    monkeypatch.setattr(bench_pairs, "_run", lambda checkout, workload, seed, seconds:
+                        bench_pairs.parse_run(_output({"wall_s": 1.0}, seed)))
+    commands = []
+
+    def git(command, **kwargs):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 0, stdout="0123abcd\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", git)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (change / ".git").mkdir(parents=True)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "offline", "--pairs", "1",
+                             "--seconds", "1", "--seed", "1", "--out", str(out)]) == 0
+    assert commands == [["git", "-C", str(change), "rev-parse", "HEAD"]]
+    assert json.loads(out.read_text())["offline"]["commits"] == {"parent": None,
+                                                                 "change": "0123abcd"}

@@ -179,7 +179,7 @@ def test_calibrate_examples():
     with pytest.raises(RankOutOfRange):
         calibrate(scores, 4)
     rng = np.random.default_rng(3)
-    scores = rng.normal(size=17)
+    scores = rng.exponential(size=17)
     for k in (1, 5, 17):
         assert calibrate(scores, k).value == sorted(scores)[k - 1]
 

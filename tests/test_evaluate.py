@@ -275,11 +275,12 @@ def test_experiment_config_validation():
 
 
 # 10**400 ended in a bare OverflowError: int too large to convert to float
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -0.5,
-                                 pytest.param(10**400, id="10**400"),
-                                 pytest.param(-(10**400), id="-10**400")])
-def test_noise_levels_must_be_finite_and_nonnegative(bad):
-    message = f"noise_sd={bad} must be finite and nonnegative"
+@pytest.mark.parametrize("bad, got", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+                                      (-0.5, "-0.5"),
+                                      pytest.param(10**400, "inf", id="10**400"),
+                                      pytest.param(-(10**400), "-inf", id="-10**400")])
+def test_noise_levels_must_be_finite_and_nonnegative(bad, got):
+    message = f"noise_sd must be finite and nonnegative, got {got}"
     for model in ("sigmoid", "beta_adaptive"):
         with pytest.raises(InvalidInput, match=f"^{message}$"):
             synthesize_problem(model, 5, 5, bad, "VA", seed=0)

@@ -1538,28 +1538,28 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # parameter (inf reached the tie check, NaN the rank check, and a negative
     # level passed), and so does a Monte-Carlo envelope with K_env < 1; the
     # experiment stops before it builds an envelope
-    for flags, message in [
-        (["--noise-sd", "inf", "--envelope-kind", "naive"], "noise_sd=inf"),
-        (["--noise-sd", "nan"], "noise_sd=nan"),
-        (["--noise-sd", "-1"], "noise_sd=-1.0"),
+    for flags, name, value in [
+        (["--noise-sd", "inf", "--envelope-kind", "naive"], "noise_sd", "inf"),
+        (["--noise-sd", "nan"], "noise_sd", "nan"),
+        (["--noise-sd", "-1"], "noise_sd", "-1.0"),
     ]:
         assert main(["experiment", "--n", "50", "--m", "5", "--reps", "2", *flags,
                      "--out", str(tmp_path / "r.csv")]) == 2
-        assert f"usage error: {message} must be finite and nonnegative" in (
+        assert f"usage error: {name} must be finite and nonnegative, got {value}" in (
             capsys.readouterr().err)
     assert main(["experiment", "--K-env", "0", "--reps", "2",
                  "--out", str(tmp_path / "r.csv")]) == 2
     assert "usage error: K_env=0 must be at least 1 for a quantile envelope" in (
         capsys.readouterr().err)
     assert not (tmp_path / "r.csv").exists()
-    for flags, message in [
-        (["--data-noise-sd", "inf"], "data_noise_sd=inf"),
-        (["--data-noise-sd", "-0.5"], "data_noise_sd=-0.5"),
-        (["--noise-sd", "nan"], "noise_sd=nan"),
+    for flags, name, value in [
+        (["--data-noise-sd", "inf"], "data_noise_sd", "inf"),
+        (["--data-noise-sd", "-0.5"], "data_noise_sd", "-0.5"),
+        (["--noise-sd", "nan"], "noise_sd", "nan"),
     ]:
         assert main(["synth", "--n", "5", "--m", "5", "--mode", "VA", *flags,
                      "--out", str(tmp_path / "syn.csv")]) == 2
-        assert f"usage error: {message} must be finite and nonnegative" in (
+        assert f"usage error: {name} must be finite and nonnegative, got {value}" in (
             capsys.readouterr().err)
     assert not (tmp_path / "syn.csv").exists()
 

@@ -9,9 +9,10 @@ the count ceiling of a level once; and ``ranks`` alone writes the
 ranker-mode vocabulary, the ordering rules, the whole-number rule for ranks
 and counts, the range rule ``[1, top]`` for ranks and indices, the
 interval rule for probability levels and the value rule for real-valued
-arrays: no other function compares a size, an index or a level with a
-number of its own, tests an array's least or greatest value against a
-bound, raises ``RankOutOfRange`` or reads an input as floats.  In ``io``,
+arrays, with its finite and sign tests: no other function compares a size,
+an index or a level with a number of its own, tests an array's least or
+greatest value against a bound, raises ``RankOutOfRange``, reads an input
+as floats or tests one for finiteness.  In ``io``,
 one function reads a file's bytes and one writes them, and no other
 function in the package takes a sha256.  A refusal carries the positions it
 refused: ``io`` applies no value rule of its own to a parsed column, the
@@ -315,6 +316,17 @@ def _message(node) -> str:
                    and isinstance(piece.value, str))
 
 
+def _restored(module: str, edits) -> dict[str, ast.Module]:
+    """Every module's parsed source, with ``module``'s ``(site, restored)`` edits made."""
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    for site, restored in edits:
+        assert source.count(site) == 1, site
+        source = source.replace(site, restored)
+    trees = {name: _tree(name) for name in MODULES}
+    trees[module] = ast.parse(source)
+    return trees
+
+
 def test_envelope_owns_the_count_ceiling():
     # one function rounds a level up to a count with the float guard, for
     # the fits' need and select_k's k; fcp_calibration's floor of
@@ -554,7 +566,7 @@ def test_ranks_owns_the_value_rule():
 
 def test_a_restored_float_read_fails_the_value_guard():
     source = (PACKAGE / "conformal.py").read_text(encoding="utf-8")
-    read = '    arr = as_values(scores, "scores", ndims=(1, 2))\n'
+    read = '    arr = as_values(scores, "scores", ndims=(1, 2), nonnegative=True)\n'
     assert source.count(read) == 1
     tree = ast.parse(source.replace(read, '    arr = np.asarray(scores, dtype=float)\n'))
     assert _bare_float_reads("conformal", tree) == {("conformal", "calibrate")}
@@ -691,11 +703,7 @@ def test_a_refusal_is_located_in_one_place():
      "        table = (", ("io", "read_truth")),
 ])
 def test_a_restored_check_fails_the_refusal_guard(site, restored, found):
-    source = (PACKAGE / "io.py").read_text(encoding="utf-8")
-    assert source.count(site) == 1
-    trees = {module: _tree(module) for module in MODULES}
-    trees["io"] = ast.parse(source.replace(site, restored))
-    assert _located_refusal_breaks(trees) == {found}
+    assert _located_refusal_breaks(_restored("io", [(site, restored)])) == {found}
 
 
 def _refuses_on_set_size(node) -> bool:
@@ -713,15 +721,115 @@ def test_a_repeated_id_is_refused_in_one_place():
 
 
 def test_a_restored_id_check_fails_the_id_guard():
-    source = (PACKAGE / "io.py").read_text(encoding="utf-8")
     site = "def _parse_truth("
-    assert source.count(site) == 1
-    trees = {module: _tree(module) for module in MODULES}
-    trees["io"] = ast.parse(source.replace(site, (
+    trees = _restored("io", [(site, (
         "def _check_unique_ids(path, ids, lines) -> None:\n"
         "    if len(set(ids)) != len(ids):\n"
         "        _, second = _first_repeat(ids)\n"
         "        raise InvalidData(f'{path}:{lines[second]}: item id {ids[second]!r} '\n"
-        "                          'is listed more than once')\n\n\n" + site)))
+        "                          'is listed more than once')\n\n\n" + site))])
     assert _sites(_refuses_on_set_size, trees) == {("ranks", "unique_ids"),
                                                     ("io", "_check_unique_ids")}
+
+
+# the calls that test a number for finiteness, and ranks' private number read
+_FINITE_CALLS = {"isfinite", "isnan", "isinf", "_as_number"}
+
+# (module, function) of the finite tests outside ranks that judge no input:
+# _tie_free tests the values it generated, and its message names the noise
+# level that made them; _edge_guesses tests whether its shifted layout of
+# the sorted outputs overflows, and scales it down where it would
+_FINITE_EXCEPTIONS = {("evaluate", "_tie_free"), ("conformal", "_edge_guesses")}
+
+
+def _sign_refusal(node) -> bool:
+    """Whether ``node`` is an ``if`` that raises on one order comparison with 0.
+
+    The comparison may be negated and wrapped in ``all`` or ``any``, as
+    ``if not np.all(value >= 0): raise ...``; a compound test, such as
+    ``Envelope``'s ``delta > 0.0 and K < 1.0 / delta``, is no sign rule.
+    """
+    if not isinstance(node, ast.If) or not any(
+            isinstance(inner, ast.Raise) for stmt in node.body for inner in ast.walk(stmt)):
+        return False
+    test = node.test
+    while isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not) or (
+            _called(test) in {"all", "any"} and test.args):
+        test = test.operand if isinstance(test, ast.UnaryOp) else test.args[0]
+    return (isinstance(test, ast.Compare)
+            and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in test.ops)
+            and any(isinstance(side, ast.Constant) and side.value == 0
+                    and not isinstance(side.value, bool)
+                    for side in (test.left, *test.comparators)))
+
+
+def _finite_test(node) -> bool:
+    """Whether ``node`` tests finiteness or sign, or imports ``_as_number``.
+
+    A test is a call in ``_FINITE_CALLS``, a comparison with ``inf`` or a
+    :func:`_sign_refusal`.
+    """
+    if isinstance(node, ast.ImportFrom):
+        return "_as_number" in {alias.name for alias in node.names}
+    return _called(node) in _FINITE_CALLS or _sign_refusal(node) or (
+        isinstance(node, ast.Compare) and any(
+            getattr(side, "attr", getattr(side, "id", None)) == "inf"
+            for side in (node.left, *node.comparators)))
+
+
+def _finite_rule_breaks(trees=None) -> set[tuple[str, str | None]]:
+    """Sites outside ``ranks`` that test finiteness or sign, as :func:`_sites` gives them."""
+    return {site for site in _sites(_finite_test, trees) if site[0] != "ranks"}
+
+
+def test_ranks_owns_the_finite_rule():
+    # ranks.as_values and as_number hold the one finite and sign rule of an
+    # input; no other module imports ranks' private number read or tests a
+    # value for finiteness or sign, but the two that judge values of their own
+    assert _finite_rule_breaks() == _FINITE_EXCEPTIONS
+    assert "_check_noise" not in _names("evaluate")
+
+
+def test_a_restored_noise_check_fails_the_finite_guard():
+    # evaluate's own noise check, with its import of ranks' private number read
+    trees = _restored("evaluate", [
+        ("    as_count,\n", "    _as_number,\n    as_count,\n"),
+        ("def _check_settings(",
+         "def _check_noise(name: str, value: float) -> None:\n"
+         "    if not 0.0 <= _as_number(value, name) < math.inf:\n"
+         '        raise InvalidInput(f"{name}={value} must be finite and nonnegative")\n\n\n'
+         "def _check_settings("),
+        ('    as_number(noise_sd, "noise_sd", nonnegative=True)\n',
+         '    _check_noise("noise_sd", noise_sd)\n'),
+    ])
+    assert _finite_rule_breaks(trees) - _FINITE_EXCEPTIONS == {
+        ("evaluate", None), ("evaluate", "_check_noise")}
+
+
+@pytest.mark.parametrize("module, edits, found", [
+    # Envelope's param test, written out
+    ("envelope", [('as_number(self.param, "param")\n',
+                   'float(self.param)\n'
+                   "        if self.param is not None and not math.isfinite(self.param):\n"
+                   '            raise InvalidInput(f"param must be finite, got {self.param}")\n')],
+     ("envelope", "__post_init__")),
+    # Envelope's slack test, as a chain up to inf
+    ("envelope", [('as_number(meta.slack, "mc_meta.slack", nonnegative=True)\n',
+                   "float(meta.slack)\n"
+                   "            if not 0.0 <= slack < math.inf:\n"
+                   '                raise InvalidInput("mc_meta.slack must be finite")\n')],
+     ("envelope", "__post_init__")),
+    # proxy_score_va's value test, by ranks' private number read
+    ("conformal", [('    value = as_number(value, "value")\n',
+                    '    if not math.isfinite(_as_number(value, "value")):\n'
+                    '        raise InvalidInput(f"value must be finite, got {value}")\n')],
+     ("conformal", "proxy_score_va")),
+    # predict_sets' threshold sign test, written out
+    ("conformal", [('    value = as_values(thr.value, "threshold", nonnegative=True)\n',
+                    '    value = as_values(thr.value, "threshold")\n'
+                    "    if not np.all(value >= 0):\n"
+                    '        raise InvalidInput("threshold must be nonnegative")\n')],
+     ("conformal", "predict_sets")),
+])
+def test_a_restored_finite_check_fails_the_finite_guard(module, edits, found):
+    assert _finite_rule_breaks(_restored(module, edits)) - _FINITE_EXCEPTIONS == {found}

@@ -483,6 +483,80 @@ def test_one_value_rule_for_every_value_entry_point(value):
             assert got == reference and type(got) is type(reference), entry
 
 
+_VA_BATCH = RankingProblem(n=1, m=2, calib_ranks=[[1]] * 3, ranker_mode="VA",
+                           ranker_outputs=[[0.1, 0.5, 2.0]] * 3)
+
+# Each site of the finite rule: the call that reads a value ``v`` (alone, or
+# at position 1 of an array beside 0.5 and 2.0), the name its refusals give
+# it, and its variant: whether it refuses ±inf (finite) and values below 0
+# (nonnegative); NaN is refused by both.  The last field says whether the
+# site reads an array, whose refusals carry the position 1 in ``at``.
+_FINITE_SITES = {
+    "synthesize_problem noise_sd": (
+        lambda v: synthesize_problem("sigmoid", 3, 2, v, "VA", seed=0), "noise_sd",
+        True, True, False),
+    "synthesize_problem data_noise_sd": (
+        lambda v: synthesize_problem("beta_adaptive", 3, 2, 0.1, "VA", seed=0, data_noise_sd=v),
+        "data_noise_sd", True, True, False),
+    "ExperimentConfig noise_sd": (lambda v: ExperimentConfig(noise_sd=v), "noise_sd",
+                                  True, True, False),
+    "Envelope param": (lambda v: Envelope(**{**_ENVELOPE, "param": v}), "param",
+                       True, False, False),
+    "Envelope mc_meta.slack": (
+        lambda v: Envelope(**_ENVELOPE, mc_meta=MonteCarloMeta(K=10, seed=1, slack=v)),
+        "mc_meta.slack", True, True, False),
+    "proxy_score_va value": (lambda v: proxy_score_va(1, 3, v, [0.25, 0.5, 2.0]), "value",
+                             True, False, False),
+    "proxy_score_va all_values": (lambda v: proxy_score_va(1, 3, 0.25, [0.5, v, 2.0]),
+                                  "all_values", True, False, True),
+    "VA ranker outputs": (lambda v: _va_problem(outputs=(0.5, v, 2.0)), "VA ranker outputs",
+                          True, False, True),
+    "break_ties values": (lambda v: break_ties([0.5, v, 2.0], 0), "values", True, False, True),
+    "calibrate scores": (lambda v: calibrate([0.5, v, 2.0], 2), "scores", False, True, True),
+    "predict_sets threshold": (lambda v: predict_sets(_VA_PROBLEM, Threshold(k=1, value=v)),
+                               "threshold", False, True, False),
+    "predict_sets batch threshold": (
+        lambda v: predict_sets(_VA_BATCH, Threshold(k=1, value=[0.5, v, 2.0])), "threshold",
+        False, True, True),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@example(value=math.nan)
+@example(value=-math.inf)
+@example(value=-(10**400))
+@given(value=_VALUE_LIKE)
+def test_one_finite_rule_for_every_finite_site(value):
+    # every finite or sign test of an input is ranks' one rule: NaN is
+    # refused everywhere, ±inf where the site is finite and a value below 0
+    # where it is nonnegative, in one wording, and an array site names the
+    # refused position; what is not a number is refused as not one (None
+    # is an Envelope's lack of a param)
+    number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    for site, (read, name, finite, nonnegative, array) in _FINITE_SITES.items():
+        try:
+            read(value)
+            refused = None
+        except Exception as exc:  # an accepted value may fail later, past the rule
+            refused = exc
+        if not number:
+            if (site, value) != ("Envelope param", None):
+                assert isinstance(refused, InvalidInput), (site, refused)
+                assert str(refused).startswith(f"{name} must be "), (site, refused)
+            continue
+        x = float(as_values(value, "value"))  # an int beyond the float range reads as ±inf
+        rule = " and ".join(word for word, on in (("finite", finite),
+                                                  ("nonnegative", nonnegative)) if on)
+        if math.isnan(x) or (finite and math.isinf(x)) or (nonnegative and x < 0):
+            assert type(refused) is InvalidInput, (site, refused)
+            assert str(refused) == f"{name} must be {rule}, got {x}", (site, refused)
+            if array:
+                assert refused.at == (1,), (site, refused.at)
+        else:
+            assert refused is None or " must be finite" not in str(refused) and (
+                " must be nonnegative" not in str(refused)), (site, refused)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_topk_candidates_nested_in_k_top(data):

@@ -1,5 +1,7 @@
 """Rank arithmetic: examples, brute-force oracles, and invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,9 @@ def test_break_ties_all_equal():
 def test_break_ties_refuses_non_finite_values(bad):
     # no ulp step parts two equal infinities, and NaN has no order: both came
     # back still tied
-    with pytest.raises(InvalidInput, match="^break_ties needs finite values$"):
-        break_ties([bad, bad, 1.0], seed=0)
+    with pytest.raises(InvalidInput, match=f"^values must be finite, got {bad}$") as err:
+        break_ties([1.0, bad, bad], seed=0)
+    assert err.value.at == (1,)
 
 
 def _problem(**overrides):
@@ -278,6 +281,11 @@ VALUE_REFUSALS = {
     "calibrate None": (lambda: calibrate([0.5, None], 1), "scores must be a number, got None"),
     "calibrate 3-D": (lambda: calibrate(np.zeros((2, 2, 2)), 1),
                       "scores must be a vector or a stack of vectors"),
+    # a NaN score gave a NaN threshold (k=3), or was passed over (k=1)
+    "calibrate NaN": (lambda: calibrate([1.0, 2.0, math.nan], 1),
+                      "scores must be nonnegative, got nan"),
+    "calibrate negative": (lambda: calibrate([[0.5, 1.0], [2.0, -0.5]], 1),
+                           "scores must be nonnegative, got -0.5"),
     "proxy_score_va string": (lambda: proxy_score_va(1, 1, 0.5, ["a", "b"]),
                               "all_values must be numbers, got <U1"),
     "ranks_within string": (lambda: ranks_within(["a", "b"]), "values must be numbers, got <U1"),

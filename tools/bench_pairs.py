@@ -15,7 +15,9 @@ that ``run.py`` hands its pass processes.
 A run's last line of output is its result (``metrics`` among it), and the
 line before it its machine and run record.  ``FILE`` is a JSON object keyed
 by workload; a run of the tool sets its workload's entry and keeps the
-others.  The entry holds the seeds, per metric the values of each pair, each
+others.  The entry holds the commit of each side (``git rev-parse HEAD`` in
+its directory, or ``null`` where the directory holds no repository, such as
+a ``git archive`` copy), the seeds, per metric the values of each pair, each
 side's quartiles (first, median, third) and the number of pairs the change
 wins (by the direction ``better`` that the change's ``BENCHMARK.json`` gives
 it; a tie counts for neither side, and a metric with no direction has no
@@ -86,6 +88,15 @@ def _directions(checkout: Path) -> dict[str, str]:
             for group in ("end_to_end", "per_layer") for metric in doc.get(group, [])}
 
 
+def _commit(checkout: Path) -> str | None:
+    """The commit ``checkout`` has checked out, or ``None`` where it holds no repository."""
+    if not (checkout / ".git").exists():  # not a directory inside some other repository
+        return None
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds)]
@@ -128,7 +139,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
         pairs.append((results["parent"]["metrics"], results["change"]["metrics"]))
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
-    doc[args.workload] = {"seconds": args.seconds, "seeds": seeds,
+    doc[args.workload] = {"commits": {"parent": _commit(parent), "change": _commit(change)},
+                          "seconds": args.seconds, "seeds": seeds,
                           "metrics": summarise(pairs, _directions(change)), "runs": runs}
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
